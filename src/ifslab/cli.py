@@ -21,14 +21,11 @@ import configparser
 import csv
 import io
 import json
-import os
 import pathlib
 import re
 import sys
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -55,10 +52,6 @@ _SCHEMA = "ifslab-report/1"
 _WORD_LIST_CAP = 200
 _DEFAULT_DYADIC = "2:12"
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+\Z")
-
-# warnings.catch_warnings is process global; battery worker threads take
-# this lock so per-experiment capture cannot interleave.
-_WARN_LOCK = threading.Lock()
 
 
 def _resolve_system(spec: str):
@@ -505,12 +498,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_single(args) -> int:
     handler = _HANDLERS[args.command]
-    with _WARN_LOCK:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            t0 = time.perf_counter()
-            config, results = handler(args)
-            elapsed = time.perf_counter() - t0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t0 = time.perf_counter()
+        config, results = handler(args)
+        elapsed = time.perf_counter() - t0
     config["out"] = args.out
     config["format"] = args.format
     report = _plain(
@@ -526,17 +518,6 @@ def _run_single(args) -> int:
     print(f"[ifslab] {args.command}: wall {elapsed:.3f}s", file=sys.stderr)
     _write_out(args.out, _render(report, args.format))
     return 0
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("IFSLAB_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError as e:
-        raise PreconditionError(f"IFSLAB_WORKERS must be an integer, got {raw!r}") from e
-    if count < 1:
-        raise PreconditionError(f"IFSLAB_WORKERS must be >= 1, got {count}")
-    return count
 
 
 def _extract_field(results, dotted: str):
@@ -599,7 +580,6 @@ def _battery_experiments(cfg: configparser.ConfigParser, out_dir: pathlib.Path) 
 
 
 def _run_battery(args) -> int:
-    workers = _worker_count()
     cfg = configparser.ConfigParser(interpolation=None)
     try:
         loaded = cfg.read(args.config)
@@ -612,11 +592,7 @@ def _run_battery(args) -> int:
     experiments = _battery_experiments(cfg, out_dir)
 
     t0 = time.perf_counter()
-    if workers > 1 and len(experiments) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(lambda exp: run(exp[2]), experiments))
-    else:
-        codes = [run(exp[2]) for exp in experiments]
+    codes = [run(exp[2]) for exp in experiments]
 
     rows = []
     any_fail = False

@@ -176,15 +176,20 @@ def _transition_counts(phi: Phi, cap: int) -> np.ndarray:
     return np.searchsorted(phi_vals, digits, side="left")
 
 
+def _pred_mass(m: np.ndarray, tj: np.ndarray) -> np.ndarray:
+    """Per digit j, the total of m over its admissible predecessors: the
+    first tj[j-1] entries (none when tj is 0)."""
+    cum = np.cumsum(m)
+    return np.where(tj > 0, cum[np.maximum(tj - 1, 0)], 0.0)
+
+
 def _count_words_per_depth(tj: np.ndarray, depth: int) -> list:
     """Number of admissible words at each depth 1..depth (float counts)."""
     counts = []
     c = np.ones(tj.size, dtype=float)
     for _ in range(depth):
         counts.append(float(c.sum()))
-        cum = np.cumsum(c)
-        c = np.where(tj > 0, cum[np.maximum(tj - 1, 0)], 0.0)
-        c[tj == 0] = 0.0
+        c = _pred_mass(c, tj)
     return counts
 
 
@@ -227,9 +232,7 @@ def _affine_depth_sums(system, tj, depth, s, cap):
     offset = 0.0
     totals = [float(m.sum())]
     for _ in range(depth - 1):
-        cum = np.cumsum(m)
-        m = w * np.where(tj > 0, cum[np.maximum(tj - 1, 0)], 0.0)
-        m[tj == 0] = 0.0
+        m = w * _pred_mass(m, tj)
         tot = m.sum()
         totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
         if 0 < tot < 1e-250:
@@ -266,9 +269,7 @@ def _gauss_depth_sums(tj, depth, s, cap):
         m_new = np.zeros_like(m)
         occupied = np.nonzero(m.sum(axis=0) > 0)[0]
         for b in occupied:
-            cum = np.cumsum(m[:, b])
-            pred = np.where(tj > 0, cum[np.maximum(tj - 1, 0)], 0.0)
-            pred[tj == 0] = 0.0
+            pred = _pred_mass(m[:, b], tj)
             r = reps[b]
             weight = np.exp(
                 s * (math.log1p(r) - np.log(digits + r) - np.log(digits + r + 1.0))
@@ -291,9 +292,9 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     A discarded word splits into an admissible prefix, a first digit above
     the cap, and a continuation whose digits all stay above the cap (the
     restriction only pushes digits upward).  Each appended digit j scales
-    the cylinder by at most 2 * lambda_j for continued fractions and by
-    exactly the ratio for linear maps, so the block of out-of-cap factors
-    is bounded by powers of G = growth * sum_{i > cap} lambda_i**s.  The
+    the cylinder by at most distortion * lambda_j (2 for continued
+    fractions, 1 for linear maps), so the block of out-of-cap factors is
+    bounded by powers of G = distortion**s * sum_{i > cap} lambda_i**s.  The
     tail sum diverges when decay * s <= 1 and the bound is then infinite:
     the truncated mass genuinely dominates at such exponents.
     """
@@ -301,8 +302,7 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     if p <= 1.0:
         return math.inf
     tail_hi = power_sum_brackets(cap + 1, None, p)[1] * system.scale**s
-    growth = 2.0**s if system.kind == "gauss" else 1.0
-    G = growth * tail_hi
+    G = system.distortion**s * tail_hi
     bound = 0.0
     for n in range(1, depth + 1):
         prefix = 1.0 if n == 1 else totals[n - 2]

@@ -47,29 +47,9 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def _recip_power(i: int, d: float) -> float:
-    """i**(-d) as a float; 0.0 on underflow, huge ints handled."""
-    try:
-        fi = float(i)
-    except OverflowError:
-        return 0.0
-    r = fi ** -d
-    return r if math.isfinite(r) else 0.0
-
-
 def make_gauss() -> DecaySystem:
     """The reciprocal-shift family f_i(x) = 1/(x + i)."""
-    return DecaySystem(
-        kind="gauss",
-        decay=2.0,
-        scale=1.0,
-        index_limit=None,
-        _contract_lo=lambda i: _recip_power(i + 1, 2.0),
-        _contract_hi=lambda i: _recip_power(i, 2.0),
-        _log_contract_lo=lambda i: -2.0 * math.log(i + 1),
-        _log_contract_hi=lambda i: -2.0 * math.log(i),
-        affine=None,
-    )
+    return DecaySystem(kind="gauss", decay=2.0, scale=1.0, shift=1, distortion=2.0)
 
 
 def make_linear_power(d: float) -> DecaySystem:
@@ -104,22 +84,10 @@ def make_linear_power(d: float) -> DecaySystem:
             partial.append(partial[-1] + ratio(len(partial)))
         return 1 - partial[i]
 
-    scale = float(c_frac)
-
     def affine(i: int) -> tuple[Fraction, Fraction]:
         return offset(i), ratio(i)
 
-    return DecaySystem(
-        kind="linear-power",
-        decay=float(d),
-        scale=scale,
-        index_limit=None,
-        _contract_lo=lambda i: float(ratio(i)),
-        _contract_hi=lambda i: float(ratio(i)),
-        _log_contract_lo=lambda i: math.log(scale) - d * math.log(i),
-        _log_contract_hi=lambda i: math.log(scale) - d * math.log(i),
-        affine=affine,
-    )
+    return DecaySystem(kind="linear-power", decay=float(d), scale=float(c_frac), affine=affine)
 
 
 @dataclass(frozen=True)
@@ -291,15 +259,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
             blocks.append(GapBlock(j=j, start=start, end=end, gap=gap))
         tail_bound = float(tail_hi * c_mpf)
 
-    scale = float(c_mpf)
     decay = float(d)
-
-    def contract(i: int) -> float:
-        return scale * _recip_power(i, decay)
-
-    def log_contract(i: int) -> float:
-        return math.log(scale) - decay * math.log(i)
-
     gs_ref: list = []
 
     def affine(i: int):
@@ -310,12 +270,8 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
     system = DecaySystem(
         kind="gap",
         decay=decay,
-        scale=scale,
+        scale=float(c_mpf),
         index_limit=_GAP_OFFSET_CAP,
-        _contract_lo=contract,
-        _contract_hi=contract,
-        _log_contract_lo=log_contract,
-        _log_contract_hi=log_contract,
         affine=affine,
     )
     gs = GapSystem(

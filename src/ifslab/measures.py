@@ -38,10 +38,6 @@ from .systems import (
 _SOLVE_RESIDUAL = 5e-13
 _SOLVE_WIDTH = 1e-15
 
-# Windows of systems without a closed-form rate profile are summed term by
-# term; beyond this size there is no budget for that.
-_EXPLICIT_WINDOW_CAP = 65_536
-
 # Materialized per-digit mass tables stop here (lookups stay available).
 _LEVEL_TABLE_CAP = 5_000_000
 
@@ -204,36 +200,17 @@ def window_exponent(system: DecaySystem, digits: Iterable[int]) -> float:
 def _window_total_fn(system: DecaySystem, lo: int, hi: int):
     """Closed-form window mass sum s -> sum_{i=lo}^{hi} contract_lo(i)**s.
 
-    The three shipped kinds have exact power-law rates, so the sum runs on
-    the certified power-sum core and huge windows cost nothing.  Unknown
-    kinds fall back to per-term summation under a size budget.
+    With contract_lo(i) = c * (i + t)**-d the sum is c**s times a shifted
+    power sum, so it runs on the certified power-sum core and huge windows
+    cost nothing.
     """
     d = system.decay
-    if system.kind == "gauss":
-
-        def total(s: float) -> float:
-            b_lo, b_hi = power_sum_brackets(lo + 1, hi + 1, d * s)
-            return 0.5 * (b_lo + b_hi)
-
-        return total
-    if system.kind in ("linear-power", "gap"):
-        log_scale = math.log(system.scale)
-
-        def total(s: float) -> float:
-            b_lo, b_hi = power_sum_brackets(lo, hi, d * s)
-            return math.exp(s * log_scale) * 0.5 * (b_lo + b_hi)
-
-        return total
-    size = hi - lo + 1
-    if size > _EXPLICIT_WINDOW_CAP:
-        raise NumericFailure(
-            f"window of {size} digits on kind {system.kind!r} exceeds the "
-            f"per-term summation budget {_EXPLICIT_WINDOW_CAP}"
-        )
-    logs = [system.log_contract_lo(i) for i in range(lo, hi + 1)]
+    log_scale = math.log(system.scale)
+    shift = system.shift
 
     def total(s: float) -> float:
-        return math.fsum(math.exp(s * l) for l in logs)
+        b_lo, b_hi = power_sum_brackets(lo + shift, hi + shift, d * s)
+        return math.exp(s * log_scale) * 0.5 * (b_lo + b_hi)
 
     return total
 
@@ -342,8 +319,11 @@ def verify_frostman(
     otherwise probes sample_cap words drawn uniformly from the window
     product (independently of the measure, so low-mass corners are not
     under-represented).  Lengths come from the exact cylinder intervals.
-    Depth 0 passes vacuously.
+    Depth 0 passes vacuously; a sample_cap below 1 is rejected, since it
+    would pass without checking any word.
     """
+    if sample_cap < 1:
+        raise PreconditionError(f"sample_cap must be >= 1, got {sample_cap}")
     if not 0 <= depth <= measure.depth:
         raise PreconditionError(
             f"verify depth {depth} outside the built range 0..{measure.depth}"
@@ -595,14 +575,11 @@ def _chain_rate_logs(system: DecaySystem, exact: bool, i, li: float):
     """(log xi, log lambda) of branch i, from the exact index or its log."""
     if exact:
         return system.log_contract_lo(i), system.log_contract_hi(i)
-    d = system.decay
-    if system.kind == "gauss":
-        # contract_lo(i) = (i + 1)**-d; the shift is invisible at log scale.
-        corr = math.log1p(math.exp(-li)) if li < 40.0 else 0.0
-        return -d * (li + corr), -d * li
+    # log(i + t) = li + log1p(t / i); past li = 40 the correction is below
+    # an ulp of li.
+    corr = math.log1p(system.shift * math.exp(-li)) if li < 40.0 else 0.0
     log_scale = math.log(system.scale)
-    val = log_scale - d * li
-    return val, val
+    return log_scale - system.decay * (li + corr), log_scale - system.decay * li
 
 
 def _chain_window_logs(system: DecaySystem, exact: bool, start, lstart: float):

@@ -92,15 +92,6 @@ class Phi:
         else:
             raise PreconditionError(f"unknown restriction kind {self.kind!r}")
 
-    def spec(self) -> str:
-        """Compact string form (round-trips through parse_phi for lin/pow)."""
-        if self.kind == "lin":
-            b = self.beta
-            return f"lin:{b.numerator}" if b.denominator == 1 else f"lin:{float(b)}"
-        if self.kind == "pow":
-            return f"pow:{self.alpha}"
-        return f"table:<{len(self.table)} entries>"
-
     def _pow_floor_ceil(self, n: int) -> tuple[int, int]:
         """(floor, ceil) of n**alpha, exact or precision-certified."""
         frac = Fraction(self.alpha)
@@ -147,14 +138,6 @@ class Phi:
         if self.kind == "pow":
             return self._pow_floor_ceil(n)[1]
         return int(self.table[n - 1]) if n <= len(self.table) else self.floor(n)
-
-    def __call__(self, n: int) -> float:
-        """Phi(n) as a float (convenience; exact paths use floor/ceil)."""
-        if self.kind == "lin":
-            return float(self.beta * n)
-        if self.kind == "pow":
-            return float(n) ** self.alpha
-        return float(self.floor(n))
 
 
 def parse_phi(text: str) -> Phi:
@@ -205,19 +188,6 @@ class Ladder:
         return len(self.values)
 
 
-def _ladder_term_profile(system: DecaySystem, eps: float) -> tuple[float, float, int]:
-    """(coeff, p, shift) with contract_lo(i)**(1/d-eps) = coeff*(i+shift)**-p.
-
-    The three supported kinds all have closed-form contraction rates:
-    gauss has contract_lo(i) = (i+1)**-d, the affine kinds scale * i**-d.
-    """
-    q = 1.0 / system.decay - eps
-    p = system.decay * q
-    if system.kind == "gauss":
-        return 1.0, p, 1
-    return system.scale ** q, p, 0
-
-
 def build_ladder(
     system: DecaySystem,
     phi: Phi,
@@ -239,7 +209,9 @@ def build_ladder(
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
     report = verify_power_decay(system, eps, threshold_scan)
-    coeff, p, shift = _ladder_term_profile(system, eps)
+    # contract_lo(i)**q = coeff * (i + shift)**-p by the system's rate profile.
+    q = 1.0 / system.decay - eps
+    coeff, p, shift = system.scale**q, system.decay * q, system.shift
     values = [report.threshold]
     certified = [True]
     while len(values) < steps:

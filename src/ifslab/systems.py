@@ -5,13 +5,19 @@ open images, whose derivative magnitudes are sandwiched per branch,
 
     contract_lo(i) <= |f_i'(x)| <= contract_hi(i),
 
-and decay like a power of the branch index: there is an exponent d > 1 and
-a threshold index past which i**(-d-eps) <= contract_lo(i) and
-contract_hi(i) <= i**(-d+eps) for every tolerance eps > 0 of interest.
-Three kinds are supported: the reciprocal-shift family f_i(x) = 1/(x + i)
-("gauss"), a right-to-left tiling by affine maps with ratio proportional to
-i**(-d) ("linear-power"), and affine families with explicit gaps between
-consecutive images ("gap").
+and decay like a power of the branch index.  Every supported kind has the
+same rate profile, held as data on the system: a leading constant c, an
+exponent d > 1 and an index shift t >= 0 with
+
+    c * (i + t)**-d = contract_lo(i) <= contract_hi(i) = c * i**-d,
+
+plus a bounded-distortion constant D: appending a branch to a composition
+scales the cylinder length by at most D * contract_hi(i).  Three kinds are
+supported: the reciprocal-shift family f_i(x) = 1/(x + i)
+("gauss"; c = 1, d = 2, t = 1, D = 2), a right-to-left tiling by affine
+maps with ratio c * i**(-d) ("linear-power"), and affine families with
+explicit gaps between consecutive images ("gap"); both affine kinds have
+t = 0 and D = 1.
 
 Cylinder intervals (images of [0,1] under finite compositions) are computed
 exactly: continuant recursion over big integers for the reciprocal family,
@@ -47,18 +53,30 @@ class NumericFailure(RuntimeError):
     """A numeric procedure could not produce a certified result."""
 
 
+def _recip_power(i: int, d: float) -> float:
+    """i**(-d) as a float; 0.0 on underflow, huge ints handled."""
+    try:
+        fi = float(i)
+    except OverflowError:
+        return 0.0
+    r = fi ** -d
+    return r if math.isfinite(r) else 0.0
+
+
 @dataclass(frozen=True)
 class DecaySystem:
     """A power-decaying contraction family on [0, 1].
 
     kind: "gauss", "linear-power" or "gap".
-    decay: the exponent d > 1 governing the branch contraction rates.
-    scale: the family's declared leading constant (1 for gauss, the tiling
-        normalizer for the affine kinds); verify_power_decay divides it out
-        before applying the unit-constant sandwich.
+    decay, scale, shift: the rate profile d, c, t; the branch rates are
+        contract_lo(i) = c * (i + t)**-d and contract_hi(i) = c * i**-d,
+        the inf and sup of |f_i'| over [0, 1].  verify_power_decay divides
+        the scale out before applying the unit-constant sandwich.
+    distortion: bounded-distortion constant D; appending branch i to a
+        composition scales the cylinder length by at most
+        D * contract_hi(i) (2 for gauss, 1 for the affine kinds).
     index_limit: largest branch index realized (None = unbounded on demand;
         the gap kind carries a finite table).
-    contract_lo/contract_hi: inf/sup of |f_i'| over [0, 1], per branch.
     affine: for the affine kinds, i -> (offset, slope) with
         f_i(x) = offset + slope * x; None for gauss.
     """
@@ -66,11 +84,9 @@ class DecaySystem:
     kind: str
     decay: float
     scale: float = 1.0
+    shift: int = 0
+    distortion: float = 1.0
     index_limit: int | None = None
-    _contract_lo: Callable[[int], float] = field(default=None, repr=False)
-    _contract_hi: Callable[[int], float] = field(default=None, repr=False)
-    _log_contract_lo: Callable[[int], float] = field(default=None, repr=False)
-    _log_contract_hi: Callable[[int], float] = field(default=None, repr=False)
     affine: Callable[[int], tuple] | None = field(default=None, repr=False)
 
     def _check_index(self, i: int) -> None:
@@ -83,24 +99,20 @@ class DecaySystem:
 
     def contract_lo(self, i: int) -> float:
         self._check_index(i)
-        return self._contract_lo(i)
+        return self.scale * _recip_power(i + self.shift, self.decay)
 
     def contract_hi(self, i: int) -> float:
         self._check_index(i)
-        return self._contract_hi(i)
+        return self.scale * _recip_power(i, self.decay)
 
     def log_contract_lo(self, i: int) -> float:
         """log contract_lo(i); stays finite at indices whose rate underflows."""
         self._check_index(i)
-        if self._log_contract_lo is not None:
-            return self._log_contract_lo(i)
-        return math.log(self._contract_lo(i))
+        return math.log(self.scale) - self.decay * math.log(i + self.shift)
 
     def log_contract_hi(self, i: int) -> float:
         self._check_index(i)
-        if self._log_contract_hi is not None:
-            return self._log_contract_hi(i)
-        return math.log(self._contract_hi(i))
+        return math.log(self.scale) - self.decay * math.log(i)
 
     def map_eval(self, i: int, x):
         """f_i(x).  Exact when x is a Fraction and the kind is exact."""
@@ -213,6 +225,27 @@ def _round_out(lo, hi) -> tuple[float, float]:
     return lo_f, hi_f
 
 
+def _compose_ends(system: DecaySystem, word: Word) -> tuple:
+    """Images of 0 and 1 under the composition along a non-empty word.
+
+    Exact Fractions for the exact kinds, extended precision for the gap
+    kind.
+    """
+    if system.affine is None:
+        p_prev, p, q_prev, q = _gauss_continuants(word)
+        return Fraction(p, q), Fraction(p_prev + p, q_prev + q)
+    # Affine composition: offset/slope accumulate left to right.
+    off, slope = None, None
+    for a in word:
+        system._check_index(a)
+        o_a, s_a = system.affine(a)
+        if off is None:
+            off, slope = o_a, s_a
+        else:
+            off, slope = off + slope * o_a, slope * s_a
+    return off, off + slope
+
+
 def cylinder_interval(system: DecaySystem, word: Sequence[int], depth_cap: int = DEPTH_CAP) -> CylinderInterval:
     """Exact image of [0,1] under the composition along ``word``.
 
@@ -228,22 +261,7 @@ def cylinder_interval(system: DecaySystem, word: Sequence[int], depth_cap: int =
             raise PreconditionError(f"digits must be >= 1, got {a}")
     if not word:
         return CylinderInterval(Fraction(0), Fraction(1), word)
-    if system.affine is None:
-        p_prev, p, q_prev, q = _gauss_continuants(word)
-        end0 = Fraction(p, q)
-        end1 = Fraction(p_prev + p, q_prev + q)
-        lo, hi = (end0, end1) if end0 <= end1 else (end1, end0)
-        return CylinderInterval(lo, hi, word)
-    # Affine composition: offset/slope accumulate left to right.
-    off, slope = None, None
-    for a in word:
-        system._check_index(a)
-        o_a, s_a = system.affine(a)
-        if off is None:
-            off, slope = o_a, s_a
-        else:
-            off, slope = off + slope * o_a, slope * s_a
-    lo, hi = off, off + slope
+    lo, hi = _compose_ends(system, word)
     if lo > hi:
         lo, hi = hi, lo
     if isinstance(lo, Fraction):
@@ -283,20 +301,9 @@ def project_point(system: DecaySystem, word: Sequence[int]):
     if not word:
         raise PreconditionError("projection needs a non-empty word")
     cyl = cylinder_interval(system, word)
-    if system.affine is None:
-        p_prev, p, q_prev, q = _gauss_continuants(word)
-        point = Fraction(p_prev + p, q_prev + q)
-    else:
-        off, slope = None, None
-        for a in word:
-            o_a, s_a = system.affine(a)
-            if off is None:
-                off, slope = o_a, s_a
-            else:
-                off, slope = off + slope * o_a, slope * s_a
-        point = off + slope
-        if not isinstance(point, Fraction):
-            point = float(point)
+    point = _compose_ends(system, word)[1]
+    if not isinstance(point, Fraction):
+        point = float(point)
     return point, cyl.length
 
 

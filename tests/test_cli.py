@@ -11,6 +11,7 @@ structural contracts from docs/report_schema.md.
 import csv
 import itertools
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -86,6 +87,12 @@ class TestDocumentedExamples:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.json"
+        # The child finds the package the way this process did, installed
+        # or not.
+        src = str(pathlib.Path(ifslab.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
         proc = subprocess.run(
             [
                 sys.executable, "-m", "ifslab",
@@ -94,6 +101,7 @@ class TestDocumentedExamples:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["results"]["count"] == 3
@@ -230,6 +238,14 @@ class TestExitCodes:
         assert code == 2
         code, _, _ = _invoke(
             tmp_path, "boxdim", "--points", str(pts), "--dyadic", "2:5", "--scales", "0.5,0.25"
+        )
+        assert code == 2
+
+    def test_frostman_zero_sample_cap(self, tmp_path):
+        # A cap of 0 would report a pass without checking any word.
+        code, _, _ = _invoke(
+            tmp_path, "frostman", "--phi", "lin:1", "--eps", "0.1", "--depth", "2",
+            "--sample-cap", "0",
         )
         assert code == 2
 
@@ -426,19 +442,6 @@ class TestBattery:
 
     def test_missing_config_file(self, tmp_path):
         assert run(["battery", str(tmp_path / "none.cfg"), "--out-dir", str(tmp_path)]) == 2
-
-    def test_worker_env_var(self, tmp_path, monkeypatch):
-        serial_dir = tmp_path / "serial"
-        run(["battery", BATTERY_CFG, "--out-dir", str(serial_dir)])
-        monkeypatch.setenv("IFSLAB_WORKERS", "3")
-        par_dir = tmp_path / "par"
-        code = run(["battery", BATTERY_CFG, "--out-dir", str(par_dir)])
-        assert code == 0
-        assert (par_dir / "summary.csv").read_bytes() == (serial_dir / "summary.csv").read_bytes()
-        monkeypatch.setenv("IFSLAB_WORKERS", "zero")
-        assert run(["battery", BATTERY_CFG, "--out-dir", str(par_dir)]) == 2
-        monkeypatch.setenv("IFSLAB_WORKERS", "0")
-        assert run(["battery", BATTERY_CFG, "--out-dir", str(par_dir)]) == 2
 
 
 class TestBoxdimCli:

@@ -46,15 +46,8 @@ def check_estimate(est: DimensionEstimate):
 
 
 def two_ratio_system(r1: float, r2: float) -> DecaySystem:
-    rates = {1: r1, 2: r2}
-    return DecaySystem(
-        kind="toy",
-        decay=1.5,
-        scale=1.0,
-        index_limit=2,
-        _contract_lo=rates.__getitem__,
-        _contract_hi=rates.__getitem__,
-    )
+    """Two branches with rates r1 and r2: scale r1, decay log2(r1/r2)."""
+    return DecaySystem(kind="toy", decay=math.log2(r1 / r2), scale=r1, index_limit=2)
 
 
 @pytest.fixture(scope="module")

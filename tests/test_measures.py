@@ -133,15 +133,8 @@ class TestWindowExponent:
             window_exponent(gauss, [5])
 
     def test_rejects_non_contracting_branch(self):
-        rates = {1: 1.0, 2: 0.5}
-        toy = DecaySystem(
-            kind="toy",
-            decay=1.5,
-            scale=1.0,
-            index_limit=2,
-            _contract_lo=rates.__getitem__,
-            _contract_hi=rates.__getitem__,
-        )
+        # Rates 1.0 and 0.5.
+        toy = DecaySystem(kind="toy", scale=1.0, decay=1.0, index_limit=2)
         with pytest.raises(PreconditionError, match="non-contracting"):
             window_exponent(toy, [1, 2])
 
@@ -201,6 +194,11 @@ class TestVerifyFrostman:
         report = verify_frostman(layered, 0)
         assert report.fraction == 1.0
         assert report.checked == 0
+
+    def test_sample_cap_below_one_rejected(self, layered):
+        for cap in (0, -1):
+            with pytest.raises(PreconditionError, match="sample_cap"):
+                verify_frostman(layered, 2, sample_cap=cap)
 
     def test_sampled_route_is_deterministic(self, layered):
         r1 = verify_frostman(layered, 3, sample_cap=500, seed=11)

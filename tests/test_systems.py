@@ -8,11 +8,13 @@ steps of 1/(x+n), checked by hand before implementation).
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifslab.families import make_gauss, make_linear_power
+from ifslab.families import build_gap_system, make_gauss, make_linear_power
+from ifslab.restrictions import parse_phi
 from ifslab.systems import (
     DEPTH_CAP,
     NumericFailure,
@@ -116,6 +118,55 @@ class TestLinearPowerCylinders:
         parent = cylinder_interval(sys2, (2,))
         child = cylinder_interval(sys2, (2, 3))
         assert parent.contains(child)
+
+
+PROFILE_INDICES = (1, 2, 7, 10**5, 10**400)
+
+
+@pytest.fixture(scope="module")
+def profiled_systems():
+    return {
+        "gauss": make_gauss(),
+        "linpow2": make_linear_power(2.0),
+        "linpow1.5": make_linear_power(1.5),
+        "gap": build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system,
+    }
+
+
+class TestRateProfile:
+    """contract_lo(i) = c*(i+t)**-d <= contract_hi(i) = c*i**-d, one formula
+    for every kind."""
+
+    @pytest.mark.parametrize("name", ["gauss", "linpow2", "linpow1.5", "gap"])
+    def test_sandwich_and_log_forms(self, profiled_systems, name):
+        system = profiled_systems[name]
+        for i in PROFILE_INDICES:
+            if system.index_limit is not None and i > system.index_limit:
+                with pytest.raises(PreconditionError):
+                    system.contract_lo(i)
+                continue
+            lo, hi = system.contract_lo(i), system.contract_hi(i)
+            assert 0.0 <= lo <= hi
+            log_lo, log_hi = system.log_contract_lo(i), system.log_contract_hi(i)
+            assert math.isfinite(log_lo) and math.isfinite(log_hi)
+            assert log_lo <= log_hi
+            for rate, log_rate in ((lo, log_lo), (hi, log_hi)):
+                if rate > 0.0:
+                    assert log_rate == pytest.approx(math.log(rate), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("d", [2.0, 1.5])
+    def test_linear_power_rates_match_exact_ratio(self, profiled_systems, d):
+        # Oracle: the ratio i**-d / zeta(d) at 160 bits, independent of the
+        # family's own 128-bit normalizer; small indices also against the
+        # exact affine slope.
+        system = profiled_systems["linpow2" if d == 2.0 else "linpow1.5"]
+        for i in PROFILE_INDICES:
+            with mpmath.workprec(160):
+                exact = float(mpmath.power(i, -d) / mpmath.zeta(d))
+            if i < 100:
+                assert float(system.affine(i)[1]) == exact
+            for rate in (system.contract_lo(i), system.contract_hi(i)):
+                assert abs(rate - exact) <= 2 * math.ulp(exact)
 
 
 class TestLengthBounds:
