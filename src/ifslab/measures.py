@@ -55,10 +55,6 @@ _INV_TABLE_SPAN = 65_536
 _INV_TABLE_START_CAP = 10**6
 _INV_TABLE_CACHE_CAP = 64
 
-# Steps of local linear search around the integral-bracket candidate before
-# falling back to the certified crossing scan.
-_SEARCH_STEPS = 8
-
 # A log-digit beyond this truncates the sample (flagged, not fatal).
 _LOG_DIGIT_TRUNC = 1e250
 
@@ -396,7 +392,8 @@ class PowerLawDigitMeasure:
     alpha: float
     first_digit: int = 2
     _support: Phi = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False)
+    _norms: dict = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.decay > 1.0:
@@ -412,7 +409,8 @@ class PowerLawDigitMeasure:
                 f"first digit must be an integer >= 1, got {self.first_digit}"
             )
         object.__setattr__(self, "_support", Phi("pow", alpha=float(self.alpha)))
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_norms", {})
+        object.__setattr__(self, "_tables", {})
 
     @property
     def base_exponent(self) -> float:
@@ -430,12 +428,11 @@ class PowerLawDigitMeasure:
 
     def _tail_norm(self, start: int) -> tuple:
         """(lo, hi, mid) certified brackets of sum_{j >= start} j**-p."""
-        key = ("norm", start)
-        got = self._cache.get(key)
+        got = self._norms.get(start)
         if got is None:
             b_lo, b_hi = power_sum_brackets(start, None, self.tail_exponent)
             got = (b_lo, b_hi, 0.5 * (b_lo + b_hi))
-            self._cache[key] = got
+            self._norms[start] = got
         return got
 
     def normalizer(self, i: int) -> float:
@@ -449,19 +446,18 @@ class PowerLawDigitMeasure:
         """Cumulative conditional masses over a block past ``start``.
 
         Serves the common repeated-start draws by binary search; None when
-        the start is large or the cache is full (the scalar candidate
-        route handles those).
+        the start is large or the cache is full (the certified crossing
+        search handles those).
         """
         if start > _INV_TABLE_START_CAP:
             return None
-        key = ("table", start)
-        tab = self._cache.get(key)
+        tab = self._tables.get(start)
         if tab is None:
-            if sum(1 for k in self._cache if k[0] == "table") >= _INV_TABLE_CACHE_CAP:
+            if len(self._tables) >= _INV_TABLE_CACHE_CAP:
                 return None
             j = np.arange(start, start + _INV_TABLE_SPAN, dtype=float)
             tab = np.cumsum(j ** -self.tail_exponent)
-            self._cache[key] = tab
+            self._tables[start] = tab
         return tab
 
 
@@ -484,48 +480,18 @@ def digit_transition(measure: PowerLawDigitMeasure, i: int, j: int) -> float:
 def _tail_quantile(measure: PowerLawDigitMeasure, start: int, u: float) -> int:
     """Smallest j >= start whose cumulative conditional mass reaches u.
 
-    Exact inverse CDF: a cumulative table lookup for common small starts,
-    otherwise a candidate from the integral bracket refined by at most
-    _SEARCH_STEPS certified partial-sum comparisons, with the certified
-    crossing scan as the fallback.  Deterministic in (start, u).
+    Exact inverse CDF with two routes: a cumulative table lookup for common
+    small starts, otherwise the certified crossing search
+    ``first_index_reaching``.  Either way a given (start, u) always gets the
+    certified digit.
     """
-    p = measure.tail_exponent
-    s_lo = measure._tail_norm(start)[0]
-    target = u * s_lo
+    target = u * measure._tail_norm(start)[0]
     if target <= 0.0:
         return start
     tab = measure._inv_table(start)
     if tab is not None and target <= tab[-1]:
         return start + int(np.searchsorted(tab, target, side="left"))
-    # Midpoint-integral candidate: solve the continuous crossing, then walk.
-    a_val = math.exp((1.0 - p) * math.log(start - 0.5))
-    b_val = a_val - (p - 1.0) * target
-    if b_val <= 0.0:
-        return first_index_reaching(start, p, target).index
-    log_x = -math.log(b_val) / (p - 1.0)
-    if log_x > 700.0:
-        raise NumericFailure(
-            "sampled digit beyond the representable-integer budget "
-            f"(log candidate {log_x:.1f})"
-        )
-    cand = max(start, int(round(math.exp(log_x) - 0.5)))
-
-    def cum(j: int) -> float:
-        b_lo, b_hi = power_sum_brackets(start, j, p)
-        return 0.5 * (b_lo + b_hi)
-
-    j = cand
-    if cum(j) >= target:
-        for _ in range(_SEARCH_STEPS):
-            if j == start or cum(j - 1) < target:
-                return j
-            j -= 1
-        return first_index_reaching(start, p, target).index
-    for _ in range(_SEARCH_STEPS):
-        j += 1
-        if cum(j) >= target:
-            return j
-    return first_index_reaching(start, p, target).index
+    return first_index_reaching(start, measure.tail_exponent, target).index
 
 
 def sample_digits(

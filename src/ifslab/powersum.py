@@ -5,8 +5,8 @@ digit laws) reduces to sums of the form
 
     S(a, b, p) = sum_{i=a}^{b} i**(-p),        p > 0,
 
-evaluated either exactly (compensated summation) or, when the range is far
-too large to walk term by term, through an Euler-Maclaurin expansion with a
+evaluated either directly (exactly rounded summation) or, when the range is
+too long to sum term by term, through an Euler-Maclaurin expansion with a
 certified error bound.  Ranges here routinely start at integers with
 hundreds of digits: ladder sequences for power-type digit restrictions grow
 doubly exponentially, so ``a`` and ``b`` are ordinary Python ints of
@@ -22,12 +22,20 @@ The bracket is what makes minimal-index inversion sound: we can certify
 the index has 300 digits, provided the bracket separates the two
 neighbouring candidates (it essentially always does; the ambiguous case is
 reported rather than guessed).
+
+``first_index_reaching`` inverts the sum by one route: the midpoint-integral
+guess, a gallop to certified brackets on both sides, then bisection.  For
+p < 1 the integral overflows a float once (1 - p) * ln(index) passes 709
+(5k-bit indices at p = 0.8); that raises NumericFailure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+from .systems import NumericFailure
 
 # Ranges at most this long are summed directly (exactly rounded via fsum).
 DIRECT_LIMIT = 200_000
@@ -37,6 +45,9 @@ DIRECT_LIMIT = 200_000
 _EM_HEAD = 64
 
 _ULP = 2.0 ** -52
+
+# Crossings are guessed only below e**27 (about 2**39), where a float pins them.
+_GUESS_LOG_CAP = 27.0
 
 
 def _pow_neg(log_x: float, q: float) -> float:
@@ -76,7 +87,9 @@ def _em_tail(a: int, b: int, p: float) -> tuple[float, float]:
             integral = math.exp(xa) * -math.expm1(xb - xa) / (p - 1.0)
         else:
             if xb > 709.0:
-                return math.inf, math.inf
+                raise NumericFailure(
+                    f"power sum to a {b.bit_length()}-bit index overflows the float core (p = {p})"
+                )
             integral = math.exp(xb) * -math.expm1(xa - xb) / (1.0 - p)
     est = integral + (_pow_neg(la, p) + _pow_neg(lb, p)) / 2.0
     est += (p / 12.0) * (_pow_neg(la, p + 1.0) - _pow_neg(lb, p + 1.0))
@@ -170,40 +183,37 @@ class ReachResult:
     slack: int
 
 
-def _estimate_span(start: int, p: float, goal: float) -> float:
-    """Rough integral-based guess of L - start needed to reach the goal.
+def _crossing_guess(start: int, p: float, goal: float) -> int | None:
+    """Midpoint-integral inverse: L with int_{start-1/2}^{L+1/2} x**-p dx = goal.
 
-    Order of magnitude only; used to decide between walking the sum term by
-    term and bisecting on brackets.  May return inf.
+    None when the continuous crossing does not exist (p > 1 and the goal at
+    or past the integral's total) or lies past about 2**39, where a float no
+    longer pins it to within one index.
     """
-    ls = math.log(start)
+    # log(start - 1/2) without forming start - 0.5, which overflows on big ints.
+    la = math.log(2 * start - 1) - math.log(2.0)
+    if la > _GUESS_LOG_CAP:
+        return None
     if abs(p - 1.0) < 1e-15:
-        if goal > 700.0:
-            return math.inf
-        return start * math.expm1(goal)
-    x = (1.0 - p) * ls
-    if x > 709.0:
-        return math.inf
-    base = math.exp(x)
-    if p > 1.0:
-        rem = base - goal * (p - 1.0)
-        if rem <= 0.0:
-            return math.inf
-        log_l = math.log(rem) / (1.0 - p)
+        log_x = la + goal
     else:
-        log_l = math.log(base + goal * (1.0 - p)) / (1.0 - p)
-    if log_l > 709.0:
-        return math.inf
-    return math.exp(log_l) - start
+        rem = math.exp((1.0 - p) * la) - (p - 1.0) * goal
+        if rem <= 0.0:
+            return None
+        log_x = math.log(rem) / (1.0 - p)
+    if log_x > _GUESS_LOG_CAP:
+        return None
+    return max(start, int(round(math.exp(log_x) - 0.5)))
 
 
 def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0) -> ReachResult:
     """Minimal L >= start with coeff * sum_{i=start}^{L} i**(-p) >= target.
 
-    Walks the sum directly (Kahan compensated) while the range is small;
-    beyond DIRECT_LIMIT terms it switches to bisection on the certified
-    Euler-Maclaurin brackets.  Raises if the target is unreachable (finite
-    total below target, only possible for p > 1).
+    Probes the midpoint-integral guess (or doubles from start - 1 without
+    one), gallops up until a bracket surely reaches the goal and down from
+    the guess until one surely falls short, then bisects.  Raises ValueError
+    if the target is unreachable (only possible for p > 1) and
+    NumericFailure when the float core overflows.
     """
     if target <= 0:
         return ReachResult(start, True, 0)
@@ -212,38 +222,35 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
     if start < 1:
         raise ValueError("power sums start at index 1")
     goal = target / coeff
-    known_lt = start - 1
-    if _estimate_span(start, p, goal) <= DIRECT_LIMIT:
-        # Direct compensated walk.
-        s = 0.0
-        c = 0.0
-        i = start
-        limit = start + 2 * DIRECT_LIMIT
-        while i < limit:
-            term = _pow_neg(math.log(i), p)
-            y = term - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-            if s >= goal:
-                return ReachResult(i, True, 0)
-            i += 1
-        known_lt = limit - 1
-    if p > 1.0:
-        _, total_hi = power_sum_brackets(start, None, p)
-        if total_hi < goal:
-            raise ValueError("target exceeds the infinite sum; no index reaches it")
-    # Bisection on certified brackets: find lo with sum surely < goal and
-    # hi with sum surely >= goal.
-    hi = max(2 * known_lt, known_lt + 1)
-    while True:
+    # Certified sides: the sum surely falls short of the goal at lo and
+    # surely reaches it at hi.
+    lo = start - 1
+    guess = _crossing_guess(start, p, goal)
+    if guess is None:
+        probes = (max(2 * lo, start) << k for k in itertools.count())
+    else:
+        probes = itertools.chain((guess,), (guess + (1 << k) for k in itertools.count()))
+    total_checked = p <= 1.0
+    for hi in probes:
         blo, bhi = power_sum_brackets(start, hi, p)
         if blo >= goal:
             break
         if bhi < goal:
-            known_lt = hi
-        hi *= 2
-    lo = known_lt
+            lo = hi
+        if not total_checked:
+            total_checked = True
+            if power_sum_brackets(start, None, p)[1] < goal:
+                raise ValueError("target exceeds the infinite sum; no index reaches it")
+    if guess is not None:
+        step = 1
+        while guess - step > lo:
+            blo, bhi = power_sum_brackets(start, guess - step, p)
+            if bhi < goal:
+                lo = guess - step
+                break
+            if blo >= goal:
+                hi = guess - step
+            step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         blo, bhi = power_sum_brackets(start, mid, p)

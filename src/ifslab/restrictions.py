@@ -202,7 +202,7 @@ def build_ladder(
     minimal-index condition via certified power sums, so restriction shapes
     whose ladders grow doubly exponentially stay constructible.  Raises
     NumericFailure when an index would exceed ``max_index_bits`` bits (the
-    term budget).
+    term budget) or the float core overflows (near 5k-bit indices, p < 1).
     """
     if not 0 < eps < 1.0 / system.decay:
         raise PreconditionError(f"eps must lie in (0, 1/d); got {eps}")

@@ -217,6 +217,15 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_deep_power_ladder_float_overflow_is_3(self, tmp_path):
+        # Step 12 of the pow:2 ladder starts near 2**5200, where the power-sum
+        # integral overflows a float; that is a numeric failure, not a hang.
+        code, _, _ = _invoke(
+            tmp_path, "ladder", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1",
+            "--steps", "12",
+        )
+        assert code == 3
+
     def test_unwritable_out(self, capsys):
         code = run(
             ["words", "--phi", "lin:1", "--depth", "2", "--cap", "3",

@@ -81,6 +81,15 @@ CASES = {
         "localdim", "--system", "linpow:2", "--alpha", "2", "--samples", "200", "--depth", "12",
         "--seed", "3",
     ],
+    # Big-integer ladder steps with their certified flags.
+    "ladder_gauss_pow2": [
+        "ladder", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1", "--steps", "10",
+    ],
+    # Most digit draws leave the inverse-CDF table at alpha 1.5.
+    "localdim_gauss_a15": [
+        "localdim", "--system", "gauss", "--alpha", "1.5", "--samples", "500", "--depth", "30",
+        "--seed", "0",
+    ],
 }
 
 BATTERY_FILES = ("summary.csv", "bowen-gauss-k10.json", "ladder-gauss-lin1.json",

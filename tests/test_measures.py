@@ -35,6 +35,7 @@ import pytest
 
 from ifslab.families import make_gauss, make_linear_power
 from ifslab.measures import (
+    _INV_TABLE_SPAN,
     FrostmanReport,
     PowerLawDigitMeasure,
     _tail_quantile,
@@ -335,12 +336,17 @@ class TestSampling:
             sample_digits(quad_measure, 0, seed=0)
 
     def test_quantile_matches_certified_scan_past_table_range(self, quad_measure):
-        for u in (0.3, 0.77, 0.999):
-            start = 2_000_000
+        # Start 2e6 gets no table; the smaller starts get one, and these u
+        # put the target past its last entry.
+        cases = [(2_000_000, u) for u in (0.3, 0.77, 0.999)]
+        cases += [(start, u) for start in (5, 1000, 999_999) for u in (0.999, 0.99999, 1 - 1e-9)]
+        for start, u in cases:
             got = _tail_quantile(quad_measure, start, u)
             target = u * quad_measure._tail_norm(start)[0]
             ref = first_index_reaching(start, quad_measure.tail_exponent, target).index
-            assert got == ref
+            assert got == ref, (start, u)
+            if start < 2_000_000:
+                assert got - start >= _INV_TABLE_SPAN, (start, u)
 
     def test_quantile_edges_and_monotonicity(self, quad_measure):
         assert _tail_quantile(quad_measure, 4, 0.0) == 4

@@ -12,12 +12,14 @@ import random
 
 import pytest
 
+from ifslab import powersum
 from ifslab.powersum import (
     DIRECT_LIMIT,
     first_index_reaching,
     power_sum,
     power_sum_brackets,
 )
+from ifslab.systems import NumericFailure
 
 # (start, stop, p, expected) with expected from high-precision evaluation.
 FROZEN = [
@@ -77,13 +79,18 @@ def test_invalid_arguments():
 
 
 def test_first_index_matches_naive_scan():
-    # Divergent exponents so every target is reachable and crossings are
-    # close to the start.
+    # Divergent exponents, where every target is reachable, then convergent
+    # ones with targets at most half the tail.  Crossings stay close to the
+    # start; p > 1.1 keeps half the tail inside the naive scan.
     rng = random.Random(7)
-    for _ in range(60):
+    for k in range(120):
         start = rng.randrange(1, 50)
-        p = rng.uniform(0.2, 1.0)
-        target = rng.uniform(0.01, 3.0)
+        if k < 60:
+            p = rng.uniform(0.2, 1.0)
+            target = rng.uniform(0.01, 3.0)
+        else:
+            p = rng.uniform(1.1, 2.0)
+            target = rng.uniform(0.01, 0.5) * power_sum_brackets(start, None, p)[0]
         res = first_index_reaching(start, p, target)
         s = 0.0
         idx = None
@@ -95,6 +102,19 @@ def test_first_index_matches_naive_scan():
         assert idx is not None
         assert res.index == idx
         assert res.certified
+
+
+@pytest.mark.parametrize("offset", [None, -5000, -1, 0, 1, 7, 5000])
+def test_first_index_independent_of_guess(monkeypatch, offset):
+    # The guess only steers the gallop: a guess far below or above the
+    # crossing (or none at all) must give the same certified index.
+    for case in [(3, 0.7, 25.0), (40, 1.0, 6.0), (7, 1.5, 0.3), (10**6, 0.45, 30.0)]:
+        want = first_index_reaching(*case)
+        assert want.certified
+        guess = None if offset is None else max(case[0], want.index + offset)
+        monkeypatch.setattr(powersum, "_crossing_guess", lambda *args: guess)
+        assert first_index_reaching(*case) == want, case
+        monkeypatch.undo()
 
 
 def test_first_index_convergent_exponent():
@@ -120,7 +140,7 @@ def test_first_index_with_coefficient():
 
 
 def test_first_index_beyond_direct_walk():
-    # Crossing far past the direct-walk window: verify with brackets.
+    # Crossing far past DIRECT_LIMIT terms, on the Euler-Maclaurin brackets.
     start, p, target = 1000, 0.999, 40.0
     res = first_index_reaching(start, p, target)
     assert res.index - start > DIRECT_LIMIT
@@ -146,6 +166,21 @@ def test_first_index_at_huge_start():
         assert res.slack == 0
     else:
         assert 0 < res.slack < res.index * 1e-12
+
+
+@pytest.mark.parametrize("bits", [10, 100, 1000, 3000, 5200, 6000])
+@pytest.mark.parametrize("p", [0.45, 0.8, 1.0, 1.6])
+def test_brackets_at_big_indices_never_nan(bits, p):
+    # Past the float range of the integral (p < 1 near 5k-bit indices) the
+    # core must raise, never hand back a NaN bracket.
+    start = 2**bits
+    try:
+        lo, hi = power_sum_brackets(start, 2 * start, p)
+    except NumericFailure:
+        assert p < 1.0
+        return
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo <= hi
 
 
 def test_unreachable_target_raises():
