@@ -18,14 +18,9 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from .restrictions import Phi, enumerate_restricted_words
+from .restrictions import Phi, successor_table
 from .powersum import power_sum_brackets
-from .systems import (
-    DecaySystem,
-    NumericFailure,
-    PreconditionError,
-    _gauss_continuants,
-)
+from .systems import DecaySystem, NumericFailure, PreconditionError
 
 # Pressure-root search ceiling: the sum is still >= 1 here only when a
 # non-contracting ratio is present, so there is no root to find.
@@ -37,9 +32,14 @@ _BOWEN_MAX_ITER = 256
 _EXACT_WORD_CAP = 200_000
 
 # Resolution of the continuant-ratio binning in the transfer program, and
-# the largest digit cap its dense state matrix will hold.
+# the largest digit cap it accepts.
 _RATIO_BINS = 1024
 _GAUSS_DP_CAP = 20_000
+
+# Segments of the flattened (cap, _RATIO_BINS) state at most this long are
+# laid out densely when the program totals its state (see _binned_total).
+# At least 128, numpy's pairwise block, below which numpy stops splitting.
+_TOTAL_SEGMENT = 1 << 16
 
 
 class TailWarning(UserWarning):
@@ -119,13 +119,15 @@ def _root_from_rates(rates: np.ndarray, tol: float) -> DimensionEstimate:
 
 
 def _rate_band(system: DecaySystem, bound_kind: str, k: int, m: int) -> np.ndarray:
+    """contract_lo (xi) or contract_hi (lambda) at indices k..m, checked by
+    the caller; rates that underflow come out as 0."""
     if bound_kind == "xi":
-        fn = system.contract_lo
+        t = system.shift
     elif bound_kind == "lambda":
-        fn = system.contract_hi
+        t = 0
     else:
         raise PreconditionError(f"bound_kind must be 'xi' or 'lambda', got {bound_kind!r}")
-    return np.array([fn(i) for i in range(k, m + 1)], dtype=float)
+    return system.scale * np.arange(k + t, m + t + 1, dtype=float) ** -system.decay
 
 
 def bowen_root(
@@ -169,18 +171,20 @@ def subsystem_dim_bounds(
     return lower, upper
 
 
-def _transition_counts(phi: Phi, cap: int) -> np.ndarray:
-    """predecessors[j-1] = #{i <= cap : Phi(i) < j} for digits j = 1..cap."""
-    phi_vals = np.array([min(phi.floor(i), cap + 1) for i in range(1, cap + 1)], dtype=np.int64)
-    digits = np.arange(1, cap + 1, dtype=np.int64)
-    return np.searchsorted(phi_vals, digits, side="left")
+def _transition_counts(nxt: np.ndarray) -> np.ndarray:
+    """predecessors[j-1] = #{i <= cap : Phi(i) < j} for digits j = 1..cap,
+    from the successor table of the restriction."""
+    cap = nxt.size - 1
+    return np.searchsorted(nxt[1:], np.arange(1, cap + 1), side="right")
 
 
 def _pred_mass(m: np.ndarray, tj: np.ndarray) -> np.ndarray:
     """Per digit j, the total of m over its admissible predecessors: the
-    first tj[j-1] entries (none when tj is 0)."""
-    cum = np.cumsum(m)
-    return np.where(tj > 0, cum[np.maximum(tj - 1, 0)], 0.0)
+    first tj[j-1] digits (none when tj is 0).  m is indexed by digit along
+    its last axis; leading axes are carried along."""
+    out = np.take(np.cumsum(m, axis=-1), np.maximum(tj - 1, 0), axis=-1)
+    out[..., tj == 0] = 0.0
+    return out
 
 
 def _count_words_per_depth(tj: np.ndarray, depth: int) -> list:
@@ -193,33 +197,52 @@ def _count_words_per_depth(tj: np.ndarray, depth: int) -> list:
     return counts
 
 
-def _exact_depth_sums(system, phi, depth, s, cap):
+def _exact_depth_sums(system, nxt, depth, s, cap):
     """Exact enumeration: per-depth totals of |cylinder|**s, plus the exact
-    rational total at the final depth for the Gauss family at s = 1."""
+    rational total at the final depth for the Gauss family at s = 1.
+
+    Each depth is held as level arrays over all its admissible words in
+    lexicographic order: the last digit and either the continuant pair
+    (q_prev, q) of the word (Gauss) or its summed log contraction (affine
+    kinds).  The next level repeats every word once per allowed digit
+    nxt[last] .. cap, which keeps the order.  Continuants are bounded by
+    (cap + 1)**depth; they are int64 below 2**63 and Python ints past it.
+    The log sums carry their rounding error along (two-sum), so each is
+    rounded once, as math.fsum over the word would round it.
+    """
+    gauss = system.kind == "gauss"
+    ints = np.int64 if (cap + 1) ** depth < 2**63 else object
+    # The empty word: virtual last digit 0, continuants (q_prev, q) = (0, 1).
+    last = np.zeros(1, dtype=np.int64)
+    q_prev, q = np.zeros(1, dtype=ints), np.ones(1, dtype=ints)
+    log_sum, log_err = np.zeros(1), np.zeros(1)
+    if not gauss:
+        log_digit = np.array([0.0] + [system.log_contract_hi(a) for a in range(1, cap + 1)])
     totals = []
-    exact_final = None
-    for n in range(1, depth + 1):
-        log_terms = []
-        frac_total = Fraction(0) if (system.kind == "gauss" and s == 1) else None
-        for word in enumerate_restricted_words(phi, n, cap):
-            if system.kind == "gauss":
-                _, _, q_prev, q = _gauss_continuants(word)
-                log_len = -(math.log(q) + math.log(q + q_prev))
-                if frac_total is not None:
-                    frac_total += Fraction(1, q * (q + q_prev))
-            else:
-                log_len = math.fsum(system.log_contract_hi(a) for a in word)
-            log_terms.append(s * log_len)
-        if not log_terms:
+    for _ in range(depth):
+        first = nxt[last]
+        counts = cap + 1 - first
+        parent = np.repeat(np.arange(last.size), counts)
+        offsets = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        last = first[parent] + offsets
+        if gauss:
+            q_prev, q = q[parent], last.astype(ints) * q[parent] + q_prev[parent]
+            log_len = -(np.log(q.astype(float)) + np.log((q + q_prev).astype(float)))
+        else:
+            head, term = log_sum[parent], log_digit[last]
+            log_sum = head + term
+            back = log_sum - head
+            log_err = log_err[parent] + ((head - (log_sum - back)) + (term - back))
+            log_len = log_sum + log_err
+        if last.size == 0:
             totals.append(0.0)
             continue
-        arr = np.array(log_terms)
+        arr = s * log_len
         peak = arr.max()
         totals.append(float(math.exp(peak) * np.exp(arr - peak).sum()))
-        if n == depth and frac_total is not None:
-            exact_final = float(frac_total)
-    if exact_final is not None:
-        totals[-1] = exact_final
+    if gauss and s == 1:
+        exact = sum(Fraction(1, b * (b + a)) for a, b in zip(q_prev.tolist(), q.tolist()))
+        totals[-1] = float(exact)
     return totals
 
 
@@ -241,16 +264,63 @@ def _affine_depth_sums(system, tj, depth, s, cap):
     return totals
 
 
+def _binned_state(bins, mass, cap):
+    """Scatter mass[..., j] onto the cells (bins[..., j], digit j), keeping
+    only the bins that receive positive mass: returns the (k, cap) state and
+    its k ascending bin ids.
+
+    One bincount does the scatter, so a cell adds its entries in the order
+    of mass (row-major), starting from 0.  Zero entries may land in any
+    cell of their digit; adding 0 changes nothing.
+    """
+    hit = np.bincount(bins.ravel(), weights=mass.ravel(), minlength=_RATIO_BINS) > 0
+    cols = np.flatnonzero(hit)
+    if not cols.size:
+        return np.zeros((0, cap)), cols
+    col_of = np.maximum(np.cumsum(hit) - 1, 0)
+    cell = col_of[bins] * cap + np.arange(cap)
+    state = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=cols.size * cap)
+    return state.reshape(cols.size, cap), cols
+
+
+def _binned_total(m, cols):
+    """Sum of the (k, cap) state, rounded as numpy sums the dense
+    (cap, _RATIO_BINS) matrix it stands for: pairwise over that matrix
+    flattened row by row.
+
+    The zero bins are never built as a whole.  The pairwise split (half,
+    rounded down to a multiple of 8) is followed until a segment is at most
+    _TOTAL_SEGMENT long; that segment is laid out densely and summed by
+    numpy, so the result keeps the dense matrix's rounding.
+    """
+    B = _RATIO_BINS
+
+    def segment(lo, n):
+        if n > _TOTAL_SEGMENT:
+            half = n // 2 - (n // 2) % 8
+            return segment(lo, half) + segment(lo + half, n - half)
+        r0, r1 = lo // B, -(-(lo + n) // B)
+        dense = np.zeros((r1 - r0, B))
+        dense[:, cols] = m[:, r0:r1].T
+        return np.add.reduce(dense.ravel()[lo - r0 * B : lo - r0 * B + n])
+
+    return segment(0, m.shape[1] * B)
+
+
 def _gauss_depth_sums(tj, depth, s, cap):
     """Binned transfer program for continued-fraction cylinders.
 
     With r the ratio of consecutive continuant denominators, appending
     digit j scales the cylinder by (1+r)/((j+r)(j+r+1)) and renews the
     ratio to 1/(j+r); r is tracked on a uniform grid of _RATIO_BINS bins.
+    The state holds the mass per (ratio bin, last digit) over the occupied
+    bins only: a (k, cap) matrix with bin ids cols.  Each depth is one
+    cumsum over the digits, one gather at tj - 1, the weights of all k bins
+    as one (k, cap) array, and one scatter fed bin by bin, so every cell
+    adds its entries in ascending bin order.
     """
     B = _RATIO_BINS
     digits = np.arange(1, cap + 1, dtype=float)
-    rows = np.arange(cap)
     mass0 = np.exp(-s * (np.log(digits) + np.log1p(digits)))
     if depth == 1:
         return [float(mass0.sum())]
@@ -260,25 +330,23 @@ def _gauss_depth_sums(tj, depth, s, cap):
             f"{_GAUSS_DP_CAP}; lower the cap or force exact enumeration"
         )
     bins0 = np.minimum((B / digits).astype(np.int64), B - 1)
-    m = np.zeros((cap, B))
-    np.add.at(m, (rows, bins0), mass0)
-    reps = (np.arange(B) + 0.5) / B
+    m, cols = _binned_state(bins0, mass0, cap)
     offset = 0.0
     totals = [float(mass0.sum())]
     for _ in range(depth - 1):
-        m_new = np.zeros_like(m)
-        occupied = np.nonzero(m.sum(axis=0) > 0)[0]
-        for b in occupied:
-            pred = _pred_mass(m[:, b], tj)
-            r = reps[b]
-            weight = np.exp(
-                s * (math.log1p(r) - np.log(digits + r) - np.log(digits + r + 1.0))
-            )
-            contrib = pred * weight
-            new_bins = np.minimum((B / (digits + r)).astype(np.int64), B - 1)
-            np.add.at(m_new, (rows, new_bins), contrib)
-        m = m_new
-        tot = m.sum()
+        r = (cols + 0.5) / B
+        x = digits + r[:, None]
+        new_bins = np.minimum((B / x).astype(np.int64), B - 1)
+        log1p_r = np.array([math.log1p(v) for v in r.tolist()])
+        weight = log1p_r[:, None] - np.log(x)
+        x += 1.0
+        weight -= np.log(x)
+        weight *= s
+        np.exp(weight, out=weight)
+        m = _pred_mass(m, tj)
+        m *= weight
+        m, cols = _binned_state(new_bins, m, cap)
+        tot = _binned_total(m, cols)
         totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
         if 0 < tot < 1e-250:
             offset += math.log(tot)
@@ -337,7 +405,8 @@ def cover_sum(
     cap = digit_cap
     if system.index_limit is not None:
         cap = min(cap, system.index_limit)
-    tj = _transition_counts(phi, cap)
+    nxt = successor_table(phi, cap)
+    tj = _transition_counts(nxt)
     if method == "auto":
         n_words = sum(_count_words_per_depth(tj, depth))
         if system.kind == "gauss":
@@ -345,7 +414,7 @@ def cover_sum(
         else:
             method = "dp"
     if method == "exact":
-        totals = _exact_depth_sums(system, phi, depth, s, cap)
+        totals = _exact_depth_sums(system, nxt, depth, s, cap)
     elif system.kind == "gauss":
         totals = _gauss_depth_sums(tj, depth, s, cap)
     else:

@@ -212,8 +212,13 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
     Probes the midpoint-integral guess (or doubles from start - 1 without
     one), gallops up until a bracket surely reaches the goal and down from
     the guess until one surely falls short, then bisects.  Raises ValueError
-    if the target is unreachable (only possible for p > 1) and
-    NumericFailure when the float core overflows.
+    if the target is unreachable (only possible for p > 1).  Raises
+    NumericFailure when the float core overflows, and for p > 1 when the
+    goal lies so close to the infinite sum that no bracket can certify it:
+    the up gallop stops once a probe's lower end plus the whole tail past
+    the probe falls short of the goal.  A later lower end rises by at most
+    that tail while the bracket widens with the index, so it never gets
+    there.
     """
     if target <= 0:
         return ReachResult(start, True, 0)
@@ -237,6 +242,11 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
             break
         if bhi < goal:
             lo = hi
+        elif p > 1.0 and blo + power_sum_brackets(hi + 1, None, p)[1] < goal:
+            raise NumericFailure(
+                f"goal {goal!r} lies within bracket noise of the infinite power sum "
+                f"(p = {p}); no index can be certified to reach it"
+            )
         if not total_checked:
             total_checked = True
             if power_sum_brackets(start, None, p)[1] < goal:

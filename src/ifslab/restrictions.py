@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Iterator
 
 import mpmath
+import numpy as np
 
 from .powersum import first_index_reaching
 from .systems import DecaySystem, NumericFailure, PreconditionError, Word, verify_power_decay
@@ -250,6 +251,17 @@ def growth_ratio_bound(ladder: Ladder, phi: Phi) -> float:
     return worst
 
 
+def successor_table(phi: Phi, cap: int, strict: bool = True) -> np.ndarray:
+    """Smallest digit allowed after each digit a = 0..cap, clipped to cap + 1.
+
+    Entry 0 is 1: the empty word admits every first digit.  Entry a >= 1 is
+    floor(Phi(a)) + 1 when strict, ceil(Phi(a)) otherwise.  The table is
+    non-decreasing, as every Phi is, and costs one Phi evaluation per digit.
+    """
+    step = (lambda a: phi.floor(a) + 1) if strict else phi.ceil
+    return np.array([1] + [min(step(a), cap + 1) for a in range(1, cap + 1)], dtype=np.int64)
+
+
 def enumerate_restricted_words(
     phi: Phi, depth: int, digit_cap: int, strict: bool = True
 ) -> Iterator[Word]:
@@ -263,9 +275,7 @@ def enumerate_restricted_words(
         raise PreconditionError("depth must be >= 1")
     if digit_cap < 1:
         raise PreconditionError("digit_cap must be >= 1")
-
-    def successor_floor(a: int) -> int:
-        return phi.floor(a) + 1 if strict else phi.ceil(a)
+    nxt = successor_table(phi, digit_cap, strict).tolist()
 
     def rec(prefix: list, lo: int) -> Iterator[Word]:
         if len(prefix) == depth:
@@ -273,7 +283,7 @@ def enumerate_restricted_words(
             return
         for a in range(lo, digit_cap + 1):
             prefix.append(a)
-            yield from rec(prefix, successor_floor(a))
+            yield from rec(prefix, nxt[a])
             prefix.pop()
 
     yield from rec([], 1)

@@ -15,23 +15,35 @@ Frozen oracles, each derived independently before the module existed:
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ifslab import dimension
 from ifslab.dimension import (
+    _RATIO_BINS,
     DimensionEstimate,
     ScaleWarning,
     TailWarning,
+    _binned_total,
+    _count_words_per_depth,
+    _exact_depth_sums,
+    _gauss_depth_sums,
+    _rate_band,
+    _root_from_rates,
+    _transition_counts,
     bowen_root,
     box_dim_estimate,
     cover_sum,
     predict_dimensions,
     subsystem_dim_bounds,
 )
-from ifslab.families import make_gauss, make_linear_power
-from ifslab.restrictions import parse_phi
-from ifslab.systems import DecaySystem, NumericFailure, PreconditionError
+from ifslab.families import build_gap_system, make_gauss, make_linear_power
+from ifslab.restrictions import Phi, enumerate_restricted_words, parse_phi, successor_table
+from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, _gauss_continuants
 
 ROOT_12 = 0.393942455512935
 ROOT_23 = 0.280249432611932
@@ -213,6 +225,186 @@ class TestCoverSum:
             cover_sum(gauss, lin_phi, 2, 0.5, digit_cap=0)
         with pytest.raises(PreconditionError):
             cover_sum(gauss, lin_phi, 2, 0.5, method="guess")
+
+
+def _per_bin_reference(tj, depth, s, cap):
+    """The retired binned transfer program, kept as the reference: a dense
+    (cap, bins) state and one np.add.at scatter per occupied bin."""
+    B = _RATIO_BINS
+    digits = np.arange(1, cap + 1, dtype=float)
+    rows = np.arange(cap)
+    mass0 = np.exp(-s * (np.log(digits) + np.log1p(digits)))
+    bins0 = np.minimum((B / digits).astype(np.int64), B - 1)
+    m = np.zeros((cap, B))
+    np.add.at(m, (rows, bins0), mass0)
+    reps = (np.arange(B) + 0.5) / B
+    offset = 0.0
+    totals = [float(mass0.sum())]
+    for _ in range(depth - 1):
+        m_new = np.zeros_like(m)
+        occupied = np.nonzero(m.sum(axis=0) > 0)[0]
+        for b in occupied:
+            cum = np.cumsum(m[:, b])
+            pred = np.where(tj > 0, cum[np.maximum(tj - 1, 0)], 0.0)
+            r = reps[b]
+            weight = np.exp(
+                s * (math.log1p(r) - np.log(digits + r) - np.log(digits + r + 1.0))
+            )
+            contrib = pred * weight
+            new_bins = np.minimum((B / (digits + r)).astype(np.int64), B - 1)
+            np.add.at(m_new, (rows, new_bins), contrib)
+        m = m_new
+        tot = m.sum()
+        totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
+        if 0 < tot < 1e-250:
+            offset += math.log(tot)
+            m /= tot
+    return totals
+
+
+class TestBinnedProgram:
+    @pytest.mark.parametrize("spec", ["lin:1", "pow:1.5"])
+    @pytest.mark.parametrize("cap", [50, 500, 2000])
+    @pytest.mark.parametrize("s", [0.45, 0.6, 1.0])
+    def test_matches_retired_per_bin_loop(self, spec, cap, s):
+        tj = _transition_counts(successor_table(parse_phi(spec), cap))
+        want = _per_bin_reference(tj, 5, s, cap)
+        for depth in range(2, 6):
+            assert _gauss_depth_sums(tj, depth, s, cap) == want[:depth]
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_no_admissible_words_leaves_an_empty_state(self, cap):
+        # Under pow:2 no word of depth 3 fits below cap 4, so the state
+        # runs empty and every later total is 0.
+        tj = _transition_counts(successor_table(parse_phi("pow:2"), cap))
+        got = _gauss_depth_sums(tj, 4, 0.6, cap)
+        assert got == _per_bin_reference(tj, 4, 0.6, cap)
+        assert got[2:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("cap", [1, 3, 37, 101])
+    @pytest.mark.parametrize("segment", [128, 200, 1 << 16])
+    def test_total_rounds_like_the_dense_sum(self, cap, segment, monkeypatch):
+        # Small segments force the pairwise split, including its rounding
+        # down to a multiple of 8 (odd caps give odd half-lengths).
+        monkeypatch.setattr(dimension, "_TOTAL_SEGMENT", segment)
+        rng = np.random.default_rng(cap)
+        cols = np.flatnonzero(rng.random(_RATIO_BINS) < 0.3)
+        m = rng.random((cols.size, cap)) * 10.0 ** rng.integers(-8, 8, (cols.size, cap))
+        m[rng.random(m.shape) < 0.5] = 0.0
+        dense = np.zeros((cap, _RATIO_BINS))
+        dense[:, cols] = m.T
+        assert _binned_total(m, cols) == dense.sum()
+
+
+def _per_word_reference(system, phi, depth, s, cap):
+    """Per-depth totals by walking every admissible word, as the retired
+    exact route did, plus the exact Gauss total of the final depth at s=1."""
+    totals = []
+    frac = Fraction(0)
+    for n in range(1, depth + 1):
+        logs = []
+        for word in enumerate_restricted_words(phi, n, cap):
+            if system.kind == "gauss":
+                _, _, q_prev, q = _gauss_continuants(word)
+                logs.append(s * -(math.log(q) + math.log(q + q_prev)))
+                if n == depth:
+                    frac += Fraction(1, q * (q + q_prev))
+            else:
+                logs.append(s * math.fsum(system.log_contract_hi(a) for a in word))
+        if not logs:
+            totals.append(0.0)
+            continue
+        arr = np.array(logs)
+        peak = arr.max()
+        totals.append(float(math.exp(peak) * np.exp(arr - peak).sum()))
+    return totals, frac
+
+
+def _within_ulps(a, b, n):
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
+@st.composite
+def restrictions(draw):
+    kind = draw(st.sampled_from(["lin", "pow", "table"]))
+    if kind == "lin":
+        return parse_phi(draw(st.sampled_from(["lin:1", "lin:3/2", "lin:2", "lin:5/2"])))
+    if kind == "pow":
+        return parse_phi(draw(st.sampled_from(["pow:1.3", "pow:1.5", "pow:2"])))
+    steps = draw(st.lists(st.integers(0, 4), min_size=60, max_size=60))
+    return Phi("table", table=tuple(n + 1 + sum(steps[: n + 1]) for n in range(60)))
+
+
+class TestExactLevels:
+    @given(
+        restrictions(),
+        st.sampled_from(["gauss", "linpow"]),
+        st.integers(1, 4),
+        st.integers(1, 60),
+        st.sampled_from([0.45, 0.6, 0.83, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_word_reference(self, phi, kind, depth, cap, s):
+        system = make_gauss() if kind == "gauss" else make_linear_power(2.0)
+        nxt = successor_table(phi, cap)
+        tj = _transition_counts(nxt)
+        counts = _count_words_per_depth(tj, depth)
+        assume(sum(counts) <= 30_000)
+        got = _exact_depth_sums(system, nxt, depth, s, cap)
+        want, frac = _per_word_reference(system, phi, depth, s, cap)
+        for a, b in zip(got[:-1], want[:-1]):
+            assert _within_ulps(a, b, 4)
+        if kind == "gauss" and s == 1.0:
+            assert got[-1] == float(frac)
+        else:
+            assert _within_ulps(got[-1], want[-1], 4)
+        # At s = 0 every word weighs 1, so the totals count each level.
+        assert _exact_depth_sums(system, nxt, depth, 0.0, cap) == counts
+
+    @pytest.mark.parametrize("s", [0.6, 1.0])
+    def test_past_the_int64_continuant_guard(self, gauss, s):
+        # 17**16 >= 2**63, so the continuants are held as Python ints.
+        cap = depth = 16
+        assert (cap + 1) ** depth >= 2**63
+        phi = parse_phi("lin:1")
+        got = _exact_depth_sums(gauss, successor_table(phi, cap), depth, s, cap)
+        want, frac = _per_word_reference(gauss, phi, depth, s, cap)
+        assert all(_within_ulps(a, b, 4) for a, b in zip(got[:-1], want[:-1]))
+        assert got[-1] == (float(frac) if s == 1.0 else want[-1])
+
+
+@pytest.fixture(scope="module")
+def gap_system():
+    return build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system
+
+
+class TestRateBand:
+    @pytest.mark.parametrize("name", ["gauss", "linpow", "gapsys"])
+    def test_matches_per_index_rates(self, name, gauss, gap_system):
+        system = {"gauss": gauss, "linpow": make_linear_power(2.0), "gapsys": gap_system}[name]
+        k, m = 3, 5000
+        if system.index_limit is not None:
+            m = min(m, system.index_limit)
+        for bound, rate in (("xi", system.contract_lo), ("lambda", system.contract_hi)):
+            band = _rate_band(system, bound, k, m)
+            want = np.array([rate(i) for i in range(k, m + 1)])
+            assert band.shape == want.shape
+            assert (np.abs(band - want) <= 2 * np.spacing(want)).all()
+
+    def test_index_limit_still_raises(self, gap_system):
+        limit = gap_system.index_limit
+        assert limit is not None
+        with pytest.raises(PreconditionError):
+            bowen_root(gap_system, "xi", 1, limit + 1)
+        with pytest.raises(PreconditionError):
+            subsystem_dim_bounds(gap_system, 1, limit + 1)
+
+    def test_underflowing_rates_are_dropped(self):
+        steep = DecaySystem(kind="toy", decay=200.0)
+        band = _rate_band(steep, "lambda", 2, 60)
+        assert band[-1] == 0.0 and (band > 0).sum() >= 2
+        est = bowen_root(steep, "lambda", 2, 60)
+        assert est.value == _root_from_rates(band[band > 0], 1e-10).value
 
 
 class TestBoxDim:

@@ -8,7 +8,11 @@ the harmonic-number closed form ln(n) + gamma + 1/2n - 1/12n^2.
 """
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -186,6 +190,40 @@ def test_brackets_at_big_indices_never_nan(bits, p):
 def test_unreachable_target_raises():
     with pytest.raises(ValueError):
         first_index_reaching(2, 3.0, 10.0)
+
+
+@pytest.mark.parametrize("gap", [1e-14, 1e-13])
+def test_goal_in_noise_of_infinite_sum_gives_up(gap):
+    # The goal sits within bracket noise of the infinite total, so no finite
+    # bracket ever certifies reaching it.  The search must give up with a
+    # NumericFailure instead of galloping forever; a child process with a
+    # timeout turns a hang into a failure.
+    code = (
+        "from ifslab.powersum import first_index_reaching, power_sum_brackets\n"
+        "from ifslab.systems import NumericFailure\n"
+        f"goal = (1 - {gap!r}) * power_sum_brackets(5, None, 4 / 3)[0]\n"
+        "try:\n"
+        "    first_index_reaching(5, 4 / 3, goal)\n"
+        "except NumericFailure:\n"
+        "    print('NumericFailure')\n"
+    )
+    src = str(pathlib.Path(powersum.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "NumericFailure"
+
+
+def test_goal_near_infinite_sum_still_reached():
+    # 1e-12 below the total the lower bracket end still gets there; the
+    # give-up rule must not cut this search short.
+    goal = (1 - 1e-12) * power_sum_brackets(5, None, 4 / 3)[0]
+    res = first_index_reaching(5, 4 / 3, goal)
+    assert power_sum_brackets(5, res.index, 4 / 3)[0] >= goal
 
 
 def test_zero_target_is_start():

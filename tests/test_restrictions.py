@@ -29,6 +29,7 @@ from ifslab.restrictions import (
     enumerate_restricted_words,
     growth_ratio_bound,
     parse_phi,
+    successor_table,
 )
 
 
@@ -218,3 +219,30 @@ class TestEnumerator:
 
     def test_empty_stream_allowed(self):
         assert list(enumerate_restricted_words(parse_phi("pow:2"), 3, 3)) == []
+
+    def test_short_table_raises(self):
+        phi = Phi("table", table=(2, 4, 6))
+        with pytest.raises(PreconditionError):
+            list(enumerate_restricted_words(phi, 1, 4))
+
+
+class TestSuccessorTable:
+    @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5", "pow:2"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_entries_are_clipped_successors(self, spec, strict):
+        phi = parse_phi(spec)
+        cap = 40
+        nxt = successor_table(phi, cap, strict)
+        assert nxt.shape == (cap + 1,)
+        assert nxt[0] == 1
+        for a in range(1, cap + 1):
+            want = phi.floor(a) + 1 if strict else phi.ceil(a)
+            assert nxt[a] == min(want, cap + 1)
+        assert (nxt[1:] >= nxt[:-1]).all()
+
+    def test_table_restriction(self):
+        phi = Phi("table", table=(2, 5, 9, 30))
+        assert successor_table(phi, 4).tolist() == [1, 3, 5, 5, 5]
+        assert successor_table(phi, 4, strict=False).tolist() == [1, 2, 5, 5, 5]
+        with pytest.raises(PreconditionError):
+            successor_table(phi, 5)
