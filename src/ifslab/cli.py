@@ -1,13 +1,15 @@
 """Command-line front end wiring the library into reproducible experiments.
 
-Each subcommand maps one library operation, resolves its parameters into a
-config block, and emits a machine-readable report: a JSON object (or its
-flattened CSV form) holding the schema tag, the resolved config, the library
-version, the results, and any warnings raised during the computation.  Wall
-time is logged to stderr only, so reports are byte-identical across runs of
-the same config and seed.  The battery entry point runs a list of named
-experiments from an INI file, compares declared expectations, and writes a
-summary table plus one report per experiment.
+Each subcommand maps one library operation and emits a machine-readable
+report: a JSON object (or its flattened CSV form) holding the schema tag, the
+resolved config, the library version, the results, and any warnings raised
+during the computation.  The config is every flag of the subcommand under its
+argparse dest name, in --help order, ending with out and format; frostman's
+verify_depth is resolved to depth when omitted.  Wall time is logged to
+stderr only, so reports are byte-identical across runs of the same config and
+seed.  The battery entry point runs a list of named experiments from an INI
+file, compares declared expectations, and writes a summary table plus one
+report per experiment.
 
 Field names are frozen in docs/report_schema.md.  Exit codes: 0 success,
 2 precondition violation (bad flags, malformed specs, unwritable paths),
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import io
 import json
@@ -163,14 +166,6 @@ def _estimate_results(value_key: str, est) -> dict:
 
 def _cmd_bowen(args):
     system = _resolve_system(args.system)
-    config = {
-        "system": args.system,
-        "bound": args.bound,
-        "k": args.k,
-        "m": args.m,
-        "tol": args.tol,
-        "bounds": bool(args.bounds),
-    }
     est = bowen_root(system, args.bound, args.k, args.m, tol=args.tol)
     results = _estimate_results("s", est)
     if args.bounds:
@@ -180,36 +175,23 @@ def _cmd_bowen(args):
             "upper": upper.value,
             "upper_capped": bool(upper.diagnostics.get("capped", False)),
         }
-    return config, results
+    return results
 
 
 def _cmd_ladder(args):
     system = _resolve_system(args.system)
     phi = parse_phi(args.phi)
-    config = {
-        "system": args.system,
-        "phi": args.phi,
-        "eps": args.eps,
-        "steps": args.steps,
-    }
     ladder = build_ladder(system, phi, args.eps, args.steps)
-    results = {
+    return {
         "threshold": ladder.threshold,
         "values": list(ladder.values),
         "certified": list(ladder.certified),
         "growth_ratio_bound": growth_ratio_bound(ladder, phi) if len(ladder) >= 2 else None,
     }
-    return config, results
 
 
 def _cmd_words(args):
     phi = parse_phi(args.phi)
-    config = {
-        "phi": args.phi,
-        "depth": args.depth,
-        "cap": args.cap,
-        "strict": bool(args.strict),
-    }
     count = 0
     head = []
     for word in enumerate_restricted_words(phi, args.depth, args.cap, strict=args.strict):
@@ -221,22 +203,14 @@ def _cmd_words(args):
         results["words"] = head
     else:
         results["words_truncated"] = True
-    return config, results
+    return results
 
 
 def _cmd_cover(args):
     system = _resolve_system(args.system)
     phi = parse_phi(args.phi)
-    config = {
-        "system": args.system,
-        "phi": args.phi,
-        "depth": args.depth,
-        "s": args.s,
-        "cap": args.cap,
-        "method": args.method,
-    }
     value = cover_sum(system, phi, args.depth, args.s, digit_cap=args.cap, method=args.method)
-    return config, {"value": value}
+    return {"value": value}
 
 
 def _parse_scales(args) -> list:
@@ -263,11 +237,6 @@ def _parse_scales(args) -> list:
 
 def _cmd_boxdim(args):
     scales = _parse_scales(args)
-    config = {
-        "points": args.points,
-        "scales": args.scales,
-        "dyadic": args.dyadic if args.scales is None else None,
-    }
     try:
         points = np.loadtxt(args.points, ndmin=1)
     except OSError as e:
@@ -277,37 +246,24 @@ def _cmd_boxdim(args):
     est = box_dim_estimate(points, scales)
     results = _estimate_results("estimate", est)
     results["n_points"] = int(points.size)
-    return config, results
+    return results
 
 
 def _cmd_predict(args):
     phi = parse_phi(args.phi)
-    config = {
-        "d": args.d,
-        "phi": args.phi,
-        "s0": args.s0,
-        "gauss_like": bool(args.gauss_like),
-    }
-    table = predict_dimensions(args.d, phi, args.s0, gauss_like=args.gauss_like)
-    return config, dict(table)
+    return dict(predict_dimensions(args.d, phi, args.s0, gauss_like=args.gauss_like))
 
 
 def _cmd_frostman(args):
     system = _resolve_system(args.system)
     phi = parse_phi(args.phi)
-    verify_depth = args.depth if args.verify_depth is None else args.verify_depth
-    config = {
-        "system": args.system,
-        "phi": args.phi,
-        "eps": args.eps,
-        "depth": args.depth,
-        "verify_depth": verify_depth,
-        "sample_cap": args.sample_cap,
-        "seed": args.seed,
-    }
+    if args.verify_depth is None:
+        args.verify_depth = args.depth
     measure = build_frostman_measure(system, phi, args.eps, args.depth)
-    report = verify_frostman(measure, verify_depth, sample_cap=args.sample_cap, seed=args.seed)
-    results = {
+    report = verify_frostman(
+        measure, args.verify_depth, sample_cap=args.sample_cap, seed=args.seed
+    )
+    return {
         "ladder": list(measure.ladder.values),
         "levels": [
             {
@@ -329,34 +285,21 @@ def _cmd_frostman(args):
             "witness": list(report.witness) if report.witness is not None else None,
         },
     }
-    return config, results
 
 
 def _cmd_localdim(args):
     system = _resolve_system(args.system)
-    config = {
-        "system": args.system,
-        "alpha": args.alpha,
-        "first_digit": args.first_digit,
-        "samples": args.samples,
-        "depth": args.depth,
-        "seed": args.seed,
-        "stream": args.stream,
-    }
     measure = PowerLawDigitMeasure(system.decay, args.alpha, first_digit=args.first_digit)
-    if args.stream is not None:
-        with open(args.stream, "w", newline="") as fh:
-            est = local_dim_estimate(
-                measure, system, args.samples, args.depth, seed=args.seed, csv_stream=fh
-            )
-    else:
-        est = local_dim_estimate(measure, system, args.samples, args.depth, seed=args.seed)
-    return config, _estimate_results("estimate", est)
+    stream = None if args.stream is None else open(args.stream, "w", newline="")
+    with stream or contextlib.nullcontext():
+        est = local_dim_estimate(
+            measure, system, args.samples, args.depth, seed=args.seed, csv_stream=stream
+        )
+    return _estimate_results("estimate", est)
 
 
 def _cmd_gapsys(args):
     phi = parse_phi(args.phi)
-    config = {"d": args.d, "phi": args.phi, "eps": args.eps, "n_max": args.n_max}
     gs = build_gap_system(phi, args.d, args.eps)
     report = validate_gap_system(gs, args.n_max)
     # Interval mass C*zeta(d) plus block gap mass C*j^-2*count/l_{j+1};
@@ -367,7 +310,7 @@ def _cmd_gapsys(args):
             count = block.end - block.start + 1
             total += mpmath.mpf(gs.C) * mpmath.mpf(block.j) ** -2 * count / block.end
         defect = float(abs(1 - total))
-    results = {
+    return {
         "C": gs.C,
         "C_bracket": list(gs.C_bracket),
         "ladder": list(gs.ladder),
@@ -385,7 +328,6 @@ def _cmd_gapsys(args):
             "witness": report.witness,
         },
     }
-    return config, results
 
 
 _HANDLERS = {
@@ -501,16 +443,16 @@ def _run_single(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         t0 = time.perf_counter()
-        config, results = handler(args)
+        results = handler(args)
         elapsed = time.perf_counter() - t0
-    config["out"] = args.out
-    config["format"] = args.format
     report = _plain(
         {
             "schema": _SCHEMA,
             "command": args.command,
             "version": __version__,
-            "config": config,
+            # argparse sets every dest's default in parser order, so the
+            # namespace lists the flags in --help order, out and format last.
+            "config": {k: v for k, v in vars(args).items() if k != "command"},
             "results": results,
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
         }
@@ -592,20 +534,16 @@ def _run_battery(args) -> int:
     experiments = _battery_experiments(cfg, out_dir)
 
     t0 = time.perf_counter()
-    codes = [run(exp[2]) for exp in experiments]
-
     rows = []
     any_fail = False
     error_code = 0
-    for (name, command, _argv, out_path, expect, field, tolerance), code in zip(
-        experiments, codes
-    ):
+    for name, command, argv, out_path, expect, field, tolerance in experiments:
+        code = run(argv)
         observed = expected = tol_cell = detail = ""
         if code != 0:
             status = "error"
             detail = f"exit {code}"
-            if error_code == 0:
-                error_code = code
+            error_code = error_code or code
         elif expect is None:
             status = "ran"
         else:
@@ -617,8 +555,7 @@ def _run_battery(args) -> int:
             except (KeyError, IndexError, TypeError, ValueError) as e:
                 status = "error"
                 detail = f"expect_field {field!r}: {type(e).__name__}: {e}"
-                if error_code == 0:
-                    error_code = 2
+                error_code = error_code or 2
             else:
                 observed = repr(value)
                 if abs(value - expect) <= tolerance:

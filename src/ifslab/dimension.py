@@ -118,9 +118,19 @@ def _root_from_rates(rates: np.ndarray, tol: float) -> DimensionEstimate:
     return _estimate(mid, "bowen-root", lo, hi, diag)
 
 
+def _check_band(system: DecaySystem, k: int, m: int, tol: float) -> None:
+    """Preconditions of a pressure root over the band k..m."""
+    if k < 1 or k > m:
+        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
+    if not tol > 0:
+        raise PreconditionError("tol must be positive")
+    if system.index_limit is not None and m > system.index_limit:
+        raise PreconditionError(f"index {m} beyond the system's limit {system.index_limit}")
+
+
 def _rate_band(system: DecaySystem, bound_kind: str, k: int, m: int) -> np.ndarray:
     """contract_lo (xi) or contract_hi (lambda) at indices k..m, checked by
-    the caller; rates that underflow come out as 0."""
+    _check_band; rates that underflow come out as 0."""
     if bound_kind == "xi":
         t = system.shift
     elif bound_kind == "lambda":
@@ -134,12 +144,7 @@ def bowen_root(
     system: DecaySystem, bound_kind: str, k: int, m: int, tol: float = 1e-10
 ) -> DimensionEstimate:
     """Root of sum_{i=k}^{m} r_i**s = 1 for the chosen rate bound."""
-    if k < 1 or k > m:
-        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if not tol > 0:
-        raise PreconditionError("tol must be positive")
-    if system.index_limit is not None and m > system.index_limit:
-        raise PreconditionError(f"index {m} beyond the system's limit {system.index_limit}")
+    _check_band(system, k, m, tol)
     return _root_from_rates(_rate_band(system, bound_kind, k, m), tol)
 
 
@@ -151,12 +156,7 @@ def subsystem_dim_bounds(
     The upper bound is capped at 1 (and flagged) when the upper rates
     include a non-contracting ratio, as they do for the first Gauss map.
     """
-    if k < 1 or k > m:
-        raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if not tol > 0:
-        raise PreconditionError("tol must be positive")
-    if system.index_limit is not None and m > system.index_limit:
-        raise PreconditionError(f"index {m} beyond the system's limit {system.index_limit}")
+    _check_band(system, k, m, tol)
     lower = _root_from_rates(_rate_band(system, "xi", k, m), tol)
     hi_rates = _rate_band(system, "lambda", k, m)
     if (hi_rates >= 1).any():
@@ -293,18 +293,21 @@ def _binned_total(m, cols):
     _TOTAL_SEGMENT long; that segment is laid out densely and summed by
     numpy, so the result keeps the dense matrix's rounding.
     """
+    return _segment_total(m, cols, 0, m.shape[1] * _RATIO_BINS)
+
+
+def _segment_total(m, cols, lo, n):
+    """Pairwise sum of the n flattened dense entries from lo on.  A module
+    function, not a closure: a recursive closure is a reference cycle that
+    keeps m alive until the cyclic collector runs."""
+    if n > _TOTAL_SEGMENT:
+        half = n // 2 - (n // 2) % 8
+        return _segment_total(m, cols, lo, half) + _segment_total(m, cols, lo + half, n - half)
     B = _RATIO_BINS
-
-    def segment(lo, n):
-        if n > _TOTAL_SEGMENT:
-            half = n // 2 - (n // 2) % 8
-            return segment(lo, half) + segment(lo + half, n - half)
-        r0, r1 = lo // B, -(-(lo + n) // B)
-        dense = np.zeros((r1 - r0, B))
-        dense[:, cols] = m[:, r0:r1].T
-        return np.add.reduce(dense.ravel()[lo - r0 * B : lo - r0 * B + n])
-
-    return segment(0, m.shape[1] * B)
+    r0, r1 = lo // B, -(-(lo + n) // B)
+    dense = np.zeros((r1 - r0, B))
+    dense[:, cols] = m[:, r0:r1].T
+    return np.add.reduce(dense.ravel()[lo - r0 * B : lo - r0 * B + n])
 
 
 def _gauss_depth_sums(tj, depth, s, cap):

@@ -123,14 +123,6 @@ class FrostmanMeasure:
             )
         return self.levels[n - 1]
 
-    def digit_log_mass(self, n: int, digit: int) -> float:
-        """log of the level-n mass of one digit; -inf outside the window."""
-        lev = self.level(n)
-        lo, hi = lev.window
-        if not lo <= digit <= hi:
-            return -math.inf
-        return lev.exponent * self.system.log_contract_lo(digit)
-
     def level_masses(self, n: int) -> np.ndarray:
         """Per-digit masses over the level-n window, aligned with digits()."""
         lev = self.level(n)

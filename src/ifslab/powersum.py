@@ -68,15 +68,19 @@ def _round_cushion(est: float, ymax: float) -> float:
     return (32.0 + 16.0 * ymax) * _ULP * abs(est) + 1e-300
 
 
-def _em_tail(a: int, b: int, p: float) -> tuple[float, float]:
+def _em_tail(a: int, b: int | None, p: float) -> tuple[float, float]:
     """Euler-Maclaurin estimate and error bound for S(a, b, p), a >= 2.
 
+    ``b=None`` means the infinite tail (p > 1), where every b-term is 0.
     Returns (estimate, err) with the true sum in [estimate - err,
     estimate + err].  Assumes b - a is large enough that the expansion is
     meaningful (callers sum small ranges directly).
     """
-    la, lb = math.log(a), math.log(b)
-    if abs(p - 1.0) < 1e-15:
+    la = math.log(a)
+    lb = math.inf if b is None else math.log(b)
+    if b is not None and abs(p - 1.0) < 1e-15:
+        # The p -> 1 limit of a finite range; an infinite tail (p > 1) keeps
+        # the power form below, which stays finite however close p is to 1.
         integral = lb - la
     else:
         # (a**(1-p) - b**(1-p)) / (p - 1), computed in a form that stays
@@ -97,18 +101,7 @@ def _em_tail(a: int, b: int, p: float) -> tuple[float, float]:
     est -= c3 * (_pow_neg(la, p + 3.0) - _pow_neg(lb, p + 3.0))
     c5 = p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) / 30240.0
     err = c5 * (_pow_neg(la, p + 5.0) + _pow_neg(lb, p + 5.0))
-    err += _round_cushion(est, (p + 5.0) * max(la, lb))
-    return est, err
-
-
-def _em_inf_tail(a: int, p: float) -> tuple[float, float]:
-    """Euler-Maclaurin estimate and error bound for S(a, infinity, p), p > 1."""
-    la = math.log(a)
-    est = _pow_neg(la, p - 1.0) / (p - 1.0) + _pow_neg(la, p) / 2.0
-    est += (p / 12.0) * _pow_neg(la, p + 1.0)
-    est -= (p * (p + 1.0) * (p + 2.0) / 720.0) * _pow_neg(la, p + 3.0)
-    err = (p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) / 30240.0) * _pow_neg(la, p + 5.0)
-    err += _round_cushion(est, (p + 5.0) * la)
+    err += _round_cushion(est, (p + 5.0) * (la if b is None else lb))
     return est, err
 
 
@@ -130,15 +123,9 @@ def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, f
     if stop is None:
         if p <= 1.0:
             raise ValueError("infinite power sum needs p > 1")
-        head_end = start + _EM_HEAD - 1
-        head = _direct(start, head_end, p)
-        est, err = _em_inf_tail(head_end + 1, p)
-        tot = head + est
-        err += _round_cushion(tot, p * math.log(head_end))
-        return tot - err, tot + err
-    if stop < start:
+    elif stop < start:
         return 0.0, 0.0
-    if stop - start + 1 <= 4 * _EM_HEAD:
+    elif stop - start + 1 <= 4 * _EM_HEAD:
         s = _direct(start, stop, p)
         w = _round_cushion(s, p * math.log(stop))
         return s - w, s + w

@@ -13,8 +13,10 @@ Frozen oracles, each derived independently before the module existed:
   against log 2 / log 3 = 0.63093.
 """
 
+import gc
 import math
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +152,22 @@ class TestSubsystemBounds:
         for k, m in ((2, 3), (2, 30), (3, 10), (5, 200), (10, 1000)):
             lower, upper = subsystem_dim_bounds(gauss, k, m)
             assert lower.value <= upper.value
+
+    @pytest.mark.parametrize(
+        "k, m, tol, message",
+        [
+            (3, 2, 1e-10, "need 1 <= k <= m"),
+            (0, 2, 1e-10, "need 1 <= k <= m"),
+            (1, 2, 0.0, "tol must be positive"),
+            (1, 9, 1e-10, "index 9 beyond the system's limit 2"),
+        ],
+    )
+    def test_band_checks_match_bowen_root(self, k, m, tol, message):
+        system = two_ratio_system(0.5, 0.25)
+        with pytest.raises(PreconditionError, match=message):
+            bowen_root(system, "xi", k, m, tol=tol)
+        with pytest.raises(PreconditionError, match=message):
+            subsystem_dim_bounds(system, k, m, tol=tol)
 
 
 class TestCoverSum:
@@ -294,6 +312,19 @@ class TestBinnedProgram:
         dense = np.zeros((cap, _RATIO_BINS))
         dense[:, cols] = m.T
         assert _binned_total(m, cols) == dense.sum()
+
+    def test_total_frees_the_state_without_the_cyclic_collector(self):
+        # A DP state can be ~50 MB; one held in a cycle until the collector
+        # runs overlaps the next cover's state and raises the peak memory.
+        m = np.ones((2, 8))
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            _binned_total(m, np.array([0, 1]))
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def _per_word_reference(system, phi, depth, s, cap):

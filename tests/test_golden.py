@@ -2,8 +2,9 @@
 acceptance battery, and per-kind variants of the rate-driven subcommands.
 
 Each case runs the CLI in process with ``--out -`` and compares stdout with
-the file under tests/golden/.  Commands that read or write files run in a
-scratch directory with relative paths, so no report embeds a machine path.
+the file under tests/golden/ named after the case and its ``--format``.
+Commands that read or write files run in a scratch directory with relative
+paths, so no report embeds a machine path.
 A refactor that claims "same behaviour" must leave every file unchanged.
 
 To re-pin after an intended change of report bytes (say why in the change
@@ -12,8 +13,10 @@ root.
 """
 
 import contextlib
+import json
 import os
 import pathlib
+import re
 import sys
 
 import pytest
@@ -27,6 +30,10 @@ BATTERY_CFG = GOLDEN.parent.parent / "configs" / "acceptance_battery.cfg"
 GAP_REPORT = "gap.json"
 GAP_ARGV = ["gapsys", "--d", "2", "--phi", "pow:2", "--eps", "0.1", "--out", GAP_REPORT]
 GAP_SYSTEM = f"gapsys:{GAP_REPORT}"
+
+# Read by the boxdim cases: the points 1/n, n = 1..2000 (box dimension 1/2).
+POINTS_FILE = "points.txt"
+POINTS_TEXT = "".join(f"{1 / n!r}\n" for n in range(1, 2001))
 
 CASES = {
     # README command-line section (localdim cut to 500 samples).
@@ -90,6 +97,16 @@ CASES = {
         "localdim", "--system", "gauss", "--alpha", "1.5", "--samples", "500", "--depth", "30",
         "--seed", "0",
     ],
+    # The scale flags: an explicit list, then a dyadic range.
+    "boxdim_scales": [
+        "boxdim", "--points", POINTS_FILE, "--scales", "0.25,0.125,0.0625,0.03125,0.015625",
+    ],
+    "boxdim_dyadic": ["boxdim", "--points", POINTS_FILE, "--dyadic", "2:8"],
+    # The flattened CSV form of a report.
+    "cover_gauss_exact_csv": [
+        "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "3", "--s", "0.6",
+        "--cap", "50", "--method", "exact", "--format", "csv",
+    ],
 }
 
 BATTERY_FILES = ("summary.csv", "bowen-gauss-k10.json", "ladder-gauss-lin1.json",
@@ -106,6 +123,12 @@ def _cwd(path):
         os.chdir(old)
 
 
+def _golden_file(name: str) -> pathlib.Path:
+    argv = CASES[name]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    return GOLDEN / f"{name}.{fmt}"
+
+
 def _gap_report(workdir: pathlib.Path) -> bytes:
     with _cwd(workdir):
         assert run(GAP_ARGV) == 0
@@ -120,8 +143,10 @@ def _battery(workdir: pathlib.Path) -> dict:
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """Scratch directory holding the gap-system report the gapsys: cases read."""
+    """Scratch directory holding the gap-system report the gapsys: cases read
+    and the points file the boxdim cases read."""
     path = tmp_path_factory.mktemp("golden")
+    (path / POINTS_FILE).write_text(POINTS_TEXT)
     _gap_report(path)
     return path
 
@@ -135,7 +160,17 @@ def test_report_bytes(name, workdir, capsys, monkeypatch):
     monkeypatch.chdir(workdir)
     capsys.readouterr()
     assert run([*CASES[name], "--out", "-"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    assert capsys.readouterr().out == _golden_file(name).read_text()
+
+
+@pytest.mark.parametrize("command", sorted({argv[0] for argv in CASES.values()}))
+def test_config_lists_every_flag_in_help_order(command, capsys):
+    assert run([command, "--help"]) == 0
+    flags = re.findall(r"^  --([a-z0-9-]+)", capsys.readouterr().out, re.M)
+    dests = [flag.replace("-", "_") for flag in flags]
+    for name, argv in CASES.items():
+        if argv[0] == command and "--format" not in argv:
+            assert list(json.loads(_golden_file(name).read_text())["config"]) == dests, name
 
 
 def test_battery_bytes(tmp_path, monkeypatch):
@@ -153,13 +188,14 @@ def _repin() -> None:
     (GOLDEN / "battery").mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
+        (workdir / POINTS_FILE).write_text(POINTS_TEXT)
         (GOLDEN / "gapsys_pow2.json").write_bytes(_gap_report(workdir))
         with _cwd(workdir):
             for name, argv in CASES.items():
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
                     assert run([*argv, "--out", "-"]) == 0, name
-                (GOLDEN / f"{name}.json").write_text(buf.getvalue())
+                _golden_file(name).write_text(buf.getvalue())
         for name, data in _battery(workdir).items():
             (GOLDEN / "battery" / name).write_bytes(data)
 

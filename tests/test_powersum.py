@@ -187,6 +187,15 @@ def test_brackets_at_big_indices_never_nan(bits, p):
     assert lo <= hi
 
 
+def test_infinite_tail_just_above_p_one_stays_finite():
+    # The log-integral form for p within 1e-15 of 1 serves finite ranges
+    # only; the infinite tail keeps a**(1-p) / (p - 1), about 2**51 here.
+    lo, hi = power_sum_brackets(10, None, 1 + 2.0**-51)
+    assert lo <= hi
+    assert math.isclose(lo, 2.0**51, rel_tol=1e-12)
+    assert math.isclose(hi, 2.0**51, rel_tol=1e-12)
+
+
 def test_unreachable_target_raises():
     with pytest.raises(ValueError):
         first_index_reaching(2, 3.0, 10.0)
