@@ -133,32 +133,42 @@ class GapSystem:
         self._ensure_offsets(i)
         return self._offsets[i]
 
-    def _gap_before(self, n: int) -> object:
-        """Extra gap inserted between images n and n-1 (0 outside blocks)."""
-        for b in self.blocks:
-            if b.start > n:
-                break
-            if n <= b.end:
-                return b.gap
-        return mpmath.mpf(0)
-
     def _ensure_offsets(self, i: int) -> None:
-        if i > _GAP_OFFSET_CAP:
-            raise PreconditionError(
-                f"gap-system offsets materialize up to {_GAP_OFFSET_CAP}, asked for {i}"
-            )
-        offs = self._offsets
-        with mpmath.workprec(_MP_PREC):
-            while len(offs) <= i:
-                n = len(offs)
-                if n == 0:
-                    offs.append(None)  # offsets are 1-indexed
-                elif n == 1:
-                    offs.append(1 - self._c_mpf)
-                else:
-                    a = offs[n - 1] - self._c_mpf * mpmath.power(n, -self.decay)
-                    a -= self._gap_before(n)
-                    offs.append(a)
+        _extend_offsets(self._offsets, self._c_mpf, self.decay, self.blocks, i)
+
+
+def _gap_before(blocks: tuple, n: int) -> object:
+    """Extra gap inserted between images n and n-1 (0 outside blocks)."""
+    for b in blocks:
+        if b.start > n:
+            break
+        if n <= b.end:
+            return b.gap
+    return mpmath.mpf(0)
+
+
+def _extend_offsets(offs: list, c_mpf, decay: float, blocks: tuple, i: int) -> None:
+    """Grow the 1-indexed offset cache ``offs`` through index i.
+
+    a_1 = 1 - C and a_n = a_{n-1} - C * n**-d - (gap before n).  The gap
+    system and its affine map share one list; the map holds the list, not
+    the system, so dropping the system frees the cache by refcount.
+    """
+    if i > _GAP_OFFSET_CAP:
+        raise PreconditionError(
+            f"gap-system offsets materialize up to {_GAP_OFFSET_CAP}, asked for {i}"
+        )
+    with mpmath.workprec(_MP_PREC):
+        while len(offs) <= i:
+            n = len(offs)
+            if n == 0:
+                offs.append(None)  # offsets are 1-indexed
+            elif n == 1:
+                offs.append(1 - c_mpf)
+            else:
+                a = offs[n - 1] - c_mpf * mpmath.power(n, -decay)
+                a -= _gap_before(blocks, n)
+                offs.append(a)
 
 
 def _gap_ladder(phi: Phi, d: float, eps: float, c_val: float, max_blocks: int):
@@ -260,12 +270,13 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         tail_bound = float(tail_hi * c_mpf)
 
     decay = float(d)
-    gs_ref: list = []
+    blocks = tuple(blocks)
+    offsets: list = []
 
     def affine(i: int):
-        gs = gs_ref[0]
+        _extend_offsets(offsets, c_mpf, decay, blocks, i)
         with mpmath.workprec(_MP_PREC):
-            return gs.offset(i), gs._c_mpf * mpmath.power(i, -decay)
+            return offsets[i], c_mpf * mpmath.power(i, -decay)
 
     system = DecaySystem(
         kind="gap",
@@ -274,7 +285,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         index_limit=_GAP_OFFSET_CAP,
         affine=affine,
     )
-    gs = GapSystem(
+    return GapSystem(
         system=system,
         phi=phi,
         decay=decay,
@@ -282,13 +293,11 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         C=float(c_mpf),
         C_bracket=(float(c_lo), float(c_hi)),
         ladder=tuple(ladder),
-        blocks=tuple(blocks),
+        blocks=blocks,
         tail_bound=tail_bound,
-        _offsets=[],
+        _offsets=offsets,
         _c_mpf=c_mpf,
     )
-    gs_ref.append(gs)
-    return gs
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ lengths to read off the local dimension.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
@@ -42,6 +41,10 @@ _SOLVE_WIDTH = 1e-15
 _LEVEL_TABLE_CAP = 5_000_000
 
 _VERIFY_SAMPLE_CAP = 100_000
+
+# verify_frostman checks words in blocks of this many rows.
+_VERIFY_ROWS = 2**16
+_INT64_MAX = 2**63 - 1
 
 # Exact tail inversion works on integer window starts up to this; the
 # local-dimension chain switches to the continuous log-domain tail earlier
@@ -295,6 +298,81 @@ class FrostmanReport:
         return self.passed / self.checked
 
 
+def _sampled_words(windows: list, count: int, seed: int):
+    """``count`` words drawn uniformly from the window product, in blocks.
+
+    Rows come from the seed's Philox stream one word at a time, digit by
+    digit, so every block holds the same words as scalar draws in that
+    order.  Digits are int64, so a window past 2**63 - 1 cannot be drawn.
+    """
+    for n, (lo, hi) in enumerate(windows, 1):
+        if hi > _INT64_MAX:
+            raise NumericFailure(
+                f"level {n} window ({lo}..{hi}) lies past int64; sampled "
+                "digits stop at 2**63 - 1"
+            )
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    lows = [lo for lo, _ in windows]
+    highs = [hi + 1 for _, hi in windows]
+    for first in range(0, count, _VERIFY_ROWS):
+        rows = min(_VERIFY_ROWS, count - first)
+        yield rng.integers(lows, highs, size=(rows, len(windows)))
+
+
+def _enumerated_words(windows: list, total: int):
+    """Every word of the window product in lexicographic order, in blocks.
+
+    A window past int64 gives a column of Python ints (object dtype).
+    """
+    sizes = [hi - lo + 1 for lo, hi in windows]
+    strides = [math.prod(sizes[n + 1:]) for n in range(len(sizes))]
+    for first in range(0, total, _VERIFY_ROWS):
+        idx = np.arange(first, min(first + _VERIFY_ROWS, total))
+        cols = []
+        for (lo, hi), size, stride in zip(windows, sizes, strides):
+            off = idx // stride % size
+            cols.append(off + lo if hi <= _INT64_MAX else off.astype(object) + lo)
+        yield np.stack(cols, axis=1)
+
+
+def _block_log_masses(measure: FrostmanMeasure, words: np.ndarray) -> np.ndarray:
+    """``frostman_mass(..., log=True)`` of each row, with the same float steps.
+
+    Each level's term is formed once per distinct digit and the terms are
+    added level by level from 0.0, as the per-word sum does.
+    """
+    acc = np.zeros(len(words))
+    for n in range(words.shape[1]):
+        lev = measure.levels[n]
+        digits, inv = np.unique(words[:, n], return_inverse=True)
+        terms = np.array(
+            [lev.exponent * measure.system.log_contract_lo(i) for i in digits.tolist()]
+        )
+        acc = acc + terms[inv]
+    return acc
+
+
+def _block_lengths(system: DecaySystem, words: np.ndarray, windows: list) -> list:
+    """Float cylinder length of each row, as ``float(cylinder_interval(...).length)``.
+
+    Reciprocal-shift cylinders have length exactly 1/(q * (q + q_prev)) from
+    the word's continuants (the determinant is +-1).  The continuants stay
+    int64 while 2 * prod(hi + 1)**2 bounds that denominator below 2**53, so
+    the float division is correctly rounded; past that they are Python ints,
+    whose true division rounds once as ``float(Fraction)`` does.  The affine
+    kinds compose each word exactly.
+    """
+    if system.affine is not None:
+        return [float(cylinder_interval(system, w).length) for w in words.tolist()]
+    exact = 2 * math.prod(hi + 1 for _, hi in windows) ** 2 < 2**53
+    ints = np.int64 if exact else object
+    q_prev = np.zeros(len(words), dtype=ints)
+    q = np.ones(len(words), dtype=ints)
+    for col in words.T:
+        q_prev, q = q, col.astype(ints) * q + q_prev
+    return (1 / (q * (q + q_prev))).tolist()
+
+
 def verify_frostman(
     measure: FrostmanMeasure,
     depth: int,
@@ -303,12 +381,16 @@ def verify_frostman(
 ) -> FrostmanReport:
     """Check mass(C) <= length(C)**(1/d - eps) over depth-n cylinders.
 
-    Enumerates every supported word when the count fits under sample_cap,
-    otherwise probes sample_cap words drawn uniformly from the window
-    product (independently of the measure, so low-mass corners are not
-    under-represented).  Lengths come from the exact cylinder intervals.
-    Depth 0 passes vacuously; a sample_cap below 1 is rejected, since it
-    would pass without checking any word.
+    Enumerates every supported word, in lexicographic order, when the count
+    fits under sample_cap; otherwise probes sample_cap words drawn uniformly
+    from the window product (independently of the measure, so low-mass
+    corners are not under-represented), row by row from the seed's Philox
+    stream.  Words are checked in blocks of rows; masses and lengths take
+    the same float steps as ``frostman_mass`` and the exact cylinder
+    intervals, so the witness is the first failing word in draw or
+    enumeration order.  Depth 0 passes vacuously; a sample_cap below 1 is
+    rejected, since it would pass without checking any word.  A sampled
+    window past int64 raises NumericFailure.
     """
     if sample_cap < 1:
         raise PreconditionError(f"sample_cap must be >= 1, got {sample_cap}")
@@ -322,32 +404,24 @@ def verify_frostman(
         )
     q = 1.0 / measure.system.decay - measure.eps
     windows = [measure.levels[n].window for n in range(depth)]
-    total = 1
-    for lo, hi in windows:
-        total *= hi - lo + 1
+    total = math.prod(hi - lo + 1 for lo, hi in windows)
     sampled = total > sample_cap
     if sampled:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-        words = (
-            tuple(int(rng.integers(lo, hi + 1)) for lo, hi in windows)
-            for _ in range(sample_cap)
-        )
+        blocks = _sampled_words(windows, sample_cap, seed)
     else:
-        words = itertools.product(*(range(lo, hi + 1) for lo, hi in windows))
+        blocks = _enumerated_words(windows, total)
     checked = passed = 0
     worst = -math.inf
     witness = None
-    for word in words:
-        log_mass = frostman_mass(measure, word, log=True)
-        length = float(cylinder_interval(measure.system, word).length)
-        margin = log_mass - q * math.log(length)
-        checked += 1
-        if margin <= 0.0:
-            passed += 1
-        elif witness is None:
-            witness = tuple(word)
-        if margin > worst:
-            worst = margin
+    for words in blocks:
+        log_len = np.array([math.log(x) for x in _block_lengths(measure.system, words, windows)])
+        margin = _block_log_masses(measure, words) - q * log_len
+        ok = margin <= 0.0
+        checked += len(words)
+        passed += int(np.count_nonzero(ok))
+        if witness is None and not ok.all():
+            witness = tuple(words[int(np.argmin(ok))].tolist())
+        worst = max(worst, float(margin.max()))
     return FrostmanReport(
         depth=depth,
         checked=checked,

@@ -24,9 +24,12 @@ neighbouring candidates (it essentially always does; the ambiguous case is
 reported rather than guessed).
 
 ``first_index_reaching`` inverts the sum by one route: the midpoint-integral
-guess, a gallop to certified brackets on both sides, then bisection.  For
-p < 1 the integral overflows a float once (1 - p) * ln(index) passes 709
-(5k-bit indices at p = 0.8); that raises NumericFailure.
+guess, a gallop to certified brackets on both sides, then bisection.  Every
+probe of one search sums from the same start, so the search sums the
+64-term head there once, at its first long probe, and reuses it; nothing is
+cached across searches.  For p < 1 the integral overflows a float once
+(1 - p) * ln(index) passes 709 (5k-bit indices at p = 0.8); that raises
+NumericFailure.
 """
 
 from __future__ import annotations
@@ -109,6 +112,37 @@ def _direct(a: int, b: int, p: float) -> float:
     return math.fsum(_pow_neg(math.log(i), p) for i in range(a, b + 1))
 
 
+def _brackets_from(start: int, p: float):
+    """stop -> certified bracket of S(start, stop, p); arguments unchecked.
+
+    Ranges of at most 4 * _EM_HEAD terms are summed directly and widened by
+    a few ulps.  Longer or infinite ranges sum a head of _EM_HEAD terms
+    exactly and hand the rest to Euler-Maclaurin.  The returned function
+    sums that head once, at its first long range, so a crossing search that
+    probes many stops from one start sums it once.
+    """
+    head_end = start + _EM_HEAD - 1
+    head = None
+
+    def brackets(stop: int | None) -> tuple[float, float]:
+        nonlocal head
+        if stop is not None:
+            if stop < start:
+                return 0.0, 0.0
+            if stop - start + 1 <= 4 * _EM_HEAD:
+                s = _direct(start, stop, p)
+                w = _round_cushion(s, p * math.log(stop))
+                return s - w, s + w
+        if head is None:
+            head = _direct(start, head_end, p)
+        est, err = _em_tail(head_end + 1, stop, p)
+        tot = head + est
+        err += _round_cushion(tot, p * math.log(head_end))
+        return tot - err, tot + err
+
+    return brackets
+
+
 def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, float]:
     """Certified bracket [lo, hi] containing S(start, stop, p).
 
@@ -120,21 +154,9 @@ def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, f
         raise ValueError("power sums start at index 1")
     if p <= 0:
         raise ValueError("exponent p must be positive")
-    if stop is None:
-        if p <= 1.0:
-            raise ValueError("infinite power sum needs p > 1")
-    elif stop < start:
-        return 0.0, 0.0
-    elif stop - start + 1 <= 4 * _EM_HEAD:
-        s = _direct(start, stop, p)
-        w = _round_cushion(s, p * math.log(stop))
-        return s - w, s + w
-    head_end = start + _EM_HEAD - 1
-    head = _direct(start, head_end, p)
-    est, err = _em_tail(head_end + 1, stop, p)
-    tot = head + est
-    err += _round_cushion(tot, p * math.log(head_end))
-    return tot - err, tot + err
+    if stop is None and p <= 1.0:
+        raise ValueError("infinite power sum needs p > 1")
+    return _brackets_from(start, p)(stop)
 
 
 def power_sum(start: int, stop: int | None, p: float) -> float:
@@ -213,7 +235,10 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
         raise ValueError("coeff must be positive")
     if start < 1:
         raise ValueError("power sums start at index 1")
+    if p <= 0:
+        raise ValueError("exponent p must be positive")
     goal = target / coeff
+    brackets = _brackets_from(start, p)
     # Certified sides: the sum surely falls short of the goal at lo and
     # surely reaches it at hi.
     lo = start - 1
@@ -224,7 +249,7 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
         probes = itertools.chain((guess,), (guess + (1 << k) for k in itertools.count()))
     total_checked = p <= 1.0
     for hi in probes:
-        blo, bhi = power_sum_brackets(start, hi, p)
+        blo, bhi = brackets(hi)
         if blo >= goal:
             break
         if bhi < goal:
@@ -236,12 +261,12 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
             )
         if not total_checked:
             total_checked = True
-            if power_sum_brackets(start, None, p)[1] < goal:
+            if brackets(None)[1] < goal:
                 raise ValueError("target exceeds the infinite sum; no index reaches it")
     if guess is not None:
         step = 1
         while guess - step > lo:
-            blo, bhi = power_sum_brackets(start, guess - step, p)
+            blo, bhi = brackets(guess - step)
             if bhi < goal:
                 lo = guess - step
                 break
@@ -250,7 +275,7 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
             step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        blo, bhi = power_sum_brackets(start, mid, p)
+        blo, bhi = brackets(mid)
         if blo >= goal:
             hi = mid
         elif bhi < goal:
@@ -262,15 +287,15 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
             # goal, at band_hi it surely reaches it.  Each edge is found by
             # its own bisection (the band can be wide when individual terms
             # are far below the bracket width).
-            band_lo = _bisect_edge(start, p, goal, lo, mid, sure_side="hi")
-            band_hi = _bisect_edge(start, p, goal, mid, hi, sure_side="lo")
+            band_lo = _bisect_edge(brackets, goal, lo, mid, sure_side="hi")
+            band_hi = _bisect_edge(brackets, goal, mid, hi, sure_side="lo")
             if band_hi == band_lo:
                 return ReachResult(band_hi, True, 0)
             return ReachResult(band_hi, False, abs(band_hi - band_lo))
     return ReachResult(hi, True, 0)
 
 
-def _bisect_edge(start: int, p: float, goal: float, lo: int, hi: int, sure_side: str) -> int:
+def _bisect_edge(brackets, goal: float, lo: int, hi: int, sure_side: str) -> int:
     """Edge of the bracket-ambiguity band between decided endpoints.
 
     sure_side="hi": smallest L in (lo, hi] whose bracket upper end reaches
@@ -279,7 +304,7 @@ def _bisect_edge(start: int, p: float, goal: float, lo: int, hi: int, sure_side:
     """
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        blo, bhi = power_sum_brackets(start, mid, p)
+        blo, bhi = brackets(mid)
         val = bhi if sure_side == "hi" else blo
         if val >= goal:
             hi = mid

@@ -226,6 +226,16 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_frostman_sampled_window_past_int64_is_3(self, tmp_path, capsys):
+        # The level-5 window of the pow:2 ladder lies near 2**113, past the
+        # int64 digits the sampled check draws.
+        code, _, _ = _invoke(
+            tmp_path, "frostman", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1",
+            "--depth", "5",
+        )
+        assert code == 3
+        assert "level 5 window (9412986588122111059176817635648577.." in capsys.readouterr().err
+
     def test_unwritable_out(self, capsys):
         code = run(
             ["words", "--phi", "lin:1", "--depth", "2", "--cap", "3",

@@ -18,7 +18,9 @@ images 2 and 1, and the report flags exactly that with witness index 2.
 A nudge larger than the gap produces a literal overlap, again at 2.
 """
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -173,6 +175,25 @@ class TestGapOffsets:
     def test_offset_cap_enforced(self, quad_gap):
         with pytest.raises(PreconditionError):
             quad_gap.offset(200_001)
+
+
+    def test_affine_map_shares_the_offset_cache(self, quad_gap):
+        a5, _ = quad_gap.system.affine(5)
+        assert a5 is quad_gap.offset(5)
+        assert quad_gap.system.affine(7)[0] == quad_gap.offset(7)
+
+    def test_system_dies_by_refcount(self):
+        # The affine map holds the offsets, not the system: no reference
+        # cycle keeps the offset cache alive until the cyclic collector runs.
+        gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+        gs.system.affine(1000)
+        gc.disable()
+        try:
+            refs = [weakref.ref(gs), weakref.ref(gs.system), weakref.ref(gs.system.affine)]
+            del gs
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestGapValidation:

@@ -102,6 +102,20 @@ CASES = {
         "boxdim", "--points", POINTS_FILE, "--scales", "0.25,0.125,0.0625,0.03125,0.015625",
     ],
     "boxdim_dyadic": ["boxdim", "--points", POINTS_FILE, "--dyadic", "2:8"],
+    # The sampled Frostman route: int64 continuants, object-dtype
+    # continuants (level-5 windows near 2**30), and an affine kind.
+    "frostman_gauss_sampled": [
+        "frostman", "--system", "gauss", "--phi", "lin:1", "--eps", "0.1", "--depth", "4",
+        "--sample-cap", "20000",
+    ],
+    "frostman_gauss_pow15_sampled": [
+        "frostman", "--system", "gauss", "--phi", "pow:1.5", "--eps", "0.1", "--depth", "5",
+        "--sample-cap", "5000",
+    ],
+    "frostman_linpow_sampled": [
+        "frostman", "--system", "linpow:2", "--phi", "lin:1", "--eps", "0.1", "--depth", "3",
+        "--sample-cap", "300", "--seed", "7",
+    ],
     # The flattened CSV form of a report.
     "cover_gauss_exact_csv": [
         "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "3", "--s", "0.6",

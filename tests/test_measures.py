@@ -27,13 +27,15 @@ inflates the level-1 masses until cylinders fail).
 
 import dataclasses
 import io
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ifslab.families import make_gauss, make_linear_power
+from ifslab import measures
+from ifslab.families import build_gap_system, make_gauss, make_linear_power
 from ifslab.measures import (
     _INV_TABLE_SPAN,
     FrostmanReport,
@@ -49,7 +51,7 @@ from ifslab.measures import (
 )
 from ifslab.powersum import first_index_reaching, power_sum_brackets
 from ifslab.restrictions import parse_phi
-from ifslab.systems import DecaySystem, NumericFailure, PreconditionError
+from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, cylinder_interval
 
 INV_ZETA_43 = 0.27770543933245483
 S_WINDOW_34 = 0.23182465132707360
@@ -228,6 +230,151 @@ class TestVerifyFrostman:
     def test_depth_beyond_build_rejected(self, layered):
         with pytest.raises(PreconditionError):
             verify_frostman(layered, 4)
+
+
+def _per_word_reference(measure, depth, sample_cap=100_000, seed=0):
+    """verify_frostman as a per-word loop: scalar draws or itertools.product,
+    frostman_mass and an exact cylinder_interval for every word."""
+    q = 1.0 / measure.system.decay - measure.eps
+    windows = [measure.levels[n].window for n in range(depth)]
+    total = 1
+    for lo, hi in windows:
+        total *= hi - lo + 1
+    sampled = total > sample_cap
+    if sampled:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+        words = (
+            tuple(int(rng.integers(lo, hi + 1)) for lo, hi in windows)
+            for _ in range(sample_cap)
+        )
+    else:
+        words = itertools.product(*(range(lo, hi + 1) for lo, hi in windows))
+    checked = passed = 0
+    worst = -math.inf
+    witness = None
+    for word in words:
+        log_mass = frostman_mass(measure, word, log=True)
+        length = float(cylinder_interval(measure.system, word).length)
+        margin = log_mass - q * math.log(length)
+        checked += 1
+        if margin <= 0.0:
+            passed += 1
+        elif witness is None:
+            witness = tuple(word)
+        if margin > worst:
+            worst = margin
+    return FrostmanReport(
+        depth=depth,
+        checked=checked,
+        passed=passed,
+        sampled=sampled,
+        worst_ratio=math.exp(worst),
+        witness=witness,
+    )
+
+
+def _with_windows(measure, windows):
+    """The measure with its first levels moved onto the given windows."""
+    levels = list(measure.levels)
+    for n, (lo, hi) in enumerate(windows):
+        levels[n] = dataclasses.replace(levels[n], window=(lo, hi), trimmed=(lo + 1, hi - 1))
+    return dataclasses.replace(measure, levels=tuple(levels))
+
+
+def _deflated(measure, n, by):
+    levels = list(measure.levels)
+    levels[n] = dataclasses.replace(levels[n], exponent=levels[n].exponent - by)
+    return dataclasses.replace(measure, levels=tuple(levels))
+
+
+@pytest.fixture(scope="module")
+def layered_pow15(gauss):
+    # Level-5 windows near 2**30: the continuants leave int64.
+    return build_frostman_measure(gauss, parse_phi("pow:1.5"), 0.1, 5)
+
+
+@pytest.fixture(scope="module")
+def layered_linpow():
+    return build_frostman_measure(make_linear_power(2.0), parse_phi("lin:1"), 0.1, 3)
+
+
+@pytest.fixture(scope="module")
+def layered_gap():
+    gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+    return build_frostman_measure(gs.system, parse_phi("lin:1"), 0.1, 2)
+
+
+class TestVerifyFrostmanMatchesPerWordLoop:
+    """The block verifier gives the same report as the per-word loop, ``==``."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_exhaustive_gauss(self, layered, depth):
+        assert verify_frostman(layered, depth) == _per_word_reference(layered, depth)
+
+    @pytest.mark.parametrize("seed", [0, 3, 5, 99])
+    def test_sampled_gauss(self, layered, seed):
+        got = verify_frostman(layered, 3, sample_cap=3000, seed=seed)
+        assert got.sampled
+        assert got == _per_word_reference(layered, 3, sample_cap=3000, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sampled_object_continuants(self, layered_pow15, seed):
+        got = verify_frostman(layered_pow15, 5, sample_cap=2000, seed=seed)
+        assert got == _per_word_reference(layered_pow15, 5, sample_cap=2000, seed=seed)
+
+    @pytest.mark.parametrize("cap", [100_000, 300])
+    def test_linear_power_both_routes(self, layered_linpow, cap):
+        got = verify_frostman(layered_linpow, 3, sample_cap=cap, seed=4)
+        assert got.sampled == (cap == 300)
+        assert got == _per_word_reference(layered_linpow, 3, sample_cap=cap, seed=4)
+
+    @pytest.mark.parametrize("cap", [100_000, 50])
+    def test_gap_kind_both_routes(self, layered_gap, cap):
+        got = verify_frostman(layered_gap, 2, sample_cap=cap, seed=2)
+        assert got == _per_word_reference(layered_gap, 2, sample_cap=cap, seed=2)
+
+    @pytest.mark.parametrize("cap", [100_000, 1000])
+    def test_tampered_exponent_witness(self, layered, cap):
+        # Deflating s2 by 0.05 fails 46 of the 3450 words; the first failing
+        # word is word 1012 in lexicographic order.
+        tampered = _deflated(layered, 1, 0.05)
+        got = verify_frostman(tampered, 3, sample_cap=cap, seed=8)
+        assert got.witness is not None and got.passed < got.checked
+        assert got == _per_word_reference(tampered, 3, sample_cap=cap, seed=8)
+
+    @pytest.mark.parametrize("rows", [1, 7, 1012, 1013])
+    @pytest.mark.parametrize("cap", [100_000, 2000])
+    def test_block_boundaries(self, layered, monkeypatch, rows, cap):
+        tampered = _deflated(layered, 1, 0.05)
+        want = _per_word_reference(tampered, 3, sample_cap=cap, seed=6)
+        monkeypatch.setattr(measures, "_VERIFY_ROWS", rows)
+        assert verify_frostman(tampered, 3, sample_cap=cap, seed=6) == want
+
+    @pytest.mark.parametrize("word", [(15, 24, 35, 86), (17, 20, 49, 67), (18, 20, 53, 85)])
+    def test_lengths_take_the_scalar_log(self, gauss, word):
+        # numpy 2.4's vectorized log on x86-64 differs from math.log by an
+        # ulp on these cylinder lengths (32 of 1M random depth-4 words).
+        deep = build_frostman_measure(gauss, parse_phi("lin:1"), 0.1, 4)
+        one = _with_windows(deep, [(a, a) for a in word])
+        assert verify_frostman(one, 4) == _per_word_reference(one, 4)
+
+    def test_last_int64_window_is_drawn(self, layered):
+        top = 2**63 - 1
+        edge = _with_windows(layered, [(10, 19), (top - 9, top)])
+        got = verify_frostman(edge, 2, sample_cap=50, seed=1)
+        assert got.sampled
+        assert got == _per_word_reference(edge, 2, sample_cap=50, seed=1)
+
+    def test_windows_past_int64_enumerate_as_python_ints(self, layered):
+        big = _with_windows(layered, [(2**64, 2**64 + 3), (2**70, 2**70 + 4)])
+        got = verify_frostman(big, 2)
+        assert got.checked == 20 and not got.sampled
+        assert got == _per_word_reference(big, 2)
+
+    def test_sampled_window_past_int64_is_a_numeric_failure(self, layered):
+        big = _with_windows(layered, [(10, 19), (2**63 - 9, 2**63)])
+        with pytest.raises(NumericFailure, match=r"level 2 window \(9223372036854775799\.\."):
+            verify_frostman(big, 2, sample_cap=5)
 
 
 class TestPowerLawMeasure:

@@ -172,6 +172,36 @@ def test_first_index_at_huge_start():
         assert 0 < res.slack < res.index * 1e-12
 
 
+@pytest.mark.parametrize(
+    "start, p, target",
+    [
+        (10**50, 0.45, 1.0),  # bracket-noise band: both edge bisections
+        (1000, 0.999, 40.0),  # crossing past DIRECT_LIMIT terms
+        (5, 1.2, 2.0),  # p > 1: the infinite-total check
+        (97020547247076024, 0.8, 1.0),  # a pow:2 ladder step
+    ],
+)
+def test_one_search_sums_the_head_once(monkeypatch, start, p, target):
+    want = first_index_reaching(start, p, target)
+    heads = []
+    direct = powersum._direct
+
+    def counting(a, b, q):
+        if b - a + 1 == powersum._EM_HEAD:
+            heads.append(a)
+        return direct(a, b, q)
+
+    monkeypatch.setattr(powersum, "_direct", counting)
+    assert first_index_reaching(start, p, target) == want
+    assert heads.count(start) == 1
+
+
+def test_search_rejects_non_positive_exponent():
+    for p in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            first_index_reaching(3, p, 1.0)
+
+
 @pytest.mark.parametrize("bits", [10, 100, 1000, 3000, 5200, 6000])
 @pytest.mark.parametrize("p", [0.45, 0.8, 1.0, 1.6])
 def test_brackets_at_big_indices_never_nan(bits, p):
