@@ -80,13 +80,14 @@ def _resolve_system(spec: str):
             raise PreconditionError(f"gap-system report {arg!r} is not JSON: {e}") from e
         try:
             cfg = report["config"]
-            phi = parse_phi(cfg["phi"])
-            gs = build_gap_system(phi, float(cfg["d"]), float(cfg["eps"]))
-        except (KeyError, TypeError) as e:
+            phi, d, eps = cfg["phi"], float(cfg["d"]), float(cfg["eps"])
+        except (KeyError, TypeError, ValueError) as e:
             raise PreconditionError(
-                f"gap-system report {arg!r} lacks the config fields phi/d/eps"
+                f"gap-system report {arg!r} needs config fields phi and numeric d/eps"
             ) from e
-        return gs.system
+        if not isinstance(phi, str):
+            raise PreconditionError(f"gap-system report {arg!r} has a non-string phi {phi!r}")
+        return build_gap_system(parse_phi(phi), d, eps).system
     raise PreconditionError(f"unknown system kind {kind!r}")
 
 

@@ -15,12 +15,15 @@ indices inside the block (Phi(l_j), l_{j+1}] of the construction's own
 ladder get an extra gap C * j**-2 / l_{j+1} inserted before their
 interval.  The normalizing constant C makes intervals plus gaps exhaust
 [0, 1] exactly; C appears both in the ladder summand and in its own
-normalizer, so it is resolved by fixed-point iteration.  Offsets are kept
-in extended precision with a certified tail bound on the truncated series.
+normalizer, so it is resolved by fixed-point iteration, with a certified
+tail bound on the truncated block series.  Image n is [a_n, a_n + C n**-d]
+with a_n = 1 - C - C * (zeta(d, 2) - zeta(d, n+1)) - G(n) in extended
+precision, where G(n) sums each block's gap over its indices in [2, n].
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +32,7 @@ import mpmath
 
 from .powersum import first_index_reaching
 from .restrictions import Phi
-from .systems import DecaySystem, NumericFailure, PreconditionError
+from .systems import DecaySystem, NumericFailure, PreconditionError, verify_power_decay
 
 _MP_PREC = 128
 
@@ -60,8 +63,8 @@ def make_linear_power(d: float) -> DecaySystem:
     arithmetic on the represented system is exact.  Consecutive images
     share exactly one endpoint by construction.
     """
-    if not d > 1:
-        raise PreconditionError("linear-power family needs decay d > 1")
+    if not 1 < d < math.inf:
+        raise PreconditionError("linear-power family needs a finite decay d > 1")
     with mpmath.workprec(_MP_PREC):
         z = mpmath.zeta(d)
         c_frac = _mpf_to_fraction(1 / z)
@@ -108,7 +111,8 @@ class GapBlock:
 class GapSystem:
     """An affine family with explicit inter-image gaps tiling [0, 1].
 
-    system: the DecaySystem view (kind "gap").
+    system: the DecaySystem view (kind "gap"); its affine map is the
+        closed form i -> (a_i, C * i**-d), cached per system.
     C: normalizing constant (float view of the extended-precision value).
     C_bracket: certified interval for C from the truncated normalizer.
     ladder: the construction's own index ladder, starting at 1.
@@ -125,50 +129,43 @@ class GapSystem:
     ladder: tuple
     blocks: tuple
     tail_bound: float
-    _offsets: list = field(repr=False)
     _c_mpf: object = field(repr=False)
 
     def offset(self, i: int) -> object:
         """Left endpoint a_i of image i (extended precision)."""
-        self._ensure_offsets(i)
-        return self._offsets[i]
-
-    def _ensure_offsets(self, i: int) -> None:
-        _extend_offsets(self._offsets, self._c_mpf, self.decay, self.blocks, i)
+        return self.system.affine(i)[0]
 
 
-def _gap_before(blocks: tuple, n: int) -> object:
-    """Extra gap inserted between images n and n-1 (0 outside blocks)."""
-    for b in blocks:
-        if b.start > n:
-            break
-        if n <= b.end:
-            return b.gap
-    return mpmath.mpf(0)
+def _gap_blocks(phi: Phi, ladder: tuple, c_mpf) -> tuple:
+    """Block j covers (Phi(l_j), l_{j+1}] with the gap C * j**-2 / l_{j+1}."""
+    with mpmath.workprec(_MP_PREC):
+        return tuple(
+            GapBlock(j, phi.floor(prev) + 1, end, c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end))
+            for j, (prev, end) in enumerate(zip(ladder, ladder[1:]), start=1)
+        )
 
 
-def _extend_offsets(offs: list, c_mpf, decay: float, blocks: tuple, i: int) -> None:
-    """Grow the 1-indexed offset cache ``offs`` through index i.
+def _gap_affine(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> tuple:
+    """(a_i, C * i**-d) by the closed form; zeta_2 is zeta(d, 2).
 
-    a_1 = 1 - C and a_n = a_{n-1} - C * n**-d - (gap before n).  The gap
-    system and its affine map share one list; the map holds the list, not
-    the system, so dropping the system frees the cache by refcount.
+    At i = 1 the zeta difference and G(1) are exactly 0, so a_1 is 1 - C
+    rounded once and image 1 ends flush at 1.
     """
     if i > _GAP_OFFSET_CAP:
         raise PreconditionError(
             f"gap-system offsets materialize up to {_GAP_OFFSET_CAP}, asked for {i}"
         )
     with mpmath.workprec(_MP_PREC):
-        while len(offs) <= i:
-            n = len(offs)
-            if n == 0:
-                offs.append(None)  # offsets are 1-indexed
-            elif n == 1:
-                offs.append(1 - c_mpf)
-            else:
-                a = offs[n - 1] - c_mpf * mpmath.power(n, -decay)
-                a -= _gap_before(blocks, n)
-                offs.append(a)
+        lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
+        gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
+        return 1 - c_mpf - lengths - gaps, c_mpf * mpmath.power(i, -decay)
+
+
+def _gap_map(c_mpf, decay: float, blocks: tuple):
+    """The affine map i -> (a_i, C * i**-d), cached in the returned function."""
+    with mpmath.workprec(_MP_PREC):
+        zeta_2 = mpmath.zeta(decay, 2)
+    return functools.cache(functools.partial(_gap_affine, c_mpf, decay, zeta_2, blocks))
 
 
 def _gap_ladder(phi: Phi, d: float, eps: float, c_val: float, max_blocks: int):
@@ -261,29 +258,16 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         else:
             raise NumericFailure("gap normalizer fixed point did not converge in 60 rounds")
         c_mpf = (c_lo + c_hi) / 2
-        blocks = []
-        for j in range(1, len(ladder)):
-            start = phi.floor(ladder[j - 1]) + 1
-            end = ladder[j]
-            gap = c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end)
-            blocks.append(GapBlock(j=j, start=start, end=end, gap=gap))
         tail_bound = float(tail_hi * c_mpf)
 
     decay = float(d)
-    blocks = tuple(blocks)
-    offsets: list = []
-
-    def affine(i: int):
-        _extend_offsets(offsets, c_mpf, decay, blocks, i)
-        with mpmath.workprec(_MP_PREC):
-            return offsets[i], c_mpf * mpmath.power(i, -decay)
-
+    blocks = _gap_blocks(phi, tuple(ladder), c_mpf)
     system = DecaySystem(
         kind="gap",
         decay=decay,
         scale=float(c_mpf),
         index_limit=_GAP_OFFSET_CAP,
-        affine=affine,
+        affine=_gap_map(c_mpf, decay, blocks),
     )
     return GapSystem(
         system=system,
@@ -295,7 +279,6 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         ladder=tuple(ladder),
         blocks=blocks,
         tail_bound=tail_bound,
-        _offsets=offsets,
         _c_mpf=c_mpf,
     )
 
@@ -304,11 +287,13 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
 class GapValidationReport:
     """Outcome of the four gap-system checks, with witnesses on failure.
 
-    disjoint: images pairwise disjoint (adjacent check under the proven
-        right-to-left ordering).
-    contained: all checked images lie inside [0, 1].
-    gaps_match: inside every block, the realized inter-image gap equals
-        C * j**-2 / l_{j+1} to relative accuracy 1e-12.
+    disjoint: no checked image overlaps its left neighbour by more than
+        2**-100 (images run right to left).
+    contained: image 1 ends at most at 1, image n_max starts at least at 0.
+    gaps_match: at every checked index the realized gap before the image
+        is C * j**-2 / l_{j+1} to relative accuracy 1e-12 inside block j,
+        and within 2**-100 of 0 outside every block.  The witness names
+        the block holding the index, else the nearest block.
     decaying: verify_power_decay succeeded for the system's (d, eps).
     """
 
@@ -325,48 +310,49 @@ class GapValidationReport:
         return self.disjoint and self.contained and self.gaps_match and self.decaying
 
 
-def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
-    """Check disjointness, containment, per-block gap sizes and power decay
-    on the first n_max images."""
-    from .systems import verify_power_decay
+_GAP_HEAD = range(2, 17)
 
+
+def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
+    """Check the system's affine map against the construction's data.
+
+    The blocks are derived again from phi, the ladder and C, not read from
+    ``gs.blocks``.  Gap sizes and disjointness are checked at 2..16 and at
+    each block's start-1, start, start+1, end and end+1, those at most
+    n_max; containment at 1 and n_max; power decay on the first
+    min(n_max, 1000) rates.  So the map is evaluated O(blocks) times,
+    however large n_max is.
+    """
     if n_max < 2:
         raise PreconditionError("validation needs n_max >= 2")
     if n_max > _GAP_OFFSET_CAP:
         raise PreconditionError(f"n_max exceeds the offset cap {_GAP_OFFSET_CAP}")
+    blocks = _gap_blocks(gs.phi, gs.ladder, gs._c_mpf)
+    edges = {n for b in blocks for n in (b.start - 1, b.start, b.start + 1, b.end, b.end + 1)}
+    checked = sorted(n for n in edges.union(_GAP_HEAD) if 2 <= n <= n_max)
     witness: dict = {}
-    disjoint = True
-    contained = True
-    gaps_match = True
+    disjoint = gaps_match = True
     with mpmath.workprec(_MP_PREC):
         c = gs._c_mpf
-        gs._ensure_offsets(n_max)
-        offs = gs._offsets
-        top = offs[1] + c  # right end of the first image
-        if not (0 <= offs[n_max] and top <= 1):
-            contained = False
-            witness["contained"] = {"a_nmax": float(offs[n_max]), "top": float(top)}
+        top = gs.offset(1) + c  # right end of the first image
+        a_nmax = gs.offset(n_max)
+        contained = 0 <= a_nmax and top <= 1
+        if not contained:
+            witness["contained"] = {"a_nmax": float(a_nmax), "top": float(top)}
         # Outside the gap blocks consecutive images share an endpoint, so
-        # open interiors being disjoint tolerates representation rounding.
+        # both checks tolerate representation rounding there.
         tol = mpmath.mpf(2) ** -100
-        for n in range(2, n_max + 1):
-            right_n = offs[n] + c * mpmath.power(n, -gs.decay)
-            if not right_n <= offs[n - 1] + tol:
+        for n in checked:
+            realized = gs.offset(n - 1) - (gs.offset(n) + c * mpmath.power(n, -gs.decay))
+            if disjoint and realized < -tol:
                 disjoint = False
-                witness.setdefault("disjoint", {"index": n})
-                break
-        for block in gs.blocks:
-            for n in range(max(2, block.start), min(block.end, n_max) + 1):
-                realized = offs[n - 1] - (offs[n] + c * mpmath.power(n, -gs.decay))
-                err = abs(realized - block.gap) / block.gap
-                if err > 1e-12:
-                    gaps_match = False
-                    witness.setdefault(
-                        "gaps", {"index": n, "block": block.j, "rel_err": float(err)}
-                    )
-                    break
-            if not gaps_match:
-                break
+                witness["disjoint"] = {"index": n}
+            block = min(blocks, key=lambda b: max(b.start - n, n - b.end, 0))
+            inside = block.start <= n <= block.end
+            err = abs(realized - block.gap) if inside else abs(realized)
+            if gaps_match and err > (1e-12 * block.gap if inside else tol):
+                gaps_match = False
+                witness["gaps"] = {"index": n, "block": block.j, "rel_err": float(err / block.gap)}
     threshold = None
     decaying = True
     try:

@@ -80,8 +80,8 @@ class Phi:
             if self.beta is None or self.beta < 1:
                 raise PreconditionError("linear restriction needs slope beta >= 1")
         elif self.kind == "pow":
-            if self.alpha is None or not self.alpha > 1:
-                raise PreconditionError("power restriction needs exponent alpha > 1")
+            if self.alpha is None or not 1 < self.alpha < math.inf:
+                raise PreconditionError("power restriction needs a finite exponent alpha > 1")
         elif self.kind == "table":
             t = self.table
             if not t:
@@ -160,7 +160,10 @@ def parse_phi(text: str) -> Phi:
         return Phi("pow", alpha=alpha)
     if kind == "table":
         with open(arg) as fh:
-            entries = tuple(int(line) for line in fh.read().split())
+            try:
+                entries = tuple(int(line) for line in fh.read().split())
+            except ValueError as e:
+                raise PreconditionError(f"table {arg!r} has a non-integer entry: {e}") from e
         return Phi("table", table=entries)
     raise PreconditionError(f"unknown restriction kind {kind!r}")
 

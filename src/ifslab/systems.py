@@ -22,9 +22,9 @@ t = 0 and D = 1.
 Cylinder intervals (images of [0,1] under finite compositions) are computed
 exactly: continuant recursion over big integers for the reciprocal family,
 exact rational affine composition for the linear kinds.  The gap kind
-stores offsets in extended precision and rounds endpoints outward to
-floats.  Keeping this arithmetic exact removes rounding as a confounder in
-every downstream test.
+takes each offset from one extended-precision closed form and rounds
+endpoints outward to floats.  Keeping this arithmetic exact removes
+rounding as a confounder in every downstream test.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -76,7 +76,7 @@ class DecaySystem:
         composition scales the cylinder length by at most
         D * contract_hi(i) (2 for gauss, 1 for the affine kinds).
     index_limit: largest branch index realized (None = unbounded on demand;
-        the gap kind carries a finite table).
+        the gap kind caps its offsets).
     affine: for the affine kinds, i -> (offset, slope) with
         f_i(x) = offset + slope * x; None for gauss.
     """

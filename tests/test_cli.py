@@ -272,6 +272,27 @@ class TestExitCodes:
         code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "system,phi,file_text",
+        [
+            ("linpow:inf", "lin:1", None),
+            ("gauss", "pow:inf", None),
+            ("gauss", "table:{path}", "3\n4.5\n9\n"),
+            ("gapsys:{path}", "lin:1", '{"config": {"phi": "pow:2", "d": "two", "eps": 0.1}}'),
+            ("gapsys:{path}", "lin:1", '{"config": {"phi": 2, "d": 2, "eps": 0.1}}'),
+        ],
+        ids=["linpow-inf", "pow-inf", "table-not-int", "gapsys-d-not-float", "gapsys-phi-not-str"],
+    )
+    def test_malformed_spec_is_2(self, tmp_path, system, phi, file_text):
+        path = tmp_path / "spec.txt"
+        if file_text is not None:
+            path.write_text(file_text)
+        code, _, _ = _invoke(
+            tmp_path, "ladder", "--system", system.format(path=path),
+            "--phi", phi.format(path=path), "--eps", "0.1",
+        )
+        assert code == 2
+
 
 class TestSystemSpecs:
     def test_linpow_matches_library(self, tmp_path):

@@ -11,13 +11,14 @@ Frozen values, derived ahead of the assertions they feed:
   ladder minimality by direct partial sums, and the offset tail identity
   against a Hurwitz zeta evaluation.
 
-A note on the fault-injection checks: in this configuration the block-1
-gaps have size C/6 ~ 0.063, so nudging a_2 up by 1e-6 cannot make two
-intervals overlap.  What it does break is the certified gap size between
-images 2 and 1, and the report flags exactly that with witness index 2.
-A nudge larger than the gap produces a literal overlap, again at 2.
+A note on the mutation checks: the validator compares the system's affine
+map with the construction's data, so each mutant is a map built from wrong
+data (C scaled, a block dropped, a block edge moved by one) placed on an
+otherwise unchanged system.  Each one breaks a realized gap at a block
+edge or in the head, which the validator's fixed index set covers.
 """
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -27,6 +28,7 @@ import mpmath
 import pytest
 
 from ifslab.families import (
+    _gap_map,
     build_gap_system,
     make_gauss,
     make_linear_power,
@@ -39,6 +41,30 @@ from ifslab.systems import NumericFailure, PreconditionError
 @pytest.fixture(scope="module")
 def quad_gap():
     return build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+
+
+def _recurrence_reference(gs, n_top):
+    """Offsets a_1..a_{n_top} (1-indexed) by the sequential recurrence
+    a_1 = 1 - C, a_n = a_{n-1} - C * n**-d - (gap of the block holding n)."""
+    offs = [None]
+    with mpmath.workprec(128):
+        c = gs._c_mpf
+        for n in range(1, n_top + 1):
+            if n == 1:
+                offs.append(1 - c)
+                continue
+            a = offs[n - 1] - c * mpmath.power(n, -gs.decay)
+            for b in gs.blocks:
+                if b.start <= n <= b.end:
+                    a -= b.gap
+                    break
+            offs.append(a)
+    return offs
+
+
+def _with_map(gs, affine):
+    """gs with its system's affine map replaced; every other field kept."""
+    return dataclasses.replace(gs, system=dataclasses.replace(gs.system, affine=affine))
 
 
 class TestConstructors:
@@ -178,13 +204,30 @@ class TestGapOffsets:
 
 
     def test_affine_map_shares_the_offset_cache(self, quad_gap):
-        a5, _ = quad_gap.system.affine(5)
-        assert a5 is quad_gap.offset(5)
+        assert quad_gap.system.affine(5)[0] == quad_gap.offset(5)
         assert quad_gap.system.affine(7)[0] == quad_gap.offset(7)
 
+    def test_system_has_no_mutable_field(self, quad_gap):
+        for f in dataclasses.fields(quad_gap):
+            assert not isinstance(getattr(quad_gap, f.name), (list, dict, set)), f.name
+
+    @pytest.mark.parametrize(
+        "phi,d,eps", [("pow:2", 2.0, 0.1), ("pow:1.5", 2.0, 0.1), ("pow:2", 3.0, 0.2)]
+    )
+    def test_closed_form_matches_recurrence(self, quad_gap, phi, d, eps):
+        if (phi, d) == ("pow:2", 2.0):
+            gs = quad_gap  # shares the fixture's map cache
+        else:
+            gs = build_gap_system(parse_phi(phi), d, eps)
+        edges = {n for b in gs.blocks for n in (b.start, b.end) if n <= 200_000}
+        ref = _recurrence_reference(gs, max(2000, *edges))
+        with mpmath.workprec(160):
+            worst = max(abs(gs.offset(n) - ref[n]) for n in edges.union(range(1, 2001)))
+        assert worst <= mpmath.mpf(2) ** -120
+
     def test_system_dies_by_refcount(self):
-        # The affine map holds the offsets, not the system: no reference
-        # cycle keeps the offset cache alive until the cyclic collector runs.
+        # The affine map holds its cache, not the system: no reference
+        # cycle keeps the cached offsets alive until the cyclic collector runs.
         gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
         gs.system.affine(1000)
         gc.disable()
@@ -217,25 +260,85 @@ class TestGapValidation:
         assert float(defect) <= 1e-9
         assert float(defect) <= 4 * quad_gap.tail_bound + 1e-15
 
-    def test_tampered_offset_breaks_gap_size(self):
-        gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
-        gs.offset(2)
-        gs._offsets[2] += mpmath.mpf("1e-6")
-        rep = validate_gap_system(gs, 50)
+    @pytest.mark.parametrize(
+        "scale,drop,edge,shift,index,block",
+        [
+            pytest.param("1e-9", None, None, 0, 2, 1, id="C*(1+1e-9)"),
+            pytest.param("0", 2, None, 0, 37, 2, id="block-2-dropped"),
+            pytest.param("0", None, (2, "start"), 1, 37, 2, id="block-2-start+1"),
+            pytest.param("0", None, (2, "start"), -1, 36, 2, id="block-2-start-1"),
+            pytest.param("0", None, (2, "end"), -1, 72, 2, id="block-2-end-1"),
+            pytest.param("0", None, (2, "end"), 1, 73, 2, id="block-2-end+1"),
+            pytest.param("0", None, (3, "end"), 1, 6721, 3, id="block-3-end+1"),
+        ],
+    )
+    def test_mutated_map_fails(self, quad_gap, scale, drop, edge, shift, index, block):
+        blocks = list(quad_gap.blocks)
+        if edge is not None:
+            j, name = edge
+            blocks[j - 1] = dataclasses.replace(
+                blocks[j - 1], **{name: getattr(blocks[j - 1], name) + shift}
+            )
+        if drop is not None:
+            del blocks[drop - 1]
+        with mpmath.workprec(128):
+            c = quad_gap._c_mpf * (1 + mpmath.mpf(scale))
+        mutant = _gap_map(c, quad_gap.decay, tuple(blocks))
+        rep = validate_gap_system(_with_map(quad_gap, mutant), 10**4)
         assert not rep.all_pass
-        assert rep.disjoint  # shift is far smaller than the 0.063 gap
-        assert not rep.gaps_match
+        assert rep.disjoint and not rep.gaps_match
+        assert rep.witness["gaps"]["index"] == index
+        assert rep.witness["gaps"]["block"] == block
+
+    def test_overlapping_map_breaks_disjointness(self, quad_gap):
+        # Halving C in the map leaves the block-1 gaps wide enough, but
+        # image 7 (past block 1) then overlaps image 6.
+        mutant = _gap_map(quad_gap._c_mpf / 2, quad_gap.decay, quad_gap.blocks)
+        rep = validate_gap_system(_with_map(quad_gap, mutant), 50)
+        assert not rep.disjoint
+        assert rep.witness["disjoint"]["index"] == 7
         assert rep.witness["gaps"]["index"] == 2
+
+    def test_tampered_head_offset_is_caught(self, quad_gap):
+        # Index 10 lies in the checked head, between blocks 1 and 2.
+        def tampered(i):
+            a, slope = quad_gap.system.affine(i)
+            return (a + mpmath.mpf("1e-6") if i == 10 else a), slope
+
+        rep = validate_gap_system(_with_map(quad_gap, tampered), 50)
+        assert rep.witness["disjoint"] == {"index": 10}
+        assert rep.witness["gaps"]["index"] == 10
         assert rep.witness["gaps"]["block"] == 1
 
-    def test_tampered_offset_breaks_disjointness(self):
-        gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
-        gs.offset(2)
-        gs._offsets[2] += mpmath.mpf("0.1")
-        rep = validate_gap_system(gs, 50)
-        assert not rep.all_pass
-        assert not rep.disjoint
-        assert rep.witness["disjoint"]["index"] == 2
+    @pytest.mark.parametrize(
+        "phi,d,eps,n_low", [("pow:2", 2.0, 0.1, 10**4), ("pow:2", 3.0, 0.2, 10**3)]
+    )
+    def test_map_evaluations_do_not_grow_with_nmax(self, phi, d, eps, n_low):
+        # Every block edge of these systems up to the offset cap lies below
+        # n_low, so both runs check the same indices.
+        gs = build_gap_system(parse_phi(phi), d, eps)
+        counts = []
+        for n_max in (n_low, 200_000):
+            calls = []
+
+            def counting(i, calls=calls):
+                calls.append(i)
+                return gs.system.affine(i)
+
+            assert validate_gap_system(_with_map(gs, counting), n_max).all_pass
+            counts.append(len(calls))
+        # The checks read the system's own map, a fixed number of times.
+        assert 0 < counts[0] == counts[1] <= 2 + 2 * (15 + 5 * len(gs.blocks))
+
+    def test_blocks_come_from_the_construction_not_the_field(self, quad_gap):
+        # A system whose blocks field and map agree on a dropped block still
+        # fails: the validator derives the blocks from phi, ladder and C.
+        blocks = quad_gap.blocks[:1] + quad_gap.blocks[2:]
+        mutant = _gap_map(quad_gap._c_mpf, quad_gap.decay, blocks)
+        gs = dataclasses.replace(_with_map(quad_gap, mutant), blocks=blocks)
+        rep = validate_gap_system(gs, 10**4)
+        assert rep.witness["gaps"]["index"] == 37
+        assert rep.witness["gaps"]["block"] == 2
 
     def test_nmax_bounds(self, quad_gap):
         with pytest.raises(PreconditionError):
