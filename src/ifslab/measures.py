@@ -12,12 +12,20 @@ The second is a Markov measure on unbounded digit words whose conditional
 law from digit i is a power tail supported on j >= ceil(i**alpha).  It
 comes with exact inverse-CDF sampling on the tail and a Monte Carlo
 estimator that regresses cylinder masses against bracketed neighborhood
-lengths to read off the local dimension.
+lengths to read off the local dimension.  Every sampled digit is the
+certified crossing index of the power-sum core: draws sharing a window
+start are answered together, from one cumulative table when at least
+_INV_TABLE_MIN_DRAWS share it and the target clears the table's rounding
+bound, otherwise by the crossing search, and the route never changes a
+digit.  The estimator runs level by level over all samples; sample k
+draws its uniforms from its own spawned Philox child, the n-th feeding
+level n.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -52,14 +60,19 @@ _INT64_MAX = 2**63 - 1
 _EXACT_START_CAP = 2**52
 _CHAIN_EXACT_CAP = 10**6
 
-# Inverse-CDF tables: one cumulative block per distinct window start, only
-# for small starts and only while the cache stays small.
+# Inverse-CDF tables: one cumulative block over the first terms past a
+# window start, built per batch of draws sharing a small start.  A build
+# costs about as much as 16 crossing searches (0.45 ms against 23 us), so
+# smaller batches search.
 _INV_TABLE_SPAN = 65_536
 _INV_TABLE_START_CAP = 10**6
-_INV_TABLE_CACHE_CAP = 64
+_INV_TABLE_MIN_DRAWS = 16
 
-# A log-digit beyond this truncates the sample (flagged, not fatal).
-_LOG_DIGIT_TRUNC = 1e250
+# A log-digit beyond this truncates the sample (flagged, not fatal).  A
+# level's log-lengths reach alpha times it (alpha stays below about 1e16 for
+# a valid measure), and the regression sums their squares over the levels,
+# so the bar keeps those sums well inside the float range.
+_LOG_DIGIT_TRUNC = 1e130
 
 _LN10 = math.log(10.0)
 
@@ -448,6 +461,9 @@ class PowerLawDigitMeasure:
         base_exponent  s = 1 / (1 + alpha * (d - 1)),
         tail_exponent  p = (d + alpha * (d - 1)) * s = 1 + (d - 1) * s.
 
+    Both s and p - 1 must be positive normal floats; a huge alpha rounds
+    them to zero or below the normal range and is rejected.
+
     Each conditional law is normalized by a certified tail sum; writing
     c(i) = i**(-alpha*(d-1)*s) / S(i) for that tail S(i), the transition
     weight is c(i) * i**(alpha*(d-1)*s) * j**(-p).  The c(i) stay inside a
@@ -459,7 +475,6 @@ class PowerLawDigitMeasure:
     first_digit: int = 2
     _support: Phi = field(init=False, repr=False)
     _norms: dict = field(init=False, repr=False)
-    _tables: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.decay > 1.0:
@@ -470,13 +485,21 @@ class PowerLawDigitMeasure:
             raise PreconditionError(
                 f"power-law digit measure needs alpha > 1, got {self.alpha}"
             )
+        for name, value in (
+            ("base exponent", self.base_exponent),
+            ("tail exponent - 1", self.tail_exponent - 1.0),
+        ):
+            if not sys.float_info.min <= value < math.inf:
+                raise PreconditionError(
+                    f"alpha {self.alpha} with decay {self.decay} gives {name} "
+                    f"{value!r}, not a positive normal float"
+                )
         if not isinstance(self.first_digit, int) or self.first_digit < 1:
             raise PreconditionError(
                 f"first digit must be an integer >= 1, got {self.first_digit}"
             )
         object.__setattr__(self, "_support", Phi("pow", alpha=float(self.alpha)))
         object.__setattr__(self, "_norms", {})
-        object.__setattr__(self, "_tables", {})
 
     @property
     def base_exponent(self) -> float:
@@ -508,24 +531,6 @@ class PowerLawDigitMeasure:
         a = self.alpha * (self.decay - 1.0) * self.base_exponent
         return math.exp(-a * math.log(i) - math.log(s_mid))
 
-    def _inv_table(self, start: int) -> np.ndarray | None:
-        """Cumulative conditional masses over a block past ``start``.
-
-        Serves the common repeated-start draws by binary search; None when
-        the start is large or the cache is full (the certified crossing
-        search handles those).
-        """
-        if start > _INV_TABLE_START_CAP:
-            return None
-        tab = self._tables.get(start)
-        if tab is None:
-            if len(self._tables) >= _INV_TABLE_CACHE_CAP:
-                return None
-            j = np.arange(start, start + _INV_TABLE_SPAN, dtype=float)
-            tab = np.cumsum(j ** -self.tail_exponent)
-            self._tables[start] = tab
-        return tab
-
 
 def digit_transition(measure: PowerLawDigitMeasure, i: int, j: int) -> float:
     """Conditional probability of digit j following digit i.
@@ -543,21 +548,36 @@ def digit_transition(measure: PowerLawDigitMeasure, i: int, j: int) -> float:
     return math.exp(-measure.tail_exponent * math.log(j) - math.log(s_mid))
 
 
-def _tail_quantile(measure: PowerLawDigitMeasure, start: int, u: float) -> int:
-    """Smallest j >= start whose cumulative conditional mass reaches u.
+def _tail_quantiles(measure: PowerLawDigitMeasure, start: int, us: Sequence[float]) -> list:
+    """Smallest j >= start whose cumulative conditional mass reaches u, per u.
 
-    Exact inverse CDF with two routes: a cumulative table lookup for common
-    small starts, otherwise the certified crossing search
-    ``first_index_reaching``.  Either way a given (start, u) always gets the
-    certified digit.
+    Every digit is the certified ``first_index_reaching(start, p, u * lo)``
+    index, lo the lower tail-norm bracket.  With at least
+    _INV_TABLE_MIN_DRAWS draws and start <= _INV_TABLE_START_CAP, one
+    cumulative table over the first _INV_TABLE_SPAN terms answers the draws
+    whose target lies more than the table's rounding bound from both
+    neighbouring entries; every other draw runs the crossing search.  So
+    neither the route nor the batch changes a digit.
     """
-    target = u * measure._tail_norm(start)[0]
-    if target <= 0.0:
-        return start
-    tab = measure._inv_table(start)
-    if tab is not None and target <= tab[-1]:
-        return start + int(np.searchsorted(tab, target, side="left"))
-    return first_index_reaching(start, measure.tail_exponent, target).index
+    p = measure.tail_exponent
+    targets = np.asarray(us, dtype=float) * measure._tail_norm(start)[0]
+    digits = [None] * len(targets)
+    if len(targets) >= _INV_TABLE_MIN_DRAWS and start <= _INV_TABLE_START_CAP:
+        tab = np.cumsum(np.arange(start, start + _INV_TABLE_SPAN, dtype=float) ** -p)
+        # Each term is rounded once and the sequential sum adds at most one
+        # rounding per term, all below ulp(tab[-1]).
+        margin = (_INV_TABLE_SPAN + 8) * 2.0**-52 * tab[-1]
+        k = np.searchsorted(tab, targets, side="left")
+        inside = k < _INV_TABLE_SPAN
+        kc = np.where(inside, k, 0)
+        above = tab[kc] - targets > margin
+        below = (k == 0) | (targets - tab[np.maximum(kc - 1, 0)] > margin)
+        for pos in np.flatnonzero(inside & above & below).tolist():
+            digits[pos] = start + int(k[pos])
+    for pos, target in enumerate(targets.tolist()):
+        if digits[pos] is None:
+            digits[pos] = first_index_reaching(start, p, target).index
+    return digits
 
 
 def sample_digits(
@@ -565,10 +585,11 @@ def sample_digits(
 ) -> tuple:
     """Draw one digit word of the given depth, deterministically in seed.
 
-    The first digit is the measure's fixed start; every later digit comes
-    from the exact tail inversion.  Window starts grow like a power tower,
-    so past a few levels they leave the exact-arithmetic budget; that
-    raises with the achieved depth in the message.
+    The first digit is the measure's fixed start; every later digit is the
+    certified inverse-CDF draw of ``_tail_quantiles`` on one uniform (a
+    single draw never builds a table).  Window starts grow like a power
+    tower, so past a few levels they leave the exact-arithmetic budget;
+    that raises with the achieved depth in the message.
     """
     if not isinstance(depth, int) or depth < 1:
         raise PreconditionError(f"depth must be an integer >= 1, got {depth}")
@@ -590,7 +611,7 @@ def sample_digits(
             )
         u = rng.random()
         try:
-            j = _tail_quantile(measure, start, u)
+            j = _tail_quantiles(measure, start, [u])[0]
         except NumericFailure as e:
             raise NumericFailure(
                 f"{e}; achieved depth {n - 1} of {depth}"
@@ -603,41 +624,80 @@ def sample_digits(
 # Local dimension by Monte Carlo
 
 
-def _chain_rate_logs(system: DecaySystem, exact: bool, i, li: float):
-    """(log xi, log lambda) of branch i, from the exact index or its log."""
-    if exact:
-        return system.log_contract_lo(i), system.log_contract_hi(i)
+def _libm_below_40(values: np.ndarray, fn) -> np.ndarray:
+    """fn(v) at each v < 40 and 0.0 elsewhere, where the correction terms
+    below fall under an ulp.  fn runs on Python floats, so it rounds as the
+    ``math`` functions do (numpy's exp and log1p may differ by an ulp)."""
+    out = np.zeros(len(values))
+    near = values < 40.0
+    if near.any():
+        out[near] = [fn(v) for v in values[near].tolist()]
+    return out
+
+
+def _chain_rate_logs(system: DecaySystem, li: np.ndarray) -> tuple:
+    """(log xi, log lambda) of the branches with the given log indices."""
     # log(i + t) = li + log1p(t / i); past li = 40 the correction is below
     # an ulp of li.
-    corr = math.log1p(system.shift * math.exp(-li)) if li < 40.0 else 0.0
+    shift = system.shift
+    corr = _libm_below_40(li, lambda v: math.log1p(shift * math.exp(-v)))
     log_scale = math.log(system.scale)
     return log_scale - system.decay * (li + corr), log_scale - system.decay * li
 
 
-def _chain_window_logs(system: DecaySystem, exact: bool, start, lstart: float):
-    """(log lo, log hi) of the length of the admissible level-1 window.
+def _chain_window_logs(system: DecaySystem, lstart: np.ndarray) -> np.ndarray:
+    """log length of the admissible level-1 window, from log(start).
 
     The window is the union of the branch images with index >= start: for
     the reciprocal-shift kind that is exactly (0, 1/start]; for the affine
-    kind its length is the certified tail sum of the slopes.
+    kind its length is the tail sum of the slopes, here its asymptotic
+    form (exact starts use ``_exact_window_logs``).
     """
     if system.kind == "gauss":
-        return -lstart, -lstart
+        return -lstart
     d = system.decay
+    corr = _libm_below_40(lstart, lambda v: math.log1p((d - 1.0) * 0.5 * math.exp(-v)))
+    return math.log(system.scale) + (1.0 - d) * lstart - math.log(d - 1.0) + corr
+
+
+def _exact_window_logs(system: DecaySystem, start: int) -> tuple:
+    """(log lo, log hi) of the window length for an exact start <= _CHAIN_EXACT_CAP."""
+    if system.kind == "gauss":
+        return -math.log(start), -math.log(start)
+    b_lo, b_hi = power_sum_brackets(start, None, system.decay)
     log_scale = math.log(system.scale)
-    if exact and start <= _CHAIN_EXACT_CAP:
-        b_lo, b_hi = power_sum_brackets(start, None, d)
-        return log_scale + math.log(b_lo), log_scale + math.log(b_hi)
-    corr = (d - 1.0) * 0.5 * math.exp(-lstart) if lstart < 40.0 else 0.0
-    val = log_scale + (1.0 - d) * lstart - math.log(d - 1.0) + math.log1p(corr)
-    return val, val
+    return log_scale + math.log(b_lo), log_scale + math.log(b_hi)
 
 
-def _log_tail_norm(measure: PowerLawDigitMeasure, lstart: float) -> float:
+def _log_tail_norms(measure: PowerLawDigitMeasure, lstart: np.ndarray) -> np.ndarray:
     """log of sum_{j >= start} j**-p from log(start), continuous regime."""
     p = measure.tail_exponent
-    corr = (p - 1.0) * 0.5 * math.exp(-lstart) if lstart < 40.0 else 0.0
-    return (1.0 - p) * lstart - math.log(p - 1.0) + math.log1p(corr)
+    corr = _libm_below_40(lstart, lambda v: math.log1p((p - 1.0) * 0.5 * math.exp(-v)))
+    return (1.0 - p) * lstart - math.log(p - 1.0) + corr
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row pair, as the one-dimensional dot rounds it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _slopes(xs: tuple, y: np.ndarray, n_kept: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Least-squares slope of y on each x over each kept row's first n_kept
+    columns, one row of the result per x.
+
+    Rows of one length are reduced together; each row's means and dots
+    round as they do on the row alone.
+    """
+    out = np.empty((len(xs), len(n_kept)))
+    for m in np.unique(n_kept[kept]).tolist():
+        rows = kept[n_kept[kept] == m]
+        yr = y[rows, :m]
+        dy = yr - yr.mean(axis=1, keepdims=True)
+        for t, x in enumerate(xs):
+            xr = x[rows, :m]
+            dx = xr - xr.mean(axis=1, keepdims=True)
+            out[t, rows] = _row_dots(dx, dy) / _row_dots(dx, dx)
+    return out[:, kept]
 
 
 def local_dim_estimate(
@@ -658,14 +718,20 @@ def local_dim_estimate(
     folded into the confidence interval.  Masses of excluded subcylinders
     are never needed: the union carries the full cylinder mass.
 
-    Digit chains run exactly while window starts stay small, then switch
-    to the continuous log-domain tail, so depth 30 with doubly exponential
-    digits costs nothing.  Each sample owns one spawned child of the seed
-    (counter-based streams), so runs are reproducible and order-stable.
+    The chains advance level by level over all samples at once.  Each
+    sample owns one spawned Philox child of the seed and draws its
+    depth - 1 uniforms in one call; level n uses the n-th, so runs are
+    reproducible and a sample's chain does not depend on the others.  Rows
+    whose window start is at most _CHAIN_EXACT_CAP draw exact digits,
+    grouped by start: one tail norm and one ``_tail_quantiles`` call per
+    distinct start, so every digit is the certified crossing index.  Past
+    that the chain runs on the continuous log-domain tail as whole-array
+    numpy, so depth 30 with doubly exponential digits costs nothing.  The
+    three slopes are row reductions over each sample's kept levels.
 
-    csv_stream, when given, receives one row per (sample, level):
-    sample_id, n, digit, log10_digit, log_r_lo, log_r_hi, log_mass, where
-    digit is blank once the chain leaves the exact regime.
+    csv_stream, when given, receives one row per (sample, level), sample by
+    sample: sample_id, n, digit, log10_digit, log_r_lo, log_r_hi, log_mass,
+    where digit is blank once the chain leaves the exact regime.
     """
     if not isinstance(samples, int) or samples < 100:
         raise PreconditionError(f"needs at least 100 samples, got {samples}")
@@ -679,92 +745,107 @@ def local_dim_estimate(
     p = measure.tail_exponent
     alpha = measure.alpha
     log_chain_cap = math.log(_CHAIN_EXACT_CAP)
-    children = np.random.SeedSequence(int(seed)).spawn(samples)
-    if csv_stream is not None:
-        csv_stream.write(
-            "sample_id,n,digit,log10_digit,log_r_lo,log_r_hi,log_mass\n"
-        )
-    slopes_mid = []
-    slopes_lo = []
-    slopes_hi = []
-    delta_ratios = []
+    uniforms = np.empty((samples, depth - 1))
+    for k, child in enumerate(np.random.SeedSequence(int(seed)).spawn(samples)):
+        uniforms[k] = np.random.Generator(np.random.Philox(child)).random(depth - 1)
+    # words[k] holds sample k's exact digits and stops growing when its
+    # chain goes continuous; while exact[k], its current digit is words[k][-1].
+    words = [[measure.first_digit] for _ in range(samples)]
+    exact = np.ones(samples, dtype=bool)
+    live = np.ones(samples, dtype=bool)
+    li = np.full(samples, math.log(measure.first_digit))
+    cum_lo = np.zeros(samples)
+    cum_hi = np.zeros(samples)
+    log_mass = np.zeros(samples)
+    lis = np.zeros((samples, depth))
+    xs_lo = np.zeros((samples, depth))
+    xs_hi = np.zeros((samples, depth))
+    ys = np.zeros((samples, depth))
+    n_kept = np.zeros(samples, dtype=np.int64)
+    switch_level = np.zeros(samples, dtype=np.int64)
     truncated = 0
-    switch_levels = []
-    for k in range(samples):
-        rng = np.random.Generator(np.random.Philox(children[k]))
-        exact = True
-        i = measure.first_digit
-        li = math.log(i)
-        cum_lo = cum_hi = 0.0
-        log_mass = 0.0
-        xs_lo = np.empty(depth)
-        xs_hi = np.empty(depth)
-        ys = np.empty(depth)
-        n_kept = 0
-        switched_at = None
+    window_cache = {}
+    with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, depth + 1):
-            if not math.isfinite(li) or li > _LOG_DIGIT_TRUNC:
-                truncated += 1
+            cut = live & ~(np.isfinite(li) & (li <= _LOG_DIGIT_TRUNC))
+            truncated += int(np.count_nonzero(cut))
+            live &= ~cut
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
                 break
-            small = exact and alpha * li <= log_chain_cap
-            if small:
+            lstart = alpha * li
+            rate_lo = np.empty(samples)
+            rate_hi = np.empty(samples)
+            win_lo = np.empty(samples)
+            win_hi = np.empty(samples)
+            cont = rows[~exact[rows]]
+            rate_lo[cont], rate_hi[cont] = _chain_rate_logs(system, li[cont])
+            # Exact rows: exact rate logs, and an exact window for starts
+            # up to the cap; grouped by start for the digit draws below.
+            groups = {}
+            windowless = []
+            for k in rows[exact[rows]].tolist():
+                i = words[k][-1]
+                rate_lo[k] = system.log_contract_lo(i)
+                rate_hi[k] = system.log_contract_hi(i)
+                if lstart[k] > log_chain_cap:
+                    windowless.append(k)
+                    continue
                 start = measure.support_start(i)
-                lstart = math.log(start)
-            else:
-                start = None
-                lstart = alpha * li
-            r_lo, r_hi = _chain_rate_logs(system, exact, i, li)
-            cum_lo += r_lo
-            cum_hi += r_hi
-            w_lo, w_hi = _chain_window_logs(system, small, start, lstart)
-            xs_lo[n - 1] = w_lo + cum_lo
-            xs_hi[n - 1] = w_hi + cum_hi
-            ys[n - 1] = log_mass
-            n_kept = n
-            if csv_stream is not None:
-                digit_text = str(i) if exact else ""
-                csv_stream.write(
-                    f"{k},{n},{digit_text},{li / _LN10!r},"
-                    f"{float(xs_lo[n - 1])!r},{float(xs_hi[n - 1])!r},{log_mass!r}\n"
-                )
+                lstart[k] = math.log(start)
+                if start > _CHAIN_EXACT_CAP:
+                    windowless.append(k)
+                    continue
+                groups.setdefault(start, []).append(k)
+                got = window_cache.get(start)
+                if got is None:
+                    got = window_cache[start] = _exact_window_logs(system, start)
+                win_lo[k], win_hi[k] = got
+            rest = np.concatenate([cont, np.array(windowless, dtype=np.int64)])
+            win_lo[rest] = win_hi[rest] = _chain_window_logs(system, lstart[rest])
+            cum_lo[rows] += rate_lo[rows]
+            cum_hi[rows] += rate_hi[rows]
+            lis[rows, n - 1] = li[rows]
+            xs_lo[rows, n - 1] = win_lo[rows] + cum_lo[rows]
+            xs_hi[rows, n - 1] = win_hi[rows] + cum_hi[rows]
+            ys[rows, n - 1] = log_mass[rows]
+            n_kept[rows] = n
             if n == depth:
                 break
-            u = rng.random()
-            if small and start <= _CHAIN_EXACT_CAP:
-                j = _tail_quantile(measure, start, u)
-                s_mid = measure._tail_norm(start)[2]
-                log_mass += -p * math.log(j) - math.log(s_mid)
-                i = j
-                li = math.log(j)
-            else:
-                if exact:
-                    switched_at = n
-                    exact = False
-                lj = lstart - math.log1p(-u) / (p - 1.0)
-                log_mass += -p * lj - _log_tail_norm(measure, lstart)
-                li = lj
-        if n_kept < 3:
-            continue
-        x_lo = xs_lo[:n_kept]
-        x_hi = xs_hi[:n_kept]
-        y = ys[:n_kept]
-        x_mid = 0.5 * (x_lo + x_hi)
-        for xs, dest in ((x_mid, slopes_mid), (x_lo, slopes_lo), (x_hi, slopes_hi)):
-            dx = xs - xs.mean()
-            dest.append(float(np.dot(dx, y - y.mean()) / np.dot(dx, dx)))
-        # Deepest-level mass-to-length exponent (both sides of the pairing
-        # the regression runs on); tends to the base exponent.
-        if x_mid[-1] != 0.0:
-            delta_ratios.append(float(y[-1] / x_mid[-1]))
-        if switched_at is not None:
-            switch_levels.append(switched_at)
-    if not slopes_mid:
+            u = uniforms[:, n - 1]
+            for start, ks in groups.items():
+                log_norm = math.log(measure._tail_norm(start)[2])
+                for k, j in zip(ks, _tail_quantiles(measure, start, u[ks])):
+                    lj = math.log(j)
+                    log_mass[k] += -p * lj - log_norm
+                    li[k] = lj
+                    words[k].append(j)
+            # Every other live row draws on the continuous tail; exact rows
+            # among them switch here.
+            switch_level[rest[exact[rest]]] = n
+            exact[rest] = False
+            ls = lstart[rest]
+            log1p_u = np.array([math.log1p(-v) for v in u[rest].tolist()])
+            lj = ls - log1p_u / (p - 1.0)
+            log_mass[rest] += -p * lj - _log_tail_norms(measure, ls)
+            li[rest] = lj
+    kept = np.flatnonzero(n_kept >= 3)
+    if kept.size == 0:
         raise NumericFailure("every sampled chain truncated before 3 levels")
-    mid = np.asarray(slopes_mid)
+    x_mid = 0.5 * (xs_lo + xs_hi)
+    mid, lo, hi = _slopes((x_mid, xs_lo, xs_hi), ys, n_kept, kept)
+    # Deepest-level mass-to-length exponent (both sides of the pairing the
+    # regression runs on); tends to the base exponent.
+    last_x = x_mid[kept, n_kept[kept] - 1]
+    last_y = ys[kept, n_kept[kept] - 1]
+    delta_ratios = last_y[last_x != 0.0] / last_x[last_x != 0.0]
+    switch_levels = switch_level[kept][switch_level[kept] > 0]
+    if csv_stream is not None:
+        _write_chain_csv(csv_stream, words, n_kept, lis, xs_lo, xs_hi, ys)
     value = float(mid.mean())
     sd = float(mid.std(ddof=1)) if len(mid) > 1 else 0.0
     ci = 1.96 * sd / math.sqrt(len(mid))
-    spread = float(np.mean(np.abs(np.asarray(slopes_hi) - np.asarray(slopes_lo)))) / 2.0
+    spread = float(np.mean(np.abs(hi - lo))) / 2.0
     half = ci + spread
     diag = {
         "samples": samples,
@@ -775,7 +856,21 @@ def local_dim_estimate(
         "ci95": ci,
         "bracket_spread": spread,
         "truncated": truncated,
-        "mean_switch_level": float(np.mean(switch_levels)) if switch_levels else None,
-        "delta_ratio_mean": float(np.mean(delta_ratios)) if delta_ratios else None,
+        "mean_switch_level": float(np.mean(switch_levels)) if switch_levels.size else None,
+        "delta_ratio_mean": float(np.mean(delta_ratios)) if delta_ratios.size else None,
     }
     return _estimate(value, "local-dim", value - half, value + half, diag)
+
+
+def _write_chain_csv(stream: TextIO, words, n_kept, lis, xs_lo, xs_hi, ys) -> None:
+    """The per-(sample, level) stream rows, sample by sample."""
+    stream.write("sample_id,n,digit,log10_digit,log_r_lo,log_r_hi,log_mass\n")
+    l10 = (lis / _LN10).tolist()
+    r_lo, r_hi, mass = xs_lo.tolist(), xs_hi.tolist(), ys.tolist()
+    for k, word in enumerate(words):
+        digits = [str(i) for i in word] + [""] * (int(n_kept[k]) - len(word))
+        stream.writelines(
+            f"{k},{n + 1},{digits[n]},{l10[k][n]!r},"
+            f"{r_lo[k][n]!r},{r_hi[k][n]!r},{mass[k][n]!r}\n"
+            for n in range(int(n_kept[k]))
+        )

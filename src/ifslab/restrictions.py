@@ -41,6 +41,12 @@ _EXACT_ROOT_DEN = 64
 
 _GUARD_BITS = 96
 
+# n**alpha is formed only while the exact power n**numerator, or the working
+# precision of the adaptive route, needs at most this many bits (twice the
+# ladder's default term budget).  A huge exponent would otherwise build a
+# power of about alpha * log2(n) bits and never finish.
+_POW_BITS_CAP = 1 << 22
+
 
 def _iroot(x: int, k: int) -> int:
     """Floor of the integer k-th root of x >= 0."""
@@ -94,16 +100,32 @@ class Phi:
             raise PreconditionError(f"unknown restriction kind {self.kind!r}")
 
     def _pow_floor_ceil(self, n: int) -> tuple[int, int]:
-        """(floor, ceil) of n**alpha, exact or precision-certified."""
+        """(floor, ceil) of n**alpha, exact or precision-certified.
+
+        Raises NumericFailure when the power needs more than _POW_BITS_CAP
+        bits.
+        """
+        if n == 1:
+            return 1, 1
         frac = Fraction(self.alpha)
-        if frac.denominator <= _EXACT_ROOT_DEN:
+        exact_route = frac.denominator <= _EXACT_ROOT_DEN
+        if exact_route:
+            bits = frac.numerator * n.bit_length()
+        else:
+            bits = self.alpha * n.bit_length() + _GUARD_BITS + 64
+        if bits > _POW_BITS_CAP:
+            raise NumericFailure(
+                f"a {n.bit_length()}-bit index to the power {self.alpha} needs "
+                f"more than the {_POW_BITS_CAP}-bit budget"
+            )
+        if exact_route:
             x = n ** frac.numerator
             r = _iroot(x, frac.denominator)
             exact = r ** frac.denominator == x
             return r, r if exact else r + 1
         # Adaptive precision: enough bits for the integer part plus guards,
         # then a confirmation pass at higher precision.
-        need = int(self.alpha * max(1, n.bit_length())) + _GUARD_BITS
+        need = int(self.alpha * n.bit_length()) + _GUARD_BITS
         with mpmath.workprec(need):
             f1 = int(mpmath.floor(mpmath.power(n, self.alpha)))
         with mpmath.workprec(need + 64):
@@ -259,9 +281,18 @@ def successor_table(phi: Phi, cap: int, strict: bool = True) -> np.ndarray:
 
     Entry 0 is 1: the empty word admits every first digit.  Entry a >= 1 is
     floor(Phi(a)) + 1 when strict, ceil(Phi(a)) otherwise.  The table is
-    non-decreasing, as every Phi is, and costs one Phi evaluation per digit.
+    non-decreasing, as every Phi is, and costs one Phi evaluation per digit,
+    except where a power restriction's a**alpha surely exceeds cap + 1: the
+    logarithms decide that with a wide margin, and the entry is cap + 1
+    without forming a power that a huge exponent could not afford.
     """
-    step = (lambda a: phi.floor(a) + 1) if strict else phi.ceil
+    log_bar = math.log(cap + 1) * (1.0 + 1e-9) + 1e-9
+
+    def step(a: int) -> int:
+        if phi.kind == "pow" and phi.alpha * math.log(a) > log_bar:
+            return cap + 1
+        return phi.floor(a) + 1 if strict else phi.ceil(a)
+
     return np.array([1] + [min(step(a), cap + 1) for a in range(1, cap + 1)], dtype=np.int64)
 
 

@@ -236,6 +236,17 @@ class TestExitCodes:
         assert code == 3
         assert "level 5 window (9412986588122111059176817635648577.." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["1e17", "1e200", "1e308", "inf"])
+    def test_localdim_alpha_rounding_the_exponents_away_is_2(self, tmp_path, capsys, alpha):
+        # Past about 1e16, tail_exponent - 1 rounds to 0 (and the base
+        # exponent leaves the normal range near 1e308).
+        code, _, _ = _invoke(
+            tmp_path, "localdim", "--system", "gauss", "--alpha", alpha,
+            "--samples", "100", "--depth", "10",
+        )
+        assert code == 2
+        assert "not a positive normal float" in capsys.readouterr().err
+
     def test_unwritable_out(self, capsys):
         code = run(
             ["words", "--phi", "lin:1", "--depth", "2", "--cap", "3",
@@ -292,6 +303,46 @@ class TestExitCodes:
             "--phi", phi.format(path=path), "--eps", "0.1",
         )
         assert code == 2
+
+
+def _run_child(argv, timeout):
+    """Run ``python -m ifslab`` in a child with the package this process
+    imported; return the completed process."""
+    src = str(pathlib.Path(ifslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "ifslab", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+class TestHugePowerExponents:
+    """A power restriction with a huge exponent answers instead of forming
+    a power of about alpha * log2(n) bits."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frostman", "--system", "gauss", "--phi", "pow:1e308", "--eps", "0.1",
+             "--depth", "2"],
+            ["ladder", "--system", "gauss", "--phi", "pow:1e17", "--eps", "0.1"],
+        ],
+        ids=["frostman-pow1e308", "ladder-pow1e17"],
+    )
+    def test_ladder_step_past_the_bit_budget_is_3(self, tmp_path, argv):
+        proc = _run_child([*argv, "--out", str(tmp_path / "r.json")], timeout=60)
+        assert proc.returncode == 3
+        assert "bit budget" in proc.stderr
+
+    def test_words_clip_without_the_power(self, tmp_path):
+        out = tmp_path / "words.json"
+        argv = ["words", "--phi", "pow:1e300", "--depth", "2", "--cap", "10", "--out", str(out)]
+        proc = _run_child(argv, timeout=60)
+        assert proc.returncode == 0
+        # Phi(1) = 1 admits 2..10 after a 1; nothing follows a larger digit.
+        assert json.loads(out.read_text())["results"]["words"] == [[1, a] for a in range(2, 11)]
 
 
 class TestSystemSpecs:

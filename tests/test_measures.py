@@ -33,14 +33,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifslab import measures
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
 from ifslab.measures import (
+    _INV_TABLE_MIN_DRAWS,
     _INV_TABLE_SPAN,
     FrostmanReport,
     PowerLawDigitMeasure,
-    _tail_quantile,
+    _tail_quantiles,
     build_frostman_measure,
     digit_transition,
     frostman_mass,
@@ -401,6 +404,16 @@ class TestPowerLawMeasure:
         with pytest.raises(PreconditionError):
             PowerLawDigitMeasure(decay=2.0, alpha=2.0, first_digit=0)
 
+    @pytest.mark.parametrize("alpha", [1e17, 1e200, 1e308, math.inf])
+    def test_huge_alpha_rounding_the_exponents_away_rejected(self, alpha):
+        with pytest.raises(PreconditionError, match="not a positive normal float"):
+            PowerLawDigitMeasure(decay=2.0, alpha=alpha)
+
+    def test_largest_valid_alphas_keep_positive_exponents(self):
+        for alpha in (1e10, 1e15, 1e16):
+            m = PowerLawDigitMeasure(decay=2.0, alpha=alpha)
+            assert m.base_exponent > 0.0 and m.tail_exponent > 1.0
+
     def test_support_start(self, quad_measure):
         assert quad_measure.support_start(1) == 1
         assert quad_measure.support_start(2) == 4
@@ -488,7 +501,7 @@ class TestSampling:
         cases = [(2_000_000, u) for u in (0.3, 0.77, 0.999)]
         cases += [(start, u) for start in (5, 1000, 999_999) for u in (0.999, 0.99999, 1 - 1e-9)]
         for start, u in cases:
-            got = _tail_quantile(quad_measure, start, u)
+            got = _tail_quantiles(quad_measure, start, [u] * _INV_TABLE_MIN_DRAWS)[0]
             target = u * quad_measure._tail_norm(start)[0]
             ref = first_index_reaching(start, quad_measure.tail_exponent, target).index
             assert got == ref, (start, u)
@@ -496,8 +509,8 @@ class TestSampling:
                 assert got - start >= _INV_TABLE_SPAN, (start, u)
 
     def test_quantile_edges_and_monotonicity(self, quad_measure):
-        assert _tail_quantile(quad_measure, 4, 0.0) == 4
-        qs = [_tail_quantile(quad_measure, 4, u) for u in (0.1, 0.5, 0.9, 0.9999)]
+        assert _tail_quantiles(quad_measure, 4, [0.0]) == [4]
+        qs = _tail_quantiles(quad_measure, 4, [0.1, 0.5, 0.9, 0.9999])
         assert all(a <= b for a, b in zip(qs, qs[1:]))
 
     def test_empirical_second_digit_frequencies(self, quad_measure):
@@ -509,6 +522,69 @@ class TestSampling:
             p = digit_transition(quad_measure, 2, j)
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(counts[j] / n - p) <= 3.0 * se
+
+
+def _table(measure, start):
+    """The cumulative table ``_tail_quantiles`` builds for a batch at start."""
+    j = np.arange(start, start + _INV_TABLE_SPAN, dtype=float)
+    return np.cumsum(j ** -measure.tail_exponent)
+
+
+def _counting_search(monkeypatch):
+    """Route the crossing searches of ``_tail_quantiles`` through a counter."""
+    calls = []
+
+    def search(start, p, target):
+        calls.append(target)
+        return first_index_reaching(start, p, target)
+
+    monkeypatch.setattr(measures, "first_index_reaching", search)
+    return calls
+
+
+class TestTailQuantiles:
+    """Table answers are certified: the route never changes a digit."""
+
+    @pytest.mark.parametrize("start", [4, 1000, 999_999])
+    def test_targets_on_table_entries_get_the_certified_digit(self, start, monkeypatch):
+        m = PowerLawDigitMeasure(decay=2.0, alpha=2.0)
+        # A lower tail norm of 4 makes u * 4 reproduce each target exactly.
+        m._norms[start] = (4.0, 4.0, 4.0)
+        tab = _table(m, start)
+        targets = []
+        for k in (0, 1, 2, 100, 5000, 40_000, _INV_TABLE_SPAN - 2, _INV_TABLE_SPAN - 1):
+            t = float(tab[k])
+            targets += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+        us = [t / 4.0 for t in targets]
+        assert [u * 4.0 for u in us] == targets
+        calls = _counting_search(monkeypatch)
+        got = _tail_quantiles(m, start, us)
+        # Every target lies within the rounding bound of an entry.
+        assert calls == targets
+        ref = [first_index_reaching(start, m.tail_exponent, t).index for t in targets]
+        assert got == ref
+        assert [_tail_quantiles(m, start, [u])[0] for u in us] == ref
+
+    def test_targets_clear_of_entries_are_answered_by_the_table(self, quad_measure, monkeypatch):
+        start = 4
+        tab = _table(quad_measure, start)
+        lo = quad_measure._tail_norm(start)[0]
+        ks = [1, 2, 3, 50, 999, 30_000, _INV_TABLE_SPAN - 1] * 3
+        us = [0.5 * (tab[k - 1] + tab[k]) / lo for k in ks]
+        calls = _counting_search(monkeypatch)
+        assert _tail_quantiles(quad_measure, start, us) == [start + k for k in ks]
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.integers(2, 10**6),
+        us=st.lists(
+            st.floats(0.0, 1.0 - 1e-9), min_size=_INV_TABLE_MIN_DRAWS, max_size=24
+        ),
+    )
+    def test_batch_size_does_not_change_a_digit(self, quad_measure, start, us):
+        batched = _tail_quantiles(quad_measure, start, us)
+        assert batched == [_tail_quantiles(quad_measure, start, [u])[0] for u in us]
 
 
 class TestLocalDim:
@@ -557,6 +633,15 @@ class TestLocalDim:
         assert e1 == e2
         assert b1.getvalue() == b2.getvalue()
 
+    def test_a_sample_chain_does_not_depend_on_the_sample_count(self, gauss, quad_measure):
+        # Sample k draws from the seed's k-th spawned child whatever the count.
+        streams = []
+        for samples in (100, 160):
+            buf = io.StringIO()
+            local_dim_estimate(quad_measure, gauss, samples, 10, seed=6, csv_stream=buf)
+            streams.append(buf.getvalue().splitlines())
+        assert streams[1][: len(streams[0])] == streams[0]
+
     def test_stream_schema(self, gauss, quad_measure):
         buf = io.StringIO()
         local_dim_estimate(
@@ -600,3 +685,184 @@ class TestLocalDim:
             )
             assert float(r[6]) == pytest.approx(expect, rel=1e-9, abs=1e-12)
         assert len(digits) >= 2
+
+
+def _ref_rate_logs(system, exact, i, li):
+    if exact:
+        return system.log_contract_lo(i), system.log_contract_hi(i)
+    corr = math.log1p(system.shift * math.exp(-li)) if li < 40.0 else 0.0
+    log_scale = math.log(system.scale)
+    return log_scale - system.decay * (li + corr), log_scale - system.decay * li
+
+
+def _ref_window_logs(system, exact, start, lstart):
+    if system.kind == "gauss":
+        return -lstart, -lstart
+    d = system.decay
+    log_scale = math.log(system.scale)
+    if exact and start <= measures._CHAIN_EXACT_CAP:
+        b_lo, b_hi = power_sum_brackets(start, None, d)
+        return log_scale + math.log(b_lo), log_scale + math.log(b_hi)
+    corr = (d - 1.0) * 0.5 * math.exp(-lstart) if lstart < 40.0 else 0.0
+    val = log_scale + (1.0 - d) * lstart - math.log(d - 1.0) + math.log1p(corr)
+    return val, val
+
+
+def _ref_log_tail_norm(measure, lstart):
+    p = measure.tail_exponent
+    corr = (p - 1.0) * 0.5 * math.exp(-lstart) if lstart < 40.0 else 0.0
+    return (1.0 - p) * lstart - math.log(p - 1.0) + math.log1p(corr)
+
+
+def _per_sample_reference(measure, system, samples, depth, seed=0, csv_stream=None):
+    """local_dim_estimate as one scalar loop per sample and level: scalar
+    draws from each sample's Philox child and scalar chain geometry."""
+    p = measure.tail_exponent
+    alpha = measure.alpha
+    log_chain_cap = math.log(measures._CHAIN_EXACT_CAP)
+    children = np.random.SeedSequence(int(seed)).spawn(samples)
+    if csv_stream is not None:
+        csv_stream.write("sample_id,n,digit,log10_digit,log_r_lo,log_r_hi,log_mass\n")
+    slopes_mid = []
+    slopes_lo = []
+    slopes_hi = []
+    delta_ratios = []
+    truncated = 0
+    switch_levels = []
+    for k in range(samples):
+        rng = np.random.Generator(np.random.Philox(children[k]))
+        exact = True
+        i = measure.first_digit
+        li = math.log(i)
+        cum_lo = cum_hi = 0.0
+        log_mass = 0.0
+        xs_lo = np.empty(depth)
+        xs_hi = np.empty(depth)
+        ys = np.empty(depth)
+        n_kept = 0
+        switched_at = None
+        for n in range(1, depth + 1):
+            if not math.isfinite(li) or li > measures._LOG_DIGIT_TRUNC:
+                truncated += 1
+                break
+            small = exact and alpha * li <= log_chain_cap
+            if small:
+                start = measure.support_start(i)
+                lstart = math.log(start)
+            else:
+                start = None
+                lstart = alpha * li
+            r_lo, r_hi = _ref_rate_logs(system, exact, i, li)
+            cum_lo += r_lo
+            cum_hi += r_hi
+            w_lo, w_hi = _ref_window_logs(system, small, start, lstart)
+            xs_lo[n - 1] = w_lo + cum_lo
+            xs_hi[n - 1] = w_hi + cum_hi
+            ys[n - 1] = log_mass
+            n_kept = n
+            if csv_stream is not None:
+                digit_text = str(i) if exact else ""
+                csv_stream.write(
+                    f"{k},{n},{digit_text},{li / math.log(10.0)!r},"
+                    f"{float(xs_lo[n - 1])!r},{float(xs_hi[n - 1])!r},{log_mass!r}\n"
+                )
+            if n == depth:
+                break
+            u = rng.random()
+            if small and start <= measures._CHAIN_EXACT_CAP:
+                j = _tail_quantiles(measure, start, [u])[0]
+                s_mid = measure._tail_norm(start)[2]
+                log_mass += -p * math.log(j) - math.log(s_mid)
+                i = j
+                li = math.log(j)
+            else:
+                if exact:
+                    switched_at = n
+                    exact = False
+                lj = lstart - math.log1p(-u) / (p - 1.0)
+                log_mass += -p * lj - _ref_log_tail_norm(measure, lstart)
+                li = lj
+        if n_kept < 3:
+            continue
+        x_lo = xs_lo[:n_kept]
+        x_hi = xs_hi[:n_kept]
+        y = ys[:n_kept]
+        x_mid = 0.5 * (x_lo + x_hi)
+        for xs, dest in ((x_mid, slopes_mid), (x_lo, slopes_lo), (x_hi, slopes_hi)):
+            dx = xs - xs.mean()
+            dest.append(float(np.dot(dx, y - y.mean()) / np.dot(dx, dx)))
+        if x_mid[-1] != 0.0:
+            delta_ratios.append(float(y[-1] / x_mid[-1]))
+        if switched_at is not None:
+            switch_levels.append(switched_at)
+    if not slopes_mid:
+        raise NumericFailure("every sampled chain truncated before 3 levels")
+    mid = np.asarray(slopes_mid)
+    return {
+        "estimate": float(mid.mean()),
+        "kept": len(mid),
+        "truncated": truncated,
+        "mean_switch_level": float(np.mean(switch_levels)) if switch_levels else None,
+        "delta_ratio_mean": float(np.mean(delta_ratios)) if delta_ratios else None,
+    }
+
+
+def _assert_streams_match(got: str, ref: str) -> None:
+    """Same rows and digit columns; every float within 4 ulps."""
+    got_rows = [line.split(",") for line in got.splitlines()]
+    ref_rows = [line.split(",") for line in ref.splitlines()]
+    assert got_rows[0] == ref_rows[0]
+    assert [r[:3] for r in got_rows] == [r[:3] for r in ref_rows]
+    for g, r in zip(got_rows[1:], ref_rows[1:]):
+        for a, b in zip(map(float, g[3:]), map(float, r[3:])):
+            assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b))), (g, r)
+
+
+class TestLocalDimMatchesPerSampleLoop:
+    """The level-major estimator against the per-sample loop it replaced."""
+
+    def _both(self, system, alpha, samples, depth, seed):
+        m = PowerLawDigitMeasure(decay=system.decay, alpha=alpha)
+        got_csv, ref_csv = io.StringIO(), io.StringIO()
+        est = local_dim_estimate(m, system, samples, depth, seed=seed, csv_stream=got_csv)
+        ref = _per_sample_reference(m, system, samples, depth, seed=seed, csv_stream=ref_csv)
+        _assert_streams_match(got_csv.getvalue(), ref_csv.getvalue())
+        assert est.value == ref["estimate"]
+        for key in ("kept", "truncated", "mean_switch_level"):
+            assert est.diagnostics[key] == ref[key], key
+        assert est.diagnostics["delta_ratio_mean"] == pytest.approx(
+            ref["delta_ratio_mean"], rel=1e-12
+        )
+        return est
+
+    @pytest.mark.parametrize(
+        "system, alpha, depth, seed",
+        [
+            ("gauss", 2.0, 30, 0),
+            ("gauss", 2.0, 30, 17),
+            ("gauss", 1.5, 30, 3),
+            ("gauss", 1.5, 30, 11),
+            ("linpow", 2.0, 20, 1),
+            ("linpow", 2.0, 30, 8),
+        ],
+    )
+    def test_same_digits_and_estimate(self, gauss, system, alpha, depth, seed):
+        sys_ = gauss if system == "gauss" else make_linear_power(2.0)
+        self._both(sys_, alpha, 120, depth, seed)
+
+    def test_huge_alpha_truncates_alike(self, gauss):
+        est = self._both(gauss, 1e12, 100, 30, 2)
+        assert est.diagnostics["truncated"] == 100
+
+    def test_chains_cut_before_three_levels_are_dropped_alike(self, gauss, monkeypatch):
+        # A low truncation bar cuts most chains at level 1 or 2.
+        monkeypatch.setattr(measures, "_LOG_DIGIT_TRUNC", 4.0)
+        est = self._both(gauss, 2.0, 200, 8, 4)
+        assert 0 < est.diagnostics["kept"] < 200
+
+    def test_every_chain_cut_before_three_levels_fails_alike(self, gauss, monkeypatch):
+        monkeypatch.setattr(measures, "_LOG_DIGIT_TRUNC", 2.0)
+        m = PowerLawDigitMeasure(decay=2.0, alpha=2.0)
+        for estimator in (local_dim_estimate, _per_sample_reference):
+            with pytest.raises(NumericFailure, match="truncated before 3 levels"):
+                estimator(m, gauss, 100, 8, seed=0)

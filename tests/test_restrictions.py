@@ -31,6 +31,7 @@ from ifslab.restrictions import (
     parse_phi,
     successor_table,
 )
+from ifslab.systems import NumericFailure
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,14 @@ class TestPhi:
         # cross-check small arguments against float arithmetic
         for n in (2, 3, 10, 50):
             assert phi.floor(n) == math.floor(n ** 2.3)
+
+    @pytest.mark.parametrize("alpha, bits", [(1e300, 2), (1e17, 4), (1.3, 4_000_000)])
+    def test_power_past_the_bit_budget_is_a_numeric_failure(self, alpha, bits):
+        # Both routes: an integer exponent (exact) and 1.3 (adaptive).
+        phi = Phi("pow", alpha=alpha)
+        with pytest.raises(NumericFailure, match="bit budget"):
+            phi.floor((1 << (bits - 1)) + 1)
+        assert phi.floor(1) == phi.ceil(1) == 1
 
     def test_table(self, tmp_path):
         p = tmp_path / "t.txt"
@@ -227,7 +236,7 @@ class TestEnumerator:
 
 
 class TestSuccessorTable:
-    @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5", "pow:2"])
+    @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5", "pow:2", "pow:2.3", "pow:7"])
     @pytest.mark.parametrize("strict", [True, False])
     def test_entries_are_clipped_successors(self, spec, strict):
         phi = parse_phi(spec)
@@ -239,6 +248,13 @@ class TestSuccessorTable:
             want = phi.floor(a) + 1 if strict else phi.ceil(a)
             assert nxt[a] == min(want, cap + 1)
         assert (nxt[1:] >= nxt[:-1]).all()
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_huge_exponent_clips_without_the_power(self, strict):
+        # 2**1e300 is past the bit budget, and surely past the cap.
+        phi = Phi("pow", alpha=1e300)
+        first = 2 if strict else 1
+        assert successor_table(phi, 10, strict).tolist() == [1, first] + [11] * 9
 
     def test_table_restriction(self):
         phi = Phi("table", table=(2, 5, 9, 30))
