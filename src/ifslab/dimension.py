@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .restrictions import Phi, successor_table
 from .powersum import power_sum_brackets
@@ -96,8 +95,6 @@ def _root_from_rates(rates: np.ndarray, tol: float) -> DimensionEstimate:
                 f"pressure sum stays >= 1 up to s = {_BOWEN_S_CAP}; no root below the cap{detail}"
             )
     lo = 0.0
-    mid = hi
-    val = pressure(mid)
     for it in range(_BOWEN_MAX_ITER):
         mid = 0.5 * (lo + hi)
         val = pressure(mid)
@@ -434,6 +431,23 @@ def cover_sum(
     return result
 
 
+def _linregress(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(slope, slope stderr, r) of the least-squares line through (x, y),
+    in the float steps of the reference routine the tests hold it to.  r is
+    clipped to [-1, 1], and NaN when x or y is constant with covariance 0;
+    a constant x leaves all three NaN."""
+    n = x.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+        if ssxm == 0.0 or ssym == 0.0:
+            r = math.nan if ssxym == 0 else 0.0
+        else:
+            r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+        slope = ssxym / ssxm
+        stderr = 0.0 if n == 2 else np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return float(slope), float(stderr), float(r)
+
+
 def box_dim_estimate(points, scales) -> DimensionEstimate:
     """Box-counting slope of a point set over a decreasing scale ladder.
 
@@ -442,6 +456,11 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
     bend the slope.  Advisory sampling bars (1000 points, 8 scales over 4
     decades) are reported as ScaleWarning rather than enforced: sparser
     input yields an estimate that is still well defined, merely coarse.
+
+    diagnostics hold the least-squares slope's stderr (0.0 for two selected
+    scales) and r**2; both are 0.0, up to an ulp-level residue of numpy's
+    mean, when the selected counts are constant.  A scale whose reciprocal
+    overflows is a PreconditionError.
     """
     pts = np.asarray(points, dtype=float).ravel()
     if pts.size < 2:
@@ -453,6 +472,9 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
         raise PreconditionError("box counting needs at least two distinct scales")
     if not (deltas > 0).all():
         raise PreconditionError("scales must be positive")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(1.0 / deltas).all():
+            raise PreconditionError("scales must have finite reciprocals")
     if pts.size < 1000:
         warnings.warn(
             f"only {pts.size} points; the estimate will be coarse below 1000",
@@ -474,15 +496,15 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
     sel = slice(start, start + k)
     x = np.log(1.0 / deltas[sel])
     y = np.log(counts[sel])
-    fit = stats.linregress(x, y)
-    slope = float(fit.slope)
+    slope, stderr, r = _linregress(x, y)
     if not math.isfinite(slope):
         raise NumericFailure("degenerate box-count regression")
-    stderr = float(fit.stderr) if math.isfinite(fit.stderr) else 0.0
+    if not math.isfinite(stderr):
+        stderr = 0.0
     diag = {
         "raw_slope": slope,
         "stderr": stderr,
-        "r_squared": float(fit.rvalue) ** 2 if math.isfinite(fit.rvalue) else 0.0,
+        "r_squared": r**2 if math.isfinite(r) else 0.0,
         "counts": [int(c) for c in counts],
         "scales": [float(d) for d in deltas],
         "selected": (start, start + k),

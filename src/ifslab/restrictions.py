@@ -41,10 +41,14 @@ _EXACT_ROOT_DEN = 64
 
 _GUARD_BITS = 96
 
+# build_ladder's decay-threshold scan and its term budget in index bits.
+_LADDER_SCAN = 1000
+_INDEX_BITS_CAP = 2_000_000
+
 # n**alpha is formed only while the exact power n**numerator, or the working
-# precision of the adaptive route, needs at most this many bits (twice the
-# ladder's default term budget).  A huge exponent would otherwise build a
-# power of about alpha * log2(n) bits and never finish.
+# precision of the adaptive route, needs at most this many bits (twice
+# _INDEX_BITS_CAP).  A huge exponent would otherwise build a power of about
+# alpha * log2(n) bits and never finish.
 _POW_BITS_CAP = 1 << 22
 
 
@@ -214,27 +218,20 @@ class Ladder:
         return len(self.values)
 
 
-def build_ladder(
-    system: DecaySystem,
-    phi: Phi,
-    eps: float,
-    steps: int,
-    threshold_scan: int = 1000,
-    max_index_bits: int = 2_000_000,
-) -> Ladder:
+def build_ladder(system: DecaySystem, phi: Phi, eps: float, steps: int) -> Ladder:
     """Construct the first ``steps`` ladder values for a system under Phi.
 
     l_1 is the decay threshold for this eps; each following value solves the
     minimal-index condition via certified power sums, so restriction shapes
     whose ladders grow doubly exponentially stay constructible.  Raises
-    NumericFailure when an index would exceed ``max_index_bits`` bits (the
+    NumericFailure when an index would exceed _INDEX_BITS_CAP bits (the
     term budget) or the float core overflows (near 5k-bit indices, p < 1).
     """
     if not 0 < eps < 1.0 / system.decay:
         raise PreconditionError(f"eps must lie in (0, 1/d); got {eps}")
     if steps < 1:
         raise PreconditionError("steps must be >= 1")
-    report = verify_power_decay(system, eps, threshold_scan)
+    report = verify_power_decay(system, eps, _LADDER_SCAN)
     # contract_lo(i)**q = coeff * (i + shift)**-p by the system's rate profile.
     q = 1.0 / system.decay - eps
     coeff, p, shift = system.scale**q, system.decay * q, system.shift
@@ -243,7 +240,7 @@ def build_ladder(
     while len(values) < steps:
         prev = values[-1]
         start = phi.floor(prev) + 1
-        if start.bit_length() > max_index_bits:
+        if start.bit_length() > _INDEX_BITS_CAP:
             raise NumericFailure(
                 f"ladder step {len(values)}: index near 2**{start.bit_length()} "
                 "exceeds the term budget"

@@ -41,6 +41,9 @@ Word = tuple[int, ...]
 
 DEPTH_CAP = 64
 
+# Largest digit in the words of verify_power_decay's composition certificate.
+_COMP_DIGIT_CAP = 4
+
 # Linear products below this switch the caller to the log-domain fields.
 FLOAT_FLOOR = 1e-300
 
@@ -246,28 +249,32 @@ def _compose_ends(system: DecaySystem, word: Word) -> tuple:
     return off, off + slope
 
 
-def cylinder_interval(system: DecaySystem, word: Sequence[int], depth_cap: int = DEPTH_CAP) -> CylinderInterval:
-    """Exact image of [0,1] under the composition along ``word``.
-
-    Endpoints are Fractions for the exact kinds and outward-rounded floats
-    for the gap kind.  Raises PreconditionError for bad digits or words
-    longer than ``depth_cap``.
-    """
+def _cylinder(system: DecaySystem, word: Sequence[int]) -> tuple:
+    """(cylinder along word, image of 1 under its composition), the image
+    None for the empty word."""
     word = tuple(int(a) for a in word)
-    if len(word) > depth_cap:
-        raise PreconditionError(f"word depth {len(word)} exceeds the cap {depth_cap}")
+    if len(word) > DEPTH_CAP:
+        raise PreconditionError(f"word depth {len(word)} exceeds the cap {DEPTH_CAP}")
     for a in word:
         if a < 1:
             raise PreconditionError(f"digits must be >= 1, got {a}")
     if not word:
-        return CylinderInterval(Fraction(0), Fraction(1), word)
-    lo, hi = _compose_ends(system, word)
-    if lo > hi:
-        lo, hi = hi, lo
+        return CylinderInterval(Fraction(0), Fraction(1), word), None
+    ends = _compose_ends(system, word)
+    lo, hi = sorted(ends)
     if isinstance(lo, Fraction):
-        return CylinderInterval(lo, hi, word)
-    lo_f, hi_f = _round_out(lo, hi)
-    return CylinderInterval(lo_f, hi_f, word)
+        return CylinderInterval(lo, hi, word), ends[1]
+    return CylinderInterval(*_round_out(lo, hi), word), ends[1]
+
+
+def cylinder_interval(system: DecaySystem, word: Sequence[int]) -> CylinderInterval:
+    """Exact image of [0,1] under the composition along ``word``.
+
+    Endpoints are Fractions for the exact kinds and outward-rounded floats
+    for the gap kind.  Raises PreconditionError for bad digits or words
+    longer than DEPTH_CAP.
+    """
+    return _cylinder(system, word)[0]
 
 
 def cylinder_length_bounds(system: DecaySystem, word: Sequence[int]) -> LengthBounds:
@@ -300,8 +307,7 @@ def project_point(system: DecaySystem, word: Sequence[int]):
     word = tuple(int(a) for a in word)
     if not word:
         raise PreconditionError("projection needs a non-empty word")
-    cyl = cylinder_interval(system, word)
-    point = _compose_ends(system, word)[1]
+    cyl, point = _cylinder(system, word)
     if not isinstance(point, Fraction):
         point = float(point)
     return point, cyl.length
@@ -324,7 +330,7 @@ def _composite_deriv_sup(system: DecaySystem, word: Word, grid: Sequence[float])
     return best
 
 
-def verify_power_decay(system: DecaySystem, eps: float, i_max: int, comp_digit_cap: int = 4) -> DecayReport:
+def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayReport:
     """Certify the power sandwich on the contraction rates and uniform
     contraction of some bounded-fold composition.
 
@@ -332,7 +338,7 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int, comp_digit_c
     k**(-d-eps) <= contract_lo(k)/scale and contract_hi(k)/scale <=
     k**(-d+eps).  The fitted coeff_lo/coeff_hi make the raw sandwich valid
     from index 1.  The composition certificate searches depths m = 1..8
-    over all words with digits <= comp_digit_cap, evaluating composite
+    over all words with digits <= _COMP_DIGIT_CAP, evaluating composite
     derivatives at grid points {0, 1/2, 1}; for the supported kinds the
     supremum is attained inside this sample.
     """
@@ -360,7 +366,7 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int, comp_digit_c
     coeff_hi = max(system.contract_hi(k) * k ** (d - eps) for k in range(1, top + 1))
     # Uniform contraction of m-fold compositions for some m <= 8.
     grid = (0.0, 0.5, 1.0)
-    digit_cap = comp_digit_cap if system.index_limit is None else min(comp_digit_cap, system.index_limit)
+    digit_cap = _COMP_DIGIT_CAP if system.index_limit is None else min(_COMP_DIGIT_CAP, system.index_limit)
     comp_depth = None
     comp_bound = None
     for m in range(1, 9):

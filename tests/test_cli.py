@@ -11,6 +11,7 @@ structural contracts from docs/report_schema.md.
 import csv
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -271,6 +272,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "scales,expected",
+        [
+            # 1/delta overflows to inf for these subnormal scales.
+            ("1e-320,2e-320", 2),
+            ("5e-324,1e-323", 2),
+            # Adjacent floats: distinct scales whose log reciprocals coincide.
+            (f"1e-10,{math.nextafter(1e-10, 1.0)!r}", 3),
+        ],
+        ids=["subnormal", "smallest-subnormal", "coinciding-logs"],
+    )
+    def test_degenerate_scales(self, tmp_path, scales, expected):
+        pts = tmp_path / "p.txt"
+        pts.write_text("0.1\n0.2\n0.3\n")
+        code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(pts), "--scales", scales)
+        assert code == expected
+
     def test_frostman_zero_sample_cap(self, tmp_path):
         # A cap of 0 would report a pass without checking any word.
         code, _, _ = _invoke(
@@ -305,17 +323,32 @@ class TestExitCodes:
         assert code == 2
 
 
-def _run_child(argv, timeout):
-    """Run ``python -m ifslab`` in a child with the package this process
+def _run_python(args, timeout):
+    """Run a fresh interpreter with ``args``, seeing the package this process
     imported; return the completed process."""
     src = str(pathlib.Path(ifslab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     return subprocess.run(
-        [sys.executable, "-m", "ifslab", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def _run_child(argv, timeout):
+    """Run ``python -m ifslab`` in a child; return the completed process."""
+    return _run_python(["-m", "ifslab", *argv], timeout)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the runtime must not import it.
+    code = (
+        "import sys, ifslab.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = _run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestHugePowerExponents:

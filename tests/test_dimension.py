@@ -34,6 +34,7 @@ from ifslab.dimension import (
     _count_words_per_depth,
     _exact_depth_sums,
     _gauss_depth_sums,
+    _linregress,
     _rate_band,
     _root_from_rates,
     _transition_counts,
@@ -487,6 +488,54 @@ class TestBoxDim:
             box_dim_estimate(np.linspace(0, 1, 2000), [0.5, -0.25])
         with pytest.raises(PreconditionError):
             box_dim_estimate([0.1, float("nan")] * 600, DYADIC)
+
+
+def _same(a, b):
+    """Equal as floats, NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestLinregress:
+    """_linregress against scipy.stats.linregress, the reference routine."""
+
+    @staticmethod
+    def _check(x, y):
+        from scipy import stats
+
+        fit = stats.linregress(x, y)
+        got = _linregress(x, y)
+        want = (float(fit.slope), float(fit.stderr), float(fit.rvalue))
+        assert all(map(_same, got, want)), (got, want)
+
+    def test_seeded_random_inputs(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            n = int(rng.integers(2, 20))
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            y = rng.normal(size=n) + rng.normal() * x
+            self._check(x, y)
+
+    def test_constant_y(self):
+        x = np.log(1.0 / np.array([2.0**-j for j in range(2, 12)]))
+        for n in (2, 3, 5, 10):
+            for c in (1.0, 6.0, 17.0, 1000.0):
+                self._check(x[:n], np.full(n, math.log(c)))
+
+    def test_two_points(self):
+        self._check(np.array([0.5, 2.0]), np.array([1.0, 3.0]))
+        self._check(np.array([0.5, 2.0]), np.array([3.0, 3.0]))
+        assert _linregress(np.array([0.5, 2.0]), np.array([1.0, 3.0]))[1] == 0.0
+
+    def test_near_exact_fit_clips_r(self):
+        clipped = 0
+        for n, a in ((3, 1 / 3), (4, 0.5), (11, 2.5), (4, -0.5), (8, -1 / 3)):
+            x = np.arange(n, dtype=float) * 0.7 + 0.3
+            y = a * x + 1.25
+            ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+            clipped += abs(ssxym / np.sqrt(ssxm * ssym)) > 1.0
+            assert abs(_linregress(x, y)[2]) <= 1.0
+            self._check(x, y)
+        assert clipped
 
 
 class TestPredict:
