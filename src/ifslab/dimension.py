@@ -392,7 +392,7 @@ def cover_sum(
     predecessor.  method 'exact' forces enumeration, 'dp' the transfer
     program; 'auto' enumerates only when the word count stays small.  A
     TailWarning reports when the digit-cap truncation bound exceeds 1% of
-    the result.
+    the result.  A digit_cap past the system's index limit is rejected.
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
@@ -402,9 +402,11 @@ def cover_sum(
         raise PreconditionError("digit_cap must be at least 1")
     if method not in ("auto", "exact", "dp"):
         raise PreconditionError(f"unknown method {method!r}")
+    if system.index_limit is not None and digit_cap > system.index_limit:
+        raise PreconditionError(
+            f"digit cap {digit_cap} beyond the system's limit {system.index_limit}"
+        )
     cap = digit_cap
-    if system.index_limit is not None:
-        cap = min(cap, system.index_limit)
     nxt = successor_table(phi, cap)
     tj = _transition_counts(nxt)
     if method == "auto":

@@ -17,8 +17,10 @@ interval.  The normalizing constant C makes intervals plus gaps exhaust
 [0, 1] exactly; C appears both in the ladder summand and in its own
 normalizer, so it is resolved by fixed-point iteration, with a certified
 tail bound on the truncated block series.  Image n is [a_n, a_n + C n**-d]
-with a_n = 1 - C - C * (zeta(d, 2) - zeta(d, n+1)) - G(n) in extended
-precision, where G(n) sums each block's gap over its indices in [2, n].
+with a_n = 1 - C - (C * (zeta(d, 2) - zeta(d, n+1)) + G(n)), where G(n)
+sums each block's gap over its indices in [2, n]; the bracketed series is
+evaluated at 128 bits and the rest is exact, so offsets and ratios are
+exact binary rationals, as the linear-power family's are.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ _TAIL_REL = 1e-12
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (sign, mantissa, base-2 exponent)."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    """Exact rational value of an mpf (sign, mantissa, base-2 exponent),
+    read at the precision it was formed at, whatever the ambient one."""
+    sign, man, exp, _ = x._mpf_
     v = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -v if sign else v
 
@@ -112,7 +115,8 @@ class GapSystem:
     """An affine family with explicit inter-image gaps tiling [0, 1].
 
     system: the DecaySystem view (kind "gap"); its affine map is the
-        closed form i -> (a_i, C * i**-d), cached per system.
+        closed form i -> (a_i, C * i**-d) in exact rationals, cached per
+        system.
     C: normalizing constant (float view of the extended-precision value).
     C_bracket: certified interval for C from the truncated normalizer.
     ladder: the construction's own index ladder, starting at 1.
@@ -132,7 +136,7 @@ class GapSystem:
     _c_mpf: object = field(repr=False)
 
     def offset(self, i: int) -> object:
-        """Left endpoint a_i of image i (extended precision)."""
+        """Left endpoint a_i of image i (an exact rational)."""
         return self.system.affine(i)[0]
 
 
@@ -145,11 +149,18 @@ def _gap_blocks(phi: Phi, ladder: tuple, c_mpf) -> tuple:
         )
 
 
+def _gap_ratio(c_mpf, decay: float, i: int) -> Fraction:
+    """C * i**-d rounded once at 128 bits, as an exact rational."""
+    with mpmath.workprec(_MP_PREC):
+        return _mpf_to_fraction(c_mpf * mpmath.power(i, -decay))
+
+
 def _gap_affine(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> tuple:
     """(a_i, C * i**-d) by the closed form; zeta_2 is zeta(d, 2).
 
-    At i = 1 the zeta difference and G(1) are exactly 0, so a_1 is 1 - C
-    rounded once and image 1 ends flush at 1.
+    Only the series C * (zeta(d, 2) - zeta(d, i+1)) + G(i) is rounded (once,
+    at 128 bits); at i = 1 it is exactly 0, so a_1 = 1 - C exactly and
+    image 1 ends flush at 1.
     """
     if i > _GAP_OFFSET_CAP:
         raise PreconditionError(
@@ -158,7 +169,8 @@ def _gap_affine(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> tuple:
     with mpmath.workprec(_MP_PREC):
         lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
         gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
-        return 1 - c_mpf - lengths - gaps, c_mpf * mpmath.power(i, -decay)
+        series = _mpf_to_fraction(lengths + gaps)
+    return 1 - _mpf_to_fraction(c_mpf) - series, _gap_ratio(c_mpf, decay, i)
 
 
 def _gap_map(c_mpf, decay: float, blocks: tuple):
@@ -332,27 +344,26 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     checked = sorted(n for n in edges.union(_GAP_HEAD) if 2 <= n <= n_max)
     witness: dict = {}
     disjoint = gaps_match = True
-    with mpmath.workprec(_MP_PREC):
-        c = gs._c_mpf
-        top = gs.offset(1) + c  # right end of the first image
-        a_nmax = gs.offset(n_max)
-        contained = 0 <= a_nmax and top <= 1
-        if not contained:
-            witness["contained"] = {"a_nmax": float(a_nmax), "top": float(top)}
-        # Outside the gap blocks consecutive images share an endpoint, so
-        # both checks tolerate representation rounding there.
-        tol = mpmath.mpf(2) ** -100
-        for n in checked:
-            realized = gs.offset(n - 1) - (gs.offset(n) + c * mpmath.power(n, -gs.decay))
-            if disjoint and realized < -tol:
-                disjoint = False
-                witness["disjoint"] = {"index": n}
-            block = min(blocks, key=lambda b: max(b.start - n, n - b.end, 0))
-            inside = block.start <= n <= block.end
-            err = abs(realized - block.gap) if inside else abs(realized)
-            if gaps_match and err > (1e-12 * block.gap if inside else tol):
-                gaps_match = False
-                witness["gaps"] = {"index": n, "block": block.j, "rel_err": float(err / block.gap)}
+    top = gs.offset(1) + _mpf_to_fraction(gs._c_mpf)  # right end of the first image
+    a_nmax = gs.offset(n_max)
+    contained = 0 <= a_nmax and top <= 1
+    if not contained:
+        witness["contained"] = {"a_nmax": float(a_nmax), "top": float(top)}
+    # Outside the gap blocks consecutive images share an endpoint, so
+    # both checks tolerate representation rounding there.
+    tol = Fraction(1, 2**100)
+    for n in checked:
+        realized = gs.offset(n - 1) - (gs.offset(n) + _gap_ratio(gs._c_mpf, gs.decay, n))
+        if disjoint and realized < -tol:
+            disjoint = False
+            witness["disjoint"] = {"index": n}
+        block = min(blocks, key=lambda b: max(b.start - n, n - b.end, 0))
+        inside = block.start <= n <= block.end
+        gap = _mpf_to_fraction(block.gap)
+        err = abs(realized - gap) if inside else abs(realized)
+        if gaps_match and err > (Fraction(1e-12) * gap if inside else tol):
+            gaps_match = False
+            witness["gaps"] = {"index": n, "block": block.j, "rel_err": float(err / gap)}
     threshold = None
     decaying = True
     try:

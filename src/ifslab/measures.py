@@ -34,12 +34,7 @@ import numpy as np
 from .dimension import DimensionEstimate, _estimate
 from .powersum import first_index_reaching, power_sum_brackets
 from .restrictions import Ladder, Phi, build_ladder
-from .systems import (
-    DecaySystem,
-    NumericFailure,
-    PreconditionError,
-    cylinder_interval,
-)
+from .systems import DecaySystem, NumericFailure, PreconditionError
 
 # Exponent solver: certified residual target and bisection width floor.
 _SOLVE_RESIDUAL = 5e-13
@@ -306,8 +301,6 @@ class FrostmanReport:
 
     @property
     def fraction(self) -> float:
-        if self.checked == 0:
-            return 1.0
         return self.passed / self.checked
 
 
@@ -372,11 +365,19 @@ def _block_lengths(system: DecaySystem, words: np.ndarray, windows: list) -> lis
     the word's continuants (the determinant is +-1).  The continuants stay
     int64 while 2 * prod(hi + 1)**2 bounds that denominator below 2**53, so
     the float division is correctly rounded; past that they are Python ints,
-    whose true division rounds once as ``float(Fraction)`` does.  The affine
-    kinds compose each word exactly.
+    whose true division rounds once as ``float(Fraction)`` does.  An affine
+    cylinder's length is the product of its exact slopes, kept as numerator
+    and denominator columns of Python ints and divided once.
     """
     if system.affine is not None:
-        return [float(cylinder_interval(system, w).length) for w in words.tolist()]
+        num = np.ones(len(words), dtype=object)
+        den = np.ones(len(words), dtype=object)
+        for col in words.T:
+            digits, inv = np.unique(col, return_inverse=True)
+            slopes = [system.affine(i)[1] for i in digits.tolist()]
+            num = num * np.array([r.numerator for r in slopes], dtype=object)[inv]
+            den = den * np.array([r.denominator for r in slopes], dtype=object)[inv]
+        return (num / den).tolist()
     exact = 2 * math.prod(hi + 1 for _, hi in windows) ** 2 < 2**53
     ints = np.int64 if exact else object
     q_prev = np.zeros(len(words), dtype=ints)
@@ -401,19 +402,15 @@ def verify_frostman(
     stream.  Words are checked in blocks of rows; masses and lengths take
     the same float steps as ``frostman_mass`` and the exact cylinder
     intervals, so the witness is the first failing word in draw or
-    enumeration order.  Depth 0 passes vacuously; a sample_cap below 1 is
-    rejected, since it would pass without checking any word.  A sampled
-    window past int64 raises NumericFailure.
+    enumeration order.  A depth below 1 or a sample_cap below 1 is
+    rejected, since either would pass without checking any word.  A
+    sampled window past int64 raises NumericFailure.
     """
     if sample_cap < 1:
         raise PreconditionError(f"sample_cap must be >= 1, got {sample_cap}")
-    if not 0 <= depth <= measure.depth:
+    if not 1 <= depth <= measure.depth:
         raise PreconditionError(
-            f"verify depth {depth} outside the built range 0..{measure.depth}"
-        )
-    if depth == 0:
-        return FrostmanReport(
-            depth=0, checked=0, passed=0, sampled=False, worst_ratio=0.0, witness=None
+            f"verify depth {depth} outside the built range 1..{measure.depth}"
         )
     q = 1.0 / measure.system.decay - measure.eps
     windows = [measure.levels[n].window for n in range(depth)]

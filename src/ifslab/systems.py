@@ -19,11 +19,13 @@ maps with ratio c * i**(-d) ("linear-power"), and affine families with
 explicit gaps between consecutive images ("gap"); both affine kinds have
 t = 0 and D = 1.
 
-Cylinder intervals (images of [0,1] under finite compositions) are computed
-exactly: continuant recursion over big integers for the reciprocal family,
-exact rational affine composition for the linear kinds.  The gap kind
-takes each offset from one extended-precision closed form and rounds
-endpoints outward to floats.  Keeping this arithmetic exact removes
+Every branch is an exact rational matrix (a, b, c, d) with
+f_i(x) = (a*x + b) / (c*x + d): (0, 1, 1, i) for the reciprocal family,
+(slope, offset, 0, 1) for the affine kinds, whose slopes and offsets are
+exact binary rationals.  A composition is the matrix product, so cylinder
+intervals (images of [0,1] under finite compositions) have exact rational
+endpoints for every kind; for the reciprocal family the product entries
+are the continuants of the word.  Keeping this arithmetic exact removes
 rounding as a confounder in every downstream test.
 
 All types are immutable after construction and all operations are pure.
@@ -80,8 +82,8 @@ class DecaySystem:
         D * contract_hi(i) (2 for gauss, 1 for the affine kinds).
     index_limit: largest branch index realized (None = unbounded on demand;
         the gap kind caps its offsets).
-    affine: for the affine kinds, i -> (offset, slope) with
-        f_i(x) = offset + slope * x; None for gauss.
+    affine: for the affine kinds, i -> (offset, slope), exact rationals
+        with f_i(x) = offset + slope * x; None for gauss.
     """
 
     kind: str
@@ -117,33 +119,34 @@ class DecaySystem:
         self._check_index(i)
         return math.log(self.scale) - self.decay * math.log(i)
 
-    def map_eval(self, i: int, x):
-        """f_i(x).  Exact when x is a Fraction and the kind is exact."""
+    def _branch(self, i: int) -> tuple:
+        """Exact matrix (a, b, c, d) of branch i: f_i(x) = (a*x + b) / (c*x + d)."""
         self._check_index(i)
         if self.affine is None:
-            if isinstance(x, Fraction) or isinstance(x, int):
-                return Fraction(1, 1) / (x + i)
-            return 1.0 / (x + i)
+            return 0, 1, 1, i
         off, slope = self.affine(i)
+        return slope, off, 0, 1
+
+    def map_eval(self, i: int, x):
+        """f_i(x); exact when x is a Fraction or an int, a float otherwise."""
+        a, b, c, d = self._branch(i)
         if not isinstance(x, (Fraction, int)):
-            off, slope = float(off), float(slope)
-        return off + slope * x
+            a, b, c, d = float(a), float(b), float(c), float(d)
+            return (a * x + b) / (c * x + d)
+        return Fraction(a * x + b) / (c * x + d)
 
     def map_deriv(self, i: int, x) -> float:
-        """f_i'(x) as a float (sign included)."""
-        self._check_index(i)
-        if self.affine is None:
-            return -1.0 / float(x + i) ** 2
-        _, slope = self.affine(i)
-        return float(slope)
+        """f_i'(x) = (a*d - b*c) / (c*x + d)**2 as a float (sign included)."""
+        a, b, c, d = self._branch(i)
+        return float(a * d - b * c) / float(c * x + d) ** 2
 
 
 @dataclass(frozen=True)
 class CylinderInterval:
     """Image of [0,1] under the composition along a digit word.
 
-    Endpoints are exact rationals for the exact kinds, outward-rounded
-    floats for the gap kind.  The empty word gives the root [0, 1].
+    Endpoints are exact rationals (Fractions) for every kind.  The empty
+    word gives the root [0, 1].
     """
 
     lo: object
@@ -204,77 +207,37 @@ class DecayReport:
     checked_to: int
 
 
-def _gauss_continuants(word: Word) -> tuple[int, int, int, int]:
-    """Numerator/denominator recursion for reciprocal-shift compositions.
+def _compose(system: DecaySystem, word: Word) -> tuple:
+    """Matrix (a, b, c, d) of the composition along the word, which maps x
+    to (a*x + b) / (c*x + d); the identity for the empty word.
 
-    Returns (p_prev, p, q_prev, q) such that the composition along the word
-    maps x to (p_prev*x + p) / (q_prev*x + q); all integers, gcd-free.
+    For the reciprocal-shift kind the entries are the word's continuants
+    (p_prev, p, q_prev, q): integers with determinant +-1.
     """
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    for a in word:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p_prev, p, q_prev, q
+    a, b, c, d = 1, 0, 0, 1
+    for i in word:
+        e, f, g, h = system._branch(i)
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
 
 
-def _round_out(lo, hi) -> tuple[float, float]:
-    """Outward-round extended-precision endpoints to floats."""
-    lo_f, hi_f = float(lo), float(hi)
-    if lo_f > lo:
-        lo_f = math.nextafter(lo_f, -math.inf)
-    if hi_f < hi:
-        hi_f = math.nextafter(hi_f, math.inf)
-    return lo_f, hi_f
-
-
-def _compose_ends(system: DecaySystem, word: Word) -> tuple:
-    """Images of 0 and 1 under the composition along a non-empty word.
-
-    Exact Fractions for the exact kinds, extended precision for the gap
-    kind.
-    """
-    if system.affine is None:
-        p_prev, p, q_prev, q = _gauss_continuants(word)
-        return Fraction(p, q), Fraction(p_prev + p, q_prev + q)
-    # Affine composition: offset/slope accumulate left to right.
-    off, slope = None, None
-    for a in word:
-        system._check_index(a)
-        o_a, s_a = system.affine(a)
-        if off is None:
-            off, slope = o_a, s_a
-        else:
-            off, slope = off + slope * o_a, slope * s_a
-    return off, off + slope
-
-
-def _cylinder(system: DecaySystem, word: Sequence[int]) -> tuple:
-    """(cylinder along word, image of 1 under its composition), the image
-    None for the empty word."""
-    word = tuple(int(a) for a in word)
+def _cylinder(system: DecaySystem, word: Word) -> tuple:
+    """(cylinder along word, image of 1 under its composition); a digit
+    outside the system's index range raises in _branch."""
     if len(word) > DEPTH_CAP:
         raise PreconditionError(f"word depth {len(word)} exceeds the cap {DEPTH_CAP}")
-    for a in word:
-        if a < 1:
-            raise PreconditionError(f"digits must be >= 1, got {a}")
-    if not word:
-        return CylinderInterval(Fraction(0), Fraction(1), word), None
-    ends = _compose_ends(system, word)
-    lo, hi = sorted(ends)
-    if isinstance(lo, Fraction):
-        return CylinderInterval(lo, hi, word), ends[1]
-    return CylinderInterval(*_round_out(lo, hi), word), ends[1]
+    a, b, c, d = _compose(system, word)
+    ends = Fraction(b) / d, Fraction(a + b) / (c + d)
+    return CylinderInterval(*sorted(ends), word), ends[1]
 
 
 def cylinder_interval(system: DecaySystem, word: Sequence[int]) -> CylinderInterval:
     """Exact image of [0,1] under the composition along ``word``.
 
-    Endpoints are Fractions for the exact kinds and outward-rounded floats
-    for the gap kind.  Raises PreconditionError for bad digits or words
-    longer than DEPTH_CAP.
+    Endpoints are Fractions for every kind.  Raises PreconditionError for
+    bad digits or words longer than DEPTH_CAP.
     """
-    return _cylinder(system, word)[0]
+    return _cylinder(system, tuple(int(a) for a in word))[0]
 
 
 def cylinder_length_bounds(system: DecaySystem, word: Sequence[int]) -> LengthBounds:
@@ -308,8 +271,6 @@ def project_point(system: DecaySystem, word: Sequence[int]):
     if not word:
         raise PreconditionError("projection needs a non-empty word")
     cyl, point = _cylinder(system, word)
-    if not isinstance(point, Fraction):
-        point = float(point)
     return point, cyl.length
 
 

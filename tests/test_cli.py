@@ -297,6 +297,28 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_frostman_zero_verify_depth(self, tmp_path):
+        # Depth 0 has no cylinder to check, so it would be a vacuous pass.
+        code, _, _ = _invoke(
+            tmp_path, "frostman", "--phi", "lin:1", "--eps", "0.1", "--depth", "2",
+            "--verify-depth", "0",
+        )
+        assert code == 2
+
+    def test_cover_cap_past_the_system_limit(self, tmp_path, capsys):
+        # The gap kind materializes indices up to 200000; a larger cap is an
+        # error, not a silent clip to that limit.
+        code, _, gap_path = _invoke(
+            tmp_path, "gapsys", "--d", "2", "--phi", "pow:2", "--eps", "0.1", "--n-max", "500"
+        )
+        assert code == 0
+        code, _, _ = _invoke(
+            tmp_path, "cover", "--system", f"gapsys:{gap_path}", "--phi", "lin:1",
+            "--depth", "1", "--s", "0.6", "--cap", "300000",
+        )
+        assert code == 2
+        assert "limit 200000" in capsys.readouterr().err
+
     def test_missing_points_file(self, tmp_path):
         code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(tmp_path / "nope.txt"))
         assert code == 2

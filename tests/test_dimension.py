@@ -46,7 +46,7 @@ from ifslab.dimension import (
 )
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
 from ifslab.restrictions import Phi, enumerate_restricted_words, parse_phi, successor_table
-from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, _gauss_continuants
+from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, _compose
 
 ROOT_12 = 0.393942455512935
 ROOT_23 = 0.280249432611932
@@ -337,7 +337,7 @@ def _per_word_reference(system, phi, depth, s, cap):
         logs = []
         for word in enumerate_restricted_words(phi, n, cap):
             if system.kind == "gauss":
-                _, _, q_prev, q = _gauss_continuants(word)
+                _, _, q_prev, q = _compose(system, word)
                 logs.append(s * -(math.log(q) + math.log(q + q_prev)))
                 if n == depth:
                     frac += Fraction(1, q * (q + q_prev))

@@ -29,6 +29,7 @@ import pytest
 
 from ifslab.families import (
     _gap_map,
+    _mpf_to_fraction,
     build_gap_system,
     make_gauss,
     make_linear_power,
@@ -105,8 +106,7 @@ class TestGapBuild:
 
     def test_first_interval_right_flush(self, quad_gap):
         a1 = quad_gap.offset(1)
-        with mpmath.workprec(160):
-            assert abs(a1 + quad_gap._c_mpf - 1) < mpmath.mpf(2) ** -120
+        assert a1 + _mpf_to_fraction(quad_gap._c_mpf) == 1
         assert float(a1) + quad_gap.C == pytest.approx(1.0, abs=4e-16)
         assert quad_gap.system.map_eval(1, 1.0) == pytest.approx(1.0, abs=4e-16)
 
@@ -176,7 +176,7 @@ class TestGapOffsets:
         with mpmath.workprec(160):
             for n in (8, 20, 36, 100, 1000, 5000):
                 step = quad_gap.offset(n - 1) - quad_gap.offset(n)
-                want = quad_gap._c_mpf * mpmath.mpf(n) ** -2
+                want = _mpf_to_fraction(quad_gap._c_mpf * mpmath.mpf(n) ** -2)
                 assert float(abs(step - want) / want) < 1e-25
 
     def test_adjacency_inside_blocks(self, quad_gap):
@@ -184,6 +184,7 @@ class TestGapOffsets:
             for n, j in ((3, 1), (40, 2), (6000, 3)):
                 step = quad_gap.offset(n - 1) - quad_gap.offset(n)
                 want = quad_gap._c_mpf * mpmath.mpf(n) ** -2 + quad_gap.blocks[j - 1].gap
+                want = _mpf_to_fraction(want)
                 assert float(abs(step - want) / want) < 1e-25
 
     def test_offset_tail_identity(self, quad_gap):
@@ -195,7 +196,7 @@ class TestGapOffsets:
             expect = quad_gap._c_mpf * mpmath.zeta(2, N + 1)
             for b in quad_gap.blocks:
                 expect += b.gap * max(0, b.end - max(b.start - 1, N))
-            defect = abs(quad_gap.offset(N) - expect)
+            defect = abs(quad_gap.offset(N) - _mpf_to_fraction(expect))
         assert float(defect) <= quad_gap.tail_bound
 
     def test_offset_cap_enforced(self, quad_gap):
@@ -204,8 +205,10 @@ class TestGapOffsets:
 
 
     def test_affine_map_shares_the_offset_cache(self, quad_gap):
-        assert quad_gap.system.affine(5)[0] == quad_gap.offset(5)
-        assert quad_gap.system.affine(7)[0] == quad_gap.offset(7)
+        for i in (5, 7):
+            a, slope = quad_gap.system.affine(i)
+            assert isinstance(a, Fraction) and isinstance(slope, Fraction)
+            assert quad_gap.offset(i) is a
 
     def test_system_has_no_mutable_field(self, quad_gap):
         for f in dataclasses.fields(quad_gap):
@@ -221,9 +224,10 @@ class TestGapOffsets:
             gs = build_gap_system(parse_phi(phi), d, eps)
         edges = {n for b in gs.blocks for n in (b.start, b.end) if n <= 200_000}
         ref = _recurrence_reference(gs, max(2000, *edges))
-        with mpmath.workprec(160):
-            worst = max(abs(gs.offset(n) - ref[n]) for n in edges.union(range(1, 2001)))
-        assert worst <= mpmath.mpf(2) ** -120
+        worst = max(
+            abs(gs.offset(n) - _mpf_to_fraction(ref[n])) for n in edges.union(range(1, 2001))
+        )
+        assert worst <= Fraction(1, 2**120)
 
     def test_system_dies_by_refcount(self):
         # The affine map holds its cache, not the system: no reference
@@ -303,7 +307,7 @@ class TestGapValidation:
         # Index 10 lies in the checked head, between blocks 1 and 2.
         def tampered(i):
             a, slope = quad_gap.system.affine(i)
-            return (a + mpmath.mpf("1e-6") if i == 10 else a), slope
+            return (a + Fraction(1, 10**6) if i == 10 else a), slope
 
         rep = validate_gap_system(_with_map(quad_gap, tampered), 50)
         assert rep.witness["disjoint"] == {"index": 10}

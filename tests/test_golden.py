@@ -8,8 +8,9 @@ paths, so no report embeds a machine path.
 A refactor that claims "same behaviour" must leave every file unchanged.
 
 To re-pin after an intended change of report bytes (say why in the change
-log), run ``PYTHONPATH=src python3 tests/test_golden.py`` from the checkout
-root.
+log), run ``PYTHONPATH=src python3 tests/test_golden.py [NAME...]`` from the
+checkout root.  Each NAME is a case name, ``gapsys_pow2`` or ``battery``;
+only the named files are rewritten, and every file when no name is given.
 """
 
 import contextlib
@@ -194,26 +195,36 @@ def test_battery_bytes(tmp_path, monkeypatch):
         assert got[name] == (GOLDEN / "battery" / name).read_bytes(), name
 
 
-def _repin() -> None:
-    """Rewrite every golden file from the current code."""
+def _repin(names) -> None:
+    """Rewrite the named golden files from the current code; every file when
+    no name is given."""
     import io
     import tempfile
 
-    (GOLDEN / "battery").mkdir(parents=True, exist_ok=True)
+    known = {*CASES, "gapsys_pow2", "battery"}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    chosen = set(names) or known
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
         (workdir / POINTS_FILE).write_text(POINTS_TEXT)
-        (GOLDEN / "gapsys_pow2.json").write_bytes(_gap_report(workdir))
+        gap_report = _gap_report(workdir)
+        if "gapsys_pow2" in chosen:
+            (GOLDEN / "gapsys_pow2.json").write_bytes(gap_report)
         with _cwd(workdir):
             for name, argv in CASES.items():
+                if name not in chosen:
+                    continue
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
                     assert run([*argv, "--out", "-"]) == 0, name
                 _golden_file(name).write_text(buf.getvalue())
-        for name, data in _battery(workdir).items():
-            (GOLDEN / "battery" / name).write_bytes(data)
+        if "battery" in chosen:
+            (GOLDEN / "battery").mkdir(parents=True, exist_ok=True)
+            for name, data in _battery(workdir).items():
+                (GOLDEN / "battery" / name).write_bytes(data)
 
 
 if __name__ == "__main__":
-    _repin()
-    sys.exit(0)
+    _repin(sys.argv[1:])

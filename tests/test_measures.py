@@ -29,6 +29,7 @@ import dataclasses
 import io
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -196,10 +197,10 @@ class TestVerifyFrostman:
         assert report.checked == 150
         assert report.fraction == 1.0
 
-    def test_depth_zero_vacuous(self, layered):
-        report = verify_frostman(layered, 0)
-        assert report.fraction == 1.0
-        assert report.checked == 0
+    def test_depth_zero_rejected(self, layered):
+        # No depth-0 cylinder is checked, so a report would be a vacuous pass.
+        with pytest.raises(PreconditionError, match="verify depth 0"):
+            verify_frostman(layered, 0)
 
     def test_sample_cap_below_one_rejected(self, layered):
         for cap in (0, -1):
@@ -233,6 +234,16 @@ class TestVerifyFrostman:
     def test_depth_beyond_build_rejected(self, layered):
         with pytest.raises(PreconditionError):
             verify_frostman(layered, 4)
+
+    def test_linear_power_exhaustive_depth_three_within_budget(self):
+        # 61,180 words; each length is a product of three exact slopes, so
+        # no word's endpoints are composed.
+        start = time.perf_counter()
+        measure = build_frostman_measure(make_linear_power(2.0), parse_phi("pow:2"), 0.1, 3)
+        report = verify_frostman(measure, 3)
+        elapsed = time.perf_counter() - start
+        assert (report.checked, report.sampled, report.fraction) == (61_180, False, 1.0)
+        assert elapsed < 5.0, f"runtime budget exceeded: {elapsed:.1f}s >= 5s"
 
 
 def _per_word_reference(measure, depth, sample_cap=100_000, seed=0):
@@ -378,6 +389,24 @@ class TestVerifyFrostmanMatchesPerWordLoop:
         big = _with_windows(layered, [(10, 19), (2**63 - 9, 2**63)])
         with pytest.raises(NumericFailure, match=r"level 2 window \(9223372036854775799\.\."):
             verify_frostman(big, 2, sample_cap=5)
+
+
+class TestBlockLengths:
+    """The column route of _block_lengths is ``float(cylinder_interval(...).length)``."""
+
+    @pytest.mark.parametrize("name", ["gauss", "linpow:2", "linpow:1.5", "gap"])
+    def test_matches_exact_cylinders(self, name, gauss, layered_gap):
+        system = {
+            "gauss": gauss,
+            "linpow:2": make_linear_power(2.0),
+            "linpow:1.5": make_linear_power(1.5),
+            "gap": layered_gap.system,
+        }[name]
+        rng = np.random.default_rng(17)
+        for depth in (1, 2, 3):
+            words = rng.integers(1, 400, size=(200, depth))
+            got = measures._block_lengths(system, words, [(1, 399)] * depth)
+            assert got == [float(cylinder_interval(system, w).length) for w in words.tolist()]
 
 
 class TestPowerLawMeasure:

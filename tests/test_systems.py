@@ -5,6 +5,7 @@ calculations with exact rationals (the compositions below are two or three
 steps of 1/(x+n), checked by hand before implementation).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifslab.families import build_gap_system, make_gauss, make_linear_power
+from ifslab.families import _mpf_to_fraction, build_gap_system, make_gauss, make_linear_power
 from ifslab.restrictions import parse_phi
 from ifslab.systems import (
     DEPTH_CAP,
@@ -118,6 +119,37 @@ class TestLinearPowerCylinders:
         parent = cylinder_interval(sys2, (2,))
         child = cylinder_interval(sys2, (2, 3))
         assert parent.contains(child)
+
+
+def _gap_map_256(gs, i):
+    """(a_i, C * i**-d) of the gap closed form at 256 bits, from the
+    construction's C and block gaps."""
+    with mpmath.workprec(256):
+        c = gs._c_mpf
+        a = 1 - c - c * (mpmath.zeta(gs.decay, 2) - mpmath.zeta(gs.decay, i + 1))
+        for b in gs.blocks:
+            a -= b.gap * max(0, min(b.end, i) - b.start + 1)
+        return a, c * mpmath.power(i, -gs.decay)
+
+
+class TestGapCylinders:
+    def test_depth_three_matches_the_closed_form_at_256_bits(self):
+        # Every word of three digits crossing blocks 1 to 3: the exact
+        # cylinder agrees with the closed-form maps composed at 256 bits up
+        # to the 128-bit rounding of the map's series.
+        gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+        maps = {i: _gap_map_256(gs, i) for i in range(2, 60)}
+        tol = F(1, 2**120)
+        for word in itertools.product(range(2, 12), range(12, 40), range(40, 60)):
+            with mpmath.workprec(256):
+                off, slope = mpmath.mpf(0), mpmath.mpf(1)
+                for i in word:
+                    o_i, s_i = maps[i]
+                    off, slope = off + slope * o_i, slope * s_i
+                lo, hi = _mpf_to_fraction(off), _mpf_to_fraction(off + slope)
+            cyl = cylinder_interval(gs.system, word)
+            assert isinstance(cyl.lo, F) and isinstance(cyl.hi, F)
+            assert abs(cyl.lo - lo) <= tol and abs(cyl.hi - hi) <= tol, word
 
 
 PROFILE_INDICES = (1, 2, 7, 10**5, 10**400)
