@@ -121,8 +121,6 @@ def _check_band(system: DecaySystem, k: int, m: int, tol: float) -> None:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if not tol > 0:
         raise PreconditionError("tol must be positive")
-    if system.index_limit is not None and m > system.index_limit:
-        raise PreconditionError(f"index {m} beyond the system's limit {system.index_limit}")
 
 
 def _rate_band(system: DecaySystem, bound_kind: str, k: int, m: int) -> np.ndarray:
@@ -392,7 +390,7 @@ def cover_sum(
     predecessor.  method 'exact' forces enumeration, 'dp' the transfer
     program; 'auto' enumerates only when the word count stays small.  A
     TailWarning reports when the digit-cap truncation bound exceeds 1% of
-    the result.  A digit_cap past the system's index limit is rejected.
+    the result.
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
@@ -402,10 +400,6 @@ def cover_sum(
         raise PreconditionError("digit_cap must be at least 1")
     if method not in ("auto", "exact", "dp"):
         raise PreconditionError(f"unknown method {method!r}")
-    if system.index_limit is not None and digit_cap > system.index_limit:
-        raise PreconditionError(
-            f"digit cap {digit_cap} beyond the system's limit {system.index_limit}"
-        )
     cap = digit_cap
     nxt = successor_table(phi, cap)
     tj = _transition_counts(nxt)

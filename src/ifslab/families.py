@@ -4,10 +4,10 @@ make_gauss gives the reciprocal-shift family f_i(x) = 1/(x + i) (decay
 exponent 2, derivative sandwich (i+1)**-2 <= |f_i'| <= i**-2, images
 ordered decreasingly in i and tiling (0, 1]).
 
-make_linear_power(d) gives an affine family with ratio i**(-d) / Z placed
-right to left so consecutive images share an endpoint: an exactly-solvable
-testbed with the same decay profile and ordering as the reciprocal family
-but constant derivatives.
+make_linear_power(d) gives an affine family with ratio i**(-d) / zeta(d)
+placed right to left so consecutive images share an endpoint (to within
+2**-120): an exactly-solvable testbed with the same decay profile and ordering as the
+reciprocal family but constant derivatives.
 
 build_gap_system(phi, d, eps) realizes an affine family whose images have
 explicit gaps arranged along the block structure of a restriction Phi: all
@@ -20,7 +20,9 @@ tail bound on the truncated block series.  Image n is [a_n, a_n + C n**-d]
 with a_n = 1 - C - (C * (zeta(d, 2) - zeta(d, n+1)) + G(n)), where G(n)
 sums each block's gap over its indices in [2, n]; the bracketed series is
 evaluated at 128 bits and the rest is exact, so offsets and ratios are
-exact binary rationals, as the linear-power family's are.
+exact binary rationals at every index.  The linear-power family is the
+same closed form with no blocks (G = 0) and C = 1/zeta(d); AffineMap
+holds it for both affine kinds.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from .systems import DecaySystem, NumericFailure, PreconditionError, verify_powe
 
 _MP_PREC = 128
 
-# Hard caps keeping the gap construction's big integers affordable.
+# Most ladder blocks the gap construction materializes.  Each rung exceeds
+# Phi of the one before, so for a power Phi this bounds the size of the
+# ladder's integers.
 _GAP_MAX_BLOCKS = 24
-_GAP_OFFSET_CAP = 200_000
 
 _TAIL_REL = 1e-12
 
@@ -53,6 +56,47 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _ratio(c_mpf, decay: float, i: int) -> Fraction:
+    """C * i**-d rounded once at 128 bits, as an exact rational."""
+    with mpmath.workprec(_MP_PREC):
+        return _mpf_to_fraction(c_mpf * mpmath.power(i, -decay))
+
+
+def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
+    """a_i by the closed form; zeta_2 is zeta(d, 2).
+
+    Only the series C * (zeta(d, 2) - zeta(d, i+1)) + G(i) is rounded (once,
+    at 128 bits); at i = 1 it is exactly 0, so a_1 = 1 - C exactly and
+    image 1 ends flush at 1.
+    """
+    with mpmath.workprec(_MP_PREC):
+        lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
+        gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
+        series = _mpf_to_fraction(lengths + gaps)
+    return 1 - _mpf_to_fraction(c_mpf) - series
+
+
+class AffineMap:
+    """Branches f_i(x) = offset(i) + slope(i) * x of a right-to-left affine
+    tiling of [0, 1], from (C, d, blocks).
+
+    Image n is [a_n, a_n + C * n**-d], and each index inside a block gets
+    that block's gap between image n and image n-1; outside blocks
+    consecutive images share an endpoint to within 2**-120.  slope(i) is
+    C * i**-d rounded once at 128 bits and offset(i) is the closed form of
+    a_i, so both are exact rationals at any index.  Each read is cached per
+    map; the caches hold no reference to the map, so a system dies by
+    reference count.  A slope costs a power, an offset a Hurwitz zeta:
+    lengths read slopes only.
+    """
+
+    def __init__(self, c_mpf, decay: float, blocks: tuple = ()):
+        with mpmath.workprec(_MP_PREC):
+            zeta_2 = mpmath.zeta(decay, 2)
+        self.slope = functools.cache(functools.partial(_ratio, c_mpf, decay))
+        self.offset = functools.cache(functools.partial(_offset, c_mpf, decay, zeta_2, blocks))
+
+
 def make_gauss() -> DecaySystem:
     """The reciprocal-shift family f_i(x) = 1/(x + i)."""
     return DecaySystem(kind="gauss", decay=2.0, scale=1.0, shift=1, distortion=2.0)
@@ -61,39 +105,19 @@ def make_gauss() -> DecaySystem:
 def make_linear_power(d: float) -> DecaySystem:
     """Affine right-to-left tiling with ratios proportional to i**(-d).
 
-    The normalizer Z = sum i**(-d) is evaluated at 128-bit precision; the
-    represented ratios are the resulting binary rationals, so cylinder
-    arithmetic on the represented system is exact.  Consecutive images
-    share exactly one endpoint by construction.
+    The branches are the gap tiling's closed form with no blocks and
+    C = 1/zeta(d) at 128 bits: image i is [a_i, a_i + C * i**-d] with
+    a_i = 1 - C * zeta(d) + C * zeta(d, i+1) up to one 128-bit rounding.
+    Slopes and offsets are exact binary rationals, so cylinder arithmetic
+    on the represented system is exact; image 1 ends exactly at 1, and
+    consecutive images share an endpoint to within 2**-120.
     """
     if not 1 < d < math.inf:
         raise PreconditionError("linear-power family needs a finite decay d > 1")
     with mpmath.workprec(_MP_PREC):
-        z = mpmath.zeta(d)
-        c_frac = _mpf_to_fraction(1 / z)
-    d_frac = Fraction(d)
-    exact_integer_d = d_frac.denominator == 1
-
-    def ratio(i: int) -> Fraction:
-        if exact_integer_d:
-            return c_frac / i ** d_frac.numerator
-        with mpmath.workprec(_MP_PREC):
-            r = mpmath.power(i, -d)
-        return c_frac * _mpf_to_fraction(r)
-
-    # Offsets are partial-sum based and cached; offset(i) = 1 - sum_{j<=i} r_j,
-    # image(i) = [offset(i), offset(i) + r_i], so image(i+1) abuts image(i).
-    partial: list[Fraction] = [Fraction(0)]
-
-    def offset(i: int) -> Fraction:
-        while len(partial) <= i:
-            partial.append(partial[-1] + ratio(len(partial)))
-        return 1 - partial[i]
-
-    def affine(i: int) -> tuple[Fraction, Fraction]:
-        return offset(i), ratio(i)
-
-    return DecaySystem(kind="linear-power", decay=float(d), scale=float(c_frac), affine=affine)
+        c_mpf = 1 / mpmath.zeta(d)
+    affine = AffineMap(c_mpf, float(d))
+    return DecaySystem(kind="linear-power", decay=float(d), scale=float(c_mpf), affine=affine)
 
 
 @dataclass(frozen=True)
@@ -115,8 +139,8 @@ class GapSystem:
     """An affine family with explicit inter-image gaps tiling [0, 1].
 
     system: the DecaySystem view (kind "gap"); its affine map is the
-        closed form i -> (a_i, C * i**-d) in exact rationals, cached per
-        system.
+        AffineMap of (C, d, blocks): exact slope(i) = C * i**-d and
+        offset(i) = a_i at any index, cached per map.
     C: normalizing constant (float view of the extended-precision value).
     C_bracket: certified interval for C from the truncated normalizer.
     ladder: the construction's own index ladder, starting at 1.
@@ -137,7 +161,7 @@ class GapSystem:
 
     def offset(self, i: int) -> object:
         """Left endpoint a_i of image i (an exact rational)."""
-        return self.system.affine(i)[0]
+        return self.system.affine.offset(i)
 
 
 def _gap_blocks(phi: Phi, ladder: tuple, c_mpf) -> tuple:
@@ -147,37 +171,6 @@ def _gap_blocks(phi: Phi, ladder: tuple, c_mpf) -> tuple:
             GapBlock(j, phi.floor(prev) + 1, end, c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end))
             for j, (prev, end) in enumerate(zip(ladder, ladder[1:]), start=1)
         )
-
-
-def _gap_ratio(c_mpf, decay: float, i: int) -> Fraction:
-    """C * i**-d rounded once at 128 bits, as an exact rational."""
-    with mpmath.workprec(_MP_PREC):
-        return _mpf_to_fraction(c_mpf * mpmath.power(i, -decay))
-
-
-def _gap_affine(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> tuple:
-    """(a_i, C * i**-d) by the closed form; zeta_2 is zeta(d, 2).
-
-    Only the series C * (zeta(d, 2) - zeta(d, i+1)) + G(i) is rounded (once,
-    at 128 bits); at i = 1 it is exactly 0, so a_1 = 1 - C exactly and
-    image 1 ends flush at 1.
-    """
-    if i > _GAP_OFFSET_CAP:
-        raise PreconditionError(
-            f"gap-system offsets materialize up to {_GAP_OFFSET_CAP}, asked for {i}"
-        )
-    with mpmath.workprec(_MP_PREC):
-        lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
-        gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
-        series = _mpf_to_fraction(lengths + gaps)
-    return 1 - _mpf_to_fraction(c_mpf) - series, _gap_ratio(c_mpf, decay, i)
-
-
-def _gap_map(c_mpf, decay: float, blocks: tuple):
-    """The affine map i -> (a_i, C * i**-d), cached in the returned function."""
-    with mpmath.workprec(_MP_PREC):
-        zeta_2 = mpmath.zeta(decay, 2)
-    return functools.cache(functools.partial(_gap_affine, c_mpf, decay, zeta_2, blocks))
 
 
 def _gap_ladder(phi: Phi, d: float, eps: float, c_val: float, max_blocks: int):
@@ -278,8 +271,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         kind="gap",
         decay=decay,
         scale=float(c_mpf),
-        index_limit=_GAP_OFFSET_CAP,
-        affine=_gap_map(c_mpf, decay, blocks),
+        affine=AffineMap(c_mpf, decay, blocks),
     )
     return GapSystem(
         system=system,
@@ -333,12 +325,12 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     each block's start-1, start, start+1, end and end+1, those at most
     n_max; containment at 1 and n_max; power decay on the first
     min(n_max, 1000) rates.  So the map is evaluated O(blocks) times,
-    however large n_max is.
+    however large n_max is; n_max has no upper cap.  The realized gaps are
+    formed with the ratio C * n**-d from the construction's C, never the
+    map's own slope, so a wrong map cannot vouch for itself.
     """
     if n_max < 2:
         raise PreconditionError("validation needs n_max >= 2")
-    if n_max > _GAP_OFFSET_CAP:
-        raise PreconditionError(f"n_max exceeds the offset cap {_GAP_OFFSET_CAP}")
     blocks = _gap_blocks(gs.phi, gs.ladder, gs._c_mpf)
     edges = {n for b in blocks for n in (b.start - 1, b.start, b.start + 1, b.end, b.end + 1)}
     checked = sorted(n for n in edges.union(_GAP_HEAD) if 2 <= n <= n_max)
@@ -353,7 +345,7 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     # both checks tolerate representation rounding there.
     tol = Fraction(1, 2**100)
     for n in checked:
-        realized = gs.offset(n - 1) - (gs.offset(n) + _gap_ratio(gs._c_mpf, gs.decay, n))
+        realized = gs.offset(n - 1) - (gs.offset(n) + _ratio(gs._c_mpf, gs.decay, n))
         if disjoint and realized < -tol:
             disjoint = False
             witness["disjoint"] = {"index": n}

@@ -367,14 +367,15 @@ def _block_lengths(system: DecaySystem, words: np.ndarray, windows: list) -> lis
     the float division is correctly rounded; past that they are Python ints,
     whose true division rounds once as ``float(Fraction)`` does.  An affine
     cylinder's length is the product of its exact slopes, kept as numerator
-    and denominator columns of Python ints and divided once.
+    and denominator columns of Python ints and divided once; no offset is
+    formed.
     """
     if system.affine is not None:
         num = np.ones(len(words), dtype=object)
         den = np.ones(len(words), dtype=object)
         for col in words.T:
             digits, inv = np.unique(col, return_inverse=True)
-            slopes = [system.affine(i)[1] for i in digits.tolist()]
+            slopes = [system.affine.slope(i) for i in digits.tolist()]
             num = num * np.array([r.numerator for r in slopes], dtype=object)[inv]
             den = den * np.array([r.denominator for r in slopes], dtype=object)[inv]
         return (num / den).tolist()

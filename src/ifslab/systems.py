@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 Word = tuple[int, ...]
 
@@ -80,10 +80,9 @@ class DecaySystem:
     distortion: bounded-distortion constant D; appending branch i to a
         composition scales the cylinder length by at most
         D * contract_hi(i) (2 for gauss, 1 for the affine kinds).
-    index_limit: largest branch index realized (None = unbounded on demand;
-        the gap kind caps its offsets).
-    affine: for the affine kinds, i -> (offset, slope), exact rationals
-        with f_i(x) = offset + slope * x; None for gauss.
+    affine: for the affine kinds, the branch map (families.AffineMap)
+        with exact rationals slope(i) and offset(i) at every index,
+        f_i(x) = offset(i) + slope(i) * x; None for gauss.
     """
 
     kind: str
@@ -91,16 +90,11 @@ class DecaySystem:
     scale: float = 1.0
     shift: int = 0
     distortion: float = 1.0
-    index_limit: int | None = None
-    affine: Callable[[int], tuple] | None = field(default=None, repr=False)
+    affine: object = field(default=None, repr=False)
 
     def _check_index(self, i: int) -> None:
         if i < 1:
             raise PreconditionError(f"branch index must be >= 1, got {i}")
-        if self.index_limit is not None and i > self.index_limit:
-            raise PreconditionError(
-                f"branch index {i} exceeds the available map table (limit {self.index_limit})"
-            )
 
     def contract_lo(self, i: int) -> float:
         self._check_index(i)
@@ -124,8 +118,7 @@ class DecaySystem:
         self._check_index(i)
         if self.affine is None:
             return 0, 1, 1, i
-        off, slope = self.affine(i)
-        return slope, off, 0, 1
+        return self.affine.slope(i), self.affine.offset(i), 0, 1
 
     def map_eval(self, i: int, x):
         """f_i(x); exact when x is a Fraction or an int, a float otherwise."""
@@ -308,10 +301,9 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayRepo
     if i_max < 2:
         raise PreconditionError("i_max must be >= 2")
     d = system.decay
-    top = i_max if system.index_limit is None else min(i_max, system.index_limit)
     scale = system.scale
     threshold = None
-    for k in range(top, 0, -1):
+    for k in range(i_max, 0, -1):
         lo_ok = system.contract_lo(k) / scale >= k ** (-d - eps)
         hi_ok = system.contract_hi(k) / scale <= k ** (-d + eps)
         if lo_ok and hi_ok:
@@ -320,19 +312,18 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayRepo
             break
     if threshold is None:
         raise NumericFailure(
-            f"power sandwich with eps={eps} holds nowhere up to {top}; "
+            f"power sandwich with eps={eps} holds nowhere up to {i_max}; "
             "the system does not decay at this exponent/tolerance"
         )
-    coeff_lo = min(system.contract_lo(k) * k ** (d + eps) for k in range(1, top + 1))
-    coeff_hi = max(system.contract_hi(k) * k ** (d - eps) for k in range(1, top + 1))
+    coeff_lo = min(system.contract_lo(k) * k ** (d + eps) for k in range(1, i_max + 1))
+    coeff_hi = max(system.contract_hi(k) * k ** (d - eps) for k in range(1, i_max + 1))
     # Uniform contraction of m-fold compositions for some m <= 8.
     grid = (0.0, 0.5, 1.0)
-    digit_cap = _COMP_DIGIT_CAP if system.index_limit is None else min(_COMP_DIGIT_CAP, system.index_limit)
     comp_depth = None
     comp_bound = None
     for m in range(1, 9):
         worst = 0.0
-        for word in itertools.product(range(1, digit_cap + 1), repeat=m):
+        for word in itertools.product(range(1, _COMP_DIGIT_CAP + 1), repeat=m):
             worst = max(worst, _composite_deriv_sup(system, word, grid))
             if worst >= 1.0:
                 break
@@ -348,5 +339,5 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayRepo
         coeff_hi=coeff_hi,
         comp_depth=comp_depth,
         comp_bound=comp_bound,
-        checked_to=top,
+        checked_to=i_max,
     )

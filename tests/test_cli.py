@@ -22,7 +22,7 @@ import pytest
 
 import ifslab
 from ifslab.cli import run
-from ifslab.dimension import bowen_root
+from ifslab.dimension import TailWarning, _truncation_bound, bowen_root, cover_sum
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
 from ifslab.restrictions import build_ladder, parse_phi
 
@@ -305,19 +305,23 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_cover_cap_past_the_system_limit(self, tmp_path, capsys):
-        # The gap kind materializes indices up to 200000; a larger cap is an
-        # error, not a silent clip to that limit.
+    def test_cover_cap_past_two_hundred_thousand(self, tmp_path):
+        # The gap kind has branches at every index: a cap of 300000 adds the
+        # words past 200000, whose mass the cap-200000 truncation bound covers.
         code, _, gap_path = _invoke(
             tmp_path, "gapsys", "--d", "2", "--phi", "pow:2", "--eps", "0.1", "--n-max", "500"
         )
         assert code == 0
-        code, _, _ = _invoke(
+        code, report, _ = _invoke(
             tmp_path, "cover", "--system", f"gapsys:{gap_path}", "--phi", "lin:1",
             "--depth", "1", "--s", "0.6", "--cap", "300000",
         )
-        assert code == 2
-        assert "limit 200000" in capsys.readouterr().err
+        assert code == 0
+        system = build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system
+        with pytest.warns(TailWarning):
+            low = cover_sum(system, parse_phi("lin:1"), 1, 0.6, digit_cap=200_000)
+        bound = _truncation_bound(system, 1, 0.6, 200_000, [low])
+        assert low < report["results"]["value"] <= low + bound
 
     def test_missing_points_file(self, tmp_path):
         code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(tmp_path / "nope.txt"))
@@ -371,6 +375,18 @@ def test_cli_import_loads_no_scipy():
     proc = _run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_linpow_depth_four_frostman_finishes(tmp_path):
+    # Level-4 digits reach 9262975; a cylinder length is a product of
+    # slopes, so no offset up to that index is formed.
+    out = tmp_path / "r.json"
+    argv = ["frostman", "--system", "linpow:2", "--phi", "pow:2", "--eps", "0.1",
+            "--depth", "4", "--sample-cap", "2000", "--out", str(out)]
+    proc = _run_child(argv, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    verify = json.loads(out.read_text())["results"]["verify"]
+    assert (verify["checked"], verify["fraction"]) == (2000, 1.0)
 
 
 class TestHugePowerExponents:

@@ -62,7 +62,7 @@ def check_estimate(est: DimensionEstimate):
 
 def two_ratio_system(r1: float, r2: float) -> DecaySystem:
     """Two branches with rates r1 and r2: scale r1, decay log2(r1/r2)."""
-    return DecaySystem(kind="toy", decay=math.log2(r1 / r2), scale=r1, index_limit=2)
+    return DecaySystem(kind="toy", decay=math.log2(r1 / r2), scale=r1)
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +125,6 @@ class TestBowenRoot:
             bowen_root(gauss, "xi", 1, 5, tol=0.0)
         with pytest.raises(PreconditionError):
             bowen_root(gauss, "mid", 1, 5)
-        with pytest.raises(PreconditionError):
-            bowen_root(two_ratio_system(0.5, 0.5), "xi", 1, 9)
 
     def test_needs_two_contracting_ratios(self):
         sys = two_ratio_system(0.5, 1.0)
@@ -160,7 +158,6 @@ class TestSubsystemBounds:
             (3, 2, 1e-10, "need 1 <= k <= m"),
             (0, 2, 1e-10, "need 1 <= k <= m"),
             (1, 2, 0.0, "tol must be positive"),
-            (1, 9, 1e-10, "index 9 beyond the system's limit 2"),
         ],
     )
     def test_band_checks_match_bowen_root(self, k, m, tol, message):
@@ -415,21 +412,18 @@ class TestRateBand:
     def test_matches_per_index_rates(self, name, gauss, gap_system):
         system = {"gauss": gauss, "linpow": make_linear_power(2.0), "gapsys": gap_system}[name]
         k, m = 3, 5000
-        if system.index_limit is not None:
-            m = min(m, system.index_limit)
         for bound, rate in (("xi", system.contract_lo), ("lambda", system.contract_hi)):
             band = _rate_band(system, bound, k, m)
             want = np.array([rate(i) for i in range(k, m + 1)])
             assert band.shape == want.shape
             assert (np.abs(band - want) <= 2 * np.spacing(want)).all()
 
-    def test_index_limit_still_raises(self, gap_system):
-        limit = gap_system.index_limit
-        assert limit is not None
-        with pytest.raises(PreconditionError):
-            bowen_root(gap_system, "xi", 1, limit + 1)
-        with pytest.raises(PreconditionError):
-            subsystem_dim_bounds(gap_system, 1, limit + 1)
+    def test_roots_past_two_hundred_thousand(self, gap_system):
+        # The gap kind has branches at every index, so a band reaching
+        # m = 300000 has a root like any other.
+        assert 0 < bowen_root(gap_system, "xi", 1, 300_000).value < 1
+        lower, upper = subsystem_dim_bounds(gap_system, 1, 300_000)
+        assert 0 < lower.value <= upper.value < 1
 
     def test_underflowing_rates_are_dropped(self):
         steep = DecaySystem(kind="toy", decay=200.0)

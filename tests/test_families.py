@@ -23,12 +23,13 @@ import gc
 import math
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
 from ifslab.families import (
-    _gap_map,
+    AffineMap,
     _mpf_to_fraction,
     build_gap_system,
     make_gauss,
@@ -199,14 +200,18 @@ class TestGapOffsets:
             defect = abs(quad_gap.offset(N) - _mpf_to_fraction(expect))
         assert float(defect) <= quad_gap.tail_bound
 
-    def test_offset_cap_enforced(self, quad_gap):
-        with pytest.raises(PreconditionError):
-            quad_gap.offset(200_001)
-
+    def test_adjacency_at_large_indices(self, quad_gap):
+        # Offsets have no index cap: between blocks consecutive images
+        # still abut to within the validator's tolerance.
+        affine = quad_gap.system.affine
+        for n in (200_001, 10**7, 10**12, 10**30):
+            assert not any(b.start <= n <= b.end for b in quad_gap.blocks)
+            residue = affine.offset(n - 1) - (affine.offset(n) + affine.slope(n))
+            assert abs(residue) <= Fraction(1, 2**100)
 
     def test_affine_map_shares_the_offset_cache(self, quad_gap):
         for i in (5, 7):
-            a, slope = quad_gap.system.affine(i)
+            a, slope = quad_gap.system.affine.offset(i), quad_gap.system.affine.slope(i)
             assert isinstance(a, Fraction) and isinstance(slope, Fraction)
             assert quad_gap.offset(i) is a
 
@@ -233,7 +238,8 @@ class TestGapOffsets:
         # The affine map holds its cache, not the system: no reference
         # cycle keeps the cached offsets alive until the cyclic collector runs.
         gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
-        gs.system.affine(1000)
+        gs.system.affine.offset(1000)
+        gs.system.affine.slope(1000)
         gc.disable()
         try:
             refs = [weakref.ref(gs), weakref.ref(gs.system), weakref.ref(gs.system.affine)]
@@ -287,7 +293,7 @@ class TestGapValidation:
             del blocks[drop - 1]
         with mpmath.workprec(128):
             c = quad_gap._c_mpf * (1 + mpmath.mpf(scale))
-        mutant = _gap_map(c, quad_gap.decay, tuple(blocks))
+        mutant = AffineMap(c, quad_gap.decay, tuple(blocks))
         rep = validate_gap_system(_with_map(quad_gap, mutant), 10**4)
         assert not rep.all_pass
         assert rep.disjoint and not rep.gaps_match
@@ -297,7 +303,7 @@ class TestGapValidation:
     def test_overlapping_map_breaks_disjointness(self, quad_gap):
         # Halving C in the map leaves the block-1 gaps wide enough, but
         # image 7 (past block 1) then overlaps image 6.
-        mutant = _gap_map(quad_gap._c_mpf / 2, quad_gap.decay, quad_gap.blocks)
+        mutant = AffineMap(quad_gap._c_mpf / 2, quad_gap.decay, quad_gap.blocks)
         rep = validate_gap_system(_with_map(quad_gap, mutant), 50)
         assert not rep.disjoint
         assert rep.witness["disjoint"]["index"] == 7
@@ -305,40 +311,44 @@ class TestGapValidation:
 
     def test_tampered_head_offset_is_caught(self, quad_gap):
         # Index 10 lies in the checked head, between blocks 1 and 2.
-        def tampered(i):
-            a, slope = quad_gap.system.affine(i)
-            return (a + Fraction(1, 10**6) if i == 10 else a), slope
+        affine = quad_gap.system.affine
 
+        def offset(i):
+            return affine.offset(i) + (Fraction(1, 10**6) if i == 10 else 0)
+
+        tampered = SimpleNamespace(slope=affine.slope, offset=offset)
         rep = validate_gap_system(_with_map(quad_gap, tampered), 50)
         assert rep.witness["disjoint"] == {"index": 10}
         assert rep.witness["gaps"]["index"] == 10
         assert rep.witness["gaps"]["block"] == 1
 
     @pytest.mark.parametrize(
-        "phi,d,eps,n_low", [("pow:2", 2.0, 0.1, 10**4), ("pow:2", 3.0, 0.2, 10**3)]
+        "phi,d,eps,n_low,n_high",
+        [("pow:2", 2.0, 0.1, 10**4, 10**7), ("pow:2", 3.0, 0.2, 10**3, 200_000)],
     )
-    def test_map_evaluations_do_not_grow_with_nmax(self, phi, d, eps, n_low):
-        # Every block edge of these systems up to the offset cap lies below
-        # n_low, so both runs check the same indices.
+    def test_map_evaluations_do_not_grow_with_nmax(self, phi, d, eps, n_low, n_high):
+        # No block edge of these systems lies in (n_low, n_high], so both
+        # runs check the same indices.
         gs = build_gap_system(parse_phi(phi), d, eps)
         counts = []
-        for n_max in (n_low, 200_000):
+        for n_max in (n_low, n_high):
             calls = []
 
-            def counting(i, calls=calls):
+            def offset(i, calls=calls):
                 calls.append(i)
-                return gs.system.affine(i)
+                return gs.system.affine.offset(i)
 
+            counting = SimpleNamespace(slope=gs.system.affine.slope, offset=offset)
             assert validate_gap_system(_with_map(gs, counting), n_max).all_pass
             counts.append(len(calls))
-        # The checks read the system's own map, a fixed number of times.
+        # The checks read the system's own offsets, a fixed number of times.
         assert 0 < counts[0] == counts[1] <= 2 + 2 * (15 + 5 * len(gs.blocks))
 
     def test_blocks_come_from_the_construction_not_the_field(self, quad_gap):
         # A system whose blocks field and map agree on a dropped block still
         # fails: the validator derives the blocks from phi, ladder and C.
         blocks = quad_gap.blocks[:1] + quad_gap.blocks[2:]
-        mutant = _gap_map(quad_gap._c_mpf, quad_gap.decay, blocks)
+        mutant = AffineMap(quad_gap._c_mpf, quad_gap.decay, blocks)
         gs = dataclasses.replace(_with_map(quad_gap, mutant), blocks=blocks)
         rep = validate_gap_system(gs, 10**4)
         assert rep.witness["gaps"]["index"] == 37
@@ -347,8 +357,7 @@ class TestGapValidation:
     def test_nmax_bounds(self, quad_gap):
         with pytest.raises(PreconditionError):
             validate_gap_system(quad_gap, 1)
-        with pytest.raises(PreconditionError):
-            validate_gap_system(quad_gap, 300_000)
+        assert validate_gap_system(quad_gap, 300_000).all_pass
 
 
 class TestGapVariants:

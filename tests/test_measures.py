@@ -31,6 +31,7 @@ import itertools
 import math
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ class TestWindowExponent:
 
     def test_rejects_non_contracting_branch(self):
         # Rates 1.0 and 0.5.
-        toy = DecaySystem(kind="toy", scale=1.0, decay=1.0, index_limit=2)
+        toy = DecaySystem(kind="toy", scale=1.0, decay=1.0)
         with pytest.raises(PreconditionError, match="non-contracting"):
             window_exponent(toy, [1, 2])
 
@@ -244,6 +245,20 @@ class TestVerifyFrostman:
         elapsed = time.perf_counter() - start
         assert (report.checked, report.sampled, report.fraction) == (61_180, False, 1.0)
         assert elapsed < 5.0, f"runtime budget exceeded: {elapsed:.1f}s >= 5s"
+
+    def test_lengths_read_no_offset(self, layered_linpow):
+        # A cylinder length is the product of its slopes; forming an offset
+        # would cost a Hurwitz zeta per digit.
+        affine = layered_linpow.system.affine
+
+        def offset(i):
+            raise AssertionError(f"offset({i}) was read")
+
+        system = dataclasses.replace(
+            layered_linpow.system, affine=SimpleNamespace(slope=affine.slope, offset=offset)
+        )
+        blind = dataclasses.replace(layered_linpow, system=system)
+        assert verify_frostman(blind, 3) == verify_frostman(layered_linpow, 3)
 
 
 def _per_word_reference(measure, depth, sample_cap=100_000, seed=0):
