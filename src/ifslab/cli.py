@@ -167,14 +167,14 @@ def _estimate_results(value_key: str, est) -> dict:
 
 def _cmd_bowen(args):
     system = _resolve_system(args.system)
+    bounds = subsystem_dim_bounds(system, args.k, args.m, tol=args.tol) if args.bounds else None
     # With --bounds the xi root is the lower bound, so it is bisected once.
-    shared = args.bounds and args.bound == "xi"
-    est = None if shared else bowen_root(system, args.bound, args.k, args.m, tol=args.tol)
-    if args.bounds:
-        lower, upper = subsystem_dim_bounds(system, args.k, args.m, tol=args.tol)
-        est = lower if shared else est
+    est = bounds[0] if bounds and args.bound == "xi" else bowen_root(
+        system, args.bound, args.k, args.m, tol=args.tol
+    )
     results = _estimate_results("s", est)
-    if args.bounds:
+    if bounds:
+        lower, upper = bounds
         results["bounds"] = {
             "lower": lower.value,
             "upper": upper.value,

@@ -5,9 +5,9 @@ exponent 2, derivative sandwich (i+1)**-2 <= |f_i'| <= i**-2, images
 ordered decreasingly in i and tiling (0, 1]).
 
 make_linear_power(d) gives an affine family with ratio i**(-d) / zeta(d)
-placed right to left so consecutive images share an endpoint (to within
-2**-120): an exactly-solvable testbed with the same decay profile and ordering as the
-reciprocal family but constant derivatives.
+placed right to left so consecutive images share an endpoint (to one
+rounding): an exactly-solvable testbed with the same decay profile and
+ordering as the reciprocal family but constant derivatives.
 
 build_gap_system(phi, d, eps) realizes an affine family whose images have
 explicit gaps arranged along the block structure of a restriction Phi: all
@@ -19,9 +19,9 @@ normalizer, so it is resolved by fixed-point iteration, with a certified
 tail bound on the truncated block series.  Image n is [a_n, a_n + C n**-d]
 with a_n = 1 - C - (C * (zeta(d, 2) - zeta(d, n+1)) + G(n)), where G(n)
 sums each block's gap over its indices in [2, n]; the bracketed series is
-evaluated at 128 bits and the rest is exact, so offsets and ratios are
-exact binary rationals at every index.  The linear-power family is the
-same closed form with no blocks (G = 0) and C = 1/zeta(d); AffineMap
+rounded once at _prec(d, n) bits and the rest is exact, so offsets and
+ratios are exact binary rationals at every index.  The linear-power family
+is the same closed form with no blocks (G = 0) and C = 1/zeta(d); AffineMap
 holds it for both affine kinds.
 """
 
@@ -56,20 +56,27 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _prec(decay: float, i: int) -> int:
+    """Working bits at index i: 128, or 96 below the scale i**-d of image i
+    once that is finer (past i**d = 2**32), so an offset's absolute rounding
+    stays below 2**-126 and about 2**-94 / C of image i's length."""
+    return max(_MP_PREC, math.ceil(decay * math.log2(i)) + 96)
+
+
 def _ratio(c_mpf, decay: float, i: int) -> Fraction:
-    """C * i**-d rounded once at 128 bits, as an exact rational."""
-    with mpmath.workprec(_MP_PREC):
+    """C * i**-d rounded once at _prec(d, i) bits, as an exact rational."""
+    with mpmath.workprec(_prec(decay, i)):
         return _mpf_to_fraction(c_mpf * mpmath.power(i, -decay))
 
 
 def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
-    """a_i by the closed form; zeta_2 is zeta(d, 2).
+    """a_i by the closed form; zeta_2 is zeta(d, 2) at 128 bits.
 
-    Only the series C * (zeta(d, 2) - zeta(d, i+1)) + G(i) is rounded (once,
-    at 128 bits); at i = 1 it is exactly 0, so a_1 = 1 - C exactly and
-    image 1 ends flush at 1.
+    Only the series C * (zeta_2 - zeta(d, i+1)) + G(i) is rounded (once, at
+    _prec(d, i) bits; zeta_2's rounding is common to all offsets); at i = 1
+    it is exactly 0, so a_1 = 1 - C exactly and image 1 ends flush at 1.
     """
-    with mpmath.workprec(_MP_PREC):
+    with mpmath.workprec(_prec(decay, i)):
         lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
         gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
         series = _mpf_to_fraction(lengths + gaps)
@@ -82,12 +89,12 @@ class AffineMap:
 
     Image n is [a_n, a_n + C * n**-d], and each index inside a block gets
     that block's gap between image n and image n-1; outside blocks
-    consecutive images share an endpoint to within 2**-120.  slope(i) is
-    C * i**-d rounded once at 128 bits and offset(i) is the closed form of
-    a_i, so both are exact rationals at any index.  Each read is cached per
-    map; the caches hold no reference to the map, so a system dies by
-    reference count.  A slope costs a power, an offset a Hurwitz zeta:
-    lengths read slopes only.
+    consecutive images share an endpoint to within 2**-120 and 2**-64 of
+    image n's length.  slope(i) = C * i**-d and offset(i) = a_i are each
+    rounded once at _prec(d, i) bits, so both are exact rationals at any
+    index.  Each read is cached per map; the caches hold no reference to
+    the map, so a system dies by reference count.  A slope costs a power,
+    an offset a Hurwitz zeta: lengths read slopes only.
     """
 
     def __init__(self, c_mpf, decay: float, blocks: tuple = ()):
@@ -107,10 +114,11 @@ def make_linear_power(d: float) -> DecaySystem:
 
     The branches are the gap tiling's closed form with no blocks and
     C = 1/zeta(d) at 128 bits: image i is [a_i, a_i + C * i**-d] with
-    a_i = 1 - C * zeta(d) + C * zeta(d, i+1) up to one 128-bit rounding.
-    Slopes and offsets are exact binary rationals, so cylinder arithmetic
-    on the represented system is exact; image 1 ends exactly at 1, and
-    consecutive images share an endpoint to within 2**-120.
+    a_i = 1 - C * zeta(d) + C * zeta(d, i+1) up to one rounding at
+    _prec(d, i) bits.  Slopes and offsets are exact binary rationals, so
+    cylinder arithmetic on the represented system is exact; image 1 ends
+    exactly at 1, and consecutive images share an endpoint to within
+    2**-120 and 2**-64 of the smaller image's length.
     """
     if not 1 < d < math.inf:
         raise PreconditionError("linear-power family needs a finite decay d > 1")
@@ -292,12 +300,12 @@ class GapValidationReport:
     """Outcome of the four gap-system checks, with witnesses on failure.
 
     disjoint: no checked image overlaps its left neighbour by more than
-        2**-100 (images run right to left).
+        2**-100 or 2**-64 of its length (images run right to left).
     contained: image 1 ends at most at 1, image n_max starts at least at 0.
     gaps_match: at every checked index the realized gap before the image
         is C * j**-2 / l_{j+1} to relative accuracy 1e-12 inside block j,
-        and within 2**-100 of 0 outside every block.  The witness names
-        the block holding the index, else the nearest block.
+        and within that tolerance of 0 outside every block.  The witness
+        names the block holding the index, else the nearest block.
     decaying: verify_power_decay succeeded for the system's (d, eps).
     """
 
@@ -325,9 +333,10 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     each block's start-1, start, start+1, end and end+1, those at most
     n_max; containment at 1 and n_max; power decay on the first
     min(n_max, 1000) rates.  So the map is evaluated O(blocks) times,
-    however large n_max is; n_max has no upper cap.  The realized gaps are
-    formed with the ratio C * n**-d from the construction's C, never the
-    map's own slope, so a wrong map cannot vouch for itself.
+    however large n_max is; n_max has no upper cap, as the offsets'
+    precision grows with log(n).  The realized gaps are formed with the
+    ratio C * n**-d from the construction's C, never the map's own slope,
+    so a wrong map cannot vouch for itself.
     """
     if n_max < 2:
         raise PreconditionError("validation needs n_max >= 2")
@@ -341,11 +350,12 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     contained = 0 <= a_nmax and top <= 1
     if not contained:
         witness["contained"] = {"a_nmax": float(a_nmax), "top": float(top)}
-    # Outside the gap blocks consecutive images share an endpoint, so
-    # both checks tolerate representation rounding there.
-    tol = Fraction(1, 2**100)
     for n in checked:
-        realized = gs.offset(n - 1) - (gs.offset(n) + _ratio(gs._c_mpf, gs.decay, n))
+        ratio = _ratio(gs._c_mpf, gs.decay, n)
+        # Outside the gap blocks consecutive images share an endpoint, so
+        # both checks tolerate rounding there, absolute and relative.
+        tol = min(Fraction(1, 2**100), ratio / 2**64)
+        realized = gs.offset(n - 1) - (gs.offset(n) + ratio)
         if disjoint and realized < -tol:
             disjoint = False
             witness["disjoint"] = {"index": n}

@@ -202,12 +202,13 @@ class TestGapOffsets:
 
     def test_adjacency_at_large_indices(self, quad_gap):
         # Offsets have no index cap: between blocks consecutive images
-        # still abut to within the validator's tolerance.
+        # still abut to within the validator's tolerance: 2**-100, and
+        # 2**-64 of the image's own length, however small that length is.
         affine = quad_gap.system.affine
-        for n in (200_001, 10**7, 10**12, 10**30):
+        for n in (200_001, 10**7, 10**12, 10**30, 10**100):
             assert not any(b.start <= n <= b.end for b in quad_gap.blocks)
             residue = affine.offset(n - 1) - (affine.offset(n) + affine.slope(n))
-            assert abs(residue) <= Fraction(1, 2**100)
+            assert abs(residue) <= min(Fraction(1, 2**100), affine.slope(n) / 2**64), n
 
     def test_affine_map_shares_the_offset_cache(self, quad_gap):
         for i in (5, 7):
@@ -357,7 +358,29 @@ class TestGapValidation:
     def test_nmax_bounds(self, quad_gap):
         with pytest.raises(PreconditionError):
             validate_gap_system(quad_gap, 1)
-        assert validate_gap_system(quad_gap, 300_000).all_pass
+        # Block 6 starts near 5e30, where a 128-bit offset could not resolve
+        # its gap (about 2e-33) to 1e-12; the index-scaled precision does,
+        # there and past the last materialized block.
+        block_6 = quad_gap.blocks[5]
+        for n_max in (300_000, block_6.start, block_6.end + 1, 10**100):
+            rep = validate_gap_system(quad_gap, n_max)
+            assert rep.all_pass, (n_max, rep.witness)
+
+    def test_overlap_at_a_late_edge_is_caught(self, quad_gap):
+        # Image n (just before block 6) overlaps its neighbour by half its
+        # own length, about 8e-63: far below the absolute tolerance, but
+        # not below the one relative to the image's length.
+        affine = quad_gap.system.affine
+        n = quad_gap.blocks[5].start - 1
+
+        def offset(i):
+            return affine.offset(i) + (affine.slope(n) / 2 if i == n else 0)
+
+        tampered = SimpleNamespace(slope=affine.slope, offset=offset)
+        rep = validate_gap_system(_with_map(quad_gap, tampered), n + 2)
+        assert rep.witness["disjoint"] == {"index": n}
+        assert rep.witness["gaps"]["index"] == n
+        assert rep.witness["gaps"]["block"] == 6
 
 
 class TestGapVariants:

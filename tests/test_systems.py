@@ -95,13 +95,14 @@ class TestLinearPowerCylinders:
         c1 = cylinder_interval(sys2, (1,))
         c2 = cylinder_interval(sys2, (2,))
         assert c1.hi == F(1)
-        # Consecutive images abut to within one 128-bit rounding of the
-        # offset series, the gap kind's contract.
+        # Consecutive images abut to within one rounding of the offset
+        # series, at 128 bits or finer with the image's scale: the gap
+        # kind's contract, 2**-120 and 2**-64 of the image's length.
         assert abs(c2.hi - c1.lo) <= F(1, 2**120)
         affine = sys2.affine
-        for i in (10**3, 10**7, 10**12):
+        for i in (2, 10**3, 10**7, 10**12, 10**30):
             residue = affine.offset(i - 1) - (affine.offset(i) + affine.slope(i))
-            assert abs(residue) <= F(1, 2**120), i
+            assert abs(residue) <= min(F(1, 2**120), affine.slope(i) / 2**64), i
 
     def test_ratio_d3(self):
         sys3 = make_linear_power(3)
