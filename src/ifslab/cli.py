@@ -168,10 +168,14 @@ def _estimate_results(value_key: str, est) -> dict:
 def _cmd_bowen(args):
     system = _resolve_system(args.system)
     bounds = subsystem_dim_bounds(system, args.k, args.m, tol=args.tol) if args.bounds else None
-    # With --bounds the xi root is the lower bound, so it is bisected once.
-    est = bounds[0] if bounds and args.bound == "xi" else bowen_root(
-        system, args.bound, args.k, args.m, tol=args.tol
-    )
+    # With --bounds the xi root is the lower bound and the lambda root the
+    # upper one, so each band is rooted once.  A capped upper bound is no
+    # root: bowen_root then fails on the non-contracting ratio (exit 3).
+    est = None
+    if bounds:
+        est = bounds[0] if args.bound == "xi" else bounds[1]
+    if est is None or est.diagnostics.get("capped", False):
+        est = bowen_root(system, args.bound, args.k, args.m, tol=args.tol)
     results = _estimate_results("s", est)
     if bounds:
         lower, upper = bounds

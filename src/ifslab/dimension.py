@@ -2,10 +2,13 @@
 cover sums, box-counting regression, and the closed-form prediction table.
 
 The pressure root s solves sum_{i=k}^{m} r_i**s = 1 for a finite band of
-contraction ratios; bisection keeps a certified bracket around it.  Cover
-sums aggregate |cylinder|**s over restriction-admissible words, either by
-exact enumeration or by a transfer-operator style dynamic program, and
-carry an explicit truncation bound for the discarded digits above the cap.
+contraction ratios.  Safeguarded Newton steps on the log of that sum, kept
+inside a bracket whose ends have both been evaluated, find it in a few
+passes over the log-rates, which are formed directly and so never
+underflow.  Cover sums aggregate |cylinder|**s over restriction-admissible
+words, either by exact enumeration or by a transfer-operator style dynamic
+program, and carry an explicit truncation bound for the discarded digits
+above the cap.
 Box counting follows the usual occupied-grid regression with the scale
 window trimmed to its middle part.
 """
@@ -21,9 +24,7 @@ from .restrictions import Phi, successor_table
 from .powersum import power_sum_brackets
 from .systems import DecaySystem, NumericFailure, PreconditionError
 
-# Pressure-root search ceiling: the sum is still >= 1 here only when a
-# non-contracting ratio is present, so there is no root to find.
-_BOWEN_S_CAP = 64.0
+# Most pressure evaluations one root may take.
 _BOWEN_MAX_ITER = 256
 
 # At most this many admissible words (summed over all depths) are walked
@@ -75,44 +76,71 @@ def _estimate(value, method, lo, hi, diagnostics) -> DimensionEstimate:
     return DimensionEstimate(value=v, method=method, bracket=(lo, hi), diagnostics=diagnostics)
 
 
-def _root_from_rates(rates: np.ndarray, tol: float) -> DimensionEstimate:
-    """Bisect s -> sum(rates**s) down to |sum - 1| <= tol."""
-    if np.count_nonzero((rates > 0) & (rates < 1)) < 2:
+def _root_from_rates(log_rates: np.ndarray, tol: float) -> DimensionEstimate:
+    """Root of P(s) = sum(exp(s * log_rates)) = 1, down to |P(s) - 1| <= tol.
+
+    With every log-rate below 0, log P is convex and decreasing.  So a
+    Newton step on log P lands left of the root when taken from s = 1 with
+    P(1) < 1, and stays left of it when taken from a point left of it: the
+    iterates rise to the root.  A step that would leave the kept bracket
+    (P >= 1 at its lower end and P <= 1 at its upper end, both evaluated)
+    falls back to the midpoint.  One exp array gives both P and
+    P' = sum(log_rates * exp(s * log_rates)).  Once the residual is within
+    tol, one more evaluation on the far side of s, where the tangent puts
+    P - 1 past tol with the other sign, closes the bracket; the distance
+    doubles until the sign flips.  iterations counts the evaluations.
+    """
+    contracting = np.count_nonzero(log_rates < 0)
+    if contracting < 2:
         raise PreconditionError("pressure root needs at least two contracting ratios")
-    has_unit = bool((rates >= 1).any())
-    # Ratios that underflowed to zero contribute nothing at any s > 0.
-    lr = np.log(rates[rates > 0])
+    if contracting < log_rates.size:
+        raise NumericFailure("pressure sum stays above 1 at every s; a ratio >= 1 is present")
+    buf = np.empty_like(log_rates)
+    evals = 0
 
-    def pressure(s: float) -> float:
-        return float(np.exp(s * lr).sum())
+    def pressure(s: float) -> tuple:
+        nonlocal evals
+        evals += 1
+        if evals > _BOWEN_MAX_ITER:
+            raise NumericFailure(f"pressure root not found in {_BOWEN_MAX_ITER} evaluations")
+        np.multiply(log_rates, s, out=buf)
+        np.exp(buf, out=buf)
+        return float(buf.sum()), float(np.dot(log_rates, buf))
 
-    hi = 1.0
-    while pressure(hi) >= 1.0:
-        hi *= 2.0
-        if hi > _BOWEN_S_CAP:
-            detail = " (a ratio >= 1 is present)" if has_unit else ""
-            raise NumericFailure(
-                f"pressure sum stays >= 1 up to s = {_BOWEN_S_CAP}; no root below the cap{detail}"
-            )
-    lo = 0.0
-    for it in range(_BOWEN_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = pressure(mid)
+    # P(0) is the number of terms, at least 2; P(inf) is 0.
+    lo, hi = 0.0, math.inf
+    s = 1.0
+    while True:
+        val, slope = pressure(s)
         if abs(val - 1.0) <= tol:
             break
         if val > 1.0:
-            lo = mid
+            lo = s
         else:
-            hi = mid
-    else:
-        raise NumericFailure(f"bisection residual never reached tol {tol}")
+            hi = s
+        step = s - math.log(val) * val / slope if val > 0 and slope < 0 else math.nan
+        if lo < step < hi:
+            s = step
+        else:
+            s = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+        if not lo < s < hi:
+            raise NumericFailure(f"pressure residual never reached tol {tol}")
+    side = 1.0 if val > 1.0 else -1.0
+    dist = (abs(val - 1.0) + tol) / -slope
+    while True:
+        # P(0) is at least 2, so the far end never needs to pass 0.
+        far = max(s + side * dist, 0.0)
+        if (pressure(far)[0] - 1.0) * side <= 0:
+            break
+        dist *= 2.0
+    lo, hi = (s, far) if side > 0 else (far, s)
     diag = {
         "residual": val - 1.0,
-        "iterations": it + 1,
-        "terms": int(rates.size),
-        "raw_root": mid,
+        "iterations": evals,
+        "terms": int(log_rates.size),
+        "raw_root": s,
     }
-    return _estimate(mid, "bowen-root", lo, hi, diag)
+    return _estimate(s, "bowen-root", lo, hi, diag)
 
 
 def _check_band(system: DecaySystem, k: int, m: int, tol: float) -> None:
@@ -123,16 +151,22 @@ def _check_band(system: DecaySystem, k: int, m: int, tol: float) -> None:
         raise PreconditionError("tol must be positive")
 
 
-def _rate_band(system: DecaySystem, bound_kind: str, k: int, m: int) -> np.ndarray:
-    """contract_lo (xi) or contract_hi (lambda) at indices k..m, checked by
-    _check_band; rates that underflow come out as 0."""
+def _log_rates(system: DecaySystem, lo: int, hi: int) -> np.ndarray:
+    """log(scale) - decay * log(i) at i = lo..hi: log contract_hi(i), formed
+    without the rate itself, so it stays finite where the rate underflows."""
+    return math.log(system.scale) - system.decay * np.log(np.arange(lo, hi + 1, dtype=float))
+
+
+def _log_rate_band(system: DecaySystem, bound_kind: str, k: int, m: int) -> np.ndarray:
+    """log contract_lo (xi) or log contract_hi (lambda) at indices k..m,
+    checked by _check_band."""
     if bound_kind == "xi":
         t = system.shift
     elif bound_kind == "lambda":
         t = 0
     else:
         raise PreconditionError(f"bound_kind must be 'xi' or 'lambda', got {bound_kind!r}")
-    return system.scale * np.arange(k + t, m + t + 1, dtype=float) ** -system.decay
+    return _log_rates(system, k + t, m + t)
 
 
 def bowen_root(
@@ -140,7 +174,7 @@ def bowen_root(
 ) -> DimensionEstimate:
     """Root of sum_{i=k}^{m} r_i**s = 1 for the chosen rate bound."""
     _check_band(system, k, m, tol)
-    return _root_from_rates(_rate_band(system, bound_kind, k, m), tol)
+    return _root_from_rates(_log_rate_band(system, bound_kind, k, m), tol)
 
 
 def subsystem_dim_bounds(
@@ -148,21 +182,25 @@ def subsystem_dim_bounds(
 ) -> tuple:
     """(lower, upper) pressure-root estimates from the two rate bounds.
 
-    The upper bound is capped at 1 (and flagged) when the upper rates
-    include a non-contracting ratio, as they do for the first Gauss map.
+    Both bands are slices of one log band over k..m + shift: the xi rates
+    at k..m are the lambda rates at k + shift..m + shift.  The upper bound
+    is capped at 1 (and flagged) when the upper rates include a
+    non-contracting ratio, as they do for the first Gauss map.
     """
     _check_band(system, k, m, tol)
-    lower = _root_from_rates(_rate_band(system, "xi", k, m), tol)
-    hi_rates = _rate_band(system, "lambda", k, m)
-    if (hi_rates >= 1).any():
+    t = system.shift
+    log_rates = _log_rates(system, k, m + t)
+    lower = _root_from_rates(log_rates[t:], tol)
+    hi_band = log_rates[: m - k + 1]
+    if (hi_band >= 0).any():
         upper = DimensionEstimate(
             value=1.0,
             method="bowen-root",
             bracket=(lower.value, 1.0),
-            diagnostics={"capped": True, "terms": int(hi_rates.size)},
+            diagnostics={"capped": True, "terms": int(hi_band.size)},
         )
     else:
-        upper = _root_from_rates(hi_rates, tol)
+        upper = _root_from_rates(hi_band, tol)
     return lower, upper
 
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import ifslab
+from ifslab import dimension
 from ifslab.cli import run
 from ifslab.dimension import TailWarning, _truncation_bound, bowen_root, cover_sum
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
@@ -190,6 +191,42 @@ class TestCsvFormat:
             table = dict(list(csv.reader(fh))[1:])
         assert table["results.certified.0"] == "true"
         assert table["results.growth_ratio_bound"] == ""  # single step: null
+
+
+class TestBowenBounds:
+    @staticmethod
+    def _count_roots(monkeypatch) -> list:
+        calls = []
+        solve = dimension._root_from_rates
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(dimension, "_root_from_rates", counted)
+        return calls
+
+    @pytest.mark.parametrize("bound, key", [("xi", "lower"), ("lambda", "upper")])
+    def test_each_band_is_rooted_once(self, tmp_path, monkeypatch, bound, key):
+        calls = self._count_roots(monkeypatch)
+        code, report, _ = _invoke(
+            tmp_path, "bowen", "--system", "gauss", "--bound", bound,
+            "--k", "5", "--m", "500", "--bounds",
+        )
+        assert code == 0
+        assert len(calls) == 2
+        assert report["results"]["s"] == report["results"]["bounds"][key]
+
+    def test_capped_upper_still_exits_3(self, tmp_path, monkeypatch):
+        # The lambda band from k = 1 holds the non-contracting first ratio,
+        # so the upper bound is capped and the lambda root does not exist.
+        calls = self._count_roots(monkeypatch)
+        code, _, _ = _invoke(
+            tmp_path, "bowen", "--system", "gauss", "--bound", "lambda",
+            "--k", "1", "--m", "50", "--bounds",
+        )
+        assert code == 3
+        assert len(calls) == 2
 
 
 class TestExitCodes:

@@ -19,6 +19,7 @@ import warnings
 import weakref
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -35,8 +36,7 @@ from ifslab.dimension import (
     _exact_depth_sums,
     _gauss_depth_sums,
     _linregress,
-    _rate_band,
-    _root_from_rates,
+    _log_rate_band,
     _transition_counts,
     bowen_root,
     box_dim_estimate,
@@ -152,6 +152,15 @@ class TestSubsystemBounds:
             lower, upper = subsystem_dim_bounds(gauss, k, m)
             assert lower.value <= upper.value
 
+    @pytest.mark.parametrize("name", ["gauss", "linpow"])
+    def test_bounds_are_the_two_band_roots(self, gauss, name):
+        # Both bands are slices of one log band; each must be the band
+        # bowen_root forms on its own.
+        system = gauss if name == "gauss" else make_linear_power(2.0)
+        lower, upper = subsystem_dim_bounds(system, 5, 500)
+        assert lower == bowen_root(system, "xi", 5, 500)
+        assert upper == bowen_root(system, "lambda", 5, 500)
+
     @pytest.mark.parametrize(
         "k, m, tol, message",
         [
@@ -166,6 +175,97 @@ class TestSubsystemBounds:
             bowen_root(system, "xi", k, m, tol=tol)
         with pytest.raises(PreconditionError, match=message):
             subsystem_dim_bounds(system, k, m, tol=tol)
+
+
+def _bisection_root(rates: np.ndarray, tol: float) -> float:
+    """The bisection the pressure root used before its Newton search, as a
+    reference: halve [0, hi] until |sum(rates**s) - 1| <= tol, with hi the
+    first power of 2 where the sum drops below 1."""
+    lr = np.log(rates[rates > 0])
+
+    def pressure(s):
+        return float(np.exp(s * lr).sum())
+
+    hi = 1.0
+    while pressure(hi) >= 1.0:
+        hi *= 2.0
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        val = pressure(mid)
+        if abs(val - 1.0) <= tol:
+            return mid
+        lo, hi = (mid, hi) if val > 1.0 else (lo, mid)
+
+
+def _pressure(log_rates: np.ndarray, s: float) -> float:
+    return float(np.exp(s * log_rates).sum())
+
+
+class TestPressureSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["gauss", "linpow", "gapsys", "toy"]),
+        bound=st.sampled_from(["xi", "lambda"]),
+        k=st.integers(1, 500),
+        span=st.integers(1, 3000),
+        rates=st.tuples(st.floats(0.05, 0.7), st.floats(0.05, 0.7)),
+        tol=st.sampled_from([1e-10, 1e-12]),
+    )
+    def test_root_agrees_with_retired_bisection(
+        self, gauss, gap_system, name, bound, k, span, rates, tol
+    ):
+        if name == "toy":
+            # Two ratios; their sum may pass 1, putting the root above 1.
+            system, bound, k, m = two_ratio_system(*sorted(rates, reverse=True)), "xi", 1, 2
+        else:
+            system = {"gauss": gauss, "linpow": make_linear_power(2.0), "gapsys": gap_system}[name]
+            m = k + span
+            assume(not (name == "gauss" and bound == "lambda" and k == 1))
+        est = bowen_root(system, bound, k, m, tol=tol)
+        log_rates = _log_rate_band(system, bound, k, m)
+        raw = est.diagnostics["raw_root"]
+        assert abs(_pressure(log_rates, raw) - 1.0) <= tol
+        t = system.shift if bound == "xi" else 0
+        old_rates = system.scale * np.arange(k + t, m + t + 1, dtype=float) ** -system.decay
+        assert abs(raw - _bisection_root(old_rates, tol)) <= 1e-9
+        lo, hi = est.bracket
+        assert lo <= est.value <= hi
+        if raw < 1.0:
+            assert est.value == raw
+            assert _pressure(log_rates, lo) >= 1.0 >= _pressure(log_rates, hi)
+        else:
+            assert est.bracket == (1.0, 1.0)
+
+    @pytest.mark.parametrize("k", [10, 100, 1000])
+    def test_hurwitz_zeta_oracle(self, gauss, k):
+        # The xi band k..m of the Gauss map sums (i + 1)**(-2s) over i, that
+        # is zeta(2s, k + 1) - zeta(2s, m + 2).
+        m = 1000 * k
+        with mpmath.workdps(30):
+            root = mpmath.findroot(
+                lambda s: mpmath.zeta(2 * s, k + 1) - mpmath.zeta(2 * s, m + 2) - 1, 0.6
+            )
+        assert abs(bowen_root(gauss, "xi", k, m).value - float(root)) <= 1e-9
+
+    def test_million_term_band_takes_few_evaluations(self, gauss):
+        lower, upper = subsystem_dim_bounds(gauss, 1000, 1_000_000)
+        assert lower.diagnostics["iterations"] <= 8
+        assert upper.diagnostics["iterations"] <= 8
+
+    def test_tol_below_rounding_is_a_numeric_failure(self):
+        # |P - 1| <= 1e-300 holds only where P rounds to 1 exactly, which
+        # no s on this band reaches: the bracket collapses first.
+        with pytest.raises(NumericFailure, match="never reached tol"):
+            bowen_root(make_linear_power(2.0), "xi", 3, 50_000, tol=1e-300)
+
+    def test_root_above_one_is_clipped(self):
+        # 0.7**s + 0.6**s = 1 past s = 1: P(1) > 1, so the search rises
+        # from s = 1 before it has an upper end.
+        est = bowen_root(two_ratio_system(0.7, 0.6), "xi", 1, 2)
+        raw = est.diagnostics["raw_root"]
+        assert raw > 1.0 and abs(0.7**raw + 0.6**raw - 1.0) <= 1e-10
+        assert est.value == 1.0 and est.bracket == (1.0, 1.0)
 
 
 class TestCoverSum:
@@ -412,11 +512,19 @@ class TestRateBand:
     def test_matches_per_index_rates(self, name, gauss, gap_system):
         system = {"gauss": gauss, "linpow": make_linear_power(2.0), "gapsys": gap_system}[name]
         k, m = 3, 5000
-        for bound, rate in (("xi", system.contract_lo), ("lambda", system.contract_hi)):
-            band = _rate_band(system, bound, k, m)
-            want = np.array([rate(i) for i in range(k, m + 1)])
+        for bound, log_rate, rate in (
+            ("xi", system.log_contract_lo, system.contract_lo),
+            ("lambda", system.log_contract_hi, system.contract_hi),
+        ):
+            band = _log_rate_band(system, bound, k, m)
+            want = np.array([log_rate(i) for i in range(k, m + 1)])
             assert band.shape == want.shape
-            assert (np.abs(band - want) <= 2 * np.spacing(want)).all()
+            assert (np.abs(band - want) <= 2 * np.spacing(np.abs(want))).all()
+            # exp of a log-rate is the rate up to the rounding of the log:
+            # a relative error of about |log rate| + 1 machine epsilons.
+            rates = np.array([rate(i) for i in range(k, m + 1)])
+            slack = 2 * (np.abs(want) + 1) * np.finfo(float).eps * rates
+            assert (np.abs(np.exp(band) - rates) <= slack).all()
 
     def test_roots_past_two_hundred_thousand(self, gap_system):
         # The gap kind has branches at every index, so a band reaching
@@ -425,12 +533,15 @@ class TestRateBand:
         lower, upper = subsystem_dim_bounds(gap_system, 1, 300_000)
         assert 0 < lower.value <= upper.value < 1
 
-    def test_underflowing_rates_are_dropped(self):
+    def test_underflowing_rates_still_count(self):
+        # 60**-200 underflows a float, yet at s near 0.008 the rates past
+        # the float range add about 3% to the pressure sum.
         steep = DecaySystem(kind="toy", decay=200.0)
-        band = _rate_band(steep, "lambda", 2, 60)
-        assert band[-1] == 0.0 and (band > 0).sum() >= 2
+        band = _log_rate_band(steep, "lambda", 2, 60)
+        assert np.isfinite(band).all() and np.exp(band[-1]) == 0.0
         est = bowen_root(steep, "lambda", 2, 60)
-        assert est.value == _root_from_rates(band[band > 0], 1e-10).value
+        # The root of sum_{i=2}^{60} i**(-200 s) = 1 by mpmath at 40 digits.
+        assert abs(est.value - 0.0084146310770216) <= 1e-9
 
 
 class TestBoxDim:
