@@ -36,8 +36,8 @@ _EXACT_WORD_CAP = 200_000
 _RATIO_BINS = 1024
 _GAUSS_DP_CAP = 20_000
 
-# Segments of the flattened (cap, _RATIO_BINS) state at most this long are
-# laid out densely when the program totals its state (see _binned_total).
+# Head segments of the flattened (cap, _RATIO_BINS) state at most this long
+# are laid out densely when the program totals its state (see _binned_total).
 # At least 128, numpy's pairwise block, below which numpy stops splitting.
 _TOTAL_SEGMENT = 1 << 16
 
@@ -316,31 +316,83 @@ def _binned_state(bins, mass, cap):
     return state.reshape(cols.size, cap), cols
 
 
-def _binned_total(m, cols):
-    """Sum of the (k, cap) state, rounded as numpy sums the dense
-    (cap, _RATIO_BINS) matrix it stands for: pairwise over that matrix
-    flattened row by row.
+def _with_bin_zero(head, cols, tail):
+    """Give the state a (zero) head row for bin 0 when the tail holds mass,
+    since every tail digit lies in bin 0."""
+    if tail.any() and not (cols.size and cols[0] == 0):
+        head = np.vstack((np.zeros((1, head.shape[1])), head))
+        cols = np.concatenate(([0], cols))
+    return head, cols
+
+
+def _binned_total(head, cols, tail):
+    """Sum of the state, rounded as numpy sums the dense (cap, _RATIO_BINS)
+    matrix it stands for: pairwise over that matrix flattened row by row.
+    Row j - 1 of that matrix holds digit j: the head rows first, then one row
+    per tail digit with its mass in column 0.
 
     The zero bins are never built as a whole.  The pairwise split (half,
-    rounded down to a multiple of 8) is followed until a segment is at most
-    _TOTAL_SEGMENT long; that segment is laid out densely and summed by
-    numpy, so the result keeps the dense matrix's rounding.
+    rounded down to a multiple of 8) is followed one level of segments at a
+    time, and each split segment adds its children as numpy does: left +
+    right.  A head segment at most _TOTAL_SEGMENT long is laid out densely
+    and summed by numpy.  A tail segment at most _RATIO_BINS long holds at
+    most one tail entry, and its pairwise sum is that entry exactly (every
+    other addend is 0), so the split stops there.
     """
-    return _segment_total(m, cols, 0, m.shape[1] * _RATIO_BINS)
-
-
-def _segment_total(m, cols, lo, n):
-    """Pairwise sum of the n flattened dense entries from lo on.  A module
-    function, not a closure: a recursive closure is a reference cycle that
-    keeps m alive until the cyclic collector runs."""
-    if n > _TOTAL_SEGMENT:
+    B = _RATIO_BINS
+    edge = head.shape[1] * B
+    lo, n = np.array([0]), np.array([edge + tail.size * B])
+    levels = []
+    while True:
+        split = n > np.where(lo < edge, _TOTAL_SEGMENT, B)
+        levels.append((lo, n, split))
+        if not split.any():
+            break
+        lo, n = lo[split], n[split]
         half = n // 2 - (n // 2) % 8
-        return _segment_total(m, cols, lo, half) + _segment_total(m, cols, lo + half, n - half)
+        lo = np.column_stack((lo, lo + half)).ravel()
+        n = np.column_stack((half, n - half)).ravel()
+    total = None
+    for lo, n, split in reversed(levels):
+        level = np.zeros(lo.size)
+        for i in np.flatnonzero(~split & (lo < edge)).tolist():
+            level[i] = _dense_segment(head, cols, tail, int(lo[i]), int(n[i]))
+        first = -(-(lo - edge) // B)
+        held = ~split & (lo >= edge) & (first * B < lo - edge + n)
+        level[held] = tail[first[held]]
+        if total is not None:
+            level[split] = total[0::2] + total[1::2]
+        total = level
+    return total[0]
+
+
+def _dense_segment(head, cols, tail, lo, n):
+    """numpy's sum of the n flattened dense entries from lo on, laid out
+    from the head rows and, past them, the tail rows."""
     B = _RATIO_BINS
     r0, r1 = lo // B, -(-(lo + n) // B)
+    h1 = min(r1, head.shape[1])
     dense = np.zeros((r1 - r0, B))
-    dense[:, cols] = m[:, r0:r1].T
+    dense[: h1 - r0, cols] = head[:, r0:h1].T
+    dense[h1 - r0 :, 0] = tail[: r1 - h1]
     return np.add.reduce(dense.ravel()[lo - r0 * B : lo - r0 * B + n])
+
+
+def _gauss_weights(cols, digits, s, head):
+    """For appending each digit to each ratio bin in cols: the cylinder
+    weights ((1+r)/((j+r)(j+r+1)))**s, a (k, cap) array, and the new ratio
+    bins of the first `head` digits, a (k, head) array."""
+    B = _RATIO_BINS
+    r = (cols + 0.5) / B
+    x = digits + r[:, None]
+    new_bins = np.minimum((B / x[:, :head]).astype(np.int64), B - 1)
+    log1p_r = np.array([math.log1p(v) for v in r.tolist()])
+    weight = log1p_r[:, None] - np.log(x)
+    x += 1.0
+    weight -= np.log(x)
+    weight *= s
+    np.exp(weight, out=weight)
+    return weight, new_bins
 
 
 def _gauss_depth_sums(tj, depth, s, cap):
@@ -348,12 +400,25 @@ def _gauss_depth_sums(tj, depth, s, cap):
 
     With r the ratio of consecutive continuant denominators, appending
     digit j scales the cylinder by (1+r)/((j+r)(j+r+1)) and renews the
-    ratio to 1/(j+r); r is tracked on a uniform grid of _RATIO_BINS bins.
-    The state holds the mass per (ratio bin, last digit) over the occupied
-    bins only: a (k, cap) matrix with bin ids cols.  Each depth is one
-    cumsum over the digits, one gather at tj - 1, the weights of all k bins
-    as one (k, cap) array, and one scatter fed bin by bin, so every cell
-    adds its entries in ascending bin order.
+    ratio to 1/(j+r); r is tracked on a uniform grid of B = _RATIO_BINS
+    bins, at the bin centres (b + 0.5)/B.
+
+    The state is the mass per (ratio bin, last digit), held in two parts:
+    a head, a (k, min(cap, B)) matrix over the k occupied bins cols for the
+    digits 1..B, and a tail, one vector for the digits B+1..cap, all of it
+    in bin 0.  The split is exact: a digit j > B has ratio 1/j < 1/B at
+    depth 1, and appending any j >= B gives B/(j + r) < 1 at every centre
+    r >= 0.5/B, so every digit past B lands in bin 0 at every depth and a
+    row b != 0 is zero past digit B.
+
+    Each depth cumsums the head per row; past digit B a row b != 0 keeps its
+    head total and only row 0 runs on through the tail.  One gather at
+    tj - 1 gives each digit's predecessor mass, which the bin weights scale.
+    The head is scattered bin by bin (_binned_state), the tail is the sum of
+    its rows in ascending bin order, so every cell adds its entries in the
+    order the dense scatter did.  A bin's weights do not depend on the depth
+    and are computed once per call.  The total rounds as numpy's pairwise
+    sum of the dense (cap, B) matrix does (_binned_total).
     """
     B = _RATIO_BINS
     digits = np.arange(1, cap + 1, dtype=float)
@@ -365,28 +430,55 @@ def _gauss_depth_sums(tj, depth, s, cap):
             f"digit cap {cap} beyond the binned transfer program's bound "
             f"{_GAUSS_DP_CAP}; lower the cap or force exact enumeration"
         )
-    bins0 = np.minimum((B / digits).astype(np.int64), B - 1)
-    m, cols = _binned_state(bins0, mass0, cap)
+    H = min(cap, B)
+    bins0 = np.minimum((B / digits[:H]).astype(np.int64), B - 1)
+    head, cols = _binned_state(bins0, mass0[:H], H)
+    tail = mass0[H:].copy()
+    head, cols = _with_bin_zero(head, cols, tail)
+    # Digit j gathers the cumsum at lead[j - 1].  As Phi(i) >= i, a head
+    # digit's predecessors are head digits.  Tail digits from cut on have
+    # every head digit as a predecessor, so there a row b != 0 gives its head
+    # total; only row 0 reads on into the tail.
+    lead = np.maximum(tj - 1, 0)
+    none = tj == 0
+    cut = int(np.searchsorted(lead[H:], H - 1))
+    weights = {}
     offset = 0.0
     totals = [float(mass0.sum())]
     for _ in range(depth - 1):
-        r = (cols + 0.5) / B
-        x = digits + r[:, None]
-        new_bins = np.minimum((B / x).astype(np.int64), B - 1)
-        log1p_r = np.array([math.log1p(v) for v in r.tolist()])
-        weight = log1p_r[:, None] - np.log(x)
-        x += 1.0
-        weight -= np.log(x)
-        weight *= s
-        np.exp(weight, out=weight)
-        m = _pred_mass(m, tj)
-        m *= weight
-        m, cols = _binned_state(new_bins, m, cap)
-        tot = _binned_total(m, cols)
+        if not cols.size:
+            totals.append(0.0)
+            continue
+        fresh = [b for b in cols.tolist() if b not in weights]
+        if fresh:
+            w, nb = _gauss_weights(np.array(fresh), digits, s, H)
+            weights.update(zip(fresh, zip(w, nb)))
+        rows = [weights[b] for b in cols.tolist()]
+        cum = np.cumsum(head, axis=1)
+        pred = cum[:, lead[:H]]
+        pred[:, none[:H]] = 0.0
+        pred *= np.array([w[:H] for w, _ in rows])
+        new_tail = np.zeros(tail.size)
+        for i, (w, _) in enumerate(rows if tail.size else ()):
+            w = w[H:]
+            if i == 0 and cols[0] == 0:
+                p = np.cumsum(np.concatenate((head[0], tail)))[lead[H:]]
+                p[none[H:]] = 0.0
+                new_tail += p * w
+            else:
+                p = cum[i, lead[H : H + cut]]
+                p[none[H : H + cut]] = 0.0
+                new_tail[:cut] += p * w[:cut]
+                new_tail[cut:] += cum[i, -1] * w[cut:]
+        head, cols = _binned_state(np.array([nb for _, nb in rows]), pred, H)
+        tail = new_tail
+        head, cols = _with_bin_zero(head, cols, tail)
+        tot = _binned_total(head, cols, tail)
         totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
         if 0 < tot < 1e-250:
             offset += math.log(tot)
-            m /= tot
+            head /= tot
+            tail /= tot
     return totals
 
 
@@ -482,6 +574,18 @@ def _linregress(x: np.ndarray, y: np.ndarray) -> tuple:
     return float(slope), float(stderr), float(r)
 
 
+def _box_counts(pts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Number of occupied grid cells floor(x / d) at each scale d > 0, from
+    one sort: the cells of the sorted points are non-decreasing, so each
+    count is 1 plus the number of changes between neighbours."""
+    srt = np.sort(pts)
+    counts = []
+    for d in deltas:
+        cells = np.floor(srt / d)
+        counts.append(1 + np.count_nonzero(cells[1:] != cells[:-1]))
+    return np.array(counts, dtype=float)
+
+
 def box_dim_estimate(points, scales) -> DimensionEstimate:
     """Box-counting slope of a point set over a decreasing scale ladder.
 
@@ -523,7 +627,7 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
             ScaleWarning,
             stacklevel=2,
         )
-    counts = np.array([np.unique(np.floor(pts / d)).size for d in deltas], dtype=float)
+    counts = _box_counts(pts, deltas)
     n = deltas.size
     k = max(2, round(0.6 * n))
     start = (n - k) // 2

@@ -278,11 +278,21 @@ def successor_table(phi: Phi, cap: int, strict: bool = True) -> np.ndarray:
 
     Entry 0 is 1: the empty word admits every first digit.  Entry a >= 1 is
     floor(Phi(a)) + 1 when strict, ceil(Phi(a)) otherwise.  The table is
-    non-decreasing, as every Phi is, and costs one Phi evaluation per digit,
-    except where a power restriction's a**alpha surely exceeds cap + 1: the
+    non-decreasing, as every Phi is.  A linear restriction whose products
+    beta.numerator * a stay below 2**63 takes the closed form on int64
+    arrays.  Otherwise the table costs one Phi evaluation per digit, except
+    where a power restriction's a**alpha surely exceeds cap + 1: the
     logarithms decide that with a wide margin, and the entry is cap + 1
     without forming a power that a huge exponent could not afford.
     """
+    if phi.kind == "lin" and phi.beta.numerator * cap < 2**63:
+        num, den = phi.beta.numerator, phi.beta.denominator
+        a = np.arange(1, cap + 1, dtype=np.int64)
+        if strict:
+            succ = np.minimum((num * a) // den, cap) + 1
+        else:
+            succ = np.minimum(-((-num * a) // den), cap + 1)
+        return np.concatenate(([1], succ))
     log_bar = math.log(cap + 1) * (1.0 + 1e-9) + 1e-9
 
     def step(a: int) -> int:

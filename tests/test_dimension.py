@@ -379,8 +379,10 @@ def _per_bin_reference(tj, depth, s, cap):
 
 
 class TestBinnedProgram:
-    @pytest.mark.parametrize("spec", ["lin:1", "pow:1.5"])
-    @pytest.mark.parametrize("cap", [50, 500, 2000])
+    # Caps around and past _RATIO_BINS give the state a tail of digits that
+    # all lie in ratio bin 0.
+    @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5"])
+    @pytest.mark.parametrize("cap", [50, 500, 1023, 1024, 1025, 2000, 3001])
     @pytest.mark.parametrize("s", [0.45, 0.6, 1.0])
     def test_matches_retired_per_bin_loop(self, spec, cap, s):
         tj = _transition_counts(successor_table(parse_phi(spec), cap))
@@ -397,30 +399,46 @@ class TestBinnedProgram:
         assert got == _per_bin_reference(tj, 4, 0.6, cap)
         assert got[2:] == [0.0, 0.0]
 
-    @pytest.mark.parametrize("cap", [1, 3, 37, 101])
+    def test_state_with_a_tail_runs_empty(self):
+        # Under pow:2 at cap 1100 the depth-5 words 1, 2, 5, 26, j reach the
+        # tail (j >= 677), and no word of depth 6 fits.
+        tj = _transition_counts(successor_table(parse_phi("pow:2"), 1100))
+        got = _gauss_depth_sums(tj, 7, 0.6, 1100)
+        assert got == _per_bin_reference(tj, 7, 0.6, 1100)
+        assert got[4] > 0
+        assert got[5:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("cap", [1, 3, 37, 101, 1025, 2500])
     @pytest.mark.parametrize("segment", [128, 200, 1 << 16])
     def test_total_rounds_like_the_dense_sum(self, cap, segment, monkeypatch):
         # Small segments force the pairwise split, including its rounding
-        # down to a multiple of 8 (odd caps give odd half-lengths).
+        # down to a multiple of 8 (odd caps give odd half-lengths).  Past
+        # _RATIO_BINS digits the state has a tail, held in bin 0 alone.
         monkeypatch.setattr(dimension, "_TOTAL_SEGMENT", segment)
         rng = np.random.default_rng(cap)
+        head_len = min(cap, _RATIO_BINS)
         cols = np.flatnonzero(rng.random(_RATIO_BINS) < 0.3)
-        m = rng.random((cols.size, cap)) * 10.0 ** rng.integers(-8, 8, (cols.size, cap))
+        if cap > _RATIO_BINS:
+            cols = np.union1d([0], cols)
+        m = rng.random((cols.size, head_len)) * 10.0 ** rng.integers(-8, 8, (cols.size, head_len))
         m[rng.random(m.shape) < 0.5] = 0.0
+        tail = rng.random(cap - head_len) * 10.0 ** rng.integers(-8, 8, cap - head_len)
+        tail[rng.random(tail.size) < 0.3] = 0.0
         dense = np.zeros((cap, _RATIO_BINS))
-        dense[:, cols] = m.T
-        assert _binned_total(m, cols) == dense.sum()
+        dense[:head_len, cols] = m.T
+        dense[head_len:, 0] = tail
+        assert _binned_total(m, cols, tail) == dense.sum()
 
     def test_total_frees_the_state_without_the_cyclic_collector(self):
         # A DP state can be ~50 MB; one held in a cycle until the collector
         # runs overlaps the next cover's state and raises the peak memory.
-        m = np.ones((2, 8))
-        ref = weakref.ref(m)
+        m, tail = np.ones((2, _RATIO_BINS)), np.ones(3)
+        refs = weakref.ref(m), weakref.ref(tail)
         gc.disable()
         try:
-            _binned_total(m, np.array([0, 1]))
-            del m
-            assert ref() is None
+            _binned_total(m, np.array([0, 1]), tail)
+            del m, tail
+            assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
 
@@ -578,6 +596,20 @@ class TestBoxDim:
         check_estimate(est)
         assert est.value == 0.0
         assert est.diagnostics["constant_counts"] is True
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_match_a_unique_per_scale(self, seed):
+        # Rounded draws repeat; both signs of zero fall in one cell.
+        rng = np.random.default_rng(seed)
+        pts = np.round(rng.normal(size=1500) * 10.0 ** rng.integers(-2, 3), 2)
+        pts[rng.random(pts.size) < 0.1] = 0.0
+        pts[rng.random(pts.size) < 0.1] = -0.0
+        scales = np.sort(10.0 ** rng.uniform(-4, 1, 10))[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScaleWarning)
+            est = box_dim_estimate(pts, scales)
+        want = [np.unique(np.floor(pts / d)).size for d in scales]
+        assert est.diagnostics["counts"] == want
 
     def test_short_ladder_warns(self):
         pts = np.linspace(0, 1, 2000)

@@ -72,6 +72,15 @@ CASES = {
         "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "3", "--s", "0.6",
         "--cap", "100", "--method", "dp",
     ],
+    # Past digit 1024 every ratio lands in bin 0 of the transfer program.
+    "cover_gauss_dp_c20000": [
+        "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "4", "--s", "0.6",
+        "--cap", "20000", "--method", "dp",
+    ],
+    "cover_gauss_dp_pow15_c3001": [
+        "cover", "--system", "gauss", "--phi", "pow:1.5", "--depth", "5", "--s", "0.45",
+        "--cap", "3001", "--method", "dp",
+    ],
     "cover_linpow_exact": [
         "cover", "--system", "linpow:2", "--phi", "lin:1", "--depth", "3", "--s", "0.6",
         "--cap", "50", "--method", "exact",

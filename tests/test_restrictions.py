@@ -16,6 +16,7 @@ unit mass:
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,6 +256,29 @@ class TestSuccessorTable:
         phi = Phi("pow", alpha=1e300)
         first = 2 if strict else 1
         assert successor_table(phi, 10, strict).tolist() == [1, first] + [11] * 9
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            Fraction(1),
+            Fraction(3, 2),
+            Fraction(7, 3),
+            Fraction(2**60 + 1, 3),
+            Fraction(2**62 + 1, 2),
+        ],
+    )
+    @pytest.mark.parametrize("cap", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_linear_closed_form_matches_per_digit(self, beta, cap, strict):
+        # The last slope takes the per-digit route from cap 2 on, where
+        # numerator * cap passes 2**63.
+        phi = Phi("lin", beta=beta)
+        want = [1] + [
+            min(phi.floor(a) + 1 if strict else phi.ceil(a), cap + 1) for a in range(1, cap + 1)
+        ]
+        got = successor_table(phi, cap, strict)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
     def test_table_restriction(self):
         phi = Phi("table", table=(2, 5, 9, 30))
