@@ -23,6 +23,7 @@ from .restrictions import (  # noqa: E402
     Ladder,
     Phi,
     build_ladder,
+    count_restricted_words,
     enumerate_restricted_words,
     growth_ratio_bound,
     parse_phi,
@@ -67,6 +68,7 @@ __all__ = [
     "build_frostman_measure",
     "build_gap_system",
     "build_ladder",
+    "count_restricted_words",
     "cover_sum",
     "cylinder_interval",
     "digit_transition",

@@ -22,6 +22,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import functools
 import io
 import json
 import pathlib
@@ -48,7 +49,13 @@ from .measures import (
     local_dim_estimate,
     verify_frostman,
 )
-from .restrictions import build_ladder, enumerate_restricted_words, growth_ratio_bound, parse_phi
+from .restrictions import (
+    build_ladder,
+    count_restricted_words,
+    enumerate_restricted_words,
+    growth_ratio_bound,
+    parse_phi,
+)
 from .systems import NumericFailure, PreconditionError
 
 _SCHEMA = "ifslab-report/1"
@@ -134,15 +141,30 @@ def _flatten_rows(obj, prefix: str = ""):
         yield prefix, _csv_cell(obj)
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift the interpreter's int-to-str digit limit (4300 digits, Python
+    3.10.7 on): ladder values pass it from the 13th pow:2 step."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2, allow_nan=True) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, cell in _flatten_rows(report):
-        writer.writerow([key, cell])
-    return buf.getvalue()
+    with _any_int_digits():
+        if fmt == "json":
+            return json.dumps(report, indent=2, allow_nan=True) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        for key, cell in _flatten_rows(report):
+            writer.writerow([key, cell])
+        return buf.getvalue()
 
 
 def _write_out(path: str, text: str) -> None:
@@ -201,15 +223,11 @@ def _cmd_ladder(args):
 
 def _cmd_words(args):
     phi = parse_phi(args.phi)
-    count = 0
-    head = []
-    for word in enumerate_restricted_words(phi, args.depth, args.cap, strict=args.strict):
-        count += 1
-        if count <= _WORD_LIST_CAP:
-            head.append(list(word))
+    count = count_restricted_words(phi, args.depth, args.cap, strict=args.strict)
     results = {"count": count}
     if count <= _WORD_LIST_CAP:
-        results["words"] = head
+        words = enumerate_restricted_words(phi, args.depth, args.cap, strict=args.strict)
+        results["words"] = [list(word) for word in words]
     else:
         results["words_truncated"] = True
     return results
@@ -357,7 +375,9 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ifslab",
         description="Dimension experiments for power-decay systems with restricted digits.",

@@ -1,41 +1,48 @@
-"""Certified partial sums of power laws over integer ranges.
+"""Certified partial sums of power laws over integer ranges, and their inverse.
 
 Everything downstream (ladder construction, window exponents, conditional
 digit laws) reduces to sums of the form
 
     S(a, b, p) = sum_{i=a}^{b} i**(-p),        p > 0,
 
-evaluated either directly (exactly rounded summation) or, when the range is
-too long to sum term by term, through an Euler-Maclaurin expansion with a
-certified error bound.  Ranges here routinely start at integers with
-hundreds of digits: ladder sequences for power-type digit restrictions grow
-doubly exponentially, so ``a`` and ``b`` are ordinary Python ints of
-arbitrary size and all float work happens in log domain.
+and to the smallest b at which such a sum reaches a goal.  Ranges routinely
+start at integers with thousands of digits (ladders for power restrictions
+grow doubly exponentially), so a and b are Python ints of any size.
 
-The Euler-Maclaurin route uses the integral plus the trapezoidal and the
-first two Bernoulli corrections.  For a completely monotone integrand such
-as x**(-p) the truncation error of the expansion is bounded in magnitude by
-the first omitted Bernoulli term, which gives a two-sided bracket; a few
-ulps are added on top to cover the rounding of the evaluation itself.
-The bracket is what makes minimal-index inversion sound: we can certify
-"the running sum first reaches the target at exactly this index" even when
-the index has 300 digits, provided the bracket separates the two
-neighbouring candidates (it essentially always does; the ambiguous case is
-reported rather than guessed).
+Brackets.  Ranges of at most 4 * _EM_HEAD terms are summed directly.
+Longer ones sum a head of _EM_HEAD terms exactly and hand the rest, a..b, to
+an Euler-Maclaurin expansion in relative form: the integral is
 
-``first_index_reaching`` inverts the sum by one route: the midpoint-integral
-guess, a gallop to certified brackets on both sides, then bisection.  Every
-probe of one search sums from the same start, so the search sums the
-64-term head there once, at its first long probe, and reuses it; nothing is
-cached across searches.  For p < 1 the integral overflows a float once
-(1 - p) * ln(index) passes 709 (5k-bit indices at p = 0.8); that raises
-NumericFailure.
+    a**(1-p) * expm1((1-p) * log1p(r)) / (1-p),      r = (b - a) / a,
+
+with r one correctly rounded division of exact ints, and the b-terms come
+from log a + log1p(r).  When a**(1-p) would leave the float range, every
+factor is combined in logs, so the bracket has the size of the sum itself.
+When (b - a) / a underflows (or overflows) a float, r is scaled by 2**k.
+For the completely monotone x**(-p) the truncation error is bounded by the
+first omitted Bernoulli term, which gives a two-sided bracket; a cushion
+covers the float rounding.  A sum past e**709 is reported as
+(_BIG, inf): a finite lower end above any goal, and no overflow.
+
+Inversion.  ``first_index_reaching`` seeds from the relative-form inverse
+of the goal.  Past 2**52 terms a long-range bracket depends on b only
+through the float r, a monotone step function of b, so the search there runs
+over the bit patterns of r rather than over b: one key per float, each
+mapped back to the smallest b that rounds to it by integer arithmetic.
+Below that the keys are the indices themselves.  Each edge of the
+ambiguity band (where the bracket straddles the goal) is found by Newton
+steps on the local slope from its own guess, a gallop and a bisection, so
+a search makes a bounded number of bracket calls (at most 128) whatever
+the size of the index.  Head sums are cached per start and exponent, so
+the searches at one start (a conditional digit law's draws) share theirs.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import struct
+import sys
 from dataclasses import dataclass
 
 from .systems import NumericFailure
@@ -48,17 +55,44 @@ DIRECT_LIMIT = 200_000
 _EM_HEAD = 64
 
 _ULP = 2.0 ** -52
+_LN2 = math.log(2.0)
 
-# Crossings are guessed only below e**27 (about 2**39), where a float pins them.
-_GUESS_LOG_CAP = 27.0
+# A sum whose integral passes e**_LOG_BIG is bracketed by (_BIG, inf).
+_LOG_BIG = 709.0
+_BIG = math.exp(_LOG_BIG - 1e-6)
+
+# Ratios whose binary exponent stays within this bound are not scaled.
+_RATIO_EXP_CAP = 960
+
+# Keys count indices until consecutive indices can share a ratio float.
+# A gallop step is at most this many keys, so it at most doubles a ratio.
+_INT_KEYS = 1 << 52
+
+_LOG_INT_KEYS = 52 * _LN2
+# Keys span less than 2**63; an edge guess moves at most this far (in logs).
+_LOG_KEYS = 63 * _LN2
+
+# Re-seeds of a crossing search whose seed falls short, and Newton steps
+# toward each edge of its ambiguity band.
+_RESEEDS = 8
+_NEWTON_STEPS = 8
+
+_MIN_NORMAL = sys.float_info.min
+_MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
 
 
-def _pow_neg(log_x: float, q: float) -> float:
-    """x**(-q) for x given by its natural log (x may exceed float range)."""
-    y = -q * log_x
-    if y > 709.0:
-        return math.inf
-    return math.exp(y)
+def _log_add(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) without overflow."""
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
 
 
 def _round_cushion(est: float, ymax: float) -> float:
@@ -71,79 +105,198 @@ def _round_cushion(est: float, ymax: float) -> float:
     return (32.0 + 16.0 * ymax) * _ULP * abs(est) + 1e-300
 
 
-def _em_tail(a: int, b: int | None, p: float) -> tuple[float, float]:
-    """Euler-Maclaurin estimate and error bound for S(a, b, p), a >= 2.
+def _scaled_ratio(delta: int, a: int, k: int) -> float:
+    """delta * 2**k / a, correctly rounded; inf past the float range."""
+    try:
+        return (delta << k) / a if k >= 0 else delta / (a << -k)
+    except OverflowError:
+        return math.inf
 
-    ``b=None`` means the infinite tail (p > 1), where every b-term is 0.
-    Returns (estimate, err) with the true sum in [estimate - err,
-    estimate + err].  Assumes b - a is large enough that the expansion is
+
+def _ratio_shift(log2_ratio: float, a: int) -> int:
+    """The k that brings a ratio of about 2**log2_ratio near 1, or 0 when the
+    ratio is well inside the float range.  A positive k stays below the bit
+    length of a, so that scaled ratios of 2**52-term ranges never overflow.
+    """
+    if -_RATIO_EXP_CAP < log2_ratio < _RATIO_EXP_CAP:
+        return 0
+    return min(-round(log2_ratio), max(0, a.bit_length() - 60))
+
+
+def _log1p_ratio(r: float, k: int) -> tuple[float, float | None]:
+    """log1p(x) for x = r * 2**-k (r a positive normal float), and log(x) when
+    x underflows, where log1p(x) = x no longer fits a normal float."""
+    if k == 0:
+        return math.log1p(r), None
+    e = math.frexp(r)[1] - k
+    if -1000 < e < 1000:
+        return math.log1p(math.ldexp(r, -k)), None
+    log_x = math.log(r) - k * _LN2
+    if e <= -1000:
+        # log1p(x) = x to within x / 2 < 2**-1001, relative.
+        return math.ldexp(r, -k), log_x
+    # log1p(x) = log(x) + log1p(1 / x), the last term below 2**-999.
+    return log_x, None
+
+
+def _em_from(a: int, p: float, k: int):
+    """r -> Euler-Maclaurin (estimate, err) of S(a, a + delta, p), a >= 2.
+
+    r is the scaled ratio delta * 2**k / a, a positive normal float, or inf
+    for the infinite tail (p > 1), where every b-term is 0.  The true sum
+    lies in [estimate - err, estimate + err]; None stands for a sum past
+    e**_LOG_BIG.  Assumes a range long enough for the expansion to be
     meaningful (callers sum small ranges directly).
     """
     la = math.log(a)
-    lb = math.inf if b is None else math.log(b)
-    if b is not None and abs(p - 1.0) < 1e-15:
-        # The p -> 1 limit of a finite range; an infinite tail (p > 1) keeps
-        # the power form below, which stays finite however close p is to 1.
-        integral = lb - la
-    else:
-        # (a**(1-p) - b**(1-p)) / (p - 1), computed in a form that stays
-        # finite-or-inf without producing nan when terms overflow.
-        xa = (1.0 - p) * la
-        xb = (1.0 - p) * lb
-        if p > 1.0:
-            integral = math.exp(xa) * -math.expm1(xb - xa) / (p - 1.0)
-        else:
-            if xb > 709.0:
-                raise NumericFailure(
-                    f"power sum to a {b.bit_length()}-bit index overflows the float core (p = {p})"
-                )
-            integral = math.exp(xb) * -math.expm1(xa - xb) / (1.0 - p)
-    est = integral + (_pow_neg(la, p) + _pow_neg(lb, p)) / 2.0
-    est += (p / 12.0) * (_pow_neg(la, p + 1.0) - _pow_neg(lb, p + 1.0))
+    xa = (1.0 - p) * la
+    # a**(1-p) when it fits a float with room to spare; the log route otherwise.
+    a_pow = math.exp(xa) if abs(xa) <= 600.0 else None
+    unit = abs(p - 1.0) < 1e-15
+    # x**-(p+j) for x = a, and below for x = b, as exp(-(p+j) * log x):
+    # log x > 0, so none of them overflows.
+    q0, q1, q3, q5 = p, p + 1.0, p + 3.0, p + 5.0
+    fa0, fa1 = math.exp(-q0 * la), math.exp(-q1 * la)
+    fa3, fa5 = math.exp(-q3 * la), math.exp(-q5 * la)
+    c1 = p / 12.0
     c3 = p * (p + 1.0) * (p + 2.0) / 720.0
-    est -= c3 * (_pow_neg(la, p + 3.0) - _pow_neg(lb, p + 3.0))
     c5 = p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) / 30240.0
-    err = c5 * (_pow_neg(la, p + 5.0) + _pow_neg(lb, p + 5.0))
-    err += _round_cushion(est, (p + 5.0) * (la if b is None else lb))
-    return est, err
+
+    def em(r: float):
+        if r == math.inf:
+            # a**(1-p) / (p - 1), finite however close p is to 1.
+            integral = math.exp(xa) / (p - 1.0)
+            fb0 = fb1 = fb3 = fb5 = 0.0
+            ymax = q5 * la
+        else:
+            if k == 0:
+                l1, log_l1 = math.log1p(r), None
+            else:
+                l1, log_l1 = _log1p_ratio(r, k)
+            z = (1.0 - p) * l1
+            if a_pow is not None and l1 >= 1e-290 and xa + z <= 700.0:
+                integral = l1 if unit else a_pow * math.expm1(z) / (1.0 - p)
+            else:
+                # log(expm1(z) / (1-p)) as one chain monotone in l1, so the
+                # bracket stays monotone in the ratio.
+                if l1 < 1e-290 or unit:
+                    # expm1(z) / (1-p) = l1 to within |z| <= 1e-290, relative.
+                    lint = log_l1 if log_l1 is not None else math.log(l1)
+                    lint = lint if unit else xa + lint
+                elif z > 700.0:
+                    lint = xa + z - math.log(1.0 - p)
+                else:
+                    lint = xa + math.log(math.expm1(z) / (1.0 - p))
+                if lint > _LOG_BIG:
+                    return None
+                integral = math.exp(lint)
+            lb = la + l1
+            fb0 = math.exp(-q0 * lb)
+            fb1 = math.exp(-q1 * lb)
+            fb3 = math.exp(-q3 * lb)
+            fb5 = math.exp(-q5 * lb)
+            ymax = q5 * lb
+        est = integral + (fa0 + fb0) / 2.0
+        est += c1 * (fa1 - fb1)
+        est -= c3 * (fa3 - fb3)
+        err = c5 * (fa5 + fb5) + _round_cushion(est, ymax)
+        return est, err
+
+    return em
+
+
+def _em_tail(a: int, b: int | None, p: float) -> tuple[float, float] | None:
+    """Euler-Maclaurin (estimate, err) for S(a, b, p), a >= 2, from a and the
+    exact int b - a; ``b=None`` is the infinite tail (p > 1).  None stands
+    for a sum past e**_LOG_BIG."""
+    if b is None:
+        return _em_from(a, p, 0)(math.inf)
+    delta = b - a
+    k = _ratio_shift(delta.bit_length() - a.bit_length(), a)
+    return _em_from(a, p, k)(_scaled_ratio(delta, a, k))
 
 
 def _direct(a: int, b: int, p: float) -> float:
-    # _pow_neg(math.log(i), p) inlined: with i >= 1 and p > 0 its overflow
-    # guard never fires, and the float steps are the same.
+    """Exactly rounded sum of exp(-p * log(i)) over a..b, as chained maps."""
     q = -p
-    return math.fsum(math.exp(q * math.log(i)) for i in range(a, b + 1))
+    return math.fsum(map(math.exp, map(q.__mul__, map(math.log, range(a, b + 1)))))
 
 
-def _brackets_from(start: int, p: float):
-    """stop -> certified bracket of S(start, stop, p); arguments unchecked.
+@functools.lru_cache(maxsize=1 << 12)
+def _head_sum(start: int, p: float) -> float:
+    """S(start, start + _EM_HEAD - 1, p), summed once per start and exponent:
+    crossing searches at one start (a conditional digit law's draws) share it."""
+    return _direct(start, start + _EM_HEAD - 1, p)
+
+
+class _Brackets:
+    """Certified brackets of S(start, stop, p) for one start; arguments unchecked.
 
     Ranges of at most 4 * _EM_HEAD terms are summed directly and widened by
-    a few ulps.  Longer or infinite ranges sum a head of _EM_HEAD terms
-    exactly and hand the rest to Euler-Maclaurin.  The returned function
-    sums that head once, at its first long range, so a crossing search that
-    probes many stops from one start sums it once.
+    a few ulps.  Longer or infinite ranges add the exact head sum over
+    start..start + 63 to Euler-Maclaurin from ``a = start + _EM_HEAD`` at the
+    ratio (stop - a) * 2**k / a.  ``at_ratio`` is the bracket as a function
+    of that ratio alone.
     """
-    head_end = start + _EM_HEAD - 1
-    head = None
 
-    def brackets(stop: int | None) -> tuple[float, float]:
-        nonlocal head
-        if stop is not None:
-            if stop < start:
-                return 0.0, 0.0
-            if stop - start + 1 <= 4 * _EM_HEAD:
-                s = _direct(start, stop, p)
-                w = _round_cushion(s, p * math.log(stop))
-                return s - w, s + w
-        if head is None:
-            head = _direct(start, head_end, p)
-        est, err = _em_tail(head_end + 1, stop, p)
-        tot = head + est
-        err += _round_cushion(tot, p * math.log(head_end))
+    def __init__(self, start: int, p: float, k: int = 0):
+        self.start, self.p, self.k = start, p, k
+        self.a = start + _EM_HEAD
+        self._em = None
+
+    def _prepare(self) -> None:
+        """Fetch the head and set up the expansion, at the first long range."""
+        self._em = _em_from(self.a, self.p, self.k)
+        self._head = _head_sum(self.start, self.p)
+        self._head_log = self.p * math.log(self.a - 1)
+
+    def at_ratio(self, r: float) -> tuple[float, float]:
+        """Bracket of the stops whose scaled ratio rounds to r (normal, or inf
+        for the infinite tail)."""
+        if self._em is None:
+            self._prepare()
+        return self._with_head(self._em(r))
+
+    def _with_head(self, tail) -> tuple[float, float]:
+        if tail is None:
+            return _BIG, math.inf
+        est, err = tail
+        tot = self._head + est
+        err += _round_cushion(tot, self._head_log)
         return tot - err, tot + err
 
-    return brackets
+    def __call__(self, stop: int | None) -> tuple[float, float]:
+        if stop is None:
+            return self.at_ratio(math.inf)
+        if stop - self.start < 4 * _EM_HEAD:
+            if stop < self.start:
+                return 0.0, 0.0
+            s = _direct(self.start, stop, self.p)
+            w = _round_cushion(s, self.p * math.log(stop))
+            return s - w, s + w
+        r = _scaled_ratio(stop - self.a, self.a, self.k)
+        if _MIN_NORMAL <= r < math.inf:
+            return self.at_ratio(r)
+        # A ratio outside this k's normal range: the stop's own scaling.
+        if self._em is None:
+            self._prepare()
+        return self._with_head(_em_tail(self.a, stop, self.p))
+
+    def first_stop(self, r: float) -> int:
+        """Smallest stop whose scaled ratio is at least r (r positive normal)."""
+        a, k = self.a, self.k
+        n1, d1 = r.as_integer_ratio()
+        n0, d0 = math.nextafter(r, 0.0).as_integer_ratio()
+        # Ratios round up to r from the midpoint of r and its predecessor on.
+        # The midpoint is num / 2**e0; delta >= num * a / 2**(e0 + k), by shifts.
+        num, e0 = n1 * d0 + n0 * d1, (2 * d1 * d0).bit_length() - 1
+        shift, prod = e0 + k, num * a
+        delta = -(-prod >> shift) if shift >= 0 else prod << -shift
+        while _scaled_ratio(delta, a, k) < r:
+            delta += 1
+        while delta > 0 and _scaled_ratio(delta - 1, a, k) >= r:
+            delta -= 1
+        return a + delta
 
 
 def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, float]:
@@ -151,7 +304,7 @@ def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, f
 
     ``stop=None`` means the infinite tail, which requires p > 1.  For short
     ranges the bracket degenerates to the exactly rounded direct sum widened
-    by a few ulps.
+    by a few ulps.  A sum past e**709 gives (_BIG, inf).
     """
     if start < 1:
         raise ValueError("power sums start at index 1")
@@ -159,7 +312,11 @@ def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, f
         raise ValueError("exponent p must be positive")
     if stop is None and p <= 1.0:
         raise ValueError("infinite power sum needs p > 1")
-    return _brackets_from(start, p)(stop)
+    if stop is None or stop - start + 1 <= 4 * _EM_HEAD:
+        return _Brackets(start, p)(stop)
+    a = start + _EM_HEAD
+    k = _ratio_shift((stop - a).bit_length() - a.bit_length(), a)
+    return _Brackets(start, p, k)(stop)
 
 
 def power_sum(start: int, stop: int | None, p: float) -> float:
@@ -195,42 +352,137 @@ class ReachResult:
     slack: int
 
 
-def _crossing_guess(start: int, p: float, goal: float) -> int | None:
-    """Midpoint-integral inverse: L with int_{start-1/2}^{L+1/2} x**-p dx = goal.
+def _seed(start: int, p: float, goal: float) -> float | None:
+    """log y for the midpoint-integral crossing L = start - 1 + y * (start - 1/2).
 
-    None when the continuous crossing does not exist (p > 1 and the goal at
-    or past the integral's total) or lies past about 2**39, where a float no
-    longer pins it to within one index.
+    Solves int_{start-1/2}^{L+1/2} x**-p dx = goal in relative form,
+    (1 + y)**(1-p) = 1 + goal * (1-p) * (start - 1/2)**(p-1), in logs, so no
+    start size overflows it.  None when p > 1 and the goal is at or past
+    the integral's total.
     """
     # log(start - 1/2) without forming start - 0.5, which overflows on big ints.
-    la = math.log(2 * start - 1) - math.log(2.0)
-    if la > _GUESS_LOG_CAP:
-        return None
+    la0 = math.log(2 * start - 1) - _LN2
     if abs(p - 1.0) < 1e-15:
-        log_x = la + goal
+        log_l1 = math.log(goal)
     else:
-        rem = math.exp((1.0 - p) * la) - (p - 1.0) * goal
-        if rem <= 0.0:
+        # log |g| for g = goal * (1-p) * (start - 1/2)**(p-1); l1 = log1p(y).
+        lg = math.log(goal) + math.log(abs(1.0 - p)) + (p - 1.0) * la0
+        if p > 1.0 and lg >= 0.0:
             return None
-        log_x = math.log(rem) / (1.0 - p)
-    if log_x > _GUESS_LOG_CAP:
-        return None
-    return max(start, int(round(math.exp(log_x) - 0.5)))
+        if lg < -36.0:
+            log_l1 = lg - math.log(abs(1.0 - p))
+        elif lg <= 700.0:
+            log_l1 = math.log(math.log1p(math.copysign(math.exp(lg), 1.0 - p)) / (1.0 - p))
+        else:
+            log_l1 = math.log(lg / (1.0 - p))
+    if log_l1 < -36.0:
+        return log_l1
+    l1 = math.exp(log_l1)
+    return math.log(math.expm1(l1)) if l1 < 700.0 else l1
+
+
+def _search_brackets(start: int, p: float, goal: float) -> tuple[_Brackets, float | None]:
+    """The bracket function of one crossing search, and its seed.
+
+    The ratio scaling k is taken from the seed, so the crossing's ratio is
+    a normal float; every probe of the search uses this one function.
+    """
+    log_y = _seed(start, p, goal)
+    a = start + _EM_HEAD
+    k = 0 if log_y is None else _ratio_shift(log_y / _LN2, a)
+    return _Brackets(start, p, k), log_y
+
+
+class _Keys:
+    """The domain of one crossing search as consecutive int keys.
+
+    Key j <= n0 stands for the stop start - 1 + j (key 0 is the empty sum).
+    Past n0 = max(2**52, first index whose ratio is a normal float), where
+    consecutive stops can share a ratio float, key n0 + i stands for the
+    i-th float above the ratio of that stop: the stops rounding to it share
+    its bracket, and the key maps back to the smallest of them.  Keys end at
+    the largest finite float.
+    """
+
+    def __init__(self, brackets: _Brackets):
+        self.brackets = brackets
+        b = brackets
+        # One past the largest delta whose scaled ratio is below 2**-1022.
+        shift = 1022 + b.k
+        tiny = (b.a >> shift if shift >= 0 else b.a << -shift) + 1
+        self.n0 = max(_INT_KEYS, tiny + _EM_HEAD + 1)
+        self._top = None
+
+    def _float_base(self) -> int:
+        if self._top is None:
+            b = self.brackets
+            self._base = _float_bits(_scaled_ratio(self.stop(self.n0) - b.a, b.a, b.k))
+            self._top = self.n0 + _MAX_BITS - self._base
+        return self._base
+
+    @property
+    def top(self) -> int:
+        self._float_base()
+        return self._top
+
+    def ratio(self, key: int) -> float:
+        return _bits_float(self._float_base() + key - self.n0)
+
+    def bracket(self, key: int) -> tuple[float, float]:
+        if key <= self.n0:
+            return self.brackets(self.brackets.start - 1 + key)
+        return self.brackets.at_ratio(self.ratio(key))
+
+    def stop(self, key: int) -> int:
+        """Smallest stop the key stands for."""
+        if key <= self.n0:
+            return self.brackets.start - 1 + key
+        return self.brackets.first_stop(self.ratio(key))
+
+    def key_near(self, log_terms: float) -> int:
+        """The key of a stop about exp(log_terms) terms past start - 1."""
+        if log_terms < math.log(self.n0):
+            return max(1, round(math.exp(log_terms)))
+        b = self.brackets
+        # Ratio (terms - _EM_HEAD - 1) * 2**k / a, the offset dropped: a guess.
+        log_r = log_terms + b.k * _LN2 - math.log(b.a)
+        r = math.exp(min(log_r, 709.0))
+        key = self.n0 + _float_bits(r) - self._float_base() if r > 0.0 else self.n0 + 1
+        return min(max(key, self.n0 + 1), self.top)
+
+    def log_slope(self, key: int) -> float:
+        """Log of the sum's rise per key near key: the term at its stop,
+        times the stops per key past n0."""
+        b = self.brackets
+        if key <= self.n0:
+            return -b.p * math.log(b.start - 1 + key)
+        r = self.ratio(key)
+        l1, _ = _log1p_ratio(r, b.k)
+        la = math.log(b.a)
+        return -b.p * (la + l1) + math.log(math.ulp(r)) + la - b.k * _LN2
 
 
 def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0) -> ReachResult:
     """Minimal L >= start with coeff * sum_{i=start}^{L} i**(-p) >= target.
 
-    Probes the midpoint-integral guess (or doubles from start - 1 without
-    one), gallops up until a bracket surely reaches the goal and down from
-    the guess until one surely falls short, then bisects.  Raises ValueError
-    if the target is unreachable (only possible for p > 1).  Raises
-    NumericFailure when the float core overflows, and for p > 1 when the
-    goal lies so close to the infinite sum that no bracket can certify it:
-    the up gallop stops once a probe's lower end plus the whole tail past
-    the probe falls short of the goal.  A later lower end rises by at most
-    that tail while the bracket widens with the index, so it never gets
-    there.
+    The search runs over the keys of ``_Keys``, all probes on one bracket
+    function.  It probes the relative-form seed (re-seeded from its stop
+    while it falls far short), guesses each edge of the ambiguity band from
+    that bracket's two ends and the local slope, and finds each edge by
+    Newton steps, a gallop and a bisection: band_hi, the first key whose
+    lower end reaches the goal, and band_lo, the first whose upper end
+    does.  Where the bracket ends are monotone in the index, that is the
+    answer of a full bisection over the same function.  The result is the
+    smallest stop of band_hi, certified when band_lo stands for the same
+    stop.
+
+    Raises ValueError if the target is unreachable (only possible for
+    p > 1).  Raises NumericFailure for p > 1 when the goal lies so close to
+    the infinite sum that no bracket can certify it: at the first probe
+    that straddles the goal, the probe's lower end plus the whole tail past
+    it falls short of the goal.  A later lower end rises by at most that
+    tail while the bracket widens with the index, so it never gets there.
+    It also raises NumericFailure if no float ratio reaches the goal.
     """
     if target <= 0:
         return ReachResult(start, True, 0)
@@ -241,76 +493,149 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
     if p <= 0:
         raise ValueError("exponent p must be positive")
     goal = target / coeff
-    brackets = _brackets_from(start, p)
-    # Certified sides: the sum surely falls short of the goal at lo and
-    # surely reaches it at hi.
-    lo = start - 1
-    guess = _crossing_guess(start, p, goal)
-    if guess is None:
-        probes = (max(2 * lo, start) << k for k in itertools.count())
-    else:
-        probes = itertools.chain((guess,), (guess + (1 << k) for k in itertools.count()))
-    total_checked = p <= 1.0
-    for hi in probes:
-        blo, bhi = brackets(hi)
+    brackets, log_y = _search_brackets(start, p, goal)
+    keys = _Keys(brackets)
+    n0 = keys.n0
+    memo: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
+    # For p > 1 the goal may lie past the infinite sum, or within its bracket
+    # noise.  Until some probe surely reaches the goal, the first probe that
+    # falls short checks the first, and the first that straddles it the second.
+    total_checked = noise_checked = p <= 1.0
+
+    def probe(key: int) -> tuple[float, float]:
+        nonlocal total_checked, noise_checked
+        got = memo.get(key)
+        if got is not None:
+            return got
+        got = memo[key] = keys.bracket(key)
+        blo, bhi = got
         if blo >= goal:
-            break
-        if bhi < goal:
-            lo = hi
-        elif p > 1.0 and blo + power_sum_brackets(hi + 1, None, p)[1] < goal:
-            raise NumericFailure(
-                f"goal {goal!r} lies within bracket noise of the infinite power sum "
-                f"(p = {p}); no index can be certified to reach it"
-            )
+            total_checked = noise_checked = True
+            return got
         if not total_checked:
             total_checked = True
             if brackets(None)[1] < goal:
                 raise ValueError("target exceeds the infinite sum; no index reaches it")
-    if guess is not None:
-        step = 1
-        while guess - step > lo:
-            blo, bhi = brackets(guess - step)
-            if bhi < goal:
-                lo = guess - step
+        if goal <= bhi and not noise_checked:
+            noise_checked = True
+            if blo + power_sum_brackets(keys.stop(key) + 1, None, p)[1] < goal:
+                raise NumericFailure(
+                    f"goal {goal!r} lies within bracket noise of the infinite power sum "
+                    f"(p = {p}); no index can be certified to reach it"
+                )
+        return got
+
+    def keys_to(key: int, off: float) -> int:
+        """Keys from key over which the sum moves by off, on the local slope."""
+        x = math.exp(min(math.log(abs(off)) - keys.log_slope(key), _LOG_KEYS))
+        return math.ceil(math.copysign(x, off))
+
+    def first_key(end: int, guess: int, step: int) -> int:
+        """Smallest key whose bracket end (0 lower, 1 upper) reaches the goal:
+        Newton steps on the local slope from guess while they move further
+        than ``step`` keys, then a gallop from ``step`` keys, then bisection."""
+        hi = None
+        for key, br in memo.items():
+            if br[end] >= goal and (hi is None or key < hi):
+                hi = key
+        lo = 0
+        for key, br in memo.items():
+            if br[end] < goal and lo < key and (hi is None or key < hi):
+                lo = key
+        last_move = None
+        for steps_left in range(_NEWTON_STEPS - 1, -1, -1):
+            guess = max(guess, lo + 1)
+            if hi is not None:
+                guess = min(guess, hi)
+            elif guess > n0:
+                guess = min(guess, keys.top)
+            val = probe(guess)[end]
+            if val >= goal:
+                hi = guess
+            else:
+                lo = guess
+            if not steps_left or hi is not None and hi - lo <= 1 or val in (goal, math.inf):
                 break
-            if blo >= goal:
-                hi = guess - step
-            step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        blo, bhi = brackets(mid)
-        if blo >= goal:
-            hi = mid
-        elif bhi < goal:
-            lo = mid
-        else:
-            # The bracket at mid straddles the goal, so float arithmetic
-            # cannot decide mid itself.  Pin down the ambiguity band
-            # [band_lo, band_hi]: below it the sum is surely short of the
-            # goal, at band_hi it surely reaches it.  Each edge is found by
-            # its own bisection (the band can be wide when individual terms
-            # are far below the bracket width).
-            band_lo = _bisect_edge(brackets, goal, lo, mid, sure_side="hi")
-            band_hi = _bisect_edge(brackets, goal, mid, hi, sure_side="lo")
-            if band_hi == band_lo:
-                return ReachResult(band_hi, True, 0)
-            return ReachResult(band_hi, False, abs(band_hi - band_lo))
-    return ReachResult(hi, True, 0)
+            move = keys_to(guess, goal - val)
+            # Stop once a step is short, or fails to halve: on a stair of
+            # the rounded sum the slope no longer says where the edge is.
+            if abs(move) <= step or last_move is not None and 2 * abs(move) > abs(last_move):
+                break
+            guess, last_move = guess + move, move
+        down = hi == guess
+        while hi is None or hi - lo > 1:
+            key = hi - step if down else lo + step
+            if hi is not None and not lo < key < hi:
+                break
+            if hi is None and key > n0:
+                if lo >= keys.top:
+                    raise NumericFailure(
+                        f"no float ratio of the range from {start} reaches the goal "
+                        f"{goal!r} (p = {p})"
+                    )
+                key = min(key, keys.top)
+            if probe(key)[end] >= goal:
+                hi = key
+                if not down:
+                    break
+            else:
+                lo = key
+                if down:
+                    break
+            step = min(2 * step, _INT_KEYS)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if probe(mid)[end] >= goal:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
-
-def _bisect_edge(brackets, goal: float, lo: int, hi: int, sure_side: str) -> int:
-    """Edge of the bracket-ambiguity band between decided endpoints.
-
-    sure_side="hi": smallest L in (lo, hi] whose bracket upper end reaches
-    the goal (entering the band from below).  sure_side="lo": smallest L
-    whose bracket lower end reaches the goal (leaving the band above).
-    """
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        blo, bhi = brackets(mid)
-        val = bhi if sure_side == "hi" else blo
-        if val >= goal:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # No seed: p > 1 and the goal at or past the integral's total, which
+    # exceeds the sum's; the search starts from the last key and fails there.
+    if log_y is None:
+        key = keys.top
+    else:
+        key = keys.key_near(log_y + math.log(2 * start - 1) - _LN2)
+    # The midpoint integral is at least the sum (x**-p is convex), so a seed
+    # falls short or lands in the band.  One that falls short by more than
+    # stop / 64 terms of size stop**-p, where a straight line no longer
+    # extrapolates the sum, is re-seeded from its stop on the rest of the goal.
+    for _ in range(_RESEEDS):
+        blo, bhi = probe(key)
+        if bhi >= goal:
+            break
+        stop = keys.stop(key)
+        rest = goal - (blo + bhi) / 2.0
+        if math.log(rest) + (p - 1.0) * math.log(stop) < -math.log(64.0):
+            break
+        log_y = _seed(stop + 1, p, rest)
+        if log_y is None:
+            break
+        nxt = keys.key_near(
+            _log_add(math.log(stop - start + 1), log_y + math.log(2 * stop + 1) - _LN2)
+        )
+        if nxt <= key:
+            break
+        key = nxt
+    guesses, step = [key, key], 1
+    if bhi < math.inf:
+        # Each edge sits where the estimate passes goal -+ the half-width,
+        # give or take the keys over which the sum moves by an ulp or two;
+        # in logs, as sums near the float range have slopes below it.
+        est, half = (blo + bhi) / 2.0, (bhi - blo) / 2.0
+        for end, off in ((0, goal + half - est), (1, goal - half - est)):
+            if off != 0.0:
+                guesses[end] = key + keys_to(key, off)
+        step = max(1, int(math.exp(min(
+            math.log(2.0 * math.ulp(goal)) - keys.log_slope(key), _LOG_INT_KEYS
+        ))))
+    band_hi = first_key(0, guesses[0], step)
+    below = memo.get(band_hi - 1)
+    if below is not None and below[1] < goal:
+        band_lo = band_hi
+    else:
+        band_lo = first_key(1, min(guesses[1], band_hi), step)
+    index = keys.stop(band_hi)
+    slack = index - keys.stop(band_lo)
+    return ReachResult(index, slack == 0, slack)

@@ -24,6 +24,7 @@ rather than term by term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,10 +223,14 @@ def build_ladder(system: DecaySystem, phi: Phi, eps: float, steps: int) -> Ladde
     """Construct the first ``steps`` ladder values for a system under Phi.
 
     l_1 is the decay threshold for this eps; each following value solves the
-    minimal-index condition via certified power sums, so restriction shapes
-    whose ladders grow doubly exponentially stay constructible.  Raises
+    minimal-index condition via certified power sums in relative form, so
+    restriction shapes whose ladders grow doubly exponentially stay
+    constructible: each step is one crossing search of a bounded number of
+    bracket calls, whatever the size of the index (20 pow:2 steps, to
+    indices near 2**1.8e6, take well under a second).  A step whose
+    crossing falls inside bracket noise is marked uncertified.  Raises
     NumericFailure when an index would exceed _INDEX_BITS_CAP bits (the
-    term budget) or the float core overflows (near 5k-bit indices, p < 1).
+    term budget).
     """
     if not 0 < eps < 1.0 / system.decay:
         raise PreconditionError(f"eps must lie in (0, 1/d); got {eps}")
@@ -301,6 +306,28 @@ def successor_table(phi: Phi, cap: int, strict: bool = True) -> np.ndarray:
         return phi.floor(a) + 1 if strict else phi.ceil(a)
 
     return np.array([1] + [min(step(a), cap + 1) for a in range(1, cap + 1)], dtype=np.int64)
+
+
+def count_restricted_words(phi: Phi, depth: int, digit_cap: int, strict: bool = True) -> int:
+    """Number of words ``enumerate_restricted_words`` yields, without listing them.
+
+    One pass per level over the successor table, in Python ints (counts
+    pass 2**53): the words of length n + 1 starting at digit a number as
+    many as the words of length n whose first digit is at least the
+    smallest successor of a.
+    """
+    if depth < 1:
+        raise PreconditionError("depth must be >= 1")
+    if digit_cap < 1:
+        raise PreconditionError("digit_cap must be >= 1")
+    nxt = successor_table(phi, digit_cap, strict).tolist()
+    # from_digit[j]: words of the current length whose first digit is >= j,
+    # for j = 0..digit_cap + 1 (entry 0 is unused).
+    from_digit = [digit_cap + 1 - j for j in range(digit_cap + 2)]
+    for _ in range(depth - 1):
+        after = [from_digit[nxt[a]] for a in range(digit_cap, 0, -1)]
+        from_digit = [0, *reversed(list(itertools.accumulate(after))), 0]
+    return from_digit[1]
 
 
 def enumerate_restricted_words(

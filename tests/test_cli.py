@@ -255,14 +255,43 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_deep_power_ladder_float_overflow_is_3(self, tmp_path):
-        # Step 12 of the pow:2 ladder starts near 2**5200, where the power-sum
-        # integral overflows a float; that is a numeric failure, not a hang.
-        code, _, _ = _invoke(
+    def test_deep_power_ladder_finishes(self, tmp_path):
+        # Step 12 of the pow:2 ladder searches from near 2**7200, the square
+        # of step 11, and its range's ratio to that start (about 2**-1445)
+        # underflows a float; relative-form power sums reach it all the same.
+        code, report, _ = _invoke(
             tmp_path, "ladder", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1",
             "--steps", "12",
         )
-        assert code == 3
+        assert code == 0
+        values = report["results"]["values"]
+        assert len(values) == 12
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert values[-1].bit_length() > 7000
+
+    def test_ladder_values_past_4300_digits_are_written(self, tmp_path, capsys):
+        # Step 14 has about 8700 digits, past the interpreter's default
+        # int-to-str limit; the report is written in full.
+        out = tmp_path / "ladder14.csv"
+        code = run(["ladder", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1",
+                    "--steps", "14", "--out", str(out), "--format", "csv"])
+        capsys.readouterr()
+        assert code == 0
+        rows = dict(csv.reader(out.read_text().splitlines()))
+        last = rows["results.values.13"]
+        assert len(last) > 8000 and last.isdigit()
+
+    def test_ladder_past_the_bit_budget_is_3(self, tmp_path):
+        # Step 21 would start near 2**3.7e6, past _INDEX_BITS_CAP; the 20
+        # steps before it take well under a second.  A child process with a
+        # timeout turns a hang into a failure.
+        proc = _run_child(
+            ["ladder", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1", "--steps", "22",
+             "--out", str(tmp_path / "deep.json")],
+            timeout=30,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "exceeds the term budget" in proc.stderr
 
     def test_frostman_sampled_window_past_int64_is_3(self, tmp_path, capsys):
         # The level-5 window of the pow:2 ladder lies near 2**113, past the
@@ -272,7 +301,7 @@ class TestExitCodes:
             "--depth", "5",
         )
         assert code == 3
-        assert "level 5 window (9412986588122111059176817635648577.." in capsys.readouterr().err
+        assert "level 5 window (9412986588122202646573418875638017.." in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["1e17", "1e200", "1e308", "inf"])
     def test_localdim_alpha_rounding_the_exponents_away_is_2(self, tmp_path, capsys, alpha):

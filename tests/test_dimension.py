@@ -22,7 +22,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ifslab import dimension
@@ -212,6 +212,8 @@ class TestPressureSolver:
         rates=st.tuples(st.floats(0.05, 0.7), st.floats(0.05, 0.7)),
         tol=st.sampled_from([1e-10, 1e-12]),
     )
+    # Rates (0.5, 0.5): the root is exactly 1, inside the sign-checked branch.
+    @example(name="toy", bound="xi", k=1, span=1, rates=(0.5, 0.5), tol=1e-10)
     def test_root_agrees_with_retired_bisection(
         self, gauss, gap_system, name, bound, k, span, rates, tol
     ):
@@ -231,7 +233,7 @@ class TestPressureSolver:
         assert abs(raw - _bisection_root(old_rates, tol)) <= 1e-9
         lo, hi = est.bracket
         assert lo <= est.value <= hi
-        if raw < 1.0:
+        if raw <= 1.0:
             assert est.value == raw
             assert _pressure(log_rates, lo) >= 1.0 >= _pressure(log_rates, hi)
         else:

@@ -197,6 +197,17 @@ def test_config_lists_every_flag_in_help_order(command, capsys):
             assert list(json.loads(_golden_file(name).read_text())["config"]) == dests, name
 
 
+def test_bad_argv_then_good_run_in_one_process(workdir, capsys, monkeypatch):
+    # The parser is built once per process; a parse that exits 2 must leave
+    # it fit for the next run.
+    monkeypatch.chdir(workdir)
+    assert run(["words", "--phi", "lin:1", "--depth", "2", "--cap", "3", "--zap"]) == 2
+    assert run(["ladder", "--eps", "0.1"]) == 2
+    capsys.readouterr()
+    assert run([*CASES["words_lin1"], "--out", "-"]) == 0
+    assert capsys.readouterr().out == _golden_file("words_lin1").read_text()
+
+
 def test_battery_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = _battery(tmp_path)

@@ -7,6 +7,7 @@ pairwise summation in 80-bit extended precision, and the p = 1 row from
 the harmonic-number closed form ln(n) + gamma + 1/2n - 1/12n^2.
 """
 
+import contextlib
 import math
 import os
 import pathlib
@@ -14,15 +15,20 @@ import random
 import subprocess
 import sys
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ifslab import powersum
+from ifslab import powersum, restrictions
+from ifslab.families import make_gauss, make_linear_power
 from ifslab.powersum import (
     DIRECT_LIMIT,
     first_index_reaching,
     power_sum,
     power_sum_brackets,
 )
+from ifslab.restrictions import build_ladder, parse_phi
 from ifslab.systems import NumericFailure
 
 # (start, stop, p, expected) with expected from high-precision evaluation.
@@ -110,13 +116,17 @@ def test_first_index_matches_naive_scan():
 
 @pytest.mark.parametrize("offset", [None, -5000, -1, 0, 1, 7, 5000])
 def test_first_index_independent_of_guess(monkeypatch, offset):
-    # The guess only steers the gallop: a guess far below or above the
-    # crossing (or none at all) must give the same certified index.
+    # The seed only steers the gallops: a seed far below or above the
+    # crossing (or none at all, which starts from the last key) must give
+    # the same certified index.
     for case in [(3, 0.7, 25.0), (40, 1.0, 6.0), (7, 1.5, 0.3), (10**6, 0.45, 30.0)]:
         want = first_index_reaching(*case)
         assert want.certified
-        guess = None if offset is None else max(case[0], want.index + offset)
-        monkeypatch.setattr(powersum, "_crossing_guess", lambda *args: guess)
+        start = case[0]
+        guess = None if offset is None else max(start, want.index + offset)
+        # log y of the guess, with guess = start - 1 + y * (start - 1/2).
+        log_y = None if guess is None else math.log((guess - start + 1) / (start - 0.5))
+        monkeypatch.setattr(powersum, "_seed", lambda *args: log_y)
         assert first_index_reaching(*case) == want, case
         monkeypatch.undo()
 
@@ -192,6 +202,8 @@ def test_one_search_sums_the_head_once(monkeypatch, start, p, target):
         return direct(a, b, q)
 
     monkeypatch.setattr(powersum, "_direct", counting)
+    # Head sums are shared across searches at one start; start afresh.
+    powersum._head_sum.cache_clear()
     assert first_index_reaching(start, p, target) == want
     assert heads.count(start) == 1
 
@@ -205,16 +217,17 @@ def test_search_rejects_non_positive_exponent():
 @pytest.mark.parametrize("bits", [10, 100, 1000, 3000, 5200, 6000])
 @pytest.mark.parametrize("p", [0.45, 0.8, 1.0, 1.6])
 def test_brackets_at_big_indices_never_nan(bits, p):
-    # Past the float range of the integral (p < 1 near 5k-bit indices) the
-    # core must raise, never hand back a NaN bracket.
+    # Past the float range (p < 1, from 2k-bit indices at p = 0.45) the
+    # bracket is the finite lower end _BIG and the upper end inf; it never
+    # raises and is never NaN.
     start = 2**bits
-    try:
-        lo, hi = power_sum_brackets(start, 2 * start, p)
-    except NumericFailure:
-        assert p < 1.0
-        return
-    assert math.isfinite(lo) and math.isfinite(hi)
-    assert lo <= hi
+    lo, hi = power_sum_brackets(start, 2 * start, p)
+    assert math.isfinite(lo) and lo <= hi
+    if hi == math.inf:
+        assert p < 1.0 and lo == powersum._BIG
+        assert (1.0 - p) * bits * math.log(2.0) > 700.0
+    else:
+        assert math.isfinite(hi)
 
 
 def test_infinite_tail_just_above_p_one_stays_finite():
@@ -268,3 +281,168 @@ def test_goal_near_infinite_sum_still_reached():
 def test_zero_target_is_start():
     res = first_index_reaching(17, 0.5, 0.0)
     assert res.index == 17 and res.certified
+
+
+# ---------------------------------------------------------------------------
+# Relative-form brackets against mpmath, and the search against full bisection
+
+
+def _hurwitz_sum(p, a, b):
+    """sum_{i=a}^{b} i**-p in mpmath, as zeta(p, a) - zeta(p, b + 1).
+
+    The working precision is the cancellation of that difference, about
+    log2(a / (b - a)) + log2(1 / |p - 1|) bits, plus 260 guard bits; at
+    most 4096 terms are summed one by one instead, exactly to 200 bits.
+    """
+    n = b - a + 1
+    if n <= 4096:
+        with mpmath.workprec(200):
+            return mpmath.fsum(mpmath.mpf(i) ** -p for i in range(a, b + 1))
+    cancel = max(a.bit_length() - n.bit_length(), 0) + math.ceil(-math.log2(abs(p - 1.0)))
+    with mpmath.workprec(cancel + 260):
+        return mpmath.zeta(p, a) - mpmath.zeta(p, b + 1)
+
+
+def _range(bits, kind, low):
+    """A start of the given bit length and a stop: kind 0 a short range,
+    1 a range far shorter than its start, 2 one far longer."""
+    a = (1 << (bits - 1)) | low % (1 << (bits - 1))
+    if kind == 0:
+        return a, a + low % 4000
+    if kind == 1:
+        return a, a + (a >> (1 + low % min(bits - 1, 1300)))
+    return a, a << (1 + low % 60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.integers(40, 6000),
+    kind=st.integers(0, 2),
+    low=st.integers(0, 2**64),
+    p=st.one_of(st.floats(0.2, 0.98), st.floats(1.02, 3.0)),
+)
+def test_brackets_hold_the_hurwitz_sum(bits, kind, low, p):
+    # Starts 2**40..2**6000; ranges short, far shorter than the start (the
+    # regime where log b - log a used to lose the sum) and far longer.
+    a, b = _range(bits, kind, low)
+    lo, hi = power_sum_brackets(a, b, p)
+    assert not math.isnan(lo) and not math.isnan(hi)
+    assert lo <= hi
+    true = _hurwitz_sum(p, a, b)
+    assert lo <= true
+    assert hi == math.inf or true <= hi
+
+
+def test_short_relative_range_at_ladder_step_five():
+    # (b - a) / a is about 4e-4 here: two rounded logs lost the sum, whose
+    # true value 0.99999999998879747... (Hurwitz zeta at 80 digits) fell
+    # below the old bracket (1.0000000000065543, 1.0000000000084168).
+    a, b = 311418841**2 + 2, 97020547247076024
+    lo, hi = power_sum_brackets(a, b, 0.8)
+    true = _hurwitz_sum(0.8, a, b)
+    assert lo <= true <= hi
+    assert hi < 1.0
+
+
+@pytest.mark.parametrize("bits, p", [(3000, 0.8), (6000, 0.8), (6000, 0.95), (7224, 0.8)])
+def test_unit_sums_past_the_float_range_of_the_ratio(bits, p):
+    # b - a about a**p, so the sum is near 1 while (b - a) / a is 2**-600 to
+    # 2**-1445: past 1022 bits the ratio is scaled by 2**k.
+    a = (1 << (bits - 1)) + 12345
+    b = a + (1 << round(p * (bits - 1))) + 6789
+    lo, hi = power_sum_brackets(a, b, p)
+    true = _hurwitz_sum(p, a, b)
+    assert lo <= true <= hi
+    assert 0.1 < true < 10.0
+    assert hi - lo < 1e-9
+
+
+def _bisection_reach(start, p, goal):
+    """The search's answer by full bisection over the same bracket function:
+    the first stop whose lower end reaches the goal, and the first whose
+    upper end does, each by doubling the term count and bisecting."""
+    brackets = powersum._search_brackets(start, p, goal)[0]
+
+    def first(end):
+        lo, hi = start - 1, start
+        while brackets(hi)[end] < goal:
+            lo, hi = hi, 2 * hi - start + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if brackets(mid)[end] >= goal:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    band_hi, band_lo = first(0), first(1)
+    return powersum.ReachResult(band_hi, band_hi == band_lo, band_hi - band_lo)
+
+
+@contextlib.contextmanager
+def _counted_brackets():
+    """Record every bracket crossing searches evaluate: their probes, and the
+    total and noise checks of p > 1."""
+    calls = []
+    probe, call, single = powersum._Keys.bracket, powersum._Brackets.__call__, power_sum_brackets
+
+    def counted_probe(self, key):
+        calls.append(key)
+        return probe(self, key)
+
+    def counted_call(self, stop):
+        if stop is None:
+            calls.append(None)
+        return call(self, stop)
+
+    def counted_single(*args):
+        calls.append(args)
+        return single(*args)
+
+    powersum._Keys.bracket = counted_probe
+    powersum._Brackets.__call__ = counted_call
+    powersum.power_sum_brackets = counted_single
+    try:
+        yield calls
+    finally:
+        powersum._Keys.bracket = probe
+        powersum._Brackets.__call__ = call
+        powersum.power_sum_brackets = single
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bits=st.integers(1, 6000),
+    low=st.integers(0, 2**64),
+    p=st.one_of(st.floats(0.2, 1.0), st.floats(1.05, 2.5)),
+    u=st.floats(0.01, 0.9),
+)
+def test_search_matches_full_bisection_in_bounded_calls(bits, low, p, u):
+    # p <= 1: goals like a ladder step's; p > 1: a share of the infinite sum.
+    start = (1 << (bits - 1)) | low % (1 << max(bits - 1, 1))
+    goal = 20.0 * u if p <= 1.0 else u * power_sum_brackets(start, None, p)[0]
+    assume(goal > 0.0)
+    with _counted_brackets() as calls:
+        got = first_index_reaching(start, p, goal)
+    assert len(calls) <= 128
+    assert got == _bisection_reach(start, p, goal)
+
+
+@pytest.mark.parametrize("system", [make_gauss(), make_linear_power(2.0)], ids=["gauss", "linpow2"])
+def test_pow2_ladder_searches_take_bounded_calls(monkeypatch, system):
+    # Twenty steps, up to indices near 2**1.8e6; the per-bit bisection made
+    # one call per index bit (3612 at the 3612-bit step).
+    per_search = []
+    search = restrictions.first_index_reaching
+
+    def counted(*args):
+        with _counted_brackets() as calls:
+            res = search(*args)
+        per_search.append(len(calls))
+        return res
+
+    monkeypatch.setattr(restrictions, "first_index_reaching", counted)
+    ladder = build_ladder(system, parse_phi("pow:2"), 0.1, 20)
+    assert len(per_search) == 19
+    assert max(per_search) <= 128
+    assert ladder.values[-1].bit_length() > 750_000

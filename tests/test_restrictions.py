@@ -14,6 +14,7 @@ unit mass:
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,11 +28,13 @@ from ifslab.restrictions import (
     Phi,
     PreconditionError,
     build_ladder,
+    count_restricted_words,
     enumerate_restricted_words,
     growth_ratio_bound,
     parse_phi,
     successor_table,
 )
+from ifslab.powersum import power_sum_brackets
 from ifslab.systems import NumericFailure
 
 
@@ -143,6 +146,24 @@ class TestLadder:
         # log l_{n+1} ~ 2 log l_n eventually
         assert logs[-1] / logs[-2] == pytest.approx(2.0, abs=0.2)
 
+    def test_twenty_pow2_steps_in_seconds(self, gauss):
+        # Step 20 searches from near 2**1.8e6; every step's sum surely reaches
+        # unit mass by its bracket's lower end, and step 21 passes the bit
+        # budget.
+        phi = parse_phi("pow:2")
+        t0 = time.perf_counter()
+        lad = build_ladder(gauss, phi, 0.1, 20)
+        assert time.perf_counter() - t0 < 10.0
+        assert all(a < b for a, b in zip(lad.values, lad.values[1:]))
+        q = 1.0 / gauss.decay - 0.1
+        coeff, p, shift = gauss.scale**q, gauss.decay * q, gauss.shift
+        for prev, nxt in zip(lad.values, lad.values[1:]):
+            lo, _ = power_sum_brackets(phi.floor(prev) + 1 + shift, nxt - 1 + shift, p)
+            assert coeff * lo >= 1.0
+        with pytest.raises(NumericFailure, match="term budget"):
+            build_ladder(gauss, phi, 0.1, 21)
+        assert time.perf_counter() - t0 < 20.0
+
     def test_eps_out_of_range(self, gauss):
         with pytest.raises(PreconditionError):
             build_ladder(gauss, parse_phi("lin:1"), 0.5, 3)
@@ -220,6 +241,32 @@ class TestEnumerator:
             if all(w[i + 1] > phi.floor(w[i]) for i in range(depth - 1))
         ]
         assert fast == slow
+
+    @given(
+        st.sampled_from(["lin:1", "lin:3/2", "lin:2", "pow:1.5", "pow:2", "pow:2.3"]),
+        st.integers(1, 4),
+        st.integers(1, 25),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_count_matches_enumeration(self, spec, depth, cap, strict):
+        phi = parse_phi(spec)
+        n = sum(1 for _ in enumerate_restricted_words(phi, depth, cap, strict))
+        assert count_restricted_words(phi, depth, cap, strict) == n
+
+    def test_count_past_float_precision(self):
+        # Strict lin:1 words are the depth-subsets of 1..cap; C(1000, 20)
+        # passes 2**53 by far, so the count must stay in exact ints.
+        phi = parse_phi("lin:1")
+        assert count_restricted_words(phi, 20, 1000) == math.comb(1000, 20)
+        # Non-strict lin:1 words are multisets: C(cap + depth - 1, depth).
+        assert count_restricted_words(phi, 20, 1000, strict=False) == math.comb(1019, 20)
+
+    def test_count_rejects_what_enumeration_rejects(self):
+        with pytest.raises(PreconditionError):
+            count_restricted_words(parse_phi("lin:1"), 0, 5)
+        with pytest.raises(PreconditionError):
+            count_restricted_words(Phi("table", table=(2, 4, 6)), 1, 4)
 
     def test_restriction_monotonicity(self):
         # pointwise larger Phi admits fewer words
