@@ -64,6 +64,10 @@ _BIG = math.exp(_LOG_BIG - 1e-6)
 # Ratios whose binary exponent stays within this bound are not scaled.
 _RATIO_EXP_CAP = 960
 
+# A crossing search builds indices of at most about this many bits (1 MB
+# ints); a seed past it would have the scaling alone allocate that much.
+_CROSSING_BITS_CAP = 1 << 23
+
 # Keys count indices until consecutive indices can share a ratio float.
 # A gallop step is at most this many keys, so it at most doubles a ratio.
 _INT_KEYS = 1 << 52
@@ -389,6 +393,11 @@ def _search_brackets(start: int, p: float, goal: float) -> tuple[_Brackets, floa
     """
     log_y = _seed(start, p, goal)
     a = start + _EM_HEAD
+    if log_y is not None and log_y / _LN2 + a.bit_length() > _CROSSING_BITS_CAP:
+        raise NumericFailure(
+            f"the crossing of goal {goal!r} from a {start.bit_length()}-bit start lies near "
+            f"2**{log_y / _LN2 + a.bit_length():.4g}, past the {_CROSSING_BITS_CAP}-bit budget"
+        )
     k = 0 if log_y is None else _ratio_shift(log_y / _LN2, a)
     return _Brackets(start, p, k), log_y
 

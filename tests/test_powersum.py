@@ -278,6 +278,14 @@ def test_goal_near_infinite_sum_still_reached():
     assert power_sum_brackets(5, res.index, 4 / 3)[0] >= goal
 
 
+@pytest.mark.parametrize("p, goal", [(1.0, 1e7), (1.0 + 1e-9, 5e8)])
+def test_crossing_past_the_bit_budget_raises(p, goal):
+    # The harmonic sum from 5 reaches 1e7 near 2**(1.4e7); the search must
+    # refuse before scaling ratios by that much, not allocate it.
+    with pytest.raises(NumericFailure, match="budget"):
+        first_index_reaching(5, p, goal)
+
+
 def test_zero_target_is_start():
     res = first_index_reaching(17, 0.5, 0.0)
     assert res.index == 17 and res.certified
