@@ -216,7 +216,10 @@ def _em_tail(a: int, b: int | None, p: float) -> tuple[float, float] | None:
     if b is None:
         return _em_from(a, p, 0)(math.inf)
     delta = b - a
-    k = _ratio_shift(delta.bit_length() - a.bit_length(), a)
+    bits = delta.bit_length() - a.bit_length()
+    if -_RATIO_EXP_CAP < bits < _RATIO_EXP_CAP:
+        return _em_from(a, p, 0)(delta / a)
+    k = _ratio_shift(bits, a)
     return _em_from(a, p, k)(_scaled_ratio(delta, a, k))
 
 
