@@ -69,7 +69,7 @@ _RATIO_EXP_CAP = 960
 _CROSSING_BITS_CAP = 1 << 23
 
 # Keys count indices until consecutive indices can share a ratio float.
-# A gallop step is at most this many keys, so it at most doubles a ratio.
+# An upward gallop step among ratio floats is at most this many keys.
 _INT_KEYS = 1 << 52
 
 _LOG_INT_KEYS = 52 * _LN2
@@ -594,7 +594,10 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
                 lo = key
                 if down:
                     break
-            step = min(2 * step, _INT_KEYS)
+            # Upward among ratio floats a step at most doubles the ratio, so
+            # it cannot jump a window where the lower end reaches the goal
+            # (past it, for p > 1, the widening bracket falls back below).
+            step = 2 * step if down or key <= n0 else min(2 * step, _INT_KEYS)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if probe(mid)[end] >= goal:
