@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .restrictions import Phi, successor_table
+from .restrictions import Phi, _words_per_depth, successor_table
 from .powersum import power_sum_brackets
 from .systems import DecaySystem, NumericFailure, PreconditionError
 
@@ -35,11 +35,6 @@ _EXACT_WORD_CAP = 200_000
 # the largest digit cap it accepts.
 _RATIO_BINS = 1024
 _GAUSS_DP_CAP = 20_000
-
-# Head segments of the flattened (cap, _RATIO_BINS) state at most this long
-# are laid out densely when the program totals its state (see _binned_total).
-# At least 128, numpy's pairwise block, below which numpy stops splitting.
-_TOTAL_SEGMENT = 1 << 16
 
 
 class TailWarning(UserWarning):
@@ -220,16 +215,6 @@ def _pred_mass(m: np.ndarray, tj: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_words_per_depth(tj: np.ndarray, depth: int) -> list:
-    """Number of admissible words at each depth 1..depth (float counts)."""
-    counts = []
-    c = np.ones(tj.size, dtype=float)
-    for _ in range(depth):
-        counts.append(float(c.sum()))
-        c = _pred_mass(c, tj)
-    return counts
-
-
 def _exact_depth_sums(system, nxt, depth, s, cap):
     """Exact enumeration: per-depth totals of |cylinder|**s, plus the exact
     rational total at the final depth for the Gauss family at s = 1.
@@ -325,59 +310,6 @@ def _with_bin_zero(head, cols, tail):
     return head, cols
 
 
-def _binned_total(head, cols, tail):
-    """Sum of the state, rounded as numpy sums the dense (cap, _RATIO_BINS)
-    matrix it stands for: pairwise over that matrix flattened row by row.
-    Row j - 1 of that matrix holds digit j: the head rows first, then one row
-    per tail digit with its mass in column 0.
-
-    The zero bins are never built as a whole.  The pairwise split (half,
-    rounded down to a multiple of 8) is followed one level of segments at a
-    time, and each split segment adds its children as numpy does: left +
-    right.  A head segment at most _TOTAL_SEGMENT long is laid out densely
-    and summed by numpy.  A tail segment at most _RATIO_BINS long holds at
-    most one tail entry, and its pairwise sum is that entry exactly (every
-    other addend is 0), so the split stops there.
-    """
-    B = _RATIO_BINS
-    edge = head.shape[1] * B
-    lo, n = np.array([0]), np.array([edge + tail.size * B])
-    levels = []
-    while True:
-        split = n > np.where(lo < edge, _TOTAL_SEGMENT, B)
-        levels.append((lo, n, split))
-        if not split.any():
-            break
-        lo, n = lo[split], n[split]
-        half = n // 2 - (n // 2) % 8
-        lo = np.column_stack((lo, lo + half)).ravel()
-        n = np.column_stack((half, n - half)).ravel()
-    total = None
-    for lo, n, split in reversed(levels):
-        level = np.zeros(lo.size)
-        for i in np.flatnonzero(~split & (lo < edge)).tolist():
-            level[i] = _dense_segment(head, cols, tail, int(lo[i]), int(n[i]))
-        first = -(-(lo - edge) // B)
-        held = ~split & (lo >= edge) & (first * B < lo - edge + n)
-        level[held] = tail[first[held]]
-        if total is not None:
-            level[split] = total[0::2] + total[1::2]
-        total = level
-    return total[0]
-
-
-def _dense_segment(head, cols, tail, lo, n):
-    """numpy's sum of the n flattened dense entries from lo on, laid out
-    from the head rows and, past them, the tail rows."""
-    B = _RATIO_BINS
-    r0, r1 = lo // B, -(-(lo + n) // B)
-    h1 = min(r1, head.shape[1])
-    dense = np.zeros((r1 - r0, B))
-    dense[: h1 - r0, cols] = head[:, r0:h1].T
-    dense[h1 - r0 :, 0] = tail[: r1 - h1]
-    return np.add.reduce(dense.ravel()[lo - r0 * B : lo - r0 * B + n])
-
-
 def _gauss_weights(cols, digits, s, head):
     """For appending each digit to each ratio bin in cols: the cylinder
     weights ((1+r)/((j+r)(j+r+1)))**s, a (k, cap) array, and the new ratio
@@ -411,14 +343,15 @@ def _gauss_depth_sums(tj, depth, s, cap):
     r >= 0.5/B, so every digit past B lands in bin 0 at every depth and a
     row b != 0 is zero past digit B.
 
-    Each depth cumsums the head per row; past digit B a row b != 0 keeps its
-    head total and only row 0 runs on through the tail.  One gather at
-    tj - 1 gives each digit's predecessor mass, which the bin weights scale.
-    The head is scattered bin by bin (_binned_state), the tail is the sum of
-    its rows in ascending bin order, so every cell adds its entries in the
-    order the dense scatter did.  A bin's weights do not depend on the depth
-    and are computed once per call.  The total rounds as numpy's pairwise
-    sum of the dense (cap, B) matrix does (_binned_total).
+    Each depth gives every digit its predecessor mass (_pred_mass) row by
+    row, which the bin weights scale.  As Phi(i) >= i, a head digit's
+    predecessors are head digits; past digit B a row b != 0 gives its head
+    total, and only row 0 runs on through the tail.  The head is scattered
+    bin by bin (_binned_state), the tail is the sum of its rows in ascending
+    bin order, so every cell adds its entries in the order the dense
+    scatter did.  A bin's weights do not depend on the depth and are
+    computed once per call.  Each depth's total is the head's sum plus the
+    tail's.
     """
     B = _RATIO_BINS
     digits = np.arange(1, cap + 1, dtype=float)
@@ -435,13 +368,11 @@ def _gauss_depth_sums(tj, depth, s, cap):
     head, cols = _binned_state(bins0, mass0[:H], H)
     tail = mass0[H:].copy()
     head, cols = _with_bin_zero(head, cols, tail)
-    # Digit j gathers the cumsum at lead[j - 1].  As Phi(i) >= i, a head
-    # digit's predecessors are head digits.  Tail digits from cut on have
-    # every head digit as a predecessor, so there a row b != 0 gives its head
-    # total; only row 0 reads on into the tail.
-    lead = np.maximum(tj - 1, 0)
-    none = tj == 0
-    cut = int(np.searchsorted(lead[H:], H - 1))
+    # Tail digits from cut on have every head digit as a predecessor, so
+    # there a row b != 0 gives its total: tj_cut ends in H, which reads the
+    # last entry of the row's cumsum.
+    cut = int(np.searchsorted(tj[H:], H))
+    tj_cut = np.append(tj[H : H + cut], H)
     weights = {}
     offset = 0.0
     totals = [float(mass0.sum())]
@@ -454,26 +385,21 @@ def _gauss_depth_sums(tj, depth, s, cap):
             w, nb = _gauss_weights(np.array(fresh), digits, s, H)
             weights.update(zip(fresh, zip(w, nb)))
         rows = [weights[b] for b in cols.tolist()]
-        cum = np.cumsum(head, axis=1)
-        pred = cum[:, lead[:H]]
-        pred[:, none[:H]] = 0.0
+        pred = _pred_mass(head, tj[:H])
         pred *= np.array([w[:H] for w, _ in rows])
         new_tail = np.zeros(tail.size)
         for i, (w, _) in enumerate(rows if tail.size else ()):
             w = w[H:]
             if i == 0 and cols[0] == 0:
-                p = np.cumsum(np.concatenate((head[0], tail)))[lead[H:]]
-                p[none[H:]] = 0.0
-                new_tail += p * w
+                new_tail += _pred_mass(np.concatenate((head[0], tail)), tj[H:]) * w
             else:
-                p = cum[i, lead[H : H + cut]]
-                p[none[H : H + cut]] = 0.0
-                new_tail[:cut] += p * w[:cut]
-                new_tail[cut:] += cum[i, -1] * w[cut:]
+                p = _pred_mass(head[i], tj_cut)
+                new_tail[:cut] += p[:cut] * w[:cut]
+                new_tail[cut:] += p[-1] * w[cut:]
         head, cols = _binned_state(np.array([nb for _, nb in rows]), pred, H)
         tail = new_tail
         head, cols = _with_bin_zero(head, cols, tail)
-        tot = _binned_total(head, cols, tail)
+        tot = head.sum() + tail.sum()
         totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
         if 0 < tot < 1e-250:
             offset += math.log(tot)
@@ -534,11 +460,9 @@ def cover_sum(
     nxt = successor_table(phi, cap)
     tj = _transition_counts(nxt)
     if method == "auto":
-        n_words = sum(_count_words_per_depth(tj, depth))
-        if system.kind == "gauss":
-            method = "exact" if n_words <= _EXACT_WORD_CAP else "dp"
-        else:
-            method = "dp"
+        # Affine kinds always take the factorized program; only gauss counts.
+        few = system.kind == "gauss" and sum(_words_per_depth(nxt, depth)) <= _EXACT_WORD_CAP
+        method = "exact" if few else "dp"
     if method == "exact":
         totals = _exact_depth_sums(system, nxt, depth, s, cap)
     elif system.kind == "gauss":
@@ -596,8 +520,8 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
     input yields an estimate that is still well defined, merely coarse.
 
     diagnostics hold the least-squares slope's stderr (0.0 for two selected
-    scales) and r**2; both are 0.0, up to an ulp-level residue of numpy's
-    mean, when the selected counts are constant.  A scale whose reciprocal
+    scales) and r**2.  When the selected counts are constant, the slope,
+    stderr and r**2 are all exactly 0.0.  A scale whose reciprocal
     overflows is a PreconditionError.
     """
     pts = np.asarray(points, dtype=float).ravel()
@@ -637,12 +561,14 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
     slope, stderr, r = _linregress(x, y)
     if not math.isfinite(slope):
         raise NumericFailure("degenerate box-count regression")
-    if not math.isfinite(stderr):
-        stderr = 0.0
+    if y.min() == y.max():
+        # A flat line; numpy's mean of equal logs can miss them by an ulp,
+        # which would leave residues in all three.
+        slope, stderr, r = 0.0, 0.0, 0.0
     diag = {
         "raw_slope": slope,
         "stderr": stderr,
-        "r_squared": r**2 if math.isfinite(r) else 0.0,
+        "r_squared": r**2,
         "counts": [int(c) for c in counts],
         "scales": [float(d) for d in deltas],
         "selected": (start, start + k),

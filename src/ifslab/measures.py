@@ -643,6 +643,15 @@ def _chain_rate_logs(system: DecaySystem, li: np.ndarray) -> tuple:
     return log_scale - system.decay * (li + corr), log_scale - system.decay * li
 
 
+def _log_tail(lstart: np.ndarray, p: float, log_c: float) -> np.ndarray:
+    """log of c * sum_{j >= start} j**-p from log(start), in its asymptotic
+    form log c + (1 - p) log(start) - log(p - 1) + log1p((p - 1) / (2 start)),
+    evaluated left to right, so log_c = 0.0 leaves the other terms' sum as
+    it is."""
+    corr = _libm_below_40(lstart, lambda v: math.log1p((p - 1.0) * 0.5 * math.exp(-v)))
+    return log_c + (1.0 - p) * lstart - math.log(p - 1.0) + corr
+
+
 def _chain_window_logs(system: DecaySystem, lstart: np.ndarray) -> np.ndarray:
     """log length of the admissible level-1 window, from log(start).
 
@@ -653,9 +662,7 @@ def _chain_window_logs(system: DecaySystem, lstart: np.ndarray) -> np.ndarray:
     """
     if system.kind == "gauss":
         return -lstart
-    d = system.decay
-    corr = _libm_below_40(lstart, lambda v: math.log1p((d - 1.0) * 0.5 * math.exp(-v)))
-    return math.log(system.scale) + (1.0 - d) * lstart - math.log(d - 1.0) + corr
+    return _log_tail(lstart, system.decay, math.log(system.scale))
 
 
 def _exact_window_logs(system: DecaySystem, start: int) -> tuple:
@@ -665,13 +672,6 @@ def _exact_window_logs(system: DecaySystem, start: int) -> tuple:
     b_lo, b_hi = power_sum_brackets(start, None, system.decay)
     log_scale = math.log(system.scale)
     return log_scale + math.log(b_lo), log_scale + math.log(b_hi)
-
-
-def _log_tail_norms(measure: PowerLawDigitMeasure, lstart: np.ndarray) -> np.ndarray:
-    """log of sum_{j >= start} j**-p from log(start), continuous regime."""
-    p = measure.tail_exponent
-    corr = _libm_below_40(lstart, lambda v: math.log1p((p - 1.0) * 0.5 * math.exp(-v)))
-    return (1.0 - p) * lstart - math.log(p - 1.0) + corr
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -825,7 +825,7 @@ def local_dim_estimate(
             ls = lstart[rest]
             log1p_u = np.array([math.log1p(-v) for v in u[rest].tolist()])
             lj = ls - log1p_u / (p - 1.0)
-            log_mass[rest] += -p * lj - _log_tail_norms(measure, ls)
+            log_mass[rest] += -p * lj - _log_tail(ls, p, 0.0)
             li[rest] = lj
     kept = np.flatnonzero(n_kept >= 3)
     if kept.size == 0:

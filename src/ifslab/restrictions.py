@@ -308,26 +308,34 @@ def successor_table(phi: Phi, cap: int, strict: bool = True) -> np.ndarray:
     return np.array([1] + [min(step(a), cap + 1) for a in range(1, cap + 1)], dtype=np.int64)
 
 
-def count_restricted_words(phi: Phi, depth: int, digit_cap: int, strict: bool = True) -> int:
-    """Number of words ``enumerate_restricted_words`` yields, without listing them.
+def _words_per_depth(nxt: np.ndarray, depth: int) -> list:
+    """Number of admissible words of each length 1..depth under a successor
+    table (``successor_table``), in Python ints (counts pass 2**53).
 
-    One pass per level over the successor table, in Python ints (counts
-    pass 2**53): the words of length n + 1 starting at digit a number as
-    many as the words of length n whose first digit is at least the
-    smallest successor of a.
+    One pass per length over the table: the words of length n + 1 starting
+    at digit a number as many as the words of length n whose first digit is
+    at least the smallest successor of a.
     """
+    nxt = nxt.tolist()
+    cap = len(nxt) - 1
+    # from_digit[j]: words of the current length whose first digit is >= j,
+    # for j = 0..cap + 1 (entry 0 is unused).
+    from_digit = [cap + 1 - j for j in range(cap + 2)]
+    counts = [cap]
+    for _ in range(depth - 1):
+        after = [from_digit[nxt[a]] for a in range(cap, 0, -1)]
+        from_digit = [0, *reversed(list(itertools.accumulate(after))), 0]
+        counts.append(from_digit[1])
+    return counts
+
+
+def count_restricted_words(phi: Phi, depth: int, digit_cap: int, strict: bool = True) -> int:
+    """Number of words ``enumerate_restricted_words`` yields, without listing them."""
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     if digit_cap < 1:
         raise PreconditionError("digit_cap must be >= 1")
-    nxt = successor_table(phi, digit_cap, strict).tolist()
-    # from_digit[j]: words of the current length whose first digit is >= j,
-    # for j = 0..digit_cap + 1 (entry 0 is unused).
-    from_digit = [digit_cap + 1 - j for j in range(digit_cap + 2)]
-    for _ in range(depth - 1):
-        after = [from_digit[nxt[a]] for a in range(digit_cap, 0, -1)]
-        from_digit = [0, *reversed(list(itertools.accumulate(after))), 0]
-    return from_digit[1]
+    return _words_per_depth(successor_table(phi, digit_cap, strict), depth)[-1]
 
 
 def enumerate_restricted_words(

@@ -16,7 +16,6 @@ Frozen oracles, each derived independently before the module existed:
 import gc
 import math
 import warnings
-import weakref
 from fractions import Fraction
 
 import mpmath
@@ -25,14 +24,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ifslab import dimension
 from ifslab.dimension import (
     _RATIO_BINS,
     DimensionEstimate,
     ScaleWarning,
     TailWarning,
-    _binned_total,
-    _count_words_per_depth,
     _exact_depth_sums,
     _gauss_depth_sums,
     _linregress,
@@ -45,7 +41,13 @@ from ifslab.dimension import (
     subsystem_dim_bounds,
 )
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
-from ifslab.restrictions import Phi, enumerate_restricted_words, parse_phi, successor_table
+from ifslab.restrictions import (
+    Phi,
+    _words_per_depth,
+    enumerate_restricted_words,
+    parse_phi,
+    successor_table,
+)
 from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, _compose
 
 ROOT_12 = 0.393942455512935
@@ -328,6 +330,18 @@ class TestCoverSum:
             cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=10**4)
         assert not [w for w in rec if issubclass(w.category, TailWarning)]
 
+    @pytest.mark.parametrize("cap, n_words, method", [(631, 199396, "exact"), (632, 200028, "dp")])
+    def test_auto_switches_routes_past_the_word_cap(self, gauss, lin_phi, cap, n_words, method):
+        # Under lin:1 the words of depth 1 and 2 number cap + cap*(cap-1)/2.
+        assert sum(_words_per_depth(successor_table(lin_phi, cap), 2)) == n_words
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            auto = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap)
+            exact = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="exact")
+            binned = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="dp")
+        assert exact != binned
+        assert auto == (exact if method == "exact" else binned)
+
     def test_binned_program_cap_guard(self, gauss, lin_phi):
         with pytest.raises(NumericFailure):
             cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=30_000, method="dp")
@@ -345,10 +359,58 @@ class TestCoverSum:
             cover_sum(gauss, lin_phi, 2, 0.5, method="guess")
 
 
+def _pairwise_roundings(n):
+    """Most roundings any addend meets in numpy's pairwise sum of n floats.
+
+    Up to 8 addends are added in turn to 0.  Up to 128 run eight
+    accumulators over n // 8 - 1 steps, join them in a three-level tree,
+    and then add the n % 8 left over in turn.  Longer runs split in two,
+    the first part half of n rounded down to a multiple of 8, and add the
+    sums of the parts.
+    """
+    if n <= 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(_pairwise_roundings(half), _pairwise_roundings(n - half))
+
+
+def _within_pairwise_bound(total, exact, h):
+    """Whether a float sum of nonnegative addends, each of which met at most
+    h roundings before one final product with exp(offset), lies within the
+    a-priori bound of the exact sum S of its addends, given as
+    exact = fl(fl(S) * exp(offset)).
+
+    With u = 2**-53 and gamma(n) = n*u / (1 - n*u), a sum of nonnegative
+    terms whose every addend meets at most h roundings is S*(1 + t) with
+    |t| <= gamma(h) (Higham, Accuracy and Stability of Numerical Algorithms,
+    Lemma 3.1 and section 4.2); the product adds one rounding, so
+    |total - S*e| <= gamma(h + 1) * S*e.  math.fsum rounds S once and the
+    product once more, so |exact - S*e| <= gamma(2) * S*e, and
+    S*e <= exact / (1 - gamma(2)).
+    """
+    u = 2.0**-53
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    return abs(total - exact) <= (gamma(h + 1) + gamma(2)) * exact / (1 - gamma(2))
+
+
 def _per_bin_reference(tj, depth, s, cap):
     """The retired binned transfer program, kept as the reference: a dense
-    (cap, bins) state and one np.add.at scatter per occupied bin."""
+    (cap, bins) state and one np.add.at scatter per occupied bin.
+
+    Returns three lists, one entry per depth: the total, with the dense
+    state summed in the binned program's layout; math.fsum of the state,
+    scaled alike; and the most roundings an addend meets in that total
+    (_pairwise_roundings).  The layout is the occupied head bins, bin-major,
+    with bin 0 first whenever the tail holds mass, taken contiguous, then
+    the tail of bin 0; its sum is the head's plus the tail's.
+    """
     B = _RATIO_BINS
+    H = min(cap, B)
     digits = np.arange(1, cap + 1, dtype=float)
     rows = np.arange(cap)
     mass0 = np.exp(-s * (np.log(digits) + np.log1p(digits)))
@@ -358,6 +420,8 @@ def _per_bin_reference(tj, depth, s, cap):
     reps = (np.arange(B) + 0.5) / B
     offset = 0.0
     totals = [float(mass0.sum())]
+    exact = [math.fsum(mass0.tolist())]
+    roundings = [_pairwise_roundings(cap)]
     for _ in range(depth - 1):
         m_new = np.zeros_like(m)
         occupied = np.nonzero(m.sum(axis=0) > 0)[0]
@@ -372,12 +436,30 @@ def _per_bin_reference(tj, depth, s, cap):
             new_bins = np.minimum((B / (digits + r)).astype(np.int64), B - 1)
             np.add.at(m_new, (rows, new_bins), contrib)
         m = m_new
-        tot = m.sum()
+        cols = np.flatnonzero(m[:H].sum(axis=0) > 0)
+        tail = m[H:, 0]
+        if tail.any() and not (cols.size and cols[0] == 0):
+            cols = np.concatenate(([0], cols))
+        head = np.ascontiguousarray(m[:H, cols].T)
+        tot = head.sum() + tail.sum()
         totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
+        exact.append(math.fsum(m[m != 0].tolist()) * math.exp(offset))
+        roundings.append(1 + max(_pairwise_roundings(head.size), _pairwise_roundings(tail.size)))
         if 0 < tot < 1e-250:
             offset += math.log(tot)
             m /= tot
-    return totals
+    return totals, exact, roundings
+
+
+def _check_binned_program(tj, depth, s, cap):
+    """_gauss_depth_sums against the per-bin reference: every total equal,
+    and every total within the pairwise bound of the reference's fsum."""
+    want, exact, roundings = _per_bin_reference(tj, depth, s, cap)
+    for n in range(1, depth + 1):
+        got = _gauss_depth_sums(tj, n, s, cap)
+        assert got == want[:n]
+        assert all(_within_pairwise_bound(*t) for t in zip(got, exact, roundings))
+    return want
 
 
 class TestBinnedProgram:
@@ -388,9 +470,7 @@ class TestBinnedProgram:
     @pytest.mark.parametrize("s", [0.45, 0.6, 1.0])
     def test_matches_retired_per_bin_loop(self, spec, cap, s):
         tj = _transition_counts(successor_table(parse_phi(spec), cap))
-        want = _per_bin_reference(tj, 5, s, cap)
-        for depth in range(2, 6):
-            assert _gauss_depth_sums(tj, depth, s, cap) == want[:depth]
+        _check_binned_program(tj, 5, s, cap)
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_no_admissible_words_leaves_an_empty_state(self, cap):
@@ -398,49 +478,26 @@ class TestBinnedProgram:
         # runs empty and every later total is 0.
         tj = _transition_counts(successor_table(parse_phi("pow:2"), cap))
         got = _gauss_depth_sums(tj, 4, 0.6, cap)
-        assert got == _per_bin_reference(tj, 4, 0.6, cap)
+        assert got == _per_bin_reference(tj, 4, 0.6, cap)[0]
         assert got[2:] == [0.0, 0.0]
 
     def test_state_with_a_tail_runs_empty(self):
         # Under pow:2 at cap 1100 the depth-5 words 1, 2, 5, 26, j reach the
         # tail (j >= 677), and no word of depth 6 fits.
         tj = _transition_counts(successor_table(parse_phi("pow:2"), 1100))
-        got = _gauss_depth_sums(tj, 7, 0.6, 1100)
-        assert got == _per_bin_reference(tj, 7, 0.6, 1100)
+        got = _check_binned_program(tj, 7, 0.6, 1100)
         assert got[4] > 0
         assert got[5:] == [0.0, 0.0]
-
-    @pytest.mark.parametrize("cap", [1, 3, 37, 101, 1025, 2500])
-    @pytest.mark.parametrize("segment", [128, 200, 1 << 16])
-    def test_total_rounds_like_the_dense_sum(self, cap, segment, monkeypatch):
-        # Small segments force the pairwise split, including its rounding
-        # down to a multiple of 8 (odd caps give odd half-lengths).  Past
-        # _RATIO_BINS digits the state has a tail, held in bin 0 alone.
-        monkeypatch.setattr(dimension, "_TOTAL_SEGMENT", segment)
-        rng = np.random.default_rng(cap)
-        head_len = min(cap, _RATIO_BINS)
-        cols = np.flatnonzero(rng.random(_RATIO_BINS) < 0.3)
-        if cap > _RATIO_BINS:
-            cols = np.union1d([0], cols)
-        m = rng.random((cols.size, head_len)) * 10.0 ** rng.integers(-8, 8, (cols.size, head_len))
-        m[rng.random(m.shape) < 0.5] = 0.0
-        tail = rng.random(cap - head_len) * 10.0 ** rng.integers(-8, 8, cap - head_len)
-        tail[rng.random(tail.size) < 0.3] = 0.0
-        dense = np.zeros((cap, _RATIO_BINS))
-        dense[:head_len, cols] = m.T
-        dense[head_len:, 0] = tail
-        assert _binned_total(m, cols, tail) == dense.sum()
 
     def test_total_frees_the_state_without_the_cyclic_collector(self):
         # A DP state can be ~50 MB; one held in a cycle until the collector
         # runs overlaps the next cover's state and raises the peak memory.
-        m, tail = np.ones((2, _RATIO_BINS)), np.ones(3)
-        refs = weakref.ref(m), weakref.ref(tail)
+        tj = _transition_counts(successor_table(parse_phi("pow:2"), 1100))
+        gc.collect()
         gc.disable()
         try:
-            _binned_total(m, np.array([0, 1]), tail)
-            del m, tail
-            assert all(ref() is None for ref in refs)
+            _gauss_depth_sums(tj, 7, 0.6, 1100)
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -496,8 +553,7 @@ class TestExactLevels:
     def test_matches_per_word_reference(self, phi, kind, depth, cap, s):
         system = make_gauss() if kind == "gauss" else make_linear_power(2.0)
         nxt = successor_table(phi, cap)
-        tj = _transition_counts(nxt)
-        counts = _count_words_per_depth(tj, depth)
+        counts = _words_per_depth(nxt, depth)
         assume(sum(counts) <= 30_000)
         got = _exact_depth_sums(system, nxt, depth, s, cap)
         want, frac = _per_word_reference(system, phi, depth, s, cap)
@@ -597,7 +653,27 @@ class TestBoxDim:
             est = box_dim_estimate(pts, [gap / 2**j for j in range(1, 10)])
         check_estimate(est)
         assert est.value == 0.0
-        assert est.diagnostics["constant_counts"] is True
+        assert est.bracket == (0.0, 0.0)
+        diag = est.diagnostics
+        assert diag["constant_counts"] is True
+        assert (diag["raw_slope"], diag["stderr"], diag["r_squared"]) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("k", range(2, 40))
+    def test_equal_selected_counts_give_a_flat_line(self, k):
+        # numpy's mean of k equal logs can miss them by an ulp; the flat
+        # line must still read exactly 0.  n scales put k in the middle.
+        n = next(n for n in range(2, 100) if max(2, round(0.6 * n)) == k)
+        rng = np.random.default_rng(k)
+        scales = np.sort(rng.uniform(1e-6, 0.9, n))[::-1]
+        for m in (2, 3, 7, 10, 1000, 2999):
+            # m points one apart fill m cells at every scale below 1.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ScaleWarning)
+                est = box_dim_estimate(np.arange(m, dtype=float), scales)
+            diag = est.diagnostics
+            assert diag["counts"] == [m] * n
+            assert (diag["raw_slope"], diag["stderr"], diag["r_squared"]) == (0.0, 0.0, 0.0)
+            assert est.value == 0.0 and est.bracket == (0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_counts_match_a_unique_per_scale(self, seed):

@@ -27,6 +27,7 @@ from ifslab.restrictions import (
     Ladder,
     Phi,
     PreconditionError,
+    _words_per_depth,
     build_ladder,
     count_restricted_words,
     enumerate_restricted_words,
@@ -261,6 +262,11 @@ class TestEnumerator:
         assert count_restricted_words(phi, 20, 1000) == math.comb(1000, 20)
         # Non-strict lin:1 words are multisets: C(cap + depth - 1, depth).
         assert count_restricted_words(phi, 20, 1000, strict=False) == math.comb(1019, 20)
+
+    def test_per_depth_counts_every_length(self):
+        # The strict lin:1 words of length n are the n-subsets of 1..cap.
+        got = _words_per_depth(successor_table(parse_phi("lin:1"), 1000), 20)
+        assert got == [math.comb(1000, n) for n in range(1, 21)]
 
     def test_count_rejects_what_enumeration_rejects(self):
         with pytest.raises(PreconditionError):
