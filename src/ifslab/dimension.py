@@ -6,8 +6,9 @@ contraction ratios.  Safeguarded Newton steps on the log of that sum, kept
 inside a bracket whose ends have both been evaluated, find it in a few
 passes over the log-rates, which are formed directly and so never
 underflow.  Cover sums aggregate |cylinder|**s over restriction-admissible
-words, either by exact enumeration or by a transfer-operator style dynamic
-program, and carry an explicit truncation bound for the discarded digits
+words, either by exact enumeration or by one backward transfer recursion
+that holds each partial sum as a Chebyshev interpolant in the continuant
+ratio, and carry an explicit truncation bound for the discarded digits
 above the cap.
 Box counting follows the usual occupied-grid regression with the scale
 window trimmed to its middle part.
@@ -31,9 +32,9 @@ _BOWEN_MAX_ITER = 256
 # exactly; beyond it the dynamic program takes over.
 _EXACT_WORD_CAP = 200_000
 
-# Resolution of the continuant-ratio binning in the transfer program, and
-# the largest digit cap it accepts.
-_RATIO_BINS = 1024
+# Chebyshev nodes that hold the continuant ratio in the Gauss transfer
+# program, and the largest digit cap it accepts.
+_RATIO_NODES = 16
 _GAUSS_DP_CAP = 20_000
 
 
@@ -199,22 +200,6 @@ def subsystem_dim_bounds(
     return lower, upper
 
 
-def _transition_counts(nxt: np.ndarray) -> np.ndarray:
-    """predecessors[j-1] = #{i <= cap : Phi(i) < j} for digits j = 1..cap,
-    from the successor table of the restriction."""
-    cap = nxt.size - 1
-    return np.searchsorted(nxt[1:], np.arange(1, cap + 1), side="right")
-
-
-def _pred_mass(m: np.ndarray, tj: np.ndarray) -> np.ndarray:
-    """Per digit j, the total of m over its admissible predecessors: the
-    first tj[j-1] digits (none when tj is 0).  m is indexed by digit along
-    its last axis; leading axes are carried along."""
-    out = np.take(np.cumsum(m, axis=-1), np.maximum(tj - 1, 0), axis=-1)
-    out[..., tj == 0] = 0.0
-    return out
-
-
 def _exact_depth_sums(system, nxt, depth, s, cap):
     """Exact enumeration: per-depth totals of |cylinder|**s, plus the exact
     rational total at the final depth for the Gauss family at s = 1.
@@ -259,152 +244,100 @@ def _exact_depth_sums(system, nxt, depth, s, cap):
         peak = arr.max()
         totals.append(float(math.exp(peak) * np.exp(arr - peak).sum()))
     if gauss and s == 1:
-        exact = sum(Fraction(1, b * (b + a)) for a, b in zip(q_prev.tolist(), q.tolist()))
-        totals[-1] = float(exact)
+        # Added in pairs, level by level: a running sum would carry a
+        # denominator grown over every term into each addition.
+        terms = [Fraction(1, b * (b + a)) for a, b in zip(q_prev.tolist(), q.tolist())]
+        while len(terms) > 1:
+            odd = terms[len(terms) // 2 * 2 :]
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
+        totals[-1] = float(sum(terms))
     return totals
 
 
-def _affine_depth_sums(system, tj, depth, s, cap):
-    """Factorized transfer program: cylinder lengths are exact products of
-    per-digit ratios, so the state is the last digit alone."""
-    log_w = np.array([s * system.log_contract_hi(i) for i in range(1, cap + 1)])
-    w = np.exp(log_w)
-    m = w.copy()
-    offset = 0.0
-    totals = [float(m.sum())]
-    for _ in range(depth - 1):
-        m = w * _pred_mass(m, tj)
-        tot = m.sum()
-        totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
-        if 0 < tot < 1e-250:
-            offset += math.log(tot)
-            m /= tot
-    return totals
+def _chebyshev_grid(m):
+    """m Chebyshev-Lobatto nodes on [0, 1], rising from 0, and the matrix
+    that takes values there to coefficients in T_c(2r - 1) (Trefethen,
+    Approximation Theory and Approximation Practice, chapter 3).  Node i
+    sits at 2r - 1 = -cos(theta_i); one node holds a constant."""
+    if m == 1:
+        return np.zeros(1), np.ones((1, 1))
+    theta = np.pi * np.arange(m) / (m - 1)
+    fit = np.cos(np.outer(np.arange(m), np.pi - theta)) * (2.0 / (m - 1))
+    fit[:, [0, -1]] *= 0.5
+    fit[[0, -1]] *= 0.5
+    return np.sin(0.5 * theta) ** 2, fit
 
 
-def _binned_state(bins, mass, cap):
-    """Scatter mass[..., j] onto the cells (bins[..., j], digit j), keeping
-    only the bins that receive positive mass: returns the (k, cap) state and
-    its k ascending bin ids.
+def _transfer_depth_sums(system, nxt, depth, s, cap):
+    """Per-depth totals of |cylinder|**s by one backward transfer recursion.
 
-    One bincount does the scatter, so a cell adds its entries in the order
-    of mass (row-major), starting from 0.  Zero entries may land in any
-    cell of their digit; adding 0 changes nothing.
+    A continued-fraction word with continuants (q_prev, q) has |cylinder|
+    = q**-2 / (1 + r), r = q_prev/q; digit j multiplies q by j + r and
+    renews r to 1/(j + r), from r = 0.  An affine branch scales by
+    contract_hi(j) and keeps r = 0.  With w(j, r) = (j + r)**-2 or
+    contract_hi(j), F_0(r) = (1 + r)**-s and
+
+        F_k(a, r) = sum_{j=a..cap} w(j, r)**s * F_{k-1}(nxt[j], 1/(j + r)),
+
+    the depth-k total is F_k(1, 0), so one sweep gives every depth.
+    F_k(a, .) is the Gauss transfer operator (Bandtlow and Jenkinson, Adv.
+    Math. 2008) on digits from a on; for a >= 2 it is analytic off
+    (-inf, -2], and _RATIO_NODES Chebyshev-Lobatto values r_n hold it on
+    [0, 1] (Trefethen, chapter 8).  A depth gathers the coefficients of
+    F_{k-1}(nxt[j], .), evaluates them at 1/(j + r_n) by Clenshaw's
+    recurrence, scales, and sums over the digits from cap down; depth 1
+    reads F_0, the last depth r = 0 alone.  A total below 1e-250 rescales
+    the state to 1 and keeps its log aside.
     """
-    hit = np.bincount(bins.ravel(), weights=mass.ravel(), minlength=_RATIO_BINS) > 0
-    cols = np.flatnonzero(hit)
-    if not cols.size:
-        return np.zeros((0, cap)), cols
-    col_of = np.maximum(np.cumsum(hit) - 1, 0)
-    cell = col_of[bins] * cap + np.arange(cap)
-    state = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=cols.size * cap)
-    return state.reshape(cols.size, cap), cols
-
-
-def _with_bin_zero(head, cols, tail):
-    """Give the state a (zero) head row for bin 0 when the tail holds mass,
-    since every tail digit lies in bin 0."""
-    if tail.any() and not (cols.size and cols[0] == 0):
-        head = np.vstack((np.zeros((1, head.shape[1])), head))
-        cols = np.concatenate(([0], cols))
-    return head, cols
-
-
-def _gauss_weights(cols, digits, s, head):
-    """For appending each digit to each ratio bin in cols: the cylinder
-    weights ((1+r)/((j+r)(j+r+1)))**s, a (k, cap) array, and the new ratio
-    bins of the first `head` digits, a (k, head) array."""
-    B = _RATIO_BINS
-    r = (cols + 0.5) / B
-    x = digits + r[:, None]
-    new_bins = np.minimum((B / x[:, :head]).astype(np.int64), B - 1)
-    log1p_r = np.array([math.log1p(v) for v in r.tolist()])
-    weight = log1p_r[:, None] - np.log(x)
-    x += 1.0
-    weight -= np.log(x)
-    weight *= s
-    np.exp(weight, out=weight)
-    return weight, new_bins
-
-
-def _gauss_depth_sums(tj, depth, s, cap):
-    """Binned transfer program for continued-fraction cylinders.
-
-    With r the ratio of consecutive continuant denominators, appending
-    digit j scales the cylinder by (1+r)/((j+r)(j+r+1)) and renews the
-    ratio to 1/(j+r); r is tracked on a uniform grid of B = _RATIO_BINS
-    bins, at the bin centres (b + 0.5)/B.
-
-    The state is the mass per (ratio bin, last digit), held in two parts:
-    a head, a (k, min(cap, B)) matrix over the k occupied bins cols for the
-    digits 1..B, and a tail, one vector for the digits B+1..cap, all of it
-    in bin 0.  The split is exact: a digit j > B has ratio 1/j < 1/B at
-    depth 1, and appending any j >= B gives B/(j + r) < 1 at every centre
-    r >= 0.5/B, so every digit past B lands in bin 0 at every depth and a
-    row b != 0 is zero past digit B.
-
-    Each depth gives every digit its predecessor mass (_pred_mass) row by
-    row, which the bin weights scale.  As Phi(i) >= i, a head digit's
-    predecessors are head digits; past digit B a row b != 0 gives its head
-    total, and only row 0 runs on through the tail.  The head is scattered
-    bin by bin (_binned_state), the tail is the sum of its rows in ascending
-    bin order, so every cell adds its entries in the order the dense
-    scatter did.  A bin's weights do not depend on the depth and are
-    computed once per call.  Each depth's total is the head's sum plus the
-    tail's.
-    """
-    B = _RATIO_BINS
-    digits = np.arange(1, cap + 1, dtype=float)
-    mass0 = np.exp(-s * (np.log(digits) + np.log1p(digits)))
-    if depth == 1:
-        return [float(mass0.sum())]
-    if cap > _GAUSS_DP_CAP:
+    gauss = system.kind == "gauss"
+    if gauss and depth > 1 and cap > _GAUSS_DP_CAP:
         raise NumericFailure(
-            f"digit cap {cap} beyond the binned transfer program's bound "
+            f"digit cap {cap} beyond the transfer program's bound "
             f"{_GAUSS_DP_CAP}; lower the cap or force exact enumeration"
         )
-    H = min(cap, B)
-    bins0 = np.minimum((B / digits[:H]).astype(np.int64), B - 1)
-    head, cols = _binned_state(bins0, mass0[:H], H)
-    tail = mass0[H:].copy()
-    head, cols = _with_bin_zero(head, cols, tail)
-    # Tail digits from cut on have every head digit as a predecessor, so
-    # there a row b != 0 gives its total: tj_cut ends in H, which reads the
-    # last entry of the row's cumsum.
-    cut = int(np.searchsorted(tj[H:], H))
-    tj_cut = np.append(tj[H : H + cut], H)
-    weights = {}
+    r, fit = _chebyshev_grid(_RATIO_NODES if gauss and depth > 1 else 1)
+    m = r.size
+    if gauss:
+        x = np.arange(1, cap + 1, dtype=float) + r[:, None]
+        weight = np.exp(-2.0 * s * np.log(x))
+        ratio = 1.0 / x
+    else:
+        weight = np.exp(s * _log_rates(system, 1, cap))[None, :]
+        ratio = np.zeros((1, cap))
+    first = weight * np.exp(-s * np.log1p(ratio))
+    t = 2.0 * ratio - 1.0
+    t2 = 2.0 * t
+    bufs = [np.empty((m, cap)) for _ in range(3)]
+    # Coefficients of F_{k-1}(a, .) and values of F_k(a, r_n) in column a - 1.
+    coef = np.empty((m, cap + 1))
+    vals = np.zeros((m, cap + 1))
+    col = nxt[1:] - 1
     offset = 0.0
-    totals = [float(mass0.sum())]
-    for _ in range(depth - 1):
-        if not cols.size:
-            totals.append(0.0)
-            continue
-        fresh = [b for b in cols.tolist() if b not in weights]
-        if fresh:
-            w, nb = _gauss_weights(np.array(fresh), digits, s, H)
-            weights.update(zip(fresh, zip(w, nb)))
-        rows = [weights[b] for b in cols.tolist()]
-        pred = _pred_mass(head, tj[:H])
-        pred *= np.array([w[:H] for w, _ in rows])
-        new_tail = np.zeros(tail.size)
-        for i, (w, _) in enumerate(rows if tail.size else ()):
-            w = w[H:]
-            if i == 0 and cols[0] == 0:
-                new_tail += _pred_mass(np.concatenate((head[0], tail)), tj[H:]) * w
-            else:
-                p = _pred_mass(head[i], tj_cut)
-                new_tail[:cut] += p[:cut] * w[:cut]
-                new_tail[cut:] += p[-1] * w[cut:]
-        head, cols = _binned_state(np.array([nb for _, nb in rows]), pred, H)
-        tail = new_tail
-        head, cols = _with_bin_zero(head, cols, tail)
-        tot = head.sum() + tail.sum()
+    totals = []
+    for k in range(1, depth + 1):
+        n = m if k < depth else 1
+        if k == 1:
+            val = first[:n]
+        else:
+            g = np.take(coef, col, axis=1)
+            # b_c = 2t b_{c+1} - b_{c+2} + g_c down to c = 1, then t b_1 - b_2 + g_0.
+            val, b1, b2 = (b[:n] for b in bufs)
+            b1[:], b2[:] = g[-1], 0.0
+            for c in range(m - 2, -1, -1):
+                np.multiply(t2[:n] if c else t[:n], b1, out=val)
+                val -= b2
+                val += g[c]
+                val, b1, b2 = b2, val, b1
+            val = b1
+            val *= weight[:n]
+        np.cumsum(val[:, ::-1], axis=1, out=vals[:n, cap - 1 :: -1])
+        tot = vals[0, 0]
         totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
         if 0 < tot < 1e-250:
             offset += math.log(tot)
-            head /= tot
-            tail /= tot
+            vals /= tot
+        if k < depth:
+            np.matmul(fit, vals, out=coef)
     return totals
 
 
@@ -443,10 +376,12 @@ def cover_sum(
     """Sum of |cylinder|**s over admissible words of the given depth.
 
     Words use digits up to digit_cap with each digit exceeding Phi of its
-    predecessor.  method 'exact' forces enumeration, 'dp' the transfer
-    program; 'auto' enumerates only when the word count stays small.  A
-    TailWarning reports when the digit-cap truncation bound exceeds 1% of
-    the result.
+    predecessor.  method 'exact' forces enumeration; 'dp' runs the backward
+    transfer recursion, which holds the Gauss state at Chebyshev nodes in
+    the continuant ratio and meets enumeration to about 1e-14 relative.
+    'auto' enumerates only Gauss words, and only up to _EXACT_WORD_CAP of
+    them.  A TailWarning reports when the digit-cap truncation bound
+    exceeds 1% of the result.
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
@@ -458,17 +393,12 @@ def cover_sum(
         raise PreconditionError(f"unknown method {method!r}")
     cap = digit_cap
     nxt = successor_table(phi, cap)
-    tj = _transition_counts(nxt)
     if method == "auto":
-        # Affine kinds always take the factorized program; only gauss counts.
+        # Affine kinds always take the transfer program; only gauss counts.
         few = system.kind == "gauss" and sum(_words_per_depth(nxt, depth)) <= _EXACT_WORD_CAP
         method = "exact" if few else "dp"
-    if method == "exact":
-        totals = _exact_depth_sums(system, nxt, depth, s, cap)
-    elif system.kind == "gauss":
-        totals = _gauss_depth_sums(tj, depth, s, cap)
-    else:
-        totals = _affine_depth_sums(system, tj, depth, s, cap)
+    depth_sums = _exact_depth_sums if method == "exact" else _transfer_depth_sums
+    totals = depth_sums(system, nxt, depth, s, cap)
     result = totals[-1]
     bound = _truncation_bound(system, depth, s, cap, totals)
     if bound > 0.01 * result:

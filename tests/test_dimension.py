@@ -15,6 +15,7 @@ Frozen oracles, each derived independently before the module existed:
 
 import gc
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -24,16 +25,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ifslab import dimension
 from ifslab.dimension import (
-    _RATIO_BINS,
     DimensionEstimate,
     ScaleWarning,
     TailWarning,
     _exact_depth_sums,
-    _gauss_depth_sums,
     _linregress,
     _log_rate_band,
-    _transition_counts,
+    _transfer_depth_sums,
     bowen_root,
     box_dim_estimate,
     cover_sum,
@@ -290,8 +290,8 @@ class TestCoverSum:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             exact = cover_sum(gauss, lin_phi, 3, 0.7, digit_cap=60, method="exact")
-            binned = cover_sum(gauss, lin_phi, 3, 0.7, digit_cap=60, method="dp")
-        assert abs(binned - exact) / exact < 2e-4
+            program = cover_sum(gauss, lin_phi, 3, 0.7, digit_cap=60, method="dp")
+        assert program == pytest.approx(exact, rel=1e-13)
 
     def test_affine_transfer_is_exact(self, lin_phi):
         flat = make_linear_power(2.0)
@@ -299,16 +299,27 @@ class TestCoverSum:
             warnings.simplefilter("ignore")
             exact = cover_sum(flat, lin_phi, 2, 0.8, digit_cap=200, method="exact")
             program = cover_sum(flat, lin_phi, 2, 0.8, digit_cap=200, method="dp")
-        assert program == pytest.approx(exact, rel=1e-12)
+        assert program == pytest.approx(exact, rel=1e-13)
 
     def test_power_restriction_paths_agree(self, gauss):
         phi = parse_phi("pow:2")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             exact = cover_sum(gauss, phi, 3, 0.5, digit_cap=100, method="exact")
-            binned = cover_sum(gauss, phi, 3, 0.5, digit_cap=100, method="dp")
+            program = cover_sum(gauss, phi, 3, 0.5, digit_cap=100, method="dp")
         assert exact > 0
-        assert abs(binned - exact) / exact < 2e-4
+        assert program == pytest.approx(exact, rel=1e-13)
+
+    def test_exact_total_at_s_one_stays_fast(self, gauss, lin_phi):
+        # 178365 words of depth 4 take the exact route, whose Fraction total
+        # once took 23 s as a running sum.
+        assert _words_per_depth(successor_table(lin_phi, 47), 4)[-1] == 178365
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            total = cover_sum(gauss, lin_phi, 4, 1.0, digit_cap=47)
+        assert time.perf_counter() - start < 10.0
+        assert total == 0.008798022958825393
 
     def test_depth_trend_splits_at_the_dimension(self, gauss, lin_phi):
         # dim is 1/2: supercritical exponents shrink with depth, subcritical
@@ -331,18 +342,31 @@ class TestCoverSum:
         assert not [w for w in rec if issubclass(w.category, TailWarning)]
 
     @pytest.mark.parametrize("cap, n_words, method", [(631, 199396, "exact"), (632, 200028, "dp")])
-    def test_auto_switches_routes_past_the_word_cap(self, gauss, lin_phi, cap, n_words, method):
+    def test_auto_switches_routes_past_the_word_cap(
+        self, monkeypatch, gauss, lin_phi, cap, n_words, method
+    ):
         # Under lin:1 the words of depth 1 and 2 number cap + cap*(cap-1)/2.
         assert sum(_words_per_depth(successor_table(lin_phi, cap), 2)) == n_words
+        routes = []
+
+        def spy(route, inner):
+            def run(*args):
+                routes.append(route)
+                return inner(*args)
+
+            return run
+
+        for name, route in (("_exact_depth_sums", "exact"), ("_transfer_depth_sums", "dp")):
+            monkeypatch.setattr(dimension, name, spy(route, getattr(dimension, name)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             auto = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap)
             exact = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="exact")
-            binned = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="dp")
-        assert exact != binned
-        assert auto == (exact if method == "exact" else binned)
+            program = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="dp")
+        assert routes == [method, "exact", "dp"]
+        assert auto == (exact if method == "exact" else program)
 
-    def test_binned_program_cap_guard(self, gauss, lin_phi):
+    def test_transfer_program_cap_guard(self, gauss, lin_phi):
         with pytest.raises(NumericFailure):
             cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=30_000, method="dp")
 
@@ -359,144 +383,104 @@ class TestCoverSum:
             cover_sum(gauss, lin_phi, 2, 0.5, method="guess")
 
 
-def _pairwise_roundings(n):
-    """Most roundings any addend meets in numpy's pairwise sum of n floats.
-
-    Up to 8 addends are added in turn to 0.  Up to 128 run eight
-    accumulators over n // 8 - 1 steps, join them in a three-level tree,
-    and then add the n % 8 left over in turn.  Longer runs split in two,
-    the first part half of n rounded down to a multiple of 8, and add the
-    sums of the parts.
-    """
-    if n <= 8:
-        return max(n - 1, 0)
-    if n <= 128:
-        return n // 8 - 1 + 3 + n % 8
-    half = n // 2 - (n // 2) % 8
-    return 1 + max(_pairwise_roundings(half), _pairwise_roundings(n - half))
+def _check_against_exact(system, phi, depth, s, cap):
+    """_transfer_depth_sums against exact enumeration at every depth: within
+    1e-13 relative, and 0 exactly where no word fits."""
+    nxt = successor_table(phi, cap)
+    got = _transfer_depth_sums(system, nxt, depth, s, cap)
+    want = _exact_depth_sums(system, nxt, depth, s, cap)
+    assert len(got) == depth
+    for a, b in zip(got, want):
+        assert a == b if b == 0 else a == pytest.approx(b, rel=1e-13)
+    return got
 
 
-def _within_pairwise_bound(total, exact, h):
-    """Whether a float sum of nonnegative addends, each of which met at most
-    h roundings before one final product with exp(offset), lies within the
-    a-priori bound of the exact sum S of its addends, given as
-    exact = fl(fl(S) * exp(offset)).
-
-    With u = 2**-53 and gamma(n) = n*u / (1 - n*u), a sum of nonnegative
-    terms whose every addend meets at most h roundings is S*(1 + t) with
-    |t| <= gamma(h) (Higham, Accuracy and Stability of Numerical Algorithms,
-    Lemma 3.1 and section 4.2); the product adds one rounding, so
-    |total - S*e| <= gamma(h + 1) * S*e.  math.fsum rounds S once and the
-    product once more, so |exact - S*e| <= gamma(2) * S*e, and
-    S*e <= exact / (1 - gamma(2)).
-    """
-    u = 2.0**-53
-
-    def gamma(n):
-        return n * u / (1 - n * u)
-
-    return abs(total - exact) <= (gamma(h + 1) + gamma(2)) * exact / (1 - gamma(2))
-
-
-def _per_bin_reference(tj, depth, s, cap):
-    """The retired binned transfer program, kept as the reference: a dense
-    (cap, bins) state and one np.add.at scatter per occupied bin.
-
-    Returns three lists, one entry per depth: the total, with the dense
-    state summed in the binned program's layout; math.fsum of the state,
-    scaled alike; and the most roundings an addend meets in that total
-    (_pairwise_roundings).  The layout is the occupied head bins, bin-major,
-    with bin 0 first whenever the tail holds mass, taken contiguous, then
-    the tail of bin 0; its sum is the head's plus the tail's.
-    """
-    B = _RATIO_BINS
-    H = min(cap, B)
-    digits = np.arange(1, cap + 1, dtype=float)
-    rows = np.arange(cap)
-    mass0 = np.exp(-s * (np.log(digits) + np.log1p(digits)))
-    bins0 = np.minimum((B / digits).astype(np.int64), B - 1)
-    m = np.zeros((cap, B))
-    np.add.at(m, (rows, bins0), mass0)
-    reps = (np.arange(B) + 0.5) / B
-    offset = 0.0
-    totals = [float(mass0.sum())]
-    exact = [math.fsum(mass0.tolist())]
-    roundings = [_pairwise_roundings(cap)]
-    for _ in range(depth - 1):
-        m_new = np.zeros_like(m)
-        occupied = np.nonzero(m.sum(axis=0) > 0)[0]
-        for b in occupied:
-            cum = np.cumsum(m[:, b])
-            pred = np.where(tj > 0, cum[np.maximum(tj - 1, 0)], 0.0)
-            r = reps[b]
-            weight = np.exp(
-                s * (math.log1p(r) - np.log(digits + r) - np.log(digits + r + 1.0))
-            )
-            contrib = pred * weight
-            new_bins = np.minimum((B / (digits + r)).astype(np.int64), B - 1)
-            np.add.at(m_new, (rows, new_bins), contrib)
-        m = m_new
-        cols = np.flatnonzero(m[:H].sum(axis=0) > 0)
-        tail = m[H:, 0]
-        if tail.any() and not (cols.size and cols[0] == 0):
-            cols = np.concatenate(([0], cols))
-        head = np.ascontiguousarray(m[:H, cols].T)
-        tot = head.sum() + tail.sum()
-        totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
-        exact.append(math.fsum(m[m != 0].tolist()) * math.exp(offset))
-        roundings.append(1 + max(_pairwise_roundings(head.size), _pairwise_roundings(tail.size)))
-        if 0 < tot < 1e-250:
-            offset += math.log(tot)
-            m /= tot
-    return totals, exact, roundings
+def _finer_grid_reference(nxt, depth, s, cap, m=20):
+    """The Gauss transfer recursion of _transfer_depth_sums written plainly
+    in long double on m Chebyshev-Lobatto nodes: every depth's total, for
+    caps past the reach of exact enumeration."""
+    ld = np.longdouble
+    pi = np.arccos(ld(-1))
+    theta = pi * np.arange(m, dtype=ld) / (m - 1)
+    fit = np.cos(np.outer(np.arange(m, dtype=ld), pi - theta)) * (2 / ld(m - 1))
+    fit[:, [0, -1]] /= 2
+    fit[[0, -1]] /= 2
+    x = np.arange(1, cap + 1, dtype=ld) + (np.sin(theta / 2) ** 2)[:, None]
+    t = 2 / x - 1
+    w = x ** ld(-2 * s)
+    vals = np.zeros((m, cap + 1), dtype=ld)
+    totals = []
+    for k in range(depth):
+        if k == 0:
+            f = (x / (x + 1)) ** ld(s)
+        else:
+            c = (fit @ vals)[:, nxt[1:] - 1]
+            b1, b2 = np.zeros_like(t), np.zeros_like(t)
+            for row in c[:0:-1]:
+                b1, b2 = 2 * t * b1 - b2 + row, b1
+            f = t * b1 - b2 + c[0]
+        vals[:, :cap] = np.cumsum((w * f)[:, ::-1], axis=1)[:, ::-1]
+        totals.append(float(vals[0, 0]))
+    return totals
 
 
-def _check_binned_program(tj, depth, s, cap):
-    """_gauss_depth_sums against the per-bin reference: every total equal,
-    and every total within the pairwise bound of the reference's fsum."""
-    want, exact, roundings = _per_bin_reference(tj, depth, s, cap)
-    for n in range(1, depth + 1):
-        got = _gauss_depth_sums(tj, n, s, cap)
-        assert got == want[:n]
-        assert all(_within_pairwise_bound(*t) for t in zip(got, exact, roundings))
-    return want
-
-
-class TestBinnedProgram:
-    # Caps around and past _RATIO_BINS give the state a tail of digits that
-    # all lie in ratio bin 0.
+class TestTransferProgram:
+    # Dense restrictions at caps up to 3001, where exact enumeration of
+    # depth 5 is out of reach.
     @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5"])
     @pytest.mark.parametrize("cap", [50, 500, 1023, 1024, 1025, 2000, 3001])
     @pytest.mark.parametrize("s", [0.45, 0.6, 1.0])
-    def test_matches_retired_per_bin_loop(self, spec, cap, s):
-        tj = _transition_counts(successor_table(parse_phi(spec), cap))
-        _check_binned_program(tj, 5, s, cap)
+    def test_large_caps_match_a_finer_grid(self, gauss, spec, cap, s):
+        nxt = successor_table(parse_phi(spec), cap)
+        got = _transfer_depth_sums(gauss, nxt, 5, s, cap)
+        want = _finer_grid_reference(nxt, 5, s, cap)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec, cap, depth",
+        [
+            ("lin:1", 10, 5),
+            ("lin:1", 40, 4),
+            ("lin:3/2", 80, 4),
+            ("pow:1.5", 50, 5),
+            ("pow:1.5", 300, 5),
+            ("pow:2", 100, 7),
+            ("pow:2", 1100, 7),
+        ],
+    )
+    @pytest.mark.parametrize("s", [0.2, 0.45, 0.6, 0.999999, 1.0])
+    def test_gauss_matches_exact_enumeration(self, gauss, spec, cap, depth, s):
+        _check_against_exact(gauss, parse_phi(spec), depth, s, cap)
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
-    def test_no_admissible_words_leaves_an_empty_state(self, cap):
+    def test_no_admissible_words_leaves_an_empty_state(self, gauss, cap):
         # Under pow:2 no word of depth 3 fits below cap 4, so the state
         # runs empty and every later total is 0.
-        tj = _transition_counts(successor_table(parse_phi("pow:2"), cap))
-        got = _gauss_depth_sums(tj, 4, 0.6, cap)
-        assert got == _per_bin_reference(tj, 4, 0.6, cap)[0]
+        got = _check_against_exact(gauss, parse_phi("pow:2"), 4, 0.6, cap)
         assert got[2:] == [0.0, 0.0]
 
-    def test_state_with_a_tail_runs_empty(self):
-        # Under pow:2 at cap 1100 the depth-5 words 1, 2, 5, 26, j reach the
-        # tail (j >= 677), and no word of depth 6 fits.
-        tj = _transition_counts(successor_table(parse_phi("pow:2"), 1100))
-        got = _check_binned_program(tj, 7, 0.6, 1100)
+    def test_state_runs_empty_past_depth_five(self, gauss):
+        # Under pow:2 at cap 1100 the depth-5 words 1, 2, 5, 26, j reach
+        # j >= 677, and no word of depth 6 fits.
+        got = _check_against_exact(gauss, parse_phi("pow:2"), 7, 0.6, 1100)
         assert got[4] > 0
         assert got[5:] == [0.0, 0.0]
 
-    def test_total_frees_the_state_without_the_cyclic_collector(self):
-        # A DP state can be ~50 MB; one held in a cycle until the collector
-        # runs overlaps the next cover's state and raises the peak memory.
-        tj = _transition_counts(successor_table(parse_phi("pow:2"), 1100))
+    @pytest.mark.parametrize("name", ["linpow", "gapsys"])
+    @pytest.mark.parametrize("spec", ["lin:1", "pow:2"])
+    def test_affine_kinds_match_exact_enumeration(self, gap_system, name, spec):
+        system = make_linear_power(2.0) if name == "linpow" else gap_system
+        _check_against_exact(system, parse_phi(spec), 4, 0.6, 60)
+
+    def test_total_frees_the_state_without_the_cyclic_collector(self, gauss):
+        # A DP state can be tens of MB; one held in a cycle until the
+        # collector runs overlaps the next cover's state and raises the peak
+        # memory.
+        nxt = successor_table(parse_phi("pow:2"), 1100)
         gc.collect()
         gc.disable()
         try:
-            _gauss_depth_sums(tj, 7, 0.6, 1100)
+            _transfer_depth_sums(gauss, nxt, 7, 0.6, 1100)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -72,7 +72,7 @@ CASES = {
         "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "3", "--s", "0.6",
         "--cap", "100", "--method", "dp",
     ],
-    # Past digit 1024 every ratio lands in bin 0 of the transfer program.
+    # The largest digit cap the Gauss transfer program accepts.
     "cover_gauss_dp_c20000": [
         "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "4", "--s", "0.6",
         "--cap", "20000", "--method", "dp",
