@@ -366,7 +366,7 @@ class TestCoverSum:
         assert routes == [method, "exact", "dp"]
         assert auto == (exact if method == "exact" else program)
 
-    def test_transfer_program_cap_guard(self, gauss, lin_phi):
+    def test_binned_program_cap_guard(self, gauss, lin_phi):
         with pytest.raises(NumericFailure):
             cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=30_000, method="dp")
 
@@ -452,6 +452,17 @@ class TestTransferProgram:
     def test_gauss_matches_exact_enumeration(self, gauss, spec, cap, depth, s):
         _check_against_exact(gauss, parse_phi(spec), depth, s, cap)
 
+    @pytest.mark.parametrize("name", ["linpow", "gapsys"])
+    @pytest.mark.parametrize("spec", ["lin:1", "pow:2"])
+    def test_affine_kinds_match_exact_enumeration(self, gap_system, name, spec):
+        system = make_linear_power(2.0) if name == "linpow" else gap_system
+        _check_against_exact(system, parse_phi(spec), 4, 0.6, 60)
+
+
+class TestBinnedProgram:
+    """State edge cases first written for the binned Gauss DP, kept under
+    their names; each now runs _transfer_depth_sums, which replaced it."""
+
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_no_admissible_words_leaves_an_empty_state(self, gauss, cap):
         # Under pow:2 no word of depth 3 fits below cap 4, so the state
@@ -459,18 +470,13 @@ class TestTransferProgram:
         got = _check_against_exact(gauss, parse_phi("pow:2"), 4, 0.6, cap)
         assert got[2:] == [0.0, 0.0]
 
-    def test_state_runs_empty_past_depth_five(self, gauss):
+    def test_state_with_a_tail_runs_empty(self, gauss):
+        # The tail is the digits past 1024, once held apart by the binned DP.
         # Under pow:2 at cap 1100 the depth-5 words 1, 2, 5, 26, j reach
         # j >= 677, and no word of depth 6 fits.
         got = _check_against_exact(gauss, parse_phi("pow:2"), 7, 0.6, 1100)
         assert got[4] > 0
         assert got[5:] == [0.0, 0.0]
-
-    @pytest.mark.parametrize("name", ["linpow", "gapsys"])
-    @pytest.mark.parametrize("spec", ["lin:1", "pow:2"])
-    def test_affine_kinds_match_exact_enumeration(self, gap_system, name, spec):
-        system = make_linear_power(2.0) if name == "linpow" else gap_system
-        _check_against_exact(system, parse_phi(spec), 4, 0.6, 60)
 
     def test_total_frees_the_state_without_the_cyclic_collector(self, gauss):
         # A DP state can be tens of MB; one held in a cycle until the
