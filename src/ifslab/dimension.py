@@ -23,7 +23,7 @@ import numpy as np
 
 from .restrictions import Phi, _words_per_depth, successor_table
 from .powersum import power_sum_brackets
-from .systems import DecaySystem, NumericFailure, PreconditionError
+from .systems import DecaySystem, NumericFailure, PreconditionError, _append_digits, _empty_words
 
 # Most pressure evaluations one root may take.
 _BOWEN_MAX_ITER = 256
@@ -31,6 +31,10 @@ _BOWEN_MAX_ITER = 256
 # At most this many admissible words (summed over all depths) are walked
 # exactly; beyond it the dynamic program takes over.
 _EXACT_WORD_CAP = 200_000
+
+# Forced enumeration refuses more words than this (over all depths): about
+# 60 bytes a word, plus a 145-byte Fraction a word for the s = 1 Gauss total.
+_EXACT_WORD_BUDGET = 2**21
 
 # Chebyshev nodes that hold the continuant ratio in the Gauss transfer
 # program, and the largest digit cap it accepts.
@@ -205,47 +209,32 @@ def _exact_depth_sums(system, nxt, depth, s, cap):
     rational total at the final depth for the Gauss family at s = 1.
 
     Each depth is held as level arrays over all its admissible words in
-    lexicographic order: the last digit and either the continuant pair
-    (q_prev, q) of the word (Gauss) or its summed log contraction (affine
-    kinds).  The next level repeats every word once per allowed digit
+    lexicographic order: the last digit and the kernel state of
+    systems._append_digits, which forms each word's log cylinder length.
+    The next level repeats every word once per allowed digit
     nxt[last] .. cap, which keeps the order.  Continuants are bounded by
-    (cap + 1)**depth; they are int64 below 2**63 and Python ints past it.
-    The log sums carry their rounding error along (two-sum), so each is
-    rounded once, as math.fsum over the word would round it.
+    (cap + 1)**depth.
     """
-    gauss = system.kind == "gauss"
-    ints = np.int64 if (cap + 1) ** depth < 2**63 else object
-    # The empty word: virtual last digit 0, continuants (q_prev, q) = (0, 1).
+    # The empty word, with virtual last digit 0.
     last = np.zeros(1, dtype=np.int64)
-    q_prev, q = np.zeros(1, dtype=ints), np.ones(1, dtype=ints)
-    log_sum, log_err = np.zeros(1), np.zeros(1)
-    if not gauss:
-        log_digit = np.array([0.0] + [system.log_contract_hi(a) for a in range(1, cap + 1)])
+    level = _empty_words(system, 1, (cap + 1) ** depth)
     totals = []
     for _ in range(depth):
         first = nxt[last]
         counts = cap + 1 - first
         parent = np.repeat(np.arange(last.size), counts)
-        offsets = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        last = first[parent] + offsets
-        if gauss:
-            q_prev, q = q[parent], last.astype(ints) * q[parent] + q_prev[parent]
-            log_len = -(np.log(q.astype(float)) + np.log((q + q_prev).astype(float)))
-        else:
-            head, term = log_sum[parent], log_digit[last]
-            log_sum = head + term
-            back = log_sum - head
-            log_err = log_err[parent] + ((head - (log_sum - back)) + (term - back))
-            log_len = log_sum + log_err
-        if last.size == 0:
-            totals.append(0.0)
-            continue
-        arr = s * log_len
-        peak = arr.max()
-        totals.append(float(math.exp(peak) * np.exp(arr - peak).sum()))
-    if gauss and s == 1:
+        last = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        last += first[parent]
+        level, arr = _append_digits(system, level, last, parent)
+        # In place, as a level can hold millions of words; an empty one sums to 0.
+        arr *= s
+        peak = arr.max(initial=-math.inf)
+        arr -= peak
+        totals.append(float(math.exp(peak) * np.exp(arr, out=arr).sum()))
+    if system.kind == "gauss" and s == 1:
         # Added in pairs, level by level: a running sum would carry a
         # denominator grown over every term into each addition.
+        q_prev, q = level
         terms = [Fraction(1, b * (b + a)) for a, b in zip(q_prev.tolist(), q.tolist())]
         while len(terms) > 1:
             odd = terms[len(terms) // 2 * 2 :]
@@ -376,7 +365,8 @@ def cover_sum(
     """Sum of |cylinder|**s over admissible words of the given depth.
 
     Words use digits up to digit_cap with each digit exceeding Phi of its
-    predecessor.  method 'exact' forces enumeration; 'dp' runs the backward
+    predecessor.  method 'exact' forces enumeration, and raises
+    NumericFailure past _EXACT_WORD_BUDGET words; 'dp' runs the backward
     transfer recursion, which holds the Gauss state at Chebyshev nodes in
     the continuant ratio and meets enumeration to about 1e-14 relative.
     'auto' enumerates only Gauss words, and only up to _EXACT_WORD_CAP of
@@ -393,10 +383,17 @@ def cover_sum(
         raise PreconditionError(f"unknown method {method!r}")
     cap = digit_cap
     nxt = successor_table(phi, cap)
-    if method == "auto":
-        # Affine kinds always take the transfer program; only gauss counts.
-        few = system.kind == "gauss" and sum(_words_per_depth(nxt, depth)) <= _EXACT_WORD_CAP
-        method = "exact" if few else "dp"
+    if method != "dp":
+        n_words = sum(_words_per_depth(nxt, depth))
+        if method == "auto":
+            # Affine kinds always take the transfer program; only gauss counts.
+            few = system.kind == "gauss" and n_words <= _EXACT_WORD_CAP
+            method = "exact" if few else "dp"
+        elif n_words > _EXACT_WORD_BUDGET:
+            raise NumericFailure(
+                f"{n_words} admissible words exceed the exact route's budget of "
+                f"{_EXACT_WORD_BUDGET}; lower the cap or the depth, or use the dp method"
+            )
     depth_sums = _exact_depth_sums if method == "exact" else _transfer_depth_sums
     totals = depth_sums(system, nxt, depth, s, cap)
     result = totals[-1]

@@ -6,7 +6,7 @@ restriction of the previous ladder value, with a level exponent chosen so
 the window masses sum to one.  Because each exponent sits at or above
 1/d - eps, every cylinder mass is dominated by the cylinder length raised
 to 1/d - eps, and ``verify_frostman`` checks exactly that comparison with
-exact cylinder lengths.
+log cylinder lengths formed from exact continuants or exact slopes.
 
 The second is a Markov measure on unbounded digit words whose conditional
 law from digit i is a power tail supported on j >= ceil(i**alpha).  It
@@ -34,7 +34,7 @@ import numpy as np
 from .dimension import DimensionEstimate, _estimate
 from .powersum import first_index_reaching, power_sum_brackets
 from .restrictions import Ladder, Phi, build_ladder
-from .systems import DecaySystem, NumericFailure, PreconditionError
+from .systems import DecaySystem, NumericFailure, PreconditionError, _append_digits, _empty_words
 
 # Exponent solver: certified residual target and bisection width floor.
 _SOLVE_RESIDUAL = 5e-13
@@ -358,36 +358,6 @@ def _block_log_masses(measure: FrostmanMeasure, words: np.ndarray) -> np.ndarray
     return acc
 
 
-def _block_lengths(system: DecaySystem, words: np.ndarray, windows: list) -> list:
-    """Float cylinder length of each row, as ``float(cylinder_interval(...).length)``.
-
-    Reciprocal-shift cylinders have length exactly 1/(q * (q + q_prev)) from
-    the word's continuants (the determinant is +-1).  The continuants stay
-    int64 while 2 * prod(hi + 1)**2 bounds that denominator below 2**53, so
-    the float division is correctly rounded; past that they are Python ints,
-    whose true division rounds once as ``float(Fraction)`` does.  An affine
-    cylinder's length is the product of its exact slopes, kept as numerator
-    and denominator columns of Python ints and divided once; no offset is
-    formed.
-    """
-    if system.affine is not None:
-        num = np.ones(len(words), dtype=object)
-        den = np.ones(len(words), dtype=object)
-        for col in words.T:
-            digits, inv = np.unique(col, return_inverse=True)
-            slopes = [system.affine.slope(i) for i in digits.tolist()]
-            num = num * np.array([r.numerator for r in slopes], dtype=object)[inv]
-            den = den * np.array([r.denominator for r in slopes], dtype=object)[inv]
-        return (num / den).tolist()
-    exact = 2 * math.prod(hi + 1 for _, hi in windows) ** 2 < 2**53
-    ints = np.int64 if exact else object
-    q_prev = np.zeros(len(words), dtype=ints)
-    q = np.ones(len(words), dtype=ints)
-    for col in words.T:
-        q_prev, q = q, col.astype(ints) * q + q_prev
-    return (1 / (q * (q + q_prev))).tolist()
-
-
 def verify_frostman(
     measure: FrostmanMeasure,
     depth: int,
@@ -400,12 +370,13 @@ def verify_frostman(
     fits under sample_cap; otherwise probes sample_cap words drawn uniformly
     from the window product (independently of the measure, so low-mass
     corners are not under-represented), row by row from the seed's Philox
-    stream.  Words are checked in blocks of rows; masses and lengths take
-    the same float steps as ``frostman_mass`` and the exact cylinder
-    intervals, so the witness is the first failing word in draw or
-    enumeration order.  A depth below 1 or a sample_cap below 1 is
-    rejected, since either would pass without checking any word.  A
-    sampled window past int64 raises NumericFailure.
+    stream.  Words are checked in blocks of rows; masses take the same
+    float steps as ``frostman_mass``, and log lengths come column by column
+    from systems._append_digits, from exact continuants or exact slopes.
+    The witness is the first failing word in draw or enumeration order.
+    A depth below 1 or a sample_cap below 1 is rejected, since either would
+    pass without checking any word.  A sampled window past int64 raises
+    NumericFailure.
     """
     if sample_cap < 1:
         raise PreconditionError(f"sample_cap must be >= 1, got {sample_cap}")
@@ -424,8 +395,11 @@ def verify_frostman(
     checked = passed = 0
     worst = -math.inf
     witness = None
+    bound = math.prod(hi + 1 for _, hi in windows)
     for words in blocks:
-        log_len = np.array([math.log(x) for x in _block_lengths(measure.system, words, windows)])
+        level = _empty_words(measure.system, len(words), bound)
+        for col in words.T:
+            level, log_len = _append_digits(measure.system, level, col)
         margin = _block_log_masses(measure, words) - q * log_len
         ok = margin <= 0.0
         checked += len(words)

@@ -47,9 +47,6 @@ from dataclasses import dataclass
 
 from .systems import NumericFailure
 
-# Ranges at most this long are summed directly (exactly rounded via fsum).
-DIRECT_LIMIT = 200_000
-
 # Head length summed exactly before handing the tail to Euler-Maclaurin;
 # the error term shrinks like head**-(p+5), so a modest head is plenty.
 _EM_HEAD = 64
@@ -209,20 +206,6 @@ def _em_from(a: int, p: float, k: int):
     return em
 
 
-def _em_tail(a: int, b: int | None, p: float) -> tuple[float, float] | None:
-    """Euler-Maclaurin (estimate, err) for S(a, b, p), a >= 2, from a and the
-    exact int b - a; ``b=None`` is the infinite tail (p > 1).  None stands
-    for a sum past e**_LOG_BIG."""
-    if b is None:
-        return _em_from(a, p, 0)(math.inf)
-    delta = b - a
-    bits = delta.bit_length() - a.bit_length()
-    if -_RATIO_EXP_CAP < bits < _RATIO_EXP_CAP:
-        return _em_from(a, p, 0)(delta / a)
-    k = _ratio_shift(bits, a)
-    return _em_from(a, p, k)(_scaled_ratio(delta, a, k))
-
-
 def _direct(a: int, b: int, p: float) -> float:
     """Exactly rounded sum of exp(-p * log(i)) over a..b, as chained maps."""
     q = -p
@@ -287,7 +270,9 @@ class _Brackets:
         # A ratio outside this k's normal range: the stop's own scaling.
         if self._em is None:
             self._prepare()
-        return self._with_head(_em_tail(self.a, stop, self.p))
+        a = self.a
+        k = _ratio_shift((stop - a).bit_length() - a.bit_length(), a)
+        return self._with_head(_em_from(a, self.p, k)(_scaled_ratio(stop - a, a, k)))
 
     def first_stop(self, r: float) -> int:
         """Smallest stop whose scaled ratio is at least r (r positive normal)."""
@@ -324,20 +309,6 @@ def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, f
     a = start + _EM_HEAD
     k = _ratio_shift((stop - a).bit_length() - a.bit_length(), a)
     return _Brackets(start, p, k)(stop)
-
-
-def power_sum(start: int, stop: int | None, p: float) -> float:
-    """Best estimate of S(start, stop, p); exact (to rounding) on small ranges."""
-    if stop is not None and stop - start + 1 <= DIRECT_LIMIT:
-        if stop < start:
-            return 0.0
-        if p <= 0:
-            raise ValueError("exponent p must be positive")
-        if start < 1:
-            raise ValueError("power sums start at index 1")
-        return _direct(start, stop, p)
-    lo, hi = power_sum_brackets(start, stop, p)
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

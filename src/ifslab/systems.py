@@ -28,6 +28,10 @@ endpoints for every kind; for the reciprocal family the product entries
 are the continuants of the word.  Keeping this arithmetic exact removes
 rounding as a confounder in every downstream test.
 
+Exact cover sums and the Frostman check take the log cylinder lengths of
+whole levels of words from one kernel, ``_append_digits``, which reads
+each word's continuants (reciprocal shifts) or exact slopes (affine).
+
 All types are immutable after construction and all operations are pure.
 """
 
@@ -39,6 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 Word = tuple[int, ...]
 
 DEPTH_CAP = 64
@@ -48,6 +54,8 @@ _COMP_DIGIT_CAP = 4
 
 # Linear products below this switch the caller to the log-domain fields.
 FLOAT_FLOOR = 1e-300
+
+_LN2 = math.log(2.0)
 
 
 class PreconditionError(ValueError):
@@ -212,6 +220,54 @@ def _compose(system: DecaySystem, word: Word) -> tuple:
         e, f, g, h = system._branch(i)
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return a, b, c, d
+
+
+def _empty_words(system: DecaySystem, size: int, bound: int) -> tuple:
+    """Level of ``size`` empty words for _append_digits.  ``bound`` is at
+    least the product of (digit + 1) over each word the level grows into, so
+    the continuants are int64 while 2 * bound < 2**63, Python ints past it."""
+    if system.affine is not None:
+        return np.zeros(size), np.zeros(size)
+    ints = np.int64 if 2 * bound < 2**63 else object
+    return np.zeros(size, dtype=ints), np.ones(size, dtype=ints)
+
+
+def _log_rational(r: Fraction) -> float:
+    """log of a positive rational, also where it underflows a float."""
+    shift = max(0, r.denominator.bit_length() - r.numerator.bit_length() - 1000)
+    return math.log((r.numerator << shift) / r.denominator) - shift * _LN2
+
+
+def _append_digits(system: DecaySystem, level: tuple, digits: np.ndarray, parent=None) -> tuple:
+    """Append digits[k] to word parent[k] of a level (to word k when parent
+    is None); return the children's level and their log cylinder lengths.
+
+    A reciprocal-shift level holds the continuants (q_prev, q), and
+    log|C| = -(log q + log(q + q_prev)): numpy's log of the rounded int64
+    values, math.log of Python ints.  An affine level holds the sum of the
+    logs of each word's exact slopes, one log per distinct digit, with its
+    rounding error carried alongside (two-sum).
+    """
+    if system.affine is None:
+        q_prev, q = level
+        if parent is not None:
+            q = q[parent]
+        # Gather q once; the child's q_prev is the parent's q.
+        child = digits * q
+        child += q_prev if parent is None else q_prev[parent]
+        if child.dtype == object:
+            pairs = zip(q.tolist(), child.tolist())
+            logs = np.array([-(math.log(b) + math.log(a + b)) for a, b in pairs])
+        else:
+            logs = -(np.log(child) + np.log(child + q))
+        return (q, child), logs
+    head, err = level if parent is None else (level[0][parent], level[1][parent])
+    uniq, inv = np.unique(digits, return_inverse=True)
+    term = np.array([_log_rational(system.affine.slope(j)) for j in uniq.tolist()])[inv]
+    total = head + term
+    back = total - head
+    err = err + ((head - (total - back)) + (term - back))
+    return (total, err), total + err
 
 
 def _cylinder(system: DecaySystem, word: Word) -> tuple:

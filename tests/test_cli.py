@@ -16,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -254,6 +255,18 @@ class TestExitCodes:
             tmp_path, "bowen", "--system", "gauss", "--bound", "lambda", "--k", "1", "--m", "50"
         )
         assert code == 3
+
+    def test_exact_cover_past_the_word_budget_is_3(self, tmp_path, capsys):
+        # About 2.6e13 admissible words: the exact route counts them and
+        # refuses before it allocates a level.
+        start = time.perf_counter()
+        code, _, _ = _invoke(
+            tmp_path, "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "4",
+            "--s", "0.6", "--cap", "5000", "--method", "exact",
+        )
+        assert code == 3
+        assert time.perf_counter() - start < 0.5
+        assert "exceed the exact route's budget" in capsys.readouterr().err
 
     def test_deep_power_ladder_finishes(self, tmp_path):
         # Step 12 of the pow:2 ladder searches from near 2**7200, the square

@@ -321,6 +321,19 @@ class TestCoverSum:
         assert time.perf_counter() - start < 10.0
         assert total == 0.008798022958825393
 
+    def test_exact_route_word_budget(self, monkeypatch, gauss, lin_phi):
+        # Cap 3, depth 2: three words of each depth.  The budget counts words
+        # over all depths, and binds the forced exact route alone.
+        monkeypatch.setattr(dimension, "_EXACT_WORD_BUDGET", 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3, method="exact") == 47 / 315
+            monkeypatch.setattr(dimension, "_EXACT_WORD_BUDGET", 5)
+            with pytest.raises(NumericFailure, match="6 admissible words exceed"):
+                cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3, method="exact")
+            assert cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3) == 47 / 315
+            cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3, method="dp")
+
     def test_depth_trend_splits_at_the_dimension(self, gauss, lin_phi):
         # dim is 1/2: supercritical exponents shrink with depth, subcritical
         # ones grow.
@@ -493,8 +506,9 @@ class TestBinnedProgram:
 
 
 def _per_word_reference(system, phi, depth, s, cap):
-    """Per-depth totals by walking every admissible word, as the retired
-    exact route did, plus the exact Gauss total of the final depth at s=1."""
+    """Per-depth totals by walking every admissible word, each log length
+    formed on the word alone from its _compose continuants or its exact
+    slopes, plus the exact Gauss total of the final depth at s=1."""
     totals = []
     frac = Fraction(0)
     for n in range(1, depth + 1):
@@ -506,7 +520,7 @@ def _per_word_reference(system, phi, depth, s, cap):
                 if n == depth:
                     frac += Fraction(1, q * (q + q_prev))
             else:
-                logs.append(s * math.fsum(system.log_contract_hi(a) for a in word))
+                logs.append(s * math.fsum(math.log(system.affine.slope(a)) for a in word))
         if not logs:
             totals.append(0.0)
             continue

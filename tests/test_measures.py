@@ -56,7 +56,7 @@ from ifslab.measures import (
 )
 from ifslab.powersum import first_index_reaching, power_sum_brackets
 from ifslab.restrictions import parse_phi
-from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, cylinder_interval
+from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, _compose
 
 INV_ZETA_43 = 0.27770543933245483
 S_WINDOW_34 = 0.23182465132707360
@@ -237,8 +237,8 @@ class TestVerifyFrostman:
             verify_frostman(layered, 4)
 
     def test_linear_power_exhaustive_depth_three_within_budget(self):
-        # 61,180 words; each length is a product of three exact slopes, so
-        # no word's endpoints are composed.
+        # 61,180 words; each log length sums the logs of three exact
+        # slopes, so no word's endpoints are composed.
         start = time.perf_counter()
         measure = build_frostman_measure(make_linear_power(2.0), parse_phi("pow:2"), 0.1, 3)
         report = verify_frostman(measure, 3)
@@ -261,14 +261,37 @@ class TestVerifyFrostman:
         assert verify_frostman(blind, 3) == verify_frostman(layered_linpow, 3)
 
 
+def _log_length(system, word, bound):
+    """A word's log cylinder length by the level kernel's formula, formed on
+    the word alone: -(log q + log(q + q_prev)) from its _compose continuants
+    (numpy's log of the rounded ints while 2 * bound < 2**63, math.log of
+    the exact ints past it), or the logs of its exact slopes added with the
+    rounding error carried alongside."""
+    if system.affine is None:
+        _, _, q_prev, q = _compose(system, word)
+        if 2 * bound < 2**63:
+            return -(np.log(float(q)) + np.log(float(q + q_prev)))
+        return -(math.log(q) + math.log(q + q_prev))
+    total = err = 0.0
+    for a in word:
+        term = math.log(system.affine.slope(a))
+        new = total + term
+        back = new - total
+        err += (total - (new - back)) + (term - back)
+        total = new
+    return total + err
+
+
 def _per_word_reference(measure, depth, sample_cap=100_000, seed=0):
     """verify_frostman as a per-word loop: scalar draws or itertools.product,
-    frostman_mass and an exact cylinder_interval for every word."""
+    frostman_mass and the kernel's log-length formula on each word."""
     q = 1.0 / measure.system.decay - measure.eps
     windows = [measure.levels[n].window for n in range(depth)]
     total = 1
+    bound = 1
     for lo, hi in windows:
         total *= hi - lo + 1
+        bound *= hi + 1
     sampled = total > sample_cap
     if sampled:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
@@ -283,8 +306,7 @@ def _per_word_reference(measure, depth, sample_cap=100_000, seed=0):
     witness = None
     for word in words:
         log_mass = frostman_mass(measure, word, log=True)
-        length = float(cylinder_interval(measure.system, word).length)
-        margin = log_mass - q * math.log(length)
+        margin = log_mass - q * _log_length(measure.system, word, bound)
         checked += 1
         if margin <= 0.0:
             passed += 1
@@ -380,9 +402,11 @@ class TestVerifyFrostmanMatchesPerWordLoop:
         assert verify_frostman(tampered, 3, sample_cap=cap, seed=6) == want
 
     @pytest.mark.parametrize("word", [(15, 24, 35, 86), (17, 20, 49, 67), (18, 20, 53, 85)])
-    def test_lengths_take_the_scalar_log(self, gauss, word):
-        # numpy 2.4's vectorized log on x86-64 differs from math.log by an
-        # ulp on these cylinder lengths (32 of 1M random depth-4 words).
+    def test_lengths_follow_the_per_word_formula(self, gauss, word):
+        # Words on which numpy 2.4's vectorized log (x86-64) of the rounded
+        # cylinder length differs from math.log by an ulp (32 of 1M random
+        # depth-4 words).  The block log lengths must equal the kernel's
+        # formula on the word's own continuants, bit for bit.
         deep = build_frostman_measure(gauss, parse_phi("lin:1"), 0.1, 4)
         one = _with_windows(deep, [(a, a) for a in word])
         assert verify_frostman(one, 4) == _per_word_reference(one, 4)
@@ -404,24 +428,6 @@ class TestVerifyFrostmanMatchesPerWordLoop:
         big = _with_windows(layered, [(10, 19), (2**63 - 9, 2**63)])
         with pytest.raises(NumericFailure, match=r"level 2 window \(9223372036854775799\.\."):
             verify_frostman(big, 2, sample_cap=5)
-
-
-class TestBlockLengths:
-    """The column route of _block_lengths is ``float(cylinder_interval(...).length)``."""
-
-    @pytest.mark.parametrize("name", ["gauss", "linpow:2", "linpow:1.5", "gap"])
-    def test_matches_exact_cylinders(self, name, gauss, layered_gap):
-        system = {
-            "gauss": gauss,
-            "linpow:2": make_linear_power(2.0),
-            "linpow:1.5": make_linear_power(1.5),
-            "gap": layered_gap.system,
-        }[name]
-        rng = np.random.default_rng(17)
-        for depth in (1, 2, 3):
-            words = rng.integers(1, 400, size=(200, depth))
-            got = measures._block_lengths(system, words, [(1, 399)] * depth)
-            assert got == [float(cylinder_interval(system, w).length) for w in words.tolist()]
 
 
 class TestPowerLawMeasure:

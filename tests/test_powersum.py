@@ -22,12 +22,7 @@ from hypothesis import strategies as st
 
 from ifslab import powersum, restrictions
 from ifslab.families import make_gauss, make_linear_power
-from ifslab.powersum import (
-    DIRECT_LIMIT,
-    first_index_reaching,
-    power_sum,
-    power_sum_brackets,
-)
+from ifslab.powersum import first_index_reaching, power_sum_brackets
 from ifslab.restrictions import build_ladder, parse_phi
 from ifslab.systems import NumericFailure
 
@@ -48,7 +43,6 @@ def test_frozen_values_inside_brackets(start, stop, p, expected):
     lo, hi = power_sum_brackets(start, stop, p)
     assert lo <= expected <= hi
     assert hi - lo <= 1e-10 * abs(expected)
-    assert math.isclose(power_sum(start, stop, p), expected, rel_tol=1e-12)
 
 
 def test_brackets_contain_exact_sum_random_ranges():
@@ -76,7 +70,6 @@ def test_empty_and_singleton_ranges():
     assert power_sum_brackets(5, 4, 1.3) == (0.0, 0.0)
     lo, hi = power_sum_brackets(9, 9, 2.0)
     assert lo <= 9.0 ** -2 <= hi
-    assert power_sum(9, 9, 2.0) == pytest.approx(1.0 / 81.0, rel=1e-15)
 
 
 def test_invalid_arguments():
@@ -154,10 +147,10 @@ def test_first_index_with_coefficient():
 
 
 def test_first_index_beyond_direct_walk():
-    # Crossing far past DIRECT_LIMIT terms, on the Euler-Maclaurin brackets.
+    # Crossing far past 200_000 terms, on the Euler-Maclaurin brackets.
     start, p, target = 1000, 0.999, 40.0
     res = first_index_reaching(start, p, target)
-    assert res.index - start > DIRECT_LIMIT
+    assert res.index - start > 200_000
     lo_at, _ = power_sum_brackets(start, res.index, p)
     assert lo_at >= target
     if res.certified:
@@ -186,7 +179,7 @@ def test_first_index_at_huge_start():
     "start, p, target",
     [
         (10**50, 0.45, 1.0),  # bracket-noise band: both edge bisections
-        (1000, 0.999, 40.0),  # crossing past DIRECT_LIMIT terms
+        (1000, 0.999, 40.0),  # crossing past 200_000 terms
         (5, 1.2, 2.0),  # p > 1: the infinite-total check
         (97020547247076024, 0.8, 1.0),  # a pow:2 ladder step
     ],

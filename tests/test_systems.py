@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from ifslab.systems import (
     DEPTH_CAP,
     NumericFailure,
     PreconditionError,
+    _append_digits,
+    _empty_words,
     cylinder_interval,
     cylinder_length_bounds,
     project_point,
@@ -327,3 +330,70 @@ class TestVerifyPowerDecay:
         highs = [gauss.contract_hi(k) for k in ks]
         assert all(a >= b for a, b in zip(lows, lows[1:]))
         assert all(a >= b for a, b in zip(highs, highs[1:]))
+
+
+def _assert_log_lengths(system, words, got):
+    """Each log length within 4 ulps of the log of the exact cylinder; an
+    affine one is the correctly rounded sum of its slopes' logs."""
+    for word, log_len in zip(words, got.tolist()):
+        want = math.log(cylinder_interval(system, word).length)
+        assert abs(log_len - want) <= 4 * math.ulp(want), (word, log_len, want)
+        if system.affine is not None:
+            assert log_len == math.fsum(math.log(system.affine.slope(a)) for a in word), word
+
+
+def _mp_log(x: Fraction) -> float:
+    with mpmath.workprec(200):
+        return float(mpmath.log(mpmath.mpf(x.numerator) / x.denominator))
+
+
+class TestAppendDigits:
+    """The level kernel's log lengths against the exact cylinder intervals,
+    for both call shapes: levels grown through parent indices, as exact
+    cover sums grow them, and a block of words column by column, as the
+    Frostman check reads it."""
+
+    @pytest.mark.parametrize("name", ["gauss", "gauss:object", "linpow:2", "linpow:1.5", "gap"])
+    def test_matches_exact_cylinders(self, name, profiled_systems):
+        key = {"gauss:object": "gauss", "linpow:2": "linpow2", "linpow:1.5": "linpow1.5"}
+        system = profiled_systems[key.get(name, name)]
+        # Past 2**62 the continuants are Python ints; 400**4 stays below it.
+        bound = 2**62 if name == "gauss:object" else 400**4
+        rng = np.random.default_rng(17)
+        # Level growth: each word extends a random word of the level before.
+        level, words = _empty_words(system, 1, bound), [()]
+        for _ in range(4):
+            parent = rng.integers(0, len(words), size=300)
+            digits = rng.integers(1, 400, size=300)
+            level, got = _append_digits(system, level, digits, parent)
+            words = [words[k] + (j,) for k, j in zip(parent.tolist(), digits.tolist())]
+            _assert_log_lengths(system, words, got)
+        # Column by column over a block of rows.
+        block = rng.integers(1, 400, size=(300, 4))
+        level = _empty_words(system, len(block), bound)
+        for n, col in enumerate(block.T, 1):
+            level, got = _append_digits(system, level, col)
+            _assert_log_lengths(system, [tuple(w) for w in block[:, :n].tolist()], got)
+
+    def test_slopes_past_the_float_range(self):
+        # Under decay 300 the slopes of digits past 10 underflow a float;
+        # their logs come from the exact rationals all the same.
+        system = make_linear_power(300.0)
+        words = [(2, 5), (20, 7), (3000, 3000)]
+        level = _empty_words(system, len(words), 3001**2)
+        for col in np.array(words).T:
+            level, got = _append_digits(system, level, col)
+        for word, log_len in zip(words, got.tolist()):
+            want = _mp_log(cylinder_interval(system, word).length)
+            assert abs(log_len - want) <= 4 * math.ulp(want), word
+
+    def test_continuants_past_the_float_range(self, gauss):
+        # Digits near 2**600 give continuants near 2**1200, which no float
+        # holds; math.log reads the Python ints directly.
+        words = [(2**600, 3), (5, 2**600 + 1), (2**600, 2**600)]
+        level = _empty_words(gauss, len(words), (2**600 + 2) ** 2)
+        for col in np.array(words, dtype=object).T:
+            level, got = _append_digits(gauss, level, col)
+        for word, log_len in zip(words, got.tolist()):
+            want = _mp_log(cylinder_interval(gauss, word).length)
+            assert abs(log_len - want) <= 4 * math.ulp(want), word
