@@ -402,11 +402,12 @@ class TestVerifyFrostmanMatchesPerWordLoop:
         assert verify_frostman(tampered, 3, sample_cap=cap, seed=6) == want
 
     @pytest.mark.parametrize("word", [(15, 24, 35, 86), (17, 20, 49, 67), (18, 20, 53, 85)])
-    def test_lengths_follow_the_per_word_formula(self, gauss, word):
+    def test_lengths_take_the_scalar_log(self, gauss, word):
         # Words on which numpy 2.4's vectorized log (x86-64) of the rounded
         # cylinder length differs from math.log by an ulp (32 of 1M random
-        # depth-4 words).  The block log lengths must equal the kernel's
-        # formula on the word's own continuants, bit for bit.
+        # depth-4 words).  The block log lengths no longer call either log on
+        # the rounded length; they must equal the kernel's per-word formula on
+        # the word's own continuants, bit for bit.
         deep = build_frostman_measure(gauss, parse_phi("lin:1"), 0.1, 4)
         one = _with_windows(deep, [(a, a) for a in word])
         assert verify_frostman(one, 4) == _per_word_reference(one, 4)
