@@ -413,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--cap", type=int, default=10_000)
-    p.add_argument("--method", choices=("auto", "exact", "dp"), default="auto")
+    p.add_argument("--method", choices=("exact", "dp"), default="dp")
     _add_output_flags(p)
 
     p = subs.add_parser("boxdim", help="box-counting slope of a point file")

@@ -6,10 +6,10 @@ contraction ratios.  Safeguarded Newton steps on the log of that sum, kept
 inside a bracket whose ends have both been evaluated, find it in a few
 passes over the log-rates, which are formed directly and so never
 underflow.  Cover sums aggregate |cylinder|**s over restriction-admissible
-words, either by exact enumeration or by one backward transfer recursion
-that holds each partial sum as a Chebyshev interpolant in the continuant
-ratio, and carry an explicit truncation bound for the discarded digits
-above the cap.
+words by one backward transfer recursion that holds each partial sum as a
+Chebyshev interpolant in the continuant ratio, with budgeted exact
+enumeration as its oracle, and carry an explicit truncation bound for the
+discarded digits above the cap.
 Box counting follows the usual occupied-grid regression with the scale
 window trimmed to its middle part.
 """
@@ -17,7 +17,6 @@ window trimmed to its middle part.
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,12 +27,8 @@ from .systems import DecaySystem, NumericFailure, PreconditionError, _append_dig
 # Most pressure evaluations one root may take.
 _BOWEN_MAX_ITER = 256
 
-# At most this many admissible words (summed over all depths) are walked
-# exactly; beyond it the dynamic program takes over.
-_EXACT_WORD_CAP = 200_000
-
-# Forced enumeration refuses more words than this (over all depths): about
-# 60 bytes a word, plus a 145-byte Fraction a word for the s = 1 Gauss total.
+# Exact enumeration refuses more words than this (over all depths): about
+# 60 bytes a word.
 _EXACT_WORD_BUDGET = 2**21
 
 # Chebyshev nodes that hold the continuant ratio in the Gauss transfer
@@ -205,8 +200,7 @@ def subsystem_dim_bounds(
 
 
 def _exact_depth_sums(system, nxt, depth, s, cap):
-    """Exact enumeration: per-depth totals of |cylinder|**s, plus the exact
-    rational total at the final depth for the Gauss family at s = 1.
+    """Exact enumeration: per-depth totals of |cylinder|**s.
 
     Each depth is held as level arrays over all its admissible words in
     lexicographic order: the last digit and the kernel state of
@@ -231,15 +225,6 @@ def _exact_depth_sums(system, nxt, depth, s, cap):
         peak = arr.max(initial=-math.inf)
         arr -= peak
         totals.append(float(math.exp(peak) * np.exp(arr, out=arr).sum()))
-    if system.kind == "gauss" and s == 1:
-        # Added in pairs, level by level: a running sum would carry a
-        # denominator grown over every term into each addition.
-        q_prev, q = level
-        terms = [Fraction(1, b * (b + a)) for a, b in zip(q_prev.tolist(), q.tolist())]
-        while len(terms) > 1:
-            odd = terms[len(terms) // 2 * 2 :]
-            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
-        totals[-1] = float(sum(terms))
     return totals
 
 
@@ -360,18 +345,17 @@ def cover_sum(
     depth: int,
     s: float,
     digit_cap: int = 10_000,
-    method: str = "auto",
+    method: str = "dp",
 ) -> float:
     """Sum of |cylinder|**s over admissible words of the given depth.
 
     Words use digits up to digit_cap with each digit exceeding Phi of its
-    predecessor.  method 'exact' forces enumeration, and raises
-    NumericFailure past _EXACT_WORD_BUDGET words; 'dp' runs the backward
-    transfer recursion, which holds the Gauss state at Chebyshev nodes in
-    the continuant ratio and meets enumeration to about 1e-14 relative.
-    'auto' enumerates only Gauss words, and only up to _EXACT_WORD_CAP of
-    them.  A TailWarning reports when the digit-cap truncation bound
-    exceeds 1% of the result.
+    predecessor.  method 'dp', the default for every kind, runs the
+    backward transfer recursion, which holds the Gauss state at Chebyshev
+    nodes in the continuant ratio and meets enumeration to about 1e-14
+    relative.  'exact' enumerates every word as an oracle, and raises
+    NumericFailure past _EXACT_WORD_BUDGET of them.  A TailWarning reports
+    when the digit-cap truncation bound exceeds 1% of the result.
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
@@ -379,23 +363,20 @@ def cover_sum(
         raise PreconditionError("depth must be at least 1")
     if digit_cap < 1:
         raise PreconditionError("digit_cap must be at least 1")
-    if method not in ("auto", "exact", "dp"):
+    if method not in ("exact", "dp"):
         raise PreconditionError(f"unknown method {method!r}")
     cap = digit_cap
     nxt = successor_table(phi, cap)
-    if method != "dp":
+    if method == "exact":
         n_words = sum(_words_per_depth(nxt, depth))
-        if method == "auto":
-            # Affine kinds always take the transfer program; only gauss counts.
-            few = system.kind == "gauss" and n_words <= _EXACT_WORD_CAP
-            method = "exact" if few else "dp"
-        elif n_words > _EXACT_WORD_BUDGET:
+        if n_words > _EXACT_WORD_BUDGET:
             raise NumericFailure(
                 f"{n_words} admissible words exceed the exact route's budget of "
                 f"{_EXACT_WORD_BUDGET}; lower the cap or the depth, or use the dp method"
             )
-    depth_sums = _exact_depth_sums if method == "exact" else _transfer_depth_sums
-    totals = depth_sums(system, nxt, depth, s, cap)
+        totals = _exact_depth_sums(system, nxt, depth, s, cap)
+    else:
+        totals = _transfer_depth_sums(system, nxt, depth, s, cap)
     result = totals[-1]
     bound = _truncation_bound(system, depth, s, cap, totals)
     if bound > 0.01 * result:

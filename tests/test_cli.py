@@ -247,6 +247,12 @@ class TestExitCodes:
         assert run(["words", "--phi", "lin:1", "--cap", "3"]) == 2
         capsys.readouterr()
 
+    def test_cover_method_auto_is_unknown(self, capsys):
+        # Two routes remain, dp (the default) and exact.
+        argv = ["cover", "--phi", "lin:1", "--depth", "2", "--s", "0.6", "--method", "auto"]
+        assert run(argv) == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
     def test_numeric_failure_is_3(self, tmp_path):
         # The upper-rate root does not exist for the full Gauss family:
         # the first ratio is not a contraction, so the pressure never

@@ -283,7 +283,7 @@ class TestCoverSum:
     def test_depth_two_cap_three_exact(self, gauss, lin_phi):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            total = cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3)
+            total = cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3, method="exact")
         assert total == 47.0 / 315.0
 
     def test_transfer_program_matches_enumeration(self, gauss, lin_phi):
@@ -311,19 +311,19 @@ class TestCoverSum:
         assert program == pytest.approx(exact, rel=1e-13)
 
     def test_exact_total_at_s_one_stays_fast(self, gauss, lin_phi):
-        # 178365 words of depth 4 take the exact route, whose Fraction total
-        # once took 23 s as a running sum.
+        # 178365 words of depth 4, whose exact total at s = 1 once took 23 s
+        # as a running Fraction sum; the float total is the rational's float.
         assert _words_per_depth(successor_table(lin_phi, 47), 4)[-1] == 178365
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            total = cover_sum(gauss, lin_phi, 4, 1.0, digit_cap=47)
+            total = cover_sum(gauss, lin_phi, 4, 1.0, digit_cap=47, method="exact")
         assert time.perf_counter() - start < 10.0
         assert total == 0.008798022958825393
 
     def test_exact_route_word_budget(self, monkeypatch, gauss, lin_phi):
         # Cap 3, depth 2: three words of each depth.  The budget counts words
-        # over all depths, and binds the forced exact route alone.
+        # over all depths, and binds the exact route alone.
         monkeypatch.setattr(dimension, "_EXACT_WORD_BUDGET", 6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -331,7 +331,9 @@ class TestCoverSum:
             monkeypatch.setattr(dimension, "_EXACT_WORD_BUDGET", 5)
             with pytest.raises(NumericFailure, match="6 admissible words exceed"):
                 cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3, method="exact")
-            assert cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3) == 47 / 315
+            assert cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3) == pytest.approx(
+                47 / 315, rel=1e-13
+            )
             cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=3, method="dp")
 
     def test_depth_trend_splits_at_the_dimension(self, gauss, lin_phi):
@@ -354,12 +356,11 @@ class TestCoverSum:
             cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=10**4)
         assert not [w for w in rec if issubclass(w.category, TailWarning)]
 
-    @pytest.mark.parametrize("cap, n_words, method", [(631, 199396, "exact"), (632, 200028, "dp")])
-    def test_auto_switches_routes_past_the_word_cap(
-        self, monkeypatch, gauss, lin_phi, cap, n_words, method
-    ):
-        # Under lin:1 the words of depth 1 and 2 number cap + cap*(cap-1)/2.
-        assert sum(_words_per_depth(successor_table(lin_phi, cap), 2)) == n_words
+    def test_default_route_is_the_transfer_program(self, monkeypatch, gauss, lin_phi):
+        # Cap 631: 199396 words of depth 1 and 2, cap + cap*(cap-1)/2 under
+        # lin:1, which a word-count rule would have enumerated.
+        cap = 631
+        assert sum(_words_per_depth(successor_table(lin_phi, cap), 2)) == 199396
         routes = []
 
         def spy(route, inner):
@@ -373,11 +374,31 @@ class TestCoverSum:
             monkeypatch.setattr(dimension, name, spy(route, getattr(dimension, name)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            auto = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap)
+            default = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap)
             exact = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="exact")
             program = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="dp")
-        assert routes == [method, "exact", "dp"]
-        assert auto == (exact if method == "exact" else program)
+        assert routes == ["dp", "exact", "dp"]
+        assert default == program
+        assert program == pytest.approx(exact, rel=1e-13)
+
+    @given(
+        st.sampled_from(["gauss", "linpow", "gapsys"]),
+        st.sampled_from(["lin:1", "lin:3/2", "pow:1.5", "pow:2"]),
+        st.integers(1, 60),
+        st.integers(1, 4),
+        st.floats(0.2, 1.0),
+    )
+    @example("gauss", "pow:2", 3, 4, 0.6)
+    @settings(max_examples=40, deadline=None)
+    def test_default_route_meets_enumeration(self, gap_system, name, spec, cap, depth, s):
+        system = {"gauss": make_gauss(), "linpow": make_linear_power(2.0)}.get(name, gap_system)
+        phi = parse_phi(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            default = cover_sum(system, phi, depth, s, digit_cap=cap)
+            exact = cover_sum(system, phi, depth, s, digit_cap=cap, method="exact")
+        # Where no word fits, both are 0 exactly.
+        assert default == exact if exact == 0 else default == pytest.approx(exact, rel=1e-13)
 
     def test_binned_program_cap_guard(self, gauss, lin_phi):
         with pytest.raises(NumericFailure):
@@ -394,6 +415,8 @@ class TestCoverSum:
             cover_sum(gauss, lin_phi, 2, 0.5, digit_cap=0)
         with pytest.raises(PreconditionError):
             cover_sum(gauss, lin_phi, 2, 0.5, method="guess")
+        with pytest.raises(PreconditionError):
+            cover_sum(gauss, lin_phi, 2, 0.5, method="auto")
 
 
 def _check_against_exact(system, phi, depth, s, cap):
@@ -508,17 +531,14 @@ class TestBinnedProgram:
 def _per_word_reference(system, phi, depth, s, cap):
     """Per-depth totals by walking every admissible word, each log length
     formed on the word alone from its _compose continuants or its exact
-    slopes, plus the exact Gauss total of the final depth at s=1."""
+    slopes."""
     totals = []
-    frac = Fraction(0)
     for n in range(1, depth + 1):
         logs = []
         for word in enumerate_restricted_words(phi, n, cap):
             if system.kind == "gauss":
                 _, _, q_prev, q = _compose(system, word)
                 logs.append(s * -(math.log(q) + math.log(q + q_prev)))
-                if n == depth:
-                    frac += Fraction(1, q * (q + q_prev))
             else:
                 logs.append(s * math.fsum(math.log(system.affine.slope(a)) for a in word))
         if not logs:
@@ -527,7 +547,23 @@ def _per_word_reference(system, phi, depth, s, cap):
         arr = np.array(logs)
         peak = arr.max()
         totals.append(float(math.exp(peak) * np.exp(arr - peak).sum()))
-    return totals, frac
+    return totals
+
+
+def _rational_totals(nxt, depth, cap):
+    """Exact per-depth Gauss totals at s = 1, as Fractions: each word adds
+    |cylinder| = 1/(q(q + q_prev)), its continuants grown digit by digit."""
+    totals = [Fraction(0)] * depth
+
+    def walk(n, last, q_prev, q):
+        for j in range(int(nxt[last]), cap + 1):
+            a, b = q, j * q + q_prev
+            totals[n] += Fraction(1, b * (b + a))
+            if n + 1 < depth:
+                walk(n + 1, j, a, b)
+
+    walk(0, 0, 0, 1)
+    return totals
 
 
 def _within_ulps(a, b, n):
@@ -560,13 +596,8 @@ class TestExactLevels:
         counts = _words_per_depth(nxt, depth)
         assume(sum(counts) <= 30_000)
         got = _exact_depth_sums(system, nxt, depth, s, cap)
-        want, frac = _per_word_reference(system, phi, depth, s, cap)
-        for a, b in zip(got[:-1], want[:-1]):
-            assert _within_ulps(a, b, 4)
-        if kind == "gauss" and s == 1.0:
-            assert got[-1] == float(frac)
-        else:
-            assert _within_ulps(got[-1], want[-1], 4)
+        want = _per_word_reference(system, phi, depth, s, cap)
+        assert all(_within_ulps(a, b, 4) for a, b in zip(got, want))
         # At s = 0 every word weighs 1, so the totals count each level.
         assert _exact_depth_sums(system, nxt, depth, 0.0, cap) == counts
 
@@ -577,9 +608,43 @@ class TestExactLevels:
         assert (cap + 1) ** depth >= 2**63
         phi = parse_phi("lin:1")
         got = _exact_depth_sums(gauss, successor_table(phi, cap), depth, s, cap)
-        want, frac = _per_word_reference(gauss, phi, depth, s, cap)
+        want = _per_word_reference(gauss, phi, depth, s, cap)
         assert all(_within_ulps(a, b, 4) for a, b in zip(got[:-1], want[:-1]))
-        assert got[-1] == (float(frac) if s == 1.0 else want[-1])
+        assert got[-1] == want[-1]
+        if s == 1.0:
+            # One word, 1..16, of length about e**-63: its float log carries
+            # up to about an ulp of 63, which exp turns into a relative error.
+            _, _, q_prev, q = _compose(gauss, range(1, depth + 1))
+            frac = Fraction(1, q * (q + q_prev))
+            assert abs(got[-1] - float(frac)) <= 2 * math.ulp(-math.log(frac)) * float(frac)
+
+    @pytest.mark.parametrize(
+        "spec, cap, depth",
+        [
+            ("lin:1", 1, 7),
+            ("lin:1", 3, 7),
+            ("lin:1", 10, 7),
+            ("lin:1", 47, 3),
+            ("lin:1", 150, 2),
+            ("lin:3/2", 10, 7),
+            ("lin:3/2", 30, 7),
+            ("pow:1.5", 50, 7),
+            ("pow:1.5", 100, 7),
+            ("pow:1.5", 1100, 1),
+            ("pow:2", 1, 7),
+            ("pow:2", 3, 7),
+            ("pow:2", 100, 7),
+            ("pow:2", 300, 7),
+            ("pow:2", 1100, 2),
+        ],
+    )
+    def test_gauss_float_total_at_s_one_meets_the_rational(self, gauss, spec, cap, depth):
+        # The exact route sums floats at every s; at s = 1 each Gauss total
+        # has a rational value to meet.
+        nxt = successor_table(parse_phi(spec), cap)
+        got = _exact_depth_sums(gauss, nxt, depth, 1.0, cap)
+        for a, b in zip(got, _rational_totals(nxt, depth, cap)):
+            assert a == b if b == 0 else a == pytest.approx(float(b), rel=1e-15)
 
 
 @pytest.fixture(scope="module")
