@@ -356,11 +356,16 @@ class TestCoverSum:
             cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=10**4)
         assert not [w for w in rec if issubclass(w.category, TailWarning)]
 
-    def test_default_route_is_the_transfer_program(self, monkeypatch, gauss, lin_phi):
-        # Cap 631: 199396 words of depth 1 and 2, cap + cap*(cap-1)/2 under
-        # lin:1, which a word-count rule would have enumerated.
-        cap = 631
-        assert sum(_words_per_depth(successor_table(lin_phi, cap), 2)) == 199396
+    @pytest.mark.parametrize("cap, n_words, method", [(631, 199396, "exact"), (632, 200028, "dp")])
+    def test_auto_switches_routes_past_the_word_cap(
+        self, monkeypatch, gauss, lin_phi, cap, n_words, method
+    ):
+        # Named for the retired auto method, which enumerated up to 200000
+        # words and took the DP past them.  Under lin:1 the words of depth 1
+        # and 2 number cap + cap*(cap-1)/2; on both sides of that old switch
+        # the default now runs the transfer program, and a forced method runs
+        # its own route.
+        assert sum(_words_per_depth(successor_table(lin_phi, cap), 2)) == n_words
         routes = []
 
         def spy(route, inner):
@@ -375,11 +380,12 @@ class TestCoverSum:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             default = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap)
-            exact = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="exact")
-            program = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method="dp")
-        assert routes == ["dp", "exact", "dp"]
-        assert default == program
-        assert program == pytest.approx(exact, rel=1e-13)
+            forced = cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=cap, method=method)
+        assert routes == ["dp", method]
+        if method == "dp":
+            assert forced == default
+        else:
+            assert forced == pytest.approx(default, rel=1e-13)
 
     @given(
         st.sampled_from(["gauss", "linpow", "gapsys"]),
