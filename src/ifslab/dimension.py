@@ -14,9 +14,11 @@ Box counting follows the usual occupied-grid regression with the scale
 window trimmed to its middle part.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +37,11 @@ _EXACT_WORD_BUDGET = 2**21
 # program, and the largest digit cap it accepts.
 _RATIO_NODES = 16
 _GAUSS_DP_CAP = 20_000
+
+# Digits past this one read the Gauss state as Taylor polynomials of this
+# many terms at r = 0, not by Clenshaw's recurrence.
+_TAIL_DIGIT = 1024
+_TAIL_TERMS = 6
 
 
 class TailWarning(UserWarning):
@@ -242,6 +249,56 @@ def _chebyshev_grid(m):
     return np.sin(0.5 * theta) ** 2, fit
 
 
+@functools.cache
+def _tail_fit(m):
+    """_TAIL_TERMS x m matrix that takes values at the m nodes of
+    _chebyshev_grid to the Taylor coefficients at r = 0 of their
+    interpolant.  It is the fit times the derivatives there of the basis,
+    2**i T_c^(i)(-1) / i! with T_c^(i)(-1) = (-1)**(c + i) times the product
+    of (c**2 - k**2) / (2k + 1) over k < i, summed exactly and rounded once
+    (a float product would add a few ulps to every tail value).  Built on
+    first use and read-only."""
+    fit = [[Fraction(v) for v in row] for row in _chebyshev_grid(m)[1].tolist()]
+    rows = np.empty((_TAIL_TERMS, m))
+    for i in range(_TAIL_TERMS):
+        deriv = []
+        for c in range(m):
+            v = Fraction((-2) ** i * (-1) ** c, math.factorial(i))
+            for k in range(i):
+                v *= Fraction(c * c - k * k, 2 * k + 1)
+            deriv.append(v)
+        for n in range(m):
+            rows[i, n] = sum(d * fit[c][n] for c, d in enumerate(deriv))
+    rows.setflags(write=False)
+    return rows
+
+
+def _clenshaw(g, t, t2, bufs):
+    """Chebyshev series with coefficient rows g at the points t (t2 = 2t), by
+    Clenshaw's recurrence in three buffers shaped like t; returns the buffer
+    that holds the values."""
+    # b_c = 2t b_{c+1} - b_{c+2} + g_c down to c = 1, then t b_1 - b_2 + g_0.
+    val, b1, b2 = bufs
+    b1[:], b2[:] = g[-1], 0.0
+    for c in range(len(g) - 2, -1, -1):
+        np.multiply(t2 if c else t, b1, out=val)
+        val -= b2
+        val += g[c]
+        val, b1, b2 = b2, val, b1
+    return b1
+
+
+def _horner(a, x, out):
+    """Polynomial with coefficient rows a, constant term first, at the points
+    x, by Horner's rule into out (shaped like x); returns out."""
+    np.multiply(a[-1], x, out=out)
+    for c in range(len(a) - 2, 0, -1):
+        out += a[c]
+        out *= x
+    out += a[0]
+    return out
+
+
 def _transfer_depth_sums(system, nxt, depth, s, cap):
     """Per-depth totals of |cylinder|**s by one backward transfer recursion.
 
@@ -262,6 +319,18 @@ def _transfer_depth_sums(system, nxt, depth, s, cap):
     recurrence, scales, and sums over the digits from cap down; depth 1
     reads F_0, the last depth r = 0 alone.  A total below 1e-250 rescales
     the state to 1 and keeps its log aside.
+
+    Only the head digits 1.._TAIL_DIGIT run Clenshaw, so a cap up to
+    _TAIL_DIGIT gives the same floats as that recurrence alone.  A tail
+    digit j reads the interpolant of F_{k-1}(nxt[j], .) as its
+    _TAIL_TERMS-term Taylor polynomial at r = 0, by Horner at
+    x = 1/(j + r_n) <= 1/(_TAIL_DIGIT + 1); the coefficients come from the
+    state by one fixed matrix, the exact Chebyshev derivatives at -1 folded
+    into the fit.  Six terms suffice: F_{k-1}(a, .) is analytic out to
+    r = -a with a = nxt[j] > j, so its Chebyshev coefficients fall like
+    (4a)**-c and reach rounding level by c = 5.  The dropped terms from
+    x**6 on then carry only that rounding noise, times x**6 <= 1e-18 and
+    the x**6 row's weights, which sum to 1.4e9: about 1e-24 relative.
     """
     gauss = system.kind == "gauss"
     if gauss and depth > 1 and cap > _GAUSS_DP_CAP:
@@ -271,6 +340,7 @@ def _transfer_depth_sums(system, nxt, depth, s, cap):
         )
     r, fit = _chebyshev_grid(_RATIO_NODES if gauss and depth > 1 else 1)
     m = r.size
+    head = min(cap, _TAIL_DIGIT) if m > 1 else cap
     if gauss:
         x = np.arange(1, cap + 1, dtype=float) + r[:, None]
         weight = np.exp(-2.0 * s * np.log(x))
@@ -279,12 +349,17 @@ def _transfer_depth_sums(system, nxt, depth, s, cap):
         weight = np.exp(s * _log_rates(system, 1, cap))[None, :]
         ratio = np.zeros((1, cap))
     first = weight * np.exp(-s * np.log1p(ratio))
-    t = 2.0 * ratio - 1.0
+    t = 2.0 * ratio[:, :head] - 1.0
     t2 = 2.0 * t
-    bufs = [np.empty((m, cap)) for _ in range(3)]
-    # Coefficients of F_{k-1}(a, .) and values of F_k(a, r_n) in column a - 1.
+    bufs = [np.empty((m, head)) for _ in range(3)]
+    # Coefficients of F_{k-1}(a, .) and values of F_k(a, r_n) in column a - 1;
+    # for the tail, Taylor coefficients of F_{k-1}(a, .).
     coef = np.empty((m, cap + 1))
     vals = np.zeros((m, cap + 1))
+    terms = np.empty((m, cap))
+    if head < cap:
+        taylor = _tail_fit(m)
+        tail_coef = np.empty((_TAIL_TERMS, cap + 1))
     col = nxt[1:] - 1
     offset = 0.0
     totals = []
@@ -293,17 +368,14 @@ def _transfer_depth_sums(system, nxt, depth, s, cap):
         if k == 1:
             val = first[:n]
         else:
-            g = np.take(coef, col, axis=1)
-            # b_c = 2t b_{c+1} - b_{c+2} + g_c down to c = 1, then t b_1 - b_2 + g_0.
-            val, b1, b2 = (b[:n] for b in bufs)
-            b1[:], b2[:] = g[-1], 0.0
-            for c in range(m - 2, -1, -1):
-                np.multiply(t2[:n] if c else t[:n], b1, out=val)
-                val -= b2
-                val += g[c]
-                val, b1, b2 = b2, val, b1
-            val = b1
-            val *= weight[:n]
+            g = np.take(coef, col[:head], axis=1)
+            val = terms[:n]
+            b = _clenshaw(g, t[:n], t2[:n], [buf[:n] for buf in bufs])
+            np.multiply(b, weight[:n, :head], out=val[:, :head])
+            if head < cap:
+                a = np.take(tail_coef, col[head:], axis=1)
+                tail = _horner(a, ratio[:n, head:], val[:, head:])
+                tail *= weight[:n, head:]
         np.cumsum(val[:, ::-1], axis=1, out=vals[:n, cap - 1 :: -1])
         tot = vals[0, 0]
         totals.append(float(tot * math.exp(offset)) if tot > 0 else 0.0)
@@ -312,6 +384,8 @@ def _transfer_depth_sums(system, nxt, depth, s, cap):
             vals /= tot
         if k < depth:
             np.matmul(fit, vals, out=coef)
+            if head < cap:
+                np.matmul(taylor, vals, out=tail_coef)
     return totals
 
 

@@ -433,8 +433,10 @@ class PowerLawDigitMeasure:
         base_exponent  s = 1 / (1 + alpha * (d - 1)),
         tail_exponent  p = (d + alpha * (d - 1)) * s = 1 + (d - 1) * s.
 
-    Both s and p - 1 must be positive normal floats; a huge alpha rounds
-    them to zero or below the normal range and is rejected.
+    p - 1 is formed as (d - 1) * s, free of the cancellation in p - 1.0
+    that grows with alpha.  Both s and p - 1 must be positive normal
+    floats, and p must stay above 1 as a float; a huge alpha rounds them
+    to zero, below the normal range or to 1, and is rejected.
 
     Each conditional law is normalized by a certified tail sum; writing
     c(i) = i**(-alpha*(d-1)*s) / S(i) for that tail S(i), the transition
@@ -459,7 +461,9 @@ class PowerLawDigitMeasure:
             )
         for name, value in (
             ("base exponent", self.base_exponent),
-            ("tail exponent - 1", self.tail_exponent - 1.0),
+            ("tail exponent - 1", self._tail_excess),
+            # p itself must stay above 1 as a float, or its tail sums diverge.
+            ("rounded tail exponent - 1", self.tail_exponent - 1.0),
         ):
             if not sys.float_info.min <= value < math.inf:
                 raise PreconditionError(
@@ -480,6 +484,11 @@ class PowerLawDigitMeasure:
     @property
     def tail_exponent(self) -> float:
         return (self.decay + self.alpha * (self.decay - 1.0)) * self.base_exponent
+
+    @property
+    def _tail_excess(self) -> float:
+        """p - 1, as (d - 1) * s."""
+        return (self.decay - 1.0) * self.base_exponent
 
     def support_start(self, i: int) -> int:
         """Smallest admissible successor of digit i: ceil(i**alpha), exact."""
@@ -617,13 +626,13 @@ def _chain_rate_logs(system: DecaySystem, li: np.ndarray) -> tuple:
     return log_scale - system.decay * (li + corr), log_scale - system.decay * li
 
 
-def _log_tail(lstart: np.ndarray, p: float, log_c: float) -> np.ndarray:
+def _log_tail(lstart: np.ndarray, p: float, excess: float, log_c: float) -> np.ndarray:
     """log of c * sum_{j >= start} j**-p from log(start), in its asymptotic
     form log c + (1 - p) log(start) - log(p - 1) + log1p((p - 1) / (2 start)),
-    evaluated left to right, so log_c = 0.0 leaves the other terms' sum as
-    it is."""
-    corr = _libm_below_40(lstart, lambda v: math.log1p((p - 1.0) * 0.5 * math.exp(-v)))
-    return log_c + (1.0 - p) * lstart - math.log(p - 1.0) + corr
+    with excess = p - 1, evaluated left to right, so log_c = 0.0 leaves the
+    other terms' sum as it is."""
+    corr = _libm_below_40(lstart, lambda v: math.log1p(excess * 0.5 * math.exp(-v)))
+    return log_c + (1.0 - p) * lstart - math.log(excess) + corr
 
 
 def _chain_window_logs(system: DecaySystem, lstart: np.ndarray) -> np.ndarray:
@@ -636,7 +645,7 @@ def _chain_window_logs(system: DecaySystem, lstart: np.ndarray) -> np.ndarray:
     """
     if system.kind == "gauss":
         return -lstart
-    return _log_tail(lstart, system.decay, math.log(system.scale))
+    return _log_tail(lstart, system.decay, system.decay - 1.0, math.log(system.scale))
 
 
 def _exact_window_logs(system: DecaySystem, start: int) -> tuple:
@@ -715,6 +724,7 @@ def local_dim_estimate(
             f"not {system.kind!r}"
         )
     p = measure.tail_exponent
+    excess = measure._tail_excess
     alpha = measure.alpha
     log_chain_cap = math.log(_CHAIN_EXACT_CAP)
     uniforms = np.empty((samples, depth - 1))
@@ -798,8 +808,8 @@ def local_dim_estimate(
             exact[rest] = False
             ls = lstart[rest]
             log1p_u = np.array([math.log1p(-v) for v in u[rest].tolist()])
-            lj = ls - log1p_u / (p - 1.0)
-            log_mass[rest] += -p * lj - _log_tail(ls, p, 0.0)
+            lj = ls - log1p_u / excess
+            log_mass[rest] += -p * lj - _log_tail(ls, p, excess, 0.0)
             li[rest] = lj
     kept = np.flatnonzero(n_kept >= 3)
     if kept.size == 0:

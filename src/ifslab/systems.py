@@ -262,8 +262,18 @@ def _append_digits(system: DecaySystem, level: tuple, digits: np.ndarray, parent
             logs = -(np.log(child) + np.log(child + q))
         return (q, child), logs
     head, err = level if parent is None else (level[0][parent], level[1][parent])
-    uniq, inv = np.unique(digits, return_inverse=True)
-    term = np.array([_log_rational(system.affine.slope(j)) for j in uniq.tolist()])[inv]
+    if digits.dtype == np.int64 and digits.size and np.ptp(digits) < 4 * digits.size + 4096:
+        # A presence table over min..max finds the distinct digits without a
+        # sort; a sparse spread of digits (a sampled window) keeps the sort.
+        lo = int(digits.min())
+        shifted = digits - lo
+        present = np.flatnonzero(np.bincount(shifted))
+        table = np.empty(present[-1] + 1)
+        table[present] = [_log_rational(system.affine.slope(j)) for j in (present + lo).tolist()]
+        term = table[shifted]
+    else:
+        uniq, inv = np.unique(digits, return_inverse=True)
+        term = np.array([_log_rational(system.affine.slope(j)) for j in uniq.tolist()])[inv]
     total = head + term
     back = total - head
     err = err + ((head - (total - back)) + (term - back))

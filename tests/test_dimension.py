@@ -467,16 +467,51 @@ def _finer_grid_reference(nxt, depth, s, cap, m=20):
 
 
 class TestTransferProgram:
-    # Dense restrictions at caps up to 3001, where exact enumeration of
-    # depth 5 is out of reach.
+    # Dense restrictions at caps up to 3001 at depth 5, and up to the
+    # program's bound at depth 4, where exact enumeration is out of reach.
     @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5"])
-    @pytest.mark.parametrize("cap", [50, 500, 1023, 1024, 1025, 2000, 3001])
+    @pytest.mark.parametrize("cap", [50, 500, 1023, 1024, 1025, 2000, 3001, 5000, 20000])
     @pytest.mark.parametrize("s", [0.45, 0.6, 1.0])
     def test_large_caps_match_a_finer_grid(self, gauss, spec, cap, s):
+        depth = 5 if cap <= 3001 else 4
         nxt = successor_table(parse_phi(spec), cap)
-        got = _transfer_depth_sums(gauss, nxt, 5, s, cap)
-        want = _finer_grid_reference(nxt, 5, s, cap)
+        got = _transfer_depth_sums(gauss, nxt, depth, s, cap)
+        want = _finer_grid_reference(nxt, depth, s, cap)
         assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2"])
+    @pytest.mark.parametrize("s", [0.45, 0.6, 1.0])
+    def test_tail_horner_meets_clenshaw(self, spec, s):
+        # The depth-1 to depth-3 states of a cap-20000 program, each built by
+        # Clenshaw at every digit.  At every tail digit and node, the Horner
+        # value of its Taylor coefficients meets Clenshaw's recurrence run in
+        # long double on the same state.  The float recurrence itself sits up
+        # to 6 ulps from that value there, so it serves as no reference.
+        cap, m, head = 20000, dimension._RATIO_NODES, dimension._TAIL_DIGIT
+        nxt = successor_table(parse_phi(spec), cap)
+        r, fit = dimension._chebyshev_grid(m)
+        x = np.arange(1, cap + 1, dtype=float) + r[:, None]
+        ratio = 1.0 / x
+        t = 2.0 * ratio - 1.0
+        col = nxt[1:] - 1
+        tail = col[head:]
+        assert (tail < cap).any()
+        t_tail = 2 * ratio[:, head:].astype(np.longdouble) - 1
+        vals = np.zeros((m, cap + 1))
+        terms = x ** (-2 * s) * (1 + ratio) ** -s
+        for _ in range(3):
+            vals[:, :cap] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+            got = dimension._horner(
+                (dimension._tail_fit(m) @ vals)[:, tail], ratio[:, head:], np.empty((m, cap - head))
+            )
+            g = (fit.astype(np.longdouble) @ vals)[:, tail]
+            b1, b2 = np.zeros_like(t_tail), np.zeros_like(t_tail)
+            for row in g[:0:-1]:
+                b1, b2 = 2 * t_tail * b1 - b2 + row, b1
+            want = (t_tail * b1 - b2 + g[0]).astype(float)
+            assert (np.abs(got - want) <= 4 * np.spacing(np.maximum(abs(got), abs(want)))).all()
+            bufs = [np.empty_like(t) for _ in range(3)]
+            terms = dimension._clenshaw((fit @ vals)[:, col], t, 2 * t, bufs) * x ** (-2 * s)
 
     @pytest.mark.parametrize(
         "spec, cap, depth",
@@ -524,12 +559,13 @@ class TestBinnedProgram:
         # A DP state can be tens of MB; one held in a cycle until the
         # collector runs overlaps the next cover's state and raises the peak
         # memory.
-        nxt = successor_table(parse_phi("pow:2"), 1100)
+        # Cap 20000 also runs the Taylor tail.
         gc.collect()
         gc.disable()
         try:
-            _transfer_depth_sums(gauss, nxt, 7, 0.6, 1100)
-            assert gc.collect() == 0
+            for spec, depth, cap in [("pow:2", 7, 1100), ("lin:1", 4, 20000)]:
+                _transfer_depth_sums(gauss, successor_table(parse_phi(spec), cap), depth, 0.6, cap)
+                assert gc.collect() == 0
         finally:
             gc.enable()
 

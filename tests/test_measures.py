@@ -31,6 +31,7 @@ import itertools
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -447,6 +448,15 @@ class TestPowerLawMeasure:
             assert lhs == pytest.approx(rhs, abs=5e-15)
             assert m.tail_exponent - 1.0 == pytest.approx(rhs, abs=5e-15)
 
+    @pytest.mark.parametrize("alpha", [1e8, 3e15])
+    def test_tail_excess_keeps_its_digits(self, alpha):
+        # p - 1.0 keeps only about 1/alpha of p's bits (at 3e15 it reads
+        # 2.2e-16 against 3.3e-16); (d - 1) * s meets the exact value.
+        m = PowerLawDigitMeasure(decay=2.0, alpha=alpha)
+        want = 1 / (1 + Fraction(alpha))
+        assert abs(Fraction(m._tail_excess) - want) <= Fraction(math.ulp(float(want)))
+        assert abs(Fraction(m.tail_exponent - 1.0) - want) > 1e6 * Fraction(math.ulp(float(want)))
+
     def test_constructor_preconditions(self):
         with pytest.raises(PreconditionError):
             PowerLawDigitMeasure(decay=1.0, alpha=2.0)
@@ -759,10 +769,15 @@ def _ref_window_logs(system, exact, start, lstart):
     return val, val
 
 
+def _ref_excess(measure):
+    """p - 1 as (d - 1) * s, which keeps its digits at any alpha."""
+    return (measure.decay - 1.0) * measure.base_exponent
+
+
 def _ref_log_tail_norm(measure, lstart):
     p = measure.tail_exponent
-    corr = (p - 1.0) * 0.5 * math.exp(-lstart) if lstart < 40.0 else 0.0
-    return (1.0 - p) * lstart - math.log(p - 1.0) + math.log1p(corr)
+    corr = _ref_excess(measure) * 0.5 * math.exp(-lstart) if lstart < 40.0 else 0.0
+    return (1.0 - p) * lstart - math.log(_ref_excess(measure)) + math.log1p(corr)
 
 
 def _per_sample_reference(measure, system, samples, depth, seed=0, csv_stream=None):
@@ -830,7 +845,7 @@ def _per_sample_reference(measure, system, samples, depth, seed=0, csv_stream=No
                 if exact:
                     switched_at = n
                     exact = False
-                lj = lstart - math.log1p(-u) / (p - 1.0)
+                lj = lstart - math.log1p(-u) / _ref_excess(measure)
                 log_mass += -p * lj - _ref_log_tail_norm(measure, lstart)
                 li = lj
         if n_kept < 3:

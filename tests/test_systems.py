@@ -375,6 +375,20 @@ class TestAppendDigits:
             level, got = _append_digits(system, level, col)
             _assert_log_lengths(system, [tuple(w) for w in block[:, :n].tolist()], got)
 
+    @pytest.mark.parametrize("name", ["linpow2", "gap"])
+    def test_affine_digit_routes_agree(self, name, profiled_systems):
+        # int64 digits spread over a few values per digit read a presence
+        # table; a wider spread and Python ints find the distinct digits by
+        # a sort.  Every route gives a digit the same slope log.
+        system = profiled_systems[name]
+        dense = np.random.default_rng(5).integers(1, 400, size=300)
+        for digits in (dense, np.append(dense, 10**5)):
+            level = _empty_words(system, len(digits), 2**40)
+            (total, err), got = _append_digits(system, level, digits)
+            (total_o, err_o), want = _append_digits(system, level, digits.astype(object))
+            assert total.tobytes() == total_o.tobytes() and err.tobytes() == err_o.tobytes()
+            assert got.tobytes() == want.tobytes()
+
     def test_slopes_past_the_float_range(self):
         # Under decay 300 the slopes of digits past 10 underflow a float;
         # their logs come from the exact rationals all the same.
