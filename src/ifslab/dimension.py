@@ -145,7 +145,7 @@ def _root_from_rates(log_rates: np.ndarray, tol: float) -> DimensionEstimate:
     return _estimate(s, "bowen-root", lo, hi, diag)
 
 
-def _check_band(system: DecaySystem, k: int, m: int, tol: float) -> None:
+def _check_band(k: int, m: int, tol: float) -> None:
     """Preconditions of a pressure root over the band k..m."""
     if k < 1 or k > m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
@@ -175,7 +175,7 @@ def bowen_root(
     system: DecaySystem, bound_kind: str, k: int, m: int, tol: float = 1e-10
 ) -> DimensionEstimate:
     """Root of sum_{i=k}^{m} r_i**s = 1 for the chosen rate bound."""
-    _check_band(system, k, m, tol)
+    _check_band(k, m, tol)
     return _root_from_rates(_log_rate_band(system, bound_kind, k, m), tol)
 
 
@@ -189,7 +189,7 @@ def subsystem_dim_bounds(
     is capped at 1 (and flagged) when the upper rates include a
     non-contracting ratio, as they do for the first Gauss map.
     """
-    _check_band(system, k, m, tol)
+    _check_band(k, m, tol)
     t = system.shift
     log_rates = _log_rates(system, k, m + t)
     lower = _root_from_rates(log_rates[t:], tol)

@@ -34,8 +34,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .powersum import first_index_reaching
-from .restrictions import Phi
+from .restrictions import Phi, _ladder_steps
 from .systems import DecaySystem, NumericFailure, PreconditionError, verify_power_decay
 
 _MP_PREC = 128
@@ -190,19 +189,15 @@ def _gap_ladder(phi: Phi, d: float, eps: float, c_val: float, max_blocks: int):
     truncation is certified.
     """
     q = 1.0 / d - eps
+    # 1 - d*eps rather than d*q: the two round differently.
     p = 1.0 - d * eps
-    coeff = c_val ** q
-    values = [1]
-    collapsed = False
-    while len(values) <= max_blocks:
-        prev = values[-1]
-        start = phi.floor(prev) + 1
-        res = first_index_reaching(start, p, 1.0, coeff)
-        values.append(res.index + 1)
-        if _future_weight_bound(phi, d, eps, c_val, values) < _TAIL_REL / 10:
-            collapsed = True
-            break
-    return values, collapsed
+    values = []
+    for value, _ in _ladder_steps(phi, 1, c_val**q, p):
+        values.append(value)
+        if len(values) > 1 and _future_weight_bound(phi, d, eps, c_val, values) < _TAIL_REL / 10:
+            return values, True
+        if len(values) > max_blocks:
+            return values, False
 
 
 def _future_weight_bound(phi: Phi, d: float, eps: float, c_val: float, values) -> float:

@@ -34,7 +34,8 @@ import numpy as np
 from .dimension import DimensionEstimate, _estimate
 from .powersum import first_index_reaching, power_sum_brackets
 from .restrictions import Ladder, Phi, build_ladder
-from .systems import DecaySystem, NumericFailure, PreconditionError, _append_digits, _empty_words
+from .systems import DecaySystem, NumericFailure, PreconditionError
+from .systems import _append_digits, _digit_table, _empty_words
 
 # Exponent solver: certified residual target and bisection width floor.
 _SOLVE_RESIDUAL = 5e-13
@@ -341,23 +342,6 @@ def _enumerated_words(windows: list, total: int):
         yield np.stack(cols, axis=1)
 
 
-def _block_log_masses(measure: FrostmanMeasure, words: np.ndarray) -> np.ndarray:
-    """``frostman_mass(..., log=True)`` of each row, with the same float steps.
-
-    Each level's term is formed once per distinct digit and the terms are
-    added level by level from 0.0, as the per-word sum does.
-    """
-    acc = np.zeros(len(words))
-    for n in range(words.shape[1]):
-        lev = measure.levels[n]
-        digits, inv = np.unique(words[:, n], return_inverse=True)
-        terms = np.array(
-            [lev.exponent * measure.system.log_contract_lo(i) for i in digits.tolist()]
-        )
-        acc = acc + terms[inv]
-    return acc
-
-
 def verify_frostman(
     measure: FrostmanMeasure,
     depth: int,
@@ -396,11 +380,16 @@ def verify_frostman(
     worst = -math.inf
     witness = None
     bound = math.prod(hi + 1 for _, hi in windows)
+    system = measure.system
     for words in blocks:
-        level = _empty_words(measure.system, len(words), bound)
-        for col in words.T:
-            level, log_len = _append_digits(measure.system, level, col)
-        margin = _block_log_masses(measure, words) - q * log_len
+        level = _empty_words(system, len(words), bound)
+        # Level terms are added in order from 0.0, as frostman_mass adds them.
+        log_mass = np.zeros(len(words))
+        for lev, col in zip(measure.levels, words.T):
+            level, log_len = _append_digits(system, level, col)
+            term = _digit_table(col, lambda i: lev.exponent * system.log_contract_lo(i))
+            log_mass = log_mass + term
+        margin = log_mass - q * log_len
         ok = margin <= 0.0
         checked += len(words)
         passed += int(np.count_nonzero(ok))

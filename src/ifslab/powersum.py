@@ -170,10 +170,7 @@ def _em_from(a: int, p: float, k: int):
             fb0 = fb1 = fb3 = fb5 = 0.0
             ymax = q5 * la
         else:
-            if k == 0:
-                l1, log_l1 = math.log1p(r), None
-            else:
-                l1, log_l1 = _log1p_ratio(r, k)
+            l1, log_l1 = _log1p_ratio(r, k)
             z = (1.0 - p) * l1
             if a_pow is not None and l1 >= 1e-290 and xa + z <= 700.0:
                 integral = l1 if unit else a_pow * math.expm1(z) / (1.0 - p)

@@ -42,7 +42,7 @@ _EXACT_ROOT_DEN = 64
 
 _GUARD_BITS = 96
 
-# build_ladder's decay-threshold scan and its term budget in index bits.
+# build_ladder's decay-threshold scan and every ladder step's index-bit budget.
 _LADDER_SCAN = 1000
 _INDEX_BITS_CAP = 2_000_000
 
@@ -93,6 +93,8 @@ class Phi:
         elif self.kind == "pow":
             if self.alpha is None or not 1 < self.alpha < math.inf:
                 raise PreconditionError("power restriction needs a finite exponent alpha > 1")
+            # Not a field: eq, hash and repr see alpha alone.
+            object.__setattr__(self, "_alpha_frac", Fraction(self.alpha))
         elif self.kind == "table":
             t = self.table
             if not t:
@@ -112,7 +114,7 @@ class Phi:
         """
         if n == 1:
             return 1, 1
-        frac = Fraction(self.alpha)
+        frac = self._alpha_frac
         exact_route = frac.denominator <= _EXACT_ROOT_DEN
         if exact_route:
             bits = frac.numerator * n.bit_length()
@@ -219,6 +221,24 @@ class Ladder:
         return len(self.values)
 
 
+def _ladder_steps(phi: Phi, first: int, coeff: float, p: float, shift: int = 0):
+    """Yield (l_n, certified) from l_1 = first, each next value computed when
+    asked for by one crossing search from floor(Phi(l_n)) + 1 for unit mass
+    of coeff * (i + shift)**-p.  Raises NumericFailure at a block start past
+    _INDEX_BITS_CAP bits (the term budget)."""
+    value, certified = first, True
+    for n in itertools.count(1):
+        yield value, certified
+        start = phi.floor(value) + 1
+        if start.bit_length() > _INDEX_BITS_CAP:
+            raise NumericFailure(
+                f"ladder step {n}: index near 2**{start.bit_length()} "
+                "exceeds the term budget"
+            )
+        res = first_index_reaching(start + shift, p, 1.0, coeff)
+        value, certified = res.index - shift + 1, res.certified
+
+
 def build_ladder(system: DecaySystem, phi: Phi, eps: float, steps: int) -> Ladder:
     """Construct the first ``steps`` ladder values for a system under Phi.
 
@@ -239,22 +259,9 @@ def build_ladder(system: DecaySystem, phi: Phi, eps: float, steps: int) -> Ladde
     report = verify_power_decay(system, eps, _LADDER_SCAN)
     # contract_lo(i)**q = coeff * (i + shift)**-p by the system's rate profile.
     q = 1.0 / system.decay - eps
-    coeff, p, shift = system.scale**q, system.decay * q, system.shift
-    values = [report.threshold]
-    certified = [True]
-    while len(values) < steps:
-        prev = values[-1]
-        start = phi.floor(prev) + 1
-        if start.bit_length() > _INDEX_BITS_CAP:
-            raise NumericFailure(
-                f"ladder step {len(values)}: index near 2**{start.bit_length()} "
-                "exceeds the term budget"
-            )
-        res = first_index_reaching(start + shift, p, 1.0, coeff)
-        crossing = res.index - shift
-        values.append(crossing + 1)
-        certified.append(res.certified)
-    return Ladder(eps=eps, values=tuple(values), certified=tuple(certified))
+    ladder = _ladder_steps(phi, report.threshold, system.scale**q, system.decay * q, system.shift)
+    values, certified = zip(*itertools.islice(ladder, steps))
+    return Ladder(eps=eps, values=values, certified=certified)
 
 
 def growth_ratio_bound(ladder: Ladder, phi: Phi) -> float:

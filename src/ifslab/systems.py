@@ -238,6 +238,22 @@ def _log_rational(r: Fraction) -> float:
     return math.log((r.numerator << shift) / r.denominator) - shift * _LN2
 
 
+def _digit_table(digits: np.ndarray, fn) -> np.ndarray:
+    """[fn(j) for j in digits] as a float array, with one call of fn (on a
+    Python int) per distinct digit: a presence table over min..max finds
+    them in a dense int64 column, a sort in a sparse one (a sampled window)
+    or in a column of Python ints."""
+    if digits.dtype == np.int64 and digits.size and np.ptp(digits) < 4 * digits.size + 4096:
+        lo = int(digits.min())
+        shifted = digits - lo
+        present = np.flatnonzero(np.bincount(shifted))
+        table = np.empty(present[-1] + 1)
+        table[present] = [fn(j) for j in (present + lo).tolist()]
+        return table[shifted]
+    uniq, inv = np.unique(digits, return_inverse=True)
+    return np.array([fn(j) for j in uniq.tolist()])[inv]
+
+
 def _append_digits(system: DecaySystem, level: tuple, digits: np.ndarray, parent=None) -> tuple:
     """Append digits[k] to word parent[k] of a level (to word k when parent
     is None); return the children's level and their log cylinder lengths.
@@ -262,18 +278,7 @@ def _append_digits(system: DecaySystem, level: tuple, digits: np.ndarray, parent
             logs = -(np.log(child) + np.log(child + q))
         return (q, child), logs
     head, err = level if parent is None else (level[0][parent], level[1][parent])
-    if digits.dtype == np.int64 and digits.size and np.ptp(digits) < 4 * digits.size + 4096:
-        # A presence table over min..max finds the distinct digits without a
-        # sort; a sparse spread of digits (a sampled window) keeps the sort.
-        lo = int(digits.min())
-        shifted = digits - lo
-        present = np.flatnonzero(np.bincount(shifted))
-        table = np.empty(present[-1] + 1)
-        table[present] = [_log_rational(system.affine.slope(j)) for j in (present + lo).tolist()]
-        term = table[shifted]
-    else:
-        uniq, inv = np.unique(digits, return_inverse=True)
-        term = np.array([_log_rational(system.affine.slope(j)) for j in uniq.tolist()])[inv]
+    term = _digit_table(digits, lambda j: _log_rational(system.affine.slope(j)))
     total = head + term
     back = total - head
     err = err + ((head - (total - back)) + (term - back))

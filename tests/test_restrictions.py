@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifslab import families, restrictions
 from ifslab.families import make_gauss, make_linear_power
 from ifslab.restrictions import (
     Ladder,
@@ -176,6 +177,38 @@ class TestLadder:
         lad = build_ladder(sys2, parse_phi("lin:1"), 0.1, 3)
         assert lad.values[0] == 1
         assert all(a < b for a, b in zip(lad.values, lad.values[1:]))
+
+    def test_one_crossing_search_per_step(self, gauss, monkeypatch):
+        # Both ladders step through one loop that computes a value only when
+        # asked: build_ladder searches once per value after the first, and
+        # the gap construction's ladder stops at the value that collapses
+        # its tail bound, searching no further.
+        searches = []
+        search = restrictions.first_index_reaching
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(restrictions, "first_index_reaching", counted)
+        lad = build_ladder(gauss, parse_phi("lin:1"), 0.1, 4)
+        assert lad.values == (9, 19, 34, 57)
+        assert len(searches) == 3
+
+        rounds = []
+        gap_ladder = families._gap_ladder
+
+        def recorded(*args):
+            searches.clear()
+            values, collapsed = gap_ladder(*args)
+            rounds.append((len(values) - 1, len(searches), collapsed))
+            return values, collapsed
+
+        monkeypatch.setattr(families, "_gap_ladder", recorded)
+        families.build_gap_system(parse_phi("pow:2"), 2, 0.1)
+        assert rounds
+        for blocks, count, collapsed in rounds:
+            assert collapsed and count == blocks
 
 
 class TestGrowthRatio:

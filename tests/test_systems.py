@@ -22,6 +22,7 @@ from ifslab.systems import (
     NumericFailure,
     PreconditionError,
     _append_digits,
+    _digit_table,
     _empty_words,
     cylinder_interval,
     cylinder_length_bounds,
@@ -345,6 +346,32 @@ def _assert_log_lengths(system, words, got):
 def _mp_log(x: Fraction) -> float:
     with mpmath.workprec(200):
         return float(mpmath.log(mpmath.mpf(x.numerator) / x.denominator))
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [
+        np.random.default_rng(3).integers(1, 400, size=300),
+        np.append(np.random.default_rng(3).integers(1, 400, size=300), 10**5),
+        np.array([2**64 + 7, 3, 2**64 + 7, 2**70, 3], dtype=object),
+        np.array([], dtype=np.int64),
+    ],
+    ids=["table", "sort", "object", "empty"],
+)
+def test_digit_table_calls_once_per_distinct_digit(digits):
+    # A dense int64 column reads a presence table; a spread of 4 * size +
+    # 4096 or more, and Python ints past int64, take the sort.
+    calls = []
+
+    def fn(j):
+        calls.append(j)
+        return math.log(j) / 3 + j % 7
+
+    got = _digit_table(digits, fn)
+    want = [math.log(j) / 3 + j % 7 for j in digits.tolist()]
+    assert got.dtype == np.float64 and got.tolist() == want
+    assert sorted(calls) == sorted(set(digits.tolist()))
+    assert all(type(j) is int for j in calls)
 
 
 class TestAppendDigits:
