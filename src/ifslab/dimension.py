@@ -2,10 +2,11 @@
 cover sums, box-counting regression, and the closed-form prediction table.
 
 The pressure root s solves sum_{i=k}^{m} r_i**s = 1 for a finite band of
-contraction ratios.  Safeguarded Newton steps on the log of that sum, kept
-inside a bracket whose ends have both been evaluated, find it in a few
-passes over the log-rates, which are formed directly and so never
-underflow.  Cover sums aggregate |cylinder|**s over restriction-admissible
+contraction ratios r_i = scale * (i + t)**-decay.  Each evaluation of that
+sum is scale**s times one certified power-sum bracket, so it costs the same
+at any band width.  Safeguarded Newton steps on its log, kept inside a
+bracket whose ends are both certified, find the root in a few evaluations.
+Cover sums aggregate |cylinder|**s over restriction-admissible
 words by one backward transfer recursion that holds each partial sum as a
 Chebyshev interpolant in the continuant ratio, with budgeted exact
 enumeration as its oracle, and carry an explicit truncation bound for the
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .restrictions import Phi, _words_per_depth, successor_table
-from .powersum import power_sum_brackets
+from .powersum import _EM_HEAD, _LN2, _ULP, power_sum_brackets
 from .systems import DecaySystem, NumericFailure, PreconditionError, _append_digits, _empty_words
 
 # Most pressure evaluations one root may take.
@@ -78,26 +79,83 @@ def _estimate(value, method, lo, hi, diagnostics) -> DimensionEstimate:
     return DimensionEstimate(value=v, method=method, bracket=(lo, hi), diagnostics=diagnostics)
 
 
-def _root_from_rates(log_rates: np.ndarray, tol: float) -> DimensionEstimate:
-    """Root of P(s) = sum(exp(s * log_rates)) = 1, down to |P(s) - 1| <= tol.
+def _power_pressure(system: DecaySystem, start: int, stop: int, s: float) -> tuple:
+    """(scale**s, bracket of sum_{i=start}^{stop} i**(-decay * s)).
 
-    With every log-rate below 0, log P is convex and decreasing.  So a
-    Newton step on log P lands left of the root when taken from s = 1 with
-    P(1) < 1, and stays left of it when taken from a point left of it: the
-    iterates rise to the root.  A step that would leave the kept bracket
-    (P >= 1 at its lower end and P <= 1 at its upper end, both evaluated)
-    falls back to the midpoint.  One exp array gives both P and
-    P' = sum(log_rates * exp(s * log_rates)).  Once the residual is within
-    tol, one more evaluation on the far side of s, where the tangent puts
-    P - 1 past tol with the other sign, closes the bracket; the distance
-    doubles until the sign flips.  iterations counts the evaluations.
+    Their product is the pressure sum of (scale * i**-decay)**s over the
+    band, so one evaluation costs one certified power-sum bracket at any
+    band width.  At decay * s = 0 the sum is the number of terms, which
+    power_sum_brackets refuses.
     """
-    contracting = np.count_nonzero(log_rates < 0)
-    if contracting < 2:
+    factor = math.exp(s * math.log(system.scale))
+    p = system.decay * s
+    if p == 0:
+        n = float(stop - start + 1)
+        return factor, (math.nextafter(n, 0.0), math.nextafter(n, math.inf))
+    return factor, power_sum_brackets(start, stop, p)
+
+
+def _tilted_mean(c: float) -> float:
+    """Mean of x in [0, 1] under the density proportional to exp(c * x)."""
+    if abs(c) < 1e-3:
+        return 0.5 + c / 12.0
+    if c < 0:
+        return 1.0 - _tilted_mean(-c)
+    return -1.0 / math.expm1(-c) - 1.0 / c
+
+
+def _mean_log(start: int, stop: int, p: float, total: float) -> float:
+    """Mean of log i over start..stop under the weights i**-p, whose sum is
+    about total: minus the p-derivative of log sum_i i**-p.
+
+    Bands of at most 4 * _EM_HEAD terms sum it directly, with the weights
+    taken relative to the first so that none underflows.  Longer ones sum
+    the first _EM_HEAD terms directly and give the rest the mean of the
+    midpoint integral of x**-p over [start + _EM_HEAD - 1/2, stop + 1/2]:
+    with x = exp(y), a density proportional to exp((1 - p) * y) on an
+    interval of y, whose mean is closed-form.
+    """
+    if stop - start < 4 * _EM_HEAD:
+        logs = [math.log(i) for i in range(start, stop + 1)]
+        weights = [math.exp(-p * (x - logs[0])) for x in logs]
+        return math.fsum(map(float.__mul__, logs, weights)) / math.fsum(weights)
+    logs = [math.log(i) for i in range(start, start + _EM_HEAD)]
+    terms = [math.exp(-p * x) for x in logs]
+    a, b = 2 * (start + _EM_HEAD) - 1, 2 * stop + 1
+    # log(b / a) without the cancellation of two close logs.
+    width = math.log1p((b - a) / a) if b < 4 * a else math.log(b) - math.log(a)
+    tail = math.log(a) - _LN2 + width * _tilted_mean((1.0 - p) * width)
+    # The tail holds the mass total - sum(terms), with mean `tail`.
+    return tail + (math.fsum(map(float.__mul__, logs, terms)) - math.fsum(terms) * tail) / total
+
+
+def _pressure_root(system: DecaySystem, start: int, stop: int, tol: float) -> DimensionEstimate:
+    """Root of P(s) = sum_{i=start}^{stop} (scale * i**-decay)**s = 1, down to
+    a certified bracket of P inside [1 - tol, 1 + tol].
+
+    Each evaluation is one _power_pressure bracket, widened by a few ulps
+    for the rounding of scale**s and of decay * s.  With every ratio below
+    1, log P is convex and decreasing.  So a Newton step on log P, taken
+    at the bracket's midpoint with the slope mean(log r_i) from _mean_log,
+    lands near the root, and one that would leave the kept bracket (P >= 1
+    certified at its lower end, P <= 1 at its upper end) falls back to the
+    midpoint.  A P bracket that straddles 1 moves neither end: when it is
+    wider than 2 * tol no s can reach tol, and when it is narrower the
+    Newton step centres it on 1.  Once it is within tol, the bracket of s
+    closes on each side that s does not certify, by one evaluation at the
+    distance where the tangent puts P past 1 by tol; the distance doubles
+    until that end is certified.  iterations counts the evaluations.
+    """
+    log_scale = math.log(system.scale)
+    decay = system.decay
+    if decay < 0:
+        raise PreconditionError("pressure root needs rates that fall with the index (decay >= 0)")
+    # The rates fall with the index: the last two are the smallest, the first the largest.
+    if start == stop or log_scale - decay * math.log(stop - 1) >= 0:
         raise PreconditionError("pressure root needs at least two contracting ratios")
-    if contracting < log_rates.size:
+    log_top = log_scale - decay * math.log(start)
+    if log_top >= 0:
         raise NumericFailure("pressure sum stays above 1 at every s; a ratio >= 1 is present")
-    buf = np.empty_like(log_rates)
     evals = 0
 
     def pressure(s: float) -> tuple:
@@ -105,41 +163,56 @@ def _root_from_rates(log_rates: np.ndarray, tol: float) -> DimensionEstimate:
         evals += 1
         if evals > _BOWEN_MAX_ITER:
             raise NumericFailure(f"pressure root not found in {_BOWEN_MAX_ITER} evaluations")
-        np.multiply(log_rates, s, out=buf)
-        np.exp(buf, out=buf)
-        return float(buf.sum()), float(np.dot(log_rates, buf))
+        factor, (b_lo, b_hi) = _power_pressure(system, start, stop, s)
+        p = decay * s
+        spread = (4.0 + 2.0 * abs(s * log_scale) + p * math.log(stop)) * _ULP
+        return factor * b_lo * (1.0 - spread), factor * b_hi * (1.0 + spread), 0.5 * (b_lo + b_hi)
+
+    def log_slope(s: float, total: float) -> float:
+        # The mean of log r_i is at most the largest of them, which is below 0.
+        return min(log_scale - decay * _mean_log(start, stop, decay * s, total), log_top)
 
     # P(0) is the number of terms, at least 2; P(inf) is 0.
     lo, hi = 0.0, math.inf
     s = 1.0
     while True:
-        val, slope = pressure(s)
-        if abs(val - 1.0) <= tol:
+        p_lo, p_hi, total = pressure(s)
+        val = 0.5 * (p_lo + p_hi)
+        if 1.0 - tol <= p_lo and p_hi <= 1.0 + tol:
             break
-        if val > 1.0:
+        if p_lo >= 1.0:
             lo = s
-        else:
+        elif p_hi <= 1.0:
             hi = s
-        step = s - math.log(val) * val / slope if val > 0 and slope < 0 else math.nan
+        elif p_hi - p_lo > 2.0 * tol:
+            raise NumericFailure(f"pressure residual never reached tol {tol}")
+        newton = 0.0 < p_lo and p_hi < math.inf
+        step = s - math.log(val) / log_slope(s, total) if newton else math.nan
         if lo < step < hi:
             s = step
         else:
             s = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
         if not lo < s < hi:
             raise NumericFailure(f"pressure residual never reached tol {tol}")
-    side = 1.0 if val > 1.0 else -1.0
-    dist = (abs(val - 1.0) + tol) / -slope
-    while True:
-        # P(0) is at least 2, so the far end never needs to pass 0.
-        far = max(s + side * dist, 0.0)
-        if (pressure(far)[0] - 1.0) * side <= 0:
-            break
-        dist *= 2.0
-    lo, hi = (s, far) if side > 0 else (far, s)
+    dist = (abs(val - 1.0) + tol) / -log_slope(s, total)
+
+    def close(side: float) -> float:
+        """The nearest s + side * dist * 2**j certified on its side of the root."""
+        step = dist
+        while True:
+            # P(0) is at least 2, so the far end never needs to pass 0.
+            far = max(s + side * step, 0.0)
+            f_lo, f_hi, _ = pressure(far)
+            if (f_lo >= 1.0) if side < 0 else (f_hi <= 1.0):
+                return far
+            step *= 2.0
+
+    lo = s if p_lo >= 1.0 else close(-1.0)
+    hi = s if p_hi <= 1.0 else close(1.0)
     diag = {
         "residual": val - 1.0,
         "iterations": evals,
-        "terms": int(log_rates.size),
+        "terms": stop - start + 1,
         "raw_root": s,
     }
     return _estimate(s, "bowen-root", lo, hi, diag)
@@ -159,24 +232,19 @@ def _log_rates(system: DecaySystem, lo: int, hi: int) -> np.ndarray:
     return math.log(system.scale) - system.decay * np.log(np.arange(lo, hi + 1, dtype=float))
 
 
-def _log_rate_band(system: DecaySystem, bound_kind: str, k: int, m: int) -> np.ndarray:
-    """log contract_lo (xi) or log contract_hi (lambda) at indices k..m,
-    checked by _check_band."""
+def bowen_root(
+    system: DecaySystem, bound_kind: str, k: int, m: int, tol: float = 1e-10
+) -> DimensionEstimate:
+    """Root of sum_{i=k}^{m} r_i**s = 1 for the chosen rate bound:
+    contract_lo (xi) or contract_hi (lambda)."""
+    _check_band(k, m, tol)
     if bound_kind == "xi":
         t = system.shift
     elif bound_kind == "lambda":
         t = 0
     else:
         raise PreconditionError(f"bound_kind must be 'xi' or 'lambda', got {bound_kind!r}")
-    return _log_rates(system, k + t, m + t)
-
-
-def bowen_root(
-    system: DecaySystem, bound_kind: str, k: int, m: int, tol: float = 1e-10
-) -> DimensionEstimate:
-    """Root of sum_{i=k}^{m} r_i**s = 1 for the chosen rate bound."""
-    _check_band(k, m, tol)
-    return _root_from_rates(_log_rate_band(system, bound_kind, k, m), tol)
+    return _pressure_root(system, k + t, m + t, tol)
 
 
 def subsystem_dim_bounds(
@@ -184,25 +252,23 @@ def subsystem_dim_bounds(
 ) -> tuple:
     """(lower, upper) pressure-root estimates from the two rate bounds.
 
-    Both bands are slices of one log band over k..m + shift: the xi rates
-    at k..m are the lambda rates at k + shift..m + shift.  The upper bound
-    is capped at 1 (and flagged) when the upper rates include a
-    non-contracting ratio, as they do for the first Gauss map.
+    The xi rates at k..m are the power profile at k + shift..m + shift, the
+    lambda rates the same profile at k..m.  The upper bound is capped at 1
+    (and flagged) when the upper rates include a non-contracting ratio, as
+    they do for the first Gauss map.
     """
     _check_band(k, m, tol)
     t = system.shift
-    log_rates = _log_rates(system, k, m + t)
-    lower = _root_from_rates(log_rates[t:], tol)
-    hi_band = log_rates[: m - k + 1]
-    if (hi_band >= 0).any():
+    lower = _pressure_root(system, k + t, m + t, tol)
+    if math.log(system.scale) - system.decay * math.log(k) >= 0:
         upper = DimensionEstimate(
             value=1.0,
             method="bowen-root",
             bracket=(lower.value, 1.0),
-            diagnostics={"capped": True, "terms": int(hi_band.size)},
+            diagnostics={"capped": True, "terms": m - k + 1},
         )
     else:
-        upper = _root_from_rates(hi_band, tol)
+        upper = _pressure_root(system, k, m, tol)
     return lower, upper
 
 

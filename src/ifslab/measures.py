@@ -31,7 +31,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .dimension import DimensionEstimate, _estimate
+from .dimension import DimensionEstimate, _estimate, _power_pressure
 from .powersum import first_index_reaching, power_sum_brackets
 from .restrictions import Ladder, Phi, build_ladder
 from .systems import DecaySystem, NumericFailure, PreconditionError
@@ -200,17 +200,15 @@ def window_exponent(system: DecaySystem, digits: Iterable[int]) -> float:
 def _window_total_fn(system: DecaySystem, lo: int, hi: int):
     """Closed-form window mass sum s -> sum_{i=lo}^{hi} contract_lo(i)**s.
 
-    With contract_lo(i) = c * (i + t)**-d the sum is c**s times a shifted
-    power sum, so it runs on the certified power-sum core and huge windows
-    cost nothing.
+    With contract_lo(i) = c * (i + t)**-d the sum is the pressure of the
+    shifted band, c**s times a power sum (dimension._power_pressure), so it
+    runs on the certified power-sum core and huge windows cost nothing.
     """
-    d = system.decay
-    log_scale = math.log(system.scale)
     shift = system.shift
 
     def total(s: float) -> float:
-        b_lo, b_hi = power_sum_brackets(lo + shift, hi + shift, d * s)
-        return math.exp(s * log_scale) * 0.5 * (b_lo + b_hi)
+        factor, (b_lo, b_hi) = _power_pressure(system, lo + shift, hi + shift, s)
+        return factor * 0.5 * (b_lo + b_hi)
 
     return total
 

@@ -198,13 +198,13 @@ class TestBowenBounds:
     @staticmethod
     def _count_roots(monkeypatch) -> list:
         calls = []
-        solve = dimension._root_from_rates
+        solve = dimension._pressure_root
 
         def counted(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(dimension, "_root_from_rates", counted)
+        monkeypatch.setattr(dimension, "_pressure_root", counted)
         return calls
 
     @pytest.mark.parametrize("bound, key", [("xi", "lower"), ("lambda", "upper")])

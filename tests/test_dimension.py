@@ -32,7 +32,7 @@ from ifslab.dimension import (
     TailWarning,
     _exact_depth_sums,
     _linregress,
-    _log_rate_band,
+    _log_rates,
     _transfer_depth_sums,
     bowen_root,
     box_dim_estimate,
@@ -227,10 +227,14 @@ class TestPressureSolver:
             m = k + span
             assume(not (name == "gauss" and bound == "lambda" and k == 1))
         est = bowen_root(system, bound, k, m, tol=tol)
-        log_rates = _log_rate_band(system, bound, k, m)
+        # The float log-rate band the root summed before it rooted on
+        # power-sum brackets.
+        t = system.shift if bound == "xi" else 0
+        log_rates = math.log(system.scale) - system.decay * np.log(
+            np.arange(k + t, m + t + 1, dtype=float)
+        )
         raw = est.diagnostics["raw_root"]
         assert abs(_pressure(log_rates, raw) - 1.0) <= tol
-        t = system.shift if bound == "xi" else 0
         old_rates = system.scale * np.arange(k + t, m + t + 1, dtype=float) ** -system.decay
         assert abs(raw - _bisection_root(old_rates, tol)) <= 1e-9
         lo, hi = est.bracket
@@ -241,16 +245,53 @@ class TestPressureSolver:
         else:
             assert est.bracket == (1.0, 1.0)
 
-    @pytest.mark.parametrize("k", [10, 100, 1000])
-    def test_hurwitz_zeta_oracle(self, gauss, k):
+    @pytest.mark.parametrize(
+        "k, m",
+        [
+            pytest.param(10, 10_000, id="10"),
+            pytest.param(100, 100_000, id="100"),
+            pytest.param(1000, 1_000_000, id="1000"),
+            # Bands no float array could hold: a root costs the same at any m.
+            pytest.param(10, 10**12, id="10-m1e12"),
+            pytest.param(10, 10**18, id="10-m1e18"),
+        ],
+    )
+    def test_hurwitz_zeta_oracle(self, gauss, k, m):
         # The xi band k..m of the Gauss map sums (i + 1)**(-2s) over i, that
         # is zeta(2s, k + 1) - zeta(2s, m + 2).
-        m = 1000 * k
         with mpmath.workdps(30):
             root = mpmath.findroot(
                 lambda s: mpmath.zeta(2 * s, k + 1) - mpmath.zeta(2 * s, m + 2) - 1, 0.6
             )
         assert abs(bowen_root(gauss, "xi", k, m).value - float(root)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "name, k, m",
+        [
+            ("gauss", 10, 10_000),
+            ("gauss", 1000, 10**12),
+            ("linpow", 10, 10_000),
+            ("linpow", 3, 300),
+            ("gapsys", 1, 300_000),
+            ("gapsys", 40, 90),
+        ],
+    )
+    def test_bracket_ends_straddle_the_root(self, gauss, gap_system, name, k, m):
+        # mpmath at 30 digits: P >= 1 at the lower end and P <= 1 at the
+        # upper end, with P(s) = scale**s * (zeta(d s, k + t) - zeta(d s, m + t + 1)).
+        system = {"gauss": gauss, "linpow": make_linear_power(2.0), "gapsys": gap_system}[name]
+        lower, upper = subsystem_dim_bounds(system, k, m)
+        for est, t in ((lower, system.shift), (upper, 0)):
+            lo, hi = est.bracket
+            assert lo <= est.value <= hi < 1.0
+            with mpmath.workdps(30):
+                scale, d = mpmath.mpf(system.scale), mpmath.mpf(system.decay)
+
+                def pressure(s):
+                    s = mpmath.mpf(s)
+                    return scale**s * (mpmath.zeta(d * s, k + t) - mpmath.zeta(d * s, m + t + 1))
+
+                assert pressure(lo) >= 1 >= pressure(hi)
 
     def test_million_term_band_takes_few_evaluations(self, gauss):
         lower, upper = subsystem_dim_bounds(gauss, 1000, 1_000_000)
@@ -703,7 +744,8 @@ class TestRateBand:
             ("xi", system.log_contract_lo, system.contract_lo),
             ("lambda", system.log_contract_hi, system.contract_hi),
         ):
-            band = _log_rate_band(system, bound, k, m)
+            t = system.shift if bound == "xi" else 0
+            band = _log_rates(system, k + t, m + t)
             want = np.array([log_rate(i) for i in range(k, m + 1)])
             assert band.shape == want.shape
             assert (np.abs(band - want) <= 2 * np.spacing(np.abs(want))).all()
@@ -724,7 +766,7 @@ class TestRateBand:
         # 60**-200 underflows a float, yet at s near 0.008 the rates past
         # the float range add about 3% to the pressure sum.
         steep = DecaySystem(kind="toy", decay=200.0)
-        band = _log_rate_band(steep, "lambda", 2, 60)
+        band = _log_rates(steep, 2, 60)
         assert np.isfinite(band).all() and np.exp(band[-1]) == 0.0
         est = bowen_root(steep, "lambda", 2, 60)
         # The root of sum_{i=2}^{60} i**(-200 s) = 1 by mpmath at 40 digits.

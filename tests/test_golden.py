@@ -1,5 +1,6 @@
 """Golden reports: pinned report bytes for the documented commands, the
-acceptance battery, and per-kind variants of the rate-driven subcommands.
+acceptance battery, per-kind variants of the rate-driven subcommands, and
+the per-sample CSV of ``localdim --stream``.
 
 Each case runs the CLI in process with ``--out -`` and compares stdout with
 the file under tests/golden/ named after the case and its ``--format``.
@@ -9,11 +10,13 @@ A refactor that claims "same behaviour" must leave every file unchanged.
 
 To re-pin after an intended change of report bytes (say why in the change
 log), run ``PYTHONPATH=src python3 tests/test_golden.py [NAME...]`` from the
-checkout root.  Each NAME is a case name, ``gapsys_pow2`` or ``battery``;
+checkout root.  Each NAME is a case name, ``gapsys_pow2``,
+``localdim_gauss_stream`` or ``battery``;
 only the named files are rewritten, and every file when no name is given.
 """
 
 import contextlib
+import io
 import json
 import os
 import pathlib
@@ -133,6 +136,16 @@ CASES = {
     ],
 }
 
+# The per-(sample, level) rows localdim --stream writes beside its report:
+# levels of the exact word and, with an empty digit, levels past it; every
+# float by repr.
+STREAM_FILE = "stream.csv"
+STREAM_ARGV = [
+    "localdim", "--system", "gauss", "--alpha", "2", "--samples", "100", "--depth", "5",
+    "--seed", "0", "--stream", STREAM_FILE,
+]
+STREAM_GOLDEN = GOLDEN / "localdim_gauss_stream.csv"
+
 BATTERY_FILES = ("summary.csv", "bowen-gauss-k10.json", "ladder-gauss-lin1.json",
                  "predict-pow2-tiled.json")
 
@@ -157,6 +170,12 @@ def _gap_report(workdir: pathlib.Path) -> bytes:
     with _cwd(workdir):
         assert run(GAP_ARGV) == 0
     return (workdir / GAP_REPORT).read_bytes()
+
+
+def _stream_csv(workdir: pathlib.Path) -> bytes:
+    with _cwd(workdir), contextlib.redirect_stdout(io.StringIO()):
+        assert run([*STREAM_ARGV, "--out", "-"]) == 0
+    return (workdir / STREAM_FILE).read_bytes()
 
 
 def _battery(workdir: pathlib.Path) -> dict:
@@ -208,6 +227,10 @@ def test_bad_argv_then_good_run_in_one_process(workdir, capsys, monkeypatch):
     assert capsys.readouterr().out == _golden_file("words_lin1").read_text()
 
 
+def test_stream_csv_bytes(tmp_path):
+    assert _stream_csv(tmp_path) == STREAM_GOLDEN.read_bytes()
+
+
 def test_battery_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = _battery(tmp_path)
@@ -218,10 +241,9 @@ def test_battery_bytes(tmp_path, monkeypatch):
 def _repin(names) -> None:
     """Rewrite the named golden files from the current code; every file when
     no name is given."""
-    import io
     import tempfile
 
-    known = {*CASES, "gapsys_pow2", "battery"}
+    known = {*CASES, "gapsys_pow2", "localdim_gauss_stream", "battery"}
     unknown = sorted(set(names) - known)
     if unknown:
         raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
@@ -240,6 +262,8 @@ def _repin(names) -> None:
                 with contextlib.redirect_stdout(buf):
                     assert run([*argv, "--out", "-"]) == 0, name
                 _golden_file(name).write_text(buf.getvalue())
+        if "localdim_gauss_stream" in chosen:
+            STREAM_GOLDEN.write_bytes(_stream_csv(workdir))
         if "battery" in chosen:
             (GOLDEN / "battery").mkdir(parents=True, exist_ok=True)
             for name, data in _battery(workdir).items():
