@@ -25,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import os
 import pathlib
 import re
 import sys
@@ -314,13 +315,26 @@ def _cmd_frostman(args):
     }
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text stream to a temporary file beside path, moved over path once
+    the block succeeds; on failure it is deleted and path keeps its bytes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def _cmd_localdim(args):
     system = _resolve_system(args.system)
     measure = PowerLawDigitMeasure(system.decay, args.alpha, first_digit=args.first_digit)
-    stream = None if args.stream is None else open(args.stream, "w", newline="")
-    with stream or contextlib.nullcontext():
+    with contextlib.nullcontext() if args.stream is None else _replacing(args.stream) as fh:
         est = local_dim_estimate(
-            measure, system, args.samples, args.depth, seed=args.seed, csv_stream=stream
+            measure, system, args.samples, args.depth, seed=args.seed, csv_stream=fh
         )
     return _estimate_results("estimate", est)
 

@@ -3,10 +3,11 @@
 Two measures live here.  The first is a layered product measure adapted to
 the index ladder: level n draws its digit from the ladder window past the
 restriction of the previous ladder value, with a level exponent chosen so
-the window masses sum to one.  Because each exponent sits at or above
-1/d - eps, every cylinder mass is dominated by the cylinder length raised
-to 1/d - eps, and ``verify_frostman`` checks exactly that comparison with
-log cylinder lengths formed from exact continuants or exact slopes.
+the window masses sum to one: the xi Bowen root of the window.  Because
+each exponent sits at or above 1/d - eps, every cylinder mass is dominated
+by the cylinder length raised to 1/d - eps, and ``verify_frostman`` checks
+that comparison with log cylinder lengths formed from exact continuants or
+exact slopes.
 
 The second is a Markov measure on unbounded digit words whose conditional
 law from digit i is a power tail supported on j >= ceil(i**alpha).  It
@@ -27,19 +28,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dimension import DimensionEstimate, _estimate, _power_pressure
+from .dimension import DimensionEstimate, _estimate, bowen_root
 from .powersum import first_index_reaching, power_sum_brackets
 from .restrictions import Ladder, Phi, build_ladder
 from .systems import DecaySystem, NumericFailure, PreconditionError
 from .systems import _append_digits, _digit_table, _empty_words
-
-# Exponent solver: certified residual target and bisection width floor.
-_SOLVE_RESIDUAL = 5e-13
-_SOLVE_WIDTH = 1e-15
 
 # Materialized per-digit mass tables stop here (lookups stay available).
 _LEVEL_TABLE_CAP = 5_000_000
@@ -87,9 +84,11 @@ class FrostmanLevel:
     trimmed: the window minus its two extreme-image digits.  Branch images
         are strictly ordered by index for the supported kinds (larger index,
         further left), so the trimmed range is (lo + 1, hi - 1).
-    exponent: s_n solving sum over the window of contract_lo(i)**s_n = 1.
-    mass_defect: certified distance of that sum from 1 at the stored
-        exponent; at most the solver tolerance.
+    exponent: s_n solving sum over the window of contract_lo(i)**s_n = 1,
+        the xi Bowen root of the window (dimension.bowen_root, tol 1e-10).
+    mass_defect: |P - 1|, P the midpoint of the certified bracket of that
+        sum at s_n; the whole bracket lies within 1e-10 of 1.  A window too
+        wide for such a bracket is a NumericFailure (exit 3).
     """
 
     index: int
@@ -149,70 +148,6 @@ class FrostmanMeasure:
         return out
 
 
-def _bisect_decreasing(total, count: float):
-    """Root of total(s) = 1 for a strictly decreasing total, total(0) = count > 1.
-
-    Returns (s, defect) with defect = |total(s) - 1| at the returned point.
-    """
-    hi = 1.0
-    while total(hi) >= 1.0:
-        hi *= 2.0
-        if hi > 128.0:
-            raise NumericFailure("window exponent did not bracket below s = 128")
-    lo = 0.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if total(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _SOLVE_WIDTH:
-            break
-    s = 0.5 * (lo + hi)
-    defect = abs(total(s) - 1.0)
-    if defect > _SOLVE_RESIDUAL * 20:
-        raise NumericFailure(
-            f"window exponent solver stalled at residual {defect:.3e}"
-        )
-    return s, defect
-
-
-def window_exponent(system: DecaySystem, digits: Iterable[int]) -> float:
-    """Exponent s making sum over the given digits of contract_lo(i)**s = 1.
-
-    Works for any system whose listed branches all contract; the digit set
-    needs at least two members (a single branch only reaches one at s = 0).
-    """
-    digs = sorted({int(i) for i in digits})
-    if len(digs) < 2:
-        raise PreconditionError("window exponent needs at least 2 digits")
-    logs = [system.log_contract_lo(i) for i in digs]
-    if any(l >= 0.0 for l in logs):
-        raise PreconditionError("window contains a non-contracting branch")
-
-    def total(s: float) -> float:
-        return math.fsum(math.exp(s * l) for l in logs)
-
-    s, _ = _bisect_decreasing(total, float(len(digs)))
-    return s
-
-
-def _window_total_fn(system: DecaySystem, lo: int, hi: int):
-    """Closed-form window mass sum s -> sum_{i=lo}^{hi} contract_lo(i)**s.
-
-    With contract_lo(i) = c * (i + t)**-d the sum is the pressure of the
-    shifted band, c**s times a power sum (dimension._power_pressure), so it
-    runs on the certified power-sum core and huge windows cost nothing.
-    """
-    shift = system.shift
-
-    def total(s: float) -> float:
-        factor, (b_lo, b_hi) = _power_pressure(system, lo + shift, hi + shift, s)
-        return factor * 0.5 * (b_lo + b_hi)
-
-    return total
-
-
 def build_frostman_measure(
     system: DecaySystem, phi: Phi, eps: float, depth: int
 ) -> FrostmanMeasure:
@@ -236,22 +171,24 @@ def build_frostman_measure(
                 f"level {n} window ({lo}..{hi}) has {size} digit(s); "
                 f"trimming would leave {max(size - 2, 0)}, fewer than 2"
             )
-        # Touch the deepest index so finite branch tables fail loudly here.
-        system.log_contract_lo(hi)
-        total = _window_total_fn(system, lo, hi)
-        s, defect = _bisect_decreasing(total, float(size))
-        if s < floor_s - 1e-9:
+        try:
+            root = bowen_root(system, "xi", lo, hi)
+            if root.value < floor_s - 1e-9:
+                raise NumericFailure(
+                    f"exponent {root.value:.6f} fell below the decay floor "
+                    f"{floor_s:.6f}; the ladder does not cover this window"
+                )
+        except NumericFailure as exc:
             raise NumericFailure(
-                f"level {n} exponent {s:.6f} fell below the decay floor "
-                f"{floor_s:.6f}; the ladder does not cover this window"
-            )
+                f"level {n} window ({lo.bit_length()}-bit lo .. {hi.bit_length()}-bit hi): {exc}"
+            ) from exc
         levels.append(
             FrostmanLevel(
                 index=n,
                 window=(lo, hi),
                 trimmed=(lo + 1, hi - 1),
-                exponent=s,
-                mass_defect=defect,
+                exponent=root.value,
+                mass_defect=abs(root.diagnostics["residual"]),
             )
         )
     return FrostmanMeasure(

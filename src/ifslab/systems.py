@@ -191,8 +191,8 @@ class DecayReport:
     threshold: smallest index K such that for every checked k >= K
         k**(-d-eps) <= contract_lo(k)/scale and
         contract_hi(k)/scale <= k**(-d+eps).
-    coeff_lo/coeff_hi: constants making the sandwich valid from index 1 on
-        the raw (unscaled) bounds:
+    coeff_lo/coeff_hi: contract_lo(1) and contract_hi(1), the tightest
+        constants making the sandwich valid from index 1 on the raw bounds:
         coeff_lo * k**(-d-eps) <= contract_lo(k),
         contract_hi(k) <= coeff_hi * k**(-d+eps).
     comp_depth/comp_bound: uniform-contraction certificate; every sampled
@@ -361,11 +361,12 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayRepo
 
     threshold is the smallest K <= i_max with, for all K <= k <= i_max,
     k**(-d-eps) <= contract_lo(k)/scale and contract_hi(k)/scale <=
-    k**(-d+eps).  The fitted coeff_lo/coeff_hi make the raw sandwich valid
-    from index 1.  The composition certificate searches depths m = 1..8
-    over all words with digits <= _COMP_DIGIT_CAP, evaluating composite
-    derivatives at grid points {0, 1/2, 1}; for the supported kinds the
-    supremum is attained inside this sample.
+    k**(-d+eps).  coeff_lo/coeff_hi are the rates at index 1, with no power
+    of k formed: contract_lo(k) * k**(d + eps) rises with k and
+    contract_hi(k) * k**(d - eps) falls.  The composition certificate
+    searches depths m = 1..8 over all words with digits <= _COMP_DIGIT_CAP,
+    evaluating composite derivatives at grid points {0, 1/2, 1}; for the
+    supported kinds the supremum is attained inside this sample.
     """
     if eps <= 0:
         raise PreconditionError("eps must be > 0 (the sandwich is strict)")
@@ -386,8 +387,6 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayRepo
             f"power sandwich with eps={eps} holds nowhere up to {i_max}; "
             "the system does not decay at this exponent/tolerance"
         )
-    coeff_lo = min(system.contract_lo(k) * k ** (d + eps) for k in range(1, i_max + 1))
-    coeff_hi = max(system.contract_hi(k) * k ** (d - eps) for k in range(1, i_max + 1))
     # Uniform contraction of m-fold compositions for some m <= 8.
     grid = (0.0, 0.5, 1.0)
     comp_depth = None
@@ -406,8 +405,8 @@ def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayRepo
     return DecayReport(
         eps=eps,
         threshold=threshold,
-        coeff_lo=coeff_lo,
-        coeff_hi=coeff_hi,
+        coeff_lo=system.contract_lo(1),
+        coeff_hi=system.contract_hi(1),
         comp_depth=comp_depth,
         comp_bound=comp_bound,
         checked_to=i_max,

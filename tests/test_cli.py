@@ -22,11 +22,12 @@ import numpy as np
 import pytest
 
 import ifslab
-from ifslab import dimension
+from ifslab import cli, dimension
 from ifslab.cli import run
 from ifslab.dimension import TailWarning, _truncation_bound, bowen_root, cover_sum
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
 from ifslab.restrictions import build_ladder, parse_phi
+from ifslab.systems import NumericFailure
 
 BATTERY_CFG = str(
     pathlib.Path(__file__).resolve().parent.parent / "configs" / "acceptance_battery.cfg"
@@ -332,6 +333,64 @@ class TestExitCodes:
         )
         assert code == 2
         assert "not a positive normal float" in capsys.readouterr().err
+
+    def test_localdim_refused_keeps_the_stream_file(self, tmp_path, capsys):
+        # The arguments are checked after the stream path is named.
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"earlier,run\n")
+        code, _, _ = _invoke(
+            tmp_path, "localdim", "--alpha", "2", "--samples", "20", "--stream", str(keep)
+        )
+        assert code == 2
+        assert "at least 100 samples" in capsys.readouterr().err
+        assert keep.read_bytes() == b"earlier,run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+    def test_localdim_numeric_failure_keeps_the_stream_file(self, tmp_path, monkeypatch):
+        def fails_midway(*args, csv_stream, **kwargs):
+            csv_stream.write("sample_id,n,digit\n0,1,2\n")
+            raise NumericFailure("every sampled chain truncated before 3 levels")
+
+        monkeypatch.setattr(cli, "local_dim_estimate", fails_midway)
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"earlier,run\n")
+        code, _, _ = _invoke(
+            tmp_path, "localdim", "--alpha", "2", "--samples", "100", "--stream", str(keep)
+        )
+        assert code == 3
+        assert keep.read_bytes() == b"earlier,run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ladder", "--system", "linpow:120", "--phi", "lin:1", "--eps", "0.001"],
+            ["frostman", "--system", "linpow:200", "--phi", "lin:1", "--eps", "0.001",
+             "--depth", "2"],
+        ],
+        ids=["ladder-linpow120", "frostman-linpow200"],
+    )
+    def test_decay_past_the_float_powers_is_3(self, tmp_path, capsys, argv):
+        # k**(d + eps) overflows at k = 1000 for d past about 103; the
+        # sandwich fit forms no such power.  The first slope, 1/zeta(d), is
+        # 1 to within 2**-119, so no composition contracts on the sample.
+        code, _, _ = _invoke(tmp_path, *argv)
+        assert code == 3
+        assert "no composition depth" in capsys.readouterr().err
+
+    def test_frostman_pow2_windows_past_float_range(self, tmp_path, capsys):
+        # Levels 8 and 9 span 903- and 1806-bit windows, wider than a float
+        # holds; each exponent is the window's pressure root.
+        argv = ("frostman", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1",
+                "--verify-depth", "3")
+        code, report, _ = _invoke(tmp_path, *argv, "--depth", "9")
+        assert code == 0
+        verify = report["results"]["verify"]
+        assert verify["passed"] == verify["checked"] > 0
+        # Level 11's 7223-bit window has no pressure bracket within 1e-10 of 1.
+        code, _, _ = _invoke(tmp_path, *argv, "--depth", "11")
+        assert code == 3
+        assert "level 11 window (7223-bit lo .. 7223-bit hi)" in capsys.readouterr().err
 
     def test_unwritable_out(self, capsys):
         code = run(

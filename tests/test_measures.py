@@ -34,12 +34,14 @@ from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifslab import measures
+from ifslab import dimension, measures
+from ifslab.dimension import bowen_root
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
 from ifslab.measures import (
     _INV_TABLE_MIN_DRAWS,
@@ -53,7 +55,6 @@ from ifslab.measures import (
     local_dim_estimate,
     sample_digits,
     verify_frostman,
-    window_exponent,
 )
 from ifslab.powersum import first_index_reaching, power_sum_brackets
 from ifslab.restrictions import parse_phi
@@ -104,10 +105,6 @@ class TestFrostmanBuild:
             assert (masses > 0).all()
             assert layered.level(n).mass_defect <= 1e-11
 
-    def test_full_window_exponent_agrees_with_per_digit_solver(self, gauss, layered):
-        direct = window_exponent(gauss, range(10, 20))
-        assert direct == pytest.approx(layered.levels[0].exponent, abs=1e-10)
-
     def test_small_window_rejected_with_level_index(self, gauss):
         with pytest.raises(PreconditionError, match="level 1 window"):
             build_frostman_measure(gauss, parse_phi("lin:1"), 0.4, 3)
@@ -128,24 +125,76 @@ class TestFrostmanBuild:
             layered.level(4)
 
 
-class TestWindowExponent:
-    def test_synthetic_two_digit_window(self, gauss):
-        assert window_exponent(gauss, [3, 4]) == pytest.approx(S_WINDOW_34, abs=1e-12)
+# (system, phi, depth) for the level roots checked against mpmath; eps 0.1.
+ROOT_CASES = {
+    "gauss-lin1": ("gauss", "lin:1", 6),
+    "gauss-pow1.5": ("gauss", "pow:1.5", 7),
+    "gauss-pow2": ("gauss", "pow:2", 9),
+    "linpow2-lin1": ("linpow:2", "lin:1", 4),
+    "gapsys-lin1": ("gapsys", "lin:1", 3),
+}
 
-    def test_order_and_duplicates_ignored(self, gauss):
-        assert window_exponent(gauss, [4, 3, 4]) == pytest.approx(
-            S_WINDOW_34, abs=1e-12
-        )
+
+def _root_system(name):
+    if name == "gauss":
+        return make_gauss()
+    if name == "linpow:2":
+        return make_linear_power(2.0)
+    return build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system
+
+
+class TestWindowExponent:
+    """Each level exponent is the xi Bowen root of its window."""
+
+    @pytest.mark.parametrize("case", ROOT_CASES.values(), ids=ROOT_CASES.keys())
+    def test_level_exponents_match_mpmath_roots(self, case):
+        name, phi, depth = case
+        system = _root_system(name)
+        measure = build_frostman_measure(system, parse_phi(phi), 0.1, depth)
+        t = system.shift
+        for lev in measure.levels:
+            lo, hi = lev.window
+            # The two zeta values are about hi**(1 - d*s) / (d*s - 1) and
+            # cancel down to 1, losing (1 - d*s) * bits(hi) bits: at most a
+            # fifth of bits(hi) here (s >= 1/d - 0.1, d = 2), 360 at the
+            # 1806-bit level-9 window of pow:2.
+            with mpmath.workprec(hi.bit_length() // 2 + 64):
+                d, c = mpmath.mpf(system.decay), mpmath.mpf(system.scale)
+
+                def pressure(s):
+                    return c**s * (mpmath.zeta(d * s, lo + t) - mpmath.zeta(d * s, hi + t + 1)) - 1
+
+                root = float(mpmath.findroot(pressure, (lev.exponent - 1e-9, lev.exponent + 1e-9)))
+            assert abs(lev.exponent - root) <= 1e-11, (lev.index, lev.exponent, root)
+            assert lev.mass_defect <= 1e-10
+
+    def test_few_pressure_evaluations_per_level(self, gauss, monkeypatch):
+        calls = Counter()
+        inner = dimension._power_pressure
+
+        def spy(system, start, stop, s):
+            calls[start, stop] += 1
+            return inner(system, start, stop, s)
+
+        monkeypatch.setattr(dimension, "_power_pressure", spy)
+        measure = build_frostman_measure(gauss, parse_phi("pow:2"), 0.1, 9)
+        t = gauss.shift
+        windows = [(lo + t, hi + t) for lo, hi in (lev.window for lev in measure.levels)]
+        assert sorted(calls) == sorted(windows)
+        assert max(calls.values()) <= 10, calls
+
+    def test_synthetic_two_digit_window(self, gauss):
+        assert bowen_root(gauss, "xi", 3, 4).value == pytest.approx(S_WINDOW_34, abs=1e-12)
 
     def test_needs_two_digits(self, gauss):
-        with pytest.raises(PreconditionError, match="at least 2"):
-            window_exponent(gauss, [5])
+        with pytest.raises(PreconditionError, match="at least two"):
+            bowen_root(gauss, "xi", 5, 5)
 
     def test_rejects_non_contracting_branch(self):
-        # Rates 1.0 and 0.5.
+        # Rates 1, 1/2 and 1/3: the first never contracts.
         toy = DecaySystem(kind="toy", scale=1.0, decay=1.0)
-        with pytest.raises(PreconditionError, match="non-contracting"):
-            window_exponent(toy, [1, 2])
+        with pytest.raises(NumericFailure, match="ratio >= 1"):
+            bowen_root(toy, "xi", 1, 3)
 
 
 class TestFrostmanMass:
