@@ -465,7 +465,8 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     fractions, 1 for linear maps), so the block of out-of-cap factors is
     bounded by powers of G = distortion**s * sum_{i > cap} lambda_i**s.  The
     tail sum diverges when decay * s <= 1 and the bound is then infinite:
-    the truncated mass genuinely dominates at such exponents.
+    the truncated mass genuinely dominates at such exponents.  It is also
+    infinite once a power of G overflows a float (deep covers).
     """
     p = system.decay * s
     if p <= 1.0:
@@ -475,7 +476,10 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     bound = 0.0
     for n in range(1, depth + 1):
         prefix = 1.0 if n == 1 else totals[n - 2]
-        bound += prefix * G ** (depth - n + 1)
+        try:
+            bound += prefix * G ** (depth - n + 1)
+        except OverflowError:
+            return math.inf
     return bound
 
 

@@ -326,8 +326,8 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     The blocks are derived again from phi, the ladder and C, not read from
     ``gs.blocks``.  Gap sizes and disjointness are checked at 2..16 and at
     each block's start-1, start, start+1, end and end+1, those at most
-    n_max; containment at 1 and n_max; power decay on the first
-    min(n_max, 1000) rates.  So the map is evaluated O(blocks) times,
+    n_max; containment at 1 and n_max; power decay at every index, from
+    the rate profile.  So the map is evaluated O(blocks) times,
     however large n_max is; n_max has no upper cap, as the offsets'
     precision grows with log(n).  The realized gaps are formed with the
     ratio C * n**-d from the construction's C, never the map's own slope,
@@ -364,7 +364,7 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     threshold = None
     decaying = True
     try:
-        rep = verify_power_decay(gs.system, gs.eps, min(n_max, 1000))
+        rep = verify_power_decay(gs.system, gs.eps)
         threshold = rep.threshold
     except (NumericFailure, PreconditionError) as e:
         decaying = False

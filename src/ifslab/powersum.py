@@ -32,9 +32,15 @@ mapped back to the smallest b that rounds to it by integer arithmetic.
 Below that the keys are the indices themselves.  Each edge of the
 ambiguity band (where the bracket straddles the goal) is found by Newton
 steps on the local slope from its own guess, a gallop and a bisection, so
-a search makes a bounded number of bracket calls (at most 128) whatever
-the size of the index.  Head sums are cached per start and exponent, so
-the searches at one start (a conditional digit law's draws) share theirs.
+a search makes a bounded number of bracket calls whatever the size of the
+index: at most _RESEEDS + 2 * (_NEWTON_STEPS + 64 + 2**11 + 64) = 4376.
+Per edge that is the Newton steps, a gallop of at most 64 doubling steps
+plus, upward among ratio floats, one step per binade of the ratio (fewer
+than 2**11), and a bisection over at most 2**64 keys.  The binade steps
+are what a goal just under the infinite sum (p > 1) costs: such a search
+can climb to the largest float, about 1000 calls, before it fails.  Head
+sums are cached per start and exponent, so the searches at one start (a
+conditional digit law's draws) share theirs.
 """
 
 from __future__ import annotations
@@ -454,7 +460,9 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
     does.  Where the bracket ends are monotone in the index, that is the
     answer of a full bisection over the same function.  The result is the
     smallest stop of band_hi, certified when band_lo stands for the same
-    stop.
+    stop.  A search makes at most 4376 bracket calls (the module docstring
+    counts them); upward gallops among ratio floats move one binade per
+    call, so a goal just under the infinite sum (p > 1) can take hundreds.
 
     Raises ValueError if the target is unreachable (only possible for
     p > 1).  Raises NumericFailure for p > 1 when the goal lies so close to

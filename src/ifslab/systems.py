@@ -83,8 +83,8 @@ class DecaySystem:
     kind: "gauss", "linear-power" or "gap".
     decay, scale, shift: the rate profile d, c, t; the branch rates are
         contract_lo(i) = c * (i + t)**-d and contract_hi(i) = c * i**-d,
-        the inf and sup of |f_i'| over [0, 1].  verify_power_decay divides
-        the scale out before applying the unit-constant sandwich.
+        the inf and sup of |f_i'| over [0, 1].  verify_power_decay reads
+        its sandwich threshold off (d, t) alone: the scale divides out.
     distortion: bounded-distortion constant D; appending branch i to a
         composition scales the cylinder length by at most
         D * contract_hi(i) (2 for gauss, 1 for the affine kinds).
@@ -136,11 +136,6 @@ class DecaySystem:
             return (a * x + b) / (c * x + d)
         return Fraction(a * x + b) / (c * x + d)
 
-    def map_deriv(self, i: int, x) -> float:
-        """f_i'(x) = (a*d - b*c) / (c*x + d)**2 as a float (sign included)."""
-        a, b, c, d = self._branch(i)
-        return float(a * d - b * c) / float(c * x + d) ** 2
-
 
 @dataclass(frozen=True)
 class CylinderInterval:
@@ -188,15 +183,17 @@ class LengthBounds:
 class DecayReport:
     """Certificate that a system's contraction rates decay like a power.
 
-    threshold: smallest index K such that for every checked k >= K
+    threshold: smallest index K such that for every k >= K
         k**(-d-eps) <= contract_lo(k)/scale and
-        contract_hi(k)/scale <= k**(-d+eps).
+        contract_hi(k)/scale <= k**(-d+eps), read off the rate profile.
     coeff_lo/coeff_hi: contract_lo(1) and contract_hi(1), the tightest
         constants making the sandwich valid from index 1 on the raw bounds:
         coeff_lo * k**(-d-eps) <= contract_lo(k),
         contract_hi(k) <= coeff_hi * k**(-d+eps).
-    comp_depth/comp_bound: uniform-contraction certificate; every sampled
-        comp_depth-fold composition had |derivative| <= comp_bound < 1.
+    comp_depth/comp_bound: uniform-contraction certificate; every
+        comp_depth-fold composition with digits <= _COMP_DIGIT_CAP has
+        sup over [0, 1] of |derivative| <= comp_bound < 1, the sup read
+        exactly from the composition's matrix.
     """
 
     eps: float
@@ -205,7 +202,6 @@ class DecayReport:
     coeff_hi: float
     comp_depth: int
     comp_bound: float
-    checked_to: int
 
 
 def _compose(system: DecaySystem, word: Word) -> tuple:
@@ -338,76 +334,57 @@ def project_point(system: DecaySystem, word: Sequence[int]):
     return point, cyl.length
 
 
-def _composite_deriv_sup(system: DecaySystem, word: Word, grid: Sequence[float]) -> float:
-    """Max over grid points of |(f_w1 o ... o f_wm)'(x)| by the chain rule."""
-    best = 0.0
-    for x0 in grid:
-        # orbit from the innermost map outward
-        pts = [x0]
-        for a in reversed(word[1:]):
-            pts.append(float(system.map_eval(a, pts[-1])))
-        pts.reverse()
-        # pts[k] is the argument fed to map word[k]
-        d = 1.0
-        for a, x in zip(word, pts):
-            d *= abs(system.map_deriv(a, x))
-        best = max(best, d)
-    return best
-
-
-def verify_power_decay(system: DecaySystem, eps: float, i_max: int) -> DecayReport:
+def verify_power_decay(system: DecaySystem, eps: float) -> DecayReport:
     """Certify the power sandwich on the contraction rates and uniform
     contraction of some bounded-fold composition.
 
-    threshold is the smallest K <= i_max with, for all K <= k <= i_max,
-    k**(-d-eps) <= contract_lo(k)/scale and contract_hi(k)/scale <=
-    k**(-d+eps).  coeff_lo/coeff_hi are the rates at index 1, with no power
-    of k formed: contract_lo(k) * k**(d + eps) rises with k and
-    contract_hi(k) * k**(d - eps) falls.  The composition certificate
-    searches depths m = 1..8 over all words with digits <= _COMP_DIGIT_CAP,
-    evaluating composite derivatives at grid points {0, 1/2, 1}; for the
-    supported kinds the supremum is attained inside this sample.
+    Divided by the scale, the rates are (k + t)**-d and k**-d.  The upper
+    half of the sandwich, k**-d <= k**(-d+eps), holds at every k >= 1; the
+    lower half reads d * log1p(t / k) <= eps * log(k), whose left side
+    falls and right side rises with k.  So threshold, the smallest k where
+    it holds (by doubling, then bisection), starts a sandwich that holds at
+    every k >= threshold.  coeff_lo/coeff_hi are the rates at index 1:
+    contract_lo(k) * k**(d + eps) rises with k and contract_hi(k) *
+    k**(d - eps) falls.  The composition certificate takes the first depth
+    m <= 8 at which every word with digits <= _COMP_DIGIT_CAP has
+    sup |f_w'| < 1 over [0, 1].
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be > 0 (the sandwich is strict)")
-    if i_max < 2:
-        raise PreconditionError("i_max must be >= 2")
-    d = system.decay
-    scale = system.scale
-    threshold = None
-    for k in range(i_max, 0, -1):
-        lo_ok = system.contract_lo(k) / scale >= k ** (-d - eps)
-        hi_ok = system.contract_hi(k) / scale <= k ** (-d + eps)
-        if lo_ok and hi_ok:
-            threshold = k
+    if not 0 < eps < math.inf:
+        raise PreconditionError(f"eps must be finite and > 0 (the sandwich is strict); got {eps}")
+
+    def lower_holds(k: int) -> bool:
+        return system.decay * math.log1p(system.shift / k) <= eps * math.log(k)
+
+    # eps * log(k) grows without bound while the left side tends to 0.
+    hi = 1
+    while not lower_holds(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lower_holds(mid):
+            hi = mid
         else:
-            break
-    if threshold is None:
-        raise NumericFailure(
-            f"power sandwich with eps={eps} holds nowhere up to {i_max}; "
-            "the system does not decay at this exponent/tolerance"
-        )
-    # Uniform contraction of m-fold compositions for some m <= 8.
-    grid = (0.0, 0.5, 1.0)
-    comp_depth = None
-    comp_bound = None
+            lo = mid
+    # A word's matrix has non-negative entries, so c*x + d is positive and
+    # linear on [0, 1], and |f_w'| = |a*d - b*c| / (c*x + d)**2 is largest
+    # at the endpoint where c*x + d is smallest.
     for m in range(1, 9):
         worst = 0.0
         for word in itertools.product(range(1, _COMP_DIGIT_CAP + 1), repeat=m):
-            worst = max(worst, _composite_deriv_sup(system, word, grid))
+            a, b, c, d = _compose(system, word)
+            worst = max(worst, float(Fraction(abs(a * d - b * c)) / min(abs(d), abs(c + d)) ** 2))
             if worst >= 1.0:
                 break
         if worst < 1.0:
-            comp_depth, comp_bound = m, worst
             break
-    if comp_depth is None:
+    else:
         raise NumericFailure("no composition depth m <= 8 contracts uniformly on the sample")
     return DecayReport(
         eps=eps,
-        threshold=threshold,
+        threshold=hi,
         coeff_lo=system.contract_lo(1),
         coeff_hi=system.contract_hi(1),
-        comp_depth=comp_depth,
-        comp_bound=comp_bound,
-        checked_to=i_max,
+        comp_depth=m,
+        comp_bound=worst,
     )

@@ -372,11 +372,43 @@ class TestExitCodes:
     )
     def test_decay_past_the_float_powers_is_3(self, tmp_path, capsys, argv):
         # k**(d + eps) overflows at k = 1000 for d past about 103; the
-        # sandwich fit forms no such power.  The first slope, 1/zeta(d), is
-        # 1 to within 2**-119, so no composition contracts on the sample.
+        # threshold and the sandwich fit form no such power.  The first
+        # slope, 1/zeta(d), is 1 to within 2**-119, so no composition
+        # contracts on the sample.
         code, _, _ = _invoke(tmp_path, *argv)
         assert code == 3
         assert "no composition depth" in capsys.readouterr().err
+
+    def test_small_eps_ladder_starts_past_a_thousand(self, tmp_path):
+        # The gauss sandwich at eps 1e-4 holds from k = 2550 on, past the
+        # 1000 indices a scan used to check before it gave up with exit 3.
+        code, report, _ = _invoke(
+            tmp_path, "ladder", "--system", "gauss", "--phi", "lin:1", "--eps", "0.0001",
+            "--steps", "3",
+        )
+        assert code == 0
+        assert report["results"]["values"] == [2550, 6924, 18790]
+        assert report["results"]["certified"] == [True, True, True]
+
+    def test_small_eps_frostman_passes(self, tmp_path):
+        code, report, _ = _invoke(
+            tmp_path, "frostman", "--system", "gauss", "--phi", "lin:1", "--eps", "0.0001",
+            "--depth", "2", "--sample-cap", "1000",
+        )
+        assert code == 0
+        verify = report["results"]["verify"]
+        assert (verify["checked"], verify["passed"]) == (1000, 1000)
+
+    def test_deep_cover_truncation_bound_overflows_to_inf(self, tmp_path):
+        # G is about 7000 at cap 100, so G**100 leaves the float range; the
+        # bound is then inf, not an OverflowError.
+        code, report, _ = _invoke(
+            tmp_path, "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "100",
+            "--s", "0.5001", "--cap", "100",
+        )
+        assert code == 0
+        assert report["results"]["value"] == 4.3919523272327294e-159
+        assert any("truncation bound inf" in w for w in report["warnings"])
 
     def test_frostman_pow2_windows_past_float_range(self, tmp_path, capsys):
         # Levels 8 and 9 span 903- and 1806-bit windows, wider than a float

@@ -446,6 +446,35 @@ def test_goal_within_the_absolute_slack_finishes():
     assert got == _bisection_reach(start, 1.9, goal)
 
 
+# The reseeds, then per edge the Newton steps, at most 64 gallop doublings
+# plus one upward step per binade of the ratio (fewer than 2**11), and a
+# bisection over at most 2**64 keys.
+_CALL_BOUND = powersum._RESEEDS + 2 * (powersum._NEWTON_STEPS + 64 + 2**11 + 64)
+
+
+@pytest.mark.parametrize(
+    "start, p, goal, fails",
+    [
+        (41300, 1.001, 989.4276773838441, False),
+        (9406208602868621597, 1.001, 957.2526668916267, False),
+        (1448549, 2.0772806770049734, 2.14100170346552e-07, True),
+    ],
+)
+def test_goals_just_under_the_infinite_sum_keep_the_call_bound(start, p, goal, fails):
+    # Each goal lies just under the infinite sum, so an upward gallop among
+    # ratio floats climbs one binade per call: past 128 calls, inside the
+    # stated bound.  The last climbs to the largest float and fails there.
+    with _counted_brackets() as calls:
+        if fails:
+            with pytest.raises(NumericFailure, match="no float ratio"):
+                first_index_reaching(start, p, goal)
+        else:
+            assert not first_index_reaching(start, p, goal).certified
+    probes = [c for c in calls if type(c) is int]
+    assert _CALL_BOUND == 4376
+    assert 128 < len(probes) <= _CALL_BOUND
+
+
 @pytest.mark.parametrize("system", [make_gauss(), make_linear_power(2.0)], ids=["gauss", "linpow2"])
 def test_pow2_ladder_searches_take_bounded_calls(monkeypatch, system):
     # Twenty steps, up to indices near 2**1.8e6; the per-bit bisection made

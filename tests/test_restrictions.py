@@ -79,9 +79,13 @@ class TestPhi:
         for n in (2, 3, 10, 50):
             assert phi.floor(n) == math.floor(n ** 2.3)
 
-    @pytest.mark.parametrize("alpha, bits", [(1e300, 2), (1e17, 4), (1.3, 4_000_000)])
+    @pytest.mark.parametrize(
+        "alpha, bits", [(1e300, 2), (1e17, 4), (1.3, 4_000_000), (1.3, 50_290)]
+    )
     def test_power_past_the_bit_budget_is_a_numeric_failure(self, alpha, bits):
-        # Both routes: an integer exponent (exact) and 1.3 (adaptive).
+        # Both routes: an integer exponent (exact) and 1.3 (adaptive).  The
+        # adaptive route's budget is 2**16 working bits, 1.3 * bits + 160:
+        # 50290 bits are just past it.
         phi = Phi("pow", alpha=alpha)
         with pytest.raises(NumericFailure, match="bit budget"):
             phi.floor((1 << (bits - 1)) + 1)

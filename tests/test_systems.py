@@ -172,6 +172,7 @@ def profiled_systems():
         "gauss": make_gauss(),
         "linpow2": make_linear_power(2.0),
         "linpow1.5": make_linear_power(1.5),
+        "linpow3": make_linear_power(3.0),
         "gap": build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system,
     }
 
@@ -279,24 +280,54 @@ class TestProjectPoint:
             assert abs(ext - pt) <= err
 
 
+def _scan_threshold(system, eps, i_max):
+    """The sandwich threshold by the float scan from i_max down to the
+    first index where either half fails (the pre-closed-form route)."""
+    d, scale = system.decay, system.scale
+    threshold = None
+    for k in range(i_max, 0, -1):
+        lo_ok = system.contract_lo(k) / scale >= k ** (-d - eps)
+        hi_ok = system.contract_hi(k) / scale <= k ** (-d + eps)
+        if not (lo_ok and hi_ok):
+            break
+        threshold = k
+    return threshold
+
+
+def _deriv_sup_on_grid(system, word, grid):
+    """Max over grid points of |f_w'(x)| by the chain rule on exact orbits."""
+    best = Fraction(0)
+    for x in grid:
+        deriv = Fraction(1)
+        for i in reversed(word):
+            a, b, c, d = system._branch(i)
+            deriv *= Fraction(abs(a * d - b * c)) / (c * x + d) ** 2
+            x = Fraction(a * x + b) / (c * x + d)
+        best = max(best, deriv)
+    return best
+
+
 class TestVerifyPowerDecay:
     def test_gauss_threshold_9(self, gauss):
         # frozen by direct check of (k+1)^-2 >= k^-2.1: fails at k=8, holds k>=9
-        rep = verify_power_decay(gauss, 0.1, 100)
+        rep = verify_power_decay(gauss, 0.1)
         assert rep.threshold == 9
 
     def test_gauss_threshold_9_larger_scan(self, gauss):
-        rep = verify_power_decay(gauss, 0.1, 1000)
+        # No scan length bounds the certificate: the lower half holds far out.
+        rep = verify_power_decay(gauss, 0.1)
         assert rep.threshold == 9
+        for k in (10**3, 10**6, 10**12, 2**200):
+            assert 2.0 * math.log1p(1 / k) <= 0.1 * math.log(k)
 
     def test_sandwich_invariant(self, gauss):
-        rep = verify_power_decay(gauss, 0.1, 200)
+        rep = verify_power_decay(gauss, 0.1)
         for k in range(rep.threshold, 201):
             assert k ** -2.1 <= gauss.contract_lo(k)
             assert gauss.contract_hi(k) <= k ** -1.9
 
     def test_fitted_coefficients_valid_from_1(self, gauss):
-        rep = verify_power_decay(gauss, 0.1, 200)
+        rep = verify_power_decay(gauss, 0.1)
         for k in range(1, 201):
             assert rep.coeff_lo * k ** -2.1 <= gauss.contract_lo(k) * (1 + 1e-12)
             assert gauss.contract_hi(k) <= rep.coeff_hi * k ** -1.9 * (1 + 1e-12)
@@ -304,28 +335,75 @@ class TestVerifyPowerDecay:
     def test_linear_power_threshold_1(self):
         # the scale constant is divided out, so the sandwich is exact from 1
         sys2 = make_linear_power(2)
-        rep = verify_power_decay(sys2, 0.1, 100)
+        rep = verify_power_decay(sys2, 0.1)
         assert rep.threshold == 1
 
+    def test_gauss_threshold_matches_the_scan(self, gauss):
+        # 407 tolerances over [0.001, 0.49]; each scan starts at twice the
+        # closed-form threshold, far enough for the smallest eps.
+        for eps in np.geomspace(0.001, 0.49, 407).tolist():
+            threshold = verify_power_decay(gauss, eps).threshold
+            assert _scan_threshold(gauss, eps, 2 * threshold + 10) == threshold, eps
+
+    @pytest.mark.parametrize("name", ["linpow1.5", "linpow2", "linpow3", "gap"])
+    def test_affine_thresholds_are_1(self, profiled_systems, name):
+        for eps in (0.1, 1e-6):
+            assert verify_power_decay(profiled_systems[name], eps).threshold == 1
+
+    @pytest.mark.parametrize("eps, threshold", [(1e-4, 2550), (1e-6, 166363)])
+    def test_small_eps_threshold_is_sharp(self, gauss, eps, threshold):
+        # Past the 1000 indices a scan used to check: the sandwich holds at
+        # the threshold and fails one index below it, and a linear search
+        # up from 1 finds the same first index.
+        assert verify_power_decay(gauss, eps).threshold == threshold
+
+        def holds(k):
+            return (k + 1) ** -2.0 >= k ** (-2.0 - eps) and k ** -2.0 <= k ** (-2.0 + eps)
+
+        assert holds(threshold) and not holds(threshold - 1)
+        assert next(k for k in itertools.count(1) if holds(k)) == threshold
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+    def test_eps_not_finite_and_positive_is_a_precondition_error(self, gauss, eps):
+        # Any finite eps > 0 ends the doubling; these would not.
+        with pytest.raises(PreconditionError, match="eps must be finite and > 0"):
+            verify_power_decay(gauss, eps)
+
     def test_eps_zero_errors(self, gauss):
-        with pytest.raises((PreconditionError, NumericFailure)):
-            verify_power_decay(gauss, 0.0, 100)
+        with pytest.raises(PreconditionError, match="eps must be finite and > 0"):
+            verify_power_decay(gauss, 0.0)
 
     def test_gauss_composition_certificate(self, gauss):
         # one-fold compositions include |f_1'(0)| = 1; two-fold suffice,
         # with the extreme at the all-ones word: |(f_1 o f_1)'(0)| = 1/4
-        rep = verify_power_decay(gauss, 0.1, 50)
+        rep = verify_power_decay(gauss, 0.1)
         assert rep.comp_depth == 2
-        assert rep.comp_bound == pytest.approx(0.25, abs=1e-12)
+        assert rep.comp_bound == 0.25
 
     def test_linear_power_composition_certificate(self):
         sys2 = make_linear_power(2)
-        rep = verify_power_decay(sys2, 0.1, 50)
+        rep = verify_power_decay(sys2, 0.1)
         assert rep.comp_depth == 1
         assert rep.comp_bound == pytest.approx(sys2.scale, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["gauss", "linpow2", "linpow1.5", "gap"])
+    def test_composition_certificate_matches_brute_force(self, profiled_systems, name):
+        # Exact derivatives by the chain rule at 33 grid points of [0, 1],
+        # over every word with digits <= 4: each depth below comp_depth has
+        # a word with sup >= 1, and at comp_depth the largest sup is the bound.
+        system = profiled_systems[name]
+        rep = verify_power_decay(system, 0.1)
+        grid = [Fraction(j, 32) for j in range(33)]
+        for m in range(1, rep.comp_depth + 1):
+            words = itertools.product(range(1, 5), repeat=m)
+            worst = max(_deriv_sup_on_grid(system, w, grid) for w in words)
+            if m < rep.comp_depth:
+                assert worst >= 1
+            else:
+                assert rep.comp_bound == float(worst)
+
     def test_monotone_rates_past_threshold(self, gauss):
-        rep = verify_power_decay(gauss, 0.1, 100)
+        rep = verify_power_decay(gauss, 0.1)
         ks = range(rep.threshold, 101)
         lows = [gauss.contract_lo(k) for k in ks]
         highs = [gauss.contract_hi(k) for k in ks]
