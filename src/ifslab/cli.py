@@ -212,13 +212,12 @@ def _cmd_bowen(args):
 
 def _cmd_ladder(args):
     system = _resolve_system(args.system)
-    phi = parse_phi(args.phi)
-    ladder = build_ladder(system, phi, args.eps, args.steps)
+    ladder = build_ladder(system, parse_phi(args.phi), args.eps, args.steps)
     return {
         "threshold": ladder.threshold,
         "values": list(ladder.values),
         "certified": list(ladder.certified),
-        "growth_ratio_bound": growth_ratio_bound(ladder, phi) if len(ladder) >= 2 else None,
+        "growth_ratio_bound": growth_ratio_bound(ladder) if ladder.windows else None,
     }
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .restrictions import Phi, _ladder_steps
+from .restrictions import Phi, _ladder_step
 from .systems import DecaySystem, NumericFailure, PreconditionError, verify_power_decay
 
 _MP_PREC = 128
@@ -171,38 +171,48 @@ class GapSystem:
         return self.system.affine.offset(i)
 
 
-def _gap_blocks(phi: Phi, ladder: tuple, c_mpf) -> tuple:
-    """Block j covers (Phi(l_j), l_{j+1}] with the gap C * j**-2 / l_{j+1}."""
+def _gap_blocks(windows, c_mpf) -> tuple:
+    """Block j covers the window (floor(Phi(l_j)) + 1, l_{j+1}) with the gap
+    C * j**-2 / l_{j+1}."""
     with mpmath.workprec(_MP_PREC):
         return tuple(
-            GapBlock(j, phi.floor(prev) + 1, end, c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end))
-            for j, (prev, end) in enumerate(zip(ladder, ladder[1:]), start=1)
+            GapBlock(j, start, end, c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end))
+            for j, (start, end) in enumerate(windows, start=1)
         )
 
 
-def _gap_ladder(phi: Phi, d: float, eps: float, c_val: float, max_blocks: int):
+def _gap_ladder(phi: Phi, d: float, eps: float, c_val: float):
     """The construction's ladder: l_1 = 1, each step minimal for unit mass
     of C**(1/d-eps) * i**(-1+d*eps) over the open-ended block.
 
-    Returns (values, collapsed): collapsed is True when the weight bound on
-    every not-yet-constructed block fell below the tail target, so the
-    truncation is certified.
+    Returns (windows, bound): the windows (floor(Phi(l_j)) + 1, l_{j+1}) of
+    the blocks built, and the weight bound on every block not yet built,
+    which is below the tail target, so the truncation is certified.  Each
+    ladder value is floored once; the last one only anchors the bound.
+    Raises NumericFailure when the bound has not collapsed within
+    _GAP_MAX_BLOCKS blocks.
     """
-    q = 1.0 / d - eps
-    # 1 - d*eps rather than d*q: the two round differently.
+    coeff = c_val ** (1.0 / d - eps)
+    # 1 - d*eps rather than d * (1/d - eps): the two round differently.
     p = 1.0 - d * eps
-    values = []
-    for value, _ in _ladder_steps(phi, 1, c_val**q, p):
-        values.append(value)
-        if len(values) > 1 and _future_weight_bound(phi, d, eps, c_val, values) < _TAIL_REL / 10:
-            return values, True
-        if len(values) > max_blocks:
-            return values, False
+    value, windows = 1, []
+    while True:
+        start = phi.floor(value) + 1
+        if windows:
+            bound = _future_weight_bound(d, eps, c_val, start - 1)
+            if bound < _TAIL_REL / 10:
+                return windows, bound
+            if len(windows) == _GAP_MAX_BLOCKS:
+                raise NumericFailure(
+                    f"gap construction did not collapse within {_GAP_MAX_BLOCKS} blocks"
+                )
+        value, _ = _ladder_step(len(windows) + 1, start, coeff, p)
+        windows.append((start, value))
 
 
-def _future_weight_bound(phi: Phi, d: float, eps: float, c_val: float, values) -> float:
-    """Upper bound on (l_{j+1} - Phi(l_j)) / l_{j+1} for every block not yet
-    constructed (those anchored at or beyond the last ladder value).
+def _future_weight_bound(d: float, eps: float, c_val: float, anchor: int) -> float:
+    """Upper bound on (l_{j+1} - Phi(l_j)) / l_{j+1} for every block anchored
+    at or beyond a ladder value l with floor(Phi(l)) = anchor.
 
     Ladder minimality bounds the block count by
     C**(eps-1/d) * l**(d*eps) + 2, so the weight is at most
@@ -210,9 +220,8 @@ def _future_weight_bound(phi: Phi, d: float, eps: float, c_val: float, values) -
     the anchor grows, so the bound at the last value covers all later
     blocks.
     """
-    anchor = phi.floor(values[-1])
     q = 1.0 / d - eps
-    log_phi = math.log(max(anchor, 1))
+    log_phi = math.log(anchor)
     t1 = math.exp(-q * math.log(c_val) - d * eps * log_phi)
     t2 = 2.0 * math.exp(-log_phi)
     return min(1.0, t1 + t2)
@@ -240,20 +249,11 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         zeta_d = mpmath.zeta(d)
         c_cur = float(1 / zeta_d)
         for _ in range(60):
-            ladder, collapsed = _gap_ladder(phi, d, eps, c_cur, _GAP_MAX_BLOCKS)
-            if not collapsed:
-                raise NumericFailure(
-                    f"gap construction did not collapse within {_GAP_MAX_BLOCKS} blocks"
-                )
+            windows, w_bound = _gap_ladder(phi, d, eps, c_cur)
             head = mpmath.mpf(0)
-            for j in range(1, len(ladder)):
-                l_next = ladder[j]
-                phi_prev = phi.floor(ladder[j - 1])
-                count = l_next - phi_prev
-                head += mpmath.mpf(j) ** -2 * mpmath.mpf(count) / mpmath.mpf(l_next)
-            j_last = len(ladder) - 1
-            w_bound = _future_weight_bound(phi, d, eps, c_cur, ladder)
-            tail_hi = mpmath.mpf(w_bound) / j_last
+            for j, (start, end) in enumerate(windows, start=1):
+                head += mpmath.mpf(j) ** -2 * mpmath.mpf(end - start + 1) / mpmath.mpf(end)
+            tail_hi = mpmath.mpf(w_bound) / len(windows)
             n_lo = zeta_d + head
             n_hi = n_lo + tail_hi
             c_lo = 1 / n_hi
@@ -269,7 +269,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         tail_bound = float(tail_hi * c_mpf)
 
     decay = float(d)
-    blocks = _gap_blocks(phi, tuple(ladder), c_mpf)
+    blocks = _gap_blocks(windows, c_mpf)
     system = DecaySystem(
         kind="gap",
         decay=decay,
@@ -283,7 +283,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         eps=float(eps),
         C=float(c_mpf),
         C_bracket=(float(c_lo), float(c_hi)),
-        ladder=tuple(ladder),
+        ladder=(1, *(end for _, end in windows)),
         blocks=blocks,
         tail_bound=tail_bound,
         _c_mpf=c_mpf,
@@ -335,7 +335,8 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     """
     if n_max < 2:
         raise PreconditionError("validation needs n_max >= 2")
-    blocks = _gap_blocks(gs.phi, gs.ladder, gs._c_mpf)
+    windows = [(gs.phi.floor(prev) + 1, end) for prev, end in zip(gs.ladder, gs.ladder[1:])]
+    blocks = _gap_blocks(windows, gs._c_mpf)
     edges = {n for b in blocks for n in (b.start - 1, b.start, b.start + 1, b.end, b.end + 1)}
     checked = sorted(n for n in edges.union(_GAP_HEAD) if 2 <= n <= n_max)
     witness: dict = {}

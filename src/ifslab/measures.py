@@ -118,7 +118,6 @@ class FrostmanMeasure:
     """
 
     system: DecaySystem
-    phi: Phi
     eps: float
     ladder: Ladder
     levels: tuple
@@ -162,9 +161,7 @@ def build_frostman_measure(
     ladder = build_ladder(system, phi, eps, depth + 1)
     floor_s = 1.0 / system.decay - eps
     levels = []
-    for n in range(1, depth + 1):
-        lo = phi.floor(ladder.values[n - 1]) + 1
-        hi = ladder.values[n]
+    for n, (lo, hi) in enumerate(ladder.windows, start=1):
         size = hi - lo + 1
         if size < 4:
             raise PreconditionError(
@@ -191,9 +188,7 @@ def build_frostman_measure(
                 mass_defect=abs(root.diagnostics["residual"]),
             )
         )
-    return FrostmanMeasure(
-        system=system, phi=phi, eps=eps, ladder=ladder, levels=tuple(levels)
-    )
+    return FrostmanMeasure(system=system, eps=eps, ladder=ladder, levels=tuple(levels))
 
 
 def frostman_mass(

@@ -15,9 +15,10 @@ l_{n+1} already carry unit mass:
 
     sum_{i=floor(Phi(l_n))+1}^{l_{n+1}-1} contract_lo(i)**(1/d-eps) >= 1,
 
-with l_{n+1}-1 minimal for that property.  Blocks (Phi(l_n), l_{n+1}]
-windowed this way drive both the mass distributions and the gap
-construction downstream.  Ladder indices grow doubly exponentially for
+with l_{n+1}-1 minimal for that property.  The ladder keeps these blocks
+(Phi(l_n), l_{n+1}] as its integer windows, each floor taken once, and
+they drive both the mass distributions and the gap construction
+downstream.  Ladder indices grow doubly exponentially for
 power restrictions, so the summation runs on the certified power-sum core
 rather than term by term.
 """
@@ -205,7 +206,10 @@ class Ladder:
 
     values[0] is the system's decay threshold; each later value l_{n+1} is
     the minimal index whose predecessor block (Phi(l_n), l_{n+1}) carries
-    unit contract_lo**(1/d - eps) mass.  certified[n] records whether the
+    unit contract_lo**(1/d - eps) mass.  windows[n - 1] is the block
+    (floor(Phi(l_n)) + 1, l_{n+1}) as inclusive integer ends, one fewer
+    than the values: Phi is floored once per value that has a successor
+    and never at the last.  certified[n] records whether the
     minimality of step n was proven by the bracket arithmetic (always true
     in the directly summed regime; can be False once indices are so large
     that adjacent partial sums differ below bracket resolution).
@@ -214,6 +218,7 @@ class Ladder:
     eps: float
     values: tuple
     certified: tuple
+    windows: tuple
 
     @property
     def threshold(self) -> int:
@@ -223,22 +228,16 @@ class Ladder:
         return len(self.values)
 
 
-def _ladder_steps(phi: Phi, first: int, coeff: float, p: float, shift: int = 0):
-    """Yield (l_n, certified) from l_1 = first, each next value computed when
-    asked for by one crossing search from floor(Phi(l_n)) + 1 for unit mass
-    of coeff * (i + shift)**-p.  Raises NumericFailure at a block start past
-    _INDEX_BITS_CAP bits (the term budget)."""
-    value, certified = first, True
-    for n in itertools.count(1):
-        yield value, certified
-        start = phi.floor(value) + 1
-        if start.bit_length() > _INDEX_BITS_CAP:
-            raise NumericFailure(
-                f"ladder step {n}: index near 2**{start.bit_length()} "
-                "exceeds the term budget"
-            )
-        res = first_index_reaching(start + shift, p, 1.0, coeff)
-        value, certified = res.index - shift + 1, res.certified
+def _ladder_step(n: int, start: int, coeff: float, p: float, shift: int = 0) -> tuple[int, bool]:
+    """(l_{n+1}, certified) for the block starting at start = floor(Phi(l_n)) + 1:
+    one crossing search for unit mass of coeff * (i + shift)**-p.  Raises
+    NumericFailure at a start past _INDEX_BITS_CAP bits (the term budget)."""
+    if start.bit_length() > _INDEX_BITS_CAP:
+        raise NumericFailure(
+            f"ladder step {n}: index near 2**{start.bit_length()} exceeds the term budget"
+        )
+    res = first_index_reaching(start + shift, p, 1.0, coeff)
+    return res.index - shift + 1, res.certified
 
 
 def build_ladder(system: DecaySystem, phi: Phi, eps: float, steps: int) -> Ladder:
@@ -261,28 +260,29 @@ def build_ladder(system: DecaySystem, phi: Phi, eps: float, steps: int) -> Ladde
     report = verify_power_decay(system, eps)
     # contract_lo(i)**q = coeff * (i + shift)**-p by the system's rate profile.
     q = 1.0 / system.decay - eps
-    ladder = _ladder_steps(phi, report.threshold, system.scale**q, system.decay * q, system.shift)
-    values, certified = zip(*itertools.islice(ladder, steps))
-    return Ladder(eps=eps, values=values, certified=certified)
+    coeff, p = system.scale**q, system.decay * q
+    values, certified, windows = [report.threshold], [True], []
+    for n in range(1, steps):
+        start = phi.floor(values[-1]) + 1
+        value, cert = _ladder_step(n, start, coeff, p, system.shift)
+        values.append(value)
+        certified.append(cert)
+        windows.append((start, value))
+    return Ladder(eps=eps, values=tuple(values), certified=tuple(certified), windows=tuple(windows))
 
 
-def growth_ratio_bound(ladder: Ladder, phi: Phi) -> float:
-    """Max over computed steps of l_{n+1} / Phi(l_n).
+def growth_ratio_bound(ladder: Ladder) -> float:
+    """Max over the ladder's windows of l_{n+1} / floor(Phi(l_n)).
 
     Bounded as steps grow (the ladder step overshoots the restriction by at
     most a constant factor); the return value is the observed max.
     """
-    if len(ladder) < 2:
+    if not ladder.windows:
         raise PreconditionError("growth ratio needs at least 2 ladder values")
     worst = 1.0
-    for prev, nxt in zip(ladder.values, ladder.values[1:]):
-        base = phi.floor(prev)
-        if base < 1:
-            base = 1
-        if nxt.bit_length() - base.bit_length() > 512:
-            ratio = math.inf
-        else:
-            ratio = nxt / base
+    for start, end in ladder.windows:
+        base = start - 1
+        ratio = math.inf if end.bit_length() - base.bit_length() > 512 else end / base
         worst = max(worst, ratio)
     return worst
 
@@ -361,14 +361,16 @@ def enumerate_restricted_words(
     if digit_cap < 1:
         raise PreconditionError("digit_cap must be >= 1")
     nxt = successor_table(phi, digit_cap, strict).tolist()
-
-    def rec(prefix: list, lo: int) -> Iterator[Word]:
-        if len(prefix) == depth:
-            yield tuple(prefix)
-            return
-        for a in range(lo, digit_cap + 1):
-            prefix.append(a)
-            yield from rec(prefix, nxt[a])
-            prefix.pop()
-
-    yield from rec([], 1)
+    # stack[k] iterates the candidates for digit k + 1; prefix holds the
+    # digits chosen above the deepest level.
+    prefix: list = []
+    stack = [iter(range(1, digit_cap + 1))]
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+        elif len(stack) == depth:
+            yield (*prefix, a)
+        else:
+            prefix[len(stack) - 1:] = [a]
+            stack.append(iter(range(nxt[a], digit_cap + 1)))

@@ -168,8 +168,7 @@ def test_criterion_7_ladder_soundness(gauss):
         assert ladder.values[1] == l2
         gammas = {}
         for spec in ("lin:1", "pow:1.5", "pow:2"):
-            phi = parse_phi(spec)
-            gammas[spec] = growth_ratio_bound(build_ladder(gauss, phi, 0.1, 10), phi)
+            gammas[spec] = growth_ratio_bound(build_ladder(gauss, parse_phi(spec), 0.1, 10))
     assert all(g < 4 for g in gammas.values()), gammas
     print(
         f"criterion 7: l1={l1}, l2={l2} reproduced; growth ratios {gammas} "

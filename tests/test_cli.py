@@ -565,6 +565,16 @@ def test_linpow_depth_four_frostman_finishes(tmp_path):
     assert (verify["checked"], verify["fraction"]) == (2000, 1.0)
 
 
+def test_words_deeper_than_the_recursion_limit(tmp_path):
+    # The one word lists without a Python frame per digit.
+    code, report, _ = _invoke(
+        tmp_path, "words", "--phi", "lin:1", "--depth", "2000", "--cap", "1", "--no-strict"
+    )
+    assert code == 0
+    assert report["results"]["count"] == 1
+    assert report["results"]["words"] == [[1] * 2000]
+
+
 class TestHugePowerExponents:
     """A power restriction with a huge exponent answers instead of forming
     a power of about alpha * log2(n) bits."""

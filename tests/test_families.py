@@ -28,6 +28,7 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
+from ifslab import families
 from ifslab.families import (
     AffineMap,
     _mpf_to_fraction,
@@ -141,6 +142,27 @@ class TestGapBuild:
             assert b.end == quad_gap.ladder[j]
             want = quad_gap.C * j**-2 / b.end
             assert float(b.gap) == pytest.approx(want, rel=1e-13)
+
+    def test_each_round_floors_its_ladder_once(self, phi_floors, monkeypatch):
+        # Every Phi.floor call falls inside the ladder of a fixed-point round,
+        # and each round floors each of its values once, the last one only
+        # to anchor the tail bound; the blocks read the last round's windows.
+        rounds = []
+        gap_ladder = families._gap_ladder
+
+        def recorded(*args):
+            before = len(phi_floors)
+            windows, bound = gap_ladder(*args)
+            rounds.append((phi_floors[before:], windows))
+            return windows, bound
+
+        monkeypatch.setattr(families, "_gap_ladder", recorded)
+        gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+        assert rounds and sum(len(floored) for floored, _ in rounds) == len(phi_floors)
+        for floored, windows in rounds:
+            assert floored == [1, *(end for _, end in windows)]
+        assert tuple(floored) == gs.ladder
+        assert [(b.start, b.end) for b in gs.blocks] == windows
 
     def test_tail_certified(self, quad_gap):
         assert 0 < quad_gap.tail_bound < 1e-20

@@ -105,6 +105,10 @@ CASES = {
     "ladder_gauss_pow2": [
         "ladder", "--system", "gauss", "--phi", "pow:2", "--eps", "0.1", "--steps", "10",
     ],
+    # A non-dyadic exponent: Phi floored on the adaptive-precision route.
+    "ladder_gauss_pow13": [
+        "ladder", "--system", "gauss", "--phi", "pow:1.3", "--eps", "0.1", "--steps", "20",
+    ],
     # Most digit draws leave the inverse-CDF table at alpha 1.5.
     "localdim_gauss_a15": [
         "localdim", "--system", "gauss", "--alpha", "1.5", "--samples", "500", "--depth", "30",

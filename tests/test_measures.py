@@ -89,6 +89,12 @@ class TestFrostmanBuild:
         assert [lev.window for lev in layered.levels] == [(10, 19), (20, 34), (35, 57)]
         assert [lev.trimmed for lev in layered.levels] == [(11, 18), (21, 33), (36, 56)]
 
+    def test_levels_read_the_ladder_windows(self, gauss, phi_floors):
+        measure = build_frostman_measure(gauss, parse_phi("pow:2"), 0.1, 4)
+        # The ladder's own floors, one per value but the last, and no more.
+        assert phi_floors == list(measure.ladder.values[:-1])
+        assert tuple(lev.window for lev in measure.levels) == measure.ladder.windows
+
     def test_exponents_match_frozen(self, layered):
         for lev, expect in zip(layered.levels, LEVEL_EXPONENTS):
             assert lev.exponent == pytest.approx(expect, abs=1e-12)

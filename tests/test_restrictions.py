@@ -170,6 +170,24 @@ class TestLadder:
             build_ladder(gauss, phi, 0.1, 21)
         assert time.perf_counter() - t0 < 20.0
 
+    @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5", "pow:1.3", "table"])
+    def test_windows_are_the_floored_blocks(self, gauss, tmp_path, spec):
+        if spec == "table":
+            path = tmp_path / "t.txt"
+            path.write_text("".join(f"{3 * n // 2 + 1}\n" for n in range(1, 2001)))
+            spec = f"table:{path}"
+        phi = parse_phi(spec)
+        lad = build_ladder(gauss, phi, 0.1, 6)
+        assert len(lad.windows) == len(lad) - 1
+        for n in range(1, len(lad)):
+            assert lad.windows[n - 1] == (phi.floor(lad.values[n - 1]) + 1, lad.values[n])
+
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_floors_every_value_but_the_last_once(self, gauss, phi_floors, steps):
+        lad = build_ladder(gauss, parse_phi("pow:1.3"), 0.1, steps)
+        assert len(phi_floors) == steps - 1
+        assert phi_floors == list(lad.values[:-1])
+
     def test_eps_out_of_range(self, gauss):
         with pytest.raises(PreconditionError):
             build_ladder(gauss, parse_phi("lin:1"), 0.5, 3)
@@ -204,38 +222,44 @@ class TestLadder:
 
         def recorded(*args):
             searches.clear()
-            values, collapsed = gap_ladder(*args)
-            rounds.append((len(values) - 1, len(searches), collapsed))
-            return values, collapsed
+            windows, bound = gap_ladder(*args)
+            rounds.append((len(windows), len(searches), bound))
+            return windows, bound
 
         monkeypatch.setattr(families, "_gap_ladder", recorded)
         families.build_gap_system(parse_phi("pow:2"), 2, 0.1)
         assert rounds
-        for blocks, count, collapsed in rounds:
-            assert collapsed and count == blocks
+        for blocks, count, bound in rounds:
+            assert bound < families._TAIL_REL / 10 and count == blocks
 
 
 class TestGrowthRatio:
     def test_gauss_two_steps(self, gauss):
         lad = build_ladder(gauss, parse_phi("lin:1"), 0.1, 2)
         # 19/9 with Phi the identity
-        assert growth_ratio_bound(lad, parse_phi("lin:1")) == pytest.approx(19 / 9, rel=1e-12)
+        assert growth_ratio_bound(lad) == pytest.approx(19 / 9, rel=1e-12)
 
     def test_always_above_one(self, gauss):
         for spec in ("lin:1", "lin:3", "pow:1.5", "pow:2"):
             lad = build_ladder(gauss, parse_phi(spec), 0.1, 5)
-            assert growth_ratio_bound(lad, parse_phi(spec)) > 1
+            assert growth_ratio_bound(lad) > 1
 
     def test_bounded_over_ten_steps(self, gauss):
         # no growth trend across steps; stays below 4 for these shapes
         for spec in ("lin:1", "pow:1.5", "pow:2"):
             lad = build_ladder(gauss, parse_phi(spec), 0.1, 10)
-            assert growth_ratio_bound(lad, parse_phi(spec)) < 4
+            assert growth_ratio_bound(lad) < 4
+
+    def test_reads_the_windows_without_flooring(self, gauss, phi_floors):
+        lad = build_ladder(gauss, parse_phi("pow:1.3"), 0.1, 10)
+        phi_floors.clear()
+        assert growth_ratio_bound(lad) == max(end / (start - 1) for start, end in lad.windows)
+        assert phi_floors == []
 
     def test_needs_two_values(self, gauss):
         lad = build_ladder(gauss, parse_phi("lin:1"), 0.1, 1)
         with pytest.raises(PreconditionError):
-            growth_ratio_bound(lad, parse_phi("lin:1"))
+            growth_ratio_bound(lad)
 
 
 class TestEnumerator:
