@@ -222,8 +222,8 @@ def _check_band(k: int, m: int, tol: float) -> None:
     """Preconditions of a pressure root over the band k..m."""
     if k < 1 or k > m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if not tol > 0:
-        raise PreconditionError("tol must be positive")
+    if not 0 < tol < 1:
+        raise PreconditionError(f"tol must be positive and below 1, got {tol}")
 
 
 def _log_rates(system: DecaySystem, lo: int, hi: int) -> np.ndarray:
@@ -398,7 +398,7 @@ def _transfer_depth_sums(system, nxt, depth, s, cap):
     x**6 on then carry only that rounding noise, times x**6 <= 1e-18 and
     the x**6 row's weights, which sum to 1.4e9: about 1e-24 relative.
     """
-    gauss = system.kind == "gauss"
+    gauss = system.affine is None
     if gauss and depth > 1 and cap > _GAUSS_DP_CAP:
         raise NumericFailure(
             f"digit cap {cap} beyond the transfer program's bound "
@@ -461,9 +461,9 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     A discarded word splits into an admissible prefix, a first digit above
     the cap, and a continuation whose digits all stay above the cap (the
     restriction only pushes digits upward).  Each appended digit j scales
-    the cylinder by at most distortion * lambda_j (2 for continued
-    fractions, 1 for linear maps), so the block of out-of-cap factors is
-    bounded by powers of G = distortion**s * sum_{i > cap} lambda_i**s.  The
+    the cylinder by at most D * lambda_j, with the distortion D = 2 of
+    Moebius branches and 1 of affine ones, so the block of out-of-cap
+    factors is bounded by powers of G = D**s * sum_{i > cap} lambda_i**s.  The
     tail sum diverges when decay * s <= 1 and the bound is then infinite:
     the truncated mass genuinely dominates at such exponents.  It is also
     infinite once a power of G overflows a float (deep covers).
@@ -472,7 +472,7 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     if p <= 1.0:
         return math.inf
     tail_hi = power_sum_brackets(cap + 1, None, p)[1] * system.scale**s
-    G = system.distortion**s * tail_hi
+    G = (2.0 if system.affine is None else 1.0) ** s * tail_hi
     bound = 0.0
     for n in range(1, depth + 1):
         prefix = 1.0 if n == 1 else totals[n - 2]
@@ -494,7 +494,7 @@ def cover_sum(
     """Sum of |cylinder|**s over admissible words of the given depth.
 
     Words use digits up to digit_cap with each digit exceeding Phi of its
-    predecessor.  method 'dp', the default for every kind, runs the
+    predecessor.  method 'dp', the default for every system, runs the
     backward transfer recursion, which holds the Gauss state at Chebyshev
     nodes in the continuant ratio and meets enumeration to about 1e-14
     relative.  'exact' enumerates every word as an oracle, and raises
@@ -640,8 +640,8 @@ def predict_dimensions(d: float, phi: Phi, s0: float, gauss_like: bool = False) 
     second value is always max(s0, 1/d), where s0 is the upper box
     dimension of the first-level image endpoints.
     """
-    if not d > 1:
-        raise PreconditionError("prediction needs decay d > 1")
+    if not 1 < d < math.inf:
+        raise PreconditionError("prediction needs a finite decay d > 1")
     if not 0 <= s0 <= 1:
         raise PreconditionError("s0 must lie in [0, 1]")
     packing = max(s0, 1.0 / d)

@@ -22,7 +22,7 @@ sums each block's gap over its indices in [2, n]; the bracketed series is
 rounded once at _prec(d, n) bits and the rest is exact, so offsets and
 ratios are exact binary rationals at every index.  The linear-power family
 is the same closed form with no blocks (G = 0) and C = 1/zeta(d); AffineMap
-holds it for both affine kinds.
+holds it for both affine families.
 """
 
 from __future__ import annotations
@@ -93,10 +93,12 @@ class AffineMap:
     rounded once at _prec(d, i) bits, so both are exact rationals at any
     index.  Each read is cached per map; the caches hold no reference to
     the map, so a system dies by reference count.  A slope costs a power,
-    an offset a Hurwitz zeta: lengths read slopes only.
+    an offset a Hurwitz zeta: lengths read slopes only.  ``blocks`` is
+    kept: it is empty for a gapless tiling.
     """
 
     def __init__(self, c_mpf, decay: float, blocks: tuple = ()):
+        self.blocks = blocks
         with mpmath.workprec(_MP_PREC):
             zeta_2 = mpmath.zeta(decay, 2)
         self.slope = functools.cache(functools.partial(_ratio, c_mpf, decay))
@@ -105,7 +107,7 @@ class AffineMap:
 
 def make_gauss() -> DecaySystem:
     """The reciprocal-shift family f_i(x) = 1/(x + i)."""
-    return DecaySystem(kind="gauss", decay=2.0, scale=1.0, shift=1, distortion=2.0)
+    return DecaySystem(decay=2.0, scale=1.0, shift=1)
 
 
 def make_linear_power(d: float) -> DecaySystem:
@@ -124,7 +126,7 @@ def make_linear_power(d: float) -> DecaySystem:
     with mpmath.workprec(_MP_PREC):
         c_mpf = 1 / mpmath.zeta(d)
     affine = AffineMap(c_mpf, float(d))
-    return DecaySystem(kind="linear-power", decay=float(d), scale=float(c_mpf), affine=affine)
+    return DecaySystem(decay=float(d), scale=float(c_mpf), affine=affine)
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ class GapBlock:
 class GapSystem:
     """An affine family with explicit inter-image gaps tiling [0, 1].
 
-    system: the DecaySystem view (kind "gap"); its affine map is the
+    system: the DecaySystem view; its affine map is the
         AffineMap of (C, d, blocks): exact slope(i) = C * i**-d and
         offset(i) = a_i at any index, cached per map.
     C: normalizing constant (float view of the extended-precision value).
@@ -270,12 +272,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
 
     decay = float(d)
     blocks = _gap_blocks(windows, c_mpf)
-    system = DecaySystem(
-        kind="gap",
-        decay=decay,
-        scale=float(c_mpf),
-        affine=AffineMap(c_mpf, decay, blocks),
-    )
+    system = DecaySystem(decay=decay, scale=float(c_mpf), affine=AffineMap(c_mpf, decay, blocks))
     return GapSystem(
         system=system,
         phi=phi,

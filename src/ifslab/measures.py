@@ -82,7 +82,7 @@ class FrostmanLevel:
         first index past the restriction of the previous ladder value and
         hi is the next ladder value.
     trimmed: the window minus its two extreme-image digits.  Branch images
-        are strictly ordered by index for the supported kinds (larger index,
+        are strictly ordered by index in every family (larger index,
         further left), so the trimmed range is (lo + 1, hi - 1).
     exponent: s_n solving sum over the window of contract_lo(i)**s_n = 1,
         the xi Bowen root of the window (dimension.bowen_root, tol 1e-10).
@@ -558,18 +558,18 @@ def _chain_window_logs(system: DecaySystem, lstart: np.ndarray) -> np.ndarray:
     """log length of the admissible level-1 window, from log(start).
 
     The window is the union of the branch images with index >= start: for
-    the reciprocal-shift kind that is exactly (0, 1/start]; for the affine
-    kind its length is the tail sum of the slopes, here its asymptotic
-    form (exact starts use ``_exact_window_logs``).
+    reciprocal-shift branches that is exactly (0, 1/start]; for affine ones
+    its length is the tail sum of the slopes, here its asymptotic form
+    (exact starts use ``_exact_window_logs``).
     """
-    if system.kind == "gauss":
+    if system.affine is None:
         return -lstart
     return _log_tail(lstart, system.decay, system.decay - 1.0, math.log(system.scale))
 
 
 def _exact_window_logs(system: DecaySystem, start: int) -> tuple:
     """(log lo, log hi) of the window length for an exact start <= _CHAIN_EXACT_CAP."""
-    if system.kind == "gauss":
+    if system.affine is None:
         return -math.log(start), -math.log(start)
     b_lo, b_hi = power_sum_brackets(start, None, system.decay)
     log_scale = math.log(system.scale)
@@ -637,10 +637,10 @@ def local_dim_estimate(
         raise PreconditionError(f"needs at least 100 samples, got {samples}")
     if not isinstance(depth, int) or depth < 5:
         raise PreconditionError(f"needs depth >= 5, got {depth}")
-    if system.kind not in ("gauss", "linear-power"):
+    if system.affine is not None and system.affine.blocks:
         raise PreconditionError(
-            "local dimension runs on the gauss or linear-power kinds, "
-            f"not {system.kind!r}"
+            "local dimension runs on the gauss or linear-power families, not on "
+            "a gap system: gaps split its windows, so no window is an interval"
         )
     p = measure.tail_exponent
     excess = measure._tail_excess

@@ -5,26 +5,30 @@ open images, whose derivative magnitudes are sandwiched per branch,
 
     contract_lo(i) <= |f_i'(x)| <= contract_hi(i),
 
-and decay like a power of the branch index.  Every supported kind has the
-same rate profile, held as data on the system: a leading constant c, an
+and decay like a power of the branch index.  Every system has the same
+rate profile, held as data on the system: a leading constant c, an
 exponent d > 1 and an index shift t >= 0 with
 
-    c * (i + t)**-d = contract_lo(i) <= contract_hi(i) = c * i**-d,
+    c * (i + t)**-d = contract_lo(i) <= contract_hi(i) = c * i**-d.
 
-plus a bounded-distortion constant D: appending a branch to a composition
-scales the cylinder length by at most D * contract_hi(i).  Three kinds are
-supported: the reciprocal-shift family f_i(x) = 1/(x + i)
-("gauss"; c = 1, d = 2, t = 1, D = 2), a right-to-left tiling by affine
-maps with ratio c * i**(-d) ("linear-power"), and affine families with
-explicit gaps between consecutive images ("gap"); both affine kinds have
-t = 0 and D = 1.
+Its branch geometry is one switch, ``DecaySystem.affine``.  None means the
+reciprocal-shift branches f_i(x) = 1/(x + i) of the continued fractions
+(make_gauss: c = 1, d = 2, t = 1); otherwise the branches are the affine
+maps f_i(x) = offset(i) + slope(i) * x it holds, with slope c * i**-d and
+t = 0: a right-to-left tiling (make_linear_power) or one with explicit
+gaps between consecutive images (build_gap_system).  The geometry fixes
+the bounded-distortion constant D: appending branch i to a composition
+scales the cylinder length by at most D * contract_hi(i).  D = 1 for
+affine branches.  D = 2 for Moebius ones: a cylinder with continuants
+q' <= q has length 1/(q(q + q')), and appending digit i multiplies it by
+(1 + x) / ((i + x)(i + 1 + x)) <= 2 * i**-2, with x = q'/q.
 
 Every branch is an exact rational matrix (a, b, c, d) with
 f_i(x) = (a*x + b) / (c*x + d): (0, 1, 1, i) for the reciprocal family,
-(slope, offset, 0, 1) for the affine kinds, whose slopes and offsets are
+(slope, offset, 0, 1) for affine ones, whose slopes and offsets are
 exact binary rationals.  A composition is the matrix product, so cylinder
 intervals (images of [0,1] under finite compositions) have exact rational
-endpoints for every kind; for the reciprocal family the product entries
+endpoints for every system; for the reciprocal family the product entries
 are the continuants of the word.  Keeping this arithmetic exact removes
 rounding as a confounder in every downstream test.
 
@@ -80,24 +84,19 @@ def _recip_power(i: int, d: float) -> float:
 class DecaySystem:
     """A power-decaying contraction family on [0, 1].
 
-    kind: "gauss", "linear-power" or "gap".
     decay, scale, shift: the rate profile d, c, t; the branch rates are
         contract_lo(i) = c * (i + t)**-d and contract_hi(i) = c * i**-d,
         the inf and sup of |f_i'| over [0, 1].  verify_power_decay reads
         its sandwich threshold off (d, t) alone: the scale divides out.
-    distortion: bounded-distortion constant D; appending branch i to a
-        composition scales the cylinder length by at most
-        D * contract_hi(i) (2 for gauss, 1 for the affine kinds).
-    affine: for the affine kinds, the branch map (families.AffineMap)
+    affine: the branch geometry.  None for the reciprocal shifts
+        f_i(x) = 1/(x + i); otherwise the branch map (families.AffineMap)
         with exact rationals slope(i) and offset(i) at every index,
-        f_i(x) = offset(i) + slope(i) * x; None for gauss.
+        f_i(x) = offset(i) + slope(i) * x.
     """
 
-    kind: str
     decay: float
     scale: float = 1.0
     shift: int = 0
-    distortion: float = 1.0
     affine: object = field(default=None, repr=False)
 
     def _check_index(self, i: int) -> None:
@@ -141,7 +140,7 @@ class DecaySystem:
 class CylinderInterval:
     """Image of [0,1] under the composition along a digit word.
 
-    Endpoints are exact rationals (Fractions) for every kind.  The empty
+    Endpoints are exact rationals (Fractions) for every system.  The empty
     word gives the root [0, 1].
     """
 
@@ -208,7 +207,7 @@ def _compose(system: DecaySystem, word: Word) -> tuple:
     """Matrix (a, b, c, d) of the composition along the word, which maps x
     to (a*x + b) / (c*x + d); the identity for the empty word.
 
-    For the reciprocal-shift kind the entries are the word's continuants
+    For reciprocal-shift branches the entries are the word's continuants
     (p_prev, p, q_prev, q): integers with determinant +-1.
     """
     a, b, c, d = 1, 0, 0, 1
@@ -294,7 +293,7 @@ def _cylinder(system: DecaySystem, word: Word) -> tuple:
 def cylinder_interval(system: DecaySystem, word: Sequence[int]) -> CylinderInterval:
     """Exact image of [0,1] under the composition along ``word``.
 
-    Endpoints are Fractions for every kind.  Raises PreconditionError for
+    Endpoints are Fractions for every system.  Raises PreconditionError for
     bad digits or words longer than DEPTH_CAP.
     """
     return _cylinder(system, tuple(int(a) for a in word))[0]

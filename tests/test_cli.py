@@ -630,6 +630,12 @@ class TestSystemSpecs:
         gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
         ladder = build_ladder(gs.system, parse_phi("lin:1"), 0.1, 3)
         assert report["results"]["values"] == list(ladder.values)
+        # Gaps split a gap system's windows, which localdim reads as intervals.
+        code, _, _ = _invoke(
+            tmp_path, "localdim", "--system", f"gapsys:{gap_path}", "--alpha", "2",
+            "--samples", "100", "--depth", "5",
+        )
+        assert code == 2
 
     def test_gapsys_bad_path_and_bad_json(self, tmp_path):
         code, _, _ = _invoke(

@@ -64,7 +64,7 @@ def check_estimate(est: DimensionEstimate):
 
 def two_ratio_system(r1: float, r2: float) -> DecaySystem:
     """Two branches with rates r1 and r2: scale r1, decay log2(r1/r2)."""
-    return DecaySystem(kind="toy", decay=math.log2(r1 / r2), scale=r1)
+    return DecaySystem(decay=math.log2(r1 / r2), scale=r1)
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,10 @@ class TestSubsystemBounds:
             (3, 2, 1e-10, "need 1 <= k <= m"),
             (0, 2, 1e-10, "need 1 <= k <= m"),
             (1, 2, 0.0, "tol must be positive"),
+            (1, 2, math.inf, "tol must be positive and below 1"),
+            (1, 2, 2.0, "tol must be positive and below 1"),
+            (1, 2, 1.0, "tol must be positive and below 1"),
+            (1, 2, math.nan, "tol must be positive and below 1"),
         ],
     )
     def test_band_checks_match_bowen_root(self, k, m, tol, message):
@@ -429,16 +433,25 @@ class TestCoverSum:
             assert forced == pytest.approx(default, rel=1e-13)
 
     @given(
-        st.sampled_from(["gauss", "linpow", "gapsys"]),
+        st.sampled_from(["gauss", "recip", "linpow", "gapsys"]),
         st.sampled_from(["lin:1", "lin:3/2", "pow:1.5", "pow:2"]),
         st.integers(1, 60),
         st.integers(1, 4),
         st.floats(0.2, 1.0),
     )
     @example("gauss", "pow:2", 3, 4, 0.6)
+    @example("recip", "lin:1", 50, 2, 0.6)
     @settings(max_examples=40, deadline=None)
     def test_default_route_meets_enumeration(self, gap_system, name, spec, cap, depth, s):
-        system = {"gauss": make_gauss(), "linpow": make_linear_power(2.0)}.get(name, gap_system)
+        # "recip" is the reciprocal-shift system built without its family:
+        # its branch geometry, and so both routes, follow from affine alone.
+        systems = {
+            "gauss": make_gauss(),
+            "recip": DecaySystem(decay=2.0, scale=1.0, shift=1),
+            "linpow": make_linear_power(2.0),
+        }
+        system = systems.get(name, gap_system)
+        assert name != "recip" or system == make_gauss()
         phi = parse_phi(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -619,7 +632,7 @@ def _per_word_reference(system, phi, depth, s, cap):
     for n in range(1, depth + 1):
         logs = []
         for word in enumerate_restricted_words(phi, n, cap):
-            if system.kind == "gauss":
+            if system.affine is None:
                 _, _, q_prev, q = _compose(system, word)
                 logs.append(s * -(math.log(q) + math.log(q + q_prev)))
             else:
@@ -765,7 +778,7 @@ class TestRateBand:
     def test_underflowing_rates_still_count(self):
         # 60**-200 underflows a float, yet at s near 0.008 the rates past
         # the float range add about 3% to the pressure sum.
-        steep = DecaySystem(kind="toy", decay=200.0)
+        steep = DecaySystem(decay=200.0)
         band = _log_rates(steep, 2, 60)
         assert np.isfinite(band).all() and np.exp(band[-1]) == 0.0
         est = bowen_root(steep, "lambda", 2, 60)
@@ -959,3 +972,5 @@ class TestPredict:
             predict_dimensions(1.0, parse_phi("lin:1"), 0.5)
         with pytest.raises(PreconditionError):
             predict_dimensions(2.0, parse_phi("lin:1"), 1.5)
+        with pytest.raises(PreconditionError, match="finite decay"):
+            predict_dimensions(math.inf, parse_phi("pow:2"), 0.5)

@@ -75,7 +75,7 @@ class TestConstructors:
         gauss = make_gauss()
         assert gauss.map_eval(1, 0) == 1
         assert gauss.map_eval(3, 1) == Fraction(1, 4)
-        assert gauss.kind == "gauss"
+        assert gauss.affine is None
         assert gauss.decay == 2.0
 
     def test_gauss_rates(self):

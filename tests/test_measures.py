@@ -198,7 +198,7 @@ class TestWindowExponent:
 
     def test_rejects_non_contracting_branch(self):
         # Rates 1, 1/2 and 1/3: the first never contracts.
-        toy = DecaySystem(kind="toy", scale=1.0, decay=1.0)
+        toy = DecaySystem(scale=1.0, decay=1.0)
         with pytest.raises(NumericFailure, match="ratio >= 1"):
             bowen_root(toy, "xi", 1, 3)
 
@@ -734,9 +734,9 @@ class TestLocalDim:
             local_dim_estimate(quad_measure, gauss, samples=99, depth=30)
         with pytest.raises(PreconditionError, match="depth"):
             local_dim_estimate(quad_measure, gauss, samples=500, depth=4)
-        toy = DecaySystem(kind="gap", decay=2.0, scale=1.0)
+        gap = build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system
         with pytest.raises(PreconditionError, match="gauss or linear-power"):
-            local_dim_estimate(quad_measure, toy, samples=500, depth=30)
+            local_dim_estimate(quad_measure, gap, samples=500, depth=30)
 
     def test_deterministic_estimate_and_stream(self, gauss, quad_measure):
         b1, b2 = io.StringIO(), io.StringIO()
@@ -812,7 +812,7 @@ def _ref_rate_logs(system, exact, i, li):
 
 
 def _ref_window_logs(system, exact, start, lstart):
-    if system.kind == "gauss":
+    if system.affine is None:
         return -lstart, -lstart
     d = system.decay
     log_scale = math.log(system.scale)
