@@ -25,14 +25,26 @@ import numpy as np
 
 from .restrictions import Phi, _words_per_depth, successor_table
 from .powersum import _EM_HEAD, _LN2, _ULP, power_sum_brackets
-from .systems import DecaySystem, NumericFailure, PreconditionError, _append_digits, _empty_words
+from .systems import (
+    DecaySystem,
+    NumericFailure,
+    PreconditionError,
+    _append_digits,
+    _empty_words,
+    _log_slopes,
+)
 
 # Most pressure evaluations one root may take.
 _BOWEN_MAX_ITER = 256
 
-# Exact enumeration refuses more words than this (over all depths): about
-# 60 bytes a word.
+# Exact enumeration refuses more words than this (over all depths), which
+# bounds its time; it walks the words in blocks of _EXACT_BLOCK, which bound
+# its memory.
 _EXACT_WORD_BUDGET = 2**21
+_EXACT_BLOCK = 2**16
+
+# Box counting forms the grid cells of this many sorted points at a time.
+_BOX_BLOCK = 2**16
 
 # Chebyshev nodes that hold the continuant ratio in the Gauss transfer
 # program, and the largest digit cap it accepts.
@@ -272,32 +284,72 @@ def subsystem_dim_bounds(
     return lower, upper
 
 
+def _child_blocks(append, nxt, cap, s, level, last, acc):
+    """The words one digit longer than those of a level, in blocks of at
+    most _EXACT_BLOCK: yield each block's level and last digits, and append
+    its (peak, sum of exp(s * log|C| - peak)) to acc.  append(level, digits,
+    parent) is systems._append_digits bound to the system.
+
+    The children of a level, in lexicographic order, take the child index
+    c = 0, 1, ...; parent p holds the indices cum[p] - counts[p] .. cum[p] - 1,
+    one per allowed digit nxt[last[p]] .. cap.  A block is a range of child
+    indices, so it splits a parent with more children than a block too.
+    """
+    first = nxt[last]
+    counts = cap + 1 - first
+    cum = np.cumsum(counts)
+    # The digit of child c is c - base[p].
+    base = cum - counts - first
+    total = int(cum[-1])
+    for lo in range(0, total, _EXACT_BLOCK):
+        hi = min(lo + _EXACT_BLOCK, total)
+        p0, p1 = np.searchsorted(cum, (lo, hi - 1), side="right")
+        # Children of parents p0..p1 in the block; set the last count first,
+        # so that a single parent gets hi - lo.
+        span = counts[p0 : p1 + 1].copy()
+        span[-1] = hi - (cum[p1] - counts[p1])
+        span[0] -= lo - (cum[p0] - counts[p0])
+        parent = np.repeat(np.arange(p0, p1 + 1), span)
+        digits = np.arange(lo, hi) - base[parent]
+        child, arr = append(level, digits, parent)
+        # In place, as a block holds up to _EXACT_BLOCK words.
+        arr *= s
+        peak = arr.max()
+        arr -= peak
+        acc.append((peak, np.exp(arr, out=arr).sum()))
+        yield child, digits
+
+
 def _exact_depth_sums(system, nxt, depth, s, cap):
     """Exact enumeration: per-depth totals of |cylinder|**s.
 
-    Each depth is held as level arrays over all its admissible words in
-    lexicographic order: the last digit and the kernel state of
-    systems._append_digits, which forms each word's log cylinder length.
-    The next level repeats every word once per allowed digit
-    nxt[last] .. cap, which keeps the order.  Continuants are bounded by
-    (cap + 1)**depth.
+    The admissible words are walked depth first in blocks of at most
+    _EXACT_BLOCK words (_child_blocks), each a level array of last digits
+    and kernel states of systems._append_digits, which forms each word's
+    log cylinder length.  A depth holds its current block, and the next
+    while it is formed, so memory is bounded by _EXACT_BLOCK times the
+    depth at any cap; the word budget of cover_sum bounds time only.  Each block keeps its peak log
+    term and the sum of its terms scaled by it; a depth's total is
+    exp(top) * fsum(sum_b * exp(peak_b - top)) over its blocks, top the
+    largest peak.  A depth of one block gives exp(peak) * sum, and an empty
+    depth 0.0.  Continuants are bounded by (cap + 1)**depth.
     """
+    acc = [[] for _ in range(depth)]
+    # Depth 1 takes every digit, so each affine log slope is taken once.
+    append = functools.partial(_append_digits, system, log_slopes=_log_slopes(system, cap))
     # The empty word, with virtual last digit 0.
-    last = np.zeros(1, dtype=np.int64)
-    level = _empty_words(system, 1, (cap + 1) ** depth)
+    root = _empty_words(system, 1, (cap + 1) ** depth)
+    walk = [_child_blocks(append, nxt, cap, s, root, np.zeros(1, dtype=np.int64), acc[0])]
+    while walk:
+        block = next(walk[-1], None)
+        if block is None:
+            walk.pop()
+        elif len(walk) < depth:
+            walk.append(_child_blocks(append, nxt, cap, s, *block, acc[len(walk)]))
     totals = []
-    for _ in range(depth):
-        first = nxt[last]
-        counts = cap + 1 - first
-        parent = np.repeat(np.arange(last.size), counts)
-        last = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        last += first[parent]
-        level, arr = _append_digits(system, level, last, parent)
-        # In place, as a level can hold millions of words; an empty one sums to 0.
-        arr *= s
-        peak = arr.max(initial=-math.inf)
-        arr -= peak
-        totals.append(float(math.exp(peak) * np.exp(arr, out=arr).sum()))
+    for blocks in acc:
+        top = max((peak for peak, _ in blocks), default=-math.inf)
+        totals.append(math.exp(top) * math.fsum(t * math.exp(p - top) for p, t in blocks))
     return totals
 
 
@@ -497,9 +549,11 @@ def cover_sum(
     predecessor.  method 'dp', the default for every system, runs the
     backward transfer recursion, which holds the Gauss state at Chebyshev
     nodes in the continuant ratio and meets enumeration to about 1e-14
-    relative.  'exact' enumerates every word as an oracle, and raises
-    NumericFailure past _EXACT_WORD_BUDGET of them.  A TailWarning reports
-    when the digit-cap truncation bound exceeds 1% of the result.
+    relative.  'exact' enumerates every word as an oracle, walking them in
+    blocks of _EXACT_BLOCK words, so its memory is bounded by the block
+    times the depth at any cap; it raises NumericFailure past
+    _EXACT_WORD_BUDGET words, a bound on its time alone.  A TailWarning
+    reports when the digit-cap truncation bound exceeds 1% of the result.
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
@@ -553,12 +607,25 @@ def _linregress(x: np.ndarray, y: np.ndarray) -> tuple:
 def _box_counts(pts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Number of occupied grid cells floor(x / d) at each scale d > 0, from
     one sort: the cells of the sorted points are non-decreasing, so each
-    count is 1 plus the number of changes between neighbours."""
+    count is 1 plus the number of changes between neighbours.
+
+    The sorted copy is the only array the size of the input.  The cells are
+    formed in blocks of _BOX_BLOCK + 1 sorted points in one reused buffer,
+    each block overlapping the next by one point, so that every pair of
+    neighbours is compared once.
+    """
     srt = np.sort(pts)
+    buf = np.empty(min(srt.size, _BOX_BLOCK + 1))
     counts = []
     for d in deltas:
-        cells = np.floor(srt / d)
-        counts.append(1 + np.count_nonzero(cells[1:] != cells[:-1]))
+        changes = 0
+        for lo in range(0, srt.size - 1, _BOX_BLOCK):
+            chunk = srt[lo : lo + _BOX_BLOCK + 1]
+            cells = buf[: chunk.size]
+            np.divide(chunk, d, out=cells)
+            np.floor(cells, out=cells)
+            changes += np.count_nonzero(cells[1:] != cells[:-1])
+        counts.append(1 + changes)
     return np.array(counts, dtype=float)
 
 
@@ -574,12 +641,14 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
     diagnostics hold the least-squares slope's stderr (0.0 for two selected
     scales) and r**2.  When the selected counts are constant, the slope,
     stderr and r**2 are all exactly 0.0.  A scale whose reciprocal
-    overflows is a PreconditionError.
+    overflows is a PreconditionError, and so is one at which the cell index
+    x / d of some point overflows.
     """
     pts = np.asarray(points, dtype=float).ravel()
     if pts.size < 2:
         raise PreconditionError("box counting needs at least two points")
-    if not np.isfinite(pts).all():
+    # max and min are NaN when any point is, and infinite when one is.
+    if not (math.isfinite(pts.max()) and math.isfinite(pts.min())):
         raise PreconditionError("points must be finite")
     deltas = np.unique(np.asarray(scales, dtype=float))[::-1]
     if deltas.size < 2:
@@ -589,6 +658,15 @@ def box_dim_estimate(points, scales) -> DimensionEstimate:
     with np.errstate(over="ignore"):
         if not np.isfinite(1.0 / deltas).all():
             raise PreconditionError("scales must have finite reciprocals")
+        # x / d is monotone in |x| and 1 / d, so the largest |x| decides
+        # at which scales some cell index overflows.
+        reach = float(max(pts.max(), -pts.min()))
+        over = deltas[~np.isfinite(reach / deltas)]
+        if over.size:
+            raise PreconditionError(
+                f"points up to |x| = {reach!r} overflow the cell index x / d "
+                f"at scale {float(over[0])!r}"
+            )
     if pts.size < 1000:
         warnings.warn(
             f"only {pts.size} points; the estimate will be coarse below 1000",

@@ -33,7 +33,7 @@ are the continuants of the word.  Keeping this arithmetic exact removes
 rounding as a confounder in every downstream test.
 
 Exact cover sums and the Frostman check take the log cylinder lengths of
-whole levels of words from one kernel, ``_append_digits``, which reads
+blocks of words from one kernel, ``_append_digits``, which reads
 each word's continuants (reciprocal shifts) or exact slopes (affine).
 
 All types are immutable after construction and all operations are pure.
@@ -249,7 +249,9 @@ def _digit_table(digits: np.ndarray, fn) -> np.ndarray:
     return np.array([fn(j) for j in uniq.tolist()])[inv]
 
 
-def _append_digits(system: DecaySystem, level: tuple, digits: np.ndarray, parent=None) -> tuple:
+def _append_digits(
+    system: DecaySystem, level: tuple, digits: np.ndarray, parent=None, log_slopes=None
+) -> tuple:
     """Append digits[k] to word parent[k] of a level (to word k when parent
     is None); return the children's level and their log cylinder lengths.
 
@@ -257,7 +259,9 @@ def _append_digits(system: DecaySystem, level: tuple, digits: np.ndarray, parent
     log|C| = -(log q + log(q + q_prev)): numpy's log of the rounded int64
     values, math.log of Python ints.  An affine level holds the sum of the
     logs of each word's exact slopes, one log per distinct digit, with its
-    rounding error carried alongside (two-sum).
+    rounding error carried alongside (two-sum).  A caller that appends many
+    blocks may pass log_slopes, the same logs at index j for every digit j
+    it appends (_log_slopes), so that each is taken once.
     """
     if system.affine is None:
         q_prev, q = level
@@ -273,11 +277,22 @@ def _append_digits(system: DecaySystem, level: tuple, digits: np.ndarray, parent
             logs = -(np.log(child) + np.log(child + q))
         return (q, child), logs
     head, err = level if parent is None else (level[0][parent], level[1][parent])
-    term = _digit_table(digits, lambda j: _log_rational(system.affine.slope(j)))
+    if log_slopes is None:
+        term = _digit_table(digits, lambda j: _log_rational(system.affine.slope(j)))
+    else:
+        term = log_slopes[digits]
     total = head + term
     back = total - head
     err = err + ((head - (total - back)) + (term - back))
     return (total, err), total + err
+
+
+def _log_slopes(system: DecaySystem, cap: int):
+    """log slope(j) at index j = 1..cap (index 0 unused) for an affine
+    system, as _append_digits takes them; None for reciprocal shifts."""
+    if system.affine is None:
+        return None
+    return np.array([0.0] + [_log_rational(system.affine.slope(j)) for j in range(1, cap + 1)])
 
 
 def _cylinder(system: DecaySystem, word: Word) -> tuple:

@@ -465,6 +465,13 @@ class TestExitCodes:
         code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(pts), "--scales", scales)
         assert code == expected
 
+    def test_cell_index_overflow(self, tmp_path):
+        # x / 0.5 overflows for every point; the cells would all read inf.
+        pts = tmp_path / "p.txt"
+        pts.write_text("1e308\n1.5e308\n1.7e308\n")
+        code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(pts), "--scales", "0.5,0.25")
+        assert code == 2
+
     def test_frostman_zero_sample_cap(self, tmp_path):
         # A cap of 0 would report a pass without checking any word.
         code, _, _ = _invoke(

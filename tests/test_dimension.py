@@ -16,6 +16,7 @@ Frozen oracles, each derived independently before the module existed:
 import gc
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from ifslab.dimension import (
     DimensionEstimate,
     ScaleWarning,
     TailWarning,
+    _box_counts,
     _exact_depth_sums,
     _linregress,
     _log_rates,
@@ -743,6 +745,78 @@ class TestExactLevels:
             assert a == b if b == 0 else a == pytest.approx(float(b), rel=1e-15)
 
 
+def _blocked_totals(monkeypatch, block, system, phi, depth, s, cap):
+    """_exact_depth_sums with blocks of at most `block` words."""
+    monkeypatch.setattr(dimension, "_EXACT_BLOCK", block)
+    return _exact_depth_sums(system, successor_table(phi, cap), depth, s, cap)
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestExactBlocks:
+    """The exact route walks its words in blocks; a total over many blocks
+    meets the same total taken as one block (a block past every level)."""
+
+    @pytest.mark.parametrize("block", [3, 50])
+    @pytest.mark.parametrize("spec, cap", [("lin:1", 20), ("pow:2", 300)])
+    @pytest.mark.parametrize("name", ["gauss", "linpow", "gapsys"])
+    def test_blocks_meet_one_block(self, monkeypatch, gap_system, name, spec, cap, block):
+        systems = {"gauss": make_gauss(), "linpow": make_linear_power(2.0), "gapsys": gap_system}
+        system, phi = systems[name], parse_phi(spec)
+        depth = 4
+        counts = _words_per_depth(successor_table(phi, cap), depth)
+        assert max(counts) > 10 * block
+        for s in (0.6, 1.0):
+            want = _blocked_totals(monkeypatch, 2**62, system, phi, depth, s, cap)
+            got = _blocked_totals(monkeypatch, block, system, phi, depth, s, cap)
+            for a, b, n in zip(got, want, counts):
+                assert a == b if n == 0 else a == pytest.approx(b, rel=1e-15)
+
+    def test_depth_one_wider_than_a_block(self, monkeypatch, gauss, lin_phi):
+        # The empty word's cap children split over many blocks.
+        cap = 2 * dimension._EXACT_BLOCK + 5
+        one = _blocked_totals(monkeypatch, 2**62, gauss, lin_phi, 1, 1.0, cap)
+        monkeypatch.undo()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = cover_sum(gauss, lin_phi, 1, 1.0, digit_cap=cap, method="exact")
+        assert got == pytest.approx(one[0], rel=1e-15)
+        # sum_{j <= cap} 1/(j(j + 1)) telescopes.
+        assert got == pytest.approx(1.0 - 1.0 / (cap + 1), rel=1e-14)
+        # A parent split across blocks one level down, too.
+        want = _blocked_totals(monkeypatch, 2**62, gauss, lin_phi, 2, 0.6, 50)
+        got = _blocked_totals(monkeypatch, 7, gauss, lin_phi, 2, 0.6, 50)
+        assert got == pytest.approx(want, rel=1e-15)
+
+    def test_deeper_empty_levels_sum_to_zero(self, monkeypatch, gauss):
+        phi = parse_phi("pow:2")
+        counts = _words_per_depth(successor_table(phi, 10), 6)
+        assert counts[2] > 0 and counts[3:] == [0, 0, 0]
+        want = _blocked_totals(monkeypatch, 2**62, gauss, phi, 6, 0.6, 10)
+        got = _blocked_totals(monkeypatch, 2, gauss, phi, 6, 0.6, 10)
+        assert got[3:] == want[3:] == [0.0, 0.0, 0.0]
+        assert got[:3] == pytest.approx(want[:3], rel=1e-15)
+
+    def test_exact_cover_memory_is_bounded(self, gauss, lin_phi):
+        # 1.31M words of depth 3: held at once they took about 71 MiB.
+        assert _words_per_depth(successor_table(lin_phi, 200), 3)[-1] == 1_313_400
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=200, method="exact")
+            peak = _peak_bytes(
+                lambda: cover_sum(gauss, lin_phi, 3, 0.6, digit_cap=200, method="exact")
+            )
+        assert peak < 16 * 2**20
+
+
 @pytest.fixture(scope="module")
 def gap_system():
     return build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system
@@ -854,6 +928,35 @@ class TestBoxDim:
             est = box_dim_estimate(pts, scales)
         want = [np.unique(np.floor(pts / d)).size for d in scales]
         assert est.diagnostics["counts"] == want
+
+    @pytest.mark.parametrize("mult, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_counts_across_block_edges(self, mult, extra):
+        # n = B - 1, B, B + 1 and 2B + 1 points, both signs, with a run of
+        # equal points straddling the first block edge.
+        B = dimension._BOX_BLOCK
+        n = mult * B + extra
+        rng = np.random.default_rng(n)
+        srt = np.sort(np.round(rng.normal(size=n) * 4.0, 3))
+        srt[B - 3 : B + 2] = srt[B - 3]
+        pts = rng.permutation(srt)
+        before = pts.copy()
+        scales = np.array([8.0, 1.0, 0.1, 0.01, 1e-3, 1e-4])
+        got = _box_counts(pts, scales)
+        want = [np.unique(np.floor(pts / d)).size for d in scales]
+        assert got.tolist() == want
+        assert np.array_equal(pts, before)
+
+    def test_box_count_memory_is_the_sorted_copy(self):
+        # The cells of all points at once took about 31.6 MiB for 1e6 points.
+        pts = np.random.default_rng(1).random(10**6)
+        peak = _peak_bytes(lambda: box_dim_estimate(pts, DYADIC))
+        assert peak < pts.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("pts", [[1e308, 1.5e308, 1.7e308], [-1.7e308, 0.0, 1.0]])
+    def test_cell_index_overflow(self, pts):
+        # At scale 0.5 some x / d overflows; the cells would merge into +-inf.
+        with pytest.raises(PreconditionError, match="at scale 0.5$"):
+            box_dim_estimate(pts, [1.0, 0.5, 0.25])
 
     def test_short_ladder_warns(self):
         pts = np.linspace(0, 1, 2000)
