@@ -18,17 +18,24 @@ certified crossing index of the power-sum core: draws sharing a window
 start are answered together, from one cumulative table when at least
 _INV_TABLE_MIN_DRAWS share it and the target clears the table's rounding
 bound, otherwise by the crossing search, and the route never changes a
-digit.  The estimator runs level by level over all samples; sample k
-draws its uniforms from its own spawned Philox child, the n-th feeding
-level n.
+digit.  The estimator runs level by level over a block of samples;
+sample k draws its uniforms from its own spawned Philox child, the n-th
+feeding level n, and every chain step is elementwise, so no sample reads
+another.  That is what lets the blocks run apart, one per usable CPU, the
+first in process and the rest in forked children: the merge reads their
+rows in sample order, so neither the report nor the stream depends on how
+many CPUs there are.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
+import warnings
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -68,6 +75,11 @@ _INV_TABLE_MIN_DRAWS = 16
 _LOG_DIGIT_TRUNC = 1e130
 
 _LN10 = math.log(10.0)
+
+# Fewest samples per chain block.  A block costs a fork and a pickled
+# result; on a 2-vCPU Xeon (gauss, alpha 2, depth 30, no stream) two blocks
+# of 100 samples ran 14% faster than one of 200, and two of 50 broke even.
+_BLOCK_MIN_SAMPLES = 100
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +247,13 @@ class FrostmanReport:
         return self.passed / self.checked
 
 
+def _seed_root(seed) -> np.random.SeedSequence:
+    """The SeedSequence of a seed, which must be an integer >= 0."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.SeedSequence(int(seed))
+
+
 def _sampled_words(windows: list, count: int, seed: int):
     """``count`` words drawn uniformly from the window product, in blocks.
 
@@ -248,7 +267,7 @@ def _sampled_words(windows: list, count: int, seed: int):
                 f"level {n} window ({lo}..{hi}) lies past int64; sampled "
                 "digits stop at 2**63 - 1"
             )
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = np.random.Generator(np.random.Philox(_seed_root(seed)))
     lows = [lo for lo, _ in windows]
     highs = [hi + 1 for _, hi in windows]
     for first in range(0, count, _VERIFY_ROWS):
@@ -493,7 +512,7 @@ def sample_digits(
     """
     if not isinstance(depth, int) or depth < 1:
         raise PreconditionError(f"depth must be an integer >= 1, got {depth}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = np.random.Generator(np.random.Philox(_seed_root(seed)))
     word = [measure.first_digit]
     log_cap = math.log(_EXACT_START_CAP)
     for n in range(2, depth + 1):
@@ -618,16 +637,24 @@ def local_dim_estimate(
     folded into the confidence interval.  Masses of excluded subcylinders
     are never needed: the union carries the full cylinder mass.
 
-    The chains advance level by level over all samples at once.  Each
-    sample owns one spawned Philox child of the seed and draws its
+    The chains advance level by level over a block of samples at once.
+    Each sample owns one spawned Philox child of the seed and draws its
     depth - 1 uniforms in one call; level n uses the n-th, so runs are
     reproducible and a sample's chain does not depend on the others.  Rows
     whose window start is at most _CHAIN_EXACT_CAP draw exact digits,
     grouped by start: one tail norm and one ``_tail_quantiles`` call per
     distinct start, so every digit is the certified crossing index.  Past
     that the chain runs on the continuous log-domain tail as whole-array
-    numpy, so depth 30 with doubly exponential digits costs nothing.  The
-    three slopes are row reductions over each sample's kept levels.
+    numpy, so depth 30 with doubly exponential digits costs nothing.
+
+    The samples run in contiguous blocks, one per CPU the process may use
+    and at least _BLOCK_MIN_SAMPLES each, the first in process and the
+    rest in forked children (``_in_blocks`` says why forking is safe here).
+    Every step of a chain is elementwise, so a block's rows are bit for
+    bit those of the whole run, and the merge below (the three slopes, as
+    row reductions over each sample's kept levels, and the diagnostics)
+    reads the blocks concatenated in sample order: neither the report nor
+    the stream depends on the CPU count.
 
     csv_stream, when given, receives one row per (sample, level), sample by
     sample: sample_id, n, digit, log10_digit, log_r_lo, log_r_hi, log_mass,
@@ -642,12 +669,88 @@ def local_dim_estimate(
             "local dimension runs on the gauss or linear-power families, not on "
             "a gap system: gaps split its windows, so no window is an interval"
         )
+    root = _seed_root(seed)
+    stream = csv_stream is not None
+    blocks = _in_blocks(
+        lambda lo, hi: _chain_block(measure, system, root, depth, lo, hi, stream),
+        _block_bounds(samples),
+    )
+    xs_lo, xs_hi, ys, n_kept, switch_level = (
+        np.concatenate(parts) for parts in zip(*(b[:5] for b in blocks))
+    )
+    kept = np.flatnonzero(n_kept >= 3)
+    if kept.size == 0:
+        raise NumericFailure("every sampled chain truncated before 3 levels")
+    x_mid = 0.5 * (xs_lo + xs_hi)
+    mid, lo, hi = _slopes((x_mid, xs_lo, xs_hi), ys, n_kept, kept)
+    # Deepest-level mass-to-length exponent (both sides of the pairing the
+    # regression runs on); tends to the base exponent.
+    last_x = x_mid[kept, n_kept[kept] - 1]
+    last_y = ys[kept, n_kept[kept] - 1]
+    delta_ratios = last_y[last_x != 0.0] / last_x[last_x != 0.0]
+    switch_levels = switch_level[kept][switch_level[kept] > 0]
+    if stream:
+        csv_stream.write("sample_id,n,digit,log10_digit,log_r_lo,log_r_hi,log_mass\n")
+        csv_stream.writelines(b.csv for b in blocks)
+    value = float(mid.mean())
+    sd = float(mid.std(ddof=1)) if len(mid) > 1 else 0.0
+    ci = 1.96 * sd / math.sqrt(len(mid))
+    spread = float(np.mean(np.abs(hi - lo))) / 2.0
+    half = ci + spread
+    diag = {
+        "samples": samples,
+        "kept": len(mid),
+        "depth": depth,
+        "seed": int(seed),
+        "slope_sd": sd,
+        "ci95": ci,
+        "bracket_spread": spread,
+        "truncated": sum(b.truncated for b in blocks),
+        "mean_switch_level": float(np.mean(switch_levels)) if switch_levels.size else None,
+        "delta_ratio_mean": float(np.mean(delta_ratios)) if delta_ratios.size else None,
+    }
+    return _estimate(value, "local-dim", value - half, value + half, diag)
+
+
+class _ChainBlock(NamedTuple):
+    """Samples lo..hi - 1 of a local-dimension run, each row one sample:
+    its paired log-lengths and log-masses per level, its kept level count
+    and switch level (0 if it never went continuous), the block's truncated
+    chain count, and its stream rows (None when no stream was asked for)."""
+
+    xs_lo: np.ndarray
+    xs_hi: np.ndarray
+    ys: np.ndarray
+    n_kept: np.ndarray
+    switch_level: np.ndarray
+    truncated: int
+    csv: str | None
+
+
+def _chain_block(
+    measure: PowerLawDigitMeasure,
+    system: DecaySystem,
+    root: np.random.SeedSequence,
+    depth: int,
+    lo: int,
+    hi: int,
+    stream: bool,
+) -> _ChainBlock:
+    """Run the chains of samples lo..hi - 1, level by level over the block.
+
+    Sample k draws from the k-th spawned child of root, built here alone,
+    so a block's rows are those rows of the whole run.
+    """
+    samples = hi - lo
     p = measure.tail_exponent
     excess = measure._tail_excess
     alpha = measure.alpha
     log_chain_cap = math.log(_CHAIN_EXACT_CAP)
     uniforms = np.empty((samples, depth - 1))
-    for k, child in enumerate(np.random.SeedSequence(int(seed)).spawn(samples)):
+    for k in range(samples):
+        child = np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (lo + k,), pool_size=root.pool_size
+        )
         uniforms[k] = np.random.Generator(np.random.Philox(child)).random(depth - 1)
     # words[k] holds sample k's exact digits and stops growing when its
     # chain goes continuous; while exact[k], its current digit is words[k][-1].
@@ -730,48 +833,131 @@ def local_dim_estimate(
             lj = ls - log1p_u / excess
             log_mass[rest] += -p * lj - _log_tail(ls, p, excess, 0.0)
             li[rest] = lj
-    kept = np.flatnonzero(n_kept >= 3)
-    if kept.size == 0:
-        raise NumericFailure("every sampled chain truncated before 3 levels")
-    x_mid = 0.5 * (xs_lo + xs_hi)
-    mid, lo, hi = _slopes((x_mid, xs_lo, xs_hi), ys, n_kept, kept)
-    # Deepest-level mass-to-length exponent (both sides of the pairing the
-    # regression runs on); tends to the base exponent.
-    last_x = x_mid[kept, n_kept[kept] - 1]
-    last_y = ys[kept, n_kept[kept] - 1]
-    delta_ratios = last_y[last_x != 0.0] / last_x[last_x != 0.0]
-    switch_levels = switch_level[kept][switch_level[kept] > 0]
-    if csv_stream is not None:
-        _write_chain_csv(csv_stream, words, n_kept, lis, xs_lo, xs_hi, ys)
-    value = float(mid.mean())
-    sd = float(mid.std(ddof=1)) if len(mid) > 1 else 0.0
-    ci = 1.96 * sd / math.sqrt(len(mid))
-    spread = float(np.mean(np.abs(hi - lo))) / 2.0
-    half = ci + spread
-    diag = {
-        "samples": samples,
-        "kept": len(mid),
-        "depth": depth,
-        "seed": int(seed),
-        "slope_sd": sd,
-        "ci95": ci,
-        "bracket_spread": spread,
-        "truncated": truncated,
-        "mean_switch_level": float(np.mean(switch_levels)) if switch_levels.size else None,
-        "delta_ratio_mean": float(np.mean(delta_ratios)) if delta_ratios.size else None,
-    }
-    return _estimate(value, "local-dim", value - half, value + half, diag)
+    csv = _chain_csv(lo, words, n_kept, lis, xs_lo, xs_hi, ys) if stream else None
+    return _ChainBlock(xs_lo, xs_hi, ys, n_kept, switch_level, truncated, csv)
 
 
-def _write_chain_csv(stream: TextIO, words, n_kept, lis, xs_lo, xs_hi, ys) -> None:
-    """The per-(sample, level) stream rows, sample by sample."""
-    stream.write("sample_id,n,digit,log10_digit,log_r_lo,log_r_hi,log_mass\n")
+def _chain_csv(first: int, words, n_kept, lis, xs_lo, xs_hi, ys) -> str:
+    """The per-(sample, level) stream rows of a block whose first sample is
+    ``first``, sample by sample."""
     l10 = (lis / _LN10).tolist()
     r_lo, r_hi, mass = xs_lo.tolist(), xs_hi.tolist(), ys.tolist()
+    rows = []
     for k, word in enumerate(words):
         digits = [str(i) for i in word] + [""] * (int(n_kept[k]) - len(word))
-        stream.writelines(
-            f"{k},{n + 1},{digits[n]},{l10[k][n]!r},"
+        rows.extend(
+            f"{first + k},{n + 1},{digits[n]},{l10[k][n]!r},"
             f"{r_lo[k][n]!r},{r_hi[k][n]!r},{mass[k][n]!r}\n"
             for n in range(int(n_kept[k]))
         )
+    return "".join(rows)
+
+
+def _block_bounds(samples: int) -> list:
+    """Sample bounds of the chain blocks: one block per usable CPU, each of
+    at least _BLOCK_MIN_SAMPLES samples (a single block below that)."""
+    blocks = max(1, min(_cpu_count(), samples // _BLOCK_MIN_SAMPLES))
+    return [samples * b // blocks for b in range(blocks + 1)]
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# ---------------------------------------------------------------------------
+# Sample blocks in forked children
+
+
+def _in_blocks(run_block, bounds: list) -> list:
+    """[run_block(lo, hi) for each block lo..hi of bounds], in block order.
+
+    The first block runs in process and every further one in an ``os.fork``
+    child that pickles its result back through a pipe.  Warnings a block
+    records are reissued here in block order once every block is in.  If
+    any block raises (or a child dies), the whole range reruns serially in
+    process, so an error is raised as the serial run raises it.  With one
+    block, or without ``os.fork``, that serial run is the only one.
+
+    Forking is safe here because run_block is pure computation: it reads
+    the arguments the child inherits, touches no file, lock or thread,
+    makes no BLAS call, and depends on nothing of the process it runs in.
+    A child leaves only by ``os._exit``, so it never runs the caller's
+    cleanup or flushes an inherited buffer, and no child outlives the call:
+    each one is killed if still running and reaped on success, on error and
+    on KeyboardInterrupt alike.
+    """
+    spans = list(zip(bounds, bounds[1:]))
+    if len(spans) > 1 and hasattr(os, "fork"):
+        outcomes = _forked_blocks(run_block, spans)
+        if outcomes is not None:
+            for _, caught in outcomes:
+                for args in caught:
+                    warnings.warn_explicit(*args)
+            return [result for result, _ in outcomes]
+    return [run_block(bounds[0], bounds[-1])]
+
+
+def _forked_blocks(run_block, spans: list) -> list | None:
+    """(result, warning arguments) per span, or None if any block failed."""
+    # Imported here, where a child may need stopping, so that importing
+    # the package loads nothing new.
+    import signal
+
+    children = []
+    try:
+        for lo, hi in spans[1:]:
+            _fork_block(run_block, lo, hi, children)
+        outcomes = [_recorded(run_block, *spans[0])]
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as fh:
+                # Only this call's own child wrote these bytes; one whose
+                # block failed wrote none, and unpickling them raises.
+                outcomes.append(pickle.loads(fh.read()))
+        return outcomes
+    except Exception:
+        return None
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _fork_block(run_block, lo: int, hi: int, children: list) -> None:
+    """Start run_block(lo, hi) in a forked child; append (pid, read end)."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks (numpy's
+            # idle BLAS pool counts); the child starts no thread and runs
+            # no BLAS call, so the warning would only litter the report.
+            warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    result = _recorded(run_block, lo, hi)
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                    status = 0
+                finally:
+                    os._exit(status)
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    children.append((pid, r))
+    os.close(w)
+
+
+def _recorded(run_block, lo: int, hi: int) -> tuple:
+    """(run_block(lo, hi), the warn_explicit arguments of its warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = run_block(lo, hi)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]

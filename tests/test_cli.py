@@ -17,12 +17,13 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import ifslab
-from ifslab import cli, dimension
+from ifslab import cli, dimension, measures
 from ifslab.cli import run
 from ifslab.dimension import TailWarning, _truncation_bound, bowen_root, cover_sum
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
@@ -361,6 +362,26 @@ class TestExitCodes:
         assert keep.read_bytes() == b"earlier,run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
 
+    def test_negative_localdim_seed_is_2_and_keeps_the_stream_file(self, tmp_path, capsys):
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"earlier,run\n")
+        code, _, _ = _invoke(
+            tmp_path, "localdim", "--alpha", "2", "--samples", "200", "--depth", "8",
+            "--seed", "-1", "--stream", str(keep),
+        )
+        assert code == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert keep.read_bytes() == b"earlier,run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+    def test_negative_sampled_frostman_seed_is_2(self, tmp_path, capsys):
+        code, _, _ = _invoke(
+            tmp_path, "frostman", "--system", "gauss", "--phi", "lin:1", "--eps", "0.1",
+            "--depth", "3", "--sample-cap", "60", "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -560,6 +581,18 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # Chain blocks fork directly; a pool module would only add set-up time.
+    code = (
+        "import sys, ifslab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = _run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_linpow_depth_four_frostman_finishes(tmp_path):
     # Level-4 digits reach 9262975; a cylinder length is a product of
     # slopes, so no offset up to that index is formed.
@@ -678,6 +711,61 @@ class TestWarnings:
         first = out.read_bytes()
         assert run(argv) == 0
         assert out.read_bytes() == first
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestLocalDimBlockWarnings:
+    """run() records the warnings of forked chain blocks, and only theirs."""
+
+    @pytest.fixture
+    def three_blocks(self, monkeypatch):
+        monkeypatch.setattr(measures, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(measures, "_BLOCK_MIN_SAMPLES", 1)
+
+    ARGV = ("localdim", "--alpha", "2", "--samples", "300", "--depth", "8")
+
+    def test_block_warnings_reach_the_report_in_block_order(
+        self, tmp_path, monkeypatch, three_blocks
+    ):
+        chain_block = measures._chain_block
+
+        def warns(measure, system, root, depth, lo, hi, stream):
+            warnings.warn(f"block {lo}..{hi}", RuntimeWarning)
+            return chain_block(measure, system, root, depth, lo, hi, stream)
+
+        monkeypatch.setattr(measures, "_chain_block", warns)
+        code, report, _ = _invoke(tmp_path, *self.ARGV)
+        assert code == 0
+        assert report["warnings"] == [
+            "RuntimeWarning: block 0..100",
+            "RuntimeWarning: block 100..200",
+            "RuntimeWarning: block 200..300",
+        ]
+
+    def test_the_fork_warning_stays_out_of_the_report(
+        self, tmp_path, monkeypatch, three_blocks
+    ):
+        # Python 3.12+ warns in the parent when a process with threads forks.
+        fork = os.fork
+        forks = []
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+                warnings.warn(
+                    f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                    "fork() may lead to deadlocks in the child.",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        code, report, _ = _invoke(tmp_path, *self.ARGV)
+        assert code == 0
+        assert len(forks) == 2
+        assert report["warnings"] == []
 
 
 class TestDeterminism:

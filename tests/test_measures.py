@@ -29,6 +29,7 @@ import dataclasses
 import io
 import itertools
 import math
+import os
 import time
 from collections import Counter
 from fractions import Fraction
@@ -987,3 +988,187 @@ class TestLocalDimMatchesPerSampleLoop:
         for estimator in (local_dim_estimate, _per_sample_reference):
             with pytest.raises(NumericFailure, match="truncated before 3 levels"):
                 estimator(m, gauss, 100, 8, seed=0)
+
+
+@pytest.fixture
+def forced_blocks(monkeypatch):
+    """Force the chain block count of local_dim_estimate (it still needs
+    os.fork to split); return the list of (lo, hi) of every forked block."""
+    forked = []
+    fork_block = measures._fork_block
+
+    def spy(run_block, lo, hi, children):
+        forked.append((lo, hi))
+        return fork_block(run_block, lo, hi, children)
+
+    def force(blocks):
+        monkeypatch.setattr(measures, "_cpu_count", lambda: blocks)
+        monkeypatch.setattr(measures, "_BLOCK_MIN_SAMPLES", 1)
+
+    monkeypatch.setattr(measures, "_fork_block", spy)
+    force.forked = forked
+    return force
+
+
+def _run_with_stream(system, alpha, samples, depth, seed):
+    m = PowerLawDigitMeasure(decay=system.decay, alpha=alpha)
+    buf = io.StringIO()
+    est = local_dim_estimate(m, system, samples, depth, seed=seed, csv_stream=buf)
+    return est, buf.getvalue()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@needs_fork
+class TestLocalDimBlocks:
+    """Split runs against the one-block run: the same report and stream
+    bytes, and no child process left behind."""
+
+    @pytest.mark.parametrize(
+        "system, alpha, samples, depth, seed",
+        [
+            # 503 is prime, so no block count above 1 divides it.
+            ("gauss", 2.0, 503, 30, 0),
+            ("gauss", 1.5, 250, 30, 3),
+            ("linpow", 2.0, 211, 20, 1),
+        ],
+    )
+    def test_block_counts_give_the_same_report_and_stream(
+        self, gauss, forced_blocks, system, alpha, samples, depth, seed
+    ):
+        sys_ = gauss if system == "gauss" else make_linear_power(2.0)
+        forced_blocks(1)
+        want = _run_with_stream(sys_, alpha, samples, depth, seed)
+        assert forced_blocks.forked == []
+        for blocks in (2, 3, 7):
+            forced_blocks.forked.clear()
+            forced_blocks(blocks)
+            assert _run_with_stream(sys_, alpha, samples, depth, seed) == want, blocks
+            bounds = [samples * b // blocks for b in range(blocks + 1)]
+            assert forced_blocks.forked == list(zip(bounds[1:-1], bounds[2:]))
+        _assert_no_child_left()
+
+    def test_chains_cut_in_some_blocks_only(self, gauss, forced_blocks, monkeypatch):
+        # At this bar seed 4 cuts five chains before depth 8: samples 58, 64
+        # and 73 in the third of seven blocks and 152 and 173 in the sixth.
+        monkeypatch.setattr(measures, "_LOG_DIGIT_TRUNC", 1000.0)
+        forced_blocks(1)
+        want = _run_with_stream(gauss, 2.0, 203, 8, 4)
+        rows = Counter(line.split(",")[0] for line in want[1].splitlines()[1:])
+        assert sorted(int(k) for k, n in rows.items() if n < 8) == [58, 64, 73, 152, 173]
+        for blocks in (2, 3, 7):
+            forced_blocks(blocks)
+            assert _run_with_stream(gauss, 2.0, 203, 8, 4) == want, blocks
+        assert want[0].diagnostics["truncated"] == 5
+
+    def test_every_chain_cut_fails_alike_when_split(self, gauss, forced_blocks, monkeypatch):
+        monkeypatch.setattr(measures, "_LOG_DIGIT_TRUNC", 2.0)
+        forced_blocks(3)
+        with pytest.raises(NumericFailure, match="truncated before 3 levels"):
+            _run_with_stream(gauss, 2.0, 300, 8, 0)
+        assert len(forced_blocks.forked) == 2
+        _assert_no_child_left()
+
+    def test_split_route_matches_the_per_sample_loop(self, gauss, forced_blocks):
+        forced_blocks(3)
+        TestLocalDimMatchesPerSampleLoop()._both(gauss, 2.0, 301, 30, 5)
+        assert len(forced_blocks.forked) == 2
+
+    def test_a_failing_worker_block_raises_the_serial_error(
+        self, gauss, forced_blocks, monkeypatch
+    ):
+        # Sample 250 breaks, so the last of three blocks fails in its child
+        # and the serial rerun raises the same error in process.
+        calls = []
+        chain_block = measures._chain_block
+
+        def breaks_at_250(measure, system, root, depth, lo, hi, stream):
+            calls.append((lo, hi))
+            if lo <= 250 < hi:
+                raise NumericFailure(f"sample 250 of {lo}..{hi}")
+            return chain_block(measure, system, root, depth, lo, hi, stream)
+
+        monkeypatch.setattr(measures, "_chain_block", breaks_at_250)
+        forced_blocks(1)
+        with pytest.raises(NumericFailure) as serial:
+            _run_with_stream(gauss, 2.0, 300, 8, 0)
+        forced_blocks(3)
+        calls.clear()
+        with pytest.raises(NumericFailure) as split:
+            _run_with_stream(gauss, 2.0, 300, 8, 0)
+        assert str(split.value) == str(serial.value) == "sample 250 of 0..300"
+        # The children's calls run in their own processes.
+        assert calls == [(0, 100), (0, 300)]
+        assert forced_blocks.forked == [(100, 200), (200, 300)]
+        _assert_no_child_left()
+
+    def test_a_dead_child_reruns_serially(self, gauss, forced_blocks, monkeypatch):
+        chain_block = measures._chain_block
+
+        def dies_in_children(measure, system, root, depth, lo, hi, stream):
+            if lo > 0:
+                os._exit(7)
+            return chain_block(measure, system, root, depth, lo, hi, stream)
+
+        forced_blocks(1)
+        want = _run_with_stream(gauss, 2.0, 300, 8, 2)
+        monkeypatch.setattr(measures, "_chain_block", dies_in_children)
+        forced_blocks(3)
+        assert _run_with_stream(gauss, 2.0, 300, 8, 2) == want
+        assert len(forced_blocks.forked) == 2
+        _assert_no_child_left()
+
+    def test_an_interrupt_reaps_running_children(self, gauss, forced_blocks, monkeypatch):
+        chain_block = measures._chain_block
+
+        def interrupted_in_process(measure, system, root, depth, lo, hi, stream):
+            if lo == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return chain_block(measure, system, root, depth, lo, hi, stream)
+
+        monkeypatch.setattr(measures, "_chain_block", interrupted_in_process)
+        forced_blocks(3)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _run_with_stream(gauss, 2.0, 300, 8, 0)
+        assert time.perf_counter() - t0 < 30
+        assert len(forced_blocks.forked) == 2
+        _assert_no_child_left()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seeds_are_precondition_errors(self, gauss, quad_measure, layered, seed):
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            sample_digits(quad_measure, 4, seed=seed)
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            verify_frostman(layered, 3, sample_cap=50, seed=seed)
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            local_dim_estimate(quad_measure, gauss, 200, 8, seed=seed)
+
+    def test_a_bad_seed_is_refused_before_any_chain_runs(
+        self, gauss, quad_measure, forced_blocks, monkeypatch
+    ):
+        forced_blocks(2)
+        monkeypatch.setattr(measures, "_chain_block", None)
+        with pytest.raises(PreconditionError, match="seed"):
+            local_dim_estimate(quad_measure, gauss, 200, 8, seed=-1)
+        assert forced_blocks.forked == []
+
+    def test_numpy_integer_seeds_act_as_ints(self, gauss, quad_measure, layered):
+        assert sample_digits(quad_measure, 4, seed=np.int64(7)) == sample_digits(
+            quad_measure, 4, seed=7
+        )
+        assert verify_frostman(layered, 3, sample_cap=50, seed=np.uint32(5)) == (
+            verify_frostman(layered, 3, sample_cap=50, seed=5)
+        )
+        assert local_dim_estimate(quad_measure, gauss, 100, 8, seed=np.int64(3)) == (
+            local_dim_estimate(quad_measure, gauss, 100, 8, seed=3)
+        )
