@@ -1,8 +1,9 @@
 """Concrete system families: reciprocal shifts, affine tilings, gap tilings.
 
-make_gauss gives the reciprocal-shift family f_i(x) = 1/(x + i) (decay
-exponent 2, derivative sandwich (i+1)**-2 <= |f_i'| <= i**-2, images
-ordered decreasingly in i and tiling (0, 1]).
+make_gauss gives the reciprocal-shift family f_i(x) = 1/(x + i), the
+system with no affine map: its rate profile (d, c, t) = (2, 1, 1) is the
+derivative sandwich (i+1)**-2 <= |f_i'| <= i**-2, and its images are
+ordered decreasingly in i and tile (0, 1].
 
 make_linear_power(d) gives an affine family with ratio i**(-d) / zeta(d)
 placed right to left so consecutive images share an endpoint (to one
@@ -22,7 +23,8 @@ sums each block's gap over its indices in [2, n]; the bracketed series is
 rounded once at _prec(d, n) bits and the rest is exact, so offsets and
 ratios are exact binary rationals at every index.  The linear-power family
 is the same closed form with no blocks (G = 0) and C = 1/zeta(d); AffineMap
-holds it for both affine families.
+holds it for both affine families, and with it the rate profile
+(d, float(C), 0) that DecaySystem reads off the map.
 """
 
 from __future__ import annotations
@@ -94,20 +96,28 @@ class AffineMap:
     index.  Each read is cached per map; the caches hold no reference to
     the map, so a system dies by reference count.  A slope costs a power,
     an offset a Hurwitz zeta: lengths read slopes only.  ``blocks`` is
-    kept: it is empty for a gapless tiling.
+    kept: it is empty for a gapless tiling.  So are ``decay`` and the
+    float ``scale`` of C, the rate profile's d and c, set once here so
+    that no rate read converts an mpf.
     """
 
     def __init__(self, c_mpf, decay: float, blocks: tuple = ()):
         self.blocks = blocks
+        self.decay = decay
+        self.scale = float(c_mpf)
         with mpmath.workprec(_MP_PREC):
             zeta_2 = mpmath.zeta(decay, 2)
         self.slope = functools.cache(functools.partial(_ratio, c_mpf, decay))
         self.offset = functools.cache(functools.partial(_offset, c_mpf, decay, zeta_2, blocks))
 
+    def __repr__(self) -> str:
+        return f"AffineMap(scale={self.scale!r}, decay={self.decay!r}, blocks={len(self.blocks)})"
+
 
 def make_gauss() -> DecaySystem:
-    """The reciprocal-shift family f_i(x) = 1/(x + i)."""
-    return DecaySystem(decay=2.0, scale=1.0, shift=1)
+    """The reciprocal-shift family f_i(x) = 1/(x + i): the system with no
+    affine map, whose rate profile is (d, c, t) = (2, 1, 1)."""
+    return DecaySystem()
 
 
 def make_linear_power(d: float) -> DecaySystem:
@@ -125,8 +135,7 @@ def make_linear_power(d: float) -> DecaySystem:
         raise PreconditionError("linear-power family needs a finite decay d > 1")
     with mpmath.workprec(_MP_PREC):
         c_mpf = 1 / mpmath.zeta(d)
-    affine = AffineMap(c_mpf, float(d))
-    return DecaySystem(decay=float(d), scale=float(c_mpf), affine=affine)
+    return DecaySystem(AffineMap(c_mpf, float(d)))
 
 
 @dataclass(frozen=True)
@@ -272,7 +281,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
 
     decay = float(d)
     blocks = _gap_blocks(windows, c_mpf)
-    system = DecaySystem(decay=decay, scale=float(c_mpf), affine=AffineMap(c_mpf, decay, blocks))
+    system = DecaySystem(AffineMap(c_mpf, decay, blocks))
     return GapSystem(
         system=system,
         phi=phi,

@@ -45,9 +45,6 @@ from .restrictions import Ladder, Phi, build_ladder
 from .systems import DecaySystem, NumericFailure, PreconditionError
 from .systems import _append_digits, _digit_table, _empty_words
 
-# Materialized per-digit mass tables stop here (lookups stay available).
-_LEVEL_TABLE_CAP = 5_000_000
-
 _VERIFY_SAMPLE_CAP = 100_000
 
 # verify_frostman checks words in blocks of this many rows.
@@ -144,19 +141,6 @@ class FrostmanMeasure:
                 f"level {n} out of range for a depth-{self.depth} measure"
             )
         return self.levels[n - 1]
-
-    def level_masses(self, n: int) -> np.ndarray:
-        """Per-digit masses over the level-n window, aligned with digits()."""
-        lev = self.level(n)
-        if lev.size > _LEVEL_TABLE_CAP:
-            raise NumericFailure(
-                f"level {n} window has {lev.size} digits, beyond the "
-                f"per-digit table budget {_LEVEL_TABLE_CAP}"
-            )
-        out = np.empty(lev.size)
-        for pos, i in enumerate(lev.digits()):
-            out[pos] = math.exp(lev.exponent * self.system.log_contract_lo(i))
-        return out
 
 
 def build_frostman_measure(

@@ -6,22 +6,28 @@ open images, whose derivative magnitudes are sandwiched per branch,
     contract_lo(i) <= |f_i'(x)| <= contract_hi(i),
 
 and decay like a power of the branch index.  Every system has the same
-rate profile, held as data on the system: a leading constant c, an
-exponent d > 1 and an index shift t >= 0 with
+rate profile: a leading constant c, an exponent d and an index shift
+t >= 0 with
 
     c * (i + t)**-d = contract_lo(i) <= contract_hi(i) = c * i**-d.
 
-Its branch geometry is one switch, ``DecaySystem.affine``.  None means the
-reciprocal-shift branches f_i(x) = 1/(x + i) of the continued fractions
-(make_gauss: c = 1, d = 2, t = 1); otherwise the branches are the affine
-maps f_i(x) = offset(i) + slope(i) * x it holds, with slope c * i**-d and
-t = 0: a right-to-left tiling (make_linear_power) or one with explicit
-gaps between consecutive images (build_gap_system).  The geometry fixes
-the bounded-distortion constant D: appending branch i to a composition
-scales the cylinder length by at most D * contract_hi(i).  D = 1 for
-affine branches.  D = 2 for Moebius ones: a cylinder with continuants
-q' <= q has length 1/(q(q + q')), and appending digit i multiplies it by
-(1 + x) / ((i + x)(i + 1 + x)) <= 2 * i**-2, with x = q'/q.
+A system holds one field, its branch geometry ``DecaySystem.affine``, and
+the profile is read off it, so a system cannot disagree with itself:
+
+    affine                 branches                     (d, c, t)
+    None                   f_i(x) = 1/(x + i)           (2.0, 1.0, 1)
+    families.AffineMap     offset(i) + slope(i) * x     (d, float(C), 0)
+
+None is the reciprocal-shift family of the continued fractions
+(make_gauss).  An AffineMap of (C, d) has slope(i) = C * i**-d rounded
+once: a right-to-left tiling (make_linear_power) or one with explicit
+gaps between consecutive images (build_gap_system).  The geometry also
+fixes the bounded-distortion constant D: appending branch i to a
+composition scales the cylinder length by at most D * contract_hi(i).
+D = 1 for affine branches.  D = 2 for Moebius ones: a cylinder with
+continuants q' <= q has length 1/(q(q + q')), and appending digit i
+multiplies it by (1 + x) / ((i + x)(i + 1 + x)) <= 2 * i**-2, with
+x = q'/q.
 
 Every branch is an exact rational matrix (a, b, c, d) with
 f_i(x) = (a*x + b) / (c*x + d): (0, 1, 1, i) for the reciprocal family,
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,9 +61,6 @@ DEPTH_CAP = 64
 
 # Largest digit in the words of verify_power_decay's composition certificate.
 _COMP_DIGIT_CAP = 4
-
-# Linear products below this switch the caller to the log-domain fields.
-FLOAT_FLOOR = 1e-300
 
 _LN2 = math.log(2.0)
 
@@ -84,20 +87,32 @@ def _recip_power(i: int, d: float) -> float:
 class DecaySystem:
     """A power-decaying contraction family on [0, 1].
 
-    decay, scale, shift: the rate profile d, c, t; the branch rates are
-        contract_lo(i) = c * (i + t)**-d and contract_hi(i) = c * i**-d,
-        the inf and sup of |f_i'| over [0, 1].  verify_power_decay reads
-        its sandwich threshold off (d, t) alone: the scale divides out.
-    affine: the branch geometry.  None for the reciprocal shifts
-        f_i(x) = 1/(x + i); otherwise the branch map (families.AffineMap)
-        with exact rationals slope(i) and offset(i) at every index,
-        f_i(x) = offset(i) + slope(i) * x.
+    affine: the branch geometry, the only field.  None for the reciprocal
+        shifts f_i(x) = 1/(x + i); otherwise the branch map
+        (families.AffineMap) with exact rationals slope(i) and offset(i)
+        at every index, f_i(x) = offset(i) + slope(i) * x.
+
+    decay, scale, shift: the rate profile d, c, t, read off the geometry:
+    (2.0, 1.0, 1) for reciprocal shifts, (d, float(C), 0) for the
+    AffineMap of (C, d).  The branch rates are contract_lo(i) =
+    c * (i + t)**-d and contract_hi(i) = c * i**-d, the inf and sup of
+    |f_i'| over [0, 1].  verify_power_decay reads its sandwich threshold
+    off (d, t) alone: the scale divides out.
     """
 
-    decay: float
-    scale: float = 1.0
-    shift: int = 0
-    affine: object = field(default=None, repr=False)
+    affine: object = None
+
+    @property
+    def decay(self) -> float:
+        return 2.0 if self.affine is None else self.affine.decay
+
+    @property
+    def scale(self) -> float:
+        return 1.0 if self.affine is None else self.affine.scale
+
+    @property
+    def shift(self) -> int:
+        return 1 if self.affine is None else 0
 
     def _check_index(self, i: int) -> None:
         if i < 1:
@@ -127,14 +142,6 @@ class DecaySystem:
             return 0, 1, 1, i
         return self.affine.slope(i), self.affine.offset(i), 0, 1
 
-    def map_eval(self, i: int, x):
-        """f_i(x); exact when x is a Fraction or an int, a float otherwise."""
-        a, b, c, d = self._branch(i)
-        if not isinstance(x, (Fraction, int)):
-            a, b, c, d = float(a), float(b), float(c), float(d)
-            return (a * x + b) / (c * x + d)
-        return Fraction(a * x + b) / (c * x + d)
-
 
 @dataclass(frozen=True)
 class CylinderInterval:
@@ -157,25 +164,6 @@ class CylinderInterval:
 
     def __str__(self) -> str:
         return f"C{list(self.word)} = [{self.lo}, {self.hi}]"
-
-
-@dataclass(frozen=True)
-class LengthBounds:
-    """Product bounds on a cylinder length with an underflow guard.
-
-    lo/hi are the linear-domain products of the per-digit contraction
-    bounds (0.0 once they drop below the float floor); log_lo/log_hi carry
-    the same bounds in log domain and never underflow.
-    """
-
-    lo: float
-    hi: float
-    log_lo: float
-    log_hi: float
-
-    @property
-    def underflowed(self) -> bool:
-        return self.lo < FLOAT_FLOOR
 
 
 @dataclass(frozen=True)
@@ -295,57 +283,17 @@ def _log_slopes(system: DecaySystem, cap: int):
     return np.array([0.0] + [_log_rational(system.affine.slope(j)) for j in range(1, cap + 1)])
 
 
-def _cylinder(system: DecaySystem, word: Word) -> tuple:
-    """(cylinder along word, image of 1 under its composition); a digit
-    outside the system's index range raises in _branch."""
-    if len(word) > DEPTH_CAP:
-        raise PreconditionError(f"word depth {len(word)} exceeds the cap {DEPTH_CAP}")
-    a, b, c, d = _compose(system, word)
-    ends = Fraction(b) / d, Fraction(a + b) / (c + d)
-    return CylinderInterval(*sorted(ends), word), ends[1]
-
-
 def cylinder_interval(system: DecaySystem, word: Sequence[int]) -> CylinderInterval:
     """Exact image of [0,1] under the composition along ``word``.
 
     Endpoints are Fractions for every system.  Raises PreconditionError for
-    bad digits or words longer than DEPTH_CAP.
-    """
-    return _cylinder(system, tuple(int(a) for a in word))[0]
-
-
-def cylinder_length_bounds(system: DecaySystem, word: Sequence[int]) -> LengthBounds:
-    """Bracket the cylinder length by products of per-digit contraction bounds.
-
-    The true length lies in [prod contract_lo, prod contract_hi].  The
-    log-domain fields remain informative when the linear products underflow.
+    bad digits (in _branch) or words longer than DEPTH_CAP.
     """
     word = tuple(int(a) for a in word)
-    if not word:
-        raise PreconditionError("length bounds need a non-empty word")
-    lo = 1.0
-    hi = 1.0
-    log_lo = 0.0
-    log_hi = 0.0
-    for a in word:
-        lo *= system.contract_lo(a)
-        hi *= system.contract_hi(a)
-        log_lo += system.log_contract_lo(a)
-        log_hi += system.log_contract_hi(a)
-    return LengthBounds(lo, hi, log_lo, log_hi)
-
-
-def project_point(system: DecaySystem, word: Sequence[int]):
-    """Image of 1 under the composition along ``word``, with an error bound.
-
-    The point approximates the projection of every infinite digit sequence
-    extending the word; the cylinder length bounds the truncation error.
-    """
-    word = tuple(int(a) for a in word)
-    if not word:
-        raise PreconditionError("projection needs a non-empty word")
-    cyl, point = _cylinder(system, word)
-    return point, cyl.length
+    if len(word) > DEPTH_CAP:
+        raise PreconditionError(f"word depth {len(word)} exceeds the cap {DEPTH_CAP}")
+    a, b, c, d = _compose(system, word)
+    return CylinderInterval(*sorted((Fraction(b) / d, Fraction(a + b) / (c + d))), word)
 
 
 def verify_power_decay(system: DecaySystem, eps: float) -> DecayReport:

@@ -38,7 +38,7 @@ from ifslab.families import (
     validate_gap_system,
 )
 from ifslab.restrictions import parse_phi
-from ifslab.systems import NumericFailure, PreconditionError
+from ifslab.systems import NumericFailure, PreconditionError, cylinder_interval
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +66,23 @@ def _recurrence_reference(gs, n_top):
 
 
 def _with_map(gs, affine):
-    """gs with its system's affine map replaced; every other field kept."""
+    """gs with its system's affine map replaced; every other field kept.
+    The system's rate profile follows the new map."""
     return dataclasses.replace(gs, system=dataclasses.replace(gs.system, affine=affine))
+
+
+def _with_offset(affine, offset):
+    """A stand-in for an affine map that reads its offsets from ``offset``
+    and keeps the map's slopes and rate profile."""
+    return SimpleNamespace(**{**vars(affine), "offset": offset})
 
 
 class TestConstructors:
     def test_gauss_map_values(self):
+        # f_1(0) = 1 and f_3(1) = 1/4 are ends of the one-digit cylinders.
         gauss = make_gauss()
-        assert gauss.map_eval(1, 0) == 1
-        assert gauss.map_eval(3, 1) == Fraction(1, 4)
+        assert cylinder_interval(gauss, (1,)).hi == 1
+        assert cylinder_interval(gauss, (3,)).lo == Fraction(1, 4)
         assert gauss.affine is None
         assert gauss.decay == 2.0
 
@@ -110,7 +118,7 @@ class TestGapBuild:
         a1 = quad_gap.offset(1)
         assert a1 + _mpf_to_fraction(quad_gap._c_mpf) == 1
         assert float(a1) + quad_gap.C == pytest.approx(1.0, abs=4e-16)
-        assert quad_gap.system.map_eval(1, 1.0) == pytest.approx(1.0, abs=4e-16)
+        assert cylinder_interval(quad_gap.system, (1,)).hi == 1
 
     def test_ladder_prefix(self, quad_gap):
         assert quad_gap.ladder[:5] == (1, 6, 72, 6720, 47150889)
@@ -319,7 +327,9 @@ class TestGapValidation:
         mutant = AffineMap(c, quad_gap.decay, tuple(blocks))
         rep = validate_gap_system(_with_map(quad_gap, mutant), 10**4)
         assert not rep.all_pass
-        assert rep.disjoint and not rep.gaps_match
+        # The mutant's rates follow its C, and its decay certificate holds:
+        # the gaps alone fail.
+        assert rep.disjoint and rep.decaying and not rep.gaps_match
         assert rep.witness["gaps"]["index"] == index
         assert rep.witness["gaps"]["block"] == block
 
@@ -339,8 +349,7 @@ class TestGapValidation:
         def offset(i):
             return affine.offset(i) + (Fraction(1, 10**6) if i == 10 else 0)
 
-        tampered = SimpleNamespace(slope=affine.slope, offset=offset)
-        rep = validate_gap_system(_with_map(quad_gap, tampered), 50)
+        rep = validate_gap_system(_with_map(quad_gap, _with_offset(affine, offset)), 50)
         assert rep.witness["disjoint"] == {"index": 10}
         assert rep.witness["gaps"]["index"] == 10
         assert rep.witness["gaps"]["block"] == 1
@@ -361,7 +370,7 @@ class TestGapValidation:
                 calls.append(i)
                 return gs.system.affine.offset(i)
 
-            counting = SimpleNamespace(slope=gs.system.affine.slope, offset=offset)
+            counting = _with_offset(gs.system.affine, offset)
             assert validate_gap_system(_with_map(gs, counting), n_max).all_pass
             counts.append(len(calls))
         # The checks read the system's own offsets, a fixed number of times.
@@ -398,8 +407,7 @@ class TestGapValidation:
         def offset(i):
             return affine.offset(i) + (affine.slope(n) / 2 if i == n else 0)
 
-        tampered = SimpleNamespace(slope=affine.slope, offset=offset)
-        rep = validate_gap_system(_with_map(quad_gap, tampered), n + 2)
+        rep = validate_gap_system(_with_map(quad_gap, _with_offset(affine, offset)), n + 2)
         assert rep.witness["disjoint"] == {"index": n}
         assert rep.witness["gaps"]["index"] == n
         assert rep.witness["gaps"]["block"] == 6

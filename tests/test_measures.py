@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 
 from ifslab import dimension, measures
 from ifslab.dimension import bowen_root
-from ifslab.families import build_gap_system, make_gauss, make_linear_power
+from ifslab.families import AffineMap, build_gap_system, make_gauss, make_linear_power
 from ifslab.measures import (
     _INV_TABLE_MIN_DRAWS,
     _INV_TABLE_SPAN,
@@ -107,10 +107,12 @@ class TestFrostmanBuild:
 
     def test_level_masses_sum_to_one(self, layered):
         for n in range(1, layered.depth + 1):
-            masses = layered.level_masses(n)
+            lev = layered.level(n)
+            log_rates = np.array([layered.system.log_contract_lo(i) for i in lev.digits()])
+            masses = np.exp(lev.exponent * log_rates)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
             assert (masses > 0).all()
-            assert layered.level(n).mass_defect <= 1e-11
+            assert lev.mass_defect <= 1e-11
 
     def test_small_window_rejected_with_level_index(self, gauss):
         with pytest.raises(PreconditionError, match="level 1 window"):
@@ -199,7 +201,7 @@ class TestWindowExponent:
 
     def test_rejects_non_contracting_branch(self):
         # Rates 1, 1/2 and 1/3: the first never contracts.
-        toy = DecaySystem(scale=1.0, decay=1.0)
+        toy = DecaySystem(AffineMap(mpmath.mpf(1), 1.0))
         with pytest.raises(NumericFailure, match="ratio >= 1"):
             bowen_root(toy, "xi", 1, 3)
 
@@ -312,7 +314,7 @@ class TestVerifyFrostman:
             raise AssertionError(f"offset({i}) was read")
 
         system = dataclasses.replace(
-            layered_linpow.system, affine=SimpleNamespace(slope=affine.slope, offset=offset)
+            layered_linpow.system, affine=SimpleNamespace(**{**vars(affine), "offset": offset})
         )
         blind = dataclasses.replace(layered_linpow, system=system)
         assert verify_frostman(blind, 3) == verify_frostman(layered_linpow, 3)

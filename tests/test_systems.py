@@ -1,10 +1,12 @@
-"""Core-type tests: exact cylinders, length bounds, decay certification.
+"""Core-type tests: the derived rate profile, exact cylinders and the
+length sandwich on them, decay certification.
 
 Expected values for the reciprocal-shift family are frozen from hand
 calculations with exact rationals (the compositions below are two or three
 steps of 1/(x+n), checked by hand before implementation).
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -19,14 +21,14 @@ from ifslab.families import _mpf_to_fraction, build_gap_system, make_gauss, make
 from ifslab.restrictions import parse_phi
 from ifslab.systems import (
     DEPTH_CAP,
+    DecaySystem,
     NumericFailure,
     PreconditionError,
     _append_digits,
     _digit_table,
     _empty_words,
+    _log_rational,
     cylinder_interval,
-    cylinder_length_bounds,
-    project_point,
     verify_power_decay,
 )
 
@@ -36,6 +38,13 @@ F = Fraction
 @pytest.fixture(scope="module")
 def gauss():
     return make_gauss()
+
+
+def _image_of_one(word):
+    """f_w(1) for the Gauss maps: a composition of an even number of
+    decreasing maps increases, so 1 goes to the cylinder's upper end."""
+    c = cylinder_interval(make_gauss(), word)
+    return c.hi if len(word) % 2 == 0 else c.lo
 
 
 class TestCylinderInterval:
@@ -87,10 +96,16 @@ class TestCylinderInterval:
             assert a.hi <= b.lo
 
     def test_gauss_like_ordering(self, gauss):
-        # images move left as the branch index grows
-        for x in (F(0), F(1, 2), F(1)):
-            vals = [gauss.map_eval(i, x) for i in range(1, 101)]
-            assert all(u > v for u, v in zip(vals, vals[1:]))
+        # f_i(1) and f_i(0) are the ends of image i, which move left as the
+        # branch index grows.
+        images = [cylinder_interval(gauss, (i,)) for i in range(1, 101)]
+        assert [(c.lo, c.hi) for c in images[:3]] == [
+            (F(1, 2), 1),
+            (F(1, 3), F(1, 2)),
+            (F(1, 4), F(1, 3)),
+        ]
+        for ends in ([c.lo for c in images], [c.hi for c in images]):
+            assert all(u > v for u, v in zip(ends, ends[1:]))
 
 
 class TestLinearPowerCylinders:
@@ -179,7 +194,33 @@ def profiled_systems():
 
 class TestRateProfile:
     """contract_lo(i) = c*(i+t)**-d <= contract_hi(i) = c*i**-d, one formula
-    for every kind."""
+    for every kind, with (d, c, t) read off the branch geometry."""
+
+    def test_geometry_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(DecaySystem)] == ["affine"]
+        with pytest.raises(TypeError):
+            DecaySystem(decay=3.0, scale=0.5, shift=1)
+        with pytest.raises(AttributeError):
+            make_gauss().decay = 3.0
+
+    def test_family_less_system_is_gauss(self):
+        assert DecaySystem() == make_gauss()
+
+    @pytest.mark.parametrize(
+        "name,profile",
+        [
+            ("gauss", (2.0, 1.0, 1)),
+            ("linpow2", (2.0, 0.6079271018540267, 0)),
+            ("linpow3", (3.0, 0.8319073725807075, 0)),
+            # The gap system's scale is its normalizer C.
+            ("gap", (2.0, 0.38003226440612986, 0)),
+        ],
+    )
+    def test_profile_is_read_off_the_geometry(self, profiled_systems, name, profile):
+        # The values the families stored as fields before the profile was
+        # derived.
+        system = profiled_systems[name]
+        assert (system.decay, system.scale, system.shift) == profile
 
     @pytest.mark.parametrize("name", ["gauss", "linpow2", "linpow1.5", "gap"])
     def test_sandwich_and_log_forms(self, profiled_systems, name):
@@ -210,74 +251,65 @@ class TestRateProfile:
 
 
 class TestLengthBounds:
+    """The cylinder length lies between the products of the per-digit
+    rates contract_lo and contract_hi."""
+
     def test_gauss_single_digit(self, gauss):
-        b = cylinder_length_bounds(gauss, (2,))
-        assert b.lo == pytest.approx(1 / 9, rel=1e-15)
-        assert b.hi == pytest.approx(1 / 4, rel=1e-15)
-        # actual length 1/6 within
         c = cylinder_interval(gauss, (2,))
-        assert b.lo <= float(c.length) <= b.hi
-        assert float(c.length) == pytest.approx(1 / 6, rel=1e-15)
+        assert c.length == F(1, 6)
+        assert gauss.contract_lo(2) == pytest.approx(1 / 9, rel=1e-15)
+        assert gauss.contract_hi(2) == pytest.approx(1 / 4, rel=1e-15)
+        assert gauss.contract_lo(2) <= float(c.length) <= gauss.contract_hi(2)
 
     @given(st.lists(st.integers(1, 15), min_size=1, max_size=5))
     @settings(max_examples=120, deadline=None)
     def test_sandwich_on_words(self, word):
         gauss = make_gauss()
-        b = cylinder_length_bounds(gauss, word)
+        lo = math.prod(gauss.contract_lo(a) for a in word)
+        hi = math.prod(gauss.contract_hi(a) for a in word)
         length = float(cylinder_interval(gauss, word).length)
-        assert b.lo * (1 - 1e-12) <= length <= b.hi * (1 + 1e-12)
-
-    def test_product_structure(self, gauss):
-        b1 = cylinder_length_bounds(gauss, (3,))
-        b2 = cylinder_length_bounds(gauss, (7,))
-        b12 = cylinder_length_bounds(gauss, (3, 7))
-        assert b12.lo == pytest.approx(b1.lo * b2.lo, rel=1e-12)
-        assert b12.hi == pytest.approx(b1.hi * b2.hi, rel=1e-12)
+        assert lo * (1 - 1e-12) <= length <= hi * (1 + 1e-12)
 
     def test_linear_power_exact_ratio(self):
         sys2 = make_linear_power(2)
-        b = cylinder_length_bounds(sys2, (3,))
-        expect = sys2.scale * 3 ** -2.0
-        assert b.lo == pytest.approx(expect, rel=1e-12)
-        assert b.hi == pytest.approx(expect, rel=1e-12)
+        length = float(cylinder_interval(sys2, (3,)).length)
+        assert length == pytest.approx(sys2.scale * 3 ** -2.0, rel=1e-12)
+        assert length == pytest.approx(sys2.contract_lo(3), rel=1e-12)
 
     def test_log_fields_survive_underflow(self, gauss):
-        word = (10**9,) * 50  # product ~ 1e-900, far below float range
-        b = cylinder_length_bounds(gauss, word)
-        assert b.lo == 0.0 and b.underflowed
-        assert b.log_lo == pytest.approx(-50 * 2 * math.log(10**9 + 1), rel=1e-12)
-
-    def test_empty_word_rejected(self, gauss):
-        with pytest.raises(PreconditionError):
-            cylinder_length_bounds(gauss, ())
+        word = (10**9,) * 50  # length ~ 1e-900, far below float range
+        assert math.prod(gauss.contract_lo(a) for a in word) == 0.0
+        log_lo = sum(gauss.log_contract_lo(a) for a in word)
+        log_hi = sum(gauss.log_contract_hi(a) for a in word)
+        assert log_lo == pytest.approx(-50 * 2 * math.log(10**9 + 1), rel=1e-12)
+        assert log_lo <= _log_rational(cylinder_interval(gauss, word).length) <= log_hi
 
 
 class TestProjectPoint:
-    def test_single_digit(self, gauss):
-        pt, err = project_point(gauss, (1,))
-        assert pt == F(1, 2)
-        assert err <= F(1, 2)
+    """The image of 1 under a word's composition, an end of its cylinder,
+    approximates every infinite extension of the word to within the
+    cylinder's length."""
 
-    def test_word_2_2(self, gauss):
+    def test_single_digit(self):
+        assert _image_of_one((1,)) == F(1, 2)
+
+    def test_word_2_2(self):
         # f_2(f_2(1)) = 1/(2 + 1/3) = 3/7
-        pt, err = project_point(gauss, (2, 2))
-        assert pt == F(3, 7)
-        assert err == cylinder_interval(gauss, (2, 2)).length
+        assert _image_of_one((2, 2)) == F(3, 7)
 
     def test_golden_ratio_convergents(self, gauss):
         # all-ones words converge to (sqrt(5) - 1) / 2
         golden = (math.sqrt(5) - 1) / 2
         for n in (5, 10, 20):
-            pt, err = project_point(gauss, (1,) * n)
-            assert abs(float(pt) - golden) <= float(err)
+            err = cylinder_interval(gauss, (1,) * n).length
+            assert abs(float(_image_of_one((1,) * n)) - golden) <= float(err)
         assert float(err) < 1e-8
 
     def test_error_bound_covers_extensions(self, gauss):
         word = (2, 3)
-        pt, err = project_point(gauss, word)
+        pt, err = _image_of_one(word), cylinder_interval(gauss, word).length
         for extra in ((1,), (4, 4), (9, 1, 7)):
-            ext, _ = project_point(gauss, word + extra)
-            assert abs(ext - pt) <= err
+            assert abs(_image_of_one(word + extra) - pt) <= err
 
 
 def _scan_threshold(system, eps, i_max):
