@@ -49,7 +49,6 @@ from .measures import (  # noqa: E402
     digit_transition,
     frostman_mass,
     local_dim_estimate,
-    sample_digits,
     verify_frostman,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "make_linear_power",
     "parse_phi",
     "predict_dimensions",
-    "sample_digits",
     "subsystem_dim_bounds",
     "validate_gap_system",
     "verify_frostman",

@@ -262,16 +262,12 @@ def bowen_root(
 def subsystem_dim_bounds(
     system: DecaySystem, k: int, m: int, tol: float = 1e-10
 ) -> tuple:
-    """(lower, upper) pressure-root estimates from the two rate bounds.
-
-    The xi rates at k..m are the power profile at k + shift..m + shift, the
-    lambda rates the same profile at k..m.  The upper bound is capped at 1
-    (and flagged) when the upper rates include a non-contracting ratio, as
-    they do for the first Gauss map.
+    """(lower, upper) pressure-root estimates from the two rate bounds: the
+    xi and lambda Bowen roots of the band k..m.  The upper bound is capped
+    at 1 (and flagged) when the upper rates include a non-contracting
+    ratio, as they do for the first Gauss map.
     """
-    _check_band(k, m, tol)
-    t = system.shift
-    lower = _pressure_root(system, k + t, m + t, tol)
+    lower = bowen_root(system, "xi", k, m, tol)
     if math.log(system.scale) - system.decay * math.log(k) >= 0:
         upper = DimensionEstimate(
             value=1.0,
@@ -280,7 +276,7 @@ def subsystem_dim_bounds(
             diagnostics={"capped": True, "terms": m - k + 1},
         )
     else:
-        upper = _pressure_root(system, k, m, tol)
+        upper = bowen_root(system, "lambda", k, m, tol)
     return lower, upper
 
 

@@ -76,7 +76,11 @@ def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
     Only the series C * (zeta_2 - zeta(d, i+1)) + G(i) is rounded (once, at
     _prec(d, i) bits; zeta_2's rounding is common to all offsets); at i = 1
     it is exactly 0, so a_1 = 1 - C exactly and image 1 ends flush at 1.
+    The tiling needs the lengths to sum, so d <= 1 is a PreconditionError:
+    there zeta(d, i+1) is infinite (d = 1) or an analytic continuation.
     """
+    if not decay > 1:
+        raise PreconditionError(f"an affine tiling needs decay d > 1, got {decay}")
     with mpmath.workprec(_prec(decay, i)):
         lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
         gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
@@ -98,7 +102,8 @@ class AffineMap:
     an offset a Hurwitz zeta: lengths read slopes only.  ``blocks`` is
     kept: it is empty for a gapless tiling.  So are ``decay`` and the
     float ``scale`` of C, the rate profile's d and c, set once here so
-    that no rate read converts an mpf.
+    that no rate read converts an mpf.  A map with d <= 1 carries rates
+    alone: reading one of its offsets is a PreconditionError.
     """
 
     def __init__(self, c_mpf, decay: float, blocks: tuple = ()):
@@ -158,7 +163,8 @@ class GapSystem:
 
     system: the DecaySystem view; its affine map is the
         AffineMap of (C, d, blocks): exact slope(i) = C * i**-d and
-        offset(i) = a_i at any index, cached per map.
+        offset(i) = a_i at any index, cached per map.  Offsets are read
+        there, as ``system.affine.offset(i)``.
     C: normalizing constant (float view of the extended-precision value).
     C_bracket: certified interval for C from the truncated normalizer.
     ladder: the construction's own index ladder, starting at 1.
@@ -176,10 +182,6 @@ class GapSystem:
     blocks: tuple
     tail_bound: float
     _c_mpf: object = field(repr=False)
-
-    def offset(self, i: int) -> object:
-        """Left endpoint a_i of image i (an exact rational)."""
-        return self.system.affine.offset(i)
 
 
 def _gap_blocks(windows, c_mpf) -> tuple:
@@ -347,8 +349,9 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     checked = sorted(n for n in edges.union(_GAP_HEAD) if 2 <= n <= n_max)
     witness: dict = {}
     disjoint = gaps_match = True
-    top = gs.offset(1) + _mpf_to_fraction(gs._c_mpf)  # right end of the first image
-    a_nmax = gs.offset(n_max)
+    offset = gs.system.affine.offset
+    top = offset(1) + _mpf_to_fraction(gs._c_mpf)  # right end of the first image
+    a_nmax = offset(n_max)
     contained = 0 <= a_nmax and top <= 1
     if not contained:
         witness["contained"] = {"a_nmax": float(a_nmax), "top": float(top)}
@@ -357,7 +360,7 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
         # Outside the gap blocks consecutive images share an endpoint, so
         # both checks tolerate rounding there, absolute and relative.
         tol = min(Fraction(1, 2**100), ratio / 2**64)
-        realized = gs.offset(n - 1) - (gs.offset(n) + ratio)
+        realized = offset(n - 1) - (offset(n) + ratio)
         if disjoint and realized < -tol:
             disjoint = False
             witness["disjoint"] = {"index": n}

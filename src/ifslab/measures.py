@@ -10,15 +10,16 @@ that comparison with log cylinder lengths formed from exact continuants or
 exact slopes.
 
 The second is a Markov measure on unbounded digit words whose conditional
-law from digit i is a power tail supported on j >= ceil(i**alpha).  It
-comes with exact inverse-CDF sampling on the tail and a Monte Carlo
-estimator that regresses cylinder masses against bracketed neighborhood
-lengths to read off the local dimension.  Every sampled digit is the
-certified crossing index of the power-sum core: draws sharing a window
-start are answered together, from one cumulative table when at least
-_INV_TABLE_MIN_DRAWS share it and the target clears the table's rounding
-bound, otherwise by the crossing search, and the route never changes a
-digit.  The estimator runs level by level over a block of samples;
+law from digit i is a power tail supported on j >= ceil(i**alpha).  A
+Monte Carlo estimator samples its chains, by exact inverse CDF on the tail
+while window starts stay within _CHAIN_EXACT_CAP, and regresses cylinder
+masses against bracketed neighborhood lengths to read off the local
+dimension.  That chain is the one place digits are drawn.  Every exact
+digit is the certified crossing index of the power-sum core: draws sharing
+a window start are answered together, from one cumulative table when at
+least _INV_TABLE_MIN_DRAWS share it and the target clears the table's
+rounding bound, otherwise by the crossing search, and the route never
+changes a digit.  The estimator runs level by level over a block of samples;
 sample k draws its uniforms from its own spawned Philox child, the n-th
 feeding level n, and every chain step is elementwise, so no sample reads
 another.  That is what lets the blocks run apart, one per usable CPU, the
@@ -51,10 +52,9 @@ _VERIFY_SAMPLE_CAP = 100_000
 _VERIFY_ROWS = 2**16
 _INT64_MAX = 2**63 - 1
 
-# Exact tail inversion works on integer window starts up to this; the
-# local-dimension chain switches to the continuous log-domain tail earlier
-# (its digits never need to be materialized).
-_EXACT_START_CAP = 2**52
+# The local-dimension chain draws exact digits from window starts up to
+# this and switches to the continuous log-domain tail past it (its digits
+# never need to be materialized).
 _CHAIN_EXACT_CAP = 10**6
 
 # Inverse-CDF tables: one cumulative block over the first terms past a
@@ -90,9 +90,6 @@ class FrostmanLevel:
     window: inclusive digit range (lo, hi) feeding this level; lo is the
         first index past the restriction of the previous ladder value and
         hi is the next ladder value.
-    trimmed: the window minus its two extreme-image digits.  Branch images
-        are strictly ordered by index in every family (larger index,
-        further left), so the trimmed range is (lo + 1, hi - 1).
     exponent: s_n solving sum over the window of contract_lo(i)**s_n = 1,
         the xi Bowen root of the window (dimension.bowen_root, tol 1e-10).
     mass_defect: |P - 1|, P the midpoint of the certified bracket of that
@@ -102,16 +99,15 @@ class FrostmanLevel:
 
     index: int
     window: tuple
-    trimmed: tuple
     exponent: float
     mass_defect: float
 
     @property
-    def size(self) -> int:
-        return self.window[1] - self.window[0] + 1
-
-    def digits(self) -> range:
-        return range(self.window[0], self.window[1] + 1)
+    def trimmed(self) -> tuple:
+        """The window minus its two extreme-image digits.  Branch images are
+        strictly ordered by index in every family (larger index, further
+        left), so the trimmed range is (lo + 1, hi - 1)."""
+        return (self.window[0] + 1, self.window[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -123,24 +119,21 @@ class FrostmanMeasure:
     gives mass zero.  Every exponent satisfies s_n >= 1/d - eps (the window
     reaches past the ladder crossing, where the 1/d - eps power sum already
     exceeds one), which is what makes the mass-length comparison in
-    ``verify_frostman`` provable rather than empirical.
+    ``verify_frostman`` provable rather than empirical.  ``levels[n - 1]``
+    is level n; eps is the ladder's and depth the number of levels.
     """
 
     system: DecaySystem
-    eps: float
     ladder: Ladder
     levels: tuple
 
     @property
+    def eps(self) -> float:
+        return self.ladder.eps
+
+    @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def level(self, n: int) -> FrostmanLevel:
-        if not 1 <= n <= self.depth:
-            raise PreconditionError(
-                f"level {n} out of range for a depth-{self.depth} measure"
-            )
-        return self.levels[n - 1]
 
 
 def build_frostman_measure(
@@ -179,12 +172,11 @@ def build_frostman_measure(
             FrostmanLevel(
                 index=n,
                 window=(lo, hi),
-                trimmed=(lo + 1, hi - 1),
                 exponent=root.value,
                 mass_defect=abs(root.diagnostics["residual"]),
             )
         )
-    return FrostmanMeasure(system=system, eps=eps, ladder=ladder, levels=tuple(levels))
+    return FrostmanMeasure(system=system, ladder=ladder, levels=tuple(levels))
 
 
 def frostman_mass(
@@ -238,10 +230,10 @@ def _seed_root(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(seed))
 
 
-def _sampled_words(windows: list, count: int, seed: int):
+def _sampled_words(windows: list, count: int, root: np.random.SeedSequence):
     """``count`` words drawn uniformly from the window product, in blocks.
 
-    Rows come from the seed's Philox stream one word at a time, digit by
+    Rows come from the root's Philox stream one word at a time, digit by
     digit, so every block holds the same words as scalar draws in that
     order.  Digits are int64, so a window past 2**63 - 1 cannot be drawn.
     """
@@ -251,7 +243,7 @@ def _sampled_words(windows: list, count: int, seed: int):
                 f"level {n} window ({lo}..{hi}) lies past int64; sampled "
                 "digits stop at 2**63 - 1"
             )
-    rng = np.random.Generator(np.random.Philox(_seed_root(seed)))
+    rng = np.random.Generator(np.random.Philox(root))
     lows = [lo for lo, _ in windows]
     highs = [hi + 1 for _, hi in windows]
     for first in range(0, count, _VERIFY_ROWS):
@@ -292,9 +284,11 @@ def verify_frostman(
     from systems._append_digits, from exact continuants or exact slopes.
     The witness is the first failing word in draw or enumeration order.
     A depth below 1 or a sample_cap below 1 is rejected, since either would
-    pass without checking any word.  A sampled window past int64 raises
+    pass without checking any word, and so is a seed that is not an integer
+    >= 0, on either route.  A sampled window past int64 raises
     NumericFailure.
     """
+    root = _seed_root(seed)
     if sample_cap < 1:
         raise PreconditionError(f"sample_cap must be >= 1, got {sample_cap}")
     if not 1 <= depth <= measure.depth:
@@ -306,7 +300,7 @@ def verify_frostman(
     total = math.prod(hi - lo + 1 for lo, hi in windows)
     sampled = total > sample_cap
     if sampled:
-        blocks = _sampled_words(windows, sample_cap, seed)
+        blocks = _sampled_words(windows, sample_cap, root)
     else:
         blocks = _enumerated_words(windows, total)
     checked = passed = 0
@@ -481,46 +475,6 @@ def _tail_quantiles(measure: PowerLawDigitMeasure, start: int, us: Sequence[floa
         if digits[pos] is None:
             digits[pos] = first_index_reaching(start, p, target).index
     return digits
-
-
-def sample_digits(
-    measure: PowerLawDigitMeasure, depth: int, seed: int = 0
-) -> tuple:
-    """Draw one digit word of the given depth, deterministically in seed.
-
-    The first digit is the measure's fixed start; every later digit is the
-    certified inverse-CDF draw of ``_tail_quantiles`` on one uniform (a
-    single draw never builds a table).  Window starts grow like a power
-    tower, so past a few levels they leave the exact-arithmetic budget;
-    that raises with the achieved depth in the message.
-    """
-    if not isinstance(depth, int) or depth < 1:
-        raise PreconditionError(f"depth must be an integer >= 1, got {depth}")
-    rng = np.random.Generator(np.random.Philox(_seed_root(seed)))
-    word = [measure.first_digit]
-    log_cap = math.log(_EXACT_START_CAP)
-    for n in range(2, depth + 1):
-        i = word[-1]
-        if measure.alpha * math.log(i) > log_cap:
-            raise NumericFailure(
-                f"window start past digit {n - 1} exceeds the exact sampling "
-                f"budget; achieved depth {n - 1} of {depth}"
-            )
-        start = measure.support_start(i)
-        if start > _EXACT_START_CAP:
-            raise NumericFailure(
-                f"window start {start} at position {n} exceeds the exact "
-                f"sampling budget; achieved depth {n - 1} of {depth}"
-            )
-        u = rng.random()
-        try:
-            j = _tail_quantiles(measure, start, [u])[0]
-        except NumericFailure as e:
-            raise NumericFailure(
-                f"{e}; achieved depth {n - 1} of {depth}"
-            ) from e
-        word.append(j)
-    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, f
 class ReachResult:
     """Smallest index where a running power sum reaches a target.
 
-    index: minimal L with coeff * S(start, L, p) >= target, by the certified
+    index: minimal L with S(start, L, p) >= target, by the certified
         route described below.
     certified: True when the bracket arithmetic separates L from L-1, so the
         minimality is proven; False when the crossing fell inside bracket
@@ -448,8 +448,8 @@ class _Keys:
         return -b.p * (la + l1) + math.log(math.ulp(r)) + la - b.k * _LN2
 
 
-def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0) -> ReachResult:
-    """Minimal L >= start with coeff * sum_{i=start}^{L} i**(-p) >= target.
+def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
+    """Minimal L >= start with sum_{i=start}^{L} i**(-p) >= target.
 
     The search runs over the keys of ``_Keys``, all probes on one bracket
     function.  It probes the relative-form seed (re-seeded from its stop
@@ -474,13 +474,11 @@ def first_index_reaching(start: int, p: float, target: float, coeff: float = 1.0
     """
     if target <= 0:
         return ReachResult(start, True, 0)
-    if coeff <= 0:
-        raise ValueError("coeff must be positive")
     if start < 1:
         raise ValueError("power sums start at index 1")
     if p <= 0:
         raise ValueError("exponent p must be positive")
-    goal = target / coeff
+    goal = target
     brackets, log_y = _search_brackets(start, p, goal)
     keys = _Keys(brackets)
     n0 = keys.n0

@@ -236,7 +236,7 @@ def _ladder_step(n: int, start: int, coeff: float, p: float, shift: int = 0) -> 
         raise NumericFailure(
             f"ladder step {n}: index near 2**{start.bit_length()} exceeds the term budget"
         )
-    res = first_index_reaching(start + shift, p, 1.0, coeff)
+    res = first_index_reaching(start + shift, p, 1.0 / coeff)
     return res.index - shift + 1, res.certified
 
 

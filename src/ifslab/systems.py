@@ -173,20 +173,17 @@ class DecayReport:
     threshold: smallest index K such that for every k >= K
         k**(-d-eps) <= contract_lo(k)/scale and
         contract_hi(k)/scale <= k**(-d+eps), read off the rate profile.
-    coeff_lo/coeff_hi: contract_lo(1) and contract_hi(1), the tightest
-        constants making the sandwich valid from index 1 on the raw bounds:
-        coeff_lo * k**(-d-eps) <= contract_lo(k),
-        contract_hi(k) <= coeff_hi * k**(-d+eps).
+        From index 1 on, the sandwich holds on the raw rates with the
+        constants contract_lo(1) and contract_hi(1):
+        contract_lo(1) * k**(-d-eps) <= contract_lo(k),
+        contract_hi(k) <= contract_hi(1) * k**(-d+eps).
     comp_depth/comp_bound: uniform-contraction certificate; every
         comp_depth-fold composition with digits <= _COMP_DIGIT_CAP has
         sup over [0, 1] of |derivative| <= comp_bound < 1, the sup read
         exactly from the composition's matrix.
     """
 
-    eps: float
     threshold: int
-    coeff_lo: float
-    coeff_hi: float
     comp_depth: int
     comp_bound: float
 
@@ -305,8 +302,8 @@ def verify_power_decay(system: DecaySystem, eps: float) -> DecayReport:
     lower half reads d * log1p(t / k) <= eps * log(k), whose left side
     falls and right side rises with k.  So threshold, the smallest k where
     it holds (by doubling, then bisection), starts a sandwich that holds at
-    every k >= threshold.  coeff_lo/coeff_hi are the rates at index 1:
-    contract_lo(k) * k**(d + eps) rises with k and contract_hi(k) *
+    every k >= threshold.  From index 1 the constants are the rates at
+    index 1: contract_lo(k) * k**(d + eps) rises with k and contract_hi(k) *
     k**(d - eps) falls.  The composition certificate takes the first depth
     m <= 8 at which every word with digits <= _COMP_DIGIT_CAP has
     sup |f_w'| < 1 over [0, 1].
@@ -342,11 +339,4 @@ def verify_power_decay(system: DecaySystem, eps: float) -> DecayReport:
             break
     else:
         raise NumericFailure("no composition depth m <= 8 contracts uniformly on the sample")
-    return DecayReport(
-        eps=eps,
-        threshold=hi,
-        coeff_lo=system.contract_lo(1),
-        coeff_hi=system.contract_hi(1),
-        comp_depth=m,
-        comp_bound=worst,
-    )
+    return DecayReport(threshold=hi, comp_depth=m, comp_bound=worst)

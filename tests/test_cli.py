@@ -8,12 +8,14 @@ other tests compare CLI output against direct library calls or assert
 structural contracts from docs/report_schema.md.
 """
 
+import ast
 import csv
 import itertools
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -111,6 +113,15 @@ class TestDocumentedExamples:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["results"]["count"] == 3
         assert "wall" in proc.stderr  # timing goes to stderr, not the report
+
+    def test_readme_library_snippet(self, capsys):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        exec(snippet, {})
+        root, ladder, dims = capsys.readouterr().out.splitlines()
+        assert root == "0.627651267627107" and round(float(root), 3) == 0.628
+        assert ladder == "(9, 19, 34, 57)"
+        assert ast.literal_eval(dims) == {"hausdorff": 1 / 3, "packing": 0.5}
 
 
 class TestEnvelope:
@@ -378,6 +389,15 @@ class TestExitCodes:
         code, _, _ = _invoke(
             tmp_path, "frostman", "--system", "gauss", "--phi", "lin:1", "--eps", "0.1",
             "--depth", "3", "--sample-cap", "60", "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_enumerated_frostman_seed_is_2(self, tmp_path, capsys):
+        # Depth 2 has 150 words, under the default sample cap: no draw is made.
+        code, _, _ = _invoke(
+            tmp_path, "frostman", "--system", "gauss", "--phi", "lin:1", "--eps", "0.1",
+            "--depth", "2", "--seed", "-1",
         )
         assert code == 2
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err

@@ -38,7 +38,7 @@ from ifslab.families import (
     validate_gap_system,
 )
 from ifslab.restrictions import parse_phi
-from ifslab.systems import NumericFailure, PreconditionError, cylinder_interval
+from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, cylinder_interval
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,17 @@ class TestConstructors:
         with pytest.raises(PreconditionError):
             make_linear_power(0.5)
 
+    @pytest.mark.parametrize("d", [1.0, 0.5, -1.0])
+    def test_affine_tiling_needs_decay_past_one(self, d):
+        # The map builds, and its rates stand; its geometry is refused, where
+        # zeta(d, i+1) is infinite (d = 1) or an analytic continuation.
+        system = DecaySystem(AffineMap(mpmath.mpf(0.5), d))
+        assert system.decay == d and system.contract_hi(1) == 0.5
+        with pytest.raises(PreconditionError, match="decay d > 1"):
+            cylinder_interval(system, (2,))
+        with pytest.raises(PreconditionError, match="decay d > 1"):
+            system.affine.offset(1)
+
     def test_linear_power_cubic_ratio(self):
         cubic = make_linear_power(3.0)
         assert cubic.contract_hi(1) / cubic.contract_hi(2) == pytest.approx(
@@ -115,7 +126,7 @@ class TestGapBuild:
         assert quad_gap.C == pytest.approx(0.38003226440612975, abs=1e-12)
 
     def test_first_interval_right_flush(self, quad_gap):
-        a1 = quad_gap.offset(1)
+        a1 = quad_gap.system.affine.offset(1)
         assert a1 + _mpf_to_fraction(quad_gap._c_mpf) == 1
         assert float(a1) + quad_gap.C == pytest.approx(1.0, abs=4e-16)
         assert cylinder_interval(quad_gap.system, (1,)).hi == 1
@@ -195,9 +206,9 @@ class TestGapBuild:
 
 class TestGapOffsets:
     def test_strictly_decreasing(self, quad_gap):
-        prev = quad_gap.offset(1)
+        prev = quad_gap.system.affine.offset(1)
         for n in range(2, 2001):
-            cur = quad_gap.offset(n)
+            cur = quad_gap.system.affine.offset(n)
             assert cur < prev
             prev = cur
 
@@ -206,14 +217,14 @@ class TestGapOffsets:
         # interval length C * n**-d.
         with mpmath.workprec(160):
             for n in (8, 20, 36, 100, 1000, 5000):
-                step = quad_gap.offset(n - 1) - quad_gap.offset(n)
+                step = quad_gap.system.affine.offset(n - 1) - quad_gap.system.affine.offset(n)
                 want = _mpf_to_fraction(quad_gap._c_mpf * mpmath.mpf(n) ** -2)
                 assert float(abs(step - want) / want) < 1e-25
 
     def test_adjacency_inside_blocks(self, quad_gap):
         with mpmath.workprec(160):
             for n, j in ((3, 1), (40, 2), (6000, 3)):
-                step = quad_gap.offset(n - 1) - quad_gap.offset(n)
+                step = quad_gap.system.affine.offset(n - 1) - quad_gap.system.affine.offset(n)
                 want = quad_gap._c_mpf * mpmath.mpf(n) ** -2 + quad_gap.blocks[j - 1].gap
                 want = _mpf_to_fraction(want)
                 assert float(abs(step - want) / want) < 1e-25
@@ -227,7 +238,7 @@ class TestGapOffsets:
             expect = quad_gap._c_mpf * mpmath.zeta(2, N + 1)
             for b in quad_gap.blocks:
                 expect += b.gap * max(0, b.end - max(b.start - 1, N))
-            defect = abs(quad_gap.offset(N) - _mpf_to_fraction(expect))
+            defect = abs(quad_gap.system.affine.offset(N) - _mpf_to_fraction(expect))
         assert float(defect) <= quad_gap.tail_bound
 
     def test_adjacency_at_large_indices(self, quad_gap):
@@ -244,7 +255,7 @@ class TestGapOffsets:
         for i in (5, 7):
             a, slope = quad_gap.system.affine.offset(i), quad_gap.system.affine.slope(i)
             assert isinstance(a, Fraction) and isinstance(slope, Fraction)
-            assert quad_gap.offset(i) is a
+            assert quad_gap.system.affine.offset(i) is a
 
     def test_system_has_no_mutable_field(self, quad_gap):
         for f in dataclasses.fields(quad_gap):
@@ -260,8 +271,9 @@ class TestGapOffsets:
             gs = build_gap_system(parse_phi(phi), d, eps)
         edges = {n for b in gs.blocks for n in (b.start, b.end) if n <= 200_000}
         ref = _recurrence_reference(gs, max(2000, *edges))
+        offset = gs.system.affine.offset
         worst = max(
-            abs(gs.offset(n) - _mpf_to_fraction(ref[n])) for n in edges.union(range(1, 2001))
+            abs(offset(n) - _mpf_to_fraction(ref[n])) for n in edges.union(range(1, 2001))
         )
         assert worst <= Fraction(1, 2**120)
 

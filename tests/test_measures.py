@@ -54,7 +54,6 @@ from ifslab.measures import (
     digit_transition,
     frostman_mass,
     local_dim_estimate,
-    sample_digits,
     verify_frostman,
 )
 from ifslab.powersum import first_index_reaching, power_sum_brackets
@@ -107,8 +106,9 @@ class TestFrostmanBuild:
 
     def test_level_masses_sum_to_one(self, layered):
         for n in range(1, layered.depth + 1):
-            lev = layered.level(n)
-            log_rates = np.array([layered.system.log_contract_lo(i) for i in lev.digits()])
+            lev = layered.levels[n - 1]
+            lo, hi = lev.window
+            log_rates = np.array([layered.system.log_contract_lo(i) for i in range(lo, hi + 1)])
             masses = np.exp(lev.exponent * log_rates)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
             assert (masses > 0).all()
@@ -126,12 +126,6 @@ class TestFrostmanBuild:
             build_frostman_measure(gauss, phi, 0.6, 2)
         with pytest.raises(PreconditionError):
             build_frostman_measure(gauss, phi, -0.1, 2)
-
-    def test_level_lookup_bounds(self, layered):
-        with pytest.raises(PreconditionError):
-            layered.level(0)
-        with pytest.raises(PreconditionError):
-            layered.level(4)
 
 
 # (system, phi, depth) for the level roots checked against mpmath; eps 0.1.
@@ -387,7 +381,7 @@ def _with_windows(measure, windows):
     """The measure with its first levels moved onto the given windows."""
     levels = list(measure.levels)
     for n, (lo, hi) in enumerate(windows):
-        levels[n] = dataclasses.replace(levels[n], window=(lo, hi), trimmed=(lo + 1, hi - 1))
+        levels[n] = dataclasses.replace(levels[n], window=(lo, hi))
     return dataclasses.replace(measure, levels=tuple(levels))
 
 
@@ -585,35 +579,6 @@ class TestPowerLawMeasure:
 
 
 class TestSampling:
-    def test_deterministic_in_seed(self, quad_measure):
-        w1 = sample_digits(quad_measure, 4, seed=7)
-        w2 = sample_digits(quad_measure, 4, seed=7)
-        assert w1 == w2
-        assert sample_digits(quad_measure, 4, seed=8) != w1
-
-    def test_first_digit_and_support(self, quad_measure):
-        # a heavy-tail draw can push the next window start past the exact
-        # budget even at depth 3; those seeds raise and are skipped
-        completed = 0
-        for seed in range(200):
-            try:
-                word = sample_digits(quad_measure, 3, seed=seed)
-            except NumericFailure:
-                continue
-            completed += 1
-            assert word[0] == 2
-            for a, b in zip(word, word[1:]):
-                assert b >= quad_measure.support_start(a)
-        assert completed >= 190
-
-    def test_budget_error_reports_achieved_depth(self, quad_measure):
-        with pytest.raises(NumericFailure, match="achieved depth"):
-            sample_digits(quad_measure, 40, seed=0)
-
-    def test_bad_depth(self, quad_measure):
-        with pytest.raises(PreconditionError):
-            sample_digits(quad_measure, 0, seed=0)
-
     def test_quantile_matches_certified_scan_past_table_range(self, quad_measure):
         # Start 2e6 gets no table; the smaller starts get one, and these u
         # put the target past its last entry.
@@ -633,10 +598,10 @@ class TestSampling:
         assert all(a <= b for a, b in zip(qs, qs[1:]))
 
     def test_empirical_second_digit_frequencies(self, quad_measure):
+        # Second digits after the first digit 2: draws from the window start 4.
         n = 20_000
-        counts = Counter(
-            sample_digits(quad_measure, 2, seed=k)[1] for k in range(n)
-        )
+        us = np.random.default_rng(7).random(n)
+        counts = Counter(_tail_quantiles(quad_measure, quad_measure.support_start(2), us))
         for j in range(4, 11):
             p = digit_transition(quad_measure, 2, j)
             se = math.sqrt(p * (1.0 - p) / n)
@@ -1149,9 +1114,10 @@ class TestSeeds:
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_bad_seeds_are_precondition_errors(self, gauss, quad_measure, layered, seed):
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
-            sample_digits(quad_measure, 4, seed=seed)
-        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             verify_frostman(layered, 3, sample_cap=50, seed=seed)
+        # Depth 1 has 10 words, under the cap, so they are enumerated.
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            verify_frostman(layered, 1, sample_cap=50, seed=seed)
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             local_dim_estimate(quad_measure, gauss, 200, 8, seed=seed)
 
@@ -1165,9 +1131,6 @@ class TestSeeds:
         assert forced_blocks.forked == []
 
     def test_numpy_integer_seeds_act_as_ints(self, gauss, quad_measure, layered):
-        assert sample_digits(quad_measure, 4, seed=np.int64(7)) == sample_digits(
-            quad_measure, 4, seed=7
-        )
         assert verify_frostman(layered, 3, sample_cap=50, seed=np.uint32(5)) == (
             verify_frostman(layered, 3, sample_cap=50, seed=5)
         )

