@@ -223,10 +223,10 @@ def _cmd_ladder(args):
 
 def _cmd_words(args):
     phi = parse_phi(args.phi)
-    count = count_restricted_words(phi, args.depth, args.cap, strict=args.strict)
+    count = count_restricted_words(phi, args.depth, args.cap)
     results = {"count": count}
     if count <= _WORD_LIST_CAP:
-        words = enumerate_restricted_words(phi, args.depth, args.cap, strict=args.strict)
+        words = enumerate_restricted_words(phi, args.depth, args.cap)
         results["words"] = [list(word) for word in words]
     else:
         results["words_truncated"] = True
@@ -290,17 +290,20 @@ def _cmd_frostman(args):
     report = verify_frostman(
         measure, args.verify_depth, sample_cap=args.sample_cap, seed=args.seed
     )
+    # trimmed drops the window's two extreme-image digits.  Branch images
+    # are strictly ordered by index in every family (larger index, further
+    # left), so those are lo and hi.
     return {
         "ladder": list(measure.ladder.values),
         "levels": [
             {
-                "index": lv.index,
-                "window": list(lv.window),
-                "trimmed": list(lv.trimmed),
+                "index": n,
+                "window": [lo, hi],
+                "trimmed": [lo + 1, hi - 1],
                 "exponent": lv.exponent,
                 "mass_defect": lv.mass_defect,
             }
-            for lv in measure.levels
+            for n, (lv, (lo, hi)) in enumerate(zip(measure.levels, measure.ladder.windows), 1)
         ],
         "verify": {
             "depth": report.depth,
@@ -417,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
     _add_output_flags(p)
 
     p = subs.add_parser("cover", help="cover sum over admissible cylinders")
@@ -516,6 +518,13 @@ def _extract_field(results, dotted: str):
     return cur
 
 
+def _long_flags(command: str) -> set:
+    """A subcommand's flags but help.  A battery key must name one whole,
+    where argparse would expand a prefix."""
+    subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(subs.choices[command]._option_string_actions) - {"-h", "--help"}
+
+
 def _battery_experiments(cfg: configparser.ConfigParser, out_dir: pathlib.Path) -> list:
     experiments = []
     for name in cfg.sections():
@@ -547,15 +556,12 @@ def _battery_experiments(cfg: configparser.ConfigParser, out_dir: pathlib.Path) 
         flags = []
         for key, val in section.items():
             flag = "--" + key.replace("_", "-")
+            if flag not in _long_flags(command):
+                raise PreconditionError(f"experiment {name!r}: {command} has no flag {flag}")
             low = val.strip().lower()
             if low == "true":
                 flags.append(flag)
-            elif low == "false":
-                # BooleanOptionalAction flags take --no-<flag>; store_true
-                # flags are simply omitted when false.
-                if key == "strict":
-                    flags.append("--no-strict")
-            else:
+            elif low != "false":
                 flags.extend([flag, val])
         out_path = out_dir / f"{name}.json"
         argv = [command, *flags, "--out", str(out_path), "--format", "json"]

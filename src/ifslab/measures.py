@@ -85,11 +85,10 @@ _BLOCK_MIN_SAMPLES = 100
 
 @dataclass(frozen=True)
 class FrostmanLevel:
-    """One level of the layered measure.
+    """One level of the layered measure; level n feeds on the ladder's
+    window n, the inclusive digit range (lo, hi) from the first index past
+    the restriction of the previous ladder value to the next ladder value.
 
-    window: inclusive digit range (lo, hi) feeding this level; lo is the
-        first index past the restriction of the previous ladder value and
-        hi is the next ladder value.
     exponent: s_n solving sum over the window of contract_lo(i)**s_n = 1,
         the xi Bowen root of the window (dimension.bowen_root, tol 1e-10).
     mass_defect: |P - 1|, P the midpoint of the certified bracket of that
@@ -97,17 +96,8 @@ class FrostmanLevel:
         wide for such a bracket is a NumericFailure (exit 3).
     """
 
-    index: int
-    window: tuple
     exponent: float
     mass_defect: float
-
-    @property
-    def trimmed(self) -> tuple:
-        """The window minus its two extreme-image digits.  Branch images are
-        strictly ordered by index in every family (larger index, further
-        left), so the trimmed range is (lo + 1, hi - 1)."""
-        return (self.window[0] + 1, self.window[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,8 @@ class FrostmanMeasure:
     reaches past the ladder crossing, where the 1/d - eps power sum already
     exceeds one), which is what makes the mass-length comparison in
     ``verify_frostman`` provable rather than empirical.  ``levels[n - 1]``
-    is level n; eps is the ladder's and depth the number of levels.
+    is level n, on ``ladder.windows[n - 1]``; eps is the ladder's and depth
+    the number of levels.
     """
 
     system: DecaySystem
@@ -142,7 +133,7 @@ def build_frostman_measure(
     """Build the layered window measure down to the given depth.
 
     Needs 0 < eps < 1/d (enforced by the ladder) and depth >= 1; every
-    window must hold at least 3 digits so that trimming leaves at least 2.
+    window must hold at least 4 digits so that trimming leaves at least 2.
     Ladder construction failures propagate unchanged.
     """
     if not isinstance(depth, int) or depth < 1:
@@ -169,12 +160,7 @@ def build_frostman_measure(
                 f"level {n} window ({lo.bit_length()}-bit lo .. {hi.bit_length()}-bit hi): {exc}"
             ) from exc
         levels.append(
-            FrostmanLevel(
-                index=n,
-                window=(lo, hi),
-                exponent=root.value,
-                mass_defect=abs(root.diagnostics["residual"]),
-            )
+            FrostmanLevel(exponent=root.value, mass_defect=abs(root.diagnostics["residual"]))
         )
     return FrostmanMeasure(system=system, ladder=ladder, levels=tuple(levels))
 
@@ -193,9 +179,7 @@ def frostman_mass(
             f"{measure.depth}"
         )
     acc = 0.0
-    for n, digit in enumerate(word, 1):
-        lev = measure.levels[n - 1]
-        lo, hi = lev.window
+    for digit, lev, (lo, hi) in zip(word, measure.levels, measure.ladder.windows):
         if not lo <= digit <= hi:
             return -math.inf if log else 0.0
         acc += lev.exponent * measure.system.log_contract_lo(digit)
@@ -296,7 +280,7 @@ def verify_frostman(
             f"verify depth {depth} outside the built range 1..{measure.depth}"
         )
     q = 1.0 / measure.system.decay - measure.eps
-    windows = [measure.levels[n].window for n in range(depth)]
+    windows = measure.ladder.windows[:depth]
     total = math.prod(hi - lo + 1 for lo, hi in windows)
     sampled = total > sample_cap
     if sampled:

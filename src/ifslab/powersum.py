@@ -320,17 +320,19 @@ class ReachResult:
 
     index: minimal L with S(start, L, p) >= target, by the certified
         route described below.
-    certified: True when the bracket arithmetic separates L from L-1, so the
-        minimality is proven; False when the crossing fell inside bracket
-        noise and ``index`` is the smallest index guaranteed to reach the
-        target (possibly overshooting minimality by the reported slack).
-    slack: upper bound on how far ``index`` may exceed the true minimum
-        (0 when certified).
+    slack: upper bound on how far ``index`` may exceed the true minimum.
     """
 
     index: int
-    certified: bool
     slack: int
+
+    @property
+    def certified(self) -> bool:
+        """True when the bracket arithmetic separates L from L-1, so the
+        minimality is proven; False when the crossing fell inside bracket
+        noise and ``index`` is the smallest index guaranteed to reach the
+        target (possibly overshooting minimality by the slack)."""
+        return self.slack == 0
 
 
 def _seed(start: int, p: float, goal: float) -> float | None:
@@ -473,7 +475,7 @@ def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
     It also raises NumericFailure if no float ratio reaches the goal.
     """
     if target <= 0:
-        return ReachResult(start, True, 0)
+        return ReachResult(start, 0)
     if start < 1:
         raise ValueError("power sums start at index 1")
     if p <= 0:
@@ -626,5 +628,4 @@ def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
     else:
         band_lo = first_key(1, min(guesses[1], band_hi), step)
     index = keys.stop(band_hi)
-    slack = index - keys.stop(band_lo)
-    return ReachResult(index, slack == 0, slack)
+    return ReachResult(index, index - keys.stop(band_lo))

@@ -163,7 +163,7 @@ class Phi:
         return int(self.table[n - 1])
 
     def ceil(self, n: int) -> int:
-        """Smallest integer >= Phi(n) (the non-strict successor floor)."""
+        """Smallest integer >= Phi(n)."""
         if n < 1:
             raise PreconditionError("restrictions are evaluated at n >= 1")
         if self.kind == "lin":
@@ -287,12 +287,12 @@ def growth_ratio_bound(ladder: Ladder) -> float:
     return worst
 
 
-def successor_table(phi: Phi, cap: int, strict: bool = True) -> np.ndarray:
+def successor_table(phi: Phi, cap: int) -> np.ndarray:
     """Smallest digit allowed after each digit a = 0..cap, clipped to cap + 1.
 
     Entry 0 is 1: the empty word admits every first digit.  Entry a >= 1 is
-    floor(Phi(a)) + 1 when strict, ceil(Phi(a)) otherwise.  The table is
-    non-decreasing, as every Phi is.  A linear restriction whose products
+    floor(Phi(a)) + 1, the smallest digit strictly above Phi(a).  The table
+    is non-decreasing, as every Phi is.  A linear restriction whose products
     beta.numerator * a stay below 2**63 takes the closed form on int64
     arrays.  Otherwise the table costs one Phi evaluation per digit, except
     where a power restriction's a**alpha surely exceeds cap + 1: the
@@ -302,17 +302,13 @@ def successor_table(phi: Phi, cap: int, strict: bool = True) -> np.ndarray:
     if phi.kind == "lin" and phi.beta.numerator * cap < 2**63:
         num, den = phi.beta.numerator, phi.beta.denominator
         a = np.arange(1, cap + 1, dtype=np.int64)
-        if strict:
-            succ = np.minimum((num * a) // den, cap) + 1
-        else:
-            succ = np.minimum(-((-num * a) // den), cap + 1)
-        return np.concatenate(([1], succ))
+        return np.concatenate(([1], np.minimum((num * a) // den, cap) + 1))
     log_bar = math.log(cap + 1) * (1.0 + 1e-9) + 1e-9
 
     def step(a: int) -> int:
         if phi.kind == "pow" and phi.alpha * math.log(a) > log_bar:
             return cap + 1
-        return phi.floor(a) + 1 if strict else phi.ceil(a)
+        return phi.floor(a) + 1
 
     return np.array([1] + [min(step(a), cap + 1) for a in range(1, cap + 1)], dtype=np.int64)
 
@@ -338,33 +334,38 @@ def _words_per_depth(nxt: np.ndarray, depth: int) -> list:
     return counts
 
 
-def count_restricted_words(phi: Phi, depth: int, digit_cap: int, strict: bool = True) -> int:
+def count_restricted_words(phi: Phi, depth: int, digit_cap: int) -> int:
     """Number of words ``enumerate_restricted_words`` yields, without listing them."""
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     if digit_cap < 1:
         raise PreconditionError("digit_cap must be >= 1")
-    return _words_per_depth(successor_table(phi, digit_cap, strict), depth)[-1]
+    return _words_per_depth(successor_table(phi, digit_cap), depth)[-1]
 
 
-def enumerate_restricted_words(
-    phi: Phi, depth: int, digit_cap: int, strict: bool = True
-) -> Iterator[Word]:
-    """Yield all words (a_1..a_depth) with digits <= digit_cap admissible
-    under Phi, in lexicographic order.
+def enumerate_restricted_words(phi: Phi, depth: int, digit_cap: int) -> Iterator[Word]:
+    """Yield all words (a_1..a_depth) with digits <= digit_cap and
+    a_{k+1} > Phi(a_k), in lexicographic order.
 
-    strict=True demands a_{k+1} > Phi(a_k) (the defining restriction);
-    strict=False relaxes to a_{k+1} >= Phi(a_k).
+    The walk enters a digit only when a word of the remaining length can
+    follow it.  top[r] is the largest digit that starts a word of r digits:
+    top[1] = digit_cap, and since the successor table is non-decreasing,
+    top[r] counts the digits a with nxt[a] <= top[r - 1].  So every prefix
+    visited completes, and the walk costs at most words x depth steps.
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     if digit_cap < 1:
         raise PreconditionError("digit_cap must be >= 1")
-    nxt = successor_table(phi, digit_cap, strict).tolist()
+    table = successor_table(phi, digit_cap)
+    top = [0, digit_cap]
+    for _ in range(depth - 1):
+        top.append(int(np.searchsorted(table[1:], top[-1], side="right")))
+    nxt = table.tolist()
     # stack[k] iterates the candidates for digit k + 1; prefix holds the
     # digits chosen above the deepest level.
     prefix: list = []
-    stack = [iter(range(1, digit_cap + 1))]
+    stack = [iter(range(1, top[depth] + 1))]
     while stack:
         a = next(stack[-1], None)
         if a is None:
@@ -373,4 +374,4 @@ def enumerate_restricted_words(
             yield (*prefix, a)
         else:
             prefix[len(stack) - 1:] = [a]
-            stack.append(iter(range(nxt[a], digit_cap + 1)))
+            stack.append(iter(range(nxt[a], top[depth - len(stack)] + 1)))

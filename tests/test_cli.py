@@ -52,21 +52,11 @@ def _invoke(tmp_path, *argv, fmt="json"):
 
 class TestDocumentedExamples:
     def test_words_lin1_depth2_cap3_strict(self, tmp_path):
-        code, report, _ = _invoke(
-            tmp_path, "words", "--phi", "lin:1", "--depth", "2", "--cap", "3", "--strict"
-        )
+        code, report, _ = _invoke(tmp_path, "words", "--phi", "lin:1", "--depth", "2", "--cap", "3")
         assert code == 0
         assert report["results"]["count"] == 3
         assert report["results"]["words"] == [[1, 2], [1, 3], [2, 3]]
-
-    def test_words_relaxed_counts_equal_digits(self, tmp_path):
-        # Relaxed comparison admits a_2 >= a_1: six pairs under cap 3.
-        code, report, _ = _invoke(
-            tmp_path, "words", "--phi", "lin:1", "--depth", "2", "--cap", "3", "--no-strict"
-        )
-        assert code == 0
-        assert report["results"]["count"] == 6
-        assert report["config"]["strict"] is False
+        assert "strict" not in report["config"]
 
     def test_predict_power_restriction_tiled(self, tmp_path):
         code, report, _ = _invoke(
@@ -626,13 +616,15 @@ def test_linpow_depth_four_frostman_finishes(tmp_path):
 
 
 def test_words_deeper_than_the_recursion_limit(tmp_path):
-    # The one word lists without a Python frame per digit.
-    code, report, _ = _invoke(
-        tmp_path, "words", "--phi", "lin:1", "--depth", "2000", "--cap", "1", "--no-strict"
-    )
-    assert code == 0
-    assert report["results"]["count"] == 1
-    assert report["results"]["words"] == [[1] * 2000]
+    # The one word lists without a Python frame per digit, and without
+    # entering any of the prefixes that cannot reach 2000 digits.
+    out = tmp_path / "words.json"
+    argv = ["words", "--phi", "lin:1", "--depth", "2000", "--cap", "2000", "--out", str(out)]
+    proc = _run_child(argv, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(out.read_text())["results"]
+    assert results["count"] == 1
+    assert results["words"] == [list(range(1, 2001))]
 
 
 class TestHugePowerExponents:
@@ -896,6 +888,17 @@ class TestBattery:
         assert rows[0]["status"] == "ran"
         assert json.loads((out_dir / "probe.json").read_text())["results"]["count"] == 3
 
+    def test_false_omits_the_flag(self, tmp_path):
+        # gauss_like names --gauss-like whole (underscores map to dashes).
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(
+            "[untiled]\ncommand = predict\nd = 2\nphi = pow:2\ns0 = 0.5\ngauss_like = false\n"
+        )
+        out_dir = tmp_path / "bat"
+        assert run(["battery", str(cfg), "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "untiled.json").read_text())
+        assert report["config"]["gauss_like"] is False
+
     def test_malformed_sections_rejected(self, tmp_path):
         out_dir = tmp_path / "bat"
         for body in (
@@ -904,10 +907,16 @@ class TestBattery:
             "[x]\ncommand = words\nphi = lin:1\ndepth = 2\ncap = 3\nexpect = 3\n",
             "[bad name]\ncommand = words\nphi = lin:1\ndepth = 2\ncap = 3\n",
             "[x]\ncommand = battery\n",  # no nesting
+            # Keys must name a whole flag of the command, whatever the value.
+            "[x]\ncommand = predict\nd = 2\nphi = pow:2\ns0 = 0.5\ngausslike = false\n",
+            "[x]\ncommand = predict\nd = 2\nphi = pow:2\ns0 = 0.5\ngauss-lik = true\n",
+            "[x]\ncommand = words\nphi = lin:1\ndepth = 2\ncap = 3\nstrict = false\n",
         ):
             cfg = tmp_path / "m.cfg"
             cfg.write_text(body)
             assert run(["battery", str(cfg), "--out-dir", str(out_dir)]) == 2
+            # Refused at load: no experiment ran and no summary was written.
+            assert list(out_dir.glob("*")) == []
 
     def test_missing_config_file(self, tmp_path):
         assert run(["battery", str(tmp_path / "none.cfg"), "--out-dir", str(tmp_path)]) == 2

@@ -46,7 +46,7 @@ CASES = {
         "--tol", "1e-10",
     ],
     "predict_pow2_tiled": ["predict", "--d", "2", "--phi", "pow:2", "--gauss-like", "--s0", "0.5"],
-    "words_lin1": ["words", "--phi", "lin:1", "--depth", "2", "--cap", "3", "--strict"],
+    "words_lin1": ["words", "--phi", "lin:1", "--depth", "2", "--cap", "3"],
     "localdim_gauss": [
         "localdim", "--system", "gauss", "--alpha", "2", "--samples", "500", "--depth", "30",
         "--seed", "0",

@@ -86,14 +86,16 @@ def quad_measure():
 class TestFrostmanBuild:
     def test_windows_and_trims(self, layered):
         assert layered.ladder.values == (9, 19, 34, 57)
-        assert [lev.window for lev in layered.levels] == [(10, 19), (20, 34), (35, 57)]
-        assert [lev.trimmed for lev in layered.levels] == [(11, 18), (21, 33), (36, 56)]
+        assert layered.ladder.windows == ((10, 19), (20, 34), (35, 57))
+        assert len(layered.levels) == 3
+        # Each window keeps at least two digits once its extremes are trimmed.
+        assert all(hi - lo + 1 - 2 >= 2 for lo, hi in layered.ladder.windows)
 
     def test_levels_read_the_ladder_windows(self, gauss, phi_floors):
         measure = build_frostman_measure(gauss, parse_phi("pow:2"), 0.1, 4)
         # The ladder's own floors, one per value but the last, and no more.
         assert phi_floors == list(measure.ladder.values[:-1])
-        assert tuple(lev.window for lev in measure.levels) == measure.ladder.windows
+        assert len(measure.levels) == len(measure.ladder.windows) == 4
 
     def test_exponents_match_frozen(self, layered):
         for lev, expect in zip(layered.levels, LEVEL_EXPONENTS):
@@ -105,9 +107,7 @@ class TestFrostmanBuild:
             assert lev.exponent >= floor
 
     def test_level_masses_sum_to_one(self, layered):
-        for n in range(1, layered.depth + 1):
-            lev = layered.levels[n - 1]
-            lo, hi = lev.window
+        for lev, (lo, hi) in zip(layered.levels, layered.ladder.windows):
             log_rates = np.array([layered.system.log_contract_lo(i) for i in range(lo, hi + 1)])
             masses = np.exp(lev.exponent * log_rates)
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
@@ -155,8 +155,7 @@ class TestWindowExponent:
         system = _root_system(name)
         measure = build_frostman_measure(system, parse_phi(phi), 0.1, depth)
         t = system.shift
-        for lev in measure.levels:
-            lo, hi = lev.window
+        for n, (lev, (lo, hi)) in enumerate(zip(measure.levels, measure.ladder.windows), 1):
             # The two zeta values are about hi**(1 - d*s) / (d*s - 1) and
             # cancel down to 1, losing (1 - d*s) * bits(hi) bits: at most a
             # fifth of bits(hi) here (s >= 1/d - 0.1, d = 2), 360 at the
@@ -168,7 +167,7 @@ class TestWindowExponent:
                     return c**s * (mpmath.zeta(d * s, lo + t) - mpmath.zeta(d * s, hi + t + 1)) - 1
 
                 root = float(mpmath.findroot(pressure, (lev.exponent - 1e-9, lev.exponent + 1e-9)))
-            assert abs(lev.exponent - root) <= 1e-11, (lev.index, lev.exponent, root)
+            assert abs(lev.exponent - root) <= 1e-11, (n, lev.exponent, root)
             assert lev.mass_defect <= 1e-10
 
     def test_few_pressure_evaluations_per_level(self, gauss, monkeypatch):
@@ -182,7 +181,7 @@ class TestWindowExponent:
         monkeypatch.setattr(dimension, "_power_pressure", spy)
         measure = build_frostman_measure(gauss, parse_phi("pow:2"), 0.1, 9)
         t = gauss.shift
-        windows = [(lo + t, hi + t) for lo, hi in (lev.window for lev in measure.levels)]
+        windows = [(lo + t, hi + t) for lo, hi in measure.ladder.windows]
         assert sorted(calls) == sorted(windows)
         assert max(calls.values()) <= 10, calls
 
@@ -228,7 +227,7 @@ class TestFrostmanMass:
             frostman_mass(layered, (11, 21, 36, 60))
 
     def test_children_masses_flow_to_parent(self, layered):
-        lo, hi = layered.levels[1].window
+        lo, hi = layered.ladder.windows[1]
         parent = frostman_mass(layered, (12,))
         children = math.fsum(
             frostman_mass(layered, (12, j)) for j in range(lo, hi + 1)
@@ -339,7 +338,7 @@ def _per_word_reference(measure, depth, sample_cap=100_000, seed=0):
     """verify_frostman as a per-word loop: scalar draws or itertools.product,
     frostman_mass and the kernel's log-length formula on each word."""
     q = 1.0 / measure.system.decay - measure.eps
-    windows = [measure.levels[n].window for n in range(depth)]
+    windows = measure.ladder.windows[:depth]
     total = 1
     bound = 1
     for lo, hi in windows:
@@ -379,10 +378,8 @@ def _per_word_reference(measure, depth, sample_cap=100_000, seed=0):
 
 def _with_windows(measure, windows):
     """The measure with its first levels moved onto the given windows."""
-    levels = list(measure.levels)
-    for n, (lo, hi) in enumerate(windows):
-        levels[n] = dataclasses.replace(levels[n], window=(lo, hi))
-    return dataclasses.replace(measure, levels=tuple(levels))
+    forged = tuple(windows) + measure.ladder.windows[len(windows):]
+    return dataclasses.replace(measure, ladder=dataclasses.replace(measure.ladder, windows=forged))
 
 
 def _deflated(measure, n, by):

@@ -370,7 +370,7 @@ def _bisection_reach(start, p, goal):
         return hi
 
     band_hi, band_lo = first(0), first(1)
-    return powersum.ReachResult(band_hi, band_hi == band_lo, band_hi - band_lo)
+    return powersum.ReachResult(band_hi, band_hi - band_lo)
 
 
 @contextlib.contextmanager

@@ -281,10 +281,24 @@ class TestEnumerator:
         words = list(enumerate_restricted_words(parse_phi("lin:1.5"), 3, 12))
         assert words == sorted(words)
 
-    def test_non_strict_flag(self):
-        # with Phi(n) = n, non-strict allows repeats
-        words = list(enumerate_restricted_words(parse_phi("lin:1"), 2, 2, strict=False))
-        assert words == [(1, 1), (1, 2), (2, 2)]
+    def test_the_one_full_length_word_lists_at_once(self):
+        # Every other lin:1 prefix of 40 digits under cap 40 dies before
+        # depth 40; a walk that entered them would take about 2**40 steps.
+        assert list(enumerate_restricted_words(parse_phi("lin:1"), 40, 40)) == [
+            tuple(range(1, 41))
+        ]
+
+    def test_dead_prefixes_are_never_entered(self):
+        # The 1987 pow:2 words of 6 digits under cap 460000 all start
+        # 1, 2, 5, 26, then 677 or 678; the 5-digit prefixes under that cap
+        # number about 3.75e9.
+        phi = parse_phi("pow:2")
+        words = list(enumerate_restricted_words(phi, 6, 460_000))
+        assert len(words) == count_restricted_words(phi, 6, 460_000)
+        assert words[0] == (1, 2, 5, 26, 677, 458_330)
+        assert words == sorted(words)
+        # No 7-digit word fits under 10**6 (its sixth digit is past 458329).
+        assert list(enumerate_restricted_words(phi, 7, 10**6)) == []
 
     @given(
         st.sampled_from(["lin:1", "lin:2", "pow:1.5", "pow:2"]),
@@ -308,21 +322,18 @@ class TestEnumerator:
         st.sampled_from(["lin:1", "lin:3/2", "lin:2", "pow:1.5", "pow:2", "pow:2.3"]),
         st.integers(1, 4),
         st.integers(1, 25),
-        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_count_matches_enumeration(self, spec, depth, cap, strict):
+    def test_count_matches_enumeration(self, spec, depth, cap):
         phi = parse_phi(spec)
-        n = sum(1 for _ in enumerate_restricted_words(phi, depth, cap, strict))
-        assert count_restricted_words(phi, depth, cap, strict) == n
+        n = sum(1 for _ in enumerate_restricted_words(phi, depth, cap))
+        assert count_restricted_words(phi, depth, cap) == n
 
     def test_count_past_float_precision(self):
         # Strict lin:1 words are the depth-subsets of 1..cap; C(1000, 20)
         # passes 2**53 by far, so the count must stay in exact ints.
         phi = parse_phi("lin:1")
         assert count_restricted_words(phi, 20, 1000) == math.comb(1000, 20)
-        # Non-strict lin:1 words are multisets: C(cap + depth - 1, depth).
-        assert count_restricted_words(phi, 20, 1000, strict=False) == math.comb(1019, 20)
 
     def test_per_depth_counts_every_length(self):
         # The strict lin:1 words of length n are the n-subsets of 1..cap.
@@ -350,26 +361,32 @@ class TestEnumerator:
             list(enumerate_restricted_words(phi, 1, 4))
 
 
+def _strict_successor(phi, a, from_floor):
+    """The smallest digit above Phi(a), from either rounding of Phi: floor
+    plus one, or ceil, plus one more where Phi(a) is an integer."""
+    if from_floor:
+        return phi.floor(a) + 1
+    up = phi.ceil(a)
+    return up + (up == phi.floor(a))
+
+
 class TestSuccessorTable:
     @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5", "pow:2", "pow:2.3", "pow:7"])
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_entries_are_clipped_successors(self, spec, strict):
+    @pytest.mark.parametrize("from_floor", [True, False])
+    def test_entries_are_clipped_successors(self, spec, from_floor):
         phi = parse_phi(spec)
         cap = 40
-        nxt = successor_table(phi, cap, strict)
+        nxt = successor_table(phi, cap)
         assert nxt.shape == (cap + 1,)
         assert nxt[0] == 1
         for a in range(1, cap + 1):
-            want = phi.floor(a) + 1 if strict else phi.ceil(a)
-            assert nxt[a] == min(want, cap + 1)
+            assert nxt[a] == min(_strict_successor(phi, a, from_floor), cap + 1)
         assert (nxt[1:] >= nxt[:-1]).all()
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_huge_exponent_clips_without_the_power(self, strict):
+    def test_huge_exponent_clips_without_the_power(self):
         # 2**1e300 is past the bit budget, and surely past the cap.
         phi = Phi("pow", alpha=1e300)
-        first = 2 if strict else 1
-        assert successor_table(phi, 10, strict).tolist() == [1, first] + [11] * 9
+        assert successor_table(phi, 10).tolist() == [1, 2] + [11] * 9
 
     @pytest.mark.parametrize(
         "beta",
@@ -382,21 +399,20 @@ class TestSuccessorTable:
         ],
     )
     @pytest.mark.parametrize("cap", [1, 2, 3, 17, 1000])
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_linear_closed_form_matches_per_digit(self, beta, cap, strict):
+    @pytest.mark.parametrize("from_floor", [True, False])
+    def test_linear_closed_form_matches_per_digit(self, beta, cap, from_floor):
         # The last slope takes the per-digit route from cap 2 on, where
         # numerator * cap passes 2**63.
         phi = Phi("lin", beta=beta)
         want = [1] + [
-            min(phi.floor(a) + 1 if strict else phi.ceil(a), cap + 1) for a in range(1, cap + 1)
+            min(_strict_successor(phi, a, from_floor), cap + 1) for a in range(1, cap + 1)
         ]
-        got = successor_table(phi, cap, strict)
+        got = successor_table(phi, cap)
         assert got.dtype == np.int64
         assert got.tolist() == want
 
     def test_table_restriction(self):
         phi = Phi("table", table=(2, 5, 9, 30))
         assert successor_table(phi, 4).tolist() == [1, 3, 5, 5, 5]
-        assert successor_table(phi, 4, strict=False).tolist() == [1, 2, 5, 5, 5]
         with pytest.raises(PreconditionError):
             successor_table(phi, 5)
