@@ -36,6 +36,7 @@ import mpmath
 import numpy as np
 
 from . import __version__
+from ._blocks import _block_bounds, _cpu_count, _in_blocks
 from .dimension import (
     bowen_root,
     box_dim_estimate,
@@ -63,6 +64,13 @@ _SCHEMA = "ifslab-report/1"
 _WORD_LIST_CAP = 200
 _DEFAULT_DYADIC = "2:12"
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+\Z")
+
+# boxdim reads a plain points file of at least two blocks of this many
+# lines in forked line blocks, one per usable CPU, after one pass over it
+# in chunks of _READ_CHUNK bytes that counts its lines.
+_READ_BLOCK_LINES = 2**16
+_READ_CHUNK = 2**20
+_PLAIN_BYTES = b"0123456789+-.eE\n"
 
 
 def _resolve_system(spec: str):
@@ -262,10 +270,65 @@ def _parse_scales(args) -> list:
     return [2.0 ** -j for j in range(j0, j1 + 1)]
 
 
+def _plain_line_count(path) -> int:
+    """The line count of a plain points file: a regular file made of digits,
+    "+-.eE" and newlines alone, with no empty line.  0 for any other file
+    and for one that cannot be read."""
+    if not os.path.isfile(path):
+        return 0
+    lines, last = 0, b"\n"
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_READ_CHUNK):
+                ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+                # Adjacent line ends, here or across the chunk edge, are an
+                # empty line (the first chunk's edge is the file's start).
+                if (
+                    chunk.translate(None, _PLAIN_BYTES)
+                    or last + chunk[:1] == b"\n\n"
+                    or (np.diff(ends) == 1).any()
+                ):
+                    return 0
+                lines += ends.size
+                last = chunk[-1:]
+    except OSError:
+        return 0
+    return lines + (last != b"\n")
+
+
+def _read_points(path) -> np.ndarray:
+    """np.loadtxt(path, ndmin=1), byte for byte.
+
+    A plain file (``_plain_line_count``) of at least 2 * _READ_BLOCK_LINES
+    lines is read in consecutive line blocks, one per usable CPU, the first
+    in process and the rest in forked children (``_in_blocks``), and the
+    blocks are concatenated in order.  Each line of a plain file is one
+    data row, so a block's skiprows and max_rows both count lines; a
+    comment, a blank line or a bare carriage return would shift a block,
+    and none is plain.  Any other file, a failed block and a row total
+    other than the line count all take the one serial read, so its errors
+    are np.loadtxt's own.  np.loadtxt holds the GIL, so threads would not
+    help.
+    """
+    lines = _plain_line_count(path) if _cpu_count() > 1 else 0
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        if (lo, hi) == (0, lines):
+            return np.loadtxt(path, ndmin=1)
+        return np.loadtxt(path, skiprows=lo, max_rows=hi - lo, ndmin=1)
+
+    parts = _in_blocks(rows, _block_bounds(lines, _READ_BLOCK_LINES))
+    if len(parts) == 1:
+        return parts[0]
+    if sum(len(p) for p in parts) != lines:
+        return rows(0, lines)
+    return np.concatenate(parts)
+
+
 def _cmd_boxdim(args):
     scales = _parse_scales(args)
     try:
-        points = np.loadtxt(args.points, ndmin=1)
+        points = _read_points(args.points)
     except OSError as e:
         raise PreconditionError(f"cannot read points file {args.points!r}: {e}") from e
     except ValueError as e:

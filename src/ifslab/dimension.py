@@ -712,7 +712,8 @@ def predict_dimensions(d: float, phi: Phi, s0: float, gauss_like: bool = False) 
     that hypothesis dropped only the bracket up to 1/d survives, and the
     upper endpoint is attained by an explicit gap construction.  The
     second value is always max(s0, 1/d), where s0 is the upper box
-    dimension of the first-level image endpoints.
+    dimension of the first-level image endpoints.  A table restriction has
+    no closed form and is a PreconditionError.
     """
     if not 1 < d < math.inf:
         raise PreconditionError("prediction needs a finite decay d > 1")
@@ -731,25 +732,7 @@ def predict_dimensions(d: float, phi: Phi, s0: float, gauss_like: bool = False) 
             "note": "without the tiling hypothesis only this bracket is forced; "
             "the upper endpoint is attained by a gap construction",
         }
-    # Table restrictions: classify the tabulated growth trend.
-    table = phi.table
-    if len(table) < 2:
-        raise PreconditionError(
-            "prediction declined: a one-entry table cannot be classified"
-        )
-    n_last = len(table)
-    superlinear = table[-1] * 1 > table[0] * n_last
-    if superlinear:
-        detail = (
-            " (the tiling flag does not help: the closed form needs a power profile)"
-            if gauss_like
-            else ""
-        )
-        raise PreconditionError(
-            f"prediction declined: no closed form for a super-linear table restriction{detail}"
-        )
-    return {
-        "hausdorff": 1.0 / d,
-        "packing": packing,
-        "note": "tabulated growth is linear; the value assumes the trend persists",
-    }
+    raise PreconditionError(
+        "prediction needs a lin:<beta> or pow:<alpha> restriction: a table Phi is "
+        "undefined past its last entry, so it admits no infinite word"
+    )

@@ -90,7 +90,8 @@ def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
 
 class AffineMap:
     """Branches f_i(x) = offset(i) + slope(i) * x of a right-to-left affine
-    tiling of [0, 1], from (C, d, blocks).
+    tiling of [0, 1], from (C, d, blocks).  A C that is not an mpf is
+    converted to one, exactly for a float.
 
     Image n is [a_n, a_n + C * n**-d], and each index inside a block gets
     that block's gap between image n and image n-1; outside blocks
@@ -107,6 +108,8 @@ class AffineMap:
     """
 
     def __init__(self, c_mpf, decay: float, blocks: tuple = ()):
+        if not isinstance(c_mpf, mpmath.mpf):
+            c_mpf = mpmath.mpf(c_mpf)
         self.blocks = blocks
         self.decay = decay
         self.scale = float(c_mpf)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import ifslab
-from ifslab import cli, dimension, measures
+from ifslab import _blocks, cli, dimension, measures
 from ifslab.cli import run
 from ifslab.dimension import TailWarning, _truncation_bound, bowen_root, cover_sum
 from ifslab.families import build_gap_system, make_gauss, make_linear_power
@@ -537,6 +537,17 @@ class TestExitCodes:
         bound = _truncation_bound(system, 1, 0.6, 200_000, [low])
         assert low < report["results"]["value"] <= low + bound
 
+    def test_predict_with_a_table_is_2(self, tmp_path, capsys):
+        # (n + 9)**2 grows quadratically; its table once predicted 1/d.
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join(str((n + 9) ** 2) for n in range(1, 41)))
+        code, _, out = _invoke(
+            tmp_path, "predict", "--d", "2", "--phi", f"table:{table}", "--gauss-like",
+            "--s0", "0.4",
+        )
+        assert code == 2 and not out.exists()
+        assert "lin:<beta> or pow:<alpha>" in capsys.readouterr().err
+
     def test_missing_points_file(self, tmp_path):
         code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(tmp_path / "nope.txt"))
         assert code == 2
@@ -731,7 +742,7 @@ class TestLocalDimBlockWarnings:
 
     @pytest.fixture
     def three_blocks(self, monkeypatch):
-        monkeypatch.setattr(measures, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(_blocks, "_cpu_count", lambda: 3)
         monkeypatch.setattr(measures, "_BLOCK_MIN_SAMPLES", 1)
 
     ARGV = ("localdim", "--alpha", "2", "--samples", "300", "--depth", "8")
@@ -933,3 +944,157 @@ class TestBoxdimCli:
         assert abs(report["results"]["estimate"] - 0.5) < 0.05
         assert report["results"]["n_points"] == 20_000
         assert len(report["results"]["scales"]) == 9
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _recip_lines(n: int) -> str:
+    return "\n".join(repr(1 / i) for i in range(1, n + 1))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestReadPoints:
+    """boxdim's reader against np.loadtxt(path, ndmin=1): the same array
+    bytes and shape, or the same exit code and message, at any block count,
+    and no child process left behind."""
+
+    @staticmethod
+    def _same_read(path):
+        def outcome(read):
+            try:
+                points = read()
+            except ValueError as e:
+                return "error", str(e)
+            return points.shape, points.tobytes()
+
+        want = outcome(lambda: np.loadtxt(path, ndmin=1))
+        assert outcome(lambda: cli._read_points(str(path))) == want
+
+    @pytest.mark.parametrize("trailing", ["", "\n"], ids=["no-final-newline", "final-newline"])
+    @pytest.mark.parametrize("lines", [10, 11])
+    def test_plain_files_split_at_any_block_count(self, tmp_path, forced_blocks, trailing, lines):
+        path = tmp_path / "p.txt"
+        path.write_text(_recip_lines(lines) + trailing)
+        for blocks in (2, 3, 4, 7, lines):
+            forced_blocks(blocks)
+            self._same_read(path)
+            bounds = [lines * b // blocks for b in range(blocks + 1)]
+            assert forced_blocks.forked == list(zip(bounds[1:-1], bounds[2:])), blocks
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2\n3 4\n5 6\n7 8\n",
+            "1,2\n3,4\n5,6\n",
+            "# head\n1\n2\n# middle\n3\n4 # tail\n5\n",
+            "1\n2\n\n3\n4\n",
+            "\n1\n2\n3\n4\n",
+            "1\n2\n3\n4\n\n",
+            "1\n2\n   \n3\n\t\n4\n",
+            "1\r\n2\r\n3\r\n4\r\n",
+            "1\r2\r3\r4\r",
+            "inf\n-inf\nnan\n1\n2\n",
+            " 1\n2 \n3\n4\n",
+        ],
+        ids=[
+            "two-columns", "commas", "comments", "blank-line", "leading-blank",
+            "trailing-blank", "whitespace-lines", "crlf", "bare-cr", "inf-nan", "padded",
+        ],
+    )
+    def test_files_that_are_not_plain_read_serially(self, tmp_path, forced_blocks, text):
+        path = tmp_path / "p.txt"
+        path.write_text(text, newline="")
+        forced_blocks(3)
+        self._same_read(path)
+        assert forced_blocks.forked == []
+
+    @pytest.mark.parametrize("token", ["1.2.3", "e", "+-1"])
+    def test_a_bad_line_in_a_forked_block_gives_the_serial_error(
+        self, tmp_path, forced_blocks, capsys, token
+    ):
+        # Line 5 lies in the second of three blocks (lines 3..5 of 0..9).
+        lines = _recip_lines(10).split("\n")
+        lines[5] = token
+        path = tmp_path / "p.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as serial:
+            np.loadtxt(path, ndmin=1)
+        forced_blocks(3)
+        code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(path))
+        assert code == 2
+        assert str(serial.value) in capsys.readouterr().err
+        assert forced_blocks.forked == [(3, 6), (6, 10)]
+        _assert_no_child_left()
+
+    def test_a_bad_line_in_the_first_block_gives_the_serial_error(
+        self, tmp_path, forced_blocks
+    ):
+        path = tmp_path / "p.txt"
+        path.write_text("1e\n" + _recip_lines(9))
+        with pytest.raises(ValueError) as serial:
+            np.loadtxt(path, ndmin=1)
+        forced_blocks(3)
+        with pytest.raises(ValueError) as split:
+            cli._read_points(str(path))
+        assert str(split.value) == str(serial.value)
+        assert len(forced_blocks.forked) == 2
+        _assert_no_child_left()
+
+    def test_a_row_total_off_the_line_count_reads_serially(
+        self, tmp_path, forced_blocks, monkeypatch
+    ):
+        # One line too many counted: the last block comes back short, and
+        # the in-process reads end with the serial one.
+        path = tmp_path / "p.txt"
+        path.write_text(_recip_lines(10))
+        plain_line_count = cli._plain_line_count
+        monkeypatch.setattr(cli, "_plain_line_count", lambda p: plain_line_count(p) + 1)
+        loadtxt, reads = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            reads.append(kwargs)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        forced_blocks(3)
+        points = cli._read_points(str(path))
+        assert points.tobytes() == loadtxt(path, ndmin=1).tobytes()
+        assert reads == [{"skiprows": 0, "max_rows": 3, "ndmin": 1}, {"ndmin": 1}]
+        assert forced_blocks.forked == [(3, 7), (7, 11)]
+        _assert_no_child_left()
+
+    def test_one_cpu_reads_serially(self, tmp_path, forced_blocks):
+        path = tmp_path / "p.txt"
+        path.write_text(_recip_lines(10))
+        forced_blocks(1)
+        self._same_read(path)
+        assert forced_blocks.forked == []
+
+    def test_files_of_two_blocks_of_lines_split(self, tmp_path, forced_blocks, monkeypatch):
+        # The real block size: 2**17 lines make two blocks, one fewer one.
+        for lines, forked in ((2**17 - 1, []), (2**17, [(2**16, 2**17)])):
+            forced_blocks(2)
+            monkeypatch.setattr(cli, "_READ_BLOCK_LINES", 2**16)
+            path = tmp_path / f"p{lines}.txt"
+            path.write_text(_recip_lines(lines))
+            self._same_read(path)
+            assert forced_blocks.forked == forked
+        _assert_no_child_left()
+
+    def test_boxdim_reports_match_across_block_counts(self, tmp_path, forced_blocks):
+        path = tmp_path / "p.txt"
+        path.write_text(_recip_lines(20_000))
+        reports = []
+        for blocks in (1, 2, 3):
+            forced_blocks(blocks)
+            code, report, _ = _invoke(tmp_path, "boxdim", "--points", str(path))
+            assert code == 0
+            del report["config"]["out"]
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["results"]["n_points"] == 20_000
+        _assert_no_child_left()

@@ -1052,17 +1052,17 @@ class TestPredict:
             assert out["packing"] >= out["hausdorff"] - 1e-15
             assert out["packing"] >= 1.0 / d - 1e-15
 
-    def test_table_growth_classification(self, tmp_path):
+    def test_table_restrictions_are_refused(self, tmp_path):
+        # A table Phi is undefined past its last entry, whatever its growth:
+        # linear, and the (n + 9)**2 table once predicted at 1/d.
         linear = tmp_path / "linear.txt"
         linear.write_text("\n".join(str(2 * n) for n in range(1, 30)))
-        out = predict_dimensions(2.0, parse_phi(f"table:{linear}"), 0.4)
-        assert out["hausdorff"] == pytest.approx(0.5)
         square = tmp_path / "square.txt"
-        square.write_text("\n".join(str(n * n) for n in range(1, 30)))
-        with pytest.raises(PreconditionError):
-            predict_dimensions(2.0, parse_phi(f"table:{square}"), 0.4)
-        with pytest.raises(PreconditionError):
-            predict_dimensions(2.0, parse_phi(f"table:{square}"), 0.4, gauss_like=True)
+        square.write_text("\n".join(str((n + 9) ** 2) for n in range(1, 41)))
+        for table in (linear, square):
+            for gauss_like in (False, True):
+                with pytest.raises(PreconditionError, match="lin:<beta> or pow:<alpha>"):
+                    predict_dimensions(2.0, parse_phi(f"table:{table}"), 0.4, gauss_like)
 
     def test_argument_validation(self):
         with pytest.raises(PreconditionError):

@@ -108,6 +108,12 @@ class TestConstructors:
         with pytest.raises(PreconditionError, match="decay d > 1"):
             system.affine.offset(1)
 
+    def test_a_float_scale_builds_the_map_its_mpf_builds(self):
+        got, want = AffineMap(0.6, 2.0), AffineMap(mpmath.mpf(0.6), 2.0)
+        for i in (1, 2, 3, 10, 1000):
+            assert got.offset(i) == want.offset(i) and got.slope(i) == want.slope(i)
+        assert got.scale == want.scale == 0.6
+
     def test_linear_power_cubic_ratio(self):
         cubic = make_linear_power(3.0)
         assert cubic.contract_hi(1) / cubic.contract_hi(2) == pytest.approx(

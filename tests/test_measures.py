@@ -954,26 +954,6 @@ class TestLocalDimMatchesPerSampleLoop:
                 estimator(m, gauss, 100, 8, seed=0)
 
 
-@pytest.fixture
-def forced_blocks(monkeypatch):
-    """Force the chain block count of local_dim_estimate (it still needs
-    os.fork to split); return the list of (lo, hi) of every forked block."""
-    forked = []
-    fork_block = measures._fork_block
-
-    def spy(run_block, lo, hi, children):
-        forked.append((lo, hi))
-        return fork_block(run_block, lo, hi, children)
-
-    def force(blocks):
-        monkeypatch.setattr(measures, "_cpu_count", lambda: blocks)
-        monkeypatch.setattr(measures, "_BLOCK_MIN_SAMPLES", 1)
-
-    monkeypatch.setattr(measures, "_fork_block", spy)
-    force.forked = forked
-    return force
-
-
 def _run_with_stream(system, alpha, samples, depth, seed):
     m = PowerLawDigitMeasure(decay=system.decay, alpha=alpha)
     buf = io.StringIO()
@@ -1011,7 +991,6 @@ class TestLocalDimBlocks:
         want = _run_with_stream(sys_, alpha, samples, depth, seed)
         assert forced_blocks.forked == []
         for blocks in (2, 3, 7):
-            forced_blocks.forked.clear()
             forced_blocks(blocks)
             assert _run_with_stream(sys_, alpha, samples, depth, seed) == want, blocks
             bounds = [samples * b // blocks for b in range(blocks + 1)]
