@@ -71,9 +71,22 @@ _LOG_DIGIT_TRUNC = 1e130
 
 _LN10 = math.log(10.0)
 
+# numpy's SeedSequence hash constants, and the Philox4x64 multipliers and
+# key increments (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011), for ``_spawn_uniforms``.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32, _U32 = np.uint64(_MASK32), np.uint64(32)
+
 # Fewest samples per chain block.  A block costs a fork and a pickled
-# result; on a 2-vCPU Xeon (gauss, alpha 2, depth 30, no stream) two blocks
-# of 100 samples ran 14% faster than one of 200, and two of 50 broke even.
+# result.  On a 2-vCPU Xeon (depth 30, no stream, in-process medians over
+# 15-21 seeds) two blocks of 100 samples took 1.03-1.38 times as long as one
+# of 200 at gauss alpha 2 (three rounds) and 0.80 times at alpha 1.5, and two
+# of 50 took 1.16-1.37 times as long as one of 100.
 _BLOCK_MIN_SAMPLES = 100
 
 
@@ -210,6 +223,88 @@ def _seed_root(seed) -> np.random.SeedSequence:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
     return np.random.SeedSequence(int(seed))
+
+
+def _hashmix(value, const: int, mult: int):
+    """One step of numpy's SeedSequence hash on a uint32 word (an int or a
+    uint32 array): (hashed value, next hash constant)."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of two uint32 words (ints or uint32 arrays)."""
+    out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return out ^ out >> 16
+
+
+def _uint32_words(n: int) -> list:
+    """The little-endian uint32 words of an int n >= 0, as SeedSequence reads it."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
+    """(high, low) 64-bit words of the products of m with a uint64 array."""
+    m_lo, m_hi = m & _LO32, m >> _U32
+    x_lo, x_hi = x & _LO32, x >> _U32
+    ll, hl = x_lo * m_lo, x_hi * m_lo
+    cross = (ll >> _U32) + (hl & _LO32) + x_lo * m_hi
+    return x_hi * m_hi + (hl >> _U32) + (cross >> _U32), cross << _U32 | ll & _LO32
+
+
+def _spawn_uniforms(root: np.random.SeedSequence, lo: int, hi: int, n: int) -> np.ndarray:
+    """Row k: the first n uniforms of the spawned child lo + k of root.
+
+    Bit for bit ``Generator(Philox(child)).random(n)`` with child the
+    SeedSequence of root's entropy and spawn key root.spawn_key + (lo + k,),
+    for every spawn index below 2**32 (one uint32 word), in one numpy pass
+    over the block.  The entropy words before the spawn index are mixed once
+    in ints; the index is mixed in as a uint32 array, the two key words of
+    each child's Philox4x64-10 formed as ``generate_state(2, uint64)``
+    forms them, and every stream run over counters 1..ceil(n / 4) at once:
+    Philox is counter-based, and numpy's stream bumps the counter before
+    each block of four words.  A uniform is (x >> 11) * 2**-53.
+    """
+    words = _uint32_words(root.entropy)
+    words += [0] * (root.pool_size - len(words))
+    for key in root.spawn_key:
+        words += _uint32_words(key)
+    trailing = words[root.pool_size:] + [np.arange(lo, hi, dtype=np.uint32)]
+    const = _INIT_A
+    pool = []
+    for word in words[:root.pool_size]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(root.pool_size):
+        for dst in range(root.pool_size):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in trailing:
+        for dst in range(root.pool_size):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    state, const = [], _INIT_B
+    for word in pool[:4]:
+        value, const = _hashmix(word, const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    key = [(state[0] | state[1] << _U32)[:, None], (state[2] | state[3] << _U32)[:, None]]
+    blocks = -(-n // 4)
+    zero = np.zeros((hi - lo, blocks), dtype=np.uint64)
+    ctr = [zero + np.arange(1, blocks + 1, dtype=np.uint64), zero, zero, zero]
+    for r in range(10):
+        if r:
+            key = [key[0] + _PHILOX_W[0], key[1] + _PHILOX_W[1]]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0]
+    x = np.stack(ctr, axis=-1).reshape(hi - lo, 4 * blocks)[:, :n]
+    return (x >> np.uint64(11)).astype(float) * 2.0**-53
 
 
 def _sampled_words(windows: list, count: int, root: np.random.SeedSequence):
@@ -558,9 +653,13 @@ def local_dim_estimate(
     are never needed: the union carries the full cylinder mass.
 
     The chains advance level by level over a block of samples at once.
-    Each sample owns one spawned Philox child of the seed and draws its
-    depth - 1 uniforms in one call; level n uses the n-th, so runs are
-    reproducible and a sample's chain does not depend on the others.  Rows
+    Each sample owns one spawned Philox child of the seed, spawn index k
+    for sample k, and draws depth - 1 uniforms from it; level n uses the
+    n-th, so runs are reproducible and a sample's chain does not depend on
+    the others.  A block's streams are generated in one numpy pass, bit for
+    bit what numpy's own SeedSequence, Philox and Generator give; the
+    spawn index must fit one uint32 word, so a run takes fewer than 2**32
+    samples (PreconditionError otherwise, before anything is allocated).  Rows
     whose window start is at most _CHAIN_EXACT_CAP draw exact digits,
     grouped by start: one tail norm and one ``_tail_quantiles`` call per
     distinct start, so every digit is the certified crossing index.  Past
@@ -582,6 +681,10 @@ def local_dim_estimate(
     """
     if not isinstance(samples, int) or samples < 100:
         raise PreconditionError(f"needs at least 100 samples, got {samples}")
+    if samples > _MASK32:
+        raise PreconditionError(
+            f"needs fewer than 2**32 samples (a spawn index is one uint32 word), got {samples}"
+        )
     if not isinstance(depth, int) or depth < 5:
         raise PreconditionError(f"needs depth >= 5, got {depth}")
     if system.affine is not None and system.affine.blocks:
@@ -658,20 +761,15 @@ def _chain_block(
 ) -> _ChainBlock:
     """Run the chains of samples lo..hi - 1, level by level over the block.
 
-    Sample k draws from the k-th spawned child of root, built here alone,
-    so a block's rows are those rows of the whole run.
+    Sample k draws from the k-th spawned child of root, whose stream
+    depends on k alone, so a block's rows are those rows of the whole run.
     """
     samples = hi - lo
     p = measure.tail_exponent
     excess = measure._tail_excess
     alpha = measure.alpha
     log_chain_cap = math.log(_CHAIN_EXACT_CAP)
-    uniforms = np.empty((samples, depth - 1))
-    for k in range(samples):
-        child = np.random.SeedSequence(
-            root.entropy, spawn_key=root.spawn_key + (lo + k,), pool_size=root.pool_size
-        )
-        uniforms[k] = np.random.Generator(np.random.Philox(child)).random(depth - 1)
+    uniforms = _spawn_uniforms(root, lo, hi, depth - 1)
     # words[k] holds sample k's exact digits and stops growing when its
     # chain goes continuous; while exact[k], its current digit is words[k][-1].
     words = [[measure.first_digit] for _ in range(samples)]

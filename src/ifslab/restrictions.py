@@ -313,22 +313,38 @@ def successor_table(phi: Phi, cap: int) -> np.ndarray:
     return np.array([1] + [min(step(a), cap + 1) for a in range(1, cap + 1)], dtype=np.int64)
 
 
+def _word_tops(nxt: np.ndarray, depth: int) -> list:
+    """top[r] for r = 0..depth: the largest digit that starts a word of r
+    digits under a successor table (top[0] = 0 is unused).
+
+    top[1] is the cap, and since the table is non-decreasing, top[r] counts
+    the digits a with nxt[a] <= top[r - 1].
+    """
+    top = [0, len(nxt) - 1]
+    for _ in range(depth - 1):
+        top.append(int(np.searchsorted(nxt[1:], top[-1], side="right")))
+    return top
+
+
 def _words_per_depth(nxt: np.ndarray, depth: int) -> list:
     """Number of admissible words of each length 1..depth under a successor
     table (``successor_table``), in Python ints (counts pass 2**53).
 
     One pass per length over the table: the words of length n + 1 starting
     at digit a number as many as the words of length n whose first digit is
-    at least the smallest successor of a.
+    at least the smallest successor of a.  The pass covers only the digits
+    1..top[n + 1] (``_word_tops``); a digit above it starts no such word.
     """
+    top = _word_tops(nxt, depth)
     nxt = nxt.tolist()
-    cap = len(nxt) - 1
-    # from_digit[j]: words of the current length whose first digit is >= j,
-    # for j = 0..cap + 1 (entry 0 is unused).
+    cap = top[1]
+    # from_digit[j]: words of the current length n whose first digit is >= j,
+    # for j = 0..top[n] + 1 (entry 0 is unused).  A digit a <= top[n + 1]
+    # has nxt[a] <= top[n], so the pass reads only entries that exist.
     from_digit = [cap + 1 - j for j in range(cap + 2)]
     counts = [cap]
-    for _ in range(depth - 1):
-        after = [from_digit[nxt[a]] for a in range(cap, 0, -1)]
+    for n in range(2, depth + 1):
+        after = [from_digit[nxt[a]] for a in range(top[n], 0, -1)]
         from_digit = [0, *reversed(list(itertools.accumulate(after))), 0]
         counts.append(from_digit[1])
     return counts
@@ -348,19 +364,16 @@ def enumerate_restricted_words(phi: Phi, depth: int, digit_cap: int) -> Iterator
     a_{k+1} > Phi(a_k), in lexicographic order.
 
     The walk enters a digit only when a word of the remaining length can
-    follow it.  top[r] is the largest digit that starts a word of r digits:
-    top[1] = digit_cap, and since the successor table is non-decreasing,
-    top[r] counts the digits a with nxt[a] <= top[r - 1].  So every prefix
-    visited completes, and the walk costs at most words x depth steps.
+    follow it: a digit at most top[r] (``_word_tops``) when r digits remain.
+    So every prefix visited completes, and the walk costs at most words x
+    depth steps.
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     if digit_cap < 1:
         raise PreconditionError("digit_cap must be >= 1")
     table = successor_table(phi, digit_cap)
-    top = [0, digit_cap]
-    for _ in range(depth - 1):
-        top.append(int(np.searchsorted(table[1:], top[-1], side="right")))
+    top = _word_tops(table, depth)
     nxt = table.tolist()
     # stack[k] iterates the candidates for digit k + 1; prefix holds the
     # digits chosen above the deepest level.

@@ -42,6 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifslab import dimension, measures
+from ifslab.cli import run
 from ifslab.dimension import bowen_root
 from ifslab.families import AffineMap, build_gap_system, make_gauss, make_linear_power
 from ifslab.measures import (
@@ -1113,3 +1114,34 @@ class TestSeeds:
         assert local_dim_estimate(quad_measure, gauss, 100, 8, seed=np.int64(3)) == (
             local_dim_estimate(quad_measure, gauss, 100, 8, seed=3)
         )
+
+
+class TestSpawnUniforms:
+    """One numpy pass over a block's Philox streams against numpy's own objects."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**130 + 17])
+    @pytest.mark.parametrize("lo", [0, 250, 2**31])
+    @pytest.mark.parametrize("n", [1, 4, 5, 29, 59])
+    def test_bit_for_bit_numpy(self, seed, lo, n):
+        root = np.random.SeedSequence(seed)
+        want = np.array([
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                seed, spawn_key=(lo + k,), pool_size=root.pool_size
+            ))).random(n)
+            for k in range(7)
+        ])
+        got = measures._spawn_uniforms(root, lo, lo + 7, n)
+        assert got.shape == (7, n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_children_are_the_spawned_ones(self):
+        root = np.random.SeedSequence(12345)
+        want = [np.random.Generator(np.random.Philox(c)).random(9) for c in root.spawn(3)]
+        assert measures._spawn_uniforms(root, 0, 3, 9).tobytes() == np.array(want).tobytes()
+
+    def test_a_run_past_one_spawn_word_exits_2_before_allocating(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(measures, "_in_blocks", None)
+        out = tmp_path / "big.json"
+        argv = ["localdim", "--system", "gauss", "--alpha", "2", "--samples", str(2**32)]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert not out.exists()

@@ -13,6 +13,7 @@ unit mass:
     sum_{i=35}^{55} < 1 <= sum_{i=35}^{56}, so l_4 = 57.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -339,6 +340,32 @@ class TestEnumerator:
         # The strict lin:1 words of length n are the n-subsets of 1..cap.
         got = _words_per_depth(successor_table(parse_phi("lin:1"), 1000), 20)
         assert got == [math.comb(1000, n) for n in range(1, 21)]
+
+    @given(
+        phi=st.one_of(
+            st.fractions(1, 4, max_denominator=7).map(lambda b: Phi("lin", beta=b)),
+            st.floats(1.05, 3.0).map(lambda a: Phi("pow", alpha=a)),
+            st.lists(st.integers(0, 6), min_size=60, max_size=60).map(
+                lambda steps: Phi(
+                    "table", table=tuple(n + 1 + sum(steps[:n]) for n in range(60))
+                )
+            ),
+        ),
+        depth=st.integers(1, 12),
+        cap=st.integers(1, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_per_depth_counts_match_the_full_pass(self, phi, depth, cap):
+        # The recurrence over every digit 1..cap at every length, which the
+        # bounded passes shorten to the digits that start a word.
+        nxt = successor_table(phi, cap).tolist()
+        from_digit = [cap + 1 - j for j in range(cap + 2)]
+        want = [cap]
+        for _ in range(depth - 1):
+            after = [from_digit[nxt[a]] for a in range(cap, 0, -1)]
+            from_digit = [0, *reversed(list(itertools.accumulate(after))), 0]
+            want.append(from_digit[1])
+        assert _words_per_depth(successor_table(phi, cap), depth) == want
 
     def test_count_rejects_what_enumeration_rejects(self):
         with pytest.raises(PreconditionError):
