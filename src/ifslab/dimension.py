@@ -6,16 +6,17 @@ contraction ratios r_i = scale * (i + t)**-decay.  Each evaluation of that
 sum is scale**s times one certified power-sum bracket, so it costs the same
 at any band width.  Safeguarded Newton steps on its log, kept inside a
 bracket whose ends are both certified, find the root in a few evaluations.
-Cover sums aggregate |cylinder|**s over restriction-admissible
-words by one backward transfer recursion that holds each partial sum as a
-Chebyshev interpolant in the continuant ratio, with budgeted exact
-enumeration as its oracle, and carry an explicit truncation bound for the
-discarded digits above the cap.
+Cover sums aggregate |cylinder|**s over restriction-admissible words by
+one backward transfer recursion that holds each partial sum as a Chebyshev
+interpolant in the continuant ratio, with exact enumeration on the word
+walk of restrictions, budgeted by its level counts, as its oracle; both
+carry an explicit truncation bound for the discarded digits above the cap.
 Box counting follows the usual occupied-grid regression with the scale
 window trimmed to its middle part.
 """
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .restrictions import Phi, _words_per_depth, successor_table
+from .restrictions import Phi, _level_counts, _walk, successor_table
 from .powersum import _EM_HEAD, _LN2, _ULP, power_sum_brackets
 from .systems import (
     DecaySystem,
@@ -38,10 +39,8 @@ from .systems import (
 _BOWEN_MAX_ITER = 256
 
 # Exact enumeration refuses more words than this (over all depths), which
-# bounds its time; it walks the words in blocks of _EXACT_BLOCK, which bound
-# its memory.
+# bounds its time; the word walk's blocks bound its memory.
 _EXACT_WORD_BUDGET = 2**21
-_EXACT_BLOCK = 2**16
 
 # Box counting forms the grid cells of this many sorted points at a time.
 _BOX_BLOCK = 2**16
@@ -280,68 +279,34 @@ def subsystem_dim_bounds(
     return lower, upper
 
 
-def _child_blocks(append, nxt, cap, s, level, last, acc):
-    """The words one digit longer than those of a level, in blocks of at
-    most _EXACT_BLOCK: yield each block's level and last digits, and append
-    its (peak, sum of exp(s * log|C| - peak)) to acc.  append(level, digits,
-    parent) is systems._append_digits bound to the system.
-
-    The children of a level, in lexicographic order, take the child index
-    c = 0, 1, ...; parent p holds the indices cum[p] - counts[p] .. cum[p] - 1,
-    one per allowed digit nxt[last[p]] .. cap.  A block is a range of child
-    indices, so it splits a parent with more children than a block too.
-    """
-    first = nxt[last]
-    counts = cap + 1 - first
-    cum = np.cumsum(counts)
-    # The digit of child c is c - base[p].
-    base = cum - counts - first
-    total = int(cum[-1])
-    for lo in range(0, total, _EXACT_BLOCK):
-        hi = min(lo + _EXACT_BLOCK, total)
-        p0, p1 = np.searchsorted(cum, (lo, hi - 1), side="right")
-        # Children of parents p0..p1 in the block; set the last count first,
-        # so that a single parent gets hi - lo.
-        span = counts[p0 : p1 + 1].copy()
-        span[-1] = hi - (cum[p1] - counts[p1])
-        span[0] -= lo - (cum[p0] - counts[p0])
-        parent = np.repeat(np.arange(p0, p1 + 1), span)
-        digits = np.arange(lo, hi) - base[parent]
-        child, arr = append(level, digits, parent)
-        # In place, as a block holds up to _EXACT_BLOCK words.
-        arr *= s
-        peak = arr.max()
-        arr -= peak
-        acc.append((peak, np.exp(arr, out=arr).sum()))
-        yield child, digits
-
-
-def _exact_depth_sums(system, nxt, depth, s, cap):
+def _exact_depth_sums(system, nxt, depth, s):
     """Exact enumeration: per-depth totals of |cylinder|**s.
 
-    The admissible words are walked depth first in blocks of at most
-    _EXACT_BLOCK words (_child_blocks), each a level array of last digits
-    and kernel states of systems._append_digits, which forms each word's
-    log cylinder length.  A depth holds its current block, and the next
-    while it is formed, so memory is bounded by _EXACT_BLOCK times the
-    depth at any cap; the word budget of cover_sum bounds time only.  Each block keeps its peak log
-    term and the sum of its terms scaled by it; a depth's total is
-    exp(top) * fsum(sum_b * exp(peak_b - top)) over its blocks, top the
-    largest peak.  A depth of one block gives exp(peak) * sum, and an empty
-    depth 0.0.  Continuants are bounded by (cap + 1)**depth.
+    Each block of the word walk (restrictions._walk) extends the kernel
+    level of its parent block by systems._append_digits, which forms each
+    word's log cylinder length.  One level per depth is held, so memory is
+    bounded by _WALK_BLOCK times the depth at any cap.  A block keeps its
+    peak log term and the sum of its terms scaled by it; a depth's total is
+    exp(top) * fsum(sum_b * exp(peak_b - top)), top the largest peak, and
+    0.0 at an empty depth.  Continuants are bounded by (cap + 1)**depth.
     """
+    cap = len(nxt) - 1
     acc = [[] for _ in range(depth)]
     # Depth 1 takes every digit, so each affine log slope is taken once.
     append = functools.partial(_append_digits, system, log_slopes=_log_slopes(system, cap))
-    # The empty word, with virtual last digit 0.
-    root = _empty_words(system, 1, (cap + 1) ** depth)
-    walk = [_child_blocks(append, nxt, cap, s, root, np.zeros(1, dtype=np.int64), acc[0])]
-    while walk:
-        block = next(walk[-1], None)
-        if block is None:
-            walk.pop()
-        elif len(walk) < depth:
-            walk.append(_child_blocks(append, nxt, cap, s, *block, acc[len(walk)]))
+    # levels[k]: the kernel level of the current block of words of length k,
+    # from the empty word.
+    levels = [_empty_words(system, 1, (cap + 1) ** depth)]
+    for path in _walk(nxt, [cap] * depth):
+        n = len(path)
+        parent, digits = path[-1]
+        level, arr = append(levels[n - 1], digits, parent)
+        levels[n:] = [level]
+        # In place, as a block holds up to _WALK_BLOCK words.
+        arr *= s
+        peak = arr.max()
+        arr -= peak
+        acc[n - 1].append((peak, np.exp(arr, out=arr).sum()))
     totals = []
     for blocks in acc:
         top = max((peak for peak, _ in blocks), default=-math.inf)
@@ -413,7 +378,7 @@ def _horner(a, x, out):
     return out
 
 
-def _transfer_depth_sums(system, nxt, depth, s, cap):
+def _transfer_depth_sums(system, nxt, depth, s):
     """Per-depth totals of |cylinder|**s by one backward transfer recursion.
 
     A continued-fraction word with continuants (q_prev, q) has |cylinder|
@@ -446,6 +411,7 @@ def _transfer_depth_sums(system, nxt, depth, s, cap):
     x**6 on then carry only that rounding noise, times x**6 <= 1e-18 and
     the x**6 row's weights, which sum to 1.4e9: about 1e-24 relative.
     """
+    cap = len(nxt) - 1
     gauss = system.affine is None
     if gauss and depth > 1 and cap > _GAUSS_DP_CAP:
         raise NumericFailure(
@@ -545,37 +511,35 @@ def cover_sum(
     predecessor.  method 'dp', the default for every system, runs the
     backward transfer recursion, which holds the Gauss state at Chebyshev
     nodes in the continuant ratio and meets enumeration to about 1e-14
-    relative.  'exact' enumerates every word as an oracle, walking them in
-    blocks of _EXACT_BLOCK words, so its memory is bounded by the block
-    times the depth at any cap; it raises NumericFailure past
-    _EXACT_WORD_BUDGET words, a bound on its time alone.  A TailWarning
-    reports when the digit-cap truncation bound exceeds 1% of the result.
+    relative.  'exact' enumerates every word as an oracle on the word walk
+    of restrictions, so its memory is bounded by the walk's block times the
+    depth at any cap.  It first counts the words one length at a time and
+    raises NumericFailure at the first running count past
+    _EXACT_WORD_BUDGET, a bound on its time alone.  A TailWarning reports
+    when the digit-cap truncation bound exceeds 1% of the result.
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
     if depth < 1:
         raise PreconditionError("depth must be at least 1")
-    if digit_cap < 1:
-        raise PreconditionError("digit_cap must be at least 1")
     if method not in ("exact", "dp"):
         raise PreconditionError(f"unknown method {method!r}")
-    cap = digit_cap
-    nxt = successor_table(phi, cap)
+    nxt = successor_table(phi, digit_cap)
     if method == "exact":
-        n_words = sum(_words_per_depth(nxt, depth))
-        if n_words > _EXACT_WORD_BUDGET:
-            raise NumericFailure(
-                f"{n_words} admissible words exceed the exact route's budget of "
-                f"{_EXACT_WORD_BUDGET}; lower the cap or the depth, or use the dp method"
-            )
-        totals = _exact_depth_sums(system, nxt, depth, s, cap)
+        for seen in itertools.accumulate(_level_counts(nxt, [digit_cap] * depth)):
+            if seen > _EXACT_WORD_BUDGET:
+                raise NumericFailure(
+                    f"at least {seen} admissible words exceed the exact route's budget of "
+                    f"{_EXACT_WORD_BUDGET}; lower the cap or the depth, or use the dp method"
+                )
+        totals = _exact_depth_sums(system, nxt, depth, s)
     else:
-        totals = _transfer_depth_sums(system, nxt, depth, s, cap)
+        totals = _transfer_depth_sums(system, nxt, depth, s)
     result = totals[-1]
-    bound = _truncation_bound(system, depth, s, cap, totals)
+    bound = _truncation_bound(system, depth, s, digit_cap, totals)
     if bound > 0.01 * result:
         warnings.warn(
-            f"digit cap {cap}: truncation bound {bound:.3g} exceeds 1% of the "
+            f"digit cap {digit_cap}: truncation bound {bound:.3g} exceeds 1% of the "
             f"cover sum {result:.3g}",
             TailWarning,
             stacklevel=2,

@@ -164,27 +164,34 @@ class GapBlock:
 class GapSystem:
     """An affine family with explicit inter-image gaps tiling [0, 1].
 
-    system: the DecaySystem view; its affine map is the
-        AffineMap of (C, d, blocks): exact slope(i) = C * i**-d and
-        offset(i) = a_i at any index, cached per map.  Offsets are read
-        there, as ``system.affine.offset(i)``.
-    C: normalizing constant (float view of the extended-precision value).
+    system: the DecaySystem view; its affine map is the AffineMap of
+        (C, d, blocks): exact slope(i) = C * i**-d and offset(i) = a_i at
+        any index, cached per map.  The properties decay, C (a float) and
+        blocks (the gap blocks materialized) are read off the map too.
     C_bracket: certified interval for C from the truncated normalizer.
     ladder: the construction's own index ladder, starting at 1.
-    blocks: per-ladder-step gap blocks actually materialized.
     tail_bound: certified bound on the weight of all truncated blocks.
     """
 
     system: DecaySystem
     phi: Phi
-    decay: float
     eps: float
-    C: float
     C_bracket: tuple
     ladder: tuple
-    blocks: tuple
     tail_bound: float
     _c_mpf: object = field(repr=False)
+
+    @property
+    def decay(self) -> float:
+        return self.system.affine.decay
+
+    @property
+    def C(self) -> float:
+        return self.system.affine.scale
+
+    @property
+    def blocks(self) -> tuple:
+        return self.system.affine.blocks
 
 
 def _gap_blocks(windows, c_mpf) -> tuple:
@@ -284,18 +291,12 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
         c_mpf = (c_lo + c_hi) / 2
         tail_bound = float(tail_hi * c_mpf)
 
-    decay = float(d)
-    blocks = _gap_blocks(windows, c_mpf)
-    system = DecaySystem(AffineMap(c_mpf, decay, blocks))
     return GapSystem(
-        system=system,
+        system=DecaySystem(AffineMap(c_mpf, float(d), _gap_blocks(windows, c_mpf))),
         phi=phi,
-        decay=decay,
         eps=float(eps),
-        C=float(c_mpf),
         C_bracket=(float(c_lo), float(c_hi)),
         ladder=(1, *(end for _, end in windows)),
-        blocks=blocks,
         tail_bound=tail_bound,
         _c_mpf=c_mpf,
     )
@@ -341,8 +342,8 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     the rate profile.  So the map is evaluated O(blocks) times,
     however large n_max is; n_max has no upper cap, as the offsets'
     precision grows with log(n).  The realized gaps are formed with the
-    ratio C * n**-d from the construction's C, never the map's own slope,
-    so a wrong map cannot vouch for itself.
+    ratio C * n**-d from the construction's C (and the map's d), never the
+    map's own slope, so a map with a wrong C cannot vouch for itself.
     """
     if n_max < 2:
         raise PreconditionError("validation needs n_max >= 2")

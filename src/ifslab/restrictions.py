@@ -21,11 +21,17 @@ they drive both the mass distributions and the gap construction
 downstream.  Ladder indices grow doubly exponentially for
 power restrictions, so the summation runs on the certified power-sum core
 rather than term by term.
+
+The admissible words under a digit cap form a tree, read from a successor
+table and a ceiling per position: after digit a (0 before the first),
+position k takes the digits nxt[a] .. ceilings[k - 1].  Cap ceilings give
+every word up to a depth (covers), completion ceilings only the prefixes of
+full-length words (listings).  One block walk visits the tree and one
+forward count sizes each of its levels.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +48,9 @@ from .systems import DecaySystem, NumericFailure, PreconditionError, Word, verif
 _EXACT_ROOT_DEN = 64
 
 _GUARD_BITS = 96
+
+# The word walk holds at most this many words of one length at a time.
+_WALK_BLOCK = 2**16
 
 # Every ladder step's index-bit budget.
 _INDEX_BITS_CAP = 2_000_000
@@ -294,97 +303,121 @@ def successor_table(phi: Phi, cap: int) -> np.ndarray:
     floor(Phi(a)) + 1, the smallest digit strictly above Phi(a).  The table
     is non-decreasing, as every Phi is.  A linear restriction whose products
     beta.numerator * a stay below 2**63 takes the closed form on int64
-    arrays.  Otherwise the table costs one Phi evaluation per digit, except
-    where a power restriction's a**alpha surely exceeds cap + 1: the
-    logarithms decide that with a wide margin, and the entry is cap + 1
-    without forming a power that a huge exponent could not afford.
+    arrays.  Otherwise the table costs one Phi evaluation per digit, up to
+    the first digit whose power a**alpha surely exceeds cap + 1 under a
+    power restriction: the logarithms decide that with a wide margin, and
+    that entry and every later one is cap + 1, without forming a power that
+    a huge exponent could not afford.
     """
+    if cap < 1:
+        raise PreconditionError("digit_cap must be >= 1")
     if phi.kind == "lin" and phi.beta.numerator * cap < 2**63:
         num, den = phi.beta.numerator, phi.beta.denominator
         a = np.arange(1, cap + 1, dtype=np.int64)
         return np.concatenate(([1], np.minimum((num * a) // den, cap) + 1))
     log_bar = math.log(cap + 1) * (1.0 + 1e-9) + 1e-9
-
-    def step(a: int) -> int:
+    table = np.full(cap + 1, cap + 1, dtype=np.int64)
+    table[0] = 1
+    for a in range(1, cap + 1):
         if phi.kind == "pow" and phi.alpha * math.log(a) > log_bar:
-            return cap + 1
-        return phi.floor(a) + 1
+            break
+        table[a] = min(phi.floor(a) + 1, cap + 1)
+    return table
 
-    return np.array([1] + [min(step(a), cap + 1) for a in range(1, cap + 1)], dtype=np.int64)
 
-
-def _word_tops(nxt: np.ndarray, depth: int) -> list:
-    """top[r] for r = 0..depth: the largest digit that starts a word of r
-    digits under a successor table (top[0] = 0 is unused).
-
-    top[1] is the cap, and since the table is non-decreasing, top[r] counts
-    the digits a with nxt[a] <= top[r - 1].
-    """
-    top = [0, len(nxt) - 1]
+def _completion_ceilings(nxt: np.ndarray, depth: int) -> list:
+    """The largest digit at positions 1..depth of a word of depth digits: the
+    cap at the last, and since the table is non-decreasing, at position k
+    the largest a whose successor is at most the ceiling of position k + 1."""
+    if depth < 1:
+        raise PreconditionError("depth must be >= 1")
+    succ, ceilings = nxt[1:], [len(nxt) - 1]
     for _ in range(depth - 1):
-        top.append(int(np.searchsorted(nxt[1:], top[-1], side="right")))
-    return top
+        ceilings.append(int(succ.searchsorted(ceilings[-1], side="right")))
+    return ceilings[::-1]
 
 
-def _words_per_depth(nxt: np.ndarray, depth: int) -> list:
-    """Number of admissible words of each length 1..depth under a successor
-    table (``successor_table``), in Python ints (counts pass 2**53).
-
-    One pass per length over the table: the words of length n + 1 starting
-    at digit a number as many as the words of length n whose first digit is
-    at least the smallest successor of a.  The pass covers only the digits
-    1..top[n + 1] (``_word_tops``); a digit above it starts no such word.
+def _level_counts(nxt: np.ndarray, ceilings: list) -> Iterator[int]:
+    """Number of words of each length that ``_walk`` visits, lazily and in
+    exact ints.  A pass holds the count of words ending in each digit
+    lo..ceiling, from lo = 0 (the empty word) to nxt[lo] at the next length.
+    A word ending in a extends by b when nxt[a] <= b, that is when a is at
+    most reach(b), the number of digits whose successor is at most b; so the
+    next pass is this one's prefix sums gathered at reach(b).  Each
+    entry counts a word, so a pass costs at most the count it yields.
+    Entries are int64 while the count times the next width is below 2**63.
     """
-    top = _word_tops(nxt, depth)
-    nxt = nxt.tolist()
-    cap = top[1]
-    # from_digit[j]: words of the current length n whose first digit is >= j,
-    # for j = 0..top[n] + 1 (entry 0 is unused).  A digit a <= top[n + 1]
-    # has nxt[a] <= top[n], so the pass reads only entries that exist.
-    from_digit = [cap + 1 - j for j in range(cap + 2)]
-    counts = [cap]
-    for n in range(2, depth + 1):
-        after = [from_digit[nxt[a]] for a in range(top[n], 0, -1)]
-        from_digit = [0, *reversed(list(itertools.accumulate(after))), 0]
-        counts.append(from_digit[1])
-    return counts
+    succ, lo, ends, total = nxt[1:], 0, np.ones(1, dtype=np.int64), 1
+    for top, ceiling in zip([0, *ceilings], ceilings):
+        if total:
+            first = int(nxt[lo])
+            reach = succ.searchsorted(np.arange(first, ceiling + 1), side="right")
+            if ends.dtype != object and total * reach.size >= 2**63:
+                ends = ends.astype(object)
+            ends = ends.cumsum()[np.minimum(reach, top) - lo]
+            lo, total = first, int(ends.sum())
+        yield total
+
+
+def _children(nxt: np.ndarray, ceiling: int, last: np.ndarray) -> Iterator[tuple]:
+    """Blocks of at most _WALK_BLOCK children of the words ending in
+    ``last``, as (parent, digits) arrays in lexicographic order.  Parent p
+    holds the child indices start[p] .. end[p] - 1, one per digit
+    nxt[last[p]] .. ceiling, and a block is a range of child indices, so it
+    splits a parent with more children than a block too."""
+    first = nxt[last]
+    counts = ceiling + 1 - first
+    end = counts.cumsum()
+    start = end - counts
+    # The digit of child c is c - base[p].
+    base = start - first
+    total = int(end[-1])
+    for lo in range(0, total, _WALK_BLOCK):
+        hi = min(lo + _WALK_BLOCK, total)
+        p0, p1 = end.searchsorted((lo, hi - 1), side="right")
+        # The children of parents p0..p1 inside the block.
+        span = np.minimum(end[p0 : p1 + 1], hi) - np.maximum(start[p0 : p1 + 1], lo)
+        parent = np.repeat(np.arange(p0, p1 + 1), span)
+        yield parent, np.arange(lo, hi) - base[parent]
+
+
+def _walk(nxt: np.ndarray, ceilings: list) -> Iterator[list]:
+    """Depth-first walk over the word tree, in lexicographic order; yields the
+    path, one list changed in place, each time it gains a block.  path[k]
+    is a (parent, digits) block of words of length k + 1, parent indexing
+    the words of path[k - 1].  A digit up to a ceiling must have its
+    successor at most one past the next ceiling, as under cap and
+    completion ceilings."""
+    stack, path = [_children(nxt, ceilings[0], np.zeros(1, dtype=np.int64))], []
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+            continue
+        path[len(stack) - 1 :] = [block]
+        yield path
+        if len(stack) < len(ceilings):
+            stack.append(_children(nxt, ceilings[len(stack)], block[1]))
 
 
 def count_restricted_words(phi: Phi, depth: int, digit_cap: int) -> int:
-    """Number of words ``enumerate_restricted_words`` yields, without listing them."""
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
-    if digit_cap < 1:
-        raise PreconditionError("digit_cap must be >= 1")
-    return _words_per_depth(successor_table(phi, digit_cap), depth)[-1]
+    """Number of words ``enumerate_restricted_words`` yields: its walk's last level count."""
+    nxt = successor_table(phi, digit_cap)
+    *_, count = _level_counts(nxt, _completion_ceilings(nxt, depth))
+    return count
 
 
 def enumerate_restricted_words(phi: Phi, depth: int, digit_cap: int) -> Iterator[Word]:
     """Yield all words (a_1..a_depth) with digits <= digit_cap and
-    a_{k+1} > Phi(a_k), in lexicographic order.
-
-    The walk enters a digit only when a word of the remaining length can
-    follow it: a digit at most top[r] (``_word_tops``) when r digits remain.
-    So every prefix visited completes, and the walk costs at most words x
-    depth steps.
+    a_{k+1} > Phi(a_k), in lexicographic order: the full-length blocks of
+    ``_walk`` under completion ceilings, so every prefix it enters
+    completes, each word read back along its block's parent chain.
     """
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
-    if digit_cap < 1:
-        raise PreconditionError("digit_cap must be >= 1")
-    table = successor_table(phi, digit_cap)
-    top = _word_tops(table, depth)
-    nxt = table.tolist()
-    # stack[k] iterates the candidates for digit k + 1; prefix holds the
-    # digits chosen above the deepest level.
-    prefix: list = []
-    stack = [iter(range(1, top[depth] + 1))]
-    while stack:
-        a = next(stack[-1], None)
-        if a is None:
-            stack.pop()
-        elif len(stack) == depth:
-            yield (*prefix, a)
-        else:
-            prefix[len(stack) - 1:] = [a]
-            stack.append(iter(range(nxt[a], top[depth - len(stack)] + 1)))
+    nxt = successor_table(phi, digit_cap)
+    for path in _walk(nxt, _completion_ceilings(nxt, depth)):
+        if len(path) == depth:
+            columns, rows = [], slice(None)
+            for parent, digits in reversed(path):
+                columns.append(digits[rows].tolist())
+                rows = parent[rows]
+            yield from zip(*reversed(columns))

@@ -277,6 +277,28 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert "exceed the exact route's budget" in capsys.readouterr().err
 
+    def test_deep_exact_cover_refuses_at_once(self, tmp_path, capsys):
+        # The words of lengths 1 and 2 alone pass the budget; a count of every
+        # length took about a minute and had more than 4300 digits.
+        start = time.perf_counter()
+        code, _, _ = _invoke(
+            tmp_path, "cover", "--system", "gauss", "--phi", "lin:1", "--depth", "14400",
+            "--s", "0.6", "--cap", "14400", "--method", "exact",
+        )
+        assert code == 3
+        assert time.perf_counter() - start < 1.0
+        seen = 14400 + math.comb(14400, 2)
+        assert f"at least {seen} admissible words exceed" in capsys.readouterr().err
+
+    def test_one_word_of_five_thousand_digits(self, tmp_path):
+        # Its count once took seconds, one pass per length over every digit.
+        code, report, _ = _invoke(
+            tmp_path, "words", "--phi", "lin:1", "--depth", "5000", "--cap", "5000"
+        )
+        assert code == 0
+        assert report["results"]["count"] == 1
+        assert report["results"]["words"] == [list(range(1, 5001))]
+
     def test_deep_power_ladder_finishes(self, tmp_path):
         # Step 12 of the pow:2 ladder searches from near 2**7200, the square
         # of step 11, and its range's ratio to that start (about 2**-1445)

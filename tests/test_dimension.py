@@ -44,8 +44,9 @@ from ifslab.dimension import (
 )
 from ifslab.families import AffineMap, build_gap_system, make_gauss, make_linear_power
 from ifslab.restrictions import (
+    _WALK_BLOCK,
     Phi,
-    _words_per_depth,
+    _level_counts,
     enumerate_restricted_words,
     parse_phi,
     successor_table,
@@ -361,7 +362,7 @@ class TestCoverSum:
     def test_exact_total_at_s_one_stays_fast(self, gauss, lin_phi):
         # 178365 words of depth 4, whose exact total at s = 1 once took 23 s
         # as a running Fraction sum; the float total is the rational's float.
-        assert _words_per_depth(successor_table(lin_phi, 47), 4)[-1] == 178365
+        assert list(_level_counts(successor_table(lin_phi, 47), [47] * 4))[-1] == 178365
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -413,7 +414,7 @@ class TestCoverSum:
         # and 2 number cap + cap*(cap-1)/2; on both sides of that old switch
         # the default now runs the transfer program, and a forced method runs
         # its own route.
-        assert sum(_words_per_depth(successor_table(lin_phi, cap), 2)) == n_words
+        assert sum(_level_counts(successor_table(lin_phi, cap), [cap] * 2)) == n_words
         routes = []
 
         def spy(route, inner):
@@ -479,8 +480,8 @@ def _check_against_exact(system, phi, depth, s, cap):
     """_transfer_depth_sums against exact enumeration at every depth: within
     1e-13 relative, and 0 exactly where no word fits."""
     nxt = successor_table(phi, cap)
-    got = _transfer_depth_sums(system, nxt, depth, s, cap)
-    want = _exact_depth_sums(system, nxt, depth, s, cap)
+    got = _transfer_depth_sums(system, nxt, depth, s)
+    want = _exact_depth_sums(system, nxt, depth, s)
     assert len(got) == depth
     for a, b in zip(got, want):
         assert a == b if b == 0 else a == pytest.approx(b, rel=1e-13)
@@ -525,7 +526,7 @@ class TestTransferProgram:
     def test_large_caps_match_a_finer_grid(self, gauss, spec, cap, s):
         depth = 5 if cap <= 3001 else 4
         nxt = successor_table(parse_phi(spec), cap)
-        got = _transfer_depth_sums(gauss, nxt, depth, s, cap)
+        got = _transfer_depth_sums(gauss, nxt, depth, s)
         want = _finer_grid_reference(nxt, depth, s, cap)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -614,7 +615,7 @@ class TestBinnedProgram:
         gc.disable()
         try:
             for spec, depth, cap in [("pow:2", 7, 1100), ("lin:1", 4, 20000)]:
-                _transfer_depth_sums(gauss, successor_table(parse_phi(spec), cap), depth, 0.6, cap)
+                _transfer_depth_sums(gauss, successor_table(parse_phi(spec), cap), depth, 0.6)
                 assert gc.collect() == 0
         finally:
             gc.enable()
@@ -685,13 +686,13 @@ class TestExactLevels:
     def test_matches_per_word_reference(self, phi, kind, depth, cap, s):
         system = make_gauss() if kind == "gauss" else make_linear_power(2.0)
         nxt = successor_table(phi, cap)
-        counts = _words_per_depth(nxt, depth)
+        counts = list(_level_counts(nxt, [cap] * depth))
         assume(sum(counts) <= 30_000)
-        got = _exact_depth_sums(system, nxt, depth, s, cap)
+        got = _exact_depth_sums(system, nxt, depth, s)
         want = _per_word_reference(system, phi, depth, s, cap)
         assert all(_within_ulps(a, b, 4) for a, b in zip(got, want))
         # At s = 0 every word weighs 1, so the totals count each level.
-        assert _exact_depth_sums(system, nxt, depth, 0.0, cap) == counts
+        assert _exact_depth_sums(system, nxt, depth, 0.0) == counts
 
     @pytest.mark.parametrize("s", [0.6, 1.0])
     def test_past_the_int64_continuant_guard(self, gauss, s):
@@ -699,7 +700,7 @@ class TestExactLevels:
         cap = depth = 16
         assert (cap + 1) ** depth >= 2**63
         phi = parse_phi("lin:1")
-        got = _exact_depth_sums(gauss, successor_table(phi, cap), depth, s, cap)
+        got = _exact_depth_sums(gauss, successor_table(phi, cap), depth, s)
         want = _per_word_reference(gauss, phi, depth, s, cap)
         assert all(_within_ulps(a, b, 4) for a, b in zip(got[:-1], want[:-1]))
         assert got[-1] == want[-1]
@@ -734,15 +735,15 @@ class TestExactLevels:
         # The exact route sums floats at every s; at s = 1 each Gauss total
         # has a rational value to meet.
         nxt = successor_table(parse_phi(spec), cap)
-        got = _exact_depth_sums(gauss, nxt, depth, 1.0, cap)
+        got = _exact_depth_sums(gauss, nxt, depth, 1.0)
         for a, b in zip(got, _rational_totals(nxt, depth, cap)):
             assert a == b if b == 0 else a == pytest.approx(float(b), rel=1e-15)
 
 
 def _blocked_totals(monkeypatch, block, system, phi, depth, s, cap):
     """_exact_depth_sums with blocks of at most `block` words."""
-    monkeypatch.setattr(dimension, "_EXACT_BLOCK", block)
-    return _exact_depth_sums(system, successor_table(phi, cap), depth, s, cap)
+    monkeypatch.setattr("ifslab.restrictions._WALK_BLOCK", block)
+    return _exact_depth_sums(system, successor_table(phi, cap), depth, s)
 
 
 def _peak_bytes(fn):
@@ -766,7 +767,7 @@ class TestExactBlocks:
         systems = {"gauss": make_gauss(), "linpow": make_linear_power(2.0), "gapsys": gap_system}
         system, phi = systems[name], parse_phi(spec)
         depth = 4
-        counts = _words_per_depth(successor_table(phi, cap), depth)
+        counts = list(_level_counts(successor_table(phi, cap), [cap] * depth))
         assert max(counts) > 10 * block
         for s in (0.6, 1.0):
             want = _blocked_totals(monkeypatch, 2**62, system, phi, depth, s, cap)
@@ -776,7 +777,7 @@ class TestExactBlocks:
 
     def test_depth_one_wider_than_a_block(self, monkeypatch, gauss, lin_phi):
         # The empty word's cap children split over many blocks.
-        cap = 2 * dimension._EXACT_BLOCK + 5
+        cap = 2 * _WALK_BLOCK + 5
         one = _blocked_totals(monkeypatch, 2**62, gauss, lin_phi, 1, 1.0, cap)
         monkeypatch.undo()
         with warnings.catch_warnings():
@@ -792,7 +793,7 @@ class TestExactBlocks:
 
     def test_deeper_empty_levels_sum_to_zero(self, monkeypatch, gauss):
         phi = parse_phi("pow:2")
-        counts = _words_per_depth(successor_table(phi, 10), 6)
+        counts = list(_level_counts(successor_table(phi, 10), [10] * 6))
         assert counts[2] > 0 and counts[3:] == [0, 0, 0]
         want = _blocked_totals(monkeypatch, 2**62, gauss, phi, 6, 0.6, 10)
         got = _blocked_totals(monkeypatch, 2, gauss, phi, 6, 0.6, 10)
@@ -801,7 +802,7 @@ class TestExactBlocks:
 
     def test_exact_cover_memory_is_bounded(self, gauss, lin_phi):
         # 1.31M words of depth 3: held at once they took about 71 MiB.
-        assert _words_per_depth(successor_table(lin_phi, 200), 3)[-1] == 1_313_400
+        assert list(_level_counts(successor_table(lin_phi, 200), [200] * 3))[-1] == 1_313_400
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=200, method="exact")

@@ -263,6 +263,14 @@ class TestGapOffsets:
             assert isinstance(a, Fraction) and isinstance(slope, Fraction)
             assert quad_gap.system.affine.offset(i) is a
 
+    def test_rates_and_blocks_are_read_off_the_map(self, quad_gap):
+        affine = quad_gap.system.affine
+        assert (quad_gap.decay, quad_gap.C, quad_gap.blocks) == (
+            affine.decay, affine.scale, affine.blocks
+        )
+        names = [f.name for f in dataclasses.fields(quad_gap)]
+        assert not {"decay", "C", "blocks"} & set(names)
+
     def test_system_has_no_mutable_field(self, quad_gap):
         for f in dataclasses.fields(quad_gap):
             assert not isinstance(getattr(quad_gap, f.name), (list, dict, set)), f.name
@@ -395,11 +403,12 @@ class TestGapValidation:
         assert 0 < counts[0] == counts[1] <= 2 + 2 * (15 + 5 * len(gs.blocks))
 
     def test_blocks_come_from_the_construction_not_the_field(self, quad_gap):
-        # A system whose blocks field and map agree on a dropped block still
-        # fails: the validator derives the blocks from phi, ladder and C.
+        # A map that drops a block still fails, although gs.blocks reads the
+        # map: the validator derives the blocks from phi, ladder and C.
         blocks = quad_gap.blocks[:1] + quad_gap.blocks[2:]
         mutant = AffineMap(quad_gap._c_mpf, quad_gap.decay, blocks)
-        gs = dataclasses.replace(_with_map(quad_gap, mutant), blocks=blocks)
+        gs = _with_map(quad_gap, mutant)
+        assert gs.blocks == blocks
         rep = validate_gap_system(gs, 10**4)
         assert rep.witness["gaps"]["index"] == 37
         assert rep.witness["gaps"]["block"] == 2

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifslab import families, restrictions
@@ -29,7 +29,9 @@ from ifslab.restrictions import (
     Ladder,
     Phi,
     PreconditionError,
-    _words_per_depth,
+    _completion_ceilings,
+    _level_counts,
+    _walk,
     build_ladder,
     count_restricted_words,
     enumerate_restricted_words,
@@ -39,6 +41,17 @@ from ifslab.restrictions import (
 )
 from ifslab.powersum import power_sum_brackets
 from ifslab.systems import NumericFailure
+
+
+# Linear, power and table restrictions, each table strictly increasing with
+# Phi(n) >= n.
+_PHIS = st.one_of(
+    st.fractions(1, 4, max_denominator=7).map(lambda b: Phi("lin", beta=b)),
+    st.floats(1.05, 3.0).map(lambda a: Phi("pow", alpha=a)),
+    st.lists(st.integers(0, 6), min_size=60, max_size=60).map(
+        lambda steps: Phi("table", table=tuple(n + 1 + sum(steps[:n]) for n in range(60)))
+    ),
+)
 
 
 @pytest.fixture(scope="module")
@@ -338,26 +351,14 @@ class TestEnumerator:
 
     def test_per_depth_counts_every_length(self):
         # The strict lin:1 words of length n are the n-subsets of 1..cap.
-        got = _words_per_depth(successor_table(parse_phi("lin:1"), 1000), 20)
+        got = list(_level_counts(successor_table(parse_phi("lin:1"), 1000), [1000] * 20))
         assert got == [math.comb(1000, n) for n in range(1, 21)]
 
-    @given(
-        phi=st.one_of(
-            st.fractions(1, 4, max_denominator=7).map(lambda b: Phi("lin", beta=b)),
-            st.floats(1.05, 3.0).map(lambda a: Phi("pow", alpha=a)),
-            st.lists(st.integers(0, 6), min_size=60, max_size=60).map(
-                lambda steps: Phi(
-                    "table", table=tuple(n + 1 + sum(steps[:n]) for n in range(60))
-                )
-            ),
-        ),
-        depth=st.integers(1, 12),
-        cap=st.integers(1, 60),
-    )
+    @given(phi=_PHIS, depth=st.integers(1, 12), cap=st.integers(1, 60))
     @settings(max_examples=150, deadline=None)
     def test_per_depth_counts_match_the_full_pass(self, phi, depth, cap):
         # The recurrence over every digit 1..cap at every length, which the
-        # bounded passes shorten to the digits that start a word.
+        # forward passes shorten to the digits that end a counted word.
         nxt = successor_table(phi, cap).tolist()
         from_digit = [cap + 1 - j for j in range(cap + 2)]
         want = [cap]
@@ -365,7 +366,31 @@ class TestEnumerator:
             after = [from_digit[nxt[a]] for a in range(cap, 0, -1)]
             from_digit = [0, *reversed(list(itertools.accumulate(after))), 0]
             want.append(from_digit[1])
-        assert _words_per_depth(successor_table(phi, cap), depth) == want
+        assert list(_level_counts(successor_table(phi, cap), [cap] * depth)) == want
+        assert count_restricted_words(phi, depth, cap) == want[-1]
+
+    @given(
+        phi=_PHIS,
+        depth=st.integers(1, 6),
+        cap=st.integers(1, 40),
+        completing=st.booleans(),
+        block=st.sampled_from([3, 64, 2**16]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walk_blocks_add_up_to_the_level_counts(self, phi, depth, cap, completing, block):
+        nxt = successor_table(phi, cap)
+        ceilings = _completion_ceilings(nxt, depth) if completing else [cap] * depth
+        counts = list(_level_counts(nxt, ceilings))
+        assume(sum(counts) <= 20_000)
+        sizes = [0] * depth
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(restrictions, "_WALK_BLOCK", block)
+            for path in _walk(nxt, ceilings):
+                parent, digits = path[-1]
+                assert parent.size == digits.size <= block
+                assert (digits <= ceilings[len(path) - 1]).all()
+                sizes[len(path) - 1] += digits.size
+        assert sizes == counts
 
     def test_count_rejects_what_enumeration_rejects(self):
         with pytest.raises(PreconditionError):
