@@ -284,9 +284,9 @@ def _exact_depth_sums(system, nxt, depth, s):
 
     Each block of the word walk (restrictions._walk) extends the kernel
     level of its parent block by systems._append_digits, which forms each
-    word's log cylinder length.  One level per depth is held, so memory is
-    bounded by _WALK_BLOCK times the depth at any cap.  A block keeps its
-    peak log term and the sum of its terms scaled by it; a depth's total is
+    word's log cylinder length.  It holds one level per block of the
+    walk's path, _WALK_PATH words at most.  A block keeps its peak log term
+    and the sum of its terms scaled by it; a depth's total is
     exp(top) * fsum(sum_b * exp(peak_b - top)), top the largest peak, and
     0.0 at an empty depth.  Continuants are bounded by (cap + 1)**depth.
     """
@@ -512,8 +512,8 @@ def cover_sum(
     backward transfer recursion, which holds the Gauss state at Chebyshev
     nodes in the continuant ratio and meets enumeration to about 1e-14
     relative.  'exact' enumerates every word as an oracle on the word walk
-    of restrictions, so its memory is bounded by the walk's block times the
-    depth at any cap.  It first counts the words one length at a time and
+    of restrictions, so its memory is bounded by the walk's path at any
+    cap and depth.  It first counts the words one length at a time and
     raises NumericFailure at the first running count past
     _EXACT_WORD_BUDGET, a bound on its time alone.  A TailWarning reports
     when the digit-cap truncation bound exceeds 1% of the result.

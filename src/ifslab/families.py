@@ -166,8 +166,8 @@ class GapSystem:
 
     system: the DecaySystem view; its affine map is the AffineMap of
         (C, d, blocks): exact slope(i) = C * i**-d and offset(i) = a_i at
-        any index, cached per map.  The properties decay, C (a float) and
-        blocks (the gap blocks materialized) are read off the map too.
+        any index, cached per map.  The properties C and blocks read it.
+    decay: the construction's d, kept apart from the map's for the validator.
     C_bracket: certified interval for C from the truncated normalizer.
     ladder: the construction's own index ladder, starting at 1.
     tail_bound: certified bound on the weight of all truncated blocks.
@@ -175,15 +175,12 @@ class GapSystem:
 
     system: DecaySystem
     phi: Phi
+    decay: float
     eps: float
     C_bracket: tuple
     ladder: tuple
     tail_bound: float
     _c_mpf: object = field(repr=False)
-
-    @property
-    def decay(self) -> float:
-        return self.system.affine.decay
 
     @property
     def C(self) -> float:
@@ -294,6 +291,7 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
     return GapSystem(
         system=DecaySystem(AffineMap(c_mpf, float(d), _gap_blocks(windows, c_mpf))),
         phi=phi,
+        decay=float(d),
         eps=float(eps),
         C_bracket=(float(c_lo), float(c_hi)),
         ladder=(1, *(end for _, end in windows)),
@@ -342,8 +340,8 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     the rate profile.  So the map is evaluated O(blocks) times,
     however large n_max is; n_max has no upper cap, as the offsets'
     precision grows with log(n).  The realized gaps are formed with the
-    ratio C * n**-d from the construction's C (and the map's d), never the
-    map's own slope, so a map with a wrong C cannot vouch for itself.
+    ratio C * n**-d from the construction's C and d, never the map's own
+    slope, so a wrong map cannot vouch for itself.
     """
     if n_max < 2:
         raise PreconditionError("validation needs n_max >= 2")

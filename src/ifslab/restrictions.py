@@ -49,8 +49,10 @@ _EXACT_ROOT_DEN = 64
 
 _GUARD_BITS = 96
 
-# The word walk holds at most this many words of one length at a time.
+# The word walk holds at most this many words of one length at a time,
+# and at most _WALK_PATH // depth (but one at least) at any depth.
 _WALK_BLOCK = 2**16
+_WALK_PATH = 2**18
 
 # Every ladder step's index-bit budget.
 _INDEX_BITS_CAP = 2_000_000
@@ -359,8 +361,8 @@ def _level_counts(nxt: np.ndarray, ceilings: list) -> Iterator[int]:
         yield total
 
 
-def _children(nxt: np.ndarray, ceiling: int, last: np.ndarray) -> Iterator[tuple]:
-    """Blocks of at most _WALK_BLOCK children of the words ending in
+def _children(nxt: np.ndarray, ceiling: int, last: np.ndarray, block: int) -> Iterator[tuple]:
+    """Blocks of at most ``block`` children of the words ending in
     ``last``, as (parent, digits) arrays in lexicographic order.  Parent p
     holds the child indices start[p] .. end[p] - 1, one per digit
     nxt[last[p]] .. ceiling, and a block is a range of child indices, so it
@@ -372,8 +374,8 @@ def _children(nxt: np.ndarray, ceiling: int, last: np.ndarray) -> Iterator[tuple
     # The digit of child c is c - base[p].
     base = start - first
     total = int(end[-1])
-    for lo in range(0, total, _WALK_BLOCK):
-        hi = min(lo + _WALK_BLOCK, total)
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
         p0, p1 = end.searchsorted((lo, hi - 1), side="right")
         # The children of parents p0..p1 inside the block.
         span = np.minimum(end[p0 : p1 + 1], hi) - np.maximum(start[p0 : p1 + 1], lo)
@@ -388,7 +390,8 @@ def _walk(nxt: np.ndarray, ceilings: list) -> Iterator[list]:
     the words of path[k - 1].  A digit up to a ceiling must have its
     successor at most one past the next ceiling, as under cap and
     completion ceilings."""
-    stack, path = [_children(nxt, ceilings[0], np.zeros(1, dtype=np.int64))], []
+    size = max(1, min(_WALK_BLOCK, _WALK_PATH // len(ceilings)))
+    stack, path = [_children(nxt, ceilings[0], np.zeros(1, dtype=np.int64), size)], []
     while stack:
         block = next(stack[-1], None)
         if block is None:
@@ -397,7 +400,7 @@ def _walk(nxt: np.ndarray, ceilings: list) -> Iterator[list]:
         path[len(stack) - 1 :] = [block]
         yield path
         if len(stack) < len(ceilings):
-            stack.append(_children(nxt, ceilings[len(stack)], block[1]))
+            stack.append(_children(nxt, ceilings[len(stack)], block[1], size))
 
 
 def count_restricted_words(phi: Phi, depth: int, digit_cap: int) -> int:
@@ -411,8 +414,8 @@ def enumerate_restricted_words(phi: Phi, depth: int, digit_cap: int) -> Iterator
     """Yield all words (a_1..a_depth) with digits <= digit_cap and
     a_{k+1} > Phi(a_k), in lexicographic order: the full-length blocks of
     ``_walk`` under completion ceilings, so every prefix it enters
-    completes, each word read back along its block's parent chain.
-    """
+    completes, each word read back along its block's parent chain.  Its
+    memory is the walk's path, at most _WALK_PATH words at any depth."""
     nxt = successor_table(phi, digit_cap)
     for path in _walk(nxt, _completion_ceilings(nxt, depth)):
         if len(path) == depth:

@@ -263,13 +263,14 @@ class TestGapOffsets:
             assert isinstance(a, Fraction) and isinstance(slope, Fraction)
             assert quad_gap.system.affine.offset(i) is a
 
-    def test_rates_and_blocks_are_read_off_the_map(self, quad_gap):
+    def test_scale_and_blocks_are_read_off_the_map(self, quad_gap):
         affine = quad_gap.system.affine
         assert (quad_gap.decay, quad_gap.C, quad_gap.blocks) == (
             affine.decay, affine.scale, affine.blocks
         )
-        names = [f.name for f in dataclasses.fields(quad_gap)]
-        assert not {"decay", "C", "blocks"} & set(names)
+        names = {f.name for f in dataclasses.fields(quad_gap)}
+        # The construction's d is kept apart from the map's.
+        assert "decay" in names and not {"C", "blocks"} & names
 
     def test_system_has_no_mutable_field(self, quad_gap):
         for f in dataclasses.fields(quad_gap):
@@ -358,6 +359,15 @@ class TestGapValidation:
         assert rep.disjoint and rep.decaying and not rep.gaps_match
         assert rep.witness["gaps"]["index"] == index
         assert rep.witness["gaps"]["block"] == block
+
+    def test_map_with_a_wrong_decay_fails(self, quad_gap):
+        # The construction's C and blocks, but d = 3: the map's slopes are
+        # C * n**-3, so its gaps are measured against the construction's
+        # d = 2 and fail at the first checked index.
+        mutant = AffineMap(quad_gap._c_mpf, 3.0, quad_gap.blocks)
+        rep = validate_gap_system(_with_map(quad_gap, mutant), 10**4)
+        assert rep.contained and rep.decaying and not rep.gaps_match
+        assert rep.witness["gaps"]["index"] == 2
 
     def test_overlapping_map_breaks_disjointness(self, quad_gap):
         # Halving C in the map leaves the block-1 gaps wide enough, but

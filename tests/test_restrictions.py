@@ -16,6 +16,7 @@ unit mass:
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -302,6 +303,18 @@ class TestEnumerator:
             tuple(range(1, 41))
         ]
 
+    def test_first_word_of_a_wide_deep_listing_is_cheap(self):
+        # Each walk level holds a block of a few dozen words here: a 2**16
+        # word block at each of the 60 levels would take over 200 MiB.
+        tracemalloc.start()
+        try:
+            word = next(enumerate_restricted_words(parse_phi("lin:1"), 60, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word == tuple(range(1, 61))
+        assert peak < 32 * 2**20
+
     def test_dead_prefixes_are_never_entered(self):
         # The 1987 pow:2 words of 6 digits under cap 460000 all start
         # 1, 2, 5, 26, then 677 or 678; the 5-digit prefixes under that cap
@@ -375,9 +388,12 @@ class TestEnumerator:
         cap=st.integers(1, 40),
         completing=st.booleans(),
         block=st.sampled_from([3, 64, 2**16]),
+        path_words=st.sampled_from([4, 40, 2**18]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_walk_blocks_add_up_to_the_level_counts(self, phi, depth, cap, completing, block):
+    def test_walk_blocks_add_up_to_the_level_counts(
+        self, phi, depth, cap, completing, block, path_words
+    ):
         nxt = successor_table(phi, cap)
         ceilings = _completion_ceilings(nxt, depth) if completing else [cap] * depth
         counts = list(_level_counts(nxt, ceilings))
@@ -385,9 +401,11 @@ class TestEnumerator:
         sizes = [0] * depth
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(restrictions, "_WALK_BLOCK", block)
+            mp.setattr(restrictions, "_WALK_PATH", path_words)
             for path in _walk(nxt, ceilings):
                 parent, digits = path[-1]
                 assert parent.size == digits.size <= block
+                assert sum(d.size for _, d in path) <= max(path_words, depth)
                 assert (digits <= ceilings[len(path) - 1]).all()
                 sizes[len(path) - 1] += digits.size
         assert sizes == counts
