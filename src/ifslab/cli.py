@@ -412,9 +412,9 @@ def _cmd_gapsys(args):
     # recomputed from the public fields so the report carries its own check.
     with mpmath.workprec(160):
         total = mpmath.mpf(gs.C) * mpmath.zeta(gs.decay)
-        for block in gs.blocks:
+        for j, block in enumerate(gs.blocks, 1):
             count = block.end - block.start + 1
-            total += mpmath.mpf(gs.C) * mpmath.mpf(block.j) ** -2 * count / block.end
+            total += mpmath.mpf(gs.C) * mpmath.mpf(j) ** -2 * count / block.end
         defect = float(abs(1 - total))
     return {
         "C": gs.C,

@@ -32,6 +32,7 @@ from .systems import (
     PreconditionError,
     _append_digits,
     _empty_words,
+    _integer,
     _log_slopes,
 )
 
@@ -229,12 +230,13 @@ def _pressure_root(system: DecaySystem, start: int, stop: int, tol: float) -> Di
     return _estimate(s, "bowen-root", lo, hi, diag)
 
 
-def _check_band(k: int, m: int, tol: float) -> None:
-    """Preconditions of a pressure root over the band k..m."""
+def _check_band(k: int, m: int, tol: float) -> tuple:
+    """Preconditions of a pressure root over the band k..m; (k, m) as ints."""
     if k < 1 or k > m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if not 0 < tol < 1:
         raise PreconditionError(f"tol must be positive and below 1, got {tol}")
+    return _integer("k", k, 1), _integer("m", m, 1)
 
 
 def _log_rates(system: DecaySystem, lo: int, hi: int) -> np.ndarray:
@@ -248,7 +250,7 @@ def bowen_root(
 ) -> DimensionEstimate:
     """Root of sum_{i=k}^{m} r_i**s = 1 for the chosen rate bound:
     contract_lo (xi) or contract_hi (lambda)."""
-    _check_band(k, m, tol)
+    k, m = _check_band(k, m, tol)
     if bound_kind == "xi":
         t = system.shift
     elif bound_kind == "lambda":
@@ -272,7 +274,7 @@ def subsystem_dim_bounds(
             value=1.0,
             method="bowen-root",
             bracket=(lower.value, 1.0),
-            diagnostics={"capped": True, "terms": m - k + 1},
+            diagnostics={"capped": True, "terms": lower.diagnostics["terms"]},
         )
     else:
         upper = bowen_root(system, "lambda", k, m, tol)

@@ -37,7 +37,7 @@ from fractions import Fraction
 import mpmath
 
 from .restrictions import Phi, _ladder_step
-from .systems import DecaySystem, NumericFailure, PreconditionError, verify_power_decay
+from .systems import DecaySystem, NumericFailure, PreconditionError, _integer, verify_power_decay
 
 _MP_PREC = 128
 
@@ -148,13 +148,12 @@ def make_linear_power(d: float) -> DecaySystem:
 
 @dataclass(frozen=True)
 class GapBlock:
-    """One ladder block of the gap construction.
+    """One ladder block of the gap construction; block j is ``blocks[j - 1]``.
 
     Indices n with start <= n <= end get the extra gap ``gap`` inserted
     between image n and image n-1.
     """
 
-    j: int
     start: int
     end: int
     gap: object  # extended-precision length
@@ -196,7 +195,7 @@ def _gap_blocks(windows, c_mpf) -> tuple:
     C * j**-2 / l_{j+1}."""
     with mpmath.workprec(_MP_PREC):
         return tuple(
-            GapBlock(j, start, end, c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end))
+            GapBlock(start, end, c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end))
             for j, (start, end) in enumerate(windows, start=1)
         )
 
@@ -343,8 +342,7 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     ratio C * n**-d from the construction's C and d, never the map's own
     slope, so a wrong map cannot vouch for itself.
     """
-    if n_max < 2:
-        raise PreconditionError("validation needs n_max >= 2")
+    n_max = _integer("n_max", n_max, 2)
     windows = [(gs.phi.floor(prev) + 1, end) for prev, end in zip(gs.ladder, gs.ladder[1:])]
     blocks = _gap_blocks(windows, gs._c_mpf)
     edges = {n for b in blocks for n in (b.start - 1, b.start, b.start + 1, b.end, b.end + 1)}
@@ -366,13 +364,13 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
         if disjoint and realized < -tol:
             disjoint = False
             witness["disjoint"] = {"index": n}
-        block = min(blocks, key=lambda b: max(b.start - n, n - b.end, 0))
+        j, block = min(enumerate(blocks, 1), key=lambda b: max(b[1].start - n, n - b[1].end, 0))
         inside = block.start <= n <= block.end
         gap = _mpf_to_fraction(block.gap)
         err = abs(realized - gap) if inside else abs(realized)
         if gaps_match and err > (Fraction(1e-12) * gap if inside else tol):
             gaps_match = False
-            witness["gaps"] = {"index": n, "block": block.j, "rel_err": float(err / gap)}
+            witness["gaps"] = {"index": n, "block": j, "rel_err": float(err / gap)}
     threshold = None
     decaying = True
     try:

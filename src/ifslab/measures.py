@@ -14,18 +14,18 @@ law from digit i is a power tail supported on j >= ceil(i**alpha).  A
 Monte Carlo estimator samples its chains, by exact inverse CDF on the tail
 while window starts stay within _CHAIN_EXACT_CAP, and regresses cylinder
 masses against bracketed neighborhood lengths to read off the local
-dimension.  That chain is the one place digits are drawn.  Every exact
-digit is the certified crossing index of the power-sum core: draws sharing
-a window start are answered together, from one cumulative table when at
-least _INV_TABLE_MIN_DRAWS share it and the target clears the table's
-rounding bound, otherwise by the crossing search, and the route never
-changes a digit.  The estimator runs level by level over a block of samples;
-sample k draws its uniforms from its own spawned Philox child, the n-th
-feeding level n, and every chain step is elementwise, so no sample reads
-another.  That is what lets the blocks run apart, one per usable CPU, the
-first in process and the rest in forked children: the merge reads their
-rows in sample order, so neither the report nor the stream depends on how
-many CPUs there are.
+dimension.  That chain is the one place digits are drawn, and that cap the
+one bound on an exact start.  Every exact digit is the certified crossing
+index of the power-sum core: draws sharing a window start are answered
+together, from one cumulative table when at least _INV_TABLE_MIN_DRAWS
+share it and the target clears the table's rounding bound, otherwise by
+the crossing search; the route never changes a digit.  The estimator runs
+level by level over a block of samples; sample k draws its uniforms from
+its own spawned Philox child, the n-th feeding level n, and every chain
+step is elementwise, so no sample reads another.  That is what lets the
+blocks run apart, one per usable CPU, the first in process and the rest in
+forked children: the merge reads their rows in sample order, so neither
+the report nor the stream depends on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .dimension import DimensionEstimate, _estimate, bowen_root
 from .powersum import first_index_reaching, power_sum_brackets
 from .restrictions import Ladder, Phi, build_ladder
 from .systems import DecaySystem, NumericFailure, PreconditionError
-from .systems import _append_digits, _digit_table, _empty_words
+from .systems import _append_digits, _digit_table, _empty_words, _integer
 
 _VERIFY_SAMPLE_CAP = 100_000
 
@@ -56,11 +56,10 @@ _INT64_MAX = 2**63 - 1
 _CHAIN_EXACT_CAP = 10**6
 
 # Inverse-CDF tables: one cumulative block over the first terms past a
-# window start, built per batch of draws sharing a small start.  A build
-# costs about as much as 16 crossing searches (0.45 ms against 23 us), so
-# smaller batches search.
+# window start, per batch of draws sharing a start.  A build costs about 25-45
+# crossing searches on localdim's inputs (0.66-0.98 ms against medians of
+# 16-31 us, 2-vCPU Xeon): more than the 16 the bar was set at.
 _INV_TABLE_SPAN = 65_536
-_INV_TABLE_START_CAP = 10**6
 _INV_TABLE_MIN_DRAWS = 16
 
 # A log-digit beyond this truncates the sample (flagged, not fatal).  A
@@ -147,8 +146,7 @@ def build_frostman_measure(
     window must hold at least 4 digits so that trimming leaves at least 2.
     Ladder construction failures propagate unchanged.
     """
-    if not isinstance(depth, int) or depth < 1:
-        raise PreconditionError(f"depth must be an integer >= 1, got {depth}")
+    depth = _integer("depth", depth, 1)
     ladder = build_ladder(system, phi, eps, depth + 1)
     floor_s = 1.0 / system.decay - eps
     levels = []
@@ -216,13 +214,6 @@ class FrostmanReport:
     @property
     def fraction(self) -> float:
         return self.passed / self.checked
-
-
-def _seed_root(seed) -> np.random.SeedSequence:
-    """The SeedSequence of a seed, which must be an integer >= 0."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
-    return np.random.SeedSequence(int(seed))
 
 
 def _hashmix(value, const: int, mult: int):
@@ -365,13 +356,13 @@ def verify_frostman(
     >= 0, on either route.  A sampled window past int64 raises
     NumericFailure.
     """
-    root = _seed_root(seed)
-    if sample_cap < 1:
-        raise PreconditionError(f"sample_cap must be >= 1, got {sample_cap}")
+    root = np.random.SeedSequence(_integer("seed", seed, 0))
+    sample_cap = _integer("sample_cap", sample_cap, 1)
     if not 1 <= depth <= measure.depth:
         raise PreconditionError(
             f"verify depth {depth} outside the built range 1..{measure.depth}"
         )
+    depth = _integer("verify depth", depth, 1)
     q = 1.0 / measure.system.decay - measure.eps
     windows = measure.ladder.windows[:depth]
     total = math.prod(hi - lo + 1 for lo, hi in windows)
@@ -463,10 +454,7 @@ class PowerLawDigitMeasure:
                     f"alpha {self.alpha} with decay {self.decay} gives {name} "
                     f"{value!r}, not a positive normal float"
                 )
-        if not isinstance(self.first_digit, int) or self.first_digit < 1:
-            raise PreconditionError(
-                f"first digit must be an integer >= 1, got {self.first_digit}"
-            )
+        object.__setattr__(self, "first_digit", _integer("first_digit", self.first_digit, 1))
         object.__setattr__(self, "_support", Phi("pow", alpha=float(self.alpha)))
         object.__setattr__(self, "_norms", {})
 
@@ -485,9 +473,7 @@ class PowerLawDigitMeasure:
 
     def support_start(self, i: int) -> int:
         """Smallest admissible successor of digit i: ceil(i**alpha), exact."""
-        if not isinstance(i, int) or i < 1:
-            raise PreconditionError(f"digit must be an integer >= 1, got {i}")
-        return self._support.ceil(i)
+        return self._support.ceil(_integer("digit i", i, 1))
 
     def _tail_norm(self, start: int) -> tuple:
         """(lo, hi, mid) certified brackets of sum_{j >= start} j**-p."""
@@ -513,8 +499,7 @@ def digit_transition(measure: PowerLawDigitMeasure, i: int, j: int) -> float:
     c(i) * i**(alpha*(d-1)*s) * j**(-p) is evaluated as j**(-p) / S(i),
     which is the same number without the cancelling i powers.
     """
-    if not isinstance(j, int) or j < 1:
-        raise PreconditionError(f"digit must be an integer >= 1, got {j}")
+    j = _integer("digit j", j, 1)
     start = measure.support_start(i)
     if j < start:
         return 0.0
@@ -527,16 +512,17 @@ def _tail_quantiles(measure: PowerLawDigitMeasure, start: int, us: Sequence[floa
 
     Every digit is the certified ``first_index_reaching(start, p, u * lo)``
     index, lo the lower tail-norm bracket.  With at least
-    _INV_TABLE_MIN_DRAWS draws and start <= _INV_TABLE_START_CAP, one
+    _INV_TABLE_MIN_DRAWS draws and start <= _CHAIN_EXACT_CAP, one
     cumulative table over the first _INV_TABLE_SPAN terms answers the draws
     whose target lies more than the table's rounding bound from both
     neighbouring entries; every other draw runs the crossing search.  So
-    neither the route nor the batch changes a digit.
+    neither the route nor the batch changes a digit.  The chain draws at no
+    start past that cap, but a table past 2**53 would hold inexact terms.
     """
     p = measure.tail_exponent
     targets = np.asarray(us, dtype=float) * measure._tail_norm(start)[0]
     digits = [None] * len(targets)
-    if len(targets) >= _INV_TABLE_MIN_DRAWS and start <= _INV_TABLE_START_CAP:
+    if len(targets) >= _INV_TABLE_MIN_DRAWS and start <= _CHAIN_EXACT_CAP:
         tab = np.cumsum(np.arange(start, start + _INV_TABLE_SPAN, dtype=float) ** -p)
         # Each term is rounded once and the sequential sum adds at most one
         # rounding per term, all below ulp(tab[-1]).
@@ -679,20 +665,18 @@ def local_dim_estimate(
     sample: sample_id, n, digit, log10_digit, log_r_lo, log_r_hi, log_mass,
     where digit is blank once the chain leaves the exact regime.
     """
-    if not isinstance(samples, int) or samples < 100:
-        raise PreconditionError(f"needs at least 100 samples, got {samples}")
+    samples = _integer("samples", samples, 100)
     if samples > _MASK32:
         raise PreconditionError(
             f"needs fewer than 2**32 samples (a spawn index is one uint32 word), got {samples}"
         )
-    if not isinstance(depth, int) or depth < 5:
-        raise PreconditionError(f"needs depth >= 5, got {depth}")
+    depth = _integer("depth", depth, 5)
     if system.affine is not None and system.affine.blocks:
         raise PreconditionError(
             "local dimension runs on the gauss or linear-power families, not on "
             "a gap system: gaps split its windows, so no window is an interval"
         )
-    root = _seed_root(seed)
+    root = np.random.SeedSequence(_integer("seed", seed, 0))
     stream = csv_stream is not None
     blocks = _in_blocks(
         lambda lo, hi: _chain_block(measure, system, root, depth, lo, hi, stream),
@@ -724,7 +708,7 @@ def local_dim_estimate(
         "samples": samples,
         "kept": len(mid),
         "depth": depth,
-        "seed": int(seed),
+        "seed": root.entropy,
         "slope_sd": sd,
         "ci95": ci,
         "bracket_spread": spread,
@@ -813,7 +797,7 @@ def _chain_block(
                 if lstart[k] > log_chain_cap:
                     windowless.append(k)
                     continue
-                start = measure.support_start(i)
+                start = measure._support.ceil(i)
                 lstart[k] = math.log(start)
                 if start > _CHAIN_EXACT_CAP:
                     windowless.append(k)

@@ -304,6 +304,14 @@ class _Brackets:
         return a + delta
 
 
+def _check_range(start: int, p: float) -> None:
+    """The preconditions every power sum shares: start >= 1 and p > 0."""
+    if start < 1:
+        raise ValueError("power sums start at index 1")
+    if p <= 0:
+        raise ValueError("exponent p must be positive")
+
+
 def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, float]:
     """Certified bracket [lo, hi] containing S(start, stop, p).
 
@@ -311,17 +319,10 @@ def power_sum_brackets(start: int, stop: int | None, p: float) -> tuple[float, f
     ranges the bracket degenerates to the exactly rounded direct sum widened
     by a few ulps.  A sum past e**709 gives (_BIG, inf).
     """
-    if start < 1:
-        raise ValueError("power sums start at index 1")
-    if p <= 0:
-        raise ValueError("exponent p must be positive")
+    _check_range(start, p)
     if stop is None and p <= 1.0:
         raise ValueError("infinite power sum needs p > 1")
-    if stop is None or stop - start + 1 <= 4 * _EM_HEAD:
-        return _Brackets(start, p)(stop)
-    a = start + _EM_HEAD
-    k = _ratio_shift((stop - a).bit_length() - a.bit_length(), a)
-    return _Brackets(start, p, k)(stop)
+    return _Brackets(start, p)(stop)
 
 
 @dataclass(frozen=True)
@@ -490,10 +491,7 @@ def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
     """
     if target <= 0:
         return ReachResult(start, 0)
-    if start < 1:
-        raise ValueError("power sums start at index 1")
-    if p <= 0:
-        raise ValueError("exponent p must be positive")
+    _check_range(start, p)
     goal = target
     brackets, log_y = _search_brackets(start, p, goal)
     keys = _Keys(brackets)

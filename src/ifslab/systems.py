@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -71,6 +72,18 @@ class PreconditionError(ValueError):
 
 class NumericFailure(RuntimeError):
     """A numeric procedure could not produce a certified result."""
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int (any integer type, by operator.index), which must be
+    at least ``least``; a PreconditionError naming the argument otherwise."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 def _recip_power(i: int, d: float) -> float:

@@ -139,9 +139,9 @@ def test_criterion_6_gap_system_certification():
         report = validate_gap_system(gs, 10_000)
         with mpmath.workprec(160):
             total = mpmath.mpf(gs.C) * mpmath.zeta(2)
-            for block in gs.blocks:
+            for j, block in enumerate(gs.blocks, 1):
                 count = block.end - block.start + 1
-                total += mpmath.mpf(gs.C) * mpmath.mpf(block.j) ** -2 * count / block.end
+                total += mpmath.mpf(gs.C) * mpmath.mpf(j) ** -2 * count / block.end
             defect = float(abs(1 - total))
     assert report.disjoint and report.contained and report.gaps_match and report.decaying
     assert defect <= 1e-9

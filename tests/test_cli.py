@@ -366,7 +366,7 @@ class TestExitCodes:
             tmp_path, "localdim", "--alpha", "2", "--samples", "20", "--stream", str(keep)
         )
         assert code == 2
-        assert "at least 100 samples" in capsys.readouterr().err
+        assert "samples must be an integer >= 100, got 20" in capsys.readouterr().err
         assert keep.read_bytes() == b"earlier,run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
 

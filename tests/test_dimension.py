@@ -187,6 +187,18 @@ class TestSubsystemBounds:
             subsystem_dim_bounds(system, k, m, tol=tol)
 
 
+    def test_band_ends_read_numpy_integers_as_ints(self, gauss):
+        assert bowen_root(gauss, "xi", np.int64(10), np.int64(1000)) == (
+            bowen_root(gauss, "xi", 10, 1000)
+        )
+        assert subsystem_dim_bounds(gauss, np.int64(1), np.int64(1000)) == (
+            subsystem_dim_bounds(gauss, 1, 1000)
+        )
+        for k, m, name in ((10.0, 1000, "k"), (10, 1000.0, "m")):
+            with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 1"):
+                bowen_root(gauss, "xi", k, m)
+
+
 def _bisection_root(rates: np.ndarray, tol: float) -> float:
     """The bisection the pressure root used before its Newton search, as a
     reference: halve [0, hi] until |sum(rates**s) - 1| <= tol, with hi the

@@ -26,6 +26,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
+import numpy as np
 import pytest
 
 from ifslab import families
@@ -162,7 +163,6 @@ class TestGapBuild:
         assert (blocks[1].start, blocks[1].end) == (37, 72)
         assert (blocks[2].start, blocks[2].end) == (5185, 6720)
         for j, b in enumerate(blocks, start=1):
-            assert b.j == j
             assert b.start == quad_gap.phi.floor(quad_gap.ladder[j - 1]) + 1
             assert b.end == quad_gap.ladder[j]
             want = quad_gap.C * j**-2 / b.end
@@ -321,9 +321,9 @@ class TestGapValidation:
         # C * zeta(d) plus block gap mass C * j**-2 * count / l_{j+1}.
         with mpmath.workprec(160):
             total = mpmath.mpf(quad_gap.C) * mpmath.zeta(2)
-            for b in quad_gap.blocks:
+            for j, b in enumerate(quad_gap.blocks, 1):
                 count = b.end - b.start + 1
-                total += mpmath.mpf(quad_gap.C) * mpmath.mpf(b.j) ** -2 * count / b.end
+                total += mpmath.mpf(quad_gap.C) * mpmath.mpf(j) ** -2 * count / b.end
             defect = abs(1 - total)
         assert float(defect) <= 1e-9
         assert float(defect) <= 4 * quad_gap.tail_bound + 1e-15
@@ -433,6 +433,11 @@ class TestGapValidation:
         for n_max in (300_000, block_6.start, block_6.end + 1, 10**100):
             rep = validate_gap_system(quad_gap, n_max)
             assert rep.all_pass, (n_max, rep.witness)
+
+    def test_nmax_reads_numpy_integers_as_ints(self, quad_gap):
+        assert validate_gap_system(quad_gap, np.int64(1000)) == validate_gap_system(quad_gap, 1000)
+        with pytest.raises(PreconditionError, match="^n_max must be an integer >= 2"):
+            validate_gap_system(quad_gap, 1000.0)
 
     def test_overlap_at_a_late_edge_is_caught(self, quad_gap):
         # Image n (just before block 6) overlaps its neighbour by half its

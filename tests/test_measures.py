@@ -595,6 +595,27 @@ class TestSampling:
         qs = _tail_quantiles(quad_measure, 4, [0.1, 0.5, 0.9, 0.9999])
         assert all(a <= b for a, b in zip(qs, qs[1:]))
 
+    @pytest.mark.parametrize(
+        "system, alpha", [("gauss", 1.5), ("gauss", 2.0), ("gauss", 3.0), ("linpow", 2.0)]
+    )
+    def test_localdim_draws_only_at_exact_starts(
+        self, gauss, forced_blocks, monkeypatch, system, alpha
+    ):
+        # The chain draws exact digits only up to the cap where it switches
+        # to the continuous tail, the cap the table's start test reads.
+        sys_ = gauss if system == "gauss" else make_linear_power(2.0)
+        forced_blocks(1)
+        starts = []
+        quantiles = measures._tail_quantiles
+
+        def spy(measure, start, us):
+            starts.append(start)
+            return quantiles(measure, start, us)
+
+        monkeypatch.setattr(measures, "_tail_quantiles", spy)
+        local_dim_estimate(PowerLawDigitMeasure(2.0, alpha), sys_, 500, 30, seed=0)
+        assert starts and max(starts) <= measures._CHAIN_EXACT_CAP
+
     def test_empirical_second_digit_frequencies(self, quad_measure):
         # Second digits after the first digit 2: draws from the window start 4.
         n = 20_000
@@ -696,7 +717,7 @@ class TestLocalDim:
         assert 0.28 <= est.value <= 0.38
 
     def test_preconditions(self, gauss, quad_measure):
-        with pytest.raises(PreconditionError, match="100 samples"):
+        with pytest.raises(PreconditionError, match="samples must be an integer >= 100"):
             local_dim_estimate(quad_measure, gauss, samples=99, depth=30)
         with pytest.raises(PreconditionError, match="depth"):
             local_dim_estimate(quad_measure, gauss, samples=500, depth=4)
@@ -1114,6 +1135,55 @@ class TestSeeds:
         assert local_dim_estimate(quad_measure, gauss, 100, 8, seed=np.int64(3)) == (
             local_dim_estimate(quad_measure, gauss, 100, 8, seed=3)
         )
+
+
+class TestIntegerArguments:
+    """Every integer argument of ``measures`` reads a numpy integer as its
+    int and refuses a float with a message naming the argument (seeds in
+    TestSeeds)."""
+
+    @pytest.fixture
+    def calls(self, gauss, quad_measure, layered):
+        lin1 = parse_phi("lin:1")
+        return {
+            "depth": lambda v: build_frostman_measure(gauss, lin1, 0.1, v),
+            "verify depth": lambda v: verify_frostman(layered, v),
+            "sample_cap": lambda v: verify_frostman(layered, 3, sample_cap=v),
+            "first_digit": lambda v: local_dim_estimate(
+                PowerLawDigitMeasure(2.0, 2.0, v), gauss, 100, 8
+            ),
+            "digit i": lambda v: (
+                quad_measure.support_start(v),
+                quad_measure.normalizer(v),
+                digit_transition(quad_measure, v, 150),
+            ),
+            "digit j": lambda v: digit_transition(quad_measure, 2, v),
+            "samples": lambda v: local_dim_estimate(quad_measure, gauss, v, 8),
+            "localdim depth": lambda v: local_dim_estimate(quad_measure, gauss, 100, v),
+        }
+
+    @pytest.mark.parametrize(
+        "arg, value",
+        [
+            ("depth", 2),
+            ("verify depth", 2),
+            ("sample_cap", 50),
+            ("first_digit", 3),
+            ("digit i", 10),
+            ("digit j", 7),
+            ("samples", 100),
+            ("localdim depth", 8),
+        ],
+    )
+    def test_numpy_integers_act_as_ints_and_floats_are_refused(self, calls, arg, value):
+        call = calls[arg]
+        assert call(np.int64(value)) == call(value)
+        name = arg.removeprefix("localdim ")
+        with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= "):
+            call(2.0)
+
+    def test_first_digit_is_stored_as_an_int(self):
+        assert type(PowerLawDigitMeasure(2.0, 2.0, np.int64(3)).first_digit) is int
 
 
 class TestSpawnUniforms:

@@ -351,6 +351,26 @@ def test_unit_sums_past_the_float_range_of_the_ratio(bits, p):
     assert hi - lo < 1e-9
 
 
+@pytest.mark.parametrize("p", [0.8, 1.5])
+@pytest.mark.parametrize("log2_ratio", [-1500, -1100, -990, -961, 961, 990, 1100, 1500])
+def test_brackets_take_the_stops_own_ratio_scaling(log2_ratio, p):
+    # A tiny stop - start against a huge start, and a stop far past its
+    # start.  Past the normal floats the unscaled ratio falls back to the
+    # stop's own k; out to 2**+-999 both ratios give the same log1p.  (From
+    # 2**+-1000 to the end of the normal range the unscaled ratio's logs
+    # round apart by an ulp or so; both brackets hold the sum.)
+    if log2_ratio < 0:
+        start = (1 << (40 - log2_ratio)) + 12345
+        stop = start + (start >> -log2_ratio) + 6789
+    else:
+        start = (1 << 40) + 12345
+        stop = start << log2_ratio
+    a = start + powersum._EM_HEAD
+    k = powersum._ratio_shift((stop - a).bit_length() - a.bit_length(), a)
+    assert k != 0
+    assert power_sum_brackets(start, stop, p) == powersum._Brackets(start, p, k)(stop)
+
+
 def _bisection_reach(start, p, goal):
     """The search's answer by full bisection over the same bracket function:
     the first stop whose lower end reaches the goal, and the first whose
