@@ -232,11 +232,12 @@ def _pressure_root(system: DecaySystem, start: int, stop: int, tol: float) -> Di
 
 def _check_band(k: int, m: int, tol: float) -> tuple:
     """Preconditions of a pressure root over the band k..m; (k, m) as ints."""
+    k, m = _integer("k", k, 0), _integer("m", m, 0)
     if k < 1 or k > m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if not 0 < tol < 1:
         raise PreconditionError(f"tol must be positive and below 1, got {tol}")
-    return _integer("k", k, 1), _integer("m", m, 1)
+    return k, m
 
 
 def _log_rates(system: DecaySystem, lo: int, hi: int) -> np.ndarray:
@@ -522,11 +523,11 @@ def cover_sum(
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
-    if depth < 1:
-        raise PreconditionError("depth must be at least 1")
+    depth = _integer("depth", depth, 1)
     if method not in ("exact", "dp"):
         raise PreconditionError(f"unknown method {method!r}")
     nxt = successor_table(phi, digit_cap)
+    digit_cap = len(nxt) - 1  # as successor_table read it
     if method == "exact":
         for seen in itertools.accumulate(_level_counts(nxt, [digit_cap] * depth)):
             if seen > _EXACT_WORD_BUDGET:

@@ -48,6 +48,12 @@ _GAP_MAX_BLOCKS = 24
 
 _TAIL_REL = 1e-12
 
+# Most working bits of an offset, _prec(d, i).  Its Hurwitz zeta costs
+# about fourfold per doubling: one took 0.10-0.16 s at 4096 bits,
+# 0.51-0.56 s at 8192 and 1.0-1.9 s at 10240 (d 300, 1000 and 1e4, on a
+# 2-vCPU Xeon with mpmath's pure-Python backend).
+_OFFSET_BITS_CAP = 1 << 13
+
 
 def _mpf_to_fraction(x) -> Fraction:
     """Exact rational value of an mpf (sign, mantissa, base-2 exponent),
@@ -78,10 +84,17 @@ def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
     it is exactly 0, so a_1 = 1 - C exactly and image 1 ends flush at 1.
     The tiling needs the lengths to sum, so d <= 1 is a PreconditionError:
     there zeta(d, i+1) is infinite (d = 1) or an analytic continuation.
+    An offset past _OFFSET_BITS_CAP working bits is a NumericFailure.
     """
     if not decay > 1:
         raise PreconditionError(f"an affine tiling needs decay d > 1, got {decay}")
-    with mpmath.workprec(_prec(decay, i)):
+    bits = _prec(decay, i)
+    if bits > _OFFSET_BITS_CAP:
+        raise NumericFailure(
+            f"offset {i} of the decay-{decay} tiling needs {bits} bits, past the "
+            f"{_OFFSET_BITS_CAP}-bit budget"
+        )
+    with mpmath.workprec(bits):
         lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
         gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
         series = _mpf_to_fraction(lengths + gaps)
@@ -337,10 +350,11 @@ def validate_gap_system(gs: GapSystem, n_max: int) -> GapValidationReport:
     each block's start-1, start, start+1, end and end+1, those at most
     n_max; containment at 1 and n_max; power decay at every index, from
     the rate profile.  So the map is evaluated O(blocks) times,
-    however large n_max is; n_max has no upper cap, as the offsets'
-    precision grows with log(n).  The realized gaps are formed with the
-    ratio C * n**-d from the construction's C and d, never the map's own
-    slope, so a wrong map cannot vouch for itself.
+    however large n_max is.  n_max has no upper cap of its own: the
+    offsets' precision grows with d * log2(n), and an offset past
+    _OFFSET_BITS_CAP working bits raises NumericFailure.  The realized
+    gaps are formed with the ratio C * n**-d from the construction's C and
+    d, never the map's own slope, so a wrong map cannot vouch for itself.
     """
     n_max = _integer("n_max", n_max, 2)
     windows = [(gs.phi.floor(prev) + 1, end) for prev, end in zip(gs.ladder, gs.ladder[1:])]

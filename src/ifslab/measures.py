@@ -217,8 +217,8 @@ class FrostmanReport:
 
 
 def _hashmix(value, const: int, mult: int):
-    """One step of numpy's SeedSequence hash on a uint32 word (an int or a
-    uint32 array): (hashed value, next hash constant)."""
+    """One step of numpy's SeedSequence hash on an array of uint32 words:
+    (hashed values, next hash constant)."""
     nxt = const * mult & _MASK32
     value = (value ^ const) * nxt & _MASK32
     return value ^ value >> 16, nxt
@@ -228,15 +228,6 @@ def _mix(x, y):
     """numpy's SeedSequence mix of two uint32 words (ints or uint32 arrays)."""
     out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
     return out ^ out >> 16
-
-
-def _uint32_words(n: int) -> list:
-    """The little-endian uint32 words of an int n >= 0, as SeedSequence reads it."""
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
@@ -252,34 +243,29 @@ def _spawn_uniforms(root: np.random.SeedSequence, lo: int, hi: int, n: int) -> n
     """Row k: the first n uniforms of the spawned child lo + k of root.
 
     Bit for bit ``Generator(Philox(child)).random(n)`` with child the
-    SeedSequence of root's entropy and spawn key root.spawn_key + (lo + k,),
-    for every spawn index below 2**32 (one uint32 word), in one numpy pass
-    over the block.  The entropy words before the spawn index are mixed once
-    in ints; the index is mixed in as a uint32 array, the two key words of
-    each child's Philox4x64-10 formed as ``generate_state(2, uint64)``
-    forms them, and every stream run over counters 1..ceil(n / 4) at once:
-    Philox is counter-based, and numpy's stream bumps the counter before
-    each block of four words.  A uniform is (x >> 11) * 2**-53.
+    SeedSequence of root's entropy and spawn key (lo + k,), for a root with
+    no spawn key of its own (``SeedSequence(seed)``) and every spawn index
+    below 2**32 (one uint32 word), in one numpy pass over the block.  The
+    child's entropy words are the root's, padded to the pool size, then the
+    index, so its hash runs through numpy's own root state ``root.pool``
+    and the hash constant after the root's calls; only the index is mixed
+    in, as a uint32 array.  The two key words of each child's
+    Philox4x64-10 are formed as ``generate_state(2, uint64)`` forms them,
+    and every stream run over counters 1..ceil(n / 4) at once: Philox is
+    counter-based, and numpy's stream bumps the counter before each block
+    of four words.  A uniform is (x >> 11) * 2**-53.
     """
-    words = _uint32_words(root.entropy)
-    words += [0] * (root.pool_size - len(words))
-    for key in root.spawn_key:
-        words += _uint32_words(key)
-    trailing = words[root.pool_size:] + [np.arange(lo, hi, dtype=np.uint32)]
-    const = _INIT_A
-    pool = []
-    for word in words[:root.pool_size]:
-        value, const = _hashmix(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(root.pool_size):
-        for dst in range(root.pool_size):
-            if src != dst:
-                value, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in trailing:
-        for dst in range(root.pool_size):
-            value, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
+    size = root.pool_size
+    words = max(1, -(-root.entropy.bit_length() // 32))
+    # The root's fill and cross-mix make size**2 hash calls, and each
+    # entropy word past the pool adds size more.
+    calls = size**2 + size * max(0, words - size)
+    const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
+    pool = root.pool.tolist()
+    index = np.arange(lo, hi, dtype=np.uint32)
+    for dst in range(size):
+        value, const = _hashmix(index, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], value)
     state, const = [], _INIT_B
     for word in pool[:4]:
         value, const = _hashmix(word, const, _MULT_B)
@@ -358,11 +344,11 @@ def verify_frostman(
     """
     root = np.random.SeedSequence(_integer("seed", seed, 0))
     sample_cap = _integer("sample_cap", sample_cap, 1)
+    depth = _integer("verify depth", depth, 0)
     if not 1 <= depth <= measure.depth:
         raise PreconditionError(
             f"verify depth {depth} outside the built range 1..{measure.depth}"
         )
-    depth = _integer("verify depth", depth, 1)
     q = 1.0 / measure.system.decay - measure.eps
     windows = measure.ladder.windows[:depth]
     total = math.prod(hi - lo + 1 for lo, hi in windows)

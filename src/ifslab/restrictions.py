@@ -41,7 +41,8 @@ import mpmath
 import numpy as np
 
 from .powersum import first_index_reaching
-from .systems import DecaySystem, NumericFailure, PreconditionError, Word, verify_power_decay
+from .systems import DecaySystem, NumericFailure, PreconditionError, Word, _integer
+from .systems import verify_power_decay
 
 # Exact integer-root evaluation applies when the exponent is a binary
 # rational with denominator at most this; beyond it the adaptive route runs.
@@ -58,9 +59,9 @@ _WALK_PATH = 2**18
 _INDEX_BITS_CAP = 2_000_000
 
 # n**alpha is formed only while the exact power n**numerator needs at most
-# this many bits (twice _INDEX_BITS_CAP).  A huge exponent would otherwise
-# build a power of about alpha * log2(n) bits and never finish.
-_POW_BITS_CAP = 1 << 22
+# this many bits.  A huge exponent would otherwise build a power of about
+# alpha * log2(n) bits and never finish.
+_POW_BITS_CAP = 2 * _INDEX_BITS_CAP
 # The adaptive route's working precision, whose two mpmath.power calls grow
 # about fourfold per doubling: one took 0.36 s at 2**16 bits and 1.5 s at
 # 2**17 on a 2-core Xeon with mpmath's pure-Python backend.
@@ -161,8 +162,7 @@ class Phi:
 
     def floor(self, n: int) -> int:
         """Integer part of Phi(n)."""
-        if n < 1:
-            raise PreconditionError("restrictions are evaluated at n >= 1")
+        n = _integer("n", n, 1)
         if self.kind == "lin":
             return (self.beta.numerator * n) // self.beta.denominator
         if self.kind == "pow":
@@ -175,13 +175,12 @@ class Phi:
 
     def ceil(self, n: int) -> int:
         """Smallest integer >= Phi(n)."""
-        if n < 1:
-            raise PreconditionError("restrictions are evaluated at n >= 1")
+        n = _integer("n", n, 1)
         if self.kind == "lin":
             return -((-self.beta.numerator * n) // self.beta.denominator)
         if self.kind == "pow":
             return self._pow_floor_ceil(n)[1]
-        return int(self.table[n - 1]) if n <= len(self.table) else self.floor(n)
+        return self.floor(n)
 
 
 def parse_phi(text: str) -> Phi:
@@ -266,8 +265,7 @@ def build_ladder(system: DecaySystem, phi: Phi, eps: float, steps: int) -> Ladde
     """
     if not 0 < eps < 1.0 / system.decay:
         raise PreconditionError(f"eps must lie in (0, 1/d); got {eps}")
-    if steps < 1:
-        raise PreconditionError("steps must be >= 1")
+    steps = _integer("steps", steps, 1)
     report = verify_power_decay(system, eps)
     # contract_lo(i)**q = coeff * (i + shift)**-p by the system's rate profile.
     q = 1.0 / system.decay - eps
@@ -311,8 +309,7 @@ def successor_table(phi: Phi, cap: int) -> np.ndarray:
     that entry and every later one is cap + 1, without forming a power that
     a huge exponent could not afford.
     """
-    if cap < 1:
-        raise PreconditionError("digit_cap must be >= 1")
+    cap = _integer("digit_cap", cap, 1)
     if phi.kind == "lin" and phi.beta.numerator * cap < 2**63:
         num, den = phi.beta.numerator, phi.beta.denominator
         a = np.arange(1, cap + 1, dtype=np.int64)
@@ -331,8 +328,7 @@ def _completion_ceilings(nxt: np.ndarray, depth: int) -> list:
     """The largest digit at positions 1..depth of a word of depth digits: the
     cap at the last, and since the table is non-decreasing, at position k
     the largest a whose successor is at most the ceiling of position k + 1."""
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
+    depth = _integer("depth", depth, 1)
     succ, ceilings = nxt[1:], [len(nxt) - 1]
     for _ in range(depth - 1):
         ceilings.append(int(succ.searchsorted(ceilings[-1], side="right")))

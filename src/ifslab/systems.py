@@ -297,9 +297,9 @@ def cylinder_interval(system: DecaySystem, word: Sequence[int]) -> CylinderInter
     """Exact image of [0,1] under the composition along ``word``.
 
     Endpoints are Fractions for every system.  Raises PreconditionError for
-    bad digits (in _branch) or words longer than DEPTH_CAP.
+    a digit that is not an integer >= 1 or a word longer than DEPTH_CAP.
     """
-    word = tuple(int(a) for a in word)
+    word = tuple(_integer("digit", a, 1) for a in word)
     if len(word) > DEPTH_CAP:
         raise PreconditionError(f"word depth {len(word)} exceeds the cap {DEPTH_CAP}")
     a, b, c, d = _compose(system, word)

@@ -660,6 +660,17 @@ def test_words_deeper_than_the_recursion_limit(tmp_path):
     assert results["words"] == [list(range(1, 2001))]
 
 
+def test_gapsys_offset_past_the_bit_budget_is_3(tmp_path):
+    # At d = 1e4 the offset at n_max 10**4 needs about 133000 working bits,
+    # and each Hurwitz zeta from index 2 on about 10000 or more: the run
+    # once hung in them.
+    argv = ["gapsys", "--d", "1e4", "--phi", "pow:2", "--eps", "1e-5",
+            "--out", str(tmp_path / "gap.json")]
+    proc = _run_child(argv, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "of the decay-10000.0 tiling needs" in proc.stderr
+
+
 class TestHugePowerExponents:
     """A power restriction with a huge exponent answers instead of forming
     a power of about alpha * log2(n) bits."""

@@ -194,8 +194,8 @@ class TestSubsystemBounds:
         assert subsystem_dim_bounds(gauss, np.int64(1), np.int64(1000)) == (
             subsystem_dim_bounds(gauss, 1, 1000)
         )
-        for k, m, name in ((10.0, 1000, "k"), (10, 1000.0, "m")):
-            with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 1"):
+        for k, m, name in ((10.0, 1000, "k"), (10, 1000.0, "m"), ("3", 10, "k")):
+            with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 0"):
                 bowen_root(gauss, "xi", k, m)
 
 
@@ -473,6 +473,25 @@ class TestCoverSum:
         with pytest.raises(NumericFailure):
             cover_sum(gauss, lin_phi, 2, 0.6, digit_cap=30_000, method="dp")
 
+    def test_integer_arguments(self, gauss, lin_phi):
+        # numpy integers act as ints; a float or a string names its argument.
+        for method, cap in (("dp", 10**4), ("exact", 30)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = cover_sum(gauss, lin_phi, 2, 1.0, digit_cap=cap, method=method)
+                got = cover_sum(
+                    gauss, lin_phi, np.int64(2), 1.0, digit_cap=np.int64(cap), method=method
+                )
+            assert got == want
+        for depth, cap, name in (
+            (2.0, 100, "depth"),
+            ("2", 100, "depth"),
+            (2, 100.0, "digit_cap"),
+            (2, 10.5, "digit_cap"),
+        ):
+            with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 1, got "):
+                cover_sum(gauss, lin_phi, depth, 1.0, digit_cap=cap)
+
     def test_argument_validation(self, gauss, lin_phi):
         with pytest.raises(PreconditionError):
             cover_sum(gauss, lin_phi, 2, 0.0)
@@ -530,6 +549,20 @@ def _finer_grid_reference(nxt, depth, s, cap, m=20):
 
 
 class TestTransferProgram:
+    def test_totals_past_the_rescale_match_the_symmetric_polynomials(self):
+        # Under lin:1 at s = 1 an affine system's depth-n total is the n-th
+        # elementary symmetric polynomial of its exact slopes.  At cap 100
+        # it falls to about 1e-287 by depth 90, so the state is rescaled.
+        system, cap, depth = make_linear_power(2.0), 100, 90
+        got = _transfer_depth_sums(system, successor_table(parse_phi("lin:1"), cap), depth, 1.0)
+        e = [Fraction(1)] + [Fraction(0)] * depth
+        for j in range(1, cap + 1):
+            slope = system.affine.slope(j)
+            for n in range(depth, 0, -1):
+                e[n] += slope * e[n - 1]
+        assert min(got) < 1e-250
+        assert got == pytest.approx([float(v) for v in e[1:]], rel=1e-13)
+
     # Dense restrictions at caps up to 3001 at depth 5, and up to the
     # program's bound at depth 4, where exact enumeration is out of reach.
     @pytest.mark.parametrize("spec", ["lin:1", "lin:3/2", "pow:1.5"])

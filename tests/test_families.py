@@ -257,6 +257,14 @@ class TestGapOffsets:
             residue = affine.offset(n - 1) - (affine.offset(n) + affine.slope(n))
             assert abs(residue) <= min(Fraction(1, 2**100), affine.slope(n) / 2**64), n
 
+    def test_offset_past_the_bit_budget_is_a_numeric_failure(self):
+        # Working bits grow as d * log2(i), and a Hurwitz zeta past the
+        # budget would take seconds.
+        affine = make_linear_power(1000.0).affine
+        want = "offset 300 of the decay-1000.0 tiling needs 8325 bits"
+        with pytest.raises(NumericFailure, match=want):
+            affine.offset(300)
+
     def test_affine_map_shares_the_offset_cache(self, quad_gap):
         for i in (5, 7):
             a, slope = quad_gap.system.affine.offset(i), quad_gap.system.affine.slope(i)

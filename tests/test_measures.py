@@ -1179,8 +1179,9 @@ class TestIntegerArguments:
         call = calls[arg]
         assert call(np.int64(value)) == call(value)
         name = arg.removeprefix("localdim ")
-        with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= "):
-            call(2.0)
+        for bad in (2.0, "2"):
+            with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= "):
+                call(bad)
 
     def test_first_digit_is_stored_as_an_int(self):
         assert type(PowerLawDigitMeasure(2.0, 2.0, np.int64(3)).first_digit) is int

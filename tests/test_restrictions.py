@@ -94,6 +94,30 @@ class TestPhi:
         for n in (2, 3, 10, 50):
             assert phi.floor(n) == math.floor(n ** 2.3)
 
+    @pytest.mark.parametrize("spec", ["pow:1.25", "pow:2.125", "pow:1.015625", "pow:3.0625"])
+    def test_exact_roots_of_higher_order(self, spec):
+        # Denominators 4..64 take the integer k-th root with k >= 3; the
+        # floor f of n**(p/k) is the integer with f**k <= n**p < (f + 1)**k.
+        phi = parse_phi(spec)
+        p, k = Fraction(spec[4:]).as_integer_ratio()
+        rng = np.random.default_rng(k)
+        ns = [int(n) for b in (4, 20, 62) for n in rng.integers(2, 2**b, size=100)]
+        # Perfect k-th powers, where Phi(n) is an integer and ceil meets floor.
+        ns += [m**k for m in range(2, 12)]
+        for n in ns:
+            f, c, x = phi.floor(n), phi.ceil(n), n**p
+            assert f**k <= x < (f + 1) ** k, n
+            assert c == (f if f**k == x else f + 1), n
+
+    def test_integer_roots_of_every_order(self):
+        rng = np.random.default_rng(5)
+        for k in range(3, 65):
+            for b in (1, 40, 300):
+                x = int(rng.integers(0, 2**62)) << b
+                r = restrictions._iroot(x, k)
+                assert r**k <= x < (r + 1) ** k, (x, k)
+            assert restrictions._iroot(7**k, k) == 7
+
     @pytest.mark.parametrize(
         "alpha, bits", [(1e300, 2), (1e17, 4), (1.3, 4_000_000), (1.3, 50_290)]
     )
@@ -134,6 +158,49 @@ class TestPhi:
         for bad in ("lin", "geom:2", "pow:x"):
             with pytest.raises(PreconditionError):
                 parse_phi(bad)
+
+
+class TestIntegerArguments:
+    """Every integer argument of ``restrictions`` reads a numpy integer as
+    its int and refuses a float or a string with a message naming it."""
+
+    @pytest.mark.parametrize(
+        "phi",
+        [Phi("lin", beta=Fraction(3, 2)), Phi("pow", alpha=2.0), Phi("table", table=(2, 5, 9))],
+        ids=["lin", "pow", "table"],
+    )
+    def test_phi_floor_and_ceil(self, phi):
+        for f in (phi.floor, phi.ceil):
+            got = f(np.int64(3))
+            assert got == f(3) and type(got) is int
+            for bad in (3.0, 2.5, "3"):
+                with pytest.raises(PreconditionError, match="^n must be an integer >= 1, got "):
+                    f(bad)
+
+    @pytest.fixture
+    def calls(self, gauss):
+        lin1, pow2 = parse_phi("lin:1"), parse_phi("pow:2")
+        return {
+            "steps": [lambda v: build_ladder(gauss, pow2, 0.1, v)],
+            "digit_cap": [
+                lambda v: successor_table(pow2, v).tolist(),
+                lambda v: count_restricted_words(lin1, 2, v),
+                lambda v: list(enumerate_restricted_words(lin1, 2, v)),
+            ],
+            "depth": [
+                lambda v: count_restricted_words(lin1, v, 10),
+                lambda v: list(enumerate_restricted_words(lin1, v, 10)),
+            ],
+        }
+
+    @pytest.mark.parametrize("arg, value", [("steps", 4), ("digit_cap", 10), ("depth", 2)])
+    def test_numpy_integers_act_as_ints_and_the_rest_is_refused(self, calls, arg, value):
+        for call in calls[arg]:
+            assert call(np.int64(value)) == call(value)
+            # A cap of 10.5 once read as 11 (C(11, 2) = 55 words).
+            for bad in (float(value), value + 0.5, str(value)):
+                with pytest.raises(PreconditionError, match=f"^{arg} must be an integer >= 1"):
+                    call(bad)
 
 
 class TestLadder:

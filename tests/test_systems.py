@@ -79,6 +79,14 @@ class TestCylinderInterval:
         with pytest.raises(PreconditionError):
             cylinder_interval(gauss, (1, 0))
 
+    def test_digits_are_integers(self, gauss):
+        # A numpy digit acts as its int; a float or a string is refused,
+        # not truncated.
+        assert cylinder_interval(gauss, np.array([3, 1, 4])) == cylinder_interval(gauss, (3, 1, 4))
+        for word in ((1.5,), (2, 2.0), ("2",)):
+            with pytest.raises(PreconditionError, match="^digit must be an integer >= 1, got "):
+                cylinder_interval(gauss, word)
+
     @given(st.lists(st.integers(1, 20), min_size=1, max_size=4))
     @settings(max_examples=120, deadline=None)
     def test_nesting(self, word):
