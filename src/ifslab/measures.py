@@ -16,16 +16,16 @@ while window starts stay within _CHAIN_EXACT_CAP, and regresses cylinder
 masses against bracketed neighborhood lengths to read off the local
 dimension.  That chain is the one place digits are drawn, and that cap the
 one bound on an exact start.  Every exact digit is the certified crossing
-index of the power-sum core: draws sharing a window start are answered
-together, from one cumulative table when at least _INV_TABLE_MIN_DRAWS
-share it and the target clears the table's rounding bound, otherwise by
-the crossing search; the route never changes a digit.  The estimator runs
-level by level over a block of samples; sample k draws its uniforms from
-its own spawned Philox child, the n-th feeding level n, and every chain
-step is elementwise, so no sample reads another.  That is what lets the
-blocks run apart, one per usable CPU, the first in process and the rest in
-forked children: the merge reads their rows in sample order, so neither
-the report nor the stream depends on how many CPUs there are.
+index of the power-sum core: a level's exact draws go to the batched
+crossing in one call, whose numpy pass answers the draws it certifies and
+whose crossing search answers the rest; the route never changes a digit.
+The estimator runs level by level over a block of samples; sample k draws
+its uniforms from its own spawned Philox child, the n-th feeding level n,
+and every chain step is elementwise, so no sample reads another.  That is
+what lets the blocks run apart, one per usable CPU, the first in process
+and the rest in forked children: the merge reads their rows in sample
+order, so neither the report nor the stream depends on how many CPUs there
+are.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from ._blocks import _block_bounds, _in_blocks
 from .dimension import DimensionEstimate, _estimate, bowen_root
-from .powersum import first_index_reaching, power_sum_brackets
+from .powersum import first_indices_reaching, power_sum_brackets
 from .restrictions import Ladder, Phi, build_ladder
 from .systems import DecaySystem, NumericFailure, PreconditionError
 from .systems import _append_digits, _digit_table, _empty_words, _integer
@@ -54,13 +54,6 @@ _INT64_MAX = 2**63 - 1
 # this and switches to the continuous log-domain tail past it (its digits
 # never need to be materialized).
 _CHAIN_EXACT_CAP = 10**6
-
-# Inverse-CDF tables: one cumulative block over the first terms past a
-# window start, per batch of draws sharing a start.  A build costs about 25-45
-# crossing searches on localdim's inputs (0.66-0.98 ms against medians of
-# 16-31 us, 2-vCPU Xeon): more than the 16 the bar was set at.
-_INV_TABLE_SPAN = 65_536
-_INV_TABLE_MIN_DRAWS = 16
 
 # A log-digit beyond this truncates the sample (flagged, not fatal).  A
 # level's log-lengths reach alpha times it (alpha stays below about 1e16 for
@@ -493,37 +486,20 @@ def digit_transition(measure: PowerLawDigitMeasure, i: int, j: int) -> float:
     return math.exp(-measure.tail_exponent * math.log(j) - math.log(s_mid))
 
 
-def _tail_quantiles(measure: PowerLawDigitMeasure, start: int, us: Sequence[float]) -> list:
+def _tail_quantiles(measure: PowerLawDigitMeasure, starts, us: Sequence[float]) -> list:
     """Smallest j >= start whose cumulative conditional mass reaches u, per u.
 
+    starts holds one window start per u, or one start for all of them.
     Every digit is the certified ``first_index_reaching(start, p, u * lo)``
-    index, lo the lower tail-norm bracket.  With at least
-    _INV_TABLE_MIN_DRAWS draws and start <= _CHAIN_EXACT_CAP, one
-    cumulative table over the first _INV_TABLE_SPAN terms answers the draws
-    whose target lies more than the table's rounding bound from both
-    neighbouring entries; every other draw runs the crossing search.  So
-    neither the route nor the batch changes a digit.  The chain draws at no
-    start past that cap, but a table past 2**53 would hold inexact terms.
+    index, lo the lower tail-norm bracket at the start, taken for the whole
+    batch by ``first_indices_reaching``: one numpy pass answers the draws it
+    certifies, and the crossing search the rest, so neither the batch nor
+    the route changes a digit.
     """
-    p = measure.tail_exponent
-    targets = np.asarray(us, dtype=float) * measure._tail_norm(start)[0]
-    digits = [None] * len(targets)
-    if len(targets) >= _INV_TABLE_MIN_DRAWS and start <= _CHAIN_EXACT_CAP:
-        tab = np.cumsum(np.arange(start, start + _INV_TABLE_SPAN, dtype=float) ** -p)
-        # Each term is rounded once and the sequential sum adds at most one
-        # rounding per term, all below ulp(tab[-1]).
-        margin = (_INV_TABLE_SPAN + 8) * 2.0**-52 * tab[-1]
-        k = np.searchsorted(tab, targets, side="left")
-        inside = k < _INV_TABLE_SPAN
-        kc = np.where(inside, k, 0)
-        above = tab[kc] - targets > margin
-        below = (k == 0) | (targets - tab[np.maximum(kc - 1, 0)] > margin)
-        for pos in np.flatnonzero(inside & above & below).tolist():
-            digits[pos] = start + int(k[pos])
-    for pos, target in enumerate(targets.tolist()):
-        if digits[pos] is None:
-            digits[pos] = first_index_reaching(start, p, target).index
-    return digits
+    us = np.asarray(us, dtype=float)
+    starts = np.broadcast_to(np.asarray(starts, dtype=np.int64), us.shape)
+    lows = np.array([measure._tail_norm(s)[0] for s in starts.tolist()])
+    return [j for j, _ in first_indices_reaching(starts, measure.tail_exponent, us * lows)]
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +558,25 @@ def _exact_window_logs(system: DecaySystem, start: int) -> tuple:
     return log_scale + math.log(b_lo), log_scale + math.log(b_hi)
 
 
+def _digit_facts(measure: PowerLawDigitMeasure, system: DecaySystem, i: int) -> tuple:
+    """What the chain reads of an exact digit i: (log rate lo, log rate hi,
+    support start, log start, window log lo, window log hi, log tail norm).
+
+    The start is formed only while alpha * log(i) stays within
+    log(_CHAIN_EXACT_CAP); past that it is 0 and the log start is that
+    estimate.  A start past the cap has no window or tail norm (NaN).
+    """
+    out = (system.log_contract_lo(i), system.log_contract_hi(i))
+    lstart = measure.alpha * math.log(i)
+    if lstart > math.log(_CHAIN_EXACT_CAP):
+        return out + (0, lstart, math.nan, math.nan, math.nan)
+    start = measure._support.ceil(i)
+    if start > _CHAIN_EXACT_CAP:
+        return out + (start, math.log(start), math.nan, math.nan, math.nan)
+    log_norm = math.log(measure._tail_norm(start)[2])
+    return out + (start, math.log(start)) + _exact_window_logs(system, start) + (log_norm,)
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.dot of each row pair, as the one-dimensional dot rounds it."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
@@ -632,9 +627,11 @@ def local_dim_estimate(
     bit what numpy's own SeedSequence, Philox and Generator give; the
     spawn index must fit one uint32 word, so a run takes fewer than 2**32
     samples (PreconditionError otherwise, before anything is allocated).  Rows
-    whose window start is at most _CHAIN_EXACT_CAP draw exact digits,
-    grouped by start: one tail norm and one ``_tail_quantiles`` call per
-    distinct start, so every digit is the certified crossing index.  Past
+    whose window start is at most _CHAIN_EXACT_CAP draw exact digits, all of
+    a level's in one ``_tail_quantiles`` call, so every digit is the
+    certified crossing index; what the chain reads of an exact digit (its
+    rate logs, window start, window and tail norm) is computed once per
+    digit and block.  Past
     that the chain runs on the continuous log-domain tail as whole-array
     numpy, so depth 30 with doubly exponential digits costs nothing.
 
@@ -738,7 +735,6 @@ def _chain_block(
     p = measure.tail_exponent
     excess = measure._tail_excess
     alpha = measure.alpha
-    log_chain_cap = math.log(_CHAIN_EXACT_CAP)
     uniforms = _spawn_uniforms(root, lo, hi, depth - 1)
     # words[k] holds sample k's exact digits and stops growing when its
     # chain goes continuous; while exact[k], its current digit is words[k][-1].
@@ -756,7 +752,8 @@ def _chain_block(
     n_kept = np.zeros(samples, dtype=np.int64)
     switch_level = np.zeros(samples, dtype=np.int64)
     truncated = 0
-    window_cache = {}
+    # Exact digit -> its _digit_facts.
+    facts = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, depth + 1):
             cut = live & ~(np.isfinite(li) & (li <= _LOG_DIGIT_TRUNC))
@@ -772,28 +769,23 @@ def _chain_block(
             win_hi = np.empty(samples)
             cont = rows[~exact[rows]]
             rate_lo[cont], rate_hi[cont] = _chain_rate_logs(system, li[cont])
-            # Exact rows: exact rate logs, and an exact window for starts
-            # up to the cap; grouped by start for the digit draws below.
-            groups = {}
-            windowless = []
-            for k in rows[exact[rows]].tolist():
-                i = words[k][-1]
-                rate_lo[k] = system.log_contract_lo(i)
-                rate_hi[k] = system.log_contract_hi(i)
-                if lstart[k] > log_chain_cap:
-                    windowless.append(k)
-                    continue
-                start = measure._support.ceil(i)
-                lstart[k] = math.log(start)
-                if start > _CHAIN_EXACT_CAP:
-                    windowless.append(k)
-                    continue
-                groups.setdefault(start, []).append(k)
-                got = window_cache.get(start)
-                if got is None:
-                    got = window_cache[start] = _exact_window_logs(system, start)
-                win_lo[k], win_hi[k] = got
-            rest = np.concatenate([cont, np.array(windowless, dtype=np.int64)])
+            # Exact rows: exact rate logs, and an exact window and draw for
+            # starts up to the cap.
+            ex = rows[exact[rows]]
+            drawn = windowless = ex
+            if ex.size:
+                got = []
+                for k in ex.tolist():
+                    i = words[k][-1]
+                    fact = facts.get(i) or facts.setdefault(i, _digit_facts(measure, system, i))
+                    got.append(fact)
+                r_lo, r_hi, starts, log_starts, w_lo, w_hi, log_norms = map(np.array, zip(*got))
+                rate_lo[ex], rate_hi[ex], lstart[ex] = r_lo, r_hi, log_starts
+                inside = (starts > 0) & (starts <= _CHAIN_EXACT_CAP)
+                drawn, windowless = ex[inside], ex[~inside]
+                starts, log_norms = starts[inside], log_norms[inside]
+                win_lo[drawn], win_hi[drawn] = w_lo[inside], w_hi[inside]
+            rest = np.concatenate([cont, windowless])
             win_lo[rest] = win_hi[rest] = _chain_window_logs(system, lstart[rest])
             cum_lo[rows] += rate_lo[rows]
             cum_hi[rows] += rate_hi[rows]
@@ -805,12 +797,12 @@ def _chain_block(
             if n == depth:
                 break
             u = uniforms[:, n - 1]
-            for start, ks in groups.items():
-                log_norm = math.log(measure._tail_norm(start)[2])
-                for k, j in zip(ks, _tail_quantiles(measure, start, u[ks])):
-                    lj = math.log(j)
-                    log_mass[k] += -p * lj - log_norm
-                    li[k] = lj
+            if drawn.size:
+                js = _tail_quantiles(measure, starts, u[drawn])
+                lj = np.array([math.log(j) for j in js])
+                log_mass[drawn] += -p * lj - log_norms
+                li[drawn] = lj
+                for k, j in zip(drawn.tolist(), js):
                     words[k].append(j)
             # Every other live row draws on the continuous tail; exact rows
             # among them switch here.

@@ -35,15 +35,17 @@ two terms of the goal, one neighbour with it: the key below if the seed's
 bracket reaches the goal, the key above if it falls short.  When the two
 brackets separate the goal, the upper key is the certified answer and the
 search ends there.  Every bracket holds its sum and the sums rise strictly
-with the stop, so such a pair proves minimality; 73-92% of the searches of
-localdim runs (gauss at alpha 1.5 to 3, linpow:2) end so, after two
-bracket calls.  Otherwise each edge of the ambiguity band (where the
-bracket straddles the goal) is found by Newton steps on the local slope
-from its own guess, a gallop and a bisection, on the same memo of probes,
-so a search makes a bounded number of bracket calls whatever the size of
-the index: at most 1 + _RESEEDS + 2 * (_NEWTON_STEPS + 64 + 2**11 + 64) =
-4377.  The 1 is the seed's neighbour; the seed itself is the first of the
-re-seeds' probes.
+with the stop, so such a pair proves minimality.  localdim's draws take
+the batched route below first; of the 0.5-3.1% it leaves to the search,
+10-36% end so, after two bracket calls (gauss at alpha 1.5 to 3, linpow:2
+and linpow:3 at 1.5, 500 samples x 30 levels, seeds 0-3).  Otherwise each
+edge of the ambiguity band (where the bracket straddles the goal) is found
+by Newton steps on the local slope from its own guess, a gallop and a
+bisection, on the same memo of probes, so a search makes a bounded number
+of bracket calls whatever the size of the index: at most
+1 + _RESEEDS + 2 * (_NEWTON_STEPS + 64 + 2**11 + 64) = 4377.  The 1 is
+the seed's neighbour; the seed itself is the first of the re-seeds'
+probes.
 Per edge that is the Newton steps, a gallop of at most 64 doubling steps
 plus, upward among ratio floats, one step per binade of the ratio (fewer
 than 2**11), and a bisection over at most 2**64 keys.  The binade steps
@@ -51,6 +53,40 @@ are what a goal just under the infinite sum (p > 1) costs: such a search
 can climb to the largest float, about 1000 calls, before it fails.  Head
 sums are cached per start and exponent, so the searches at one start (a
 conditional digit law's draws) share theirs.
+
+Batches.  ``first_indices_reaching`` answers rows of (start, goal) at one
+exponent, starts up to 2**52 and 0 < p <= _ARRAY_P_MAX with p != 1, in one
+numpy pass.  Each row's seed L comes from the midpoint integral past its
+head sum, with the midpoint rule's first two corrections, and the pass
+brackets S(start, L - 1) and S(start, L).  A crossing within 4 * _EM_HEAD
+terms of the start reads both from a cumulative table of those terms, one
+per distinct start.  A longer one, L at most 2**52 keys past start - 1,
+adds the cached head sum to the Euler-Maclaurin tail above at k = 0, on
+arrays; there the ratio is below 2**52 and the a**(1-p) branch is the only
+one reached.  When the two brackets separate the goal, L is certified by
+the argument above, and every other row runs ``first_index_reaching``.
+
+Rounding of the batch.  numpy's exp, log, log1p, expm1 and power may run
+numpy's own SIMD code rather than libm, and nothing here proves a bound on
+their error.  So the pass charges each such result a relative error E of
+_NP_ULPS = 64 ulps, on top of every cushion of the scalar bracket (which
+covers the float rounding of the same formula).  An error of E in a log
+moves an exp argument y built from logs by at most E |y|, so a term exp(y)
+carries at most E (1 + |y|); the integral, an exp times an expm1 of such
+arguments, carries at most E (3 + ymax).  ymax = (p + 5) log b bounds every
+|y|, and ``_np_charge`` is twice the first-order bound: (4 + 2 ymax) E
+times the sum of the terms' absolute values.  A table entry sums at most
+4 * _EM_HEAD terms, each with one power, and rounds once per addition, so
+it lies within (_NP_ULPS + 4 * _EM_HEAD) ulps of the table's last entry
+of its true sum: the table's margin.  Then a row the pass certifies has
+the true minimal index however numpy rounds, and no batch, neighbour or
+SIMD lane changes it.  Rounding can only decide whether a row is
+certified.  Where the scalar search certifies the row as well, both give
+the same index; on localdim's draws (72k over 60 bench runs) and 12k
+random rows, every row the pass certified was certified by the search
+too, at the same index.  numpy's functions measure within 1 ulp on this
+module's arguments (tests/test_powersum.py keeps them within
+_NP_ULPS / 16).
 """
 
 from __future__ import annotations
@@ -60,6 +96,8 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .systems import NumericFailure
 
@@ -93,6 +131,13 @@ _LOG_KEYS = 63 * _LN2
 # toward each edge of its ambiguity band.
 _RESEEDS = 8
 _NEWTON_STEPS = 8
+
+# The array pass of ``first_indices_reaching`` charges every numpy exp, log,
+# log1p, expm1 and power result this many ulps of error.  It runs only for
+# starts of at most _INT_KEYS and exponents in (0, _ARRAY_P_MAX], p != 1,
+# where every exp argument it forms stays above -700 (no subnormal result).
+_NP_ULPS = 64
+_ARRAY_P_MAX = 12.0
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
@@ -653,3 +698,129 @@ def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
         band_lo = first_key(1, min(guesses[1], band_hi), step)
     index = keys.stop(band_hi)
     return ReachResult(index, index - keys.stop(band_lo))
+
+
+def _np_charge(mag, ymax):
+    """Slack for numpy's own function errors in an array bracket whose
+    terms have absolute values summing to mag and exp arguments at most
+    ymax in magnitude: _NP_ULPS ulps on each result, carried through the
+    exp of a log (module docstring)."""
+    return (4.0 + 2.0 * ymax) * (_NP_ULPS * _ULP) * mag
+
+
+def _em_arrays(starts: np.ndarray, stops: np.ndarray, p: float, heads: np.ndarray) -> tuple:
+    """Certified (lo, hi) of S(start, stop, p) per row, for int64 rows with
+    4 * _EM_HEAD <= stop - start and stop < 2**53, heads[k] = _head_sum(start, p).
+
+    The scalar bracket's head plus Euler-Maclaurin tail at k = 0, on its
+    a**(1-p) branch, evaluated on arrays; both cushions of the scalar, and
+    numpy's charge on top.
+    """
+    a = (starts + _EM_HEAD).astype(float)
+    la = np.log(a)
+    l1 = np.log1p((stops - starts - _EM_HEAD).astype(float) / a)
+    lb = la + l1
+    integral = np.exp((1.0 - p) * la) * np.expm1((1.0 - p) * l1) / (1.0 - p)
+    q0, q1, q3, q5 = p, p + 1.0, p + 3.0, p + 5.0
+    fa0, fa1, fa3, fa5 = (np.exp(-q * la) for q in (q0, q1, q3, q5))
+    fb0, fb1, fb3, fb5 = (np.exp(-q * lb) for q in (q0, q1, q3, q5))
+    c1 = p / 12.0
+    c3 = p * (p + 1.0) * (p + 2.0) / 720.0
+    c5 = p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) / 30240.0
+    est = integral + (fa0 + fb0) / 2.0
+    est += c1 * (fa1 - fb1)
+    est -= c3 * (fa3 - fb3)
+    bound = c5 * (fa5 + fb5)
+    ymax = q5 * lb
+    mag = integral + (fa0 + fb0) / 2.0 + c1 * (fa1 + fb1) + c3 * (fa3 + fb3) + bound
+    tot = heads + est
+    err = bound + _round_cushion(est, ymax) + _np_charge(mag, ymax)
+    err += _round_cushion(tot, p * np.log(a - 1.0))
+    return tot - err, tot + err
+
+
+def _table_crossings(starts: np.ndarray, goals: np.ndarray, p: float) -> tuple:
+    """(index, certified) per row from a cumulative table of the first
+    4 * _EM_HEAD terms past each distinct start (starts < 2**52)."""
+    span = 4 * _EM_HEAD
+    uniq, inv = np.unique(starts, return_inverse=True)
+    tab = np.cumsum((uniq[:, None] + np.arange(span)).astype(float) ** -p, axis=1)
+    # Each term carries numpy's power error and the sum at most one rounding
+    # per term: (_NP_ULPS + span) ulps of the last entry bound both.
+    margin = ((_NP_ULPS + span) * _ULP * tab[:, -1])[inv]
+    rows = tab[inv]
+    k = np.count_nonzero(rows < goals[:, None], axis=1)
+    at = np.arange(len(k))
+    reach = rows[at, np.minimum(k, span - 1)] - margin >= goals
+    below = (k == 0) | (rows[at, np.maximum(k - 1, 0)] + margin < goals)
+    return starts + k, (k < span) & reach & below
+
+
+def _array_crossings(starts: np.ndarray, p: float, goals: np.ndarray) -> tuple:
+    """(index, certified) per row: the array pass of ``first_indices_reaching``.
+
+    Where certified[k], index[k] is the minimal L with S(starts[k], L, p) >=
+    goals[k]: L - 1 surely falls short of the goal and L surely reaches it.
+    Other rows' index is meaningless.
+    """
+    index = starts.copy()
+    certified = goals <= 0.0
+    if not (0.0 < p <= _ARRAY_P_MAX and p != 1.0):
+        return index, certified
+    usable = (goals > 0.0) & (goals < math.inf) & (starts >= 1) & (starts <= _INT_KEYS)
+    rows = np.flatnonzero(usable)
+    if rows.size == 0:
+        return index, certified
+    st, goal = starts[rows], goals[rows]
+    uniq, inv = np.unique(st, return_inverse=True)
+    heads = np.array([_head_sum(s, p) for s in uniq.tolist()])[inv]
+    # The seed: the midpoint integral from x0 = a - 1/2 to L + 1/2 meets the
+    # goal less the head, plus the midpoint rule's first two corrections at
+    # x0, in relative form (as ``_seed``); NaN where p > 1 and it never does.
+    x0 = (st + _EM_HEAD).astype(float) - 0.5
+    corr = p / 24.0 - 7.0 * p * (p + 1.0) * (p + 2.0) / 5760.0 / (x0 * x0)
+    rest = goal - heads + corr * x0 ** (-p - 1.0)
+    with np.errstate(all="ignore"):
+        seed = x0 * np.exp(np.log1p(rest * (1.0 - p) * x0 ** (p - 1.0)) / (1.0 - p)) - 0.5
+    # Crossings within the table's span, and long ones whose stop L and
+    # L - 1 are both long ranges, with L at most _INT_KEYS keys past start - 1.
+    span = 4 * _EM_HEAD
+    short = (rest <= 0.0) | (seed < st + (span + 1))
+    far = ~short & (seed <= st + (_INT_KEYS - 1))
+    if short.any():
+        index[rows[short]], certified[rows[short]] = _table_crossings(st[short], goal[short], p)
+    if far.any():
+        st, goal, heads = st[far], goal[far], heads[far]
+        stop = np.ceil(seed[far]).astype(np.int64)
+        lo, hi = _em_arrays(
+            np.concatenate([st, st]), np.concatenate([stop - 1, stop]), p,
+            np.concatenate([heads, heads]),
+        )
+        n = len(st)
+        index[rows[far]] = stop
+        certified[rows[far]] = (hi[:n] < goal) & (goal <= lo[n:])
+    return index, certified
+
+
+def first_indices_reaching(starts, p: float, targets) -> list:
+    """(index, slack) of ``first_index_reaching(start, p, target)`` per row.
+
+    starts are int64, one per target.  One numpy pass brackets
+    S(start, L - 1) and S(start, L) at each row's seed L: from a per-start
+    cumulative table when L lies within 4 * _EM_HEAD terms of the start, and
+    as the head sum plus Euler-Maclaurin on arrays otherwise (module
+    docstring).  A row whose two brackets separate its goal gets L,
+    certified: the true minimal index, whatever else the batch holds.  Every
+    other row, and every row at a start past 2**52 or an exponent outside
+    (0, _ARRAY_P_MAX] or at 1, runs ``first_index_reaching`` itself, which
+    raises as it does alone.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    goals = np.asarray(targets, dtype=float)
+    index, certified = _array_crossings(starts, p, goals)
+    out = [(i, 0) for i in index.tolist()]
+    st, tg = starts.tolist(), goals.tolist()
+    for k in np.flatnonzero(~certified).tolist():
+        got = first_index_reaching(st[k], p, tg[k])
+        out[k] = (got.index, got.slack)
+    return out

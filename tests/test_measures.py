@@ -41,13 +41,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifslab import dimension, measures
+from ifslab import dimension, measures, powersum
 from ifslab.cli import run
 from ifslab.dimension import bowen_root
 from ifslab.families import AffineMap, build_gap_system, make_gauss, make_linear_power
 from ifslab.measures import (
-    _INV_TABLE_MIN_DRAWS,
-    _INV_TABLE_SPAN,
     FrostmanReport,
     PowerLawDigitMeasure,
     _tail_quantiles,
@@ -57,7 +55,7 @@ from ifslab.measures import (
     local_dim_estimate,
     verify_frostman,
 )
-from ifslab.powersum import first_index_reaching, power_sum_brackets
+from ifslab.powersum import _EM_HEAD, first_index_reaching, power_sum_brackets
 from ifslab.restrictions import parse_phi
 from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, _compose
 
@@ -576,19 +574,22 @@ class TestPowerLawMeasure:
         assert quad_measure.normalizer(1) == pytest.approx(INV_ZETA_43, rel=1e-10)
 
 
+# The batched crossing's cumulative table spans this many terms past a start.
+TABLE_SPAN = 4 * _EM_HEAD
+
+
 class TestSampling:
     def test_quantile_matches_certified_scan_past_table_range(self, quad_measure):
-        # Start 2e6 gets no table; the smaller starts get one, and these u
-        # put the target past its last entry.
+        # These u put the crossing past the batch's table, from the chain's
+        # starts and from 2e6, past the chain's cap.
         cases = [(2_000_000, u) for u in (0.3, 0.77, 0.999)]
         cases += [(start, u) for start in (5, 1000, 999_999) for u in (0.999, 0.99999, 1 - 1e-9)]
         for start, u in cases:
-            got = _tail_quantiles(quad_measure, start, [u] * _INV_TABLE_MIN_DRAWS)[0]
+            got = _tail_quantiles(quad_measure, start, [u] * 16)[0]
             target = u * quad_measure._tail_norm(start)[0]
             ref = first_index_reaching(start, quad_measure.tail_exponent, target).index
             assert got == ref, (start, u)
-            if start < 2_000_000:
-                assert got - start >= _INV_TABLE_SPAN, (start, u)
+            assert got - start >= TABLE_SPAN, (start, u)
 
     def test_quantile_edges_and_monotonicity(self, quad_measure):
         assert _tail_quantiles(quad_measure, 4, [0.0]) == [4]
@@ -608,9 +609,9 @@ class TestSampling:
         starts = []
         quantiles = measures._tail_quantiles
 
-        def spy(measure, start, us):
-            starts.append(start)
-            return quantiles(measure, start, us)
+        def spy(measure, level_starts, us):
+            starts.extend(np.atleast_1d(level_starts).tolist())
+            return quantiles(measure, level_starts, us)
 
         monkeypatch.setattr(measures, "_tail_quantiles", spy)
         local_dim_estimate(PowerLawDigitMeasure(2.0, alpha), sys_, 500, 30, seed=0)
@@ -628,20 +629,21 @@ class TestSampling:
 
 
 def _table(measure, start):
-    """The cumulative table ``_tail_quantiles`` builds for a batch at start."""
-    j = np.arange(start, start + _INV_TABLE_SPAN, dtype=float)
+    """The cumulative table of the batched crossing at start."""
+    j = np.arange(start, start + TABLE_SPAN, dtype=float)
     return np.cumsum(j ** -measure.tail_exponent)
 
 
 def _counting_search(monkeypatch):
-    """Route the crossing searches of ``_tail_quantiles`` through a counter."""
+    """Route the crossing searches the batch leaves over through a counter."""
     calls = []
+    search = powersum.first_index_reaching
 
-    def search(start, p, target):
+    def counted(start, p, target):
         calls.append(target)
-        return first_index_reaching(start, p, target)
+        return search(start, p, target)
 
-    monkeypatch.setattr(measures, "first_index_reaching", search)
+    monkeypatch.setattr(powersum, "first_index_reaching", counted)
     return calls
 
 
@@ -655,7 +657,7 @@ class TestTailQuantiles:
         m._norms[start] = (4.0, 4.0, 4.0)
         tab = _table(m, start)
         targets = []
-        for k in (0, 1, 2, 100, 5000, 40_000, _INV_TABLE_SPAN - 2, _INV_TABLE_SPAN - 1):
+        for k in (0, 1, 2, 100, TABLE_SPAN - 2, TABLE_SPAN - 1):
             t = float(tab[k])
             targets += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
         us = [t / 4.0 for t in targets]
@@ -672,7 +674,7 @@ class TestTailQuantiles:
         start = 4
         tab = _table(quad_measure, start)
         lo = quad_measure._tail_norm(start)[0]
-        ks = [1, 2, 3, 50, 999, 30_000, _INV_TABLE_SPAN - 1] * 3
+        ks = [1, 2, 3, 50, 128, 200, TABLE_SPAN - 1] * 3
         us = [0.5 * (tab[k - 1] + tab[k]) / lo for k in ks]
         calls = _counting_search(monkeypatch)
         assert _tail_quantiles(quad_measure, start, us) == [start + k for k in ks]
@@ -681,9 +683,7 @@ class TestTailQuantiles:
     @settings(max_examples=60, deadline=None)
     @given(
         start=st.integers(2, 10**6),
-        us=st.lists(
-            st.floats(0.0, 1.0 - 1e-9), min_size=_INV_TABLE_MIN_DRAWS, max_size=24
-        ),
+        us=st.lists(st.floats(0.0, 1.0 - 1e-9), min_size=2, max_size=24),
     )
     def test_batch_size_does_not_change_a_digit(self, quad_measure, start, us):
         batched = _tail_quantiles(quad_measure, start, us)
@@ -1152,11 +1152,9 @@ class TestIntegerArguments:
             "first_digit": lambda v: local_dim_estimate(
                 PowerLawDigitMeasure(2.0, 2.0, v), gauss, 100, 8
             ),
-            "digit i": lambda v: (
-                quad_measure.support_start(v),
-                quad_measure.normalizer(v),
-                digit_transition(quad_measure, v, 150),
-            ),
+            "digit i (support_start)": quad_measure.support_start,
+            "digit i (normalizer)": quad_measure.normalizer,
+            "digit i (digit_transition)": lambda v: digit_transition(quad_measure, v, 150),
             "digit j": lambda v: digit_transition(quad_measure, 2, v),
             "samples": lambda v: local_dim_estimate(quad_measure, gauss, v, 8),
             "localdim depth": lambda v: local_dim_estimate(quad_measure, gauss, 100, v),
@@ -1169,7 +1167,9 @@ class TestIntegerArguments:
             ("verify depth", 2),
             ("sample_cap", 50),
             ("first_digit", 3),
-            ("digit i", 10),
+            ("digit i (support_start)", 10),
+            ("digit i (normalizer)", 10),
+            ("digit i (digit_transition)", 10),
             ("digit j", 7),
             ("samples", 100),
             ("localdim depth", 8),
@@ -1178,7 +1178,7 @@ class TestIntegerArguments:
     def test_numpy_integers_act_as_ints_and_floats_are_refused(self, calls, arg, value):
         call = calls[arg]
         assert call(np.int64(value)) == call(value)
-        name = arg.removeprefix("localdim ")
+        name = arg.removeprefix("localdim ").split(" (")[0]
         for bad in (2.0, "2"):
             with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= "):
                 call(bad)

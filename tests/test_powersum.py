@@ -16,13 +16,14 @@ import subprocess
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifslab import powersum, restrictions
 from ifslab.families import make_gauss, make_linear_power
-from ifslab.powersum import first_index_reaching, power_sum_brackets
+from ifslab.powersum import first_index_reaching, first_indices_reaching, power_sum_brackets
 from ifslab.restrictions import build_ladder, parse_phi
 from ifslab.systems import NumericFailure
 
@@ -506,3 +507,90 @@ def test_pow2_ladder_searches_take_bounded_calls(monkeypatch, system):
     assert len(per_search) == 19
     assert max(per_search) <= 128
     assert ladder.values[-1].bit_length() > 750_000
+
+
+# ---------------------------------------------------------------------------
+# The batched crossing
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(1.0, 3.0, exclude_min=True),
+    rows=st.lists(
+        st.tuples(st.integers(1, 10**6), st.floats(0.0, 52.0), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_array_pass_certifies_only_true_minimal_indices(p, rows):
+    # Each goal lies a fraction of a term below S(start, stop), stops up to
+    # 2**52 terms past the start.
+    starts, goals = [], []
+    for start, log2_span, frac in rows:
+        stop = start + int(2.0**log2_span) - 1
+        starts.append(start)
+        goals.append(float(_hurwitz_sum(p, start, stop) - frac * mpmath.mpf(stop) ** -p))
+    index, certified = powersum._array_crossings(np.array(starts), p, np.array(goals))
+    rows = zip(np.array(starts)[certified].tolist(), np.array(goals)[certified].tolist())
+    for (start, goal), stop in zip(rows, index[certified].tolist()):
+        # The minimal stop >= start whose sum reaches the goal.
+        assert stop == start or _hurwitz_sum(p, start, stop - 1) < goal
+        assert goal <= _hurwitz_sum(p, start, stop)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.4, 2.0])
+def test_batch_rows_do_not_depend_on_their_neighbours(p):
+    # Crossings from localdim-like starts, in the table and far past it:
+    # each row gets the same answer and the same route alone, in a permuted
+    # batch and in the whole 1000-row batch.
+    rng = np.random.default_rng(11)
+    starts = np.concatenate([rng.integers(1, 300, 200), rng.integers(300, 10**6, 800)])
+    tails = np.array([power_sum_brackets(s, None, p)[0] for s in starts.tolist()])
+    targets = rng.random(1000) * tails
+    whole = first_indices_reaching(starts, p, targets)
+    routes = powersum._array_crossings(starts, p, targets)[1]
+    assert routes.mean() > 0.9
+    perm = rng.permutation(1000)
+    permuted = first_indices_reaching(starts[perm], p, targets[perm])
+    assert [whole[k] for k in perm.tolist()] == permuted
+    assert (powersum._array_crossings(starts[perm], p, targets[perm])[1] == routes[perm]).all()
+    for k in range(1000):
+        row = starts[k : k + 1], p, targets[k : k + 1]
+        assert first_indices_reaching(*row) == [whole[k]]
+        assert powersum._array_crossings(*row)[1][0] == routes[k]
+
+
+def test_batch_takes_what_the_array_pass_cannot():
+    # Zero and negative targets give the start; a start past 2**52, p = 1
+    # and p past _ARRAY_P_MAX go to the search; an unreachable target
+    # raises as the search does.
+    assert first_indices_reaching([5, 5], 1.5, [0.0, -1.0]) == [(5, 0), (5, 0)]
+    for start, p, target in [(2**60, 1.5, 1e-10), (7, 1.0, 3.0), (3, 13.0, 1e-7)]:
+        got = first_index_reaching(start, p, target)
+        assert first_indices_reaching([start], p, [target]) == [(got.index, got.slack)]
+    with pytest.raises(ValueError, match="exceeds the infinite sum"):
+        first_indices_reaching([3, 4], 2.0, [0.1, 1.0])
+
+
+def test_numpy_functions_stay_far_inside_the_charge():
+    # The array pass charges each numpy exp, log, log1p, expm1 and power
+    # result _NP_ULPS ulps.  On the arguments it takes they measure within
+    # an ulp here; a platform past a sixteenth of the charge fails.
+    rng = np.random.default_rng(5)
+    x = np.exp(rng.uniform(0.0, 36.8, 300))
+    y = -rng.uniform(0.0, 700.0, 300)
+    r = np.exp(rng.uniform(-14.0, 36.0, 300))
+    z = -rng.uniform(0.0, 80.0, 300) * 10.0 ** rng.uniform(-6.0, 0.0, 300)
+    b = rng.integers(1, 2**53, 300).astype(float)
+    cases = [
+        (np.log, mpmath.log, x),
+        (np.exp, mpmath.exp, y),
+        (np.log1p, mpmath.log1p, r),
+        (np.expm1, mpmath.expm1, z),
+        (lambda v: v**-1.37, lambda v: v**-mpmath.mpf(1.37), b),
+    ]
+    with mpmath.workprec(120):
+        for fn, ref, args in cases:
+            for got, v in zip(fn(args).tolist(), args.tolist()):
+                want = ref(mpmath.mpf(v))
+                assert abs(got - want) <= powersum._NP_ULPS / 16 * math.ulp(float(want)), (fn, v)
