@@ -267,6 +267,11 @@ def _parse_scales(args) -> list:
         raise PreconditionError(f"bad dyadic range {spec!r}; expected lo:hi") from e
     if not sep or j1 < j0:
         raise PreconditionError(f"bad dyadic range {spec!r}; expected lo:hi with hi >= lo")
+    # 2**-j is a positive finite float from 2**1023 down to 2**-1074.
+    if j0 < -1023 or j1 > 1074:
+        raise PreconditionError(
+            f"bad dyadic range {spec!r}; 2**-j leaves the positive floats outside -1023:1074"
+        )
     return [2.0 ** -j for j in range(j0, j1 + 1)]
 
 

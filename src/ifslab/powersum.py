@@ -29,30 +29,21 @@ of the goal.  Past 2**52 terms a long-range bracket depends on b only
 through the float r, a monotone step function of b, so the search there runs
 over the bit patterns of r rather than over b: one key per float, each
 mapped back to the smallest b that rounds to it by integer arithmetic.
-Below that the keys are the indices themselves.  A seed among those
-integer keys is probed first, and when its bracket's far end lies within
-two terms of the goal, one neighbour with it: the key below if the seed's
-bracket reaches the goal, the key above if it falls short.  When the two
-brackets separate the goal, the upper key is the certified answer and the
-search ends there.  Every bracket holds its sum and the sums rise strictly
-with the stop, so such a pair proves minimality.  localdim's draws take
-the batched route below first; of the 0.5-3.1% it leaves to the search,
-10-36% end so, after two bracket calls (gauss at alpha 1.5 to 3, linpow:2
-and linpow:3 at 1.5, 500 samples x 30 levels, seeds 0-3).  Otherwise each
-edge of the ambiguity band (where the bracket straddles the goal) is found
-by Newton steps on the local slope from its own guess, a gallop and a
-bisection, on the same memo of probes, so a search makes a bounded number
-of bracket calls whatever the size of the index: at most
-1 + _RESEEDS + 2 * (_NEWTON_STEPS + 64 + 2**11 + 64) = 4377.  The 1 is
-the seed's neighbour; the seed itself is the first of the re-seeds'
-probes.
+Below that the keys are the indices themselves.  The seed's bracket
+guesses each edge of the ambiguity band (where the bracket straddles the
+goal), and each edge is found by Newton steps on the local slope from its
+own guess, a gallop and a bisection, on the same memo of probes, so a
+search makes a bounded number of bracket calls whatever the size of the
+index: at most 1 + 2 * (_NEWTON_STEPS + 64 + 2**11 + 64) = 4369, the 1
+being the seed.
 Per edge that is the Newton steps, a gallop of at most 64 doubling steps
 plus, upward among ratio floats, one step per binade of the ratio (fewer
 than 2**11), and a bisection over at most 2**64 keys.  The binade steps
 are what a goal just under the infinite sum (p > 1) costs: such a search
 can climb to the largest float, about 1000 calls, before it fails.  Head
 sums are cached per start and exponent, so the searches at one start (a
-conditional digit law's draws) share theirs.
+conditional digit law's draws) share theirs.  localdim's draws take the
+batched route below first, which leaves 1.3% of them to this search.
 
 Batches.  ``first_indices_reaching`` answers rows of (start, goal) at one
 exponent, starts up to 2**52 and 0 < p <= _ARRAY_P_MAX with p != 1, in one
@@ -127,9 +118,7 @@ _LOG_INT_KEYS = 52 * _LN2
 # Keys span less than 2**63; an edge guess moves at most this far (in logs).
 _LOG_KEYS = 63 * _LN2
 
-# Re-seeds of a crossing search whose seed falls short, and Newton steps
-# toward each edge of its ambiguity band.
-_RESEEDS = 8
+# Newton steps of a crossing search toward each edge of its ambiguity band.
 _NEWTON_STEPS = 8
 
 # The array pass of ``first_indices_reaching`` charges every numpy exp, log,
@@ -141,12 +130,6 @@ _ARRAY_P_MAX = 12.0
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
-
-
-def _log_add(x: float, y: float) -> float:
-    """log(exp(x) + exp(y)) without overflow."""
-    hi, lo = max(x, y), min(x, y)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 def _float_bits(x: float) -> int:
@@ -201,6 +184,39 @@ def _log1p_ratio(r: float, k: int) -> tuple[float, float | None]:
     return log_x, None
 
 
+def _em_powers(lx, p: float, exp) -> tuple:
+    """x**-(p+j) for j = 0, 1, 3, 5 as exp(-(p+j) * log x), from lx = log x,
+    with exp math.exp or np.exp: log x > 0, so none of them overflows."""
+    return exp(-p * lx), exp(-(p + 1.0) * lx), exp(-(p + 3.0) * lx), exp(-(p + 5.0) * lx)
+
+
+def _em_terms(p: float):
+    """(integral, fa, fb) -> (estimate, truncation bound, magnitude) of
+    Euler-Maclaurin from a to b, with fa and fb the ``_em_powers`` of a and
+    b and magnitude the sum of the terms' absolute values, on floats or
+    arrays alike."""
+    c1 = p / 12.0
+    c3 = p * (p + 1.0) * (p + 2.0) / 720.0
+    c5 = p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) / 30240.0
+
+    def terms(integral, fa: tuple, fb: tuple) -> tuple:
+        (fa0, fa1, fa3, fa5), (fb0, fb1, fb3, fb5) = fa, fb
+        ends = integral + (fa0 + fb0) / 2.0
+        est = ends + c1 * (fa1 - fb1) - c3 * (fa3 - fb3)
+        bound = c5 * (fa5 + fb5)
+        return est, bound, ends + c1 * (fa1 + fb1) + c3 * (fa3 + fb3) + bound
+
+    return terms
+
+
+def _add_head(head, est, err, head_log) -> tuple:
+    """(lo, hi) of a head sum plus a tail estimate with error err, widened by
+    the total's rounding cushion, whose largest exponent is head_log."""
+    tot = head + est
+    err = err + _round_cushion(tot, head_log)
+    return tot - err, tot + err
+
+
 def _em_from(a: int, p: float, k: int):
     """r -> Euler-Maclaurin (estimate, err) of S(a, a + delta, p), a >= 2.
 
@@ -215,21 +231,14 @@ def _em_from(a: int, p: float, k: int):
     # a**(1-p) when it fits a float with room to spare; the log route otherwise.
     a_pow = math.exp(xa) if abs(xa) <= 600.0 else None
     unit = abs(p - 1.0) < 1e-15
-    # x**-(p+j) for x = a, and below for x = b, as exp(-(p+j) * log x):
-    # log x > 0, so none of them overflows.
-    q0, q1, q3, q5 = p, p + 1.0, p + 3.0, p + 5.0
-    fa0, fa1 = math.exp(-q0 * la), math.exp(-q1 * la)
-    fa3, fa5 = math.exp(-q3 * la), math.exp(-q5 * la)
-    c1 = p / 12.0
-    c3 = p * (p + 1.0) * (p + 2.0) / 720.0
-    c5 = p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) / 30240.0
+    fa, terms = _em_powers(la, p, math.exp), _em_terms(p)
 
     def em(r: float):
         if r == math.inf:
             # a**(1-p) / (p - 1), finite however close p is to 1.
             integral = math.exp(xa) / (p - 1.0)
-            fb0 = fb1 = fb3 = fb5 = 0.0
-            ymax = q5 * la
+            fb = (0.0, 0.0, 0.0, 0.0)
+            lb = la
         else:
             l1, log_l1 = _log1p_ratio(r, k)
             z = (1.0 - p) * l1
@@ -250,16 +259,9 @@ def _em_from(a: int, p: float, k: int):
                     return None
                 integral = math.exp(lint)
             lb = la + l1
-            fb0 = math.exp(-q0 * lb)
-            fb1 = math.exp(-q1 * lb)
-            fb3 = math.exp(-q3 * lb)
-            fb5 = math.exp(-q5 * lb)
-            ymax = q5 * lb
-        est = integral + (fa0 + fb0) / 2.0
-        est += c1 * (fa1 - fb1)
-        est -= c3 * (fa3 - fb3)
-        err = c5 * (fa5 + fb5) + _round_cushion(est, ymax)
-        return est, err
+            fb = _em_powers(lb, p, math.exp)
+        est, bound, _ = terms(integral, fa, fb)
+        return est, bound + _round_cushion(est, (p + 5.0) * lb)
 
     return em
 
@@ -308,10 +310,7 @@ class _Brackets:
     def _with_head(self, tail) -> tuple[float, float]:
         if tail is None:
             return _BIG, math.inf
-        est, err = tail
-        tot = self._head + est
-        err += _round_cushion(tot, self._head_log)
-        return tot - err, tot + err
+        return _add_head(self._head, *tail, self._head_log)
 
     def __call__(self, stop: int | None) -> tuple[float, float]:
         if stop is None:
@@ -510,18 +509,14 @@ def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
     """Minimal L >= start with sum_{i=start}^{L} i**(-p) >= target.
 
     The search runs over the keys of ``_Keys``, all probes on one bracket
-    function.  When the relative-form seed is an integer key within two
-    terms of the goal, it probes the seed and its neighbour toward the
-    goal, and returns at once, certified, when one surely falls short of
-    the goal and the next surely reaches it.  Otherwise it probes the seed
-    (re-seeded from its stop while it falls far short), guesses each edge
-    of the ambiguity band from that bracket's two ends and the local slope,
-    and finds each edge by Newton steps, a gallop and a bisection: band_hi,
-    the first key whose lower end reaches the goal, and band_lo, the first
+    function.  It probes the relative-form seed, guesses each edge of the
+    ambiguity band from that bracket's two ends and the local slope, and
+    finds each edge by Newton steps, a gallop and a bisection: band_hi, the
+    first key whose lower end reaches the goal, and band_lo, the first
     whose upper end does.  Where the bracket ends are monotone in the
     index, that is the answer of a full bisection over the same function.
     The result is the smallest stop of band_hi, certified when band_lo
-    stands for the same stop.  A search makes at most 4377 bracket calls
+    stands for the same stop.  A search makes at most 4369 bracket calls
     (the module docstring counts them); upward gallops among ratio floats
     move one binade per call, so a goal just under the infinite sum (p > 1)
     can take hundreds.
@@ -645,39 +640,7 @@ def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
         key = keys.top
     else:
         key = keys.key_near(log_y + math.log(2 * start - 1) - _LN2)
-    # An integer seed key whose bracket and a neighbour's separate the goal
-    # proves the crossing at once: every bracket holds its sum, and the sums
-    # rise strictly with the stop.  The neighbour is probed only when the
-    # seed's far bracket end lies within two terms of the goal, where the
-    # one term between them can cross it.
-    if key <= n0:
-        blo, bhi = probe(key)
-        off = bhi - goal if blo >= goal else goal - blo
-        if (blo >= goal or bhi < goal) and off <= 2.0 * math.exp(keys.log_slope(key)):
-            below = key - 1 if blo >= goal else key
-            if probe(below)[1] < goal <= probe(below + 1)[0]:
-                return ReachResult(keys.stop(below + 1), 0)
-    # The midpoint integral is at least the sum (x**-p is convex), so a seed
-    # falls short or lands in the band.  One that falls short by more than
-    # stop / 64 terms of size stop**-p, where a straight line no longer
-    # extrapolates the sum, is re-seeded from its stop on the rest of the goal.
-    for _ in range(_RESEEDS):
-        blo, bhi = probe(key)
-        if bhi >= goal:
-            break
-        stop = keys.stop(key)
-        rest = goal - (blo + bhi) / 2.0
-        if math.log(rest) + (p - 1.0) * math.log(stop) < -math.log(64.0):
-            break
-        log_y = _seed(stop + 1, p, rest)
-        if log_y is None:
-            break
-        nxt = keys.key_near(
-            _log_add(math.log(stop - start + 1), log_y + math.log(2 * stop + 1) - _LN2)
-        )
-        if nxt <= key:
-            break
-        key = nxt
+    blo, bhi = probe(key)
     guesses, step = [key, key], 1
     if bhi < math.inf:
         # Each edge sits where the estimate passes goal -+ the half-width,
@@ -721,22 +684,11 @@ def _em_arrays(starts: np.ndarray, stops: np.ndarray, p: float, heads: np.ndarra
     l1 = np.log1p((stops - starts - _EM_HEAD).astype(float) / a)
     lb = la + l1
     integral = np.exp((1.0 - p) * la) * np.expm1((1.0 - p) * l1) / (1.0 - p)
-    q0, q1, q3, q5 = p, p + 1.0, p + 3.0, p + 5.0
-    fa0, fa1, fa3, fa5 = (np.exp(-q * la) for q in (q0, q1, q3, q5))
-    fb0, fb1, fb3, fb5 = (np.exp(-q * lb) for q in (q0, q1, q3, q5))
-    c1 = p / 12.0
-    c3 = p * (p + 1.0) * (p + 2.0) / 720.0
-    c5 = p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) / 30240.0
-    est = integral + (fa0 + fb0) / 2.0
-    est += c1 * (fa1 - fb1)
-    est -= c3 * (fa3 - fb3)
-    bound = c5 * (fa5 + fb5)
-    ymax = q5 * lb
-    mag = integral + (fa0 + fb0) / 2.0 + c1 * (fa1 + fb1) + c3 * (fa3 + fb3) + bound
-    tot = heads + est
+    fa, fb = _em_powers(la, p, np.exp), _em_powers(lb, p, np.exp)
+    est, bound, mag = _em_terms(p)(integral, fa, fb)
+    ymax = (p + 5.0) * lb
     err = bound + _round_cushion(est, ymax) + _np_charge(mag, ymax)
-    err += _round_cushion(tot, p * np.log(a - 1.0))
-    return tot - err, tot + err
+    return _add_head(heads, est, err, p * np.log(a - 1.0))
 
 
 def _table_crossings(starts: np.ndarray, goals: np.ndarray, p: float) -> tuple:

@@ -55,6 +55,10 @@ _GUARD_BITS = 96
 _WALK_BLOCK = 2**16
 _WALK_PATH = 2**18
 
+# The largest digit cap of a successor table (counts, listings and covers):
+# at this cap a cover or a listing peaks at a few hundred MB.
+_DIGIT_CAP_MAX = 2**22
+
 # Every ladder step's index-bit budget.
 _INDEX_BITS_CAP = 2_000_000
 
@@ -307,9 +311,14 @@ def successor_table(phi: Phi, cap: int) -> np.ndarray:
     the first digit whose power a**alpha surely exceeds cap + 1 under a
     power restriction: the logarithms decide that with a wide margin, and
     that entry and every later one is cap + 1, without forming a power that
-    a huge exponent could not afford.
+    a huge exponent could not afford.  A cap past _DIGIT_CAP_MAX raises
+    NumericFailure before anything is allocated.
     """
     cap = _integer("digit_cap", cap, 1)
+    if cap > _DIGIT_CAP_MAX:
+        raise NumericFailure(
+            f"digit cap {cap} exceeds the budget of {_DIGIT_CAP_MAX} digits; lower the cap"
+        )
     if phi.kind == "lin" and phi.beta.numerator * cap < 2**63:
         num, den = phi.beta.numerator, phi.beta.denominator
         a = np.arange(1, cap + 1, dtype=np.int64)

@@ -290,6 +290,16 @@ class TestExitCodes:
         seen = 14400 + math.comb(14400, 2)
         assert f"at least {seen} admissible words exceed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["cover", "--s", "0.6"], ["words"]], ids=["cover", "words"])
+    def test_huge_cap_is_3(self, tmp_path, capsys, argv):
+        # A successor table of 10**12 digits would need 7.28 TiB; the cap's
+        # budget refuses it before anything is allocated.
+        code, _, _ = _invoke(
+            tmp_path, *argv, "--phi", "lin:1", "--depth", "2", "--cap", str(10**12)
+        )
+        assert code == 3
+        assert "digit cap 1000000000000 exceeds the budget" in capsys.readouterr().err
+
     def test_one_word_of_five_thousand_digits(self, tmp_path):
         # Its count once took seconds, one pass per length over every digit.
         code, report, _ = _invoke(
@@ -500,6 +510,18 @@ class TestExitCodes:
             tmp_path, "boxdim", "--points", str(pts), "--dyadic", "2:5", "--scales", "0.5,0.25"
         )
         assert code == 2
+
+    def test_dyadic_range_past_the_floats(self, tmp_path):
+        # 2**5000 overflows a float, and 2**-20000000 is 0: the range is
+        # refused before any of its scales is built.
+        pts = tmp_path / "p.txt"
+        pts.write_text("0.1\n0.2\n0.3\n")
+        code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(pts), "--dyadic=-5000:0")
+        assert code == 2
+        start = time.perf_counter()
+        code, _, _ = _invoke(tmp_path, "boxdim", "--points", str(pts), "--dyadic=2:20000000")
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "scales,expected",

@@ -460,10 +460,10 @@ def test_goal_within_the_absolute_slack_finishes():
     assert got == _bisection_reach(start, 1.9, goal)
 
 
-# The seed's neighbour, the reseeds, then per edge the Newton steps, at most
-# 64 gallop doublings plus one upward step per binade of the ratio (fewer
-# than 2**11), and a bisection over at most 2**64 keys.
-_CALL_BOUND = 1 + powersum._RESEEDS + 2 * (powersum._NEWTON_STEPS + 64 + 2**11 + 64)
+# The seed, then per edge the Newton steps, at most 64 gallop doublings
+# plus one upward step per binade of the ratio (fewer than 2**11), and a
+# bisection over at most 2**64 keys.
+_CALL_BOUND = 1 + 2 * (powersum._NEWTON_STEPS + 64 + 2**11 + 64)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +485,7 @@ def test_goals_just_under_the_infinite_sum_keep_the_call_bound(start, p, goal, f
         else:
             assert not first_index_reaching(start, p, goal).certified
     probes = [c for c in calls if type(c) is int]
-    assert _CALL_BOUND == 4377
+    assert _CALL_BOUND == 4369
     assert 128 < len(probes) <= _CALL_BOUND
 
 
