@@ -46,7 +46,6 @@ from .dimension import (
 )
 from .families import build_gap_system, make_gauss, make_linear_power, validate_gap_system
 from .measures import (
-    PowerLawDigitMeasure,
     build_frostman_measure,
     local_dim_estimate,
     verify_frostman,
@@ -401,10 +400,10 @@ def _replacing(path: str):
 
 def _cmd_localdim(args):
     system = _resolve_system(args.system)
-    measure = PowerLawDigitMeasure(system.decay, args.alpha, first_digit=args.first_digit)
     with contextlib.nullcontext() if args.stream is None else _replacing(args.stream) as fh:
         est = local_dim_estimate(
-            measure, system, args.samples, args.depth, seed=args.seed, csv_stream=fh
+            system, args.alpha, args.samples, args.depth,
+            seed=args.seed, first_digit=args.first_digit, csv_stream=fh,
         )
     return _estimate_results("estimate", est)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .restrictions import Phi, _level_counts, _walk, successor_table
+from .restrictions import Phi, _level_counts, _longest_word, _walk, successor_table
 from .powersum import _EM_HEAD, _LN2, _ULP, power_sum_brackets
 from .systems import (
     DecaySystem,
@@ -484,6 +484,10 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     tail sum diverges when decay * s <= 1 and the bound is then infinite:
     the truncated mass genuinely dominates at such exponents.  It is also
     infinite once a power of G overflows a float (deep covers).
+
+    totals[n - 1] is the depth-n total for n up to len(totals); every depth
+    past them holds no word, so its prefix term adds 0.0 and is skipped.
+    An overflow, if any, comes at n = 1, which is always taken.
     """
     p = system.decay * s
     if p <= 1.0:
@@ -491,7 +495,7 @@ def _truncation_bound(system, depth, s, cap, totals) -> float:
     tail_hi = power_sum_brackets(cap + 1, None, p)[1] * system.scale**s
     G = (2.0 if system.affine is None else 1.0) ** s * tail_hi
     bound = 0.0
-    for n in range(1, depth + 1):
+    for n in range(1, min(depth, len(totals) + 1) + 1):
         prefix = 1.0 if n == 1 else totals[n - 2]
         try:
             bound += prefix * G ** (depth - n + 1)
@@ -518,8 +522,10 @@ def cover_sum(
     of restrictions, so its memory is bounded by the walk's path at any
     cap and depth.  It first counts the words one length at a time and
     raises NumericFailure at the first running count past
-    _EXACT_WORD_BUDGET, a bound on its time alone.  A TailWarning reports
-    when the digit-cap truncation bound exceeds 1% of the result.
+    _EXACT_WORD_BUDGET, a bound on its time alone.  Both routes stop at the
+    longest word under the cap: past it the sum is 0.0 however deep the
+    depth.  A TailWarning reports when the digit-cap truncation bound
+    exceeds 1% of the result.
     """
     if not 0 < s <= 1:
         raise PreconditionError("cover sums need s in (0, 1]")
@@ -528,17 +534,19 @@ def cover_sum(
         raise PreconditionError(f"unknown method {method!r}")
     nxt = successor_table(phi, digit_cap)
     digit_cap = len(nxt) - 1  # as successor_table read it
+    # Totals of the depths 1..longest; every deeper depth holds no word.
+    longest = _longest_word(nxt, depth)
     if method == "exact":
-        for seen in itertools.accumulate(_level_counts(nxt, [digit_cap] * depth)):
+        for seen in itertools.accumulate(_level_counts(nxt, [digit_cap] * longest)):
             if seen > _EXACT_WORD_BUDGET:
                 raise NumericFailure(
                     f"at least {seen} admissible words exceed the exact route's budget of "
                     f"{_EXACT_WORD_BUDGET}; lower the cap or the depth, or use the dp method"
                 )
-        totals = _exact_depth_sums(system, nxt, depth, s)
+        totals = _exact_depth_sums(system, nxt, longest, s)
     else:
-        totals = _transfer_depth_sums(system, nxt, depth, s)
-    result = totals[-1]
+        totals = _transfer_depth_sums(system, nxt, longest, s)
+    result = totals[-1] if longest == depth else 0.0
     bound = _truncation_bound(system, depth, s, digit_cap, totals)
     if bound > 0.01 * result:
         warnings.warn(

@@ -10,7 +10,9 @@ that comparison with log cylinder lengths formed from exact continuants or
 exact slopes.
 
 The second is a Markov measure on unbounded digit words whose conditional
-law from digit i is a power tail supported on j >= ceil(i**alpha).  A
+law from digit i is a power tail supported on j >= ceil(i**alpha), with
+the decay d of the system it runs on; the estimator builds it from that
+system, so the measure and the system never disagree about d.  A
 Monte Carlo estimator samples its chains, by exact inverse CDF on the tail
 while window starts stay within _CHAIN_EXACT_CAP, and regresses cylinder
 masses against bracketed neighborhood lengths to read off the local
@@ -25,7 +27,8 @@ and every chain step is elementwise, so no sample reads another.  That is
 what lets the blocks run apart, one per usable CPU, the first in process
 and the rest in forked children: the merge reads their rows in sample
 order, so neither the report nor the stream depends on how many CPUs there
-are.
+are.  A run holds a few samples x depth arrays, so samples x depth has a
+budget, _CHAIN_CELLS_MAX, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -75,11 +78,18 @@ _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _LO32, _U32 = np.uint64(_MASK32), np.uint64(32)
 
 # Fewest samples per chain block.  A block costs a fork and a pickled
-# result.  On a 2-vCPU Xeon (depth 30, no stream, in-process medians over
-# 15-21 seeds) two blocks of 100 samples took 1.03-1.38 times as long as one
-# of 200 at gauss alpha 2 (three rounds) and 0.80 times at alpha 1.5, and two
-# of 50 took 1.16-1.37 times as long as one of 100.
+# result.  On a 2-vCPU Xeon (gauss alpha 2, depth 30, no stream, in
+# process, medians of 10 alternating runs, three rounds) one block of 500
+# samples took 14-21 ms against 23-36 ms for two, and one of 2000 took
+# 40-63 ms against 53-79 ms for two (two won one round of three at 2000).
 _BLOCK_MIN_SAMPLES = 100
+
+# The most sample-levels (samples x depth) of one local-dimension run.  A
+# chain block's numpy peak is about 40 bytes per sample-level plus 2 KB per
+# sample (gauss alpha 2: 111 B a sample-level at 69905 x 30, 47 B at
+# 6990 x 300).  At this budget (279620 x 30, 2-vCPU Xeon) one block peaked
+# at 936 MB RSS, and two at 861 MB in process and 479 MB in the child.
+_CHAIN_CELLS_MAX = 2**23
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +612,16 @@ def _slopes(xs: tuple, y: np.ndarray, n_kept: np.ndarray, kept: np.ndarray) -> n
 
 
 def local_dim_estimate(
-    measure: PowerLawDigitMeasure,
     system: DecaySystem,
+    alpha: float,
     samples: int,
     depth: int,
     seed: int = 0,
+    first_digit: int = 2,
     csv_stream: TextIO | None = None,
 ) -> DimensionEstimate:
-    """Monte Carlo local dimension of the digit measure on the system.
+    """Monte Carlo local dimension of ``PowerLawDigitMeasure(system.decay,
+    alpha, first_digit)`` on the system, the measure taking the system's d.
 
     For each sampled word the estimator pairs, level by level, the mass of
     the current cylinder with the length of the union of its admissible
@@ -626,7 +638,10 @@ def local_dim_estimate(
     the others.  A block's streams are generated in one numpy pass, bit for
     bit what numpy's own SeedSequence, Philox and Generator give; the
     spawn index must fit one uint32 word, so a run takes fewer than 2**32
-    samples (PreconditionError otherwise, before anything is allocated).  Rows
+    samples (PreconditionError otherwise, before anything is allocated).  A
+    run also holds a few arrays of samples x depth floats, so samples x depth
+    past _CHAIN_CELLS_MAX is a NumericFailure, raised before they are
+    allocated.  Rows
     whose window start is at most _CHAIN_EXACT_CAP draw exact digits, all of
     a level's in one ``_tail_quantiles`` call, so every digit is the
     certified crossing index; what the chain reads of an exact digit (its
@@ -648,12 +663,18 @@ def local_dim_estimate(
     sample: sample_id, n, digit, log10_digit, log_r_lo, log_r_hi, log_mass,
     where digit is blank once the chain leaves the exact regime.
     """
+    measure = PowerLawDigitMeasure(system.decay, alpha, first_digit=first_digit)
     samples = _integer("samples", samples, 100)
     if samples > _MASK32:
         raise PreconditionError(
             f"needs fewer than 2**32 samples (a spawn index is one uint32 word), got {samples}"
         )
     depth = _integer("depth", depth, 5)
+    if samples * depth > _CHAIN_CELLS_MAX:
+        raise NumericFailure(
+            f"{samples} samples x depth {depth} exceed the budget of {_CHAIN_CELLS_MAX} "
+            "sample-levels; lower the samples or the depth"
+        )
     if system.affine is not None and system.affine.blocks:
         raise PreconditionError(
             "local dimension runs on the gauss or linear-power families, not on "
@@ -737,10 +758,9 @@ def _chain_block(
     alpha = measure.alpha
     uniforms = _spawn_uniforms(root, lo, hi, depth - 1)
     # words[k] holds sample k's exact digits and stops growing when its
-    # chain goes continuous; while exact[k], its current digit is words[k][-1].
+    # chain goes continuous; while switch_level[k] == 0, its current digit
+    # is words[k][-1].  A row is live at level n while n_kept[k] == n - 1.
     words = [[measure.first_digit] for _ in range(samples)]
-    exact = np.ones(samples, dtype=bool)
-    live = np.ones(samples, dtype=bool)
     li = np.full(samples, math.log(measure.first_digit))
     cum_lo = np.zeros(samples)
     cum_hi = np.zeros(samples)
@@ -756,10 +776,10 @@ def _chain_block(
     facts = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, depth + 1):
-            cut = live & ~(np.isfinite(li) & (li <= _LOG_DIGIT_TRUNC))
-            truncated += int(np.count_nonzero(cut))
-            live &= ~cut
-            rows = np.flatnonzero(live)
+            live = n_kept == n - 1
+            fits = np.isfinite(li) & (li <= _LOG_DIGIT_TRUNC)
+            truncated += int(np.count_nonzero(live & ~fits))
+            rows = np.flatnonzero(live & fits)
             if rows.size == 0:
                 break
             lstart = alpha * li
@@ -767,11 +787,11 @@ def _chain_block(
             rate_hi = np.empty(samples)
             win_lo = np.empty(samples)
             win_hi = np.empty(samples)
-            cont = rows[~exact[rows]]
+            cont = rows[switch_level[rows] > 0]
             rate_lo[cont], rate_hi[cont] = _chain_rate_logs(system, li[cont])
             # Exact rows: exact rate logs, and an exact window and draw for
             # starts up to the cap.
-            ex = rows[exact[rows]]
+            ex = rows[switch_level[rows] == 0]
             drawn = windowless = ex
             if ex.size:
                 got = []
@@ -806,8 +826,7 @@ def _chain_block(
                     words[k].append(j)
             # Every other live row draws on the continuous tail; exact rows
             # among them switch here.
-            switch_level[rest[exact[rest]]] = n
-            exact[rest] = False
+            switch_level[rest[switch_level[rest] == 0]] = n
             ls = lstart[rest]
             log1p_u = np.array([math.log1p(-v) for v in u[rest].tolist()])
             lj = ls - log1p_u / excess

@@ -292,19 +292,13 @@ class _Brackets:
     def __init__(self, start: int, p: float, k: int = 0):
         self.start, self.p, self.k = start, p, k
         self.a = start + _EM_HEAD
-        self._em = None
-
-    def _prepare(self) -> None:
-        """Fetch the head and set up the expansion, at the first long range."""
-        self._em = _em_from(self.a, self.p, self.k)
-        self._head = _head_sum(self.start, self.p)
-        self._head_log = self.p * math.log(self.a - 1)
+        self._em = _em_from(self.a, p, k)
+        self._head = _head_sum(start, p)
+        self._head_log = p * math.log(self.a - 1)
 
     def at_ratio(self, r: float) -> tuple[float, float]:
         """Bracket of the stops whose scaled ratio rounds to r (normal, or inf
         for the infinite tail)."""
-        if self._em is None:
-            self._prepare()
         return self._with_head(self._em(r))
 
     def _with_head(self, tail) -> tuple[float, float]:
@@ -325,8 +319,6 @@ class _Brackets:
         if _MIN_NORMAL <= r < math.inf:
             return self.at_ratio(r)
         # A ratio outside this k's normal range: the stop's own scaling.
-        if self._em is None:
-            self._prepare()
         a = self.a
         k = _ratio_shift((stop - a).bit_length() - a.bit_length(), a)
         return self._with_head(_em_from(a, self.p, k)(_scaled_ratio(stop - a, a, k)))
@@ -448,28 +440,17 @@ class _Keys:
     """
 
     def __init__(self, brackets: _Brackets):
-        self.brackets = brackets
-        b = brackets
+        self.brackets = b = brackets
         # One past the largest delta whose scaled ratio is below 2**-1022.
         shift = 1022 + b.k
         tiny = (b.a >> shift if shift >= 0 else b.a << -shift) + 1
         self.n0 = max(_INT_KEYS, tiny + _EM_HEAD + 1)
-        self._top = None
-
-    def _float_base(self) -> int:
-        if self._top is None:
-            b = self.brackets
-            self._base = _float_bits(_scaled_ratio(self.stop(self.n0) - b.a, b.a, b.k))
-            self._top = self.n0 + _MAX_BITS - self._base
-        return self._base
-
-    @property
-    def top(self) -> int:
-        self._float_base()
-        return self._top
+        # The bits of the ratio float at n0, and the key of the largest finite one.
+        self._base = _float_bits(_scaled_ratio(self.n0 - _EM_HEAD - 1, b.a, b.k))
+        self.top = self.n0 + _MAX_BITS - self._base
 
     def ratio(self, key: int) -> float:
-        return _bits_float(self._float_base() + key - self.n0)
+        return _bits_float(self._base + key - self.n0)
 
     def bracket(self, key: int) -> tuple[float, float]:
         if key <= self.n0:
@@ -490,7 +471,7 @@ class _Keys:
         # Ratio (terms - _EM_HEAD - 1) * 2**k / a, the offset dropped: a guess.
         log_r = log_terms + b.k * _LN2 - math.log(b.a)
         r = math.exp(min(log_r, 709.0))
-        key = self.n0 + _float_bits(r) - self._float_base() if r > 0.0 else self.n0 + 1
+        key = self.n0 + _float_bits(r) - self._base if r > 0.0 else self.n0 + 1
         return min(max(key, self.n0 + 1), self.top)
 
     def log_slope(self, key: int) -> float:

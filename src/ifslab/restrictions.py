@@ -333,11 +333,22 @@ def successor_table(phi: Phi, cap: int) -> np.ndarray:
     return table
 
 
+def _longest_word(nxt: np.ndarray, depth: int) -> int:
+    """Length of the longest admissible word under the cap, or depth if that
+    is less: the chain 1, nxt[1], nxt[nxt[1]], ... while it stays at most
+    the cap, followed at most depth steps.  The table is non-decreasing, so
+    the chain's k-th digit is at most the k-th digit of any admissible word,
+    and no word outlasts it."""
+    cap, digit, length = len(nxt) - 1, 0, 0
+    while length < depth and nxt[digit] <= cap:
+        digit, length = int(nxt[digit]), length + 1
+    return length
+
+
 def _completion_ceilings(nxt: np.ndarray, depth: int) -> list:
     """The largest digit at positions 1..depth of a word of depth digits: the
     cap at the last, and since the table is non-decreasing, at position k
     the largest a whose successor is at most the ceiling of position k + 1."""
-    depth = _integer("depth", depth, 1)
     succ, ceilings = nxt[1:], [len(nxt) - 1]
     for _ in range(depth - 1):
         ceilings.append(int(succ.searchsorted(ceilings[-1], side="right")))
@@ -409,8 +420,12 @@ def _walk(nxt: np.ndarray, ceilings: list) -> Iterator[list]:
 
 
 def count_restricted_words(phi: Phi, depth: int, digit_cap: int) -> int:
-    """Number of words ``enumerate_restricted_words`` yields: its walk's last level count."""
+    """Number of words ``enumerate_restricted_words`` yields: its walk's last
+    level count, and 0 past the longest word under the cap."""
     nxt = successor_table(phi, digit_cap)
+    depth = _integer("depth", depth, 1)
+    if _longest_word(nxt, depth) < depth:
+        return 0
     *_, count = _level_counts(nxt, _completion_ceilings(nxt, depth))
     return count
 
@@ -420,8 +435,12 @@ def enumerate_restricted_words(phi: Phi, depth: int, digit_cap: int) -> Iterator
     a_{k+1} > Phi(a_k), in lexicographic order: the full-length blocks of
     ``_walk`` under completion ceilings, so every prefix it enters
     completes, each word read back along its block's parent chain.  Its
-    memory is the walk's path, at most _WALK_PATH words at any depth."""
+    memory is the walk's path, at most _WALK_PATH words at any depth.  Past
+    the longest word under the cap it yields nothing, at once."""
     nxt = successor_table(phi, digit_cap)
+    depth = _integer("depth", depth, 1)
+    if _longest_word(nxt, depth) < depth:
+        return
     for path in _walk(nxt, _completion_ceilings(nxt, depth)):
         if len(path) == depth:
             columns, rows = [], slice(None)

@@ -89,8 +89,7 @@ def test_criterion_3_local_dimension_slope_windows(gauss):
     observed = {}
     with _Budget(120) as budget:
         for alpha, lo, hi in ((2.0, 0.28, 0.38), (1.5, 0.35, 0.45)):
-            measure = PowerLawDigitMeasure(2.0, alpha, first_digit=2)
-            est = local_dim_estimate(measure, gauss, 10_000, 30, seed=0)
+            est = local_dim_estimate(gauss, alpha, 10_000, 30, seed=0, first_digit=2)
             observed[alpha] = est.value
             assert lo <= est.value <= hi
     print(

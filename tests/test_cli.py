@@ -290,6 +290,35 @@ class TestExitCodes:
         seen = 14400 + math.comb(14400, 2)
         assert f"at least {seen} admissible words exceed" in capsys.readouterr().err
 
+    def test_localdim_past_the_sample_level_budget_is_3(self, tmp_path, capsys):
+        # 100 x 10**12 sample-levels: the uniforms alone asked numpy for
+        # 182 TiB before any size was checked.
+        start = time.perf_counter()
+        code, _, _ = _invoke(
+            tmp_path, "localdim", "--alpha", "2", "--samples", "100", "--depth", str(10**12)
+        )
+        assert code == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"100 samples x depth {10**12} exceed the budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["words"], ["cover", "--s", "0.6"], ["cover", "--s", "0.6", "--method", "exact"]],
+        ids=["words", "cover-dp", "cover-exact"],
+    )
+    def test_past_the_longest_word_is_empty_at_once(self, tmp_path, argv):
+        start = time.perf_counter()
+        code, report, _ = _invoke(
+            tmp_path, *argv, "--phi", "lin:1", "--depth", str(10**9), "--cap", "3"
+        )
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        if argv[0] == "words":
+            assert report["results"] == {"count": 0, "words": []}
+        else:
+            assert report["results"] == {"value": 0.0}
+
     @pytest.mark.parametrize("argv", [["cover", "--s", "0.6"], ["words"]], ids=["cover", "words"])
     def test_huge_cap_is_3(self, tmp_path, capsys, argv):
         # A successor table of 10**12 digits would need 7.28 TiB; the cap's

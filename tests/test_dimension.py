@@ -36,6 +36,7 @@ from ifslab.dimension import (
     _linregress,
     _log_rates,
     _transfer_depth_sums,
+    _truncation_bound,
     bowen_root,
     box_dim_estimate,
     cover_sum,
@@ -340,6 +341,35 @@ class TestCoverSum:
             warnings.simplefilter("ignore")
             total = cover_sum(gauss, lin_phi, 1, 1.0, digit_cap=cap)
         assert total == pytest.approx(1.0 - 1.0 / (cap + 1), rel=1e-9)
+
+    def test_past_the_longest_word_the_cover_is_zero_at_once(self, gauss, lin_phi):
+        # No lin:1 word under cap 3 is longer than 3 digits.  At depth 1000
+        # G**1000 already overflows, so the warning reads a bound of inf at
+        # every deeper depth; the dp route took 4.6 s at depth 10**5 and the
+        # exact route 1.2 s at 10**6 when both ran every depth.
+        def cover(depth, method):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                start = time.perf_counter()
+                value = cover_sum(gauss, lin_phi, depth, 0.6, digit_cap=3, method=method)
+                elapsed = time.perf_counter() - start
+            return value, [str(w.message) for w in caught], elapsed
+
+        for method, timed in (("exact", 10**6), ("dp", 10**5)):
+            value, warned, _ = cover(1000, method)
+            assert value == 0.0
+            assert warned == [
+                "digit cap 3: truncation bound inf exceeds 1% of the cover sum 0"
+            ]
+            assert cover(10**9, method)[:2] == (value, warned)
+            assert cover(timed, method)[2] < 0.2
+        # The bound over totals that stop at the longest word is the bound
+        # over every depth's totals, the empty ones 0.0.
+        totals = _exact_depth_sums(gauss, successor_table(lin_phi, 3), 3, 0.6)
+        for depth in (4, 5, 8):
+            padded = totals + [0.0] * (depth - 3)
+            got = _truncation_bound(gauss, depth, 0.6, 3, totals)
+            assert got == _truncation_bound(gauss, depth, 0.6, 3, padded) < math.inf
 
     def test_depth_two_cap_three_exact(self, gauss, lin_phi):
         with warnings.catch_warnings():

@@ -614,7 +614,7 @@ class TestSampling:
             return quantiles(measure, level_starts, us)
 
         monkeypatch.setattr(measures, "_tail_quantiles", spy)
-        local_dim_estimate(PowerLawDigitMeasure(2.0, alpha), sys_, 500, 30, seed=0)
+        local_dim_estimate(sys_, alpha, 500, 30, seed=0)
         assert starts and max(starts) <= measures._CHAIN_EXACT_CAP
 
     def test_empirical_second_digit_frequencies(self, quad_measure):
@@ -691,64 +691,72 @@ class TestTailQuantiles:
 
 
 class TestLocalDim:
-    def test_quadratic_growth_slope(self, gauss, quad_measure):
-        est = local_dim_estimate(quad_measure, gauss, samples=2000, depth=30, seed=0)
+    def test_quadratic_growth_slope(self, gauss):
+        est = local_dim_estimate(gauss, 2.0, samples=2000, depth=30, seed=0)
         assert est.method == "local-dim"
         assert 0.28 <= est.value <= 0.38
         assert est.bracket[0] <= est.value <= est.bracket[1]
         assert abs(est.diagnostics["delta_ratio_mean"] - 1.0 / 3.0) <= 0.05
 
     def test_three_halves_growth_slope(self, gauss):
-        m = PowerLawDigitMeasure(decay=2.0, alpha=1.5, first_digit=2)
-        est = local_dim_estimate(m, gauss, samples=2000, depth=30, seed=0)
+        est = local_dim_estimate(gauss, 1.5, samples=2000, depth=30, seed=0)
         assert 0.35 <= est.value <= 0.45
         assert abs(est.diagnostics["delta_ratio_mean"] - 0.4) <= 0.05
 
     def test_first_digit_invariance(self, gauss):
         vals = []
         for k in (2, 5):
-            m = PowerLawDigitMeasure(decay=2.0, alpha=2.0, first_digit=k)
-            vals.append(local_dim_estimate(m, gauss, samples=2000, depth=30, seed=3).value)
+            est = local_dim_estimate(gauss, 2.0, samples=2000, depth=30, seed=3, first_digit=k)
+            vals.append(est.value)
         assert abs(vals[0] - vals[1]) <= 0.02
 
-    def test_linear_power_system_accepted(self, quad_measure):
+    def test_linear_power_system_accepted(self):
         lp = make_linear_power(2.0)
-        est = local_dim_estimate(quad_measure, lp, samples=500, depth=20, seed=1)
+        est = local_dim_estimate(lp, 2.0, samples=500, depth=20, seed=1)
         assert 0.28 <= est.value <= 0.38
 
-    def test_preconditions(self, gauss, quad_measure):
+    def test_preconditions(self, gauss):
         with pytest.raises(PreconditionError, match="samples must be an integer >= 100"):
-            local_dim_estimate(quad_measure, gauss, samples=99, depth=30)
+            local_dim_estimate(gauss, 2.0, samples=99, depth=30)
         with pytest.raises(PreconditionError, match="depth"):
-            local_dim_estimate(quad_measure, gauss, samples=500, depth=4)
+            local_dim_estimate(gauss, 2.0, samples=500, depth=4)
         gap = build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system
         with pytest.raises(PreconditionError, match="gauss or linear-power"):
-            local_dim_estimate(quad_measure, gap, samples=500, depth=30)
+            local_dim_estimate(gap, 2.0, samples=500, depth=30)
 
-    def test_deterministic_estimate_and_stream(self, gauss, quad_measure):
+    def test_sample_levels_past_the_budget_are_refused_before_allocation(
+        self, gauss, monkeypatch
+    ):
+        monkeypatch.setattr(measures, "_CHAIN_CELLS_MAX", 1000)
+        assert local_dim_estimate(gauss, 2.0, 100, 10).diagnostics["samples"] == 100
+        monkeypatch.setattr(measures, "_spawn_uniforms", None)
+        with pytest.raises(NumericFailure, match="^100 samples x depth 11 exceed the budget of 1000"):
+            local_dim_estimate(gauss, 2.0, 100, 11)
+
+    def test_deterministic_estimate_and_stream(self, gauss):
         b1, b2 = io.StringIO(), io.StringIO()
         e1 = local_dim_estimate(
-            quad_measure, gauss, samples=150, depth=8, seed=42, csv_stream=b1
+            gauss, 2.0, samples=150, depth=8, seed=42, csv_stream=b1
         )
         e2 = local_dim_estimate(
-            quad_measure, gauss, samples=150, depth=8, seed=42, csv_stream=b2
+            gauss, 2.0, samples=150, depth=8, seed=42, csv_stream=b2
         )
         assert e1 == e2
         assert b1.getvalue() == b2.getvalue()
 
-    def test_a_sample_chain_does_not_depend_on_the_sample_count(self, gauss, quad_measure):
+    def test_a_sample_chain_does_not_depend_on_the_sample_count(self, gauss):
         # Sample k draws from the seed's k-th spawned child whatever the count.
         streams = []
         for samples in (100, 160):
             buf = io.StringIO()
-            local_dim_estimate(quad_measure, gauss, samples, 10, seed=6, csv_stream=buf)
+            local_dim_estimate(gauss, 2.0, samples, 10, seed=6, csv_stream=buf)
             streams.append(buf.getvalue().splitlines())
         assert streams[1][: len(streams[0])] == streams[0]
 
-    def test_stream_schema(self, gauss, quad_measure):
+    def test_stream_schema(self, gauss):
         buf = io.StringIO()
         local_dim_estimate(
-            quad_measure, gauss, samples=120, depth=8, seed=5, csv_stream=buf
+            gauss, 2.0, samples=120, depth=8, seed=5, csv_stream=buf
         )
         lines = buf.getvalue().splitlines()
         assert lines[0] == "sample_id,n,digit,log10_digit,log_r_lo,log_r_hi,log_mass"
@@ -772,7 +780,7 @@ class TestLocalDim:
         # chain is still in the exact regime
         buf = io.StringIO()
         local_dim_estimate(
-            quad_measure, gauss, samples=150, depth=6, seed=9, csv_stream=buf
+            gauss, 2.0, samples=150, depth=6, seed=9, csv_stream=buf
         )
         lines = buf.getvalue().splitlines()[1:]
         rows = [line.split(",") for line in lines[:6]]
@@ -932,7 +940,7 @@ class TestLocalDimMatchesPerSampleLoop:
     def _both(self, system, alpha, samples, depth, seed):
         m = PowerLawDigitMeasure(decay=system.decay, alpha=alpha)
         got_csv, ref_csv = io.StringIO(), io.StringIO()
-        est = local_dim_estimate(m, system, samples, depth, seed=seed, csv_stream=got_csv)
+        est = local_dim_estimate(system, alpha, samples, depth, seed=seed, csv_stream=got_csv)
         ref = _per_sample_reference(m, system, samples, depth, seed=seed, csv_stream=ref_csv)
         _assert_streams_match(got_csv.getvalue(), ref_csv.getvalue())
         assert est.value == ref["estimate"]
@@ -952,10 +960,13 @@ class TestLocalDimMatchesPerSampleLoop:
             ("gauss", 1.5, 30, 11),
             ("linpow", 2.0, 20, 1),
             ("linpow", 2.0, 30, 8),
+            # d = 3: the estimator's law takes its decay from the system.
+            ("linpow:3", 1.5, 30, 5),
         ],
     )
     def test_same_digits_and_estimate(self, gauss, system, alpha, depth, seed):
-        sys_ = gauss if system == "gauss" else make_linear_power(2.0)
+        decay = {"gauss": None, "linpow": 2.0, "linpow:3": 3.0}[system]
+        sys_ = gauss if decay is None else make_linear_power(decay)
         self._both(sys_, alpha, 120, depth, seed)
 
     def test_huge_alpha_truncates_alike(self, gauss):
@@ -970,16 +981,15 @@ class TestLocalDimMatchesPerSampleLoop:
 
     def test_every_chain_cut_before_three_levels_fails_alike(self, gauss, monkeypatch):
         monkeypatch.setattr(measures, "_LOG_DIGIT_TRUNC", 2.0)
-        m = PowerLawDigitMeasure(decay=2.0, alpha=2.0)
-        for estimator in (local_dim_estimate, _per_sample_reference):
-            with pytest.raises(NumericFailure, match="truncated before 3 levels"):
-                estimator(m, gauss, 100, 8, seed=0)
+        with pytest.raises(NumericFailure, match="truncated before 3 levels"):
+            local_dim_estimate(gauss, 2.0, 100, 8, seed=0)
+        with pytest.raises(NumericFailure, match="truncated before 3 levels"):
+            _per_sample_reference(PowerLawDigitMeasure(2.0, 2.0), gauss, 100, 8, seed=0)
 
 
 def _run_with_stream(system, alpha, samples, depth, seed):
-    m = PowerLawDigitMeasure(decay=system.decay, alpha=alpha)
     buf = io.StringIO()
-    est = local_dim_estimate(m, system, samples, depth, seed=seed, csv_stream=buf)
+    est = local_dim_estimate(system, alpha, samples, depth, seed=seed, csv_stream=buf)
     return est, buf.getvalue()
 
 
@@ -1110,30 +1120,28 @@ class TestLocalDimBlocks:
 
 class TestSeeds:
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
-    def test_bad_seeds_are_precondition_errors(self, gauss, quad_measure, layered, seed):
+    def test_bad_seeds_are_precondition_errors(self, gauss, layered, seed):
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             verify_frostman(layered, 3, sample_cap=50, seed=seed)
         # Depth 1 has 10 words, under the cap, so they are enumerated.
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             verify_frostman(layered, 1, sample_cap=50, seed=seed)
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
-            local_dim_estimate(quad_measure, gauss, 200, 8, seed=seed)
+            local_dim_estimate(gauss, 2.0, 200, 8, seed=seed)
 
-    def test_a_bad_seed_is_refused_before_any_chain_runs(
-        self, gauss, quad_measure, forced_blocks, monkeypatch
-    ):
+    def test_a_bad_seed_is_refused_before_any_chain_runs(self, gauss, forced_blocks, monkeypatch):
         forced_blocks(2)
         monkeypatch.setattr(measures, "_chain_block", None)
         with pytest.raises(PreconditionError, match="seed"):
-            local_dim_estimate(quad_measure, gauss, 200, 8, seed=-1)
+            local_dim_estimate(gauss, 2.0, 200, 8, seed=-1)
         assert forced_blocks.forked == []
 
-    def test_numpy_integer_seeds_act_as_ints(self, gauss, quad_measure, layered):
+    def test_numpy_integer_seeds_act_as_ints(self, gauss, layered):
         assert verify_frostman(layered, 3, sample_cap=50, seed=np.uint32(5)) == (
             verify_frostman(layered, 3, sample_cap=50, seed=5)
         )
-        assert local_dim_estimate(quad_measure, gauss, 100, 8, seed=np.int64(3)) == (
-            local_dim_estimate(quad_measure, gauss, 100, 8, seed=3)
+        assert local_dim_estimate(gauss, 2.0, 100, 8, seed=np.int64(3)) == (
+            local_dim_estimate(gauss, 2.0, 100, 8, seed=3)
         )
 
 
@@ -1149,15 +1157,13 @@ class TestIntegerArguments:
             "depth": lambda v: build_frostman_measure(gauss, lin1, 0.1, v),
             "verify depth": lambda v: verify_frostman(layered, v),
             "sample_cap": lambda v: verify_frostman(layered, 3, sample_cap=v),
-            "first_digit": lambda v: local_dim_estimate(
-                PowerLawDigitMeasure(2.0, 2.0, v), gauss, 100, 8
-            ),
+            "first_digit": lambda v: local_dim_estimate(gauss, 2.0, 100, 8, first_digit=v),
             "digit i (support_start)": quad_measure.support_start,
             "digit i (normalizer)": quad_measure.normalizer,
             "digit i (digit_transition)": lambda v: digit_transition(quad_measure, v, 150),
             "digit j": lambda v: digit_transition(quad_measure, 2, v),
-            "samples": lambda v: local_dim_estimate(quad_measure, gauss, v, 8),
-            "localdim depth": lambda v: local_dim_estimate(quad_measure, gauss, 100, v),
+            "samples": lambda v: local_dim_estimate(gauss, 2.0, v, 8),
+            "localdim depth": lambda v: local_dim_estimate(gauss, 2.0, 100, v),
         }
 
     @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ import pytest
 
 from ifslab import _blocks, measures, powersum, restrictions
 from ifslab.families import make_gauss, make_linear_power
-from ifslab.measures import PowerLawDigitMeasure, local_dim_estimate
+from ifslab.measures import local_dim_estimate
 from ifslab.powersum import first_index_reaching, first_indices_reaching, power_sum_brackets
 from ifslab.restrictions import build_ladder, parse_phi
 
@@ -85,8 +85,7 @@ def collect_inputs(monkeypatch) -> list:
     rec = _Recorder(monkeypatch)
     for name, alpha in LOCALDIM_RUNS:
         system = make_gauss() if name == "gauss" else make_linear_power(2.0)
-        m = PowerLawDigitMeasure(decay=system.decay, alpha=alpha)
-        local_dim_estimate(m, system, 500, 30, seed=0)
+        local_dim_estimate(system, alpha, 500, 30, seed=0)
     for phi, steps in LADDERS:
         build_ladder(make_gauss(), parse_phi(phi), 0.1, steps)
     inputs = rec.inputs + _random_inputs(random.Random(32))
@@ -163,7 +162,7 @@ def test_localdim_draws_make_few_scalar_bracket_calls(monkeypatch):
         return bracket(self, key)
 
     monkeypatch.setattr(powersum._Keys, "bracket", spy)
-    local_dim_estimate(PowerLawDigitMeasure(decay=2.0, alpha=1.5), make_gauss(), 500, 30, seed=3)
+    local_dim_estimate(make_gauss(), 1.5, 500, 30, seed=3)
     assert len(rec.inputs) > 1500
     assert len(calls) / len(rec.inputs) <= 0.05
 
