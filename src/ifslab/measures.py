@@ -49,6 +49,13 @@ from .systems import _append_digits, _digit_table, _empty_words, _integer
 
 _VERIFY_SAMPLE_CAP = 100_000
 
+# The most digits verify_frostman checks: words (sampled or enumerated)
+# times the verify depth, which bounds its time and its blocks at any depth
+# the ladder budget allows.  At the budget, gauss lin:1 at eps 0.1 took 0.5 s
+# at depth 5, 6.6 s at depth 16 and 26 s (340 MB, continuants past int64)
+# at depth 256 (2-vCPU Xeon).
+_VERIFY_DIGITS_MAX = 2**24
+
 # verify_frostman checks words in blocks of this many rows.
 _VERIFY_ROWS = 2**16
 _INT64_MAX = 2**63 - 1
@@ -78,17 +85,19 @@ _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _LO32, _U32 = np.uint64(_MASK32), np.uint64(32)
 
 # Fewest samples per chain block.  A block costs a fork and a pickled
-# result.  On a 2-vCPU Xeon (gauss alpha 2, depth 30, no stream, in
-# process, medians of 10 alternating runs, three rounds) one block of 500
-# samples took 14-21 ms against 23-36 ms for two, and one of 2000 took
-# 40-63 ms against 53-79 ms for two (two won one round of three at 2000).
+# result, so the forked chain serves long runs: at the CLI default of 10000
+# samples (gauss alpha 2, depth 30, no stream, in process, 2-vCPU Xeon) two
+# blocks took 135-143 ms against 204-208 ms for one in two rounds of five
+# alternating runs (the third read 258 against 227 ms).  At 500 samples one
+# block was faster: 16 against 20 ms without a stream, and 59 against 80 ms
+# with one, whose float formatting took 43 ms of the single block's run.
 _BLOCK_MIN_SAMPLES = 100
 
 # The most sample-levels (samples x depth) of one local-dimension run.  A
-# chain block's numpy peak is about 40 bytes per sample-level plus 2 KB per
-# sample (gauss alpha 2: 111 B a sample-level at 69905 x 30, 47 B at
-# 6990 x 300).  At this budget (279620 x 30, 2-vCPU Xeon) one block peaked
-# at 936 MB RSS, and two at 861 MB in process and 479 MB in the child.
+# chain block's numpy peak is about 100 bytes per sample-level (tracemalloc,
+# gauss alpha 2: 100 B at 69905 x 30, 97 B at 6990 x 300).  At this budget
+# (279620 x 30, 2-vCPU Xeon) one block peaked at 941 MB RSS, and two at
+# 871 MB in process and 292 MB in the child.
 _CHAIN_CELLS_MAX = 2**23
 
 
@@ -162,10 +171,10 @@ def build_frostman_measure(
             )
         try:
             root = bowen_root(system, "xi", lo, hi)
-            if root.value < floor_s - 1e-9:
+            if root.bracket[1] < floor_s:
                 raise NumericFailure(
-                    f"exponent {root.value:.6f} fell below the decay floor "
-                    f"{floor_s:.6f}; the ladder does not cover this window"
+                    f"exponent bracket ends at {root.bracket[1]!r}, below the decay "
+                    f"floor {floor_s!r}; the ladder does not cover this window"
                 )
         except NumericFailure as exc:
             raise NumericFailure(
@@ -343,7 +352,8 @@ def verify_frostman(
     A depth below 1 or a sample_cap below 1 is rejected, since either would
     pass without checking any word, and so is a seed that is not an integer
     >= 0, on either route.  A sampled window past int64 raises
-    NumericFailure.
+    NumericFailure, and so do words x depth past _VERIFY_DIGITS_MAX, before
+    any word is drawn or enumerated.
     """
     root = np.random.SeedSequence(_integer("seed", seed, 0))
     sample_cap = _integer("sample_cap", sample_cap, 1)
@@ -356,6 +366,12 @@ def verify_frostman(
     windows = measure.ladder.windows[:depth]
     total = math.prod(hi - lo + 1 for lo, hi in windows)
     sampled = total > sample_cap
+    count = min(total, sample_cap)
+    if count * depth > _VERIFY_DIGITS_MAX:
+        raise NumericFailure(
+            f"{count} words x verify depth {depth} exceed the budget of "
+            f"{_VERIFY_DIGITS_MAX} checked digits; lower the sample cap or the verify depth"
+        )
     if sampled:
         blocks = _sampled_words(windows, sample_cap, root)
     else:
@@ -573,8 +589,8 @@ def _digit_facts(measure: PowerLawDigitMeasure, system: DecaySystem, i: int) -> 
     support start, log start, window log lo, window log hi, log tail norm).
 
     The start is formed only while alpha * log(i) stays within
-    log(_CHAIN_EXACT_CAP); past that it is 0 and the log start is that
-    estimate.  A start past the cap has no window or tail norm (NaN).
+    log(_CHAIN_EXACT_CAP).  Past the cap it reads 0, with no window or tail
+    norm (NaN), and the log start is its log if formed, else that estimate.
     """
     out = (system.log_contract_lo(i), system.log_contract_hi(i))
     lstart = measure.alpha * math.log(i)
@@ -582,7 +598,7 @@ def _digit_facts(measure: PowerLawDigitMeasure, system: DecaySystem, i: int) -> 
         return out + (0, lstart, math.nan, math.nan, math.nan)
     start = measure._support.ceil(i)
     if start > _CHAIN_EXACT_CAP:
-        return out + (start, math.log(start), math.nan, math.nan, math.nan)
+        return out + (0, math.log(start), math.nan, math.nan, math.nan)
     log_norm = math.log(measure._tail_norm(start)[2])
     return out + (start, math.log(start)) + _exact_window_logs(system, start) + (log_norm,)
 
@@ -801,7 +817,7 @@ def _chain_block(
                     got.append(fact)
                 r_lo, r_hi, starts, log_starts, w_lo, w_hi, log_norms = map(np.array, zip(*got))
                 rate_lo[ex], rate_hi[ex], lstart[ex] = r_lo, r_hi, log_starts
-                inside = (starts > 0) & (starts <= _CHAIN_EXACT_CAP)
+                inside = starts > 0
                 drawn, windowless = ex[inside], ex[~inside]
                 starts, log_norms = starts[inside], log_norms[inside]
                 win_lo[drawn], win_hi[drawn] = w_lo[inside], w_hi[inside]

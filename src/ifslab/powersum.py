@@ -128,6 +128,9 @@ _NEWTON_STEPS = 8
 _NP_ULPS = 64
 _ARRAY_P_MAX = 12.0
 
+# ``_table_crossings`` compares at most this many draws' table rows at once.
+_TABLE_ROWS = 2**12
+
 _MIN_NORMAL = sys.float_info.min
 _MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
 
@@ -333,10 +336,10 @@ class _Brackets:
         num, e0 = n1 * d0 + n0 * d1, (2 * d1 * d0).bit_length() - 1
         shift, prod = e0 + k, num * a
         delta = -(-prod >> shift) if shift >= 0 else prod << -shift
-        while _scaled_ratio(delta, a, k) < r:
+        # Int division rounds correctly, so delta - 1 rounds below r, and delta
+        # does only on a tie at the midpoint (rounded to even).
+        if _scaled_ratio(delta, a, k) < r:
             delta += 1
-        while delta > 0 and _scaled_ratio(delta - 1, a, k) >= r:
-            delta -= 1
         return a + delta
 
 
@@ -515,29 +518,27 @@ def first_index_reaching(start: int, p: float, target: float) -> ReachResult:
     _check_range(start, p)
     goal = target
     brackets, log_y = _search_brackets(start, p, goal)
+    # For p > 1 the goal may lie past the infinite sum, or within its bracket
+    # noise.  The first is checked here (any probe's lower end is below the
+    # sum's upper end), the second at the first probe that straddles the
+    # goal, unless an earlier one surely reached it.
+    if p > 1.0 and brackets(None)[1] < goal:
+        raise ValueError("target exceeds the infinite sum; no index reaches it")
     keys = _Keys(brackets)
     n0 = keys.n0
     memo: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
-    # For p > 1 the goal may lie past the infinite sum, or within its bracket
-    # noise.  Until some probe surely reaches the goal, the first probe that
-    # falls short checks the first, and the first that straddles it the second.
-    total_checked = noise_checked = p <= 1.0
+    noise_checked = p <= 1.0
 
     def probe(key: int) -> tuple[float, float]:
-        nonlocal total_checked, noise_checked
+        nonlocal noise_checked
         got = memo.get(key)
         if got is not None:
             return got
         got = memo[key] = keys.bracket(key)
         blo, bhi = got
         if blo >= goal:
-            total_checked = noise_checked = True
-            return got
-        if not total_checked:
-            total_checked = True
-            if brackets(None)[1] < goal:
-                raise ValueError("target exceeds the infinite sum; no index reaches it")
-        if goal <= bhi and not noise_checked:
+            noise_checked = True
+        elif goal <= bhi and not noise_checked:
             noise_checked = True
             if blo + power_sum_brackets(keys.stop(key) + 1, None, p)[1] < goal:
                 raise NumericFailure(
@@ -681,11 +682,12 @@ def _table_crossings(starts: np.ndarray, goals: np.ndarray, p: float) -> tuple:
     # Each term carries numpy's power error and the sum at most one rounding
     # per term: (_NP_ULPS + span) ulps of the last entry bound both.
     margin = ((_NP_ULPS + span) * _ULP * tab[:, -1])[inv]
-    rows = tab[inv]
-    k = np.count_nonzero(rows < goals[:, None], axis=1)
-    at = np.arange(len(k))
-    reach = rows[at, np.minimum(k, span - 1)] - margin >= goals
-    below = (k == 0) | (rows[at, np.maximum(k - 1, 0)] + margin < goals)
+    k = np.empty(len(starts), dtype=np.int64)
+    for lo in range(0, len(starts), _TABLE_ROWS):
+        at = slice(lo, lo + _TABLE_ROWS)
+        k[at] = np.count_nonzero(tab[inv[at]] < goals[at, None], axis=1)
+    reach = tab[inv, np.minimum(k, span - 1)] - margin >= goals
+    below = (k == 0) | (tab[inv, np.maximum(k - 1, 0)] + margin < goals)
     return starts + k, (k < span) & reach & below
 
 

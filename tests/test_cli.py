@@ -303,6 +303,27 @@ class TestExitCodes:
         assert f"100 samples x depth {10**12} exceed the budget" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ladder", "--steps", "1000000000"], "1000000000 ladder steps exceed the budget"),
+            (["frostman", "--depth", "1000000000"], "1000000001 ladder steps exceed the budget"),
+            (
+                ["frostman", "--depth", "7", "--verify-depth", "7", "--sample-cap", str(10**11)],
+                "words x verify depth 7 exceed the budget",
+            ),
+        ],
+        ids=["ladder-steps", "frostman-depth", "frostman-sample-cap"],
+    )
+    def test_ladder_and_frostman_budgets_are_3(self, tmp_path, capsys, argv, message):
+        # Each ran for hours: about 13 h for the ladder, 2 h to enumerate
+        # the 2.4e10 words of the depth-7 product.
+        start = time.perf_counter()
+        code, _, _ = _invoke(tmp_path, *argv, "--phi", "lin:1", "--eps", "0.1")
+        assert code == 3
+        assert time.perf_counter() - start < 1.0
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [["words"], ["cover", "--s", "0.6"], ["cover", "--s", "0.6", "--method", "exact"]],
         ids=["words", "cover-dp", "cover-exact"],

@@ -26,6 +26,7 @@ inflates the level-1 masses until cylinders fail).
 """
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
@@ -116,6 +117,29 @@ class TestFrostmanBuild:
     def test_small_window_rejected_with_level_index(self, gauss):
         with pytest.raises(PreconditionError, match="level 1 window"):
             build_frostman_measure(gauss, parse_phi("lin:1"), 0.4, 3)
+
+    @pytest.mark.parametrize("gap", [1e-8, 0.02])
+    def test_the_decay_floor_reads_the_bracket_top(self, gauss, monkeypatch, gap):
+        # A root below q = 1/d - eps builds while its certified bracket
+        # reaches q; a bracket that ends below q is refused at its level.
+        q = 1.0 / gauss.decay - 0.1
+        roots = []
+
+        def patched(system, kind, lo, hi):
+            root = bowen_root(system, kind, lo, hi)
+            if len(roots) == 1:
+                top = q if gap < 0.01 else q - gap / 2
+                root = dataclasses.replace(root, value=q - gap, bracket=(q - 2 * gap, top))
+            roots.append(root)
+            return root
+
+        monkeypatch.setattr(measures, "bowen_root", patched)
+        if gap < 0.01:
+            measure = build_frostman_measure(gauss, parse_phi("lin:1"), 0.1, 3)
+            assert measure.levels[1].exponent == q - gap
+        else:
+            with pytest.raises(NumericFailure, match=r"^level 2 window .*below the decay floor"):
+                build_frostman_measure(gauss, parse_phi("lin:1"), 0.1, 3)
 
     def test_bad_depth_and_eps(self, gauss):
         phi = parse_phi("lin:1")
@@ -310,6 +334,29 @@ class TestVerifyFrostman:
         )
         blind = dataclasses.replace(layered_linpow, system=system)
         assert verify_frostman(blind, 3) == verify_frostman(layered_linpow, 3)
+
+    def test_digits_past_the_budget_are_refused_before_any_word(self, gauss, monkeypatch):
+        # The budget counts the words the check reads, enumerated or
+        # sampled, times the depth; a huge sample cap alone is no refusal.
+        deep = build_frostman_measure(gauss, parse_phi("lin:1"), 0.1, 7)
+        report = verify_frostman(deep, 4, sample_cap=10**11)
+        assert (report.checked, report.sampled) == (110_400, False)
+        monkeypatch.setattr(measures, "_VERIFY_DIGITS_MAX", 4 * 110_400)
+        assert verify_frostman(deep, 4, sample_cap=10**11).checked == 110_400
+        assert verify_frostman(deep, 5, sample_cap=88_320).checked == 88_320
+        monkeypatch.setattr(measures, "_sampled_words", None)
+        monkeypatch.setattr(measures, "_enumerated_words", None)
+        with pytest.raises(NumericFailure, match="^88321 words x verify depth 5 exceed the budget"):
+            verify_frostman(deep, 5, sample_cap=88_321)
+        monkeypatch.setattr(measures, "_VERIFY_DIGITS_MAX", 4 * 110_400 - 1)
+        with pytest.raises(NumericFailure, match="^110400 words x verify depth 4 exceed"):
+            verify_frostman(deep, 4, sample_cap=10**11)
+        monkeypatch.undo()
+        total = math.prod(hi - lo + 1 for lo, hi in deep.ladder.windows)
+        start = time.perf_counter()
+        with pytest.raises(NumericFailure, match=f"^{total} words x verify depth 7 exceed"):
+            verify_frostman(deep, 7, sample_cap=10**11)
+        assert time.perf_counter() - start < 0.1
 
 
 def _log_length(system, word, bound):
@@ -968,6 +1015,26 @@ class TestLocalDimMatchesPerSampleLoop:
         decay = {"gauss": None, "linpow": 2.0, "linpow:3": 3.0}[system]
         sys_ = gauss if decay is None else make_linear_power(decay)
         self._both(sys_, alpha, 120, depth, seed)
+
+    def test_a_start_formed_past_the_cap_goes_continuous(self, gauss):
+        # 8**alpha lies just past _CHAIN_EXACT_CAP while alpha * log(8)
+        # rounds to within log(cap), so the start is formed, then refused:
+        # it reads 0, and the log start is the formed start's.
+        alpha = 6.643856189774725
+        m = PowerLawDigitMeasure(2.0, alpha, first_digit=8)
+        cap = measures._CHAIN_EXACT_CAP
+        assert alpha * math.log(8) <= math.log(cap) and m.support_start(8) == cap + 1
+        facts = measures._digit_facts(m, gauss, 8)
+        assert facts[2:4] == (0, math.log(cap + 1))
+        assert all(math.isnan(v) for v in facts[4:])
+        got, ref = io.StringIO(), io.StringIO()
+        est = local_dim_estimate(gauss, alpha, 100, 10, seed=0, first_digit=8, csv_stream=got)
+        want = _per_sample_reference(m, gauss, 100, 10, seed=0, csv_stream=ref)
+        _assert_streams_match(got.getvalue(), ref.getvalue())
+        assert est.value == want["estimate"] and est.diagnostics["mean_switch_level"] == 1.0
+        # The bytes the chain gave when it also tested the cap itself.
+        digest = hashlib.sha256(got.getvalue().encode()).hexdigest()
+        assert digest == "3b29d39337f85c3e8b5503e5ba12cba93bb1aefe35adda14b9ac06d64727d920"
 
     def test_huge_alpha_truncates_alike(self, gauss):
         est = self._both(gauss, 1e12, 100, 30, 2)

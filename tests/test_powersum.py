@@ -14,6 +14,8 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -226,9 +228,15 @@ def test_infinite_tail_just_above_p_one_stays_finite():
     assert math.isclose(hi, 2.0**51, rel_tol=1e-12)
 
 
-def test_unreachable_target_raises():
-    with pytest.raises(ValueError):
-        first_index_reaching(2, 3.0, 10.0)
+def test_unreachable_target_raises(monkeypatch):
+    # The infinite sum's upper end decides it once, ahead of the seed's probe.
+    def no_probe(self, key):
+        raise AssertionError(f"probed key {key}")
+
+    monkeypatch.setattr(powersum._Keys, "bracket", no_probe)
+    for start, p, target in [(2, 3.0, 10.0), (5, 4 / 3, 4.0), (2**80, 1.5, 1e-10)]:
+        with pytest.raises(ValueError, match="exceeds the infinite sum"):
+            first_index_reaching(start, p, target)
 
 
 @pytest.mark.parametrize("gap", [1e-14, 1e-13])
@@ -370,6 +378,46 @@ def test_brackets_take_the_stops_own_ratio_scaling(log2_ratio, p):
     k = powersum._ratio_shift((stop - a).bit_length() - a.bit_length(), a)
     assert k != 0
     assert power_sum_brackets(start, stop, p) == powersum._Brackets(start, p, k)(stop)
+
+
+def _smallest_stop(b, r, delta=0):
+    """The smallest stop of b whose scaled ratio is at least r, by scanning
+    up from delta, one stop at a time."""
+    while powersum._scaled_ratio(delta, b.a, b.k) < r:
+        delta += 1
+    return b.a + delta
+
+
+def test_first_stop_is_the_smallest_stop_reaching_its_ratio():
+    # Small starts, every scaling k in -2..2, and ratios on a grid with
+    # their float neighbours, against a scan from the first stop.
+    ratios = [j / 8 for j in range(1, 25)]
+    ratios += [math.nextafter(r, side) for r in ratios for side in (0.0, math.inf)]
+    for start in range(1, 13):
+        for k in range(-2, 3):
+            b = powersum._Brackets(start, 1.5, k)
+            for r in ratios:
+                assert b.first_stop(r) == _smallest_stop(b, r), (start, k, r)
+
+
+@pytest.mark.parametrize("j", [7, 12, 40, 53, 60])
+def test_first_stop_steps_up_once_off_a_tie(j):
+    # At a = 2**j and k = 0 the midpoint of r and its predecessor is
+    # delta / a for an integer delta.  For r with an odd significand that
+    # tie rounds to even, below r, so the answer is one stop past it.
+    b = powersum._Brackets(2**j - powersum._EM_HEAD, 1.5, 0)
+    assert b.a == 2**j and b.k == 0
+    ties = 0
+    for r in (1.0 + 2.0**-52, 3.0 + 2.0**-51, 2.0**52 + 1.0, 2.0**60 + 2**8, 12345.0 + 2.0**-39):
+        assert int(r / math.ulp(r)) % 2 == 1
+        mid = (Fraction(r) + Fraction(math.nextafter(r, 0.0))) / 2
+        if (mid * b.a).denominator != 1:
+            continue
+        ties += 1
+        tie = int(mid * b.a)
+        assert powersum._scaled_ratio(tie, b.a, 0) < r
+        assert b.first_stop(r) == b.a + tie + 1 == _smallest_stop(b, r, tie - 1)
+    assert ties
 
 
 def _bisection_reach(start, p, goal):
@@ -570,6 +618,27 @@ def test_batch_takes_what_the_array_pass_cannot():
         assert first_indices_reaching([start], p, [target]) == [(got.index, got.slack)]
     with pytest.raises(ValueError, match="exceeds the infinite sum"):
         first_indices_reaching([3, 4], 2.0, [0.1, 1.0])
+
+
+def test_table_crossings_hold_a_bounded_block_of_rows():
+    # 69905 draws from one start (every chain's first draw of a gauss alpha
+    # 2 block at the sample-level budget): one 256-term table row gathered
+    # per draw peaked at 155 MB; chunks of _TABLE_ROWS keep it near 11 MB.
+    p = 4.0 / 3.0
+    goals = np.random.default_rng(0).random(69905) * power_sum_brackets(4, None, p)[0]
+    starts = np.full(len(goals), 4, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        index, certified = powersum._table_crossings(starts, goals, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    # The chunks give each row the full table's answer.
+    span = 4 * powersum._EM_HEAD
+    tab = np.cumsum((4 + np.arange(span)).astype(float) ** -p)
+    k = np.searchsorted(tab, goals, side="left")
+    assert (index == 4 + k).all() and certified.any()
 
 
 def test_numpy_functions_stay_far_inside_the_charge():

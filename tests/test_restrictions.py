@@ -118,6 +118,11 @@ class TestPhi:
                 r = restrictions._iroot(x, k)
                 assert r**k <= x < (r + 1) ** k, (x, k)
             assert restrictions._iroot(7**k, k) == 7
+        # Every small x, where a Newton step that overshot the floor would show.
+        for k in range(2, 9):
+            for x in range(2**12):
+                r = restrictions._iroot(x, k)
+                assert r**k <= x < (r + 1) ** k, (x, k)
 
     @pytest.mark.parametrize(
         "alpha, bits", [(1e300, 2), (1e17, 4), (1.3, 4_000_000), (1.3, 50_290)]
@@ -276,6 +281,19 @@ class TestLadder:
             build_ladder(gauss, parse_phi("lin:1"), 0.5, 3)
         with pytest.raises(PreconditionError):
             build_ladder(gauss, parse_phi("lin:1"), -0.1, 3)
+
+    def test_steps_past_the_budget_are_refused_before_any_step(self, gauss, monkeypatch):
+        budget = restrictions._LADDER_STEPS_MAX
+        monkeypatch.setattr(restrictions, "_LADDER_STEPS_MAX", 5)
+        assert len(build_ladder(gauss, parse_phi("lin:1"), 0.1, 5)) == 5
+        monkeypatch.setattr(restrictions, "verify_power_decay", None)
+        with pytest.raises(NumericFailure, match="^6 ladder steps exceed the budget of 5 steps"):
+            build_ladder(gauss, parse_phi("lin:1"), 0.1, 6)
+        monkeypatch.setattr(restrictions, "_LADDER_STEPS_MAX", budget)
+        start = time.perf_counter()
+        with pytest.raises(NumericFailure, match=f"^{10**9} ladder steps exceed the budget of {budget}"):
+            build_ladder(gauss, parse_phi("lin:1"), 0.1, 10**9)
+        assert time.perf_counter() - start < 0.1
 
     def test_linear_power_ladder_threshold_1(self):
         sys2 = make_linear_power(2)
