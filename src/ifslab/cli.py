@@ -32,7 +32,6 @@ import sys
 import time
 import warnings
 
-import mpmath
 import numpy as np
 
 from . import __version__
@@ -409,6 +408,8 @@ def _cmd_localdim(args):
 
 
 def _cmd_gapsys(args):
+    import mpmath
+
     phi = parse_phi(args.phi)
     gs = build_gap_system(phi, args.d, args.eps)
     report = validate_gap_system(gs, args.n_max)

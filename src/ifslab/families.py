@@ -19,12 +19,18 @@ interval.  The normalizing constant C makes intervals plus gaps exhaust
 normalizer, so it is resolved by fixed-point iteration, with a certified
 tail bound on the truncated block series.  Image n is [a_n, a_n + C n**-d]
 with a_n = 1 - C - (C * (zeta(d, 2) - zeta(d, n+1)) + G(n)), where G(n)
-sums each block's gap over its indices in [2, n]; the bracketed series is
-rounded once at _prec(d, n) bits and the rest is exact, so offsets and
-ratios are exact binary rationals at every index.  The linear-power family
-is the same closed form with no blocks (G = 0) and C = 1/zeta(d); AffineMap
-holds it for both affine families, and with it the rate profile
-(d, float(C), 0) that DecaySystem reads off the map.
+sums each block's gap over its indices in [2, n].  The bracketed series is
+formed at _prec(d, n) bits and rounded there at the zeta, the difference,
+the product and the gap sum, so it is within a few ulps at _prec(d, n)
+bits, far inside the validator's tolerance min(2**-100, ratio * 2**-64);
+the rest is exact, so offsets and ratios are exact binary rationals at
+every index.  The linear-power family is the same closed form with no
+blocks (G = 0) and C = 1/zeta(d); AffineMap holds it for both affine
+families, and with it the rate profile (d, float(C), 0) that DecaySystem
+reads off the map.
+
+mpmath is imported inside the functions that call it, so the commands
+that never form an affine family (all of gauss) never load it.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from .restrictions import Phi, _ladder_step
 from .systems import DecaySystem, NumericFailure, PreconditionError, _integer, verify_power_decay
@@ -71,20 +75,34 @@ def _prec(decay: float, i: int) -> int:
 
 
 def _ratio(c_mpf, decay: float, i: int) -> Fraction:
-    """C * i**-d rounded once at _prec(d, i) bits, as an exact rational."""
+    """C * i**-d at _prec(d, i) bits, rounded twice (the power, then the
+    product), as an exact rational."""
+    import mpmath
+
     with mpmath.workprec(_prec(decay, i)):
         return _mpf_to_fraction(c_mpf * mpmath.power(i, -decay))
 
 
-def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
-    """a_i by the closed form; zeta_2 is zeta(d, 2) at 128 bits.
+def _zeta_2(decay: float):
+    """zeta(d, 2) at _MP_PREC bits, the offsets' common series head."""
+    import mpmath
 
-    Only the series C * (zeta_2 - zeta(d, i+1)) + G(i) is rounded (once, at
-    _prec(d, i) bits; zeta_2's rounding is common to all offsets); at i = 1
-    it is exactly 0, so a_1 = 1 - C exactly and image 1 ends flush at 1.
-    The tiling needs the lengths to sum, so d <= 1 is a PreconditionError:
-    there zeta(d, i+1) is infinite (d = 1) or an analytic continuation.
-    An offset past _OFFSET_BITS_CAP working bits is a NumericFailure.
+    with mpmath.workprec(_MP_PREC):
+        return mpmath.zeta(decay, 2)
+
+
+def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
+    """a_i by the closed form; zeta_2() gives zeta(d, 2) at 128 bits.
+
+    Only the series C * (zeta(d, 2) - zeta(d, i+1)) + G(i) is rounded, at
+    _prec(d, i) bits: at the zeta, the difference, the product and the gap
+    sum, a few ulps in all (zeta(d, 2)'s rounding is common to all
+    offsets).  At i = 1 its lengths term is exactly 0 and is not formed, so
+    offset(1) calls no zeta, and a_1 = 1 - C - G(1): image 1 ends flush at
+    1 unless a hand-built map puts a block at index 1.  The tiling needs
+    the lengths to sum, so d <= 1 is a PreconditionError: there
+    zeta(d, i+1) is infinite (d = 1) or an analytic continuation.  An
+    offset past _OFFSET_BITS_CAP working bits is a NumericFailure.
     """
     if not decay > 1:
         raise PreconditionError(f"an affine tiling needs decay d > 1, got {decay}")
@@ -94,40 +112,49 @@ def _offset(c_mpf, decay: float, zeta_2, blocks: tuple, i: int) -> Fraction:
             f"offset {i} of the decay-{decay} tiling needs {bits} bits, past the "
             f"{_OFFSET_BITS_CAP}-bit budget"
         )
+    import mpmath
+
     with mpmath.workprec(bits):
-        lengths = c_mpf * (zeta_2 - mpmath.zeta(decay, i + 1))
-        gaps = sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks)
-        series = _mpf_to_fraction(lengths + gaps)
-    return 1 - _mpf_to_fraction(c_mpf) - series
+        series = mpmath.mpf(sum(b.gap * max(0, min(b.end, i) - b.start + 1) for b in blocks))
+        if i > 1:
+            series += c_mpf * (zeta_2() - mpmath.zeta(decay, i + 1))
+    return 1 - _mpf_to_fraction(c_mpf) - _mpf_to_fraction(series)
 
 
 class AffineMap:
     """Branches f_i(x) = offset(i) + slope(i) * x of a right-to-left affine
     tiling of [0, 1], from (C, d, blocks).  A C that is not an mpf is
-    converted to one, exactly for a float.
+    converted to one at _MP_PREC bits, whatever the ambient precision:
+    exactly for a float.
 
     Image n is [a_n, a_n + C * n**-d], and each index inside a block gets
     that block's gap between image n and image n-1; outside blocks
     consecutive images share an endpoint to within 2**-120 and 2**-64 of
     image n's length.  slope(i) = C * i**-d and offset(i) = a_i are each
-    rounded once at _prec(d, i) bits, so both are exact rationals at any
-    index.  Each read is cached per map; the caches hold no reference to
-    the map, so a system dies by reference count.  A slope costs a power,
-    an offset a Hurwitz zeta: lengths read slopes only.  ``blocks`` is
-    kept: it is empty for a gapless tiling.  So are ``decay`` and the
-    float ``scale`` of C, the rate profile's d and c, set once here so
-    that no rate read converts an mpf.  A map with d <= 1 carries rates
-    alone: reading one of its offsets is a PreconditionError.
+    formed at _prec(d, i) bits to a few ulps (_ratio, _offset), so both
+    are exact rationals at any index.  Each read is cached per map; the
+    caches hold no reference to the map, so a system dies by reference
+    count.  A slope costs a power, an offset a Hurwitz zeta: lengths,
+    ladders and the composition certificate read slopes only.  The
+    offsets' common zeta(d, 2) is formed at the first offset past index 1
+    that is read, not when the map is built, and offset(1) = 1 - C - G(1)
+    calls no zeta.  ``blocks`` is kept: it is empty for a gapless tiling.
+    So are ``decay`` and the float ``scale`` of C, the rate profile's d and
+    c, set once here so that no rate read converts an mpf.  A map with
+    d <= 1 carries rates alone: reading one of its offsets is a
+    PreconditionError.
     """
 
     def __init__(self, c_mpf, decay: float, blocks: tuple = ()):
+        import mpmath
+
         if not isinstance(c_mpf, mpmath.mpf):
-            c_mpf = mpmath.mpf(c_mpf)
+            with mpmath.workprec(_MP_PREC):
+                c_mpf = mpmath.mpf(c_mpf)
         self.blocks = blocks
         self.decay = decay
         self.scale = float(c_mpf)
-        with mpmath.workprec(_MP_PREC):
-            zeta_2 = mpmath.zeta(decay, 2)
+        zeta_2 = functools.cache(functools.partial(_zeta_2, decay))
         self.slope = functools.cache(functools.partial(_ratio, c_mpf, decay))
         self.offset = functools.cache(functools.partial(_offset, c_mpf, decay, zeta_2, blocks))
 
@@ -146,14 +173,16 @@ def make_linear_power(d: float) -> DecaySystem:
 
     The branches are the gap tiling's closed form with no blocks and
     C = 1/zeta(d) at 128 bits: image i is [a_i, a_i + C * i**-d] with
-    a_i = 1 - C * zeta(d) + C * zeta(d, i+1) up to one rounding at
-    _prec(d, i) bits.  Slopes and offsets are exact binary rationals, so
+    a_i = 1 - C * zeta(d) + C * zeta(d, i+1) to a few ulps at _prec(d, i)
+    bits.  Slopes and offsets are exact binary rationals, so
     cylinder arithmetic on the represented system is exact; image 1 ends
     exactly at 1, and consecutive images share an endpoint to within
     2**-120 and 2**-64 of the smaller image's length.
     """
     if not 1 < d < math.inf:
         raise PreconditionError("linear-power family needs a finite decay d > 1")
+    import mpmath
+
     with mpmath.workprec(_MP_PREC):
         c_mpf = 1 / mpmath.zeta(d)
     return DecaySystem(AffineMap(c_mpf, float(d)))
@@ -206,6 +235,8 @@ class GapSystem:
 def _gap_blocks(windows, c_mpf) -> tuple:
     """Block j covers the window (floor(Phi(l_j)) + 1, l_{j+1}) with the gap
     C * j**-2 / l_{j+1}."""
+    import mpmath
+
     with mpmath.workprec(_MP_PREC):
         return tuple(
             GapBlock(start, end, c_mpf * mpmath.mpf(j) ** -2 / mpmath.mpf(end))
@@ -277,6 +308,8 @@ def build_gap_system(phi: Phi, d: float, eps: float) -> GapSystem:
     if eps >= 1.0 / d:
         # The ladder summand exponent -1 + d*eps must stay negative.
         raise PreconditionError("gap construction needs eps < 1/d")
+    import mpmath
+
     with mpmath.workprec(_MP_PREC):
         zeta_d = mpmath.zeta(d)
         c_cur = float(1 / zeta_d)

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import mpmath
 import numpy as np
 
 from .powersum import first_index_reaching
@@ -118,6 +117,10 @@ class Phi:
                 raise PreconditionError("power restriction needs a finite exponent alpha > 1")
             # Not a field: eq, hash and repr see alpha alone.
             object.__setattr__(self, "_alpha_frac", Fraction(self.alpha))
+            if self._alpha_frac.denominator > _EXACT_ROOT_DEN:
+                # The adaptive route's mpmath is loaded here, before any
+                # forked sample block could import it once each.
+                import mpmath  # noqa: F401
         elif self.kind == "table":
             t = self.table
             if not t:
@@ -155,6 +158,8 @@ class Phi:
             return r, r if exact else r + 1
         # Adaptive precision: enough bits for the integer part plus guards,
         # then a confirmation pass at higher precision.
+        import mpmath
+
         need = int(self.alpha * n.bit_length()) + _GUARD_BITS
         with mpmath.workprec(need):
             f1 = int(mpmath.floor(mpmath.power(n, self.alpha)))

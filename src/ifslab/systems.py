@@ -19,8 +19,8 @@ the profile is read off it, so a system cannot disagree with itself:
     families.AffineMap     offset(i) + slope(i) * x     (d, float(C), 0)
 
 None is the reciprocal-shift family of the continued fractions
-(make_gauss).  An AffineMap of (C, d) has slope(i) = C * i**-d rounded
-once: a right-to-left tiling (make_linear_power) or one with explicit
+(make_gauss).  An AffineMap of (C, d) has slope(i) = C * i**-d to a few
+ulps: a right-to-left tiling (make_linear_power) or one with explicit
 gaps between consecutive images (build_gap_system).  The geometry also
 fixes the bounded-distortion constant D: appending branch i to a
 composition scales the cylinder length by at most D * contract_hi(i).
@@ -319,7 +319,9 @@ def verify_power_decay(system: DecaySystem, eps: float) -> DecayReport:
     index 1: contract_lo(k) * k**(d + eps) rises with k and contract_hi(k) *
     k**(d - eps) falls.  The composition certificate takes the first depth
     m <= 8 at which every word with digits <= _COMP_DIGIT_CAP has
-    sup |f_w'| < 1 over [0, 1].
+    sup |f_w'| < 1 over [0, 1].  An affine word's matrix is
+    (prod of slopes, offset, 0, 1), so its sup is the product of its
+    exact slopes and no offset is read.
     """
     if not 0 < eps < math.inf:
         raise PreconditionError(f"eps must be finite and > 0 (the sandwich is strict); got {eps}")
@@ -341,11 +343,16 @@ def verify_power_decay(system: DecaySystem, eps: float) -> DecayReport:
     # A word's matrix has non-negative entries, so c*x + d is positive and
     # linear on [0, 1], and |f_w'| = |a*d - b*c| / (c*x + d)**2 is largest
     # at the endpoint where c*x + d is smallest.
+    affine = system.affine
     for m in range(1, 9):
         worst = 0.0
         for word in itertools.product(range(1, _COMP_DIGIT_CAP + 1), repeat=m):
-            a, b, c, d = _compose(system, word)
-            worst = max(worst, float(Fraction(abs(a * d - b * c)) / min(abs(d), abs(c + d)) ** 2))
+            if affine is None:
+                a, b, c, d = _compose(system, word)
+                sup = Fraction(abs(a * d - b * c)) / min(abs(d), abs(c + d)) ** 2
+            else:
+                sup = math.prod(affine.slope(i) for i in word)
+            worst = max(worst, float(sup))
             if worst >= 1.0:
                 break
         if worst < 1.0:

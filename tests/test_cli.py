@@ -708,6 +708,78 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def _mpmath_after(tmp_path, *runs, setup=""):
+    """In a fresh interpreter, run each argv through ifslab.cli.run (its
+    report under tmp_path) and print, after the import and after each run,
+    whether mpmath is loaded; return the lines it printed."""
+    code = "\n".join([
+        "import os, sys, ifslab.cli",
+        setup,
+        "print('mpmath' in sys.modules)",
+        *(
+            f"assert ifslab.cli.run({[*argv, '--out', str(tmp_path / f'r{k}.json')]!r}) == 0\n"
+            "print('mpmath' in sys.modules)"
+            for k, argv in enumerate(runs)
+        ),
+    ])
+    proc = _run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_gauss_commands_load_no_mpmath(tmp_path):
+    # mpmath costs 20-30 ms of import; only affine families, gap systems
+    # and adaptive pow: exponents call it.
+    points = tmp_path / "points.txt"
+    points.write_text("\n".join(repr(1 / i) for i in range(1, 2001)))
+    lines = _mpmath_after(
+        tmp_path,
+        ["cover", "--system", "gauss", "--phi", "lin:1", "--depth", "2", "--s", "0.6"],
+        ["boxdim", "--points", str(points)],
+        ["words", "--phi", "pow:2", "--depth", "3", "--cap", "50"],
+        ["localdim", "--alpha", "2", "--samples", "200", "--depth", "10"],
+    )
+    assert lines == ["False"] * 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--system", "linpow:2", "--phi", "lin:1", "--depth", "2", "--s", "0.6"],
+        ["gapsys", "--d", "2", "--phi", "pow:2", "--eps", "0.1", "--n-max", "100"],
+    ],
+    ids=["linpow", "gapsys"],
+)
+def test_affine_commands_load_mpmath(tmp_path, argv):
+    assert _mpmath_after(tmp_path, argv) == ["False", "True"]
+
+
+def test_an_adaptive_power_phi_loads_mpmath_before_any_fork(tmp_path):
+    # Fraction(1.3) has a denominator past _EXACT_ROOT_DEN, so its floors
+    # take mpmath's route; the Phi loads it when built, and every forked
+    # sample block inherits it instead of importing it once each.
+    setup = "\n".join([
+        "from ifslab import _blocks",
+        "from ifslab.restrictions import Phi",
+        "Phi('pow', alpha=1.5)",
+        "print('mpmath' in sys.modules)",
+        "Phi('pow', alpha=1.3)",
+        "print('mpmath' in sys.modules)",
+        "_blocks._cpu_count = lambda: 2",
+        "real_fork = os.fork",
+        "def fork():",
+        "    print('fork', 'mpmath' in sys.modules, flush=True)",
+        "    return real_fork()",
+        "os.fork = fork",
+    ])
+    lines = _mpmath_after(
+        tmp_path, ["localdim", "--alpha", "1.3", "--samples", "200", "--depth", "10"],
+        setup=setup,
+    )
+    # Phi(1.5), Phi(1.3), after the set-up, at the one fork, after the run.
+    assert lines == ["False", "True", "True", "fork True", "True"]
+
+
 def test_linpow_depth_four_frostman_finishes(tmp_path):
     # Level-4 digits reach 9262975; a cylinder length is a product of
     # slopes, so no offset up to that index is formed.

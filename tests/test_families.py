@@ -38,8 +38,14 @@ from ifslab.families import (
     make_linear_power,
     validate_gap_system,
 )
-from ifslab.restrictions import parse_phi
-from ifslab.systems import DecaySystem, NumericFailure, PreconditionError, cylinder_interval
+from ifslab.restrictions import build_ladder, parse_phi
+from ifslab.systems import (
+    DecaySystem,
+    NumericFailure,
+    PreconditionError,
+    cylinder_interval,
+    verify_power_decay,
+)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +120,14 @@ class TestConstructors:
         for i in (1, 2, 3, 10, 1000):
             assert got.offset(i) == want.offset(i) and got.slope(i) == want.slope(i)
         assert got.scale == want.scale == 0.6
+
+    def test_a_float_scale_is_exact_at_any_ambient_precision(self):
+        # Converted at the ambient 20 bits, C would read 0.3000001907348633,
+        # and every slope and offset would inherit the rounded C.
+        with mpmath.workprec(20):
+            affine = AffineMap(0.3, 2.0)
+        assert affine.scale == 0.3
+        assert affine.slope(1) == Fraction(0.3) and affine.offset(1) == 1 - Fraction(0.3)
 
     def test_linear_power_cubic_ratio(self):
         cubic = make_linear_power(3.0)
@@ -313,6 +327,76 @@ class TestGapOffsets:
             assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+@pytest.fixture
+def zeta_calls(monkeypatch):
+    """The arguments of every mpmath.zeta call made while the test runs."""
+    calls, zeta = [], mpmath.zeta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return zeta(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "zeta", counted)
+    return calls
+
+
+def _offset_blind(system):
+    """The system with an affine map whose every offset read raises."""
+
+    def offset(i):
+        raise AssertionError(f"offset({i}) was read")
+
+    return dataclasses.replace(system, affine=_with_offset(system.affine, offset))
+
+
+class TestLazyOffsets:
+    """An offset costs a Hurwitz zeta, formed only where an offset is read."""
+
+    @pytest.mark.parametrize("kind", ["linpow", "gap"])
+    def test_certificates_read_no_offset(self, kind):
+        # An affine word's sup |f_w'| is the product of its slopes.
+        if kind == "linpow":
+            system = make_linear_power(2.0)
+        else:
+            system = build_gap_system(parse_phi("pow:2"), 2.0, 0.1).system
+        blind = _offset_blind(system)
+        assert verify_power_decay(blind, 0.1) == verify_power_decay(system, 0.1)
+        phi = parse_phi("lin:1")
+        assert build_ladder(blind, phi, 0.1, 4) == build_ladder(system, phi, 0.1, 4)
+
+    def test_a_construction_forms_one_zeta(self, zeta_calls):
+        # zeta(d) for C; zeta(d, 2) waits for the first offset past index 1.
+        make_linear_power(2.0)
+        assert zeta_calls == [(2.0,)]
+        build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+        assert zeta_calls == [(2.0,), (2.0,)]
+
+    def test_offset_one_forms_no_zeta(self, zeta_calls):
+        with mpmath.workprec(128):
+            c = _mpf_to_fraction(1 / mpmath.zeta(2))
+        linpow = make_linear_power(2.0).affine
+        gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+        del zeta_calls[:]
+        assert linpow.offset(1) == 1 - c
+        assert gs.system.affine.offset(1) == 1 - _mpf_to_fraction(gs._c_mpf)
+        assert zeta_calls == []
+
+    def test_validation_forms_one_zeta_per_offset_read(self, zeta_calls):
+        gs = build_gap_system(parse_phi("pow:2"), 2.0, 0.1)
+        reads = []
+
+        def offset(i):
+            reads.append(i)
+            return gs.system.affine.offset(i)
+
+        del zeta_calls[:]
+        rep = validate_gap_system(_with_map(gs, _with_offset(gs.system.affine, offset)), 10**4)
+        assert (rep.all_pass, rep.threshold, rep.witness) == (True, 1, {})
+        # One per distinct index past 1, and zeta(d, 2) once for them all.
+        assert len(zeta_calls) == len(set(reads) - {1}) + 1
+        assert zeta_calls.count((2.0, 2)) == 1
 
 
 class TestGapValidation:
